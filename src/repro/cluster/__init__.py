@@ -9,8 +9,11 @@ installation; this package spreads contexts across peers:
   generation-numbered peer view behind failure detection;
 * :mod:`repro.cluster.link` — :class:`PeerLink`, node-to-node RPC over
   the ordinary DV wire protocol (``fwd``/``fwd_reply``/``gossip`` ops);
-* :mod:`repro.cluster.node` — :class:`ClusterNode`, a DVServer plus the
-  gateway-forwarding, ready-routing and failover machinery;
+* :mod:`repro.cluster.router` — :class:`Router`, the ring-routed op
+  forwarding, ready routing and waiter replay shared with the
+  multi-core tier (:mod:`repro.dv.multicore`);
+* :mod:`repro.cluster.node` — :class:`ClusterNode`, a DVServer plus
+  membership, activation and failover, forwarding through a router;
 * :mod:`repro.cluster.replication` — the HA tier: owner→replica state
   streaming with epoch fencing, hot promotion and background healing;
 * :mod:`repro.cluster.migrate` — :class:`MigrationManager`, live
@@ -40,6 +43,7 @@ from repro.cluster.migrate import MigrationManager
 from repro.cluster.node import ClusterNode, ContextSpec, parse_peer
 from repro.cluster.replication import ReplicaStore, ReplicationManager
 from repro.cluster.ring import HashRing
+from repro.cluster.router import Router
 
 __all__ = [
     "HashRing",
@@ -47,6 +51,7 @@ __all__ = [
     "PeerTable",
     "PeerLink",
     "DialBackoff",
+    "Router",
     "ClusterNode",
     "ContextSpec",
     "parse_peer",

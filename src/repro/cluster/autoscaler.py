@@ -235,7 +235,7 @@ class Autoscaler:
             peers = list(self.node.table.alive_peers())
         for peer in peers:
             try:
-                reply = self.node._link_to(peer.node_id).call(
+                reply = self.node.router.link(peer.node_id).call(
                     {"op": "load"}, timeout=self.node.rpc_timeout
                 )
             except (DVConnectionLost, SimFSError, OSError):

@@ -42,7 +42,7 @@ from repro.dv.protocol import (
     send_message,
 )
 
-__all__ = ["DialBackoff", "PeerLink", "PeerTimeout"]
+__all__ = ["DialBackingOff", "DialBackoff", "PeerLink", "PeerTimeout"]
 
 
 class DialBackoff:
@@ -77,10 +77,14 @@ class DialBackoff:
 
     def ready(self, peer_id: str, now: float | None = None) -> bool:
         """May we dial this peer now?"""
+        return self.remaining(peer_id, now) <= 0.0
+
+    def remaining(self, peer_id: str, now: float | None = None) -> float:
+        """Seconds until this peer may be dialed again (0 when ready)."""
         now = time.monotonic() if now is None else now
         with self._lock:
             entry = self._state.get(peer_id)
-            return entry is None or now >= entry[1]
+            return 0.0 if entry is None else max(0.0, entry[1] - now)
 
     def failures(self, peer_id: str) -> int:
         with self._lock:
@@ -110,6 +114,22 @@ class PeerTimeout(DVConnectionLost):
     parked on PFS I/O) is *not* hard death evidence — callers feed this
     into the graded ``heartbeat_missed`` path instead of an instant
     ``link_failed`` verdict, so a stall cannot split ring ownership."""
+
+
+class DialBackingOff(DVConnectionLost):
+    """No dial was attempted: the peer's :class:`DialBackoff` window is
+    still open for ``retry_in`` seconds.
+
+    Says nothing new about the peer's health (the refused dial that
+    opened the window was already reported by whoever made it), so
+    callers wait the window out, or give up at their own deadline, and
+    never feed it to the membership table."""
+
+    def __init__(self, peer_id: str, retry_in: float) -> None:
+        super().__init__(
+            f"peer {peer_id!r} dial is backing off for {retry_in:.2f}s"
+        )
+        self.retry_in = retry_in
 
 
 class PeerLink:

@@ -191,7 +191,7 @@ class MigrationManager:
 
         # Phase 2: cutover under the node lock — the job-intake freeze.
         # Racing client ops block on this lock, then reroute to the
-        # pinned destination; _forward_routed absorbs the destination's
+        # pinned destination; the router's forward absorbs the destination's
         # activation lag with its ERR_CONTEXT retry loop.
         freeze_began = time.monotonic()
         obs_freeze_began = obs.now()
@@ -239,16 +239,12 @@ class MigrationManager:
             obs_freeze_began + freeze_s, context=context, dest=dest,
         )
         waiters = final.get("waiters", ())
-        with node._lock:
-            # Dest death must replay these from here: the migrated
-            # waiters' readies now come from dest, and _sync_ring's
-            # pending scan is the mechanism that notices a dead owner.
-            for entry in waiters:
-                node._pending[(entry[0], context, entry[1])] = dest
-            for cid in final.get("clients", ()):
-                if cid in node._proxies:
-                    continue  # a gateway's client: its ingress tracks it
-                node._ingress_ctx.setdefault(cid, {})[context] = dest
+        # Dest death must replay these from here: the migrated waiters'
+        # readies now come from dest, and the router's stale scan is the
+        # mechanism that notices a dead owner.
+        node.router.adopt_handoff(
+            context, dest, waiters, final.get("clients", ())
+        )
         self._m_completed.inc()
         self._m_waiters.inc(len(waiters))
         node._gossip_soon()
@@ -284,7 +280,7 @@ class MigrationManager:
             if context in node._specs and context not in node._active:
                 node._activate(context)
         waiters = [e for e in state.get("waiters", ()) if len(e) >= 2]
-        node._register_waiter_origins(waiters)
+        node.router.restore_proxies(context, state.get("clients", ()), waiters)
         try:
             shard = node.server.coordinator.shard(context)
         except SimFSError:
@@ -296,7 +292,7 @@ class MigrationManager:
 
     def _send(self, dest: str, frame: dict) -> dict | None:
         try:
-            link = self.node._link_to(dest)
+            link = self.node.router.link(dest)
             reply = link.call(frame, timeout=self.node.rpc_timeout)
         except (DVConnectionLost, SimFSError, OSError):
             return None
@@ -366,7 +362,7 @@ class MigrationManager:
         with self._lock:
             self._incoming.pop(context, None)
         waiters = [e for e in state.get("waiters", ()) if len(e) >= 2]
-        node._register_waiter_origins(waiters)
+        node.router.restore_proxies(context, state.get("clients", ()), waiters)
         try:
             shard = node.server.coordinator.shard(context)
         except SimFSError:
@@ -463,7 +459,7 @@ class MigrationManager:
         node = self.node
         state = record["state"]
         waiters = [e for e in state.get("waiters", ()) if len(e) >= 2]
-        node._register_waiter_origins(waiters)
+        node.router.restore_proxies(context, state.get("clients", ()), waiters)
         try:
             shard = node.server.coordinator.shard(context)
         except SimFSError:

@@ -13,14 +13,11 @@ node independently — no coordinator election, no migration protocol,
 just convergent hashing.
 
 **Gateway forwarding** — any node accepts any client.  An op naming a
-context this node does not own is wrapped in a ``fwd`` frame and shipped
-to the owner over a :class:`~repro.cluster.link.PeerLink`; the owner
-executes it against its shard on behalf of the client and answers with
-``fwd_reply``.  ``ready`` notifications for such proxied clients travel
-the reverse path: the owner remembers which peer each proxied client
-entered through and pushes a one-way ``fwd(ready)`` down that peer
-link's server side; the ingress node delivers it to the real client
-connection.  Clients that want one-hop steady state use
+context this node does not own is forwarded to the owner, and the
+``ready`` for a blocked open travels the reverse path, by the shared
+:class:`~repro.cluster.router.Router`; this module only tells it who
+owns what, how to dial a peer and what a dead one means.  Clients that
+want one-hop steady state use
 :class:`~repro.cluster.client.ClusterConnection` instead and talk to
 owners directly.
 
@@ -42,30 +39,27 @@ import shutil
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.autoscaler import Autoscaler
-from repro.cluster.link import DialBackoff, PeerLink, PeerTimeout
+from repro.cluster.link import DialBackingOff, DialBackoff, PeerLink
 from repro.cluster.membership import PeerTable
 from repro.cluster.migrate import MigrationManager
 from repro.cluster.replication import ReplicationManager
 from repro.cluster.ring import HashRing
+from repro.cluster.router import Router
 from repro.core.context import SimulationContext
 from repro.core.errors import (
-    DETAIL_ALREADY_ATTACHED,
-    DETAIL_NOT_ATTACHED,
     DVConnectionLost,
     ErrorCode,
     FileNotInContextError,
     InvalidArgumentError,
-    ProtocolError,
     SimFSError,
 )
 from repro.data.client import DataClient
 from repro.data.server import DataServer
-from repro.dv.coordinator import Notification
-from repro.dv.protocol import OP_FWD, OP_GOSSIP, make_fwd, unwrap_fwd
-from repro.dv.server import _ROUTABLE_OPS, DVServer
+from repro.dv.protocol import OP_FWD, OP_GOSSIP
+from repro.dv.server import DVServer
 
 __all__ = ["ContextSpec", "ClusterNode", "parse_peer"]
 
@@ -94,22 +88,6 @@ class ContextSpec:
     restart_dir: str
     alpha_delay: float = 0.0
     tau_delay: float = 0.0
-
-
-@dataclass
-class _ProxyClient:
-    """Owner-side stand-in for a client connected at a peer gateway.
-
-    Quacks like the server's ``_ClientConn`` where op handlers care
-    (``client_id``/``contexts``); ``conn`` is the peer's server-side
-    connection, the channel ``ready`` notifications route back through.
-    """
-
-    client_id: str
-    origin: str | None = None
-    peer_client_id: str | None = None
-    conn: object | None = None
-    contexts: set[str] = field(default_factory=set)
 
 
 class ClusterNode:
@@ -159,6 +137,29 @@ class ClusterNode:
         # Spans recorded by this daemon must carry the cluster identity,
         # not the generic "dv", so a merged trace names its hops.
         self.server.obs.node = node_id
+        self.metrics = self.server.metrics
+        #: Forwarding core: ingress tables, proxied clients, peer links.
+        #: A torn link is hard evidence against a peer (dead on the spot);
+        #: a timeout only feeds the graded suspicion path.
+        self.router = Router(
+            node_id,
+            resolve=self._resolve,
+            dial=self._dial,
+            execute_local=self._execute_local,
+            ready_sink=self.server._push_ready,
+            send=self.server._send,
+            on_unreachable=lambda peer_id: self._apply_membership(
+                lambda: self.table.link_failed(peer_id)
+            ),
+            on_timeout=lambda peer_id: self._apply_membership(
+                lambda: self.table.heartbeat_missed(peer_id)
+            ),
+            is_stale=self._owner_gone,
+            metrics=self.metrics,
+            prefix="cluster.",
+            rpc_timeout=rpc_timeout,
+            obs=self.server.obs,
+        )
         #: Bulk data plane: bound here (so the port is known before the
         #: engine forks and before hellos advertise it), threads started
         #: in :meth:`start`.  Serves every context in the catalog from its
@@ -188,10 +189,9 @@ class ClusterNode:
                 workers=engine_workers,
                 accept="none",
                 rpc_timeout=rpc_timeout,
-                ready_router=self._engine_ready,
+                ready_router=self.router.deliver_ready,
                 data_endpoint=(host, self.data.port),
             )
-        self.metrics = self.server.metrics
         self.ring = HashRing(vnodes)
         self.table = PeerTable(
             node_id, host, port,
@@ -200,23 +200,13 @@ class ClusterNode:
         #: Serializes membership/ring/activation state.  Never held across
         #: a peer round trip (replays run after release).
         self._lock = threading.RLock()
-        self._links: dict[str, PeerLink] = {}
-        self._links_lock = threading.Lock()
         self._seeds: list[tuple[str, int]] = []
         self._specs: dict[str, ContextSpec] = {}
         self._active: set[str] = set()
-        # Owner-side proxies for clients that entered through a peer.
-        self._proxies: dict[str, _ProxyClient] = {}
-        # Ingress-side state for this node's own clients: which contexts
-        # each reaches through forwarding (and who owned them at attach
-        # time), plus which forwarded opens still wait on a ready from
-        # which owner.  Ownership changes trigger re-attach/replay.
-        self._ingress_ctx: dict[str, dict[str, str]] = {}
-        self._pending: dict[tuple[str, str, str], str] = {}
         self._stop = threading.Event()
         self._hb_thread: threading.Thread | None = None
         # Re-dial pacing for unreachable peers: one shared backoff gate
-        # covers gossip dead-peer probes and lazy _link_to dials, so a
+        # covers gossip dead-peer probes and the router's lazy dials, so a
         # down peer costs a bounded (and jittered) trickle of connect
         # attempts instead of one per round/op.
         self._dial_backoff = DialBackoff(
@@ -231,12 +221,8 @@ class ClusterNode:
             elif peer_id != node_id:
                 self.table.upsert(peer_id, peer_host, peer_port)
 
-        self._m_fwd_sent = self.metrics.counter("cluster.fwd_sent")
-        self._m_fwd_recv = self.metrics.counter("cluster.fwd_received")
-        self._m_ready_routed = self.metrics.counter("cluster.ready_routed")
         self._m_gossip = self.metrics.counter("cluster.gossip_rounds")
         self._m_failovers = self.metrics.counter("cluster.failovers")
-        self._m_replayed = self.metrics.counter("cluster.replayed_waits")
         self._m_epoch = self.metrics.gauge("cluster.ring_epoch")
         self._m_peers = self.metrics.gauge("cluster.peers_alive")
         self._m_redial = self.metrics.counter("cluster.redial")
@@ -270,7 +256,7 @@ class ClusterNode:
             )
 
         self.server.register_op(
-            OP_FWD, self._op_fwd, reply_op="fwd_reply", needs_worker=True
+            OP_FWD, self.router.on_fwd, reply_op="fwd_reply", needs_worker=True
         )
         self.server.register_op(OP_GOSSIP, self._op_gossip, needs_worker=True)
         # describe() takes the cluster lock, which activation may hold
@@ -307,10 +293,10 @@ class ClusterNode:
                 "stats", self._op_engine_stats, needs_worker=True, replace=True
             )
         self.server.set_cluster_hooks(
-            route_op=self._route_op,
-            ready_router=self._ready_router,
+            route_op=self.router.route,
+            ready_router=self.router.route_ready,
             hello_extra=self._hello_extra,
-            drop_hook=self._drop_hook,
+            drop_hook=self.router.drop_client,
         )
         with self._lock:
             self._sync_ring()
@@ -397,10 +383,7 @@ class ClusterNode:
             self.repl.stop()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
-        with self._links_lock:
-            links, self._links = list(self._links.values()), {}
-        for link in links:
-            link.close()
+        self.router.close()
         # Client plane first (drains replies that may still need the
         # engine), then the executor pool.
         self.server.stop(drain_timeout=drain_timeout)
@@ -480,21 +463,11 @@ class ClusterNode:
                 attached, waits = self._deactivate(name)
                 reattaches.extend(attached)
                 replays.extend(waits)
-        # This node's clients whose forwarded attachment points at a node
-        # that no longer owns the context: re-register them with the new
-        # owner so their next op does not bounce with "not attached".
-        for client_id, attachments in self._ingress_ctx.items():
-            for context_name, owner in attachments.items():
-                if self.ring.owner(context_name) != owner:
-                    reattaches.append((client_id, context_name))
-        # Forwarded opens whose owner is gone: queue them for replay
-        # against whoever the ring now assigns.
-        for key, owner in list(self._pending.items()):
-            if owner not in alive:
-                client_id, context_name, filename = key
-                replays.append((client_id, context_name, filename))
-                del self._pending[key]
-        return reattaches, replays, promotions
+        # This node's clients whose forwarded attachments and opens point
+        # at an owner that died: re-register and replay them against
+        # whoever the ring now assigns.
+        stale_attached, stale_waits = self.router.stale()
+        return reattaches + stale_attached, replays + stale_waits, promotions
 
     def _activate(self, name: str) -> None:
         if self.engine is not None:
@@ -543,16 +516,12 @@ class ClusterNode:
                 name=f"cluster-replay-{self.node_id}", daemon=True,
             ).start()
 
-    def _peer_down(self, node_id: str) -> None:
-        """Hard evidence a peer is gone (torn forwarding connection)."""
-        with self._links_lock:
-            link = self._links.pop(node_id, None)
-        if link is not None:
-            link.close()
-        self._apply_membership(lambda: self.table.link_failed(node_id))
-
-    def _on_link_down(self, node_id: str) -> None:
-        self._peer_down(node_id)
+    def _owner_gone(self, owner: str, context_name: str) -> bool:
+        """Router hook (lock held, from :meth:`_sync_ring`): forwarded
+        state is stale once the owner it names is dead.  A live former
+        owner hands its attachments and waiters to the new one itself."""
+        peer = self.table.get(owner)
+        return peer is None or not peer.alive
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
@@ -576,7 +545,7 @@ class ClusterNode:
             if self._stop.is_set():
                 return
             try:
-                reply = self._link_to(peer.node_id).call(
+                reply = self.router.link(peer.node_id).call(
                     frame, timeout=self.rpc_timeout
                 )
             except (DVConnectionLost, SimFSError, OSError):
@@ -668,259 +637,58 @@ class ClusterNode:
                 )
                 self._seeds.remove((host, port))
 
-    def _link_to(self, node_id: str) -> PeerLink:
-        with self._links_lock:
-            link = self._links.get(node_id)
-            if link is not None and not link.closed:
-                return link
+    def _dial(self, node_id: str, **callbacks) -> PeerLink:
+        """Router hook: a link to a live peer, behind the back-off gate."""
         peer = self.table.get(node_id)
         if peer is None or not peer.alive:
             raise DVConnectionLost(f"peer {node_id!r} is not alive")
-        if not self._dial_backoff.ready(node_id):
-            raise DVConnectionLost(
-                f"peer {node_id!r} dial is backing off"
-            )
+        wait = self._dial_backoff.remaining(node_id)
+        if wait > 0:
+            raise DialBackingOff(node_id, wait)
         if self._dial_backoff.failures(node_id):
             self._m_redial.inc()
         try:
-            fresh = PeerLink(
-                self.node_id, node_id, peer.host, peer.port,
-                on_fwd=self._on_peer_fwd, on_down=self._on_link_down,
+            link = PeerLink(
+                self.node_id, node_id, peer.host, peer.port, **callbacks
             )
         except DVConnectionLost:
             self._dial_backoff.failed(node_id)
             raise
         self._dial_backoff.succeeded(node_id)
-        with self._links_lock:
-            link = self._links.get(node_id)
-            if link is not None and not link.closed:
-                fresh.close()  # lost the race; reuse the winner
-                return link
-            self._links[node_id] = fresh
-        return fresh
+        return link
 
     # ------------------------------------------------------------------ #
-    # Gateway forwarding (ingress side)
+    # Router hooks: ownership and local execution
     # ------------------------------------------------------------------ #
-    def _route_op(self, conn, message: dict) -> dict:
-        """DVServer hook: handle an op for a context this node does not
-        own by forwarding it to the owner.  Runs on a worker thread."""
-        inner = {k: v for k, v in message.items() if k != "req"}
-        payload, owner = self._forward_routed(conn.client_id, inner)
-        self._track_ingress(conn.client_id, inner, payload, owner)
-        return payload
-
-    def _track_ingress(
-        self, client_id: str, inner: dict, payload: dict, owner: str
-    ) -> None:
-        """Record ingress bookkeeping against ``owner`` — the node the op
-        was *actually* forwarded to (not a re-derived ring lookup: the
-        ring may already have moved on, and a pending wait recorded
-        against the wrong, still-alive owner would never be replayed)."""
-        op = inner.get("op")
-        context = inner.get("context")
-        if payload.get("error") or not isinstance(context, str):
-            return
-        # Under the cluster lock: _sync_ring iterates these tables while
-        # reconciling a membership change.
+    def _resolve(self, context) -> tuple[str | None, bool]:
+        """Router hook: ``(owner, known)`` for a context, activating it
+        here first if the ring says it is ours and it is not up yet."""
+        promote = False
         with self._lock:
-            if op == "attach":
-                self._ingress_ctx.setdefault(client_id, {})[context] = owner
-            elif op == "finalize":
-                self._ingress_ctx.get(client_id, {}).pop(context, None)
-            elif op == "open" and not payload.get("available"):
-                self._pending[(client_id, context, inner.get("file"))] = owner
-            elif op == "release":
-                self._pending.pop((client_id, context, inner.get("file")), None)
-            elif op == "acquire":
-                for result in payload.get("results", ()):
-                    if not result.get("available"):
-                        key = (client_id, context, result.get("file"))
-                        self._pending[key] = owner
-
-    def _forward_for(self, client_id: str, inner: dict) -> dict:
-        return self._forward_routed(client_id, inner)[0]
-
-    def _forward_routed(self, client_id: str, inner: dict) -> tuple[dict, str]:
-        """Route one op for one client to the context's current owner,
-        surviving owner death (fail over and retry) and activation lag
-        on a new owner (brief retry while membership converges).
-
-        Returns ``(payload, owner)`` where ``owner`` is the node that
-        actually served the op — the identity ingress bookkeeping must
-        record for the dead-owner replay scan.
-        """
-        context = inner.get("context")
-        deadline = time.monotonic() + self.rpc_timeout
-        while True:
-            promote = False
-            with self._lock:
-                owner = self.ring.owner(context) if context else None
-                known = context in self._specs
-                if owner == self.node_id and known and context not in self._active:
-                    self._activate(context)
-                    # A forwarded op can beat the heartbeat to the ring
-                    # change: promote warm state here too, not only from
-                    # _sync_ring, or the first op after a failover would
-                    # see a cold shard.
-                    promote = (
-                        self.repl is not None and self.repl.store.has(context)
-                    ) or self.migration.has_incoming(context)
-            if promote:
-                try:
-                    self._promote_warm(context)
-                except Exception:
-                    pass
-            if owner is None:
-                return {
-                    "error": int(ErrorCode.ERR_CONTEXT),
-                    "detail": f"no live node owns context {context!r}",
-                }, self.node_id
-            if owner == self.node_id:
-                return self._execute_local(client_id, inner), owner
-            tc = inner.get("tc")
+            owner = self.ring.owner(context) if context else None
+            known = context in self._specs
+            if owner == self.node_id and known and context not in self._active:
+                self._activate(context)
+                # A forwarded op can beat the heartbeat to the ring
+                # change: promote warm state here too, not only from
+                # _sync_ring, or the first op after a failover would
+                # see a cold shard.
+                promote = (
+                    self.repl is not None and self.repl.store.has(context)
+                ) or self.migration.has_incoming(context)
+        if promote:
             try:
-                link = self._link_to(owner)
-                self._m_fwd_sent.inc()
-                frame = make_fwd(self.node_id, client_id, inner)
-                if tc is not None:
-                    # Hoist the trace context onto the fwd frame itself:
-                    # the owner's dispatch timing then records an
-                    # ``op.fwd`` span without unwrapping the payload.
-                    frame["tc"] = tc
-                fwd_began = self.server.obs.now()
-                reply = link.call(frame, timeout=self.rpc_timeout)
-                if tc is not None:
-                    self.server.obs.record(
-                        "fwd", tc, fwd_began, self.server.obs.now(),
-                        op=inner.get("op"), context=context, peer=owner,
-                    )
-            except PeerTimeout:
-                # Slow, not dead: a stalled owner (workers parked on PFS
-                # I/O) must not be instantly exiled — that would activate
-                # its contexts here while it still serves them.  Feed the
-                # graded suspicion path instead and report the failure.
-                self._apply_membership(
-                    lambda: self.table.heartbeat_missed(owner)
-                )
-                return {
-                    "error": int(ErrorCode.ERR_CONNECTION),
-                    "detail": f"owner {owner!r} of {context!r} timed out",
-                }, owner
-            except (DVConnectionLost, OSError):
-                self._peer_down(owner)
-                if time.monotonic() >= deadline:
-                    return {
-                        "error": int(ErrorCode.ERR_CONNECTION),
-                        "detail": f"owner {owner!r} of {context!r} is unreachable",
-                    }, owner
-                continue
-            payload = reply.get("payload")
-            if not isinstance(payload, dict):
-                payload = {
-                    "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
-                    "detail": reply.get("detail", "malformed fwd_reply"),
-                }
-            if (
-                payload.get("error") == int(ErrorCode.ERR_CONTEXT)
-                and known
-                and time.monotonic() < deadline
-            ):
-                # The owner has not activated the context yet (its view of
-                # the membership change lags ours) — give it a beat.
-                time.sleep(0.05)
-                continue
-            if (
-                payload.get("error") == int(ErrorCode.ERR_INVALID)
-                and DETAIL_NOT_ATTACHED in payload.get("detail", "")
-                and inner.get("op") not in ("attach", "finalize")
-                and context in self._ingress_ctx.get(client_id, {})
-                and time.monotonic() < deadline
-            ):
-                # The context moved before our replay re-registered this
-                # client with the new owner: attach and retry.
-                if self._ensure_attached(client_id, context):
-                    continue
-            return payload, owner
+                self._promote_warm(context)
+            except Exception:
+                pass
+        return owner, known
 
-    def _execute_local(self, client_id: str, inner: dict) -> dict:
-        """Run a client op against the local shards on behalf of a client
-        that has no local connection object (replay, self-owned fallback)."""
-        op = inner.get("op")
+    def _execute_local(self, proxy, inner: dict) -> dict:
+        """Router hook: run a routed client's op on this node's shards."""
         if self.engine is not None:
-            if op not in _ROUTABLE_OPS:
-                return {
-                    "error": int(ErrorCode.ERR_PROTOCOL),
-                    "detail": f"op {op!r} cannot be executed for a routed client",
-                }
-            payload = self.engine.forward(client_id, inner)
-            payload.setdefault("error", int(ErrorCode.SUCCESS))
-            # The engine's coordinators live in other processes, so the
-            # proxy's attachment set is maintained here rather than by the
-            # op handlers quacking at it.
-            proxy = self._proxies.get(client_id)
-            if proxy is not None and not payload.get("error"):
-                context = inner.get("context")
-                if op == "attach" and isinstance(context, str):
-                    proxy.contexts.add(context)
-                elif op == "finalize":
-                    proxy.contexts.discard(context)
-                    if not proxy.contexts:
-                        self._proxies.pop(client_id, None)
-            return payload
-        handler = self.server._handlers.get(op)
-        if handler is None or op not in _ROUTABLE_OPS:
-            return {
-                "error": int(ErrorCode.ERR_PROTOCOL),
-                "detail": f"op {op!r} cannot be executed for a routed client",
-            }
-        proxy = self._proxies.get(client_id)
-        if proxy is None:
-            proxy = self._proxies.setdefault(client_id, _ProxyClient(client_id))
-        payload = self.server._run_op(proxy, handler, inner)
-        payload.setdefault("error", int(ErrorCode.SUCCESS))
-        if (
-            not payload.get("error")
-            and op == "finalize"
-            and not proxy.contexts
-        ):
-            # Last attachment gone: drop the proxy entry (both the fwd
-            # and the local-fallback path execute through here, so
-            # long-lived gateways do not accumulate dead proxies).
-            self._proxies.pop(client_id, None)
-        return payload
-
-    def _engine_ready(self, notification: Notification) -> None:
-        """Engine callback: a pool executor resolved a wait.  Deliver to
-        the real client — a local connection via the server's ready plane,
-        or back out the ingress peer link for a proxied cluster client
-        (``_push_ready`` falls through to ``_ready_router`` for those)."""
-        with self._lock:
-            self._pending.pop(
-                (notification.client_id, notification.context_name,
-                 notification.filename),
-                None,
-            )
-        self.server._push_ready(notification)
-
-    def _ensure_attached(self, client_id: str, context_name: str) -> bool:
-        """Register a client with the context's current owner, treating
-        "already attached" as success (replays race with each other and
-        with the client's own traffic)."""
-        payload, owner = self._forward_routed(
-            client_id, {"op": "attach", "context": context_name}
-        )
-        error = payload.get("error")
-        ok = not error or (
-            error == int(ErrorCode.ERR_INVALID)
-            and DETAIL_ALREADY_ATTACHED in payload.get("detail", "")
-        )
-        if ok:
-            with self._lock:
-                attachments = self._ingress_ctx.get(client_id)
-                if attachments is not None and context_name in attachments:
-                    attachments[context_name] = owner
-        return ok
+            return self.engine.forward(proxy.client_id, inner)
+        handler = self.server._handlers[inner["op"]]
+        return self.server._run_op(proxy, handler, inner)
 
     def _replay(
         self,
@@ -928,119 +696,15 @@ class ClusterNode:
         replays: list[tuple[str, str, str]],
         promotions: tuple[str, ...] | list[str] = (),
     ) -> None:
-        """Re-register displaced clients with the new owner and re-issue
-        the forwarded opens stranded by the ownership change, so blocked
-        clients get their ready from the new owner instead of hanging on
-        the dead one.  Replica promotions run first: a hot-promoted shard
-        already holds the dead owner's waiter table, so replays arriving
-        afterwards are idempotent re-registrations, not cold rebuilds."""
+        """The cross-wire half of a ring change.  Promotions run first: a
+        hot-promoted shard already holds the dead owner's waiter table, so
+        the replays after it are idempotent re-registrations."""
         for context_name in promotions:
             try:
                 self._promote_warm(context_name)
             except Exception:
                 pass  # a failed promotion degrades to the cold path
-        seen: set[tuple[str, str]] = set()
-        for client_id, context_name in reattaches:
-            if (client_id, context_name) not in seen:
-                seen.add((client_id, context_name))
-                self._ensure_attached(client_id, context_name)
-        for client_id, context_name, filename in replays:
-            if (client_id, context_name) not in seen:
-                seen.add((client_id, context_name))
-                if not self._ensure_attached(client_id, context_name):
-                    self.server._push_ready(
-                        Notification(client_id, context_name, filename, ok=False)
-                    )
-                    continue
-            payload, owner = self._forward_routed(
-                client_id,
-                {"op": "open", "context": context_name, "file": filename},
-            )
-            self._m_replayed.inc()
-            if payload.get("error"):
-                self.server._push_ready(
-                    Notification(client_id, context_name, filename, ok=False)
-                )
-            elif payload.get("available"):
-                # Already on the shared PFS: resolve the wait right away.
-                self.server._push_ready(
-                    Notification(client_id, context_name, filename, ok=True)
-                )
-            else:
-                with self._lock:
-                    self._pending[(client_id, context_name, filename)] = owner
-
-    # ------------------------------------------------------------------ #
-    # Gateway forwarding (owner side)
-    # ------------------------------------------------------------------ #
-    def _op_fwd(self, conn, message: dict) -> dict | None:
-        """Server op: execute a peer-forwarded client op locally."""
-        origin, client_id, inner = unwrap_fwd(message)
-        self._m_fwd_recv.inc()
-        if inner.get("op") == "ready":
-            # Symmetric delivery path: a peer dialled us to route a ready
-            # for a client that entered through this node.
-            self._deliver_routed_ready(client_id, inner)
-            return None
-        proxy = self._proxies.get(client_id)
-        if proxy is None:
-            proxy = self._proxies.setdefault(client_id, _ProxyClient(client_id))
-        proxy.origin = origin
-        proxy.peer_client_id = getattr(conn, "client_id", None)
-        proxy.conn = conn
-        return {"payload": self._execute_local(client_id, inner)}
-
-    def _ready_router(self, notification: Notification) -> None:
-        """DVServer hook: deliver a notification whose client is not a
-        local connection — push it through the proxied client's ingress
-        peer link."""
-        proxy = self._proxies.get(notification.client_id)
-        if proxy is None:
-            return
-        frame = make_fwd(self.node_id, notification.client_id, {
-            "op": "ready",
-            "context": notification.context_name,
-            "file": notification.filename,
-            "ok": notification.ok,
-        })
-        if proxy.conn is not None:
-            try:
-                self.server._send(proxy.conn, frame)
-                self._m_ready_routed.inc()
-                return
-            except (OSError, SimFSError):
-                pass
-        if proxy.origin and proxy.origin != self.node_id:
-            # Promoted-replica path: the waiter entered the cluster at its
-            # origin node and our copy of its ingress channel is only a
-            # recorded name (the dead owner held the live connection) —
-            # dial the origin and route the ready over our own link; the
-            # origin's fwd handler delivers it to the real client.
-            try:
-                self._link_to(proxy.origin).send(frame)
-                self._m_ready_routed.inc()
-            except (DVConnectionLost, SimFSError, OSError):
-                pass
-
-    def _on_peer_fwd(self, message: dict) -> None:
-        """PeerLink callback: unsolicited ``fwd`` from a peer over one of
-        our outbound links (the owner routing a ready back to us)."""
-        try:
-            _origin, client_id, inner = unwrap_fwd(message)
-        except ProtocolError:
-            return
-        if inner.get("op") == "ready":
-            self._deliver_routed_ready(client_id, inner)
-
-    def _deliver_routed_ready(self, client_id: str, inner: dict) -> None:
-        context = inner.get("context")
-        filename = inner.get("file")
-        ok = bool(inner.get("ok", True))
-        with self._lock:
-            self._pending.pop((client_id, context, filename), None)
-        self.server._push_ready(
-            Notification(client_id, context, filename, ok=ok)
-        )
+        self.router.replay(reattaches, replays)
 
     # ------------------------------------------------------------------ #
     # Remaining hooks and service ops
@@ -1099,7 +763,7 @@ class ClusterNode:
             yield peer_id, None
         for peer_id in peer_ids:
             try:
-                reply = self._link_to(peer_id).call(
+                reply = self.router.link(peer_id).call(
                     dict(message, fanout=0), timeout=self.rpc_timeout
                 )
             except (DVConnectionLost, SimFSError, OSError):
@@ -1366,7 +1030,7 @@ class ClusterNode:
                 "context": context, "from": owner, "to": dest, "noop": True,
             }}
         if owner != self.node_id:
-            reply = self._link_to(owner).call(
+            reply = self.router.link(owner).call(
                 {"op": "migrate", "context": context, "dest": dest},
                 timeout=self.rpc_timeout,
             )
@@ -1408,31 +1072,11 @@ class ClusterNode:
             [
                 client_id,
                 filename,
-                getattr(self._proxies.get(client_id), "origin", None),
+                self.router.origin_of(client_id),
             ]
             for client_id, filename in state["waiters"]
         ]
         return state
-
-    def _register_waiter_origins(self, waiters: list) -> None:
-        """Promotion prep: recreate owner-side proxies for replicated
-        waiters that entered through a gateway, so their ready
-        notifications have a route back out (``_ready_router`` dials the
-        origin when no live server-side channel exists)."""
-        for entry in waiters:
-            client_id = entry[0]
-            origin = entry[2] if len(entry) > 2 else None
-            if not isinstance(client_id, str):
-                continue
-            if not origin or origin == self.node_id:
-                continue
-            proxy = self._proxies.get(client_id)
-            if proxy is None:
-                proxy = self._proxies.setdefault(
-                    client_id, _ProxyClient(client_id)
-                )
-            if proxy.origin is None:
-                proxy.origin = origin
 
     def _op_engine_stats(self, conn, message: dict) -> dict:
         """Replacement ``stats`` op (engine mode): the pool's merged view
@@ -1547,42 +1191,3 @@ class ClusterNode:
             except SimFSError:
                 return None
             return dest
-
-    def _drop_hook(self, client_id: str) -> None:
-        """DVServer hook: a connection died.  For a peer link, disconnect
-        every client it proxied; for a regular client, finalize its
-        forwarded attachments at their owners."""
-        if client_id.startswith("node:"):
-            orphans = [
-                p for p in list(self._proxies.values())
-                if p.peer_client_id == client_id
-            ]
-            for proxy in orphans:
-                self._proxies.pop(proxy.client_id, None)
-                if self.engine is not None:
-                    self.engine.finalize_client(proxy.client_id)
-                    continue
-                for context in list(proxy.contexts):
-                    try:
-                        self.server.coordinator.client_disconnect(
-                            proxy.client_id, context, time.time()
-                        )
-                    except SimFSError:
-                        pass
-            return
-        if self.engine is not None:
-            # Pool-side attachments (owned contexts) are invisible to the
-            # node server's own disconnect cleanup — finalize them in the
-            # executors too.
-            self.engine.finalize_client(client_id)
-        with self._lock:
-            for key in [k for k in self._pending if k[0] == client_id]:
-                del self._pending[key]
-            forwarded = self._ingress_ctx.pop(client_id, {})
-        for context in forwarded:
-            try:
-                self._forward_for(
-                    client_id, {"op": "finalize", "context": context}
-                )
-            except Exception:
-                pass

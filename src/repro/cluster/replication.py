@@ -533,7 +533,7 @@ class ReplicationManager:
         if action == "drop":
             return None
         try:
-            link = self.node._link_to(peer_id)
+            link = self.node.router.link(peer_id)
             if action == "dup":
                 link.call(dict(frame), timeout=self.node.rpc_timeout)
             reply = link.call(frame, timeout=self.node.rpc_timeout)
@@ -557,7 +557,9 @@ class ReplicationManager:
         waiters = [
             entry for entry in state.get("waiters", ()) if len(entry) >= 2
         ]
-        node._register_waiter_origins(waiters)
+        node.router.restore_proxies(
+            context_name, state.get("clients", ()), waiters
+        )
         try:
             shard = node.server.coordinator.shard(context_name)
         except SimFSError:

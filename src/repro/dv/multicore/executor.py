@@ -127,7 +127,7 @@ def run_executor(spec: ExecutorSpec, ctl_sock: socket.socket) -> None:
                 # After the reply: replays forward to siblings that may
                 # receive this same ring update a moment later.
                 threading.Thread(
-                    target=gateway.replay,
+                    target=gateway.router.replay,
                     args=(reattaches, replays),
                     name=f"simfs-{spec.executor_id}-replay",
                     daemon=True,

@@ -11,37 +11,40 @@ a sibling executor over per-pair Unix-socket
 codec — the identical ``fwd``/``fwd_reply`` frames that cross TCP in the
 cluster tier cross a socketpair-cheap AF_UNIX stream here.
 
+The forwarding itself is the shared :class:`~repro.cluster.router.Router`.
 Unlike a cluster node, an executor never *decides* membership: the
 supervisor is the single oracle, pushing ``ctl.ring`` updates with the
 authoritative executor set, socket paths and active-context list.  On a
-dead sibling the gateway just retries (bounded by the RPC deadline)
-until the supervisor's next update reassigns the context; stranded
-forwarded waits are then replayed against the new owner exactly like the
-cluster tier's dead-owner replay.
+dead sibling the router just retries (bounded by the RPC deadline)
+until the supervisor's next update reassigns the context; forwarded
+state stranded on the old owner is then replayed against the new one.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.cluster.link import PeerLink, PeerTimeout
+from repro.cluster.link import PeerLink
 from repro.cluster.ring import HashRing
+from repro.cluster.router import Router
 from repro.core.context import SimulationContext
-from repro.core.errors import (
-    DETAIL_ALREADY_ATTACHED,
-    DETAIL_NOT_ATTACHED,
-    DVConnectionLost,
-    ErrorCode,
-    ProtocolError,
-    SimFSError,
-)
-from repro.dv.coordinator import Notification
-from repro.dv.protocol import OP_FWD, make_fwd, unwrap_fwd
-from repro.dv.server import _ROUTABLE_OPS, DVServer
+from repro.core.errors import DVConnectionLost
+from repro.dv.protocol import OP_FWD
+from repro.dv.server import DVServer
 
-__all__ = ["ExecutorCatalogEntry", "ExecutorGateway"]
+__all__ = ["ExecutorCatalogEntry", "ExecutorGateway", "unix_link"]
+
+
+def unix_link(
+    self_id: str, exec_id: str, path: str | None, **callbacks
+) -> PeerLink:
+    """Dial an executor's peer listener (the pool's ``Router.dial``)."""
+    if path is None:
+        raise DVConnectionLost(f"executor {exec_id!r} is not a live member")
+    return PeerLink(
+        self_id, exec_id, "", 0, path=path, connect_timeout=2.0, **callbacks
+    )
 
 
 @dataclass
@@ -55,19 +58,6 @@ class ExecutorCatalogEntry:
     restart_dir: str
     alpha_delay: float = 0.0
     tau_delay: float = 0.0
-
-
-@dataclass
-class _ProxyClient:
-    """Owner-side stand-in for a client whose TCP connection lives on a
-    sibling executor (same shape the cluster tier uses: quacks like
-    ``_ClientConn`` where op handlers care)."""
-
-    client_id: str
-    origin: str | None = None
-    peer_client_id: str | None = None
-    conn: object | None = None
-    contexts: set[str] = field(default_factory=set)
 
 
 class ExecutorGateway:
@@ -85,7 +75,6 @@ class ExecutorGateway:
         self.executor_id = executor_id
         self.server = server
         self.catalog = catalog
-        self.rpc_timeout = rpc_timeout
         self.workers = workers
         self.ring = HashRing(vnodes)
         #: Serializes ring/paths/active/activation state; never held
@@ -94,26 +83,31 @@ class ExecutorGateway:
         self._paths: dict[str, str] = {}
         self._active_view: set[str] = set()
         self._active_here: set[str] = set()
-        self._links: dict[str, PeerLink] = {}
-        self._links_lock = threading.Lock()
-        self._proxies: dict[str, _ProxyClient] = {}
-        self._ingress_ctx: dict[str, dict[str, str]] = {}
-        self._pending: dict[tuple[str, str, str], str] = {}
-        metrics = server.metrics
-        self._m_fwd_sent = metrics.counter("mc.fwd_sent")
-        self._m_fwd_recv = metrics.counter("mc.fwd_received")
-        self._m_ready_routed = metrics.counter("mc.ready_routed")
-        self._m_replayed = metrics.counter("mc.replayed_waits")
-        self._m_epoch = metrics.gauge("mc.ring_epoch")
-
+        self._m_epoch = server.metrics.gauge("mc.ring_epoch")
+        #: Forwarding core.  Membership is the supervisor's call: a dead
+        #: or slow sibling means nothing here, the router waits for
+        #: ``ctl.ring``, and state is stale once the ring owner changed.
+        self.router = Router(
+            executor_id,
+            resolve=self._resolve,
+            dial=self._dial,
+            execute_local=self._execute_local,
+            ready_sink=server._push_ready,
+            send=server._send,
+            is_stale=lambda owner, name: self.ring.owner(name) != owner,
+            metrics=server.metrics,
+            prefix="mc.",
+            rpc_timeout=rpc_timeout,
+            obs=server.obs,
+        )
         server.register_op(
-            OP_FWD, self._op_fwd, reply_op="fwd_reply", needs_worker=True
+            OP_FWD, self.router.on_fwd, reply_op="fwd_reply", needs_worker=True
         )
         server.set_cluster_hooks(
-            route_op=self._route_op,
-            ready_router=self._ready_router,
+            route_op=self.router.route,
+            ready_router=self.router.route_ready,
             hello_extra=self._hello_extra,
-            drop_hook=self._drop_hook,
+            drop_hook=self.router.drop_client,
         )
 
     # ------------------------------------------------------------------ #
@@ -158,21 +152,8 @@ class ExecutorGateway:
                     replays.extend(waits)
             # Forwarded state recorded against an executor that no longer
             # owns the context: re-register and replay with the new owner.
-            for client_id, attachments in self._ingress_ctx.items():
-                for context_name, owner in list(attachments.items()):
-                    if self.ring.owner(context_name) != owner:
-                        reattaches.append((client_id, context_name))
-            for key, owner in list(self._pending.items()):
-                client_id, context_name, filename = key
-                if self.ring.owner(context_name) != owner:
-                    replays.append((client_id, context_name, filename))
-                    del self._pending[key]
-        # Links to departed siblings die on their own; drop closed ones.
-        with self._links_lock:
-            for exec_id in list(self._links):
-                if exec_id not in member_ids or self._links[exec_id].closed:
-                    self._links.pop(exec_id).close()
-        return reattaches, replays
+            stale_attached, stale_waits = self.router.stale()
+        return reattaches + stale_attached, replays + stale_waits
 
     def _activate(self, name: str) -> None:
         entry = self.catalog[name]
@@ -206,274 +187,30 @@ class ExecutorGateway:
             return sorted(self._active_here)
 
     # ------------------------------------------------------------------ #
-    # Ingress side (this executor holds the client's TCP connection)
+    # Router hooks
     # ------------------------------------------------------------------ #
-    def _route_op(self, conn, message: dict) -> dict:
-        inner = {k: v for k, v in message.items() if k != "req"}
-        payload, owner = self._forward_routed(conn.client_id, inner)
-        self._track_ingress(conn.client_id, inner, payload, owner)
-        return payload
-
-    def _track_ingress(
-        self, client_id: str, inner: dict, payload: dict, owner: str
-    ) -> None:
-        op = inner.get("op")
-        context = inner.get("context")
-        if payload.get("error") or not isinstance(context, str):
-            return
+    def _resolve(self, context) -> tuple[str | None, bool]:
+        """``(owner, serves)``: the owning executor of a context the pool
+        serves, activating it here first if it is ours and not up yet."""
         with self._lock:
-            if op == "attach":
-                self._ingress_ctx.setdefault(client_id, {})[context] = owner
-            elif op == "finalize":
-                self._ingress_ctx.get(client_id, {}).pop(context, None)
-            elif op == "open" and not payload.get("available"):
-                self._pending[(client_id, context, inner.get("file"))] = owner
-            elif op == "release":
-                self._pending.pop((client_id, context, inner.get("file")), None)
-            elif op == "acquire":
-                for result in payload.get("results", ()):
-                    if not result.get("available"):
-                        key = (client_id, context, result.get("file"))
-                        self._pending[key] = owner
-
-    def _forward_routed(
-        self, client_id: str, inner: dict
-    ) -> tuple[dict, str]:
-        """Route one op to the context's owning executor, riding out a
-        dead sibling (the supervisor reassigns within a heartbeat) and
-        activation lag on the new owner."""
-        context = inner.get("context")
-        deadline = time.monotonic() + self.rpc_timeout
-        while True:
-            with self._lock:
-                owner = self.ring.owner(context) if context else None
-                serves = (
-                    isinstance(context, str)
-                    and context in self.catalog
-                    and context in self._active_view
-                )
-                if owner == self.executor_id and serves \
-                        and context not in self._active_here:
-                    self._activate(context)
-            if owner is None or not serves:
-                return {
-                    "error": int(ErrorCode.ERR_CONTEXT),
-                    "detail": f"no executor serves context {context!r}",
-                }, self.executor_id
-            if owner == self.executor_id:
-                return self._execute_local(client_id, inner), owner
-            tc = inner.get("tc")
-            try:
-                link = self._link_to(owner)
-                self._m_fwd_sent.inc()
-                frame = make_fwd(self.executor_id, client_id, inner)
-                if tc is not None:
-                    # Hoisted trace context: the owning executor's
-                    # dispatch timing records an ``op.fwd`` span for the
-                    # forwarded hop without unwrapping the payload.
-                    frame["tc"] = tc
-                fwd_began = self.server.obs.now()
-                reply = link.call(frame, timeout=self.rpc_timeout)
-                if tc is not None:
-                    self.server.obs.record(
-                        "fwd", tc, fwd_began, self.server.obs.now(),
-                        op=inner.get("op"), context=context, peer=owner,
-                    )
-            except PeerTimeout:
-                return {
-                    "error": int(ErrorCode.ERR_CONNECTION),
-                    "detail": f"executor {owner!r} timed out on {context!r}",
-                }, owner
-            except (DVConnectionLost, OSError):
-                # Dead or restarting sibling: membership is the
-                # supervisor's call, not ours — wait for its ctl.ring
-                # update to move the context, within the op deadline.
-                self._drop_link(owner)
-                if time.monotonic() >= deadline:
-                    return {
-                        "error": int(ErrorCode.ERR_CONNECTION),
-                        "detail": f"executor {owner!r} is unreachable",
-                    }, owner
-                time.sleep(0.02)
-                continue
-            payload = reply.get("payload")
-            if not isinstance(payload, dict):
-                payload = {
-                    "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
-                    "detail": reply.get("detail", "malformed fwd_reply"),
-                }
-            if (
-                payload.get("error") == int(ErrorCode.ERR_CONTEXT)
-                and time.monotonic() < deadline
-            ):
-                # The owner has not activated the context yet (its view
-                # of the ring update lags ours) — give it a beat.
-                time.sleep(0.05)
-                continue
-            if (
-                payload.get("error") == int(ErrorCode.ERR_INVALID)
-                and DETAIL_NOT_ATTACHED in payload.get("detail", "")
-                and inner.get("op") not in ("attach", "finalize")
-                and context in self._ingress_ctx.get(client_id, {})
-                and time.monotonic() < deadline
-            ):
-                if self._ensure_attached(client_id, context):
-                    continue
-            return payload, owner
-
-    def _execute_local(self, client_id: str, inner: dict) -> dict:
-        op = inner.get("op")
-        handler = self.server._handlers.get(op)
-        if handler is None or op not in _ROUTABLE_OPS:
-            return {
-                "error": int(ErrorCode.ERR_PROTOCOL),
-                "detail": f"op {op!r} cannot be executed for a routed client",
-            }
-        proxy = self._proxies.get(client_id)
-        if proxy is None:
-            proxy = self._proxies.setdefault(client_id, _ProxyClient(client_id))
-        payload = self.server._run_op(proxy, handler, inner)
-        payload.setdefault("error", int(ErrorCode.SUCCESS))
-        if not payload.get("error") and op == "finalize" and not proxy.contexts:
-            self._proxies.pop(client_id, None)
-        return payload
-
-    def _ensure_attached(self, client_id: str, context_name: str) -> bool:
-        payload, owner = self._forward_routed(
-            client_id, {"op": "attach", "context": context_name}
-        )
-        error = payload.get("error")
-        ok = not error or (
-            error == int(ErrorCode.ERR_INVALID)
-            and DETAIL_ALREADY_ATTACHED in payload.get("detail", "")
-        )
-        if ok:
-            with self._lock:
-                attachments = self._ingress_ctx.get(client_id)
-                if attachments is not None and context_name in attachments:
-                    attachments[context_name] = owner
-        return ok
-
-    def replay(
-        self,
-        reattaches: list[tuple[str, str]],
-        replays: list[tuple[str, str, str]],
-    ) -> None:
-        """Re-register displaced clients with the new owning executor and
-        re-issue stranded forwarded opens (the post-``ctl.ring`` work)."""
-        seen: set[tuple[str, str]] = set()
-        for client_id, context_name in reattaches:
-            if (client_id, context_name) not in seen:
-                seen.add((client_id, context_name))
-                self._ensure_attached(client_id, context_name)
-        for client_id, context_name, filename in replays:
-            if (client_id, context_name) not in seen:
-                seen.add((client_id, context_name))
-                if not self._ensure_attached(client_id, context_name):
-                    self.server._push_ready(
-                        Notification(client_id, context_name, filename, ok=False)
-                    )
-                    continue
-            payload, owner = self._forward_routed(
-                client_id,
-                {"op": "open", "context": context_name, "file": filename},
+            serves = (
+                isinstance(context, str)
+                and context in self.catalog
+                and context in self._active_view
             )
-            self._m_replayed.inc()
-            if payload.get("error"):
-                self.server._push_ready(
-                    Notification(client_id, context_name, filename, ok=False)
-                )
-            elif payload.get("available"):
-                self.server._push_ready(
-                    Notification(client_id, context_name, filename, ok=True)
-                )
-            else:
-                with self._lock:
-                    self._pending[(client_id, context_name, filename)] = owner
+            owner = self.ring.owner(context) if serves else None
+            if owner == self.executor_id and context not in self._active_here:
+                self._activate(context)
+        return owner, serves
 
-    # ------------------------------------------------------------------ #
-    # Owner side (a sibling forwarded a client op here)
-    # ------------------------------------------------------------------ #
-    def _op_fwd(self, conn, message: dict) -> dict | None:
-        origin, client_id, inner = unwrap_fwd(message)
-        self._m_fwd_recv.inc()
-        if inner.get("op") == "ready":
-            self._deliver_routed_ready(client_id, inner)
-            return None
-        proxy = self._proxies.get(client_id)
-        if proxy is None:
-            proxy = self._proxies.setdefault(client_id, _ProxyClient(client_id))
-        proxy.origin = origin
-        proxy.peer_client_id = getattr(conn, "client_id", None)
-        proxy.conn = conn
-        return {"payload": self._execute_local(client_id, inner)}
+    def _execute_local(self, proxy, inner: dict) -> dict:
+        handler = self.server._handlers[inner["op"]]
+        return self.server._run_op(proxy, handler, inner)
 
-    def _ready_router(self, notification: Notification) -> None:
-        proxy = self._proxies.get(notification.client_id)
-        if proxy is None or proxy.conn is None:
-            return
-        frame = make_fwd(self.executor_id, notification.client_id, {
-            "op": "ready",
-            "context": notification.context_name,
-            "file": notification.filename,
-            "ok": notification.ok,
-        })
-        try:
-            self.server._send(proxy.conn, frame)
-            self._m_ready_routed.inc()
-        except (OSError, SimFSError):
-            pass
-
-    def _on_peer_fwd(self, message: dict) -> None:
-        try:
-            _origin, client_id, inner = unwrap_fwd(message)
-        except ProtocolError:
-            return
-        if inner.get("op") == "ready":
-            self._deliver_routed_ready(client_id, inner)
-
-    def _deliver_routed_ready(self, client_id: str, inner: dict) -> None:
-        context = inner.get("context")
-        filename = inner.get("file")
-        ok = bool(inner.get("ok", True))
-        with self._lock:
-            self._pending.pop((client_id, context, filename), None)
-        self.server._push_ready(
-            Notification(client_id, context, filename, ok=ok)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Peer links and remaining hooks
-    # ------------------------------------------------------------------ #
-    def _link_to(self, exec_id: str) -> PeerLink:
-        with self._links_lock:
-            link = self._links.get(exec_id)
-            if link is not None and not link.closed:
-                return link
+    def _dial(self, exec_id: str, **callbacks) -> PeerLink:
         with self._lock:
             path = self._paths.get(exec_id)
-        if path is None:
-            raise DVConnectionLost(f"executor {exec_id!r} is not a member")
-        fresh = PeerLink(
-            self.executor_id, exec_id, "", 0,
-            on_fwd=self._on_peer_fwd,
-            on_down=self._drop_link,
-            path=path,
-            connect_timeout=2.0,
-        )
-        with self._links_lock:
-            link = self._links.get(exec_id)
-            if link is not None and not link.closed:
-                fresh.close()
-                return link
-            self._links[exec_id] = fresh
-        return fresh
-
-    def _drop_link(self, exec_id: str) -> None:
-        with self._links_lock:
-            link = self._links.pop(exec_id, None)
-        if link is not None:
-            link.close()
+        return unix_link(self.executor_id, exec_id, path, **callbacks)
 
     def _hello_extra(self) -> dict:
         with self._lock:
@@ -493,38 +230,5 @@ class ExecutorGateway:
                 }
             }
 
-    def _drop_hook(self, client_id: str) -> None:
-        if client_id.startswith("node:"):
-            # A sibling's peer link died: disconnect every client it
-            # proxied through us (it replays them elsewhere).
-            orphans = [
-                p for p in list(self._proxies.values())
-                if p.peer_client_id == client_id
-            ]
-            for proxy in orphans:
-                self._proxies.pop(proxy.client_id, None)
-                for context in list(proxy.contexts):
-                    try:
-                        self.server.coordinator.client_disconnect(
-                            proxy.client_id, context, time.time()
-                        )
-                    except SimFSError:
-                        pass
-            return
-        with self._lock:
-            for key in [k for k in self._pending if k[0] == client_id]:
-                del self._pending[key]
-            forwarded = self._ingress_ctx.pop(client_id, {})
-        for context in forwarded:
-            try:
-                self._forward_routed(
-                    client_id, {"op": "finalize", "context": context}
-                )
-            except Exception:
-                pass
-
     def close(self) -> None:
-        with self._links_lock:
-            links, self._links = list(self._links.values()), {}
-        for link in links:
-            link.close()
+        self.router.close()

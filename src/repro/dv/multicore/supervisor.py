@@ -17,8 +17,9 @@ the cluster tier's reassignment dance, one machine tall.
 
 ``accept="none"`` turns the pool into a cluster node's local engine: no
 client plane at all; the owning :class:`~repro.cluster.node.ClusterNode`
-forwards ops in over supervisor-held peer links (:meth:`forward`) and
-gets ``ready`` notifications back through ``ready_router``.
+forwards ops in over supervisor-held peer links (:meth:`forward`, the
+shared :class:`~repro.cluster.router.Router` with the executors as its
+peers) and gets ``ready`` notifications back through ``ready_router``.
 """
 
 from __future__ import annotations
@@ -31,18 +32,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.cluster.link import PeerLink, PeerTimeout
 from repro.cluster.ring import HashRing
+from repro.cluster.router import Router
 from repro.core.context import SimulationContext
-from repro.core.errors import (
-    DETAIL_ALREADY_ATTACHED,
-    DETAIL_NOT_ATTACHED,
-    DVConnectionLost,
-    ErrorCode,
-    InvalidArgumentError,
-    ProtocolError,
-)
-from repro.dv.coordinator import Notification
+from repro.core.errors import DVConnectionLost, InvalidArgumentError
 from repro.dv.multicore.control import (
     CTL_CONN,
     CTL_DEACTIVATE,
@@ -58,8 +51,7 @@ from repro.dv.multicore.control import (
     ControlChannel,
 )
 from repro.dv.multicore.executor import ExecutorSpec, run_executor
-from repro.dv.multicore.gateway import ExecutorCatalogEntry
-from repro.dv.protocol import make_fwd, unwrap_fwd
+from repro.dv.multicore.gateway import ExecutorCatalogEntry, unix_link
 from repro.dv.server import DVServer
 from repro.metrics import MetricsRegistry, merge_snapshots
 
@@ -147,14 +139,20 @@ class MultiCoreServer:
         self._acceptor: socket.socket | None = None
         self._acceptor_thread: threading.Thread | None = None
         self._rr = 0  # fd-passing round-robin cursor
-        # Engine-mode client plane (accept="none"): supervisor-held peer
-        # links into the pool, plus the ingress bookkeeping needed to
-        # replay forwarded waits when an executor dies.
-        self._ready_router = ready_router
-        self._links: dict[str, PeerLink] = {}
-        self._links_lock = threading.Lock()
-        self._ingress_ctx: dict[str, dict[str, str]] = {}
-        self._pending: dict[tuple[str, str, str], str] = {}
+        #: Engine-mode client plane (accept="none"): supervisor-held peer
+        #: links into the pool plus the ingress bookkeeping to replay
+        #: forwarded waits when an executor dies (the control channel's
+        #: verdict, not a forward's).  "sup" is never on the ring.
+        self.router = Router(
+            "sup",
+            resolve=self._resolve,
+            dial=self._dial,
+            ready_sink=ready_router or (lambda notification: None),
+            is_stale=lambda owner, name: self.ring.owner(name) != owner,
+            metrics=self.metrics,
+            prefix="mc.",
+            rpc_timeout=rpc_timeout,
+        )
 
     # ------------------------------------------------------------------ #
     # Configuration (before start)
@@ -281,10 +279,7 @@ class MultiCoreServer:
         with self._lock:
             all_handles = list(self._handles.values())
             self._handles.clear()
-        with self._links_lock:
-            links, self._links = list(self._links.values()), {}
-        for link in links:
-            link.close()
+        self.router.close()
         for handle in all_handles:
             proc = handle.process
             proc.join(timeout=3.0)
@@ -396,7 +391,7 @@ class MultiCoreServer:
                 sum(1 for h in self._handles.values() if h.alive)
             )
         handle.channel.close()
-        self._drop_link(handle.executor_id)
+        self.router.link_down(handle.executor_id)
         try:
             handle.process.join(timeout=0.1)
         except (OSError, ValueError, AssertionError):
@@ -669,10 +664,7 @@ class MultiCoreServer:
             self._active.discard(name)
             owner = self.ring.owner(name)
             handle = self._handles.get(owner) if owner else None
-            for key in [k for k in self._pending if k[1] == name]:
-                del self._pending[key]
-            for attachments in self._ingress_ctx.values():
-                attachments.pop(name, None)
+        self.router.forget_context(name)
         reattaches: list[tuple[str, str]] = []
         replays: list[tuple[str, str, str]] = []
         if handle is not None and handle.alive:
@@ -694,223 +686,23 @@ class MultiCoreServer:
 
     def forward(self, client_id: str, inner: dict) -> dict:
         """Engine-mode ingress: run one client op on the owning executor,
-        riding out executor death and activation lag exactly like the
-        executors' own gateways do."""
-        payload, owner = self._forward_routed(client_id, inner)
-        self._track_ingress(client_id, inner, payload, owner)
-        return payload
+        riding out executor death and activation lag like its gateways."""
+        return self.router.forward(client_id, inner)
 
-    def _forward_routed(
-        self, client_id: str, inner: dict
-    ) -> tuple[dict, str | None]:
-        context = inner.get("context")
-        deadline = time.monotonic() + self.rpc_timeout
-        while True:
-            with self._lock:
-                owner = (
-                    self.ring.owner(context)
-                    if isinstance(context, str) else None
-                )
-                serves = context in self._active
-            if owner is None or not serves:
-                return {
-                    "error": int(ErrorCode.ERR_CONTEXT),
-                    "detail": f"no executor serves context {context!r}",
-                }, owner
-            try:
-                link = self._link_to(owner)
-                frame = make_fwd("sup", client_id, inner)
-                if inner.get("tc") is not None:
-                    # Keep the trace context visible on the frame itself
-                    # so the executor's dispatch timing spans the hop.
-                    frame["tc"] = inner["tc"]
-                reply = link.call(frame, timeout=self.rpc_timeout)
-            except PeerTimeout:
-                return {
-                    "error": int(ErrorCode.ERR_CONNECTION),
-                    "detail": f"executor {owner!r} timed out on {context!r}",
-                }, owner
-            except (DVConnectionLost, OSError):
-                self._drop_link(owner)
-                if time.monotonic() >= deadline:
-                    return {
-                        "error": int(ErrorCode.ERR_CONNECTION),
-                        "detail": f"executor {owner!r} is unreachable",
-                    }, owner
-                time.sleep(0.02)
-                continue
-            payload = reply.get("payload")
-            if not isinstance(payload, dict):
-                payload = {
-                    "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
-                    "detail": reply.get("detail", "malformed fwd_reply"),
-                }
-            if (
-                payload.get("error") == int(ErrorCode.ERR_CONTEXT)
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-                continue
-            if (
-                payload.get("error") == int(ErrorCode.ERR_INVALID)
-                and DETAIL_NOT_ATTACHED in payload.get("detail", "")
-                and inner.get("op") not in ("attach", "finalize")
-                and context in self._ingress_ctx.get(client_id, {})
-                and time.monotonic() < deadline
-            ):
-                if self._ensure_attached(client_id, context):
-                    continue
-            return payload, owner
-
-    def _track_ingress(
-        self, client_id: str, inner: dict, payload: dict, owner: str | None
-    ) -> None:
-        op = inner.get("op")
-        context = inner.get("context")
-        if payload.get("error") or not isinstance(context, str) or owner is None:
-            return
+    def _resolve(self, context) -> tuple[str | None, bool]:
         with self._lock:
-            if op == "attach":
-                self._ingress_ctx.setdefault(client_id, {})[context] = owner
-            elif op == "finalize":
-                self._ingress_ctx.get(client_id, {}).pop(context, None)
-            elif op == "open" and not payload.get("available"):
-                self._pending[(client_id, context, inner.get("file"))] = owner
-            elif op == "release":
-                self._pending.pop((client_id, context, inner.get("file")), None)
-            elif op == "acquire":
-                for result in payload.get("results", ()):
-                    if not result.get("available"):
-                        key = (client_id, context, result.get("file"))
-                        self._pending[key] = owner
+            serves = isinstance(context, str) and context in self._active
+            return (self.ring.owner(context) if serves else None), serves
 
-    def _ensure_attached(self, client_id: str, context_name: str) -> bool:
-        payload, owner = self._forward_routed(
-            client_id, {"op": "attach", "context": context_name}
-        )
-        error = payload.get("error")
-        ok = not error or (
-            error == int(ErrorCode.ERR_INVALID)
-            and DETAIL_ALREADY_ATTACHED in payload.get("detail", "")
-        )
-        if ok and owner is not None:
-            with self._lock:
-                attachments = self._ingress_ctx.get(client_id)
-                if attachments is not None and context_name in attachments:
-                    attachments[context_name] = owner
-        return ok
-
-    def finalize_client(self, client_id: str) -> None:
-        """Engine-mode drop hook relay: the node lost a client's TCP
-        connection — finalize its pool-side attachments."""
-        with self._lock:
-            for key in [k for k in self._pending if k[0] == client_id]:
-                del self._pending[key]
-            forwarded = self._ingress_ctx.pop(client_id, {})
-        for context in forwarded:
-            try:
-                self._forward_routed(
-                    client_id, {"op": "finalize", "context": context}
-                )
-            except Exception:
-                pass
-
-    def _replay_engine_waits(self) -> None:
-        """After a membership change: re-attach and re-open every engine
-        forwarded wait recorded against an executor that no longer owns
-        its context."""
-        reattaches: list[tuple[str, str]] = []
-        replays: list[tuple[str, str, str]] = []
-        with self._lock:
-            for client_id, attachments in self._ingress_ctx.items():
-                for context_name, owner in list(attachments.items()):
-                    if self.ring.owner(context_name) != owner:
-                        reattaches.append((client_id, context_name))
-            for key, owner in list(self._pending.items()):
-                client_id, context_name, filename = key
-                if self.ring.owner(context_name) != owner:
-                    replays.append((client_id, context_name, filename))
-                    del self._pending[key]
-        if not reattaches and not replays:
-            return
-        seen: set[tuple[str, str]] = set()
-        for client_id, context_name in reattaches:
-            if (client_id, context_name) not in seen:
-                seen.add((client_id, context_name))
-                self._ensure_attached(client_id, context_name)
-        for client_id, context_name, filename in replays:
-            if (client_id, context_name) not in seen:
-                seen.add((client_id, context_name))
-                if not self._ensure_attached(client_id, context_name):
-                    self._deliver_ready(
-                        Notification(client_id, context_name, filename, ok=False)
-                    )
-                    continue
-            payload, owner = self._forward_routed(
-                client_id,
-                {"op": "open", "context": context_name, "file": filename},
-            )
-            if payload.get("error"):
-                self._deliver_ready(
-                    Notification(client_id, context_name, filename, ok=False)
-                )
-            elif payload.get("available"):
-                self._deliver_ready(
-                    Notification(client_id, context_name, filename, ok=True)
-                )
-            else:
-                with self._lock:
-                    self._pending[(client_id, context_name, filename)] = owner
-
-    def _link_to(self, exec_id: str) -> PeerLink:
-        with self._links_lock:
-            link = self._links.get(exec_id)
-            if link is not None and not link.closed:
-                return link
+    def _dial(self, exec_id: str, **callbacks):
         with self._lock:
             handle = self._handles.get(exec_id)
             path = handle.path if handle is not None and handle.alive else None
-        if path is None:
-            raise DVConnectionLost(f"executor {exec_id!r} is not alive")
-        fresh = PeerLink(
-            "sup", exec_id, "", 0,
-            on_fwd=self._on_link_fwd,
-            on_down=self._drop_link,
-            path=path,
-            connect_timeout=2.0,
-        )
-        with self._links_lock:
-            link = self._links.get(exec_id)
-            if link is not None and not link.closed:
-                fresh.close()
-                return link
-            self._links[exec_id] = fresh
-        return fresh
+        return unix_link("sup", exec_id, path, **callbacks)
 
-    def _drop_link(self, exec_id: str) -> None:
-        with self._links_lock:
-            link = self._links.pop(exec_id, None)
-        if link is not None:
-            link.close()
-
-    def _on_link_fwd(self, message: dict) -> None:
-        try:
-            _origin, client_id, inner = unwrap_fwd(message)
-        except ProtocolError:
-            return
-        if inner.get("op") != "ready":
-            return
-        context = inner.get("context")
-        filename = inner.get("file")
+    def _replay_engine_waits(self) -> None:
+        """After a membership change: re-attach and re-open what engine
+        mode recorded against an executor that lost its context."""
         with self._lock:
-            self._pending.pop((client_id, context, filename), None)
-        self._deliver_ready(Notification(
-            client_id, context, filename, ok=bool(inner.get("ok", True))
-        ))
-
-    def _deliver_ready(self, notification: Notification) -> None:
-        if self._ready_router is not None:
-            try:
-                self._ready_router(notification)
-            except Exception:
-                pass
+            reattaches, replays = self.router.stale()
+        self.router.replay(reattaches, replays)

@@ -26,6 +26,8 @@ Header schema::
 from __future__ import annotations
 
 import json
+import os
+import threading
 from typing import Any
 
 import numpy as np
@@ -105,10 +107,26 @@ def decode(data: bytes) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
 def write_file(
     path: str, variables: dict[str, np.ndarray], attrs: dict[str, Any] | None = None
 ) -> int:
-    """Encode and write an SDF file; returns the byte count written."""
+    """Encode and write an SDF file; returns the byte count written.
+
+    The bytes go to a sibling temp name and are renamed over ``path``: a
+    re-simulation rewrites outputs a data server may be streaming, and
+    truncating in place would tear that read.  A reader holding the old
+    file keeps the complete old bytes, a fresh one sees the complete new
+    ones, and a failed write leaves ``path`` as it was.
+    """
     blob = encode(variables, attrs)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return len(blob)
 
 

@@ -220,12 +220,10 @@ class _OwnerStubNode:
             owner=lambda name: "n1",
         )
         self.table = types.SimpleNamespace(alive_ids=lambda: ["n1", "n2"])
+        self.router = types.SimpleNamespace(link=lambda peer_id: self.link)
 
     def _capture_repl(self, name):
         return make_state()
-
-    def _link_to(self, peer_id):
-        return self.link
 
 
 class TestSenderFenceRetry:

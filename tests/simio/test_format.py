@@ -1,5 +1,7 @@
 """Tests for the SDF container format (determinism is the key property)."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,3 +120,39 @@ def test_roundtrip_property(arr, name):
     assert restored.shape == arr.shape
     assert restored.dtype == arr.dtype
     np.testing.assert_array_equal(restored, arr)
+
+
+class TestAtomicWrite:
+    """Re-simulated outputs replace files a data server may be streaming:
+    ``write_file`` must never expose a truncated or half-written file."""
+
+    def test_rewrite_does_not_tear_an_open_reader(self, tmp_path):
+        path = str(tmp_path / "step_out_0001.sdf")
+        old = np.arange(4096, dtype=np.float64)
+        new = np.arange(4096, dtype=np.float64)[::-1].copy()
+        write_file(path, {"x": old})
+        old_bytes = open(path, "rb").read()
+        with open(path, "rb") as held:
+            head = held.read(64)  # mid-stream when the rewrite lands
+            write_file(path, {"x": new})
+            assert head + held.read() == old_bytes
+        variables, _ = read_file(path)
+        np.testing.assert_array_equal(variables["x"], new)
+        assert os.listdir(tmp_path) == ["step_out_0001.sdf"]
+
+    def test_failed_write_leaves_no_temp_file_and_the_old_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "step_out_0001.sdf")
+        write_file(path, {"x": np.ones(8)})
+        old_bytes = open(path, "rb").read()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            write_file(path, {"x": np.zeros(8)})
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["step_out_0001.sdf"]
+        assert open(path, "rb").read() == old_bytes
