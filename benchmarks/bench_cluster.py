@@ -53,7 +53,6 @@ from repro.core.perfmodel import PerformanceModel  # noqa: E402
 from repro.des.engine import DESEngine  # noqa: E402
 from repro.dv.protocol import (  # noqa: E402
     CODEC_BINARY,
-    CODEC_LEGACY,
     PROTOCOL_VERSION,
     MessageReader,
     encode_open_request,
@@ -107,9 +106,8 @@ class RawClient:
         self.reader = MessageReader(self.sock)
         reply = self.reader.read_message()
         assert reply is not None and not reply.get("error"), reply
-        self.codec = reply.get("codec", CODEC_LEGACY)
-        if self.codec != CODEC_LEGACY:
-            self.reader.set_codec(self.codec)
+        assert reply.get("codec") == CODEC_BINARY, reply
+        self.reader.set_codec(CODEC_BINARY)
 
     def close(self) -> None:
         try:
@@ -135,7 +133,7 @@ def _pipelined_opens(client: RawClient, context: str, filename: str,
         while in_flight < window:
             req += 1
             client.sock.sendall(
-                encode_open_request(req, context, filename, client.codec)
+                encode_open_request(req, context, filename, CODEC_BINARY)
             )
             in_flight += 1
         if read_reply():

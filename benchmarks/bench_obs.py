@@ -44,7 +44,6 @@ from bench_wire import RawClient, build_server  # noqa: E402
 
 from repro.dv.protocol import (  # noqa: E402
     CODEC_BINARY,
-    PROTOCOL_VERSION,
     encode_open_request,
 )
 from repro.obs.recorder import DEFAULT_HEAD_RATE, SpanRecorder  # noqa: E402
@@ -60,42 +59,12 @@ SMOKE = {"clients": 4, "window": 32, "seconds": 0.5, "micro_iters": 4000,
          "lat_chunks": 30, "lat_chunk_ops": 50}
 
 
-def _connect(host: str, port: int, uid: str, trace: bool) -> RawClient:
-    if not trace:
-        return RawClient(host, port, CODEC_BINARY, f"bench-obs-{uid}")
-    # Tracing rides the same hello as the codec upgrade: rebuild the
-    # handshake with the trace bit set.
-    import socket as socket_mod
-
-    from repro.dv.protocol import MessageReader, send_message
-
-    sock = socket_mod.create_connection((host, port), timeout=10.0)
-    sock.settimeout(None)
-    sock.setsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY, 1)
-    hello = {"op": "hello", "req": 0, "client_id": f"bench-obs-{uid}",
-             "context": "wire", "vers": PROTOCOL_VERSION,
-             "codec": CODEC_BINARY, "trace": 1}
-    send_message(sock, hello)
-    reader = MessageReader(sock)
-    reply = reader.read_message()
-    assert reply is not None and not reply.get("error"), reply
-    assert reply.get("codec") == CODEC_BINARY
-    assert reply.get("trace"), "daemon did not grant tracing"
-    client = RawClient.__new__(RawClient)
-    client.sock = sock
-    client.codec = CODEC_BINARY
-    client.reader = reader
-    client.reader.set_codec(CODEC_BINARY)
-    client.hello = reply
-    return client
-
-
 def _worker(host, port, slot, uid, filename, window, rate, trace, stop_at,
             start_gate, counts, errors):
     """Pipelined opens, attaching a trace context to ``rate`` of them."""
     rng = random.Random(0xB0B + slot)
     try:
-        client = _connect(host, port, uid, trace)
+        client = RawClient(host, port, f"bench-obs-{uid}", trace=trace)
         try:
             req = 0
             in_flight = 0
@@ -107,7 +76,7 @@ def _worker(host, port, slot, uid, filename, window, rate, trace, stop_at,
                     if rate > 0.0 and (rate >= 1.0 or rng.random() < rate):
                         tc = new_trace(sampled=True).to_wire()
                     client.sock.sendall(encode_open_request(
-                        req, "wire", filename, client.codec, tc=tc
+                        req, "wire", filename, CODEC_BINARY, tc=tc
                     ))
                     in_flight += 1
                 client.read_reply()
@@ -166,7 +135,7 @@ def _rtt_chunk(client, filename: str, base_req: int, n: int, rate: float,
         if rate > 0.0 and (rate >= 1.0 or rng.random() < rate):
             tc = new_trace(sampled=True).to_wire()
         client.sock.sendall(encode_open_request(
-            base_req + i, "wire", filename, client.codec, tc=tc
+            base_req + i, "wire", filename, CODEC_BINARY, tc=tc
         ))
         client.read_reply()
     return (time.perf_counter_ns() - begin) / n
@@ -186,7 +155,9 @@ def measure_rtt(server, context, sizing: dict) -> tuple[dict, dict]:
     chunks, ops = sizing["lat_chunks"], sizing["lat_chunk_ops"]
     conns, rngs = {}, {}
     for idx, (name, trace, _rate) in enumerate(MODES):
-        conns[name] = _connect(host, port, f"rtt-{name}", trace)
+        conns[name] = RawClient(
+            host, port, f"bench-obs-rtt-{name}", trace=trace
+        )
         rngs[name] = random.Random(0xA11 + idx)
     samples: dict[str, list[float]] = {name: [] for name, _, _ in MODES}
     try:
@@ -251,7 +222,7 @@ def compute(sizing: dict) -> dict:
     # multi-client throughput sweep stays as reporting only — its run-
     # to-run swing on a shared box dwarfs the overhead being guarded.
     with tempfile.TemporaryDirectory(prefix="bench-obs-") as workdir:
-        server, context = build_server(workdir, "selector")
+        server, context = build_server(workdir)
         try:
             rtt, overhead = measure_rtt(server, context, sizing)
             throughput = {

@@ -1,17 +1,17 @@
-"""Wire-path benchmark: codec x server-front-end throughput and latency.
+"""Wire-path benchmark: control-channel throughput and latency.
 
 Measures the client<->DV control channel itself (paper Fig. 4: the DV sits
-on every transparent ``open``), comparing the four deployments the codec
-negotiation and the selector refactor made possible:
+on every transparent ``open``) — a hello line, then binary frames — in the
+two deployments that exist:
 
-* ``legacy + threaded``  — the v1 wire path: newline JSON, one thread and
-  one ``sendall`` per connection/message (the baseline);
-* ``binary + threaded``  — codec win in isolation;
-* ``legacy + selector``  — event-loop win in isolation;
-* ``binary + selector``  — the shipped single-process default;
-* ``binary + multiproc`` — the multi-core engine: a shared-nothing pool
+* ``binary+selector``  — the single-process daemon;
+* ``binary+multiproc`` — the multi-core engine: a shared-nothing pool
   of shard-executor processes behind SO_REUSEPORT, owner-pinned clients
   (one GIL per core instead of one for the whole daemon).
+
+The retired comparisons (newline-JSON frames after the hello, the
+thread-per-client front end, the fd-passing acceptor) have their final
+numbers in ``CHANGES.md``.
 
 Three series, persisted as ``BENCH_wire.json`` at the repo root (the
 perf-trajectory artifact the CI ``bench-smoke`` job uploads):
@@ -19,13 +19,12 @@ perf-trajectory artifact the CI ``bench-smoke`` job uploads):
 ``throughput``
     N clients drive pipelined ``open`` requests with a fixed in-flight
     window against a warm context (every step resident, so each message
-    is pure control-plane).  Headline number: aggregate msgs/sec, plus
-    the binary+selector vs legacy+threaded speedup.
+    is pure control-plane).  Headline number: aggregate msgs/sec.
 ``latency``
     One client, sequential round trips; p50/p99 microseconds.
 ``codec``
-    Pure encode/decode cost (ns/op) of the hot messages under each codec,
-    no sockets involved.
+    Pure encode/decode cost (ns/op) of the hot binary frames, no sockets
+    involved.
 
 Run directly (``python benchmarks/bench_wire.py [--smoke]``) or under
 pytest (``pytest benchmarks/bench_wire.py``).
@@ -50,10 +49,10 @@ from repro.core.errors import ProtocolError  # noqa: E402
 from repro.core.perfmodel import PerformanceModel  # noqa: E402
 from repro.dv.protocol import (  # noqa: E402
     CODEC_BINARY,
-    CODEC_LEGACY,
     PROTOCOL_VERSION,
     MessageReader,
-    encode_frame,
+    StreamDecoder,
+    encode_binary,
     encode_open_request,
     send_message,
 )
@@ -63,15 +62,8 @@ from repro.simulators import SyntheticDriver  # noqa: E402
 
 import socket  # noqa: E402
 
-CONFIGS = [
-    (CODEC_LEGACY, "threaded"),
-    (CODEC_BINARY, "threaded"),
-    (CODEC_LEGACY, "selector"),
-    (CODEC_BINARY, "selector"),
-]
-BASELINE = (CODEC_LEGACY, "threaded")
-SHIPPED = (CODEC_BINARY, "selector")
-MULTIPROC = f"{CODEC_BINARY}+multiproc"
+SELECTOR = "binary+selector"
+MULTIPROC = "binary+multiproc"
 
 #: Full-run / smoke-run sizing.  ``workers`` sizes the multi-core pool
 #: (and its warm-context count); the quick/smoke run pins it to 2 so the
@@ -102,9 +94,9 @@ def _warm_context(workdir: str, name: str) -> tuple[SimulationContext, str, str]
     return context, out, rst
 
 
-def build_server(workdir: str, mode: str) -> tuple[DVServer, SimulationContext]:
+def build_server(workdir: str) -> tuple[DVServer, SimulationContext]:
     """A started daemon with one warm context (every output resident)."""
-    server = DVServer(mode=mode)
+    server = DVServer()
     context, out, rst = _warm_context(workdir, "wire")
     server.add_context(context, out, rst)
     server.start()
@@ -127,31 +119,28 @@ def build_pool(
 
 
 class RawClient:
-    """Minimal protocol-level client: its own hello/negotiation, direct
-    frame encode/decode — no DVLib reply-matching machinery in the way,
-    so the numbers are the wire path, not the client library."""
+    """Minimal protocol-level client: its own hello, direct frame
+    encode/decode — no DVLib reply-matching machinery in the way, so the
+    numbers are the wire path, not the client library."""
 
-    def __init__(self, host: str, port: int, codec: str, client_id: str,
-                 context: str = "wire") -> None:
+    def __init__(self, host: str, port: int, client_id: str,
+                 context: str = "wire", trace: bool = False) -> None:
         self.sock = socket.create_connection((host, port), timeout=10.0)
-        self.sock.settimeout(None)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.codec = CODEC_LEGACY
         hello = {"op": "hello", "req": 0, "client_id": client_id,
-                 "context": context}
-        if codec != CODEC_LEGACY:
-            hello["vers"] = PROTOCOL_VERSION
-            hello["codec"] = codec
+                 "context": context, "vers": PROTOCOL_VERSION,
+                 "codec": CODEC_BINARY}
+        if trace:
+            hello["trace"] = 1
         send_message(self.sock, hello)
         self.reader = MessageReader(self.sock)
         reply = self.reader.read_message()
         assert reply is not None and not reply.get("error"), reply
+        assert reply.get("codec") == CODEC_BINARY, reply
+        assert bool(reply.get("trace")) == trace, "tracing not granted"
         self.hello = reply
-        granted = reply.get("codec", CODEC_LEGACY)
-        if granted != CODEC_LEGACY:
-            self.codec = granted
-            self.reader.set_codec(granted)
-        assert self.codec == codec, f"wanted {codec}, negotiated {self.codec}"
+        self.sock.settimeout(None)
+        self.reader.set_codec(CODEC_BINARY)
 
     def close(self) -> None:
         try:
@@ -171,7 +160,7 @@ class RawClient:
 
 
 def connect_pinned(
-    host: str, port: int, codec: str, client_id: str, context: str,
+    host: str, port: int, client_id: str, context: str,
     attempts: int = 32,
 ) -> "RawClient":
     """Connect to a multi-core daemon until the kernel's REUSEPORT hash
@@ -181,33 +170,25 @@ def connect_pinned(
     forwarded connection after ``attempts`` (still correct, one hop
     slower)."""
     for attempt in range(attempts):
-        client = RawClient(
-            host, port, codec, f"{client_id}-a{attempt}", context
-        )
+        client = RawClient(host, port, f"{client_id}-a{attempt}", context)
         info = client.hello.get("multicore") or {}
         owner = (info.get("owners") or {}).get(context)
         if owner is None or info.get("executor") == owner:
             return client
         client.close()
-    return RawClient(host, port, codec, f"{client_id}-fwd", context)
+    return RawClient(host, port, f"{client_id}-fwd", context)
 
 
 def _pipelined_worker(
-    host: str, port: int, codec: str, slot: int, filename: str,
+    host: str, port: int, slot: int, filename: str,
     window: int, stop_at: list[float], start_gate: threading.Event,
     counts: list[int], errors: list[Exception],
     context: str = "wire", pinned: bool = False,
 ) -> None:
     """Keep ``window`` open requests in flight; count completed replies."""
     try:
-        if pinned:
-            client = connect_pinned(
-                host, port, codec, f"bench-wire-{slot}", context
-            )
-        else:
-            client = RawClient(
-                host, port, codec, f"bench-wire-{slot}", context
-            )
+        connect = connect_pinned if pinned else RawClient
+        client = connect(host, port, f"bench-wire-{slot}", context)
         try:
             req = 0
             in_flight = 0
@@ -216,7 +197,7 @@ def _pipelined_worker(
                 while in_flight < window:
                     req += 1
                     client.sock.sendall(encode_open_request(
-                        req, context, filename, client.codec
+                        req, context, filename, CODEC_BINARY
                     ))
                     in_flight += 1
                 client.read_reply()
@@ -233,7 +214,7 @@ def _pipelined_worker(
 
 
 def _drive_pipelined(
-    address: tuple[str, int], codec: str, sizing: dict,
+    address: tuple[str, int], sizing: dict,
     targets: list[tuple[str, str]], pinned: bool,
 ) -> tuple[float, float]:
     """Fan out the pipelined-open workers (client ``slot`` drives
@@ -247,7 +228,7 @@ def _drive_pipelined(
     threads = [
         threading.Thread(
             target=_pipelined_worker,
-            args=(host, port, codec, slot, targets[slot % len(targets)][1],
+            args=(host, port, slot, targets[slot % len(targets)][1],
                   sizing["window"], stop_at, start_gate, counts, errors),
             kwargs={"context": targets[slot % len(targets)][0],
                     "pinned": pinned},
@@ -268,59 +249,46 @@ def _drive_pipelined(
     return sum(counts) / elapsed, elapsed
 
 
-def measure_throughput(codec: str, mode: str, sizing: dict) -> dict:
-    """Aggregate pipelined open msgs/sec for one (codec, server) config,
-    with the wall/CPU utilization of the run."""
-    with tempfile.TemporaryDirectory(prefix=f"bench-wire-{mode}-") as workdir:
-        server, context = build_server(workdir, mode)
+def measure_throughput(sizing: dict, pool: bool) -> dict:
+    """Aggregate pipelined open msgs/sec, with the wall/CPU utilization
+    of the run: against the single-process daemon, or (``pool``) against
+    the shared-nothing executor pool with owner-pinned clients and one
+    warm context per executor."""
+    workers = sizing["workers"] if pool else 1
+    with tempfile.TemporaryDirectory(prefix="bench-wire-") as workdir:
+        if pool:
+            server, contexts = build_pool(workdir, workers)
+        else:
+            server, context = build_server(workdir)
+            contexts = [context]
         cpu_begin = process_cpu_seconds()
         try:
             rate, wall = _drive_pipelined(
-                server.address, codec, sizing,
-                [(context.name, context.filename_of(1))], pinned=False,
+                server.address, sizing,
+                [(c.name, c.filename_of(1)) for c in contexts], pinned=pool,
             )
         finally:
-            server.stop()
-        cpu = process_cpu_seconds() - cpu_begin
-        return {"rate": rate, "workers": 1, "wall_s": wall, "cpu_s": cpu,
-                "cpu_wall_ratio": cpu / wall if wall else 0.0}
-
-
-def measure_throughput_multiproc(sizing: dict) -> dict:
-    """Aggregate msgs/sec against the shared-nothing executor pool
-    (binary codec, owner-pinned clients, one warm context per executor).
-    The closing CPU snapshot happens after pool.stop() — child CPU time
-    is only accounted once the executors are reaped."""
-    workers = sizing["workers"]
-    with tempfile.TemporaryDirectory(prefix="bench-wire-mp-") as workdir:
-        pool, contexts = build_pool(workdir, workers)
-        cpu_begin = process_cpu_seconds()
-        try:
-            rate, wall = _drive_pipelined(
-                pool.address, CODEC_BINARY, sizing,
-                [(c.name, c.filename_of(1)) for c in contexts], pinned=True,
-            )
-        finally:
-            pool.stop(drain_timeout=2.0)
+            server.stop(drain_timeout=2.0)
+        # After stop(): executor CPU time is only accounted once reaped.
         cpu = process_cpu_seconds() - cpu_begin
         return {"rate": rate, "workers": workers, "wall_s": wall,
                 "cpu_s": cpu,
                 "cpu_wall_ratio": cpu / wall if wall else 0.0}
 
 
-def measure_latency(codec: str, mode: str, sizing: dict) -> dict:
+def measure_latency(sizing: dict) -> dict:
     """Sequential round-trip latency distribution (one client)."""
-    with tempfile.TemporaryDirectory(prefix=f"bench-wire-lat-{mode}-") as workdir:
-        server, context = build_server(workdir, mode)
+    with tempfile.TemporaryDirectory(prefix="bench-wire-lat-") as workdir:
+        server, context = build_server(workdir)
         try:
             host, port = server.address
             filename = context.filename_of(1)
-            client = RawClient(host, port, codec, "bench-wire-lat")
+            client = RawClient(host, port, "bench-wire-lat")
             try:
                 samples = []
                 for req in range(1, sizing["latency_ops"] + 1):
                     frame = encode_open_request(
-                        req, "wire", filename, client.codec
+                        req, "wire", filename, CODEC_BINARY
                     )
                     begin = time.perf_counter_ns()
                     client.sock.sendall(frame)
@@ -340,9 +308,7 @@ def measure_latency(codec: str, mode: str, sizing: dict) -> dict:
 
 
 def measure_codec(sizing: dict) -> list[dict]:
-    """Pure encode/decode ns/op for the hot messages, both codecs."""
-    from repro.dv.protocol import StreamDecoder
-
+    """Pure encode/decode ns/op for the hot binary frames."""
     messages = {
         "open": {"op": "open", "req": 12345, "context": "wire",
                  "file": "wire_output_00042.sdf"},
@@ -353,41 +319,32 @@ def measure_codec(sizing: dict) -> list[dict]:
     }
     iters = sizing["codec_iters"]
     rows = []
-    for codec in (CODEC_LEGACY, CODEC_BINARY):
-        for name, message in messages.items():
-            blob = encode_frame(message, codec)
-            begin = time.perf_counter_ns()
-            for _ in range(iters):
-                encode_frame(message, codec)
-            encode_ns = (time.perf_counter_ns() - begin) / iters
-            decoder = StreamDecoder(codec)
-            begin = time.perf_counter_ns()
-            for _ in range(iters):
-                decoder.feed(blob)
-                decoder.next_message()
-            decode_ns = (time.perf_counter_ns() - begin) / iters
-            rows.append({"codec": codec, "message": name,
-                         "bytes": len(blob), "encode_ns": round(encode_ns, 1),
-                         "decode_ns": round(decode_ns, 1)})
+    for name, message in messages.items():
+        blob = encode_binary(message)
+        begin = time.perf_counter_ns()
+        for _ in range(iters):
+            encode_binary(message)
+        encode_ns = (time.perf_counter_ns() - begin) / iters
+        decoder = StreamDecoder(CODEC_BINARY)
+        begin = time.perf_counter_ns()
+        for _ in range(iters):
+            decoder.feed(blob)
+            decoder.next_message()
+        decode_ns = (time.perf_counter_ns() - begin) / iters
+        rows.append({"message": name, "bytes": len(blob),
+                     "encode_ns": round(encode_ns, 1),
+                     "decode_ns": round(decode_ns, 1)})
     return rows
 
 
 def compute(sizing: dict) -> dict:
-    runs = {}
-    latency = {}
-    for codec, mode in CONFIGS:
-        key = f"{codec}+{mode}"
-        runs[key] = measure_throughput(codec, mode, sizing)
-        latency[key] = measure_latency(codec, mode, sizing)
-    runs[MULTIPROC] = measure_throughput_multiproc(sizing)
-    shipped_key = f"{SHIPPED[0]}+{SHIPPED[1]}"
-    speedup = runs[shipped_key]["rate"] / runs[f"{BASELINE[0]}+{BASELINE[1]}"]["rate"]
-    mp_speedup = runs[MULTIPROC]["rate"] / runs[shipped_key]["rate"]
+    runs = {SELECTOR: measure_throughput(sizing, pool=False),
+            MULTIPROC: measure_throughput(sizing, pool=True)}
+    mp_speedup = runs[MULTIPROC]["rate"] / runs[SELECTOR]["rate"]
     return {
         "throughput_msgs_per_sec": {
             k: round(r["rate"], 1) for k, r in runs.items()
         },
-        "speedup_shipped_vs_baseline": round(speedup, 2),
         "speedup_multiproc_vs_selector": round(mp_speedup, 2),
         "utilization": {
             k: {"workers": r["workers"],
@@ -396,7 +353,7 @@ def compute(sizing: dict) -> dict:
                 "cpu_wall_ratio": round(r["cpu_wall_ratio"], 2)}
             for k, r in runs.items()
         },
-        "latency": latency,
+        "latency": {SELECTOR: measure_latency(sizing)},
         "codec_ns": measure_codec(sizing),
         "sizing": sizing,
     }
@@ -410,22 +367,18 @@ def report(results: dict) -> None:
         for key, value in results["throughput_msgs_per_sec"].items()
     ]
     throughput_rows.append(
-        ["speedup(binary+selector)", results["speedup_shipped_vs_baseline"],
-         "", ""]
-    )
-    throughput_rows.append(
         ["speedup(multiproc)", results["speedup_multiproc_vs_selector"],
          "", ""]
     )
     emit(
         "wire_throughput",
-        "Pipelined open throughput by codec and server front end",
+        "Pipelined open throughput by deployment",
         ["config", "msgs/s", "workers", "cpu/wall"],
         throughput_rows,
     )
     emit(
         "wire_latency",
-        "Sequential round-trip latency by codec and server front end",
+        "Sequential round-trip latency (single-process daemon)",
         ["config", "p50 us", "p99 us", "mean us"],
         [
             [key, lat["p50_us"], lat["p99_us"], lat["mean_us"]]
@@ -434,10 +387,10 @@ def report(results: dict) -> None:
     )
     emit(
         "wire_codec",
-        "Codec encode/decode cost (hot messages)",
-        ["codec", "message", "bytes", "encode ns", "decode ns"],
+        "Binary codec encode/decode cost (hot messages)",
+        ["message", "bytes", "encode ns", "decode ns"],
         [
-            [r["codec"], r["message"], r["bytes"], r["encode_ns"], r["decode_ns"]]
+            [r["message"], r["bytes"], r["encode_ns"], r["decode_ns"]]
             for r in results["codec_ns"]
         ],
     )
@@ -454,14 +407,6 @@ def test_wire_throughput(benchmark):
 
     results = run_once(benchmark, lambda: compute(SMOKE))
     report(results)
-    speedup = results["speedup_shipped_vs_baseline"]
-    # Full-sizing runs land at >= 2x (the committed BENCH_wire.json is the
-    # trajectory record); the short smoke windows are noisier, so the
-    # in-test regression floor leaves headroom for scheduler jitter.
-    assert speedup >= 1.6, (
-        f"binary+selector vs legacy+threaded speedup {speedup:.2f}x "
-        "below the regression floor"
-    )
     # The multi-core pool only beats the single-process selector when
     # there are cores to spread over; on smaller boxes the run is still
     # recorded (BENCH_wire.json stays honest) but not gated.

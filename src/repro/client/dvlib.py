@@ -35,18 +35,16 @@ from repro.core.errors import (
     DVConnectionLost,
     ErrorCode,
     FileNotInContextError,
-    InvalidArgumentError,
+    ProtocolError,
     RestartFailedError,
     SimFSError,
 )
 from repro.core.status import FileState
 from repro.dv.protocol import (
     CODEC_BINARY,
-    CODEC_LEGACY,
     PROTOCOL_VERSION,
-    SUPPORTED_CODECS,
     MessageReader,
-    encode_frame,
+    encode_binary,
     encode_open_request,
     send_message,
 )
@@ -217,18 +215,16 @@ class DVConnection(abc.ABC):
 class TcpConnection(DVConnection):
     """DVLib over the TCP wire protocol.
 
-    ``codec`` selects the wire format to *request*: the default
-    ``binary`` asks a v2 DV for length-prefixed binary frames during the
-    ``hello`` handshake and falls back to newline JSON automatically when
-    the server does not speak it (a v1 DV simply ignores the request).
-    Pass ``codec="legacy"`` to force newline JSON against any server.
+    The ``hello`` handshake is one newline-JSON line each way; every
+    frame after it is binary.  A DV whose hello reply does not grant the
+    binary codec is refused with :class:`ProtocolError`.
 
     ``trace`` opts requests into distributed tracing: ``True`` traces
     every request, a float in ``(0, 1]`` head-samples that fraction.
-    Tracing is negotiated during ``hello`` (legacy daemons simply never
-    grant it); sampled requests carry a compact trace context the DV
-    chain propagates hop by hop.  :attr:`last_trace_id` holds the trace
-    id of the most recent sampled request for ``simfs-ctl trace``.
+    Tracing is negotiated during ``hello``; sampled requests carry a
+    compact trace context the DV chain propagates hop by hop.
+    :attr:`last_trace_id` holds the trace id of the most recent sampled
+    request for ``simfs-ctl trace``.
     """
 
     def __init__(
@@ -239,12 +235,9 @@ class TcpConnection(DVConnection):
         restart_dirs: dict[str, str],
         client_id: str | None = None,
         connect_timeout: float = 10.0,
-        codec: str = CODEC_BINARY,
         trace: bool | float = False,
     ) -> None:
         super().__init__(client_id)
-        if codec not in SUPPORTED_CODECS:
-            raise InvalidArgumentError(f"unknown codec {codec!r}")
         self._trace_rate = 1.0 if trace is True else max(0.0, float(trace))
         self._trace_granted = False
         self._trace_rng = random.Random()
@@ -253,7 +246,6 @@ class TcpConnection(DVConnection):
         self._host = host
         self._port = port
         self._connect_timeout = connect_timeout
-        self._want_codec = codec
         self._storage_dirs = dict(storage_dirs)
         self._restart_dirs = dict(restart_dirs)
         self._send_lock = threading.Lock()
@@ -262,7 +254,6 @@ class TcpConnection(DVConnection):
         self._replies_lock = threading.Lock()
         self._closed = False
         self._lost = True  # until the first handshake succeeds
-        self.codec = CODEC_LEGACY
         #: Extra fields the daemon attached to its hello reply (a cluster
         #: node reports its ring/membership view here).
         self.server_info: dict = {}
@@ -277,11 +268,12 @@ class TcpConnection(DVConnection):
     def _connect(self, deadline: float | None = None) -> None:
         """Dial and run the hello handshake; starts the listener thread.
 
-        The hello (and its reply) always travel as legacy newline JSON so
-        negotiation itself needs no codec; ``vers``/``codec`` request the
-        upgrade.  ``deadline`` (reconnect path) allows brief retries of a
-        "client_id already connected" rejection while the daemon finishes
-        tearing down our previous connection.
+        The hello and its reply travel as newline JSON; ``connect_timeout``
+        stays on the socket until the reply is read (a wedged daemon's
+        backlog still completes the TCP connect).  ``deadline`` (reconnect
+        path) allows brief retries of a "client_id already connected"
+        rejection while the daemon finishes tearing down our previous
+        connection.
         """
         try:
             sock = socket.create_connection(
@@ -291,20 +283,15 @@ class TcpConnection(DVConnection):
             raise DVConnectionLost(
                 f"cannot reach DV at {self._host}:{self._port}: {exc}"
             ) from exc
-        sock.settimeout(None)
         # Request/reply frames are tiny: Nagle's algorithm only adds
         # latency to every RPC round trip.
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        self.codec = CODEC_LEGACY
-        hello = {"op": "hello", "req": 0, "client_id": self.client_id}
-        if self._want_codec != CODEC_LEGACY:
-            hello["vers"] = PROTOCOL_VERSION
-            hello["codec"] = self._want_codec
+        hello = {"op": "hello", "req": 0, "client_id": self.client_id,
+                 "vers": PROTOCOL_VERSION, "codec": CODEC_BINARY}
         if self._trace_rate > 0.0:
-            hello["vers"] = PROTOCOL_VERSION
             hello["trace"] = 1
         try:
             send_message(sock, hello)
@@ -327,10 +314,14 @@ class TcpConnection(DVConnection):
                     time.sleep(0.05)
                     return self._connect(deadline)
             raise error
-        granted = reply.get("codec", CODEC_LEGACY)
-        if granted in SUPPORTED_CODECS and granted != CODEC_LEGACY:
-            self.codec = granted
-            reader.set_codec(granted)
+        if reply.get("codec") != CODEC_BINARY:
+            sock.close()
+            raise ProtocolError(
+                f"DV at {self._host}:{self._port} did not grant the binary "
+                f"codec (hello reply: {reply!r})"
+            )
+        sock.settimeout(None)
+        reader.set_codec(CODEC_BINARY)
         self._trace_granted = bool(reply.get("trace"))
         self.server_info = {
             key: value for key, value in reply.items()
@@ -390,7 +381,7 @@ class TcpConnection(DVConnection):
         with self._replies_lock:
             recv = {"frames_recv": self._frames_recv,
                     "bytes_recv": self._bytes_recv}
-        return {"codec": self.codec, **sent, **recv}
+        return {"codec": CODEC_BINARY, **sent, **recv}
 
     # -- plumbing ----------------------------------------------------------#
     def _listen(self, reader: MessageReader) -> None:
@@ -453,7 +444,7 @@ class TcpConnection(DVConnection):
                 message["tc"] = tc
         req = next(self._reqs)
         message["req"] = req
-        return self._rpc_send(req, encode_frame(message, self.codec), timeout)
+        return self._rpc_send(req, encode_binary(message), timeout)
 
     def call(self, message: dict, timeout: float = 60.0) -> dict:
         """Generic RPC: send any op-bearing message, return its reply.
@@ -519,14 +510,14 @@ class TcpConnection(DVConnection):
 
     def open(self, context: str, filename: str) -> FileInfo:
         # The transparent path's hottest RPC: packed straight from the
-        # fields, skipping the dict round-trip on the binary codec.
+        # fields, skipping the dict round-trip.
         if self._closed:
             raise ConnectionLostError("connection is closed")
         req = next(self._reqs)
         reply = self._rpc_send(
             req,
             encode_open_request(
-                req, context, filename, self.codec, tc=self._next_tc()
+                req, context, filename, CODEC_BINARY, tc=self._next_tc()
             ),
         )
         return FileInfo(
@@ -768,8 +759,6 @@ class LocalConnection(DVConnection):
             return {}
         if sub_op == "stats":
             return {"stats": self.stats()}
-        from repro.core.errors import ProtocolError
-
         raise ProtocolError(f"unknown or non-batchable sub-op {sub_op!r}")
 
     def stats(self) -> dict:

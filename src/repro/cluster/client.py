@@ -33,7 +33,6 @@ from repro.core.errors import (
     DVConnectionLost,
     InvalidArgumentError,
 )
-from repro.dv.protocol import CODEC_BINARY
 
 __all__ = ["ClusterConnection"]
 
@@ -47,7 +46,6 @@ class ClusterConnection(DVConnection):
         storage_dirs: dict[str, str] | None = None,
         restart_dirs: dict[str, str] | None = None,
         client_id: str | None = None,
-        codec: str = CODEC_BINARY,
         connect_timeout: float = 10.0,
         failover_timeout: float = 10.0,
     ) -> None:
@@ -57,7 +55,6 @@ class ClusterConnection(DVConnection):
         self._seeds = [(str(host), int(port)) for host, port in seeds]
         self._storage_dirs = dict(storage_dirs or {})
         self._restart_dirs = dict(restart_dirs or {})
-        self._codec = codec
         self._connect_timeout = connect_timeout
         self._failover_timeout = failover_timeout
         self._conns: dict[str, TcpConnection] = {}
@@ -184,7 +181,6 @@ class ClusterConnection(DVConnection):
             probe = TcpConnection(
                 host, port, self._storage_dirs, self._restart_dirs,
                 client_id=self.client_id, connect_timeout=self._connect_timeout,
-                codec=self._codec,
             )
             self._adopt(probe)
             return probe

@@ -1,8 +1,8 @@
 """Peer-to-peer link: one DV daemon talking to another's wire port.
 
 A :class:`PeerLink` is the client half of a node-to-node connection.  It
-speaks the same negotiated wire protocol as DVLib (binary codec by
-default), identifies itself with a ``node:<id>`` client id, and carries
+speaks the same wire protocol as DVLib (a hello line, then binary
+frames), identifies itself with a ``node:<id>`` client id, and carries
 the three cluster ops:
 
 * request/reply — ``fwd`` → ``fwd_reply`` (gateway forwarding) and
@@ -34,11 +34,9 @@ from collections.abc import Callable
 from repro.core.errors import DVConnectionLost, SimFSError
 from repro.dv.protocol import (
     CODEC_BINARY,
-    CODEC_LEGACY,
     PROTOCOL_VERSION,
-    SUPPORTED_CODECS,
     MessageReader,
-    encode_frame,
+    encode_binary,
     send_message,
 )
 
@@ -144,7 +142,6 @@ class PeerLink:
         on_fwd: Callable[[dict], None] | None = None,
         on_down: Callable[[str], None] | None = None,
         connect_timeout: float = 5.0,
-        codec: str = CODEC_BINARY,
         path: str | None = None,
     ) -> None:
         self.self_id = self_id
@@ -156,7 +153,6 @@ class PeerLink:
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._closed = False
-        self.codec = CODEC_LEGACY
         try:
             if path is not None:
                 # Same-host peering (multi-core executors): a Unix-domain
@@ -173,18 +169,16 @@ class PeerLink:
             raise DVConnectionLost(
                 f"cannot reach peer {peer_id!r} at {where}: {exc}"
             ) from exc
-        self._sock.settimeout(None)
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        hello = {"op": "hello", "req": 0, "client_id": f"node:{self_id}"}
-        if codec != CODEC_LEGACY:
-            hello["vers"] = PROTOCOL_VERSION
-            hello["codec"] = codec
-            # Peers propagate trace contexts on forwarded frames; asking
-            # for tracing here lets the peer send traced binary kinds back.
-            hello["trace"] = 1
+        # Peers propagate trace contexts on forwarded frames; asking for
+        # tracing here lets the peer send traced binary kinds back.
+        hello = {"op": "hello", "req": 0, "client_id": f"node:{self_id}",
+                 "vers": PROTOCOL_VERSION, "codec": CODEC_BINARY, "trace": 1}
+        # ``connect_timeout`` stays on the socket until the reply line is
+        # read: a wedged peer's backlog still completes the TCP connect.
         try:
             send_message(self._sock, hello)
             reader = MessageReader(self._sock)
@@ -194,15 +188,16 @@ class PeerLink:
             raise DVConnectionLost(
                 f"peer {peer_id!r} handshake failed: {exc}"
             ) from exc
-        if reply is None or reply.get("error"):
+        if (
+            reply is None or reply.get("error")
+            or reply.get("codec") != CODEC_BINARY
+        ):
             self._abandon()
             raise DVConnectionLost(
                 f"peer {peer_id!r} rejected the hello: {reply!r}"
             )
-        granted = reply.get("codec", CODEC_LEGACY)
-        if granted in SUPPORTED_CODECS and granted != CODEC_LEGACY:
-            self.codec = granted
-            reader.set_codec(granted)
+        self._sock.settimeout(None)
+        reader.set_codec(CODEC_BINARY)
         self._reader = reader
         self._listener = threading.Thread(
             target=self._listen,
@@ -273,7 +268,7 @@ class PeerLink:
 
     def send(self, message: dict) -> None:
         """One-way frame (no reply expected)."""
-        data = encode_frame(message, self.codec)
+        data = encode_binary(message)
         try:
             with self._send_lock:
                 self._sock.sendall(data)

@@ -9,14 +9,6 @@ requests are dispatched on their own threads so a blocked handler (the
 supervisor fanning a ``ctl.stats`` query back out to every executor,
 including the one that asked) can never deadlock the channel.
 
-``ctl.conn`` frames may carry one file descriptor as SCM_RIGHTS
-ancillary data — the fd-passing acceptor tier ships accepted client
-sockets to executors this way.  Because ancillary data rides the byte
-stream, a receiving channel created with ``recv_fds=True`` always reads
-through :func:`socket.recv_fds` and matches received descriptors to
-decoded ``ctl.conn`` frames in FIFO order (only ``ctl.conn`` sends ever
-attach one).
-
 EOF or a socket error fires ``on_down`` exactly once and fails every
 outstanding call with :class:`~repro.core.errors.DVConnectionLost`; the
 supervisor treats that as the executor's death certificate (a ``kill
@@ -27,7 +19,6 @@ heartbeat would).
 from __future__ import annotations
 
 import itertools
-import os
 import queue
 import socket
 import threading
@@ -46,7 +37,6 @@ __all__ = [
     "CTL_OBS_ALL",
     "CTL_DRAIN",
     "CTL_STOP",
-    "CTL_CONN",
     "CTL_DEACTIVATE",
     "CTL_REPLY",
     "ControlChannel",
@@ -78,9 +68,6 @@ CTL_OBS_ALL = "ctl.obs_all"
 CTL_DRAIN = "ctl.drain"
 #: Supervisor -> executor, request: phase two — tear down and exit.
 CTL_STOP = "ctl.stop"
-#: Supervisor -> executor, one-way with one SCM_RIGHTS fd: an accepted
-#: client socket to adopt (fd-passing acceptor mode).
-CTL_CONN = "ctl.conn"
 #: Supervisor -> executor, request (cluster engine mode): ``{context}`` —
 #: release a context shard, returning captured waiters for replay.
 CTL_DEACTIVATE = "ctl.deactivate"
@@ -89,7 +76,6 @@ CTL_DEACTIVATE = "ctl.deactivate"
 CTL_REPLY = "ctl.reply"
 
 _RECV_SIZE = 65536
-_MAX_FDS_PER_RECV = 32
 
 
 class ControlChannel:
@@ -98,19 +84,16 @@ class ControlChannel:
     def __init__(
         self,
         sock: socket.socket,
-        handler: Callable[[dict, int | None], dict | None] | None = None,
+        handler: Callable[[dict], dict | None] | None = None,
         name: str = "ctl",
         on_down: Callable[[], None] | None = None,
-        recv_fds: bool = False,
     ) -> None:
         self._sock = sock
         self._sock.setblocking(True)
         self._handler = handler
         self.name = name
         self._on_down = on_down
-        self._recv_fds = recv_fds
         self._decoder = StreamDecoder(CODEC_BINARY)
-        self._fd_fifo: "queue.SimpleQueue[int]" = queue.SimpleQueue()
         self._reqs = itertools.count(1)
         self._waiters: dict[int, queue.Queue] = {}
         self._lock = threading.Lock()
@@ -134,17 +117,6 @@ class ControlChannel:
         except OSError as exc:
             raise DVConnectionLost(
                 f"control channel {self.name!r} died on send: {exc}"
-            ) from exc
-
-    def send_with_fd(self, message: dict, fd: int) -> None:
-        """One-way frame carrying one file descriptor (``ctl.conn``)."""
-        data = encode_frame(message, CODEC_BINARY)
-        try:
-            with self._send_lock:
-                socket.send_fds(self._sock, [data], [fd])
-        except OSError as exc:
-            raise DVConnectionLost(
-                f"control channel {self.name!r} died on fd send: {exc}"
             ) from exc
 
     def call(self, message: dict, timeout: float = 10.0) -> dict:
@@ -176,20 +148,10 @@ class ControlChannel:
         return reply
 
     # ------------------------------------------------------------------ #
-    def _recv_chunk(self) -> bytes:
-        if not self._recv_fds:
-            return self._sock.recv(_RECV_SIZE)
-        msg, fds, _flags, _addr = socket.recv_fds(
-            self._sock, _RECV_SIZE, _MAX_FDS_PER_RECV
-        )
-        for fd in fds:
-            self._fd_fifo.put(fd)
-        return msg
-
     def _listen(self) -> None:
         try:
             while not self._closed:
-                chunk = self._recv_chunk()
+                chunk = self._sock.recv(_RECV_SIZE)
                 if not chunk:
                     break
                 self._decoder.feed(chunk)
@@ -200,7 +162,6 @@ class ControlChannel:
                     self._dispatch(message)
         except (OSError, SimFSError):
             pass
-        self._drain_stray_fds()
         self._fail_outstanding()
         if not self._closed and self._on_down is not None:
             try:
@@ -215,29 +176,21 @@ class ControlChannel:
             if waiter is not None:
                 waiter.put(message)
             return
-        fd: int | None = None
-        if message.get("op") == CTL_CONN:
-            try:
-                fd = self._fd_fifo.get_nowait()
-            except queue.Empty:
-                return  # truncated ancillary data: nothing to adopt
         # Each request runs on its own thread: a handler blocking on a
         # round trip back through this very channel (merged stats) must
         # not stall pings, replies or later requests.
         threading.Thread(
             target=self._handle,
-            args=(message, fd),
+            args=(message,),
             name=f"simfs-{self.name}-req",
             daemon=True,
         ).start()
 
-    def _handle(self, message: dict, fd: int | None) -> None:
+    def _handle(self, message: dict) -> None:
         reply: dict | None = None
         try:
             if self._handler is not None:
-                reply = self._handler(message, fd)
-            elif fd is not None:
-                _close_fd(fd)
+                reply = self._handler(message)
         except Exception as exc:
             reply = {"error": 1, "detail": f"{type(exc).__name__}: {exc}"}
         req = message.get("req")
@@ -250,13 +203,6 @@ class ControlChannel:
             self.send(reply)
         except DVConnectionLost:
             pass
-
-    def _drain_stray_fds(self) -> None:
-        while True:
-            try:
-                _close_fd(self._fd_fifo.get_nowait())
-            except queue.Empty:
-                return
 
     def _fail_outstanding(self) -> None:
         with self._lock:
@@ -283,9 +229,3 @@ class ControlChannel:
         except OSError:
             pass
 
-
-def _close_fd(fd: int) -> None:
-    try:
-        os.close(fd)
-    except OSError:
-        pass

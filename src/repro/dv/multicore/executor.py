@@ -1,19 +1,17 @@
 """Shard-executor child process: one event loop, one core, one GIL.
 
 :func:`run_executor` is the target of every process the supervisor
-spawns.  It builds a selector-mode :class:`~repro.dv.server.DVServer`
+spawns.  It builds a :class:`~repro.dv.server.DVServer`
 (its own worker pool, metrics plane and coordinator), a Unix-domain
 listener for sibling peer links, and an
 :class:`~repro.dv.multicore.gateway.ExecutorGateway` holding the
 internal ring — then parks on the control channel until the supervisor
 says stop.
 
-Client sockets arrive one of three ways, chosen by ``spec.accept``:
+The client plane follows ``spec.accept``:
 
 * ``reuseport`` — the executor binds+listens its own SO_REUSEPORT share
   of the node's client port; the kernel load-balances connections.
-* ``fdpass`` — no client listener at all; the supervisor accepts and
-  ships fds over the control channel (``ctl.conn``).
 * ``none`` — no client plane (cluster engine mode: ops enter only as
   ``fwd`` frames over the peer listener).
 
@@ -31,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import DVConnectionLost
 from repro.dv.multicore.control import (
-    CTL_CONN,
     CTL_DEACTIVATE,
     CTL_DRAIN,
     CTL_HELLO,
@@ -58,7 +55,7 @@ class ExecutorSpec:
     executor_id: str
     host: str
     port: int
-    accept: str  # "reuseport" | "fdpass" | "none"
+    accept: str  # "reuseport" | "none"
     unix_path: str
     workers: int  # pool size, for the hello extra
     vnodes: int = 32
@@ -79,7 +76,6 @@ def run_executor(spec: ExecutorSpec, ctl_sock: socket.socket) -> None:
     server = DVServer(
         spec.host,
         spec.port,
-        mode="selector",
         workers=spec.io_workers,
         reuse_port=True,
         listen=(spec.accept == "reuseport"),
@@ -112,10 +108,9 @@ def run_executor(spec: ExecutorSpec, ctl_sock: socket.socket) -> None:
         handler=None,  # bound below (needs the channel itself for stats)
         name=f"ctl-{spec.executor_id}",
         on_down=lambda: stop_event.set(),
-        recv_fds=(spec.accept == "fdpass"),
     )
 
-    def handle_ctl(message: dict, fd: int | None) -> dict | None:
+    def handle_ctl(message: dict) -> dict | None:
         op = message.get("op")
         if op == CTL_PING:
             return {"ok": True}
@@ -143,10 +138,6 @@ def run_executor(spec: ExecutorSpec, ctl_sock: socket.socket) -> None:
             return {"spans": server.trace_spans(
                 str(message.get("trace_id") or "")
             )}
-        if op == CTL_CONN:
-            if fd is not None:
-                server.adopt_connection(socket.socket(fileno=fd))
-            return None
         if op == CTL_DRAIN:
             timeout = float(message.get("timeout", 5.0))
             server.stop_accepting("client")

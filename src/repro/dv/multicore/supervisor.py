@@ -1,4 +1,4 @@
-"""The multi-core supervisor: lifecycle, membership oracle, acceptor tier.
+"""The multi-core supervisor: lifecycle and membership oracle.
 
 :class:`MultiCoreServer` is the drop-in multi-process counterpart of a
 single :class:`~repro.dv.server.DVServer`: same ``add_context`` /
@@ -8,8 +8,8 @@ selector event loop and own the context shards an internal
 :class:`~repro.cluster.ring.HashRing` assigns to them.
 
 The supervisor is the *only* membership authority: executors never gossip.
-It spawns the fleet, binds the acceptor tier (SO_REUSEPORT port sharing
-where the kernel supports it, an fd-passing acceptor otherwise),
+It spawns the fleet, reserves the client port (every executor listens on
+its own SO_REUSEPORT share of it; the kernel balances connections),
 broadcasts ``ctl.ring`` views, pings for liveness (a ``kill -9`` shows
 up even sooner, as EOF on the control socketpair), restarts crashed
 executors, and re-broadcasts so the survivors replay stranded waiters —
@@ -37,7 +37,6 @@ from repro.cluster.router import Router
 from repro.core.context import SimulationContext
 from repro.core.errors import DVConnectionLost, InvalidArgumentError
 from repro.dv.multicore.control import (
-    CTL_CONN,
     CTL_DEACTIVATE,
     CTL_DRAIN,
     CTL_HELLO,
@@ -72,16 +71,6 @@ class _ExecutorHandle:
     ready: threading.Event = field(default_factory=threading.Event)
 
 
-def pick_accept_mode() -> str:
-    """Kernel-dependent acceptor choice: SO_REUSEPORT load balancing
-    where available, single-acceptor fd passing otherwise."""
-    if hasattr(socket, "SO_REUSEPORT") and hasattr(socket, "send_fds"):
-        return "reuseport"
-    if hasattr(socket, "send_fds"):
-        return "fdpass"
-    raise OSError("neither SO_REUSEPORT nor fd passing is available")
-
-
 class MultiCoreServer:
     """Supervisor over N shared-nothing shard-executor processes."""
 
@@ -90,7 +79,7 @@ class MultiCoreServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int | None = None,
-        accept: str | None = None,
+        accept: str = "reuseport",
         vnodes: int = 32,
         start_method: str | None = None,
         restart_crashed: bool = True,
@@ -102,9 +91,7 @@ class MultiCoreServer:
         ready_router=None,
         data_endpoint: tuple[str, int] | None = None,
     ) -> None:
-        if accept is None:
-            accept = pick_accept_mode()
-        if accept not in ("reuseport", "fdpass", "none"):
+        if accept not in ("reuseport", "none"):
             raise InvalidArgumentError(f"unknown accept mode {accept!r}")
         self._host = host
         self._port = port
@@ -136,9 +123,6 @@ class MultiCoreServer:
         self._running = False
         self._tmpdir: str | None = None
         self._reserve: socket.socket | None = None
-        self._acceptor: socket.socket | None = None
-        self._acceptor_thread: threading.Thread | None = None
-        self._rr = 0  # fd-passing round-robin cursor
         #: Engine-mode client plane (accept="none"): supervisor-held peer
         #: links into the pool plus the ingress bookkeeping to replay
         #: forwarded waits when an executor dies (the control channel's
@@ -197,9 +181,8 @@ class MultiCoreServer:
     @property
     def address(self) -> tuple[str, int]:
         """(host, port) clients connect to; valid after :meth:`start`."""
-        sock = self._reserve if self._reserve is not None else self._acceptor
-        assert sock is not None, "server not started (or accept='none')"
-        return sock.getsockname()[:2]
+        assert self._reserve is not None, "server not started (or accept='none')"
+        return self._reserve.getsockname()[:2]
 
     def start(self) -> None:
         if self._running:
@@ -212,11 +195,6 @@ class MultiCoreServer:
                 self._host, self._port, listen=False
             )
             self._port = self._reserve.getsockname()[1]
-        elif self.accept == "fdpass":
-            self._acceptor = DVServer.make_reuseport_listener(
-                self._host, self._port, listen=True
-            )
-            self._port = self._acceptor.getsockname()[1]
         self._running = True
         method = self._start_method
         if method is None:
@@ -244,11 +222,6 @@ class MultiCoreServer:
         self._broadcast_ring()
         for handle in list(self._handles.values()):
             self._start_heartbeat(handle)
-        if self.accept == "fdpass":
-            self._acceptor_thread = threading.Thread(
-                target=self._accept_loop, name="simfs-mc-accept", daemon=True
-            )
-            self._acceptor_thread.start()
 
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Two-phase graceful stop.
@@ -259,14 +232,13 @@ class MultiCoreServer:
         delivered, while new connects are refused.  Phase two: executors
         tear down and exit; stragglers are terminated, then killed.
         """
-        self._running = False  # stops restarts, heartbeats, accepting
-        for sock in (self._reserve, self._acceptor):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        self._reserve = self._acceptor = None
+        self._running = False  # stops restarts and heartbeats
+        if self._reserve is not None:
+            try:
+                self._reserve.close()
+            except OSError:
+                pass
+            self._reserve = None
         with self._lock:
             handles = [h for h in self._handles.values() if h.alive]
         if drain_timeout > 0 and handles:
@@ -348,7 +320,7 @@ class MultiCoreServer:
         )
         channel = ControlChannel(
             parent_sock,
-            handler=lambda msg, fd: self._ctl_request(handle, msg, fd),
+            handler=lambda msg: self._ctl_request(handle, msg),
             name=f"sup-{exec_id}",
             on_down=lambda: self._executor_died(handle),
         )
@@ -357,7 +329,7 @@ class MultiCoreServer:
         return handle
 
     def _ctl_request(
-        self, handle: _ExecutorHandle, message: dict, fd: int | None
+        self, handle: _ExecutorHandle, message: dict
     ) -> dict | None:
         op = message.get("op")
         if op == CTL_HELLO:
@@ -511,30 +483,6 @@ class MultiCoreServer:
                     except (OSError, ValueError, AssertionError):
                         pass
                     return
-
-    # ------------------------------------------------------------------ #
-    # fd-passing acceptor tier
-    # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        assert self._acceptor is not None
-        acceptor = self._acceptor
-        while self._running:
-            try:
-                sock, _addr = acceptor.accept()
-            except OSError:
-                return  # listener closed (stop)
-            with self._lock:
-                handles = [h for h in self._handles.values() if h.alive]
-            if not handles:
-                sock.close()
-                continue
-            self._rr = (self._rr + 1) % len(handles)
-            handle = handles[self._rr]
-            try:
-                handle.channel.send_with_fd({"op": CTL_CONN}, sock.fileno())
-            except DVConnectionLost:
-                pass  # executor died mid-handoff; client sees a reset
-            sock.close()
 
     # ------------------------------------------------------------------ #
     # Merged observability plane

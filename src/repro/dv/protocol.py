@@ -2,35 +2,30 @@
 
 The original SimFS exchanges control messages between DVLib and the DV over
 TCP/IP; data moves through the parallel file system.  The reproduction uses
-the same split with two interchangeable *codecs* on the control channel:
+the same split.  A control connection carries two framings, in this order:
 
-``legacy``
-    Newline-delimited JSON, one message per line.  This is the v1 wire
-    format every client and server understands; it is also the format of
-    the ``hello`` handshake, so codec negotiation itself never needs a
-    codec.
-``binary``
-    Length-prefixed frames: a compact 8-byte struct header
-    ``(magic, kind, reserved, payload_length)`` followed by the payload.
-    The hot ops — ``open``/``release`` requests, their replies, and
-    ``ready`` notifications — are packed as fixed struct layouts; every
-    other message is carried as compact (non-sorted) JSON under
-    ``KIND_JSON``.  No newline scanning, no key sorting, no escaping on
-    the critical path.
-
-Codec negotiation rides on ``hello``: a v2 client sends
-``{"op": "hello", ..., "vers": 2, "codec": "binary"}``.  A v2 server
-answers the (always-legacy) hello reply with ``"codec": "binary"`` and
-both sides switch for every subsequent frame.  A v1 server ignores the
-unknown fields and answers without ``codec``, so the client silently
-stays on newline JSON — old and new deployments interoperate in both
-directions.
+``hello`` line
+    The client's ``hello`` and the server's reply are one newline-delimited
+    JSON line each (``legacy`` below), so the handshake itself needs no
+    codec.  The hello must carry ``"vers": 2`` (or later) and
+    ``"codec": "binary"``; the reply echoes ``"codec": "binary"``.  Anything
+    else is answered with an ``ERR_PROTOCOL`` reply line naming the reason
+    and the connection stays un-negotiated — there is no newline-JSON mode
+    past the handshake.
+``binary`` frames
+    Every frame after the hello reply is length-prefixed: a compact 8-byte
+    struct header ``(magic, kind, reserved, payload_length)`` followed by
+    the payload.  The hot ops — ``open``/``release`` requests, their
+    replies, and ``ready`` notifications — are packed as fixed struct
+    layouts; every other message is carried as compact (non-sorted) JSON
+    under ``KIND_JSON``.  No newline scanning, no key sorting, no escaping
+    on the critical path.
 
 Client -> DV requests (each carries a ``req`` sequence number):
 
 ===========  =============================================================
-``hello``    attach a client to a context (``SIMFS_Init``); negotiates
-             the wire codec via optional ``vers``/``codec`` fields
+``hello``    attach a client to a context (``SIMFS_Init``); carries the
+             mandatory ``client_id``/``vers``/``codec`` fields
 ``open``     request one file (transparent open / blocking acquire)
 ``acquire``  request a set of files (``SIMFS_Acquire``)
 ``release``  drop the reference to a file (``SIMFS_Release`` / read close)
@@ -48,8 +43,8 @@ DV -> client messages: ``reply`` (matched to ``req``) and unsolicited
 ``ready`` notifications for files the client waits on.
 
 Peer-to-peer (cluster tier, :mod:`repro.cluster`) — DV daemons exchange
-three additional ops over the very same wire (any codec; they travel as
-JSON payloads inside the binary framing):
+three additional ops over the very same wire (they travel as JSON
+payloads inside the binary framing):
 
 =============  ===========================================================
 ``fwd``        gateway forwarding: ``{"op": "fwd", "req": n, "origin":
@@ -69,12 +64,11 @@ JSON payloads inside the binary framing):
                view under ``view``.
 =============  ===========================================================
 
-Trace propagation (:mod:`repro.obs`) rides the same negotiation: a
+Trace propagation (:mod:`repro.obs`) rides the same handshake: a
 tracing-capable peer adds ``"trace": 1`` to its ``hello`` and the server
 echoes it back when it can record spans.  After that, any message may
-carry a ``tc`` field — the compact trace-context wire string.  On the
-legacy codec (and on binary JSON payloads) ``tc`` is just another JSON
-key, so it crosses legacy peers untouched as an opaque extra field.  On
+carry a ``tc`` field — the compact trace-context wire string.  On binary
+JSON payloads ``tc`` is just another JSON key.  On
 packed binary frames the kind byte gets the ``0x80`` trace bit and the
 payload is prefixed with a packed 17-byte ``(trace_id, span_id, flags)``
 struct; traced packed kinds are only ever sent once both sides
@@ -114,7 +108,8 @@ __all__ = [
     "send_message",
 ]
 
-#: Protocol version this library speaks; v2 adds codec negotiation.
+#: Protocol version this library speaks (and the oldest it accepts): v2
+#: is the first with binary frames after the hello line.
 PROTOCOL_VERSION = 2
 
 CODEC_LEGACY = "legacy"
@@ -159,7 +154,7 @@ def unwrap_fwd(message: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
     return origin, client_id, inner
 
 # --------------------------------------------------------------------- #
-# Legacy codec: newline-delimited JSON
+# Legacy codec: newline-delimited JSON (the hello line and its reply)
 # --------------------------------------------------------------------- #
 
 
@@ -450,33 +445,34 @@ def encode_open_request(req: Any, context: str, filename: str, codec: str,
 
 
 def negotiate_codec(hello: dict[str, Any]) -> str:
-    """Server-side codec choice for a ``hello`` message.
+    """Validate the wire fields of a ``hello`` message.
 
-    Returns :data:`CODEC_BINARY` when the client advertises protocol
-    version >= 2 and asks for it; anything else stays legacy, which keeps
-    v1 clients working unchanged.
+    Returns :data:`CODEC_BINARY`, the only codec spoken after the
+    handshake.  Raises :class:`ProtocolError` naming the reason unless
+    ``vers`` is an integer >= 2 and ``codec`` is ``"binary"`` (a v1 hello
+    carries neither); the server turns that into an error reply line.
     """
-    try:
-        vers = int(hello.get("vers", 1))
-    except (TypeError, ValueError):
-        return CODEC_LEGACY
-    if vers >= 2 and hello.get("codec") == CODEC_BINARY:
-        return CODEC_BINARY
-    return CODEC_LEGACY
+    vers = hello.get("vers")
+    if not isinstance(vers, int) or isinstance(vers, bool) or vers < 2:
+        raise ProtocolError(
+            f"hello needs an integer 'vers' >= 2, got {vers!r} "
+            "(newline-JSON v1 clients are no longer served)"
+        )
+    if hello.get("codec") != CODEC_BINARY:
+        raise ProtocolError(
+            f"hello must ask for codec {CODEC_BINARY!r}, "
+            f"got {hello.get('codec')!r}"
+        )
+    return CODEC_BINARY
 
 
 def negotiate_trace(hello: dict[str, Any]) -> bool:
-    """Server-side tracing choice for a ``hello`` message.
-
-    True when the client advertises protocol version >= 2 and asks for
-    tracing (``"trace": 1``).  Gates the traced *packed* binary kinds
-    only — JSON-carried ``tc`` fields need no negotiation.
+    """Server-side tracing choice for a ``hello`` that already passed
+    :func:`negotiate_codec`: true when the client asks for it
+    (``"trace": 1``).  Gates the traced *packed* binary kinds only —
+    JSON-carried ``tc`` fields need no negotiation.
     """
-    try:
-        vers = int(hello.get("vers", 1))
-    except (TypeError, ValueError):
-        return False
-    return vers >= 2 and bool(hello.get("trace"))
+    return bool(hello.get("trace"))
 
 
 # --------------------------------------------------------------------- #

@@ -1,23 +1,20 @@
 """The DV daemon: a TCP front end over the sharded coordinator (Sec. III).
 
-Two interchangeable network front ends drive the same op handlers:
+The front end is an event-driven server: **one I/O thread** multiplexes
+every client socket through :mod:`selectors`, decodes frames
+incrementally, and hands complete messages to a small worker pool that
+dispatches into the target context's shard.  Each connection is processed
+serially (its messages keep their arrival order) but different
+connections run on different workers, so independent contexts still
+proceed fully in parallel.  All writes go through per-connection output
+buffers drained by the I/O thread — queued ``ready`` notifications and
+replies coalesce into single ``send`` calls instead of one syscall per
+frame.
 
-* ``selector`` (default) — an event-driven server: **one I/O thread**
-  multiplexes every client socket through :mod:`selectors`, decodes
-  frames incrementally, and hands complete messages to a small worker
-  pool that dispatches into the target context's shard.  Each connection
-  is processed serially (its messages keep their arrival order) but
-  different connections run on different workers, so independent
-  contexts still proceed fully in parallel.  All writes go through
-  per-connection output buffers drained by the I/O thread — queued
-  ``ready`` notifications and replies coalesce into single ``send``
-  calls instead of one syscall per frame.
-* ``threaded`` — the classic one-thread-per-connection loop, kept for
-  comparison benchmarks (``benchmarks/bench_wire.py``) and as a fallback.
-
-Both front ends speak both wire codecs (:mod:`repro.dv.protocol`): the
-``hello`` handshake negotiates ``legacy`` newline-JSON or the ``binary``
-length-prefixed codec per connection, so old clients keep working.
+Every connection starts with one newline-JSON ``hello`` line and its
+reply line; every frame after that is binary (:mod:`repro.dv.protocol`).
+A hello that fails validation gets an error reply line and the connection
+stays un-negotiated.
 
 Beyond the classic per-file ops, the daemon speaks two service-level ops:
 
@@ -58,11 +55,11 @@ from repro.core.errors import (
 from repro.dv.coordinator import DVCoordinator, Notification
 from repro.dv.launcher import ThreadedLauncher
 from repro.dv.protocol import (
-    CODEC_LEGACY,
+    CODEC_BINARY,
     PROTOCOL_VERSION,
-    MessageReader,
     StreamDecoder,
-    encode_frame,
+    encode_binary,
+    encode_message,
     encode_open_reply,
     negotiate_codec,
     negotiate_trace,
@@ -86,8 +83,7 @@ _RECV_SIZE = 65536
 _COLLECT_MAX = 1 << 18
 
 #: Backpressure high-water marks: stop reading a connection whose queued
-#: messages or un-drained output exceed these (the threaded front end got
-#: the same effect implicitly by blocking in read/sendall).
+#: messages or un-drained output exceed these.
 _INBOX_HIGH = 1024
 _OUTBUF_HIGH = 1 << 22
 
@@ -132,17 +128,17 @@ class _ExtraOp:
 
 @dataclass
 class _ClientConn:
-    """Per-connection state shared by both front ends.
+    """Per-connection state.
 
-    ``send_lock`` guards the socket (threaded mode) or the output buffer
-    (selector mode); ``inbox``/``busy`` implement the selector mode's
-    per-connection serialization (a connection is queued to the worker
-    pool only while it is not already being worked on).
+    ``send_lock`` guards the output buffer; ``inbox``/``busy`` implement
+    the per-connection serialization (a connection is queued to the worker
+    pool only while it is not already being worked on).  ``client_id`` is
+    set by a valid ``hello``: until then the connection is un-negotiated
+    (newline-JSON lines both ways), afterwards every frame is binary.
     """
 
     sock: socket.socket
     client_id: str | None = None
-    codec: str = CODEC_LEGACY
     #: Tracing negotiated on hello: traced packed binary frames (and
     #: ``tc`` fields on replies/notifications) may be sent to this peer.
     trace: bool = False
@@ -165,28 +161,20 @@ class _ClientConn:
 
 
 class DVServer:
-    """TCP Data Virtualizer daemon (selector event loop or thread-per-client)."""
+    """TCP Data Virtualizer daemon (selector event loop + worker pool)."""
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        mode: str = "selector",
         workers: int | None = None,
         reuse_port: bool = False,
         listen: bool = True,
     ) -> None:
-        if mode not in ("selector", "threaded"):
-            raise InvalidArgumentError(f"unknown server mode {mode!r}")
-        if not listen and mode != "selector":
-            raise InvalidArgumentError(
-                "listen=False (adopted-connection mode) requires mode='selector'"
-            )
         self._host = host
         self._port = port
         self._reuse_port = reuse_port
         self._listen = listen
-        self.mode = mode
         self._num_workers = workers or max(2, min(8, os.cpu_count() or 2))
         self._clock = WallClock()
         self.metrics = MetricsRegistry()
@@ -202,8 +190,8 @@ class DVServer:
             obs=self.obs,
         )
         self.launcher.bind(self.coordinator)
-        # Client table: mutated by accept/handler threads, read by notifier
-        # threads — every access goes through ``_clients_lock``.
+        # Client table: mutated by the I/O and worker threads, read by
+        # notifier threads — every access goes through ``_clients_lock``.
         self._clients: dict[str, _ClientConn] = {}
         self._clients_lock = threading.Lock()
         self._listener: socket.socket | None = None
@@ -213,11 +201,7 @@ class DVServer:
         # "peer") keeps accepting forwarded traffic during a drain.
         self._extra_listeners: list[tuple[socket.socket, str]] = []
         self._listener_roles: dict[int, str] = {}
-        # Sockets handed over by an external acceptor (fd passing): the
-        # I/O thread registers them on its next pass.
-        self._adopt_pending: collections.deque[socket.socket] = collections.deque()
         self._stop_accept_pending: collections.deque[str] = collections.deque()
-        self._accept_thread: threading.Thread | None = None
         self._io_thread: threading.Thread | None = None
         self._worker_threads: list[threading.Thread] = []
         self._work_queue: queue.Queue[_ClientConn | None] = queue.Queue()
@@ -249,8 +233,8 @@ class DVServer:
         self._hello_extra = None
         self._drop_hook = None
         # One-slot memo so a notification fanned out to many waiters is
-        # encoded once per codec, not once per waiter.
-        self._ready_memo: tuple[tuple[str, str, bool], dict[str, bytes]] | None = None
+        # encoded once, not once per waiter.
+        self._ready_memo: tuple[tuple[str, str, bool], bytes] | None = None
         self._ready_memo_lock = threading.Lock()
         # Worker-local reply collector: while a worker drains one
         # connection's inbox, its replies accumulate here and leave in a
@@ -335,7 +319,7 @@ class DVServer:
         ``handler(conn, message) -> payload`` follows the built-in handler
         contract; the reply frame is sent as ``reply_op``.  Ops that may
         block (peer round trips, file I/O) must pass ``needs_worker=True``
-        so the selector front end never runs them on the event loop.
+        so they never run on the event loop.
 
         ``replace=True`` lets an embedding layer shadow an existing op at
         the top level (the multi-core executor overrides ``stats`` with a
@@ -384,15 +368,12 @@ class DVServer:
     def add_listener(self, sock: socket.socket, role: str = "client") -> None:
         """Register an extra bound+listening socket to accept from.
 
-        Must be called before :meth:`start` (selector mode only).  The
-        multi-core executor adds its Unix-domain peer listener (role
-        ``"peer"``) and, under SO_REUSEPORT, its share of the client port
-        (role ``"client"``) this way.
+        Must be called before :meth:`start`.  The multi-core executor
+        adds its Unix-domain peer listener (role ``"peer"``) this way; its
+        SO_REUSEPORT share of the client port is the ordinary listener.
         """
         if self._running:
             raise InvalidArgumentError("add_listener must precede start()")
-        if self.mode != "selector":
-            raise InvalidArgumentError("extra listeners require mode='selector'")
         self._extra_listeners.append((sock, role))
 
     @staticmethod
@@ -422,33 +403,11 @@ class DVServer:
             raise
         return sock
 
-    def adopt_connection(self, sock: socket.socket) -> None:
-        """Take ownership of an already-accepted client socket.
-
-        The fd-passing acceptor tier hands sockets over this way: the
-        supervisor accepts, picks an executor, ships the fd, and the
-        executor adopts it here.  Thread-safe; the I/O thread registers
-        the socket on its next pass.
-        """
-        if self.mode == "threaded":
-            self._tune_socket(sock)
-            threading.Thread(
-                target=self._serve_client, args=(sock,), daemon=True
-            ).start()
-            return
-        self._adopt_pending.append(sock)
-        self._wake()
-
     def stop_accepting(self, role: str = "client") -> None:
         """Close every listener of ``role`` without touching live
         connections (phase one of a graceful drain).  Thread-safe."""
-        if self.mode == "threaded" or self._selector is None:
-            if role == "client" and self._listener is not None:
-                try:
-                    self._listener.close()
-                except OSError:
-                    pass
-            return
+        if self._selector is None:
+            return  # not started: nothing is listening yet
         self._stop_accept_pending.append(role)
         self._wake()
 
@@ -462,12 +421,6 @@ class DVServer:
             else:
                 self._listener = socket.create_server((self._host, self._port))
         self._running = True
-        if self.mode == "threaded":
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="simfs-dv-accept", daemon=True
-            )
-            self._accept_thread.start()
-            return
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -493,8 +446,8 @@ class DVServer:
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Stop accepting, drain in-flight work, and close every client.
 
-        Graceful teardown: new connections stop first, then (selector
-        mode) running re-simulations report their last files, the worker
+        Graceful teardown: new connections stop first, then running
+        re-simulations report their last files, the worker
         pool finishes the queued messages, and every per-connection
         coalescing writer is flushed — a ``ready`` notification or reply
         already produced (or about to be, by an in-flight simulation) is
@@ -510,18 +463,17 @@ class DVServer:
                 sock.close()
             except OSError:
                 pass
-        if self.mode == "selector" and drain_timeout > 0 and self._running:
+        if drain_timeout > 0 and self._running:
             self._drain_for_stop(drain_timeout)
         self._running = False
-        if self.mode == "selector":
-            self._wake()
-            if self._io_thread is not None:
-                self._io_thread.join(timeout=10.0)
-            for _ in self._worker_threads:
-                self._work_queue.put(None)
-            for thread in self._worker_threads:
-                thread.join(timeout=10.0)
-            self._worker_threads.clear()
+        self._wake()
+        if self._io_thread is not None:
+            self._io_thread.join(timeout=10.0)
+        for _ in self._worker_threads:
+            self._work_queue.put(None)
+        for thread in self._worker_threads:
+            thread.join(timeout=10.0)
+        self._worker_threads.clear()
         with self._clients_lock:
             conns = list(self._clients.values())
             self._clients.clear()
@@ -535,7 +487,7 @@ class DVServer:
         multi-core graceful stop (after :meth:`stop_accepting`); existing
         connections keep being served throughout and afterwards.
         """
-        if self.mode != "selector" or not self._running:
+        if not self._running:
             return True
         return self._drain_for_stop(timeout)
 
@@ -612,7 +564,7 @@ class DVServer:
             pass
 
     # ------------------------------------------------------------------ #
-    # Selector front end
+    # Event loop
     # ------------------------------------------------------------------ #
     def _wake(self) -> None:
         if self._wake_w is None:
@@ -640,7 +592,6 @@ class DVServer:
                         if mask & selectors.EVENT_WRITE and not conn.closing:
                             self._flush_conn(conn)
                 self._drain_stop_accept_requests()
-                self._drain_adopt_requests()
                 self._drain_flush_requests()
                 self._drain_resume_requests()
                 self._drain_close_requests()
@@ -665,28 +616,13 @@ class DVServer:
                 return
             except OSError:
                 return  # listener closed
-            self._register_accepted(sock)
-
-    def _register_accepted(self, sock: socket.socket) -> None:
-        assert self._selector is not None
-        self._tune_socket(sock)
-        sock.setblocking(False)
-        conn = _ClientConn(sock)
-        try:
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-            conn.sel_mask = selectors.EVENT_READ
-        except (KeyError, ValueError, OSError):
-            self._shutdown_socket(sock)
-
-    def _drain_adopt_requests(self) -> None:
-        while True:
+            self._tune_socket(sock)
+            sock.setblocking(False)
+            conn = _ClientConn(sock)
             try:
-                sock = self._adopt_pending.popleft()
-            except IndexError:
-                return
-            if self._running:
-                self._register_accepted(sock)
-            else:
+                self._selector.register(sock, selectors.EVENT_READ, conn)
+                conn.sel_mask = selectors.EVENT_READ
+            except (KeyError, ValueError, OSError):
                 self._shutdown_socket(sock)
 
     def _drain_stop_accept_requests(self) -> None:
@@ -1027,79 +963,44 @@ class DVServer:
 
     def _handle_message(self, conn: _ClientConn, message: dict) -> None:
         if conn.client_id is None:
-            if message.get("op") != "hello":
-                self._send(conn, {
-                    "op": "reply",
-                    "req": message.get("req"),
-                    "error": int(ErrorCode.ERR_PROTOCOL),
-                    "detail": "first message must be hello",
-                })
-                return
             self._handle_hello(conn, message)
             return
         self._dispatch(conn, message)
 
     # ------------------------------------------------------------------ #
-    # Threaded front end (comparison baseline)
-    # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            self._tune_socket(sock)
-            threading.Thread(
-                target=self._serve_client, args=(sock,), daemon=True
-            ).start()
-
-    def _serve_client(self, sock: socket.socket) -> None:
-        reader = MessageReader(sock)
-        conn = _ClientConn(sock)
-        bytes_seen = 0
-        try:
-            while True:
-                message = reader.read_message()
-                if message is None:
-                    break
-                self._m_frames_recv.inc()
-                self._m_bytes_recv.inc(reader.bytes_read - bytes_seen)
-                bytes_seen = reader.bytes_read
-                before = conn.codec
-                self._handle_message(conn, message)
-                if conn.codec != before:
-                    reader.set_codec(conn.codec)
-        except (SimFSError, OSError):
-            pass
-        finally:
-            self._drop_client(conn)
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Handshake and dispatch (shared by both front ends)
+    # Handshake and dispatch
     # ------------------------------------------------------------------ #
     def _handle_hello(self, conn: _ClientConn, message: dict) -> None:
-        client_id = str(message.get("client_id"))
+        """First message of a connection.  The hello and its reply are
+        newline-JSON lines; a valid hello switches both directions to
+        binary frames, a rejected one leaves the connection un-negotiated
+        (the peer may send another hello)."""
+        req = message.get("req")
+        client_id = message.get("client_id")
         context_name = message.get("context")
-        codec = negotiate_codec(message)
+        try:
+            if message.get("op") != "hello":
+                raise ProtocolError("first message must be hello")
+            codec = negotiate_codec(message)
+            if not isinstance(client_id, str) or not client_id:
+                raise ProtocolError(
+                    f"hello needs a non-empty string 'client_id', "
+                    f"got {client_id!r}"
+                )
+            with self._clients_lock:
+                if client_id in self._clients:
+                    # A second hello reusing a live client_id would silently
+                    # orphan the first connection's notifications.
+                    raise InvalidArgumentError(
+                        f"client_id {client_id!r} is already connected"
+                    )
+                conn.client_id = client_id
+                self._clients[client_id] = conn
+        except (ProtocolError, InvalidArgumentError) as exc:
+            self._send_line(conn, {"op": "reply", "req": req,
+                                   "error": int(exc.code), "detail": str(exc)})
+            return
         trace = negotiate_trace(message)
-        with self._clients_lock:
-            if client_id in self._clients:
-                # A second hello reusing a live client_id would silently
-                # orphan the first connection's notifications: reject it.
-                self._send(conn, {
-                    "op": "reply",
-                    "req": message.get("req"),
-                    "error": int(ErrorCode.ERR_INVALID),
-                    "detail": f"client_id {client_id!r} is already connected",
-                })
-                return
-            conn.client_id = client_id
-            self._clients[client_id] = conn
         error = int(ErrorCode.SUCCESS)
         detail = ""
         if context_name:
@@ -1120,10 +1021,8 @@ class DVServer:
                     conn.contexts.add(context_name)
                 except SimFSError as exc:
                     error, detail = int(exc.code), str(exc)
-        # The hello reply itself always travels in the legacy codec; both
-        # sides switch to the negotiated codec for every frame after it.
         reply = {
-            "op": "reply", "req": message.get("req"),
+            "op": "reply", "req": req,
             "error": error, "detail": detail,
             "vers": PROTOCOL_VERSION, "codec": codec,
         }
@@ -1131,8 +1030,7 @@ class DVServer:
             reply["trace"] = 1
         if self._hello_extra is not None:
             reply.update(self._hello_extra())
-        self._send(conn, reply)
-        conn.codec = codec
+        self._send_line(conn, reply)
         conn.decoder.set_codec(codec)
         conn.trace = trace
 
@@ -1235,7 +1133,7 @@ class DVServer:
             else:
                 self._send_raw(conn, encode_open_reply(
                     req, result.available, result.state.value,
-                    result.estimated_wait, conn.codec,
+                    result.estimated_wait, CODEC_BINARY,
                     tc=tc if conn.trace else None,
                 ))
             return
@@ -1417,7 +1315,7 @@ class DVServer:
         with self._clients_lock:
             snapshot["server"] = {
                 "connected_clients": len(self._clients),
-                "mode": self.mode,
+                "mode": "selector",
                 "workers": self._num_workers,
             }
         return {"stats": snapshot}
@@ -1496,78 +1394,62 @@ class DVServer:
             # per-waiter); only trace-negotiated peers may receive the
             # traced frame, everyone else gets the shared untraced bytes.
             start = time.time()
-            data = encode_frame({
+            data = encode_binary({
                 "op": "ready",
                 "context": notification.context_name,
                 "file": notification.filename,
                 "ok": notification.ok,
                 "tc": tc,
-            }, conn.codec)
-            try:
-                self._send_raw(conn, data)
-            except OSError:
-                return
+            })
+            self._send_raw(conn, data)
             self.obs.record(
                 "ready.fanout", tc, start, time.time(),
                 context=notification.context_name, file=notification.filename,
             )
             return
-        data = self._encode_ready(notification, conn.codec)
-        try:
-            self._send_raw(conn, data)
-        except OSError:
-            pass
+        self._send_raw(conn, self._encode_ready(notification))
 
-    def _encode_ready(self, notification: Notification, codec: str) -> bytes:
-        """Encode a ``ready`` frame once per codec and reuse it for every
-        waiter of the same file (shards fan notifications out back to
-        back, so a one-slot memo captures the whole wave)."""
+    def _encode_ready(self, notification: Notification) -> bytes:
+        """Encode a ``ready`` frame once and reuse it for every waiter of
+        the same file (shards fan notifications out back to back, so a
+        one-slot memo captures the whole wave)."""
         key = (notification.context_name, notification.filename, notification.ok)
         with self._ready_memo_lock:
-            if self._ready_memo is not None and self._ready_memo[0] == key:
-                encoded = self._ready_memo[1]
-            else:
-                encoded = {}
-                self._ready_memo = (key, encoded)
-            data = encoded.get(codec)
-            if data is None:
-                data = encode_frame({
+            if self._ready_memo is None or self._ready_memo[0] != key:
+                self._ready_memo = (key, encode_binary({
                     "op": "ready",
                     "context": notification.context_name,
                     "file": notification.filename,
                     "ok": notification.ok,
-                }, codec)
-                encoded[codec] = data
-            return data
+                }))
+            return self._ready_memo[1]
 
     def _send(self, conn: _ClientConn, message: dict) -> None:
-        self._send_raw(conn, encode_frame(message, conn.codec))
+        self._send_raw(conn, encode_binary(message))
+
+    def _send_line(self, conn: _ClientConn, message: dict) -> None:
+        """The hello reply (granted or rejected): one newline-JSON line."""
+        self._send_raw(conn, encode_message(message))
 
     def _send_raw(self, conn: _ClientConn, data: bytes) -> None:
         """Ship one encoded frame to a connection.
 
-        Threaded mode writes through directly.  Selector mode first tries
-        the owning worker's collector (coalesced with the rest of the
-        inbox drain); frames for *other* connections — ``ready`` fan-out,
-        notifications from launcher threads — go through
-        :meth:`_queue_or_send`.
+        First choice is the owning worker's collector (coalesced with the
+        rest of the inbox drain); frames for *other* connections —
+        ``ready`` fan-out, notifications from launcher threads — go
+        through :meth:`_queue_or_send`.
         """
-        if self.mode == "selector":
-            tl = self._tl
-            if getattr(tl, "conn", None) is conn:
-                tl.buf += data
-                tl.frames += 1
-                return
+        tl = self._tl
+        if getattr(tl, "conn", None) is conn:
+            tl.buf += data
+            tl.frames += 1
+            return
         self._m_frames_sent.inc()
         self._m_bytes_sent.inc(len(data))
-        if self.mode == "threaded":
-            with conn.send_lock:
-                conn.sock.sendall(data)
-            return
         self._queue_or_send(conn, data)
 
     def _queue_or_send(self, conn: _ClientConn, data: bytes) -> None:
-        """Selector-mode write: send straight from this thread when the
+        """Send straight from this thread when the
         output buffer is clear (no wake-up, no extra hop); otherwise
         append behind the backlog and ask the I/O thread to drain it."""
         need_wake = False
@@ -1612,7 +1494,7 @@ def main(argv: list[str] | None = None) -> int:
 
     Config schema::
 
-        {"host": "127.0.0.1", "port": 7878, "mode": "selector",
+        {"host": "127.0.0.1", "port": 7878,
          "contexts": [
            {"name": "cosmo", "simulator": "cosmo",
             "delta_d": 5, "delta_r": 60, "num_timesteps": 5760,
@@ -1691,6 +1573,11 @@ def main(argv: list[str] | None = None) -> int:
 
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if config.get("mode", "selector") != "selector":
+        parser.error(
+            f"config \"mode\": {config['mode']!r} is not supported "
+            "(the selector front end is the only one)"
+        )
 
     node_id = args.node_id or config.get("node_id")
     peer_arg = args.peers or config.get("peers")
@@ -1715,7 +1602,6 @@ def main(argv: list[str] | None = None) -> int:
             generation=int(config.get("generation", 1)),
             heartbeat_interval=float(config.get("heartbeat_interval", 0.5)),
             suspect_after=int(config.get("suspect_after", 3)),
-            mode=config.get("mode", "selector"),
             engine_workers=workers,
             data_port=int(config.get("data_port", 0)),
             data_link_rate=config.get("data_link_rate"),
@@ -1742,7 +1628,6 @@ def main(argv: list[str] | None = None) -> int:
         server = DVServer(
             config.get("host", "127.0.0.1"),
             config.get("port", 7878),
-            mode=config.get("mode", "selector"),
         )
     # Standalone data plane (cluster nodes carry their own): bind it now
     # so multi-core executors learn the endpoint before they spawn.

@@ -198,15 +198,22 @@ class TestNegotiation:
     def test_v2_binary_granted(self):
         assert negotiate_codec({"op": "hello", "vers": 2, "codec": "binary"}) == "binary"
 
-    def test_v1_stays_legacy(self):
-        assert negotiate_codec({"op": "hello"}) == "legacy"
-        assert negotiate_codec({"op": "hello", "codec": "binary"}) == "legacy"
+    def test_v1_is_rejected(self):
+        with pytest.raises(ProtocolError, match="vers"):
+            negotiate_codec({"op": "hello"})
+        with pytest.raises(ProtocolError, match="vers"):
+            negotiate_codec({"op": "hello", "codec": "binary"})
 
-    def test_unknown_codec_stays_legacy(self):
-        assert negotiate_codec({"op": "hello", "vers": 2, "codec": "zstd"}) == "legacy"
+    def test_unknown_codec_is_rejected(self):
+        with pytest.raises(ProtocolError, match="codec"):
+            negotiate_codec({"op": "hello", "vers": 2, "codec": "zstd"})
+        with pytest.raises(ProtocolError, match="codec"):
+            negotiate_codec({"op": "hello", "vers": 2})
 
-    def test_garbage_vers_stays_legacy(self):
-        assert negotiate_codec({"op": "hello", "vers": "x", "codec": "binary"}) == "legacy"
+    @pytest.mark.parametrize("vers", ["x", "2", 2.0, True, None, float("inf")])
+    def test_garbage_vers_is_rejected(self, vers):
+        with pytest.raises(ProtocolError, match="vers"):
+            negotiate_codec({"op": "hello", "vers": vers, "codec": "binary"})
 
 
 # --------------------------------------------------------------------- #

@@ -143,9 +143,3 @@ class TestNegotiateTrace:
     def test_v2_without_trace_flag_denied(self):
         assert not negotiate_trace({"op": "hello", "vers": 2})
         assert not negotiate_trace({"op": "hello", "vers": 2, "trace": 0})
-
-    def test_v1_denied_even_with_flag(self):
-        assert not negotiate_trace({"op": "hello", "vers": 1, "trace": 1})
-
-    def test_garbage_vers_denied(self):
-        assert not negotiate_trace({"op": "hello", "vers": "x", "trace": 1})

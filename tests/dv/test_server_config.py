@@ -118,6 +118,26 @@ class TestMainConfig:
         assert "jsonctx" in server.coordinator.context_names()
         server.stop()
 
+    def test_retired_mode_is_a_startup_error(self, tmp_path, capsys):
+        """The selector front end is the only one: a config that still
+        asks for another must fail loudly, not silently run selector."""
+        from repro.cluster import ClusterNode
+        from repro.core.errors import InvalidArgumentError
+        from repro.dv import server as server_mod
+
+        config_path = tmp_path / "dv.json"
+        config_path.write_text(json.dumps(
+            {"host": "127.0.0.1", "port": 0, "mode": "threaded"}
+        ))
+        with pytest.raises(SystemExit) as exit_info:
+            server_mod.main(["--config", str(config_path)])
+        assert exit_info.value.code == 2
+        assert "threaded" in capsys.readouterr().err
+        with pytest.raises(InvalidArgumentError):
+            ClusterNode("n1", mode="threaded")
+        with pytest.raises(TypeError):
+            DVServer(mode="selector")
+
     def test_config_paces_resimulations(self, tmp_path, monkeypatch):
         """`alpha_delay`/`tau_delay` context keys must reach the launcher:
         without pacing a synthetic re-simulation finishes in milliseconds

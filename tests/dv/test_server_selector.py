@@ -1,9 +1,9 @@
-"""Selector front end: codec interop, coalesced notifications, worker
+"""The DV front end: hello validation, coalesced notifications, worker
 hand-off, wire metrics, and a >=16-client stress run.
 
-The selector server must serve v1 (legacy newline-JSON) and v2 (binary)
-clients on the same port simultaneously, survive hostile framing, and
-keep the per-connection ordering guarantees of the threaded server.
+The server speaks one newline-JSON hello line each way and binary frames
+after it; it must reject every other hello with an error reply line,
+survive hostile framing, and keep per-connection ordering.
 """
 
 import os
@@ -16,13 +16,21 @@ import pytest
 from repro.client import SimFSSession, TcpConnection
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
-from repro.dv.protocol import _MAX_MESSAGE
+from repro.cluster.link import PeerLink
+from repro.core.errors import DVConnectionLost, ErrorCode, ProtocolError
+from repro.dv.protocol import (
+    _MAX_MESSAGE,
+    CODEC_BINARY,
+    MessageReader,
+    encode_message,
+    send_message,
+)
 from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 
 
-def make_server(tmp_path, mode, names=("alpha",), timesteps=32):
-    server = DVServer(mode=mode)
+def make_server(tmp_path, names=("alpha",), timesteps=32):
+    server = DVServer()
     contexts = {}
     for name in names:
         config = ContextConfig(name=name, delta_d=2, delta_r=8,
@@ -49,55 +57,50 @@ def make_server(tmp_path, mode, names=("alpha",), timesteps=32):
     return server, contexts
 
 
-def connect(server, context_name, codec="binary", client_id=None):
+def connect(server, context_name, client_id=None):
     host, port = server.address
     return TcpConnection(
         host, port,
         storage_dirs={context_name: server.launcher.output_dir(context_name)},
         restart_dirs={context_name: server.launcher.restart_dir(context_name)},
         client_id=client_id,
-        codec=codec,
     )
 
 
-@pytest.fixture(params=["selector", "threaded"])
-def any_server(tmp_path, request):
-    server, contexts = make_server(tmp_path, request.param)
-    yield server, contexts
-    server.stop()
+def raw_hello(server, **fields):
+    """Send one hello line built from ``fields``; returns (sock, reader,
+    reply) with the reader still in newline-JSON mode."""
+    sock = socket.create_connection(server.address, timeout=10.0)
+    send_message(sock, {"op": "hello", "req": 0, **fields})
+    reader = MessageReader(sock)
+    return sock, reader, reader.read_message()
 
 
 @pytest.fixture
 def selector_server(tmp_path):
-    server, contexts = make_server(tmp_path, "selector")
+    server, contexts = make_server(tmp_path)
     yield server, contexts
     server.stop()
 
 
-class TestCodecInterop:
-    """Old clients against the new server and vice versa: every (codec,
-    front-end) pairing speaks the same ops."""
-
-    @pytest.mark.parametrize("codec", ["legacy", "binary"])
-    def test_full_op_surface(self, any_server, codec):
-        server, contexts = any_server
+class TestOpSurface:
+    def test_full_op_surface(self, selector_server):
+        server, contexts = selector_server
         context = contexts["alpha"]
         fname = context.filename_of(1)
-        with connect(server, "alpha", codec=codec) as conn:
-            assert conn.codec == codec
+        with connect(server, "alpha") as conn:
             with SimFSSession(conn, "alpha") as session:
                 assert session.acquire([fname], timeout=30.0).ok
                 assert session.bitrep(fname) is True
                 session.release(fname)
                 stats = session.stats()
-                assert stats["server"]["mode"] == server.mode
-                assert stats["client_wire"]["codec"] == codec
+                assert stats["server"]["mode"] == "selector"
+                assert stats["client_wire"]["codec"] == "binary"
 
-    @pytest.mark.parametrize("codec", ["legacy", "binary"])
-    def test_batch_under_both_codecs(self, any_server, codec):
-        server, contexts = any_server
+    def test_batch(self, selector_server):
+        server, contexts = selector_server
         fname = contexts["alpha"].filename_of(2)
-        with connect(server, "alpha", codec=codec) as conn:
+        with connect(server, "alpha") as conn:
             conn.attach("alpha")
             results = conn.batch([
                 {"op": "open", "context": "alpha", "file": fname},
@@ -108,29 +111,29 @@ class TestCodecInterop:
             assert [bool(r["error"]) for r in results] == [False, False, True, False]
             assert results[1]["matches"] is True
 
-    def test_mixed_codec_clients_share_one_daemon(self, selector_server):
+    def test_two_clients_share_one_daemon(self, selector_server):
         server, contexts = selector_server
         context = contexts["alpha"]
-        legacy = connect(server, "alpha", codec="legacy", client_id="old-client")
-        binary = connect(server, "alpha", codec="binary", client_id="new-client")
+        first = connect(server, "alpha", client_id="client-1")
+        second = connect(server, "alpha", client_id="client-2")
         try:
-            with SimFSSession(legacy, "alpha") as s1, \
-                    SimFSSession(binary, "alpha") as s2:
+            with SimFSSession(first, "alpha") as s1, \
+                    SimFSSession(second, "alpha") as s2:
                 fname = context.filename_of(3)
                 assert s1.acquire([fname], timeout=30.0).ok
                 assert s2.acquire([fname], timeout=30.0).ok
                 s1.release(fname)
                 s2.release(fname)
         finally:
-            legacy.close()
-            binary.close()
+            first.close()
+            second.close()
 
     def test_resimulation_ready_notification(self, selector_server):
         """A miss exercises launcher -> shard -> coalesced ready path."""
         server, contexts = selector_server
         context = contexts["alpha"]
         missing = context.filename_of(9)  # beyond the 4 produced steps
-        with connect(server, "alpha", codec="binary") as conn:
+        with connect(server, "alpha") as conn:
             with SimFSSession(conn, "alpha") as session:
                 status = session.acquire([missing], timeout=30.0)
                 assert status.ok
@@ -138,33 +141,186 @@ class TestCodecInterop:
                     conn.storage_path("alpha", missing)
                 )
 
-    def test_shared_wait_fans_ready_to_every_codec(self, selector_server):
-        """Two waiters (one per codec) on the same missing step: the
-        encode-once memo must still deliver a correct frame to each."""
+    def test_shared_wait_fans_ready_to_every_waiter(self, selector_server):
+        """Two waiters on the same missing step: the encode-once memo
+        must deliver a correct frame to each."""
         server, contexts = selector_server
         context = contexts["alpha"]
         missing = context.filename_of(11)
         results = {}
         errors = []
 
-        def worker(codec):
+        def worker(tag):
             try:
-                with connect(server, "alpha", codec=codec) as conn:
+                with connect(server, "alpha") as conn:
                     with SimFSSession(conn, "alpha") as session:
-                        results[codec] = session.acquire(
+                        results[tag] = session.acquire(
                             [missing], timeout=30.0
                         ).ok
             except Exception as exc:  # surfaced after join
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(c,))
-                   for c in ("legacy", "binary")]
+        threads = [threading.Thread(target=worker, args=(tag,))
+                   for tag in ("a", "b")]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=30.0)
         assert not errors
-        assert results == {"legacy": True, "binary": True}
+        assert results == {"a": True, "b": True}
+
+
+class TestHelloValidation:
+    """The hello is validated once; anything else gets an error reply
+    line and the connection stays un-negotiated."""
+
+    def test_v1_hello_is_rejected_and_binary_client_still_served(
+        self, selector_server
+    ):
+        server, contexts = selector_server
+        sock, reader, reply = raw_hello(
+            server, client_id="v1-client", context="alpha"
+        )
+        try:
+            # The rejection itself is a newline-JSON line a v1 client reads.
+            assert reply["error"] == int(ErrorCode.ERR_PROTOCOL)
+            assert "vers" in reply["detail"]
+            # Still un-negotiated: ops are refused, in newline JSON.
+            send_message(sock, {"op": "stats", "req": 1})
+            again = reader.read_message()
+            assert again["error"] == int(ErrorCode.ERR_PROTOCOL)
+            assert "hello" in again["detail"]
+        finally:
+            sock.close()
+        fname = contexts["alpha"].filename_of(1)
+        with connect(server, "alpha", client_id="v1-client") as conn:
+            with SimFSSession(conn, "alpha") as session:
+                assert session.acquire([fname], timeout=30.0).ok
+                session.release(fname)
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"client_id": "c", "vers": 2}, "codec"),
+        ({"client_id": "c", "vers": 2, "codec": "zstd"}, "codec"),
+        ({"client_id": "c", "vers": 1, "codec": "binary"}, "vers"),
+        ({"client_id": "c", "vers": True, "codec": "binary"}, "vers"),
+        ({"client_id": "c", "vers": float("inf"), "codec": "binary"}, "vers"),
+        ({"vers": 2, "codec": "binary"}, "client_id"),
+        ({"client_id": "", "vers": 2, "codec": "binary"}, "client_id"),
+        ({"client_id": {"a": 1}, "vers": 2, "codec": "binary"}, "client_id"),
+    ])
+    def test_malformed_hello_fields_get_an_error_reply(
+        self, selector_server, fields, reason
+    ):
+        server, _ = selector_server
+        sock, _reader, reply = raw_hello(server, **fields)
+        try:
+            assert reply is not None, "connection dropped without a reply"
+            assert reply["error"] == int(ErrorCode.ERR_PROTOCOL)
+            assert reason in reply["detail"]
+        finally:
+            sock.close()
+        with server._clients_lock:
+            assert not server._clients
+
+    def test_rejected_hello_may_be_retried(self, selector_server):
+        server, _ = selector_server
+        sock, reader, reply = raw_hello(server, vers=2, codec="binary")
+        try:
+            assert reply["error"] == int(ErrorCode.ERR_PROTOCOL)
+            send_message(sock, {"op": "hello", "req": 1, "client_id": "anon",
+                                "vers": 2, "codec": "binary"})
+            granted = reader.read_message()
+            assert granted["error"] == 0
+            assert granted["codec"] == "binary"
+        finally:
+            sock.close()
+
+
+class TestClientsRefuseNonBinaryServers:
+    """A server whose hello reply does not grant the binary codec (a v1
+    daemon) is refused, never spoken newline JSON to."""
+
+    @pytest.fixture
+    def v1_server(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    sock, _ = listener.accept()
+                except OSError:
+                    return
+                with sock:
+                    hello = MessageReader(sock).read_message()
+                    sock.sendall(encode_message(
+                        {"op": "reply", "req": hello.get("req"), "error": 0}
+                    ))
+                    sock.recv(1)  # hold until the client hangs up
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield listener.getsockname()[:2]
+        stop.set()
+        listener.close()
+        thread.join(timeout=5.0)
+
+    def test_tcp_connection_raises(self, v1_server):
+        host, port = v1_server
+        with pytest.raises(ProtocolError, match="binary"):
+            TcpConnection(host, port, {}, {}, connect_timeout=5.0)
+
+    def test_peer_link_raises(self, v1_server):
+        host, port = v1_server
+        with pytest.raises(DVConnectionLost, match="rejected the hello"):
+            PeerLink("n1", "n2", host, port, connect_timeout=5.0)
+
+
+class TestHandshakeTimeout:
+    """``connect_timeout`` covers the hello round trip, not just the TCP
+    connect: a listener that accepts and stays silent must not park the
+    caller forever."""
+
+    @pytest.fixture
+    def silent_listener(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        yield listener.getsockname()[:2]
+        listener.close()
+
+    @staticmethod
+    def _raises_within(dial, seconds):
+        outcome = []
+
+        def run():
+            try:
+                dial()
+                outcome.append(None)
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        began = time.monotonic()
+        thread.start()
+        thread.join(timeout=seconds)
+        assert not thread.is_alive(), "handshake still blocked"
+        assert isinstance(outcome[0], DVConnectionLost), outcome
+        return time.monotonic() - began
+
+    def test_tcp_connection_times_out(self, silent_listener):
+        host, port = silent_listener
+        took = self._raises_within(
+            lambda: TcpConnection(host, port, {}, {}, connect_timeout=0.5),
+            seconds=5.0,
+        )
+        assert took >= 0.4
+
+    def test_peer_link_times_out(self, silent_listener):
+        host, port = silent_listener
+        took = self._raises_within(
+            lambda: PeerLink("n1", "n2", host, port, connect_timeout=0.5),
+            seconds=5.0,
+        )
+        assert took >= 0.4
 
 
 class TestSelectorRobustness:
@@ -188,8 +344,6 @@ class TestSelectorRobustness:
             sock.close()
 
     def test_first_message_must_be_hello(self, selector_server):
-        from repro.dv.protocol import MessageReader, send_message
-
         server, _ = selector_server
         host, port = server.address
         sock = socket.create_connection((host, port), timeout=10.0)
@@ -204,21 +358,18 @@ class TestSelectorRobustness:
             sock.close()
 
     def test_handler_crash_closes_only_that_connection(self, selector_server):
-        from repro.dv.protocol import MessageReader, send_message
-
         server, contexts = selector_server
-        host, port = server.address
         fname = contexts["alpha"].filename_of(1)
         # A malformed op payload (missing 'file') raises KeyError in the
         # handler; the server must drop that connection but keep serving.
-        sock = socket.create_connection((host, port), timeout=10.0)
+        sock, reader, reply = raw_hello(
+            server, client_id="evil", context="alpha", vers=2, codec="binary"
+        )
         try:
-            send_message(sock, {"op": "hello", "req": 0, "client_id": "evil",
-                                "context": "alpha"})
-            reader = MessageReader(sock)
-            assert reader.read_message()["error"] == 0
-            send_message(sock, {"op": "open", "req": 1, "context": "alpha"})
-            sock.settimeout(10.0)
+            assert reply["error"] == 0
+            reader.set_codec(CODEC_BINARY)
+            send_message(sock, {"op": "open", "req": 1, "context": "alpha"},
+                         CODEC_BINARY)
             assert reader.read_message() is None  # connection dropped
         finally:
             sock.close()
@@ -263,11 +414,11 @@ class TestSelectorStress:
     OPS_PER_CLIENT = 30
 
     def test_sixteen_concurrent_clients(self, tmp_path):
-        """16 clients (a mix of codecs) over 4 contexts hammering
+        """16 clients over 4 contexts hammering
         acquire/batch/bitrep/release; every op must succeed and the
         daemon must account every connection."""
         names = ("c0", "c1", "c2", "c3")
-        server, contexts = make_server(tmp_path, "selector", names=names)
+        server, contexts = make_server(tmp_path, names=names)
         try:
             errors = []
             done = [0] * self.NUM_CLIENTS
@@ -276,9 +427,8 @@ class TestSelectorStress:
             def worker(slot):
                 name = names[slot % len(names)]
                 context = contexts[name]
-                codec = "legacy" if slot % 4 == 0 else "binary"
                 try:
-                    with connect(server, name, codec=codec,
+                    with connect(server, name,
                                  client_id=f"stress-{slot}") as conn:
                         with SimFSSession(conn, name) as session:
                             gate.wait(timeout=10.0)
@@ -322,7 +472,7 @@ class TestBoundedAreaEviction:
         """With a bounded storage area, release/wclose route through the
         worker pool (they may unlink evicted files); the daemon must keep
         serving and actually delete evicted outputs."""
-        server = DVServer(mode="selector")
+        server = DVServer()
         config = ContextConfig(name="tiny", delta_d=2, delta_r=8,
                                num_timesteps=32, max_storage_bytes=4)
         driver = SyntheticDriver(config.geometry, prefix="tiny", cells=8)
@@ -367,24 +517,19 @@ class TestBackpressure:
         paused, then resumed once the worker drains — every request still
         gets exactly one reply."""
         from repro.dv import server as server_mod
-        from repro.dv.protocol import (
-            CODEC_BINARY, MessageReader, encode_frame,
-            encode_open_request, send_message,
-        )
+        from repro.dv.protocol import encode_frame, encode_open_request
 
         monkeypatch.setattr(server_mod, "_INBOX_HIGH", 8)
-        server, contexts = make_server(tmp_path, "selector")
+        server, contexts = make_server(tmp_path)
         try:
             context = contexts["alpha"]
             fname = context.filename_of(1)
-            host, port = server.address
-            sock = socket.create_connection((host, port), timeout=15)
-            send_message(sock, {"op": "hello", "req": 0, "client_id": "flood",
-                                "vers": 2, "codec": "binary",
-                                "context": "alpha"})
-            reader = MessageReader(sock)
-            assert reader.read_message()["error"] == 0
-            reader.set_codec("binary")
+            sock, reader, reply = raw_hello(
+                server, client_id="flood", vers=2, codec="binary",
+                context="alpha",
+            )
+            assert reply["error"] == 0
+            reader.set_codec(CODEC_BINARY)
             # bitrep routes to the worker pool; the opens behind it pile
             # into the inbox and trip the (tiny) high-water mark.
             total = 200

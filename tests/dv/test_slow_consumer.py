@@ -21,7 +21,7 @@ def capped_server(tmp_path, monkeypatch):
     # Small caps so the test fills them in a handful of frames.
     monkeypatch.setattr(server_mod, "_OUTBUF_HIGH", 64 * 1024)
     monkeypatch.setattr(server_mod, "_OUTBUF_HARD", 256 * 1024)
-    server, contexts = make_server(tmp_path, "selector")
+    server, contexts = make_server(tmp_path)
     yield server, contexts
     server.stop()
 

@@ -10,38 +10,21 @@ from repro.core.errors import ContextError
 from repro.simio import install_hooks, sio_open
 
 
-def connect(server, context, codec="binary"):
+def connect(server, context):
     host, port = server.address
     return TcpConnection(
         host,
         port,
         storage_dirs={context.name: server.launcher.output_dir(context.name)},
         restart_dirs={context.name: server.launcher.restart_dir(context.name)},
-        codec=codec,
     )
 
 
-@pytest.fixture(params=["binary", "legacy"])
-def tcp_server(synth_server, request, monkeypatch):
-    """The full TCP suite runs once per wire codec: the legacy
-    parametrization is the v1-client-against-v2-server interop check."""
+@pytest.fixture
+def tcp_server(synth_server):
     server, context, reference = synth_server
-    monkeypatch.setattr(
-        TcpConnection, "__init__",
-        _codec_forcing_init(request.param), raising=True,
-    )
     server.start()
     yield server, context, reference
-
-
-def _codec_forcing_init(codec):
-    original = TcpConnection.__init__
-
-    def init(self, *args, **kwargs):
-        kwargs["codec"] = codec
-        original(self, *args, **kwargs)
-
-    return init
 
 
 class TestTcpBasics:

@@ -71,9 +71,9 @@ class PoolHarness:
         )
 
     def connect_to(self, executor_id, client_id, attempts=48, **kw):
-        """Reconnect until the kernel's REUSEPORT hash (or the fd-pass
-        round-robin) lands the connection on ``executor_id``.  Each
-        attempt uses a fresh ephemeral source port, so a fresh hash."""
+        """Reconnect until the kernel's REUSEPORT hash lands the
+        connection on ``executor_id``.  Each attempt uses a fresh
+        ephemeral source port, so a fresh hash."""
         for attempt in range(attempts):
             conn = self.connect(f"{client_id}-a{attempt}", **kw)
             info = conn.server_info.get("multicore") or {}

@@ -6,7 +6,6 @@ over the real TCP wire with DVLib.  Covered here:
 
 * basic serve + the merged metrics plane (``exec.<i>.`` labels),
 * cross-executor forwarding when a client lands on a non-owner,
-* the fd-passing acceptor fallback,
 * graceful stop: pipelined ``batch`` traffic during ``stop(drain)``
   loses no replies and fails cleanly afterwards,
 * kill -9 of an executor mid-wait: detection, shard reassignment,
@@ -14,7 +13,6 @@ over the real TCP wire with DVLib.  Covered here:
 """
 
 import os
-import socket
 import threading
 import time
 
@@ -25,6 +23,14 @@ from tests.multicore.conftest import build_pool, make_context, out_name
 
 
 class TestPoolServe:
+    @pytest.mark.parametrize("accept", ["fdpass", None])
+    def test_retired_accept_modes_rejected(self, accept):
+        from repro.core.errors import InvalidArgumentError
+        from repro.dv.multicore import MultiCoreServer
+
+        with pytest.raises(InvalidArgumentError):
+            MultiCoreServer(workers=2, accept=accept)
+
     def test_serves_and_merges_stats(self, tmp_path):
         harness = build_pool(tmp_path, names=("ctxa", "ctxb"), workers=2)
         try:
@@ -89,31 +95,6 @@ class TestPoolServe:
             assert metrics["mc.ready_routed"]["value"] >= 1
             conn.finalize("ctxa")
             conn.close()
-        finally:
-            harness.pool.stop(drain_timeout=2.0)
-
-    @pytest.mark.skipif(
-        not hasattr(socket, "send_fds"), reason="needs SCM_RIGHTS fd passing"
-    )
-    def test_fdpass_acceptor_serves(self, tmp_path):
-        harness = build_pool(
-            tmp_path, names=("ctxa",), workers=2, accept="fdpass"
-        )
-        try:
-            assert harness.pool.accept == "fdpass"
-            # Round-robin hand-off: consecutive connections land on
-            # alternating executors, and both serve.
-            seen = set()
-            for idx in range(4):
-                conn = harness.connect(f"mc-fd-{idx}")
-                info = conn.server_info.get("multicore") or {}
-                seen.add(info.get("executor"))
-                conn.attach("ctxa")
-                conn.wait_ready("ctxa", out_name("ctxa", 2 + 2 * idx),
-                                timeout=30)
-                conn.finalize("ctxa")
-                conn.close()
-            assert seen == {"exec.0", "exec.1"}
         finally:
             harness.pool.stop(drain_timeout=2.0)
 
