@@ -402,20 +402,21 @@ class TcpConnection(DVConnection):
                         waiter = self._replies.pop(message.get("req"), None)
                     if waiter is not None:
                         waiter.put(message)
-        except (SimFSError, OSError):
-            pass
-        # Mark the link dead and unblock any RPC still waiting — but only
-        # if this listener still owns the connection (a reconnect swaps
-        # in a new reader before this thread observes the old socket
-        # die).  The check-and-set is atomic under _replies_lock: a stale
-        # listener racing a concurrent reconnect must not mark the fresh
-        # connection lost after the swap.
-        with self._replies_lock:
-            owns = self._reader is reader
+        except Exception:
+            pass  # a frame this code cannot digest loses the link too
+        finally:
+            # Mark the link dead and unblock any RPC still waiting — but
+            # only if this listener still owns the connection (a reconnect
+            # swaps in a new reader before this thread observes the old
+            # socket die).  The check-and-set is atomic under
+            # _replies_lock: a stale listener racing a concurrent reconnect
+            # must not mark the fresh connection lost after the swap.
+            with self._replies_lock:
+                owns = self._reader is reader
+                if owns:
+                    self._lost = True
             if owns:
-                self._lost = True
-        if owns:
-            self._fail_outstanding()
+                self._fail_outstanding()
 
     def _fail_outstanding(self) -> None:
         with self._replies_lock:

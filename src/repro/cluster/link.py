@@ -227,11 +227,18 @@ class PeerLink:
                         waiter = self._waiters.pop(message["req"], None)
                     if waiter is not None:
                         waiter.put(message)
-        except (SimFSError, OSError):
-            pass
-        self._fail_outstanding()
-        if not self._closed and self._on_down is not None:
-            self._on_down(self.peer_id)
+        except Exception:
+            pass  # a frame this code cannot digest loses the link too
+        finally:
+            # However the loop ended — EOF, a torn socket, a malformed
+            # frame — nobody reads this link any more: close it before
+            # failing the calls in flight, so one racing in fails on its
+            # send instead of waiting out its timeout.
+            lost = not self._closed
+            self.close()
+            self._fail_outstanding()
+            if lost and self._on_down is not None:
+                self._on_down(self.peer_id)
 
     def _fail_outstanding(self) -> None:
         with self._lock:

@@ -136,8 +136,9 @@ class ClusterNode:
         self.heartbeat_interval = heartbeat_interval
         self.rpc_timeout = rpc_timeout
         # Cluster nodes need worker headroom beyond the plain daemon's
-        # default: a forwarded op parks a worker on a peer round trip,
-        # and gossip merges run there too.
+        # default: a forwarded run (a connection's consecutive forwardable
+        # ops, often just one) parks a worker on a peer round trip, and
+        # gossip merges run there too.
         self.server = DVServer(host, port, workers=workers or 4)
         # Spans recorded by this daemon must carry the cluster identity,
         # not the generic "dv", so a merged trace names its hops.
@@ -298,7 +299,7 @@ class ClusterNode:
                 "stats", self._op_engine_stats, needs_worker=True, replace=True
             )
         self.server.set_cluster_hooks(
-            route_op=self.router.route,
+            route_ops=self.router.route,
             ready_router=self.router.route_ready,
             hello_extra=self._hello_extra,
             drop_hook=self.router.drop_client,

@@ -3,15 +3,18 @@
 A cluster node, a multi-core executor gateway and the engine-mode
 supervisor all take client ops for contexts served elsewhere and run the
 same protocol, so it lives here once (ARCHITECTURE.md, "Routing", has the
-picture and the table of hooks each deployment supplies).  The ingress
-ships the op to the context's owner in a ``fwd`` frame, remembers which
-owner holds each client's attachment and which opens still wait for a
+picture and the table of hooks each deployment supplies).  The unit of
+forwarding is a *run*: one client's consecutive ops for one context —
+usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
+which the ingress ships to the context's owner in one ``fwd`` frame and
+gets answered in one ``fwd_reply``.  The ingress remembers which owner
+holds each client's attachment and which opens still wait for a
 ``ready``, and after a membership change re-registers what was recorded
 against a lost owner, so a blocked client gets its one ``ready`` instead
-of hanging.  The owner runs the op on behalf of a :class:`_ProxyClient`
-and pushes the ``ready`` back down the connection the client entered
-through.  The router touches no socket and no clock it was not given, so
-tests drive it with fakes.
+of hanging.  The owner runs the ops in order on behalf of a
+:class:`_ProxyClient` and pushes the ``ready`` back down the connection
+the client entered through.  The router touches no socket and no clock
+it was not given, so tests drive it with fakes.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from repro.core.errors import (
     DETAIL_NOT_ATTACHED,
     DVConnectionLost,
     ErrorCode,
+    ProtocolError,
     SimFSError,
 )
 from repro.dv.coordinator import Notification
-from repro.dv.protocol import make_fwd, unwrap_fwd
+from repro.dv.protocol import make_fwd, make_fwd_run, unwrap_fwd, unwrap_fwd_run
 from repro.dv.server import _ROUTABLE_OPS
 
 __all__ = ["Router"]
@@ -130,6 +134,7 @@ class Router:
         self._links: dict[str, object] = {}
         self._links_lock = threading.Lock()
         self._m_fwd_sent = metrics.counter(prefix + "fwd_sent")
+        self._m_fwd_frames = metrics.counter(prefix + "fwd_frames")
         self._m_fwd_recv = metrics.counter(prefix + "fwd_received")
         self._m_ready_routed = metrics.counter(prefix + "ready_routed")
         self._m_replayed = metrics.counter(prefix + "replayed_waits")
@@ -168,49 +173,77 @@ class Router:
     # ------------------------------------------------------------------ #
     # Ingress side (this process holds the client's connection)
     # ------------------------------------------------------------------ #
-    def route(self, conn, message: dict) -> dict:
-        """DVServer ``route_op`` hook: an op for a context not registered
-        locally.  Runs on a worker thread."""
-        inner = {k: v for k, v in message.items() if k != "req"}
-        return self.forward(conn.client_id, inner)
+    def route(self, conn, messages: list[dict]) -> list[dict]:
+        """DVServer ``route_ops`` hook: one client's consecutive ops for a
+        context not registered locally (a run — usually of one).  Runs on
+        a worker thread."""
+        return self.forward_many(conn.client_id, [
+            {k: v for k, v in message.items() if k != "req"}
+            for message in messages
+        ])
 
     def forward(self, client_id: str, inner: dict) -> dict:
-        """Run one client op at the context's owner and record what the
-        reply means for this client's ingress state."""
-        payload, owner = self._forward_routed(client_id, inner)
-        self.track(client_id, inner, payload, owner)
-        return payload
+        """Run one client op at the context's owner: a run of one."""
+        return self.forward_many(client_id, [inner])[0]
+
+    def forward_many(self, client_id: str, inners: list[dict]) -> list[dict]:
+        """Run one client's ops — all for the same context — in order at
+        its owner and record what each reply means for this client's
+        ingress state.  The payloads come back in slot order."""
+        settled = self._forward_routed(client_id, inners)
+        for inner, (payload, owner) in zip(inners, settled):
+            self.track(client_id, inner, payload, owner)
+        return [payload for payload, _owner in settled]
 
     def _forward_routed(
-        self, client_id: str, inner: dict
-    ) -> tuple[dict, str | None]:
-        """Route one op to the context's current owner, riding out owner
+        self, client_id: str, inners: list[dict]
+    ) -> list[tuple[dict, str | None]]:
+        """Route a run to the context's current owner, riding out owner
         death, a dial back-off window, activation lag on a new owner and
-        a lost attachment inside one ``rpc_timeout`` deadline.  Returns
-        ``(payload, owner)`` with the peer that actually served the op —
-        what :meth:`track` must record, not a re-derived lookup: the ring
-        may already have moved on, and a wait recorded against the wrong,
-        still-live owner would never be replayed."""
-        context = inner.get("context")
+        a lost attachment inside one ``rpc_timeout`` deadline.  The
+        unsettled slots cross the hop together, in order, as one frame;
+        each settles on its own answer and only the rest are re-sent.
+        Returns one ``(payload, owner)`` per slot with the peer that
+        actually served it — what :meth:`track` must record, not a
+        re-derived lookup: the ring may already have moved on, and a wait
+        recorded against the wrong, still-live owner would never be
+        replayed."""
+        context = inners[0].get("context")
         deadline = self._clock() + self.rpc_timeout
-        while True:
+        settled: list = [None] * len(inners)
+        todo = list(range(len(inners)))  # unsettled slots, in order
+        width = len(inners)  # slots per frame: all, or one past the limit
+
+        def settle(slots, payload, owner):
+            for slot in slots:
+                settled[slot] = (dict(payload), owner)
+
+        while todo:
             owner, serves = self._resolve(context)
             if owner is None:
-                return {
+                settle(todo, {
                     "error": int(ErrorCode.ERR_CONTEXT),
                     "detail": f"no live owner serves context {context!r}",
-                }, None
+                }, None)
+                break
             if owner == self.self_id:
-                return self.run_local(client_id, inner), owner
+                for slot in todo:
+                    settled[slot] = (self.run_local(client_id, inners[slot]), owner)
+                break
+            sent = todo[:width]
             try:
-                reply = self._call(owner, client_id, inner)
+                payloads = self._call(
+                    owner, client_id, [inners[slot] for slot in sent]
+                )
             except PeerTimeout:
                 # Slow, not dead: exiling a stalled owner (workers parked
                 # on PFS I/O) would activate its contexts elsewhere while
-                # it still serves them.  Report, fail the op, keep the link.
+                # it still serves them.  Report, fail the ops, keep the
+                # link — and never re-send what may yet execute.
                 if self._on_timeout is not None:
                     self._on_timeout(owner)
-                return _unreachable(owner, context, "timed out"), owner
+                settle(todo, _unreachable(owner, context, "timed out"), owner)
+                break
             except (DVConnectionLost, OSError) as exc:
                 if isinstance(exc, DialBackingOff):
                     # No dial was made, so this says nothing about the
@@ -223,38 +256,57 @@ class Router:
                     pause = 0.02
                 remaining = deadline - self._clock()
                 if remaining <= 0:
-                    return _unreachable(owner, context, "is unreachable"), owner
+                    settle(todo, _unreachable(owner, context, "is unreachable"), owner)
+                    break
                 self._sleep(min(pause, remaining))
                 continue
-            payload = reply.get("payload")
-            if not isinstance(payload, dict):
-                payload = {
-                    "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
-                    "detail": reply.get("detail", "malformed fwd_reply"),
-                }
-            error = payload.get("error")
-            if error and self._clock() < deadline:
-                if error == int(ErrorCode.ERR_CONTEXT) and serves:
-                    # The owner has not activated the context yet (its
-                    # view of the change lags ours) — give it a beat.
-                    self._sleep(0.05)
+            except ProtocolError as exc:
+                # Nothing was sent: the frame would pass the wire's size
+                # limit.  A run goes as frames of one; a single op that
+                # large fails on its own.
+                if len(sent) > 1:
+                    width = 1
                     continue
-                if (
+                payloads = [{"error": int(exc.code), "detail": str(exc)}]
+            # Every slot takes its answer; the ones an error says to
+            # retry stay in the run and are overwritten by the next one.
+            lagging: list[int] = []
+            detached: list[int] = []
+            for slot, payload in zip(sent, payloads):
+                settled[slot] = (payload, owner)
+                error = payload.get("error")
+                if not error or self._clock() >= deadline:
+                    continue
+                if error == int(ErrorCode.ERR_CONTEXT) and serves:
+                    lagging.append(slot)
+                elif (
                     error == int(ErrorCode.ERR_INVALID)
                     and DETAIL_NOT_ATTACHED in payload.get("detail", "")
-                    and inner.get("op") not in ("attach", "finalize")
+                    and inners[slot].get("op") not in ("attach", "finalize")
                     and context in self._ingress_ctx.get(client_id, ())
-                    and self.ensure_attached(client_id, context)
                 ):
-                    # The context moved before a replay re-registered
-                    # this client with the new owner; it is attached now.
-                    continue
-            return payload, owner
+                    detached.append(slot)
+            if lagging:
+                # The owner has not activated the context yet (its view
+                # of the change lags ours) — give it a beat.
+                self._sleep(0.05)
+            if detached and not self.ensure_attached(client_id, context):
+                detached = []
+            # Else the context moved before a replay re-registered this
+            # client with the new owner; it is attached now.
+            todo = sorted(lagging + detached) + todo[len(sent):]
+        return settled
 
-    def _call(self, owner: str, client_id: str, inner: dict) -> dict:
+    def _call(self, owner: str, client_id: str, inners: list[dict]) -> list[dict]:
+        """One ``fwd`` round trip carrying ``inners``; one payload each."""
         link = self.link(owner)
-        self._m_fwd_sent.inc()
-        frame = make_fwd(self.self_id, client_id, inner)
+        self._m_fwd_sent.inc(len(inners))
+        self._m_fwd_frames.inc()
+        if len(inners) == 1:
+            frame = make_fwd(self.self_id, client_id, inners[0])
+        else:
+            frame = make_fwd_run(self.self_id, client_id, inners)
+        inner = inners[0]  # a traced op travels alone
         tc = inner.get("tc")
         if tc is not None:
             # Hoisted onto the fwd frame itself, so the owner's dispatch
@@ -268,7 +320,20 @@ class Router:
                 "fwd", tc, began, self._obs.now(), op=inner.get("op"),
                 context=inner.get("context"), peer=owner,
             )
-        return reply
+        payloads = (
+            [reply.get("payload")] if len(inners) == 1 else reply.get("payloads")
+        )
+        if (
+            not isinstance(payloads, list) or len(payloads) != len(inners)
+            or not all(isinstance(payload, dict) for payload in payloads)
+        ):
+            # The owner refused the frame as a whole (or sent nonsense):
+            # every slot fails the same way.
+            payloads = [{
+                "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
+                "detail": reply.get("detail", "malformed fwd_reply"),
+            } for _ in inners]
+        return payloads
 
     def track(
         self, client_id: str, inner: dict, payload: dict, owner: str | None
@@ -301,8 +366,8 @@ class Router:
     def ensure_attached(self, client_id: str, context: str) -> bool:
         """Register a client with the context's current owner."""
         payload, owner = self._forward_routed(
-            client_id, {"op": "attach", "context": context}
-        )
+            client_id, [{"op": "attach", "context": context}]
+        )[0]
         ok = _attached(payload)
         if ok and owner is not None:
             with self._lock:
@@ -349,8 +414,8 @@ class Router:
                     self._ready_sink(Notification(client_id, context, filename, ok=False))
                     continue
             payload, owner = self._forward_routed(
-                client_id, {"op": "open", "context": context, "file": filename}
-            )
+                client_id, [{"op": "open", "context": context, "file": filename}]
+            )[0]
             self._m_replayed.inc()
             if payload.get("error") or payload.get("available"):
                 # Failed, or already on the shared PFS: the wait resolves
@@ -388,8 +453,15 @@ class Router:
     # Owner side (a peer forwarded a client op here)
     # ------------------------------------------------------------------ #
     def on_fwd(self, conn, message: dict) -> dict | None:
-        """Server op ``fwd``: execute a peer-forwarded client op here, or
-        take delivery of a ``ready`` a peer dialed us to route."""
+        """Server op ``fwd``: execute a peer-forwarded client op (or a run
+        of them, in order) here, or take delivery of a ``ready`` a peer
+        dialed us to route."""
+        if "inners" in message:
+            origin, client_id, inners = unwrap_fwd_run(message)
+            self._m_fwd_recv.inc(len(inners))
+            return {"payloads": [
+                self.run_local(client_id, inner, conn, origin) for inner in inners
+            ]}
         origin, client_id, inner = unwrap_fwd(message)
         self._m_fwd_recv.inc()
         if inner.get("op") == "ready":
@@ -535,7 +607,7 @@ class Router:
             forwarded = self._ingress_ctx.pop(client_id, {})
         for context in forwarded:
             try:
-                self._forward_routed(client_id, {"op": "finalize", "context": context})
+                self._forward_routed(client_id, [{"op": "finalize", "context": context}])
             except Exception:
                 pass  # best effort; the owner's own drop hook backs it up
         with self._lock:

@@ -2,7 +2,7 @@
 
 Each shard-executor process embeds an :class:`ExecutorGateway` in its
 :class:`~repro.dv.server.DVServer`, wired through the same hooks the
-cluster tier uses (``route_op`` / ``ready_router`` / ``hello_extra`` /
+cluster tier uses (``route_ops`` / ``ready_router`` / ``hello_extra`` /
 ``drop_hook`` plus a registered ``fwd`` op).  The gateway holds the
 executor's view of the internal :class:`~repro.cluster.ring.HashRing`
 (``context name -> executor id``) and forwards ops for contexts owned by
@@ -104,7 +104,7 @@ class ExecutorGateway:
             OP_FWD, self.router.on_fwd, reply_op="fwd_reply", needs_worker=True
         )
         server.set_cluster_hooks(
-            route_op=self.router.route,
+            route_ops=self.router.route,
             ready_router=self.router.route_ready,
             hello_extra=self._hello_extra,
             drop_hook=self.router.drop_client,

@@ -58,6 +58,11 @@ payloads inside the binary framing):
                "req": n, "error": 0, "payload": {...}}`` where
                ``payload`` is exactly the reply body ``inner`` would
                have produced had the client been connected directly.
+               A *run* of one client's ops travels as one ``fwd`` with
+               ``"inners": [...]`` (1..``FWD_RUN_MAX`` ops, executed in
+               order) in place of ``inner`` and is answered by one
+               ``fwd_reply`` with ``"payloads": [...]``, same length,
+               same order.
 ``gossip``     membership heartbeat: carries the sender's peer-table
                view (node ids, addresses, generations, aliveness, ring
                epoch); the receiver merges it and replies with its own
@@ -93,8 +98,11 @@ __all__ = [
     "OP_FWD",
     "OP_FWD_REPLY",
     "OP_GOSSIP",
+    "FWD_RUN_MAX",
     "make_fwd",
+    "make_fwd_run",
     "unwrap_fwd",
+    "unwrap_fwd_run",
     "encode_message",
     "decode_message",
     "encode_binary",
@@ -124,6 +132,11 @@ OP_FWD_REPLY = "fwd_reply"
 OP_GOSSIP = "gossip"
 
 
+#: Most ops one ``fwd`` frame may carry: the sender's run cap and the
+#: owner's validation bound.
+FWD_RUN_MAX = 256
+
+
 def make_fwd(origin: str, client_id: str, inner: dict[str, Any],
              req: Any = None) -> dict[str, Any]:
     """Wrap ``inner`` for peer-to-peer forwarding on behalf of a client.
@@ -140,18 +153,51 @@ def make_fwd(origin: str, client_id: str, inner: dict[str, Any],
     return message
 
 
-def unwrap_fwd(message: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
-    """Validate and split a ``fwd`` frame into (origin, client, inner)."""
+def make_fwd_run(origin: str, client_id: str,
+                 inners: list[dict[str, Any]]) -> dict[str, Any]:
+    """Wrap a run of one client's ops as a single ``fwd`` request; the
+    ``fwd_reply`` carries their payloads under ``payloads``, in order."""
+    return {"op": OP_FWD, "origin": origin, "client": client_id,
+            "inners": inners}
+
+
+def _unwrap_fwd(message: dict[str, Any], inners: Any,
+                refused: tuple[str, ...]) -> tuple[str, str]:
+    """The checks both ``fwd`` forms share; returns (origin, client)."""
     origin = message.get("origin")
     client_id = message.get("client")
-    inner = message.get("inner")
     if not isinstance(origin, str) or not isinstance(client_id, str):
         raise ProtocolError("fwd frame needs string 'origin' and 'client'")
-    if not isinstance(inner, dict) or "op" not in inner:
-        raise ProtocolError("fwd frame needs an 'inner' message with 'op'")
-    if inner["op"] in (OP_FWD, "hello", "batch"):
-        raise ProtocolError(f"op {inner['op']!r} cannot be forwarded")
+    for inner in inners:
+        if not isinstance(inner, dict) or "op" not in inner:
+            raise ProtocolError("fwd frame needs an 'inner' message with 'op'")
+        if inner["op"] in refused:
+            raise ProtocolError(f"op {inner['op']!r} cannot be forwarded")
+    return origin, client_id
+
+
+def unwrap_fwd(message: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
+    """Validate and split a ``fwd`` frame into (origin, client, inner)."""
+    inner = message.get("inner")
+    origin, client_id = _unwrap_fwd(message, [inner], (OP_FWD, "hello", "batch"))
     return origin, client_id, inner
+
+
+def unwrap_fwd_run(
+    message: dict[str, Any],
+) -> tuple[str, str, list[dict[str, Any]]]:
+    """Validate and split a run-carrying ``fwd`` frame into (origin,
+    client, inners).  One bad inner refuses the whole frame, so nothing
+    of a malformed run executes; a routed ``ready`` travels alone."""
+    inners = message.get("inners")
+    if not isinstance(inners, list) or not 1 <= len(inners) <= FWD_RUN_MAX:
+        raise ProtocolError(
+            f"fwd frame needs 'inners', a list of 1..{FWD_RUN_MAX} messages"
+        )
+    origin, client_id = _unwrap_fwd(
+        message, inners, (OP_FWD, "hello", "batch", "ready")
+    )
+    return origin, client_id, inners
 
 # --------------------------------------------------------------------- #
 # Legacy codec: newline-delimited JSON (the hello line and its reply)

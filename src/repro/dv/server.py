@@ -56,6 +56,7 @@ from repro.dv.coordinator import DVCoordinator, Notification
 from repro.dv.launcher import ThreadedLauncher
 from repro.dv.protocol import (
     CODEC_BINARY,
+    FWD_RUN_MAX,
     PROTOCOL_VERSION,
     StreamDecoder,
     encode_binary,
@@ -106,6 +107,11 @@ _ROUTABLE_OPS = frozenset(
     {"open", "acquire", "release", "wclose", "bitrep", "attach", "finalize",
      "fetch_info"}
 )
+
+#: Routable ops whose replies are fixed-size: a pipelined client's
+#: consecutive ones for the same non-local context are forwarded to the
+#: owner together, as one run (see ``_run_length``).
+_RUN_OPS = frozenset({"open", "release", "wclose"})
 
 #: Per-op service-time buckets (seconds): finer than DEFAULT_BUCKETS at the
 #: microsecond end, where the in-memory ops live.
@@ -221,14 +227,15 @@ class DVServer:
         self._evicting_inline_unsafe = False
         # Cluster-tier hooks, all optional (see repro.cluster.node):
         #   _extra_ops    — service ops beyond the classic table (fwd/gossip)
-        #   _route_op     — gateway: handle an op for a non-local context,
-        #                   returning the reply payload (runs on a worker)
+        #   _route_ops    — gateway: handle one client's consecutive ops
+        #                   for a non-local context, returning their reply
+        #                   payloads in order (runs on a worker)
         #   _ready_router — deliver a notification whose client_id is not a
         #                   local connection (a proxied cluster client)
         #   _hello_extra  — extra fields merged into every hello reply
         #   _drop_hook    — observe client disconnects (proxy cleanup)
         self._extra_ops: dict[str, _ExtraOp] = {}
-        self._route_op = None
+        self._route_ops = None
         self._ready_router = None
         self._hello_extra = None
         self._drop_hook = None
@@ -345,13 +352,13 @@ class DVServer:
 
     def set_cluster_hooks(
         self,
-        route_op=None,
+        route_ops=None,
         ready_router=None,
         hello_extra=None,
         drop_hook=None,
     ) -> None:
         """Install the gateway/membership callbacks (cluster tier)."""
-        self._route_op = route_op
+        self._route_ops = route_ops
         self._ready_router = ready_router
         self._hello_extra = hello_extra
         self._drop_hook = drop_hook
@@ -718,7 +725,7 @@ class DVServer:
         ``wclose``/``finalize`` may evict and delete files on the PFS;
         registered service ops (``fwd``/``gossip``) declare themselves; and
         any op the cluster gateway must forward to a peer blocks on that
-        round trip."""
+        round trip (one round trip per run of them, see ``_run_length``)."""
         op = message.get("op")
         if op in ("bitrep", "fetch_info") or (
             self._evicting_inline_unsafe and op in _EVICTING_OPS
@@ -731,7 +738,7 @@ class DVServer:
             # The hello-extra hook may contend on the cluster lock, which
             # activation can hold across PFS scans — keep it off the loop.
             return True
-        if self._route_op is not None:
+        if self._route_ops is not None:
             context = message.get("context")
             if (
                 isinstance(context, str)
@@ -914,7 +921,14 @@ class DVServer:
             while True:
                 with conn.send_lock:
                     drained = not conn.inbox or conn.closing
-                    message = None if drained else conn.inbox.popleft()
+                    if not drained:
+                        # The head messages the gateway forwards as one
+                        # run leave the inbox together.
+                        count = (
+                            self._run_length(conn.inbox)
+                            if conn.client_id is not None else 0
+                        )
+                        run = [conn.inbox.popleft() for _ in range(count or 1)]
                 if drained:
                     # Flush *before* releasing the connection: once busy
                     # drops, the I/O thread may run newer messages inline,
@@ -928,7 +942,10 @@ class DVServer:
                             break
                     continue  # new messages arrived during the flush
                 try:
-                    self._handle_message(conn, message)
+                    if len(run) > 1:
+                        self._dispatch_run(conn, run)
+                    else:
+                        self._handle_message(conn, run[0])
                 except Exception:
                     # A failed send or an unexpected handler crash tears
                     # down this connection only — the worker must survive
@@ -1005,14 +1022,14 @@ class DVServer:
         detail = ""
         if context_name:
             if (
-                self._route_op is not None
+                self._route_ops is not None
                 and not self.coordinator.has_context(context_name)
             ):
                 # Gateway path: the context lives on a peer — forward the
                 # attach so the owner registers this client as a waiter.
-                payload = self._run_op(
-                    conn, self._route_op, {"op": "attach", "context": context_name}
-                )
+                payload = self._route(
+                    conn, [{"op": "attach", "context": context_name}]
+                )[0]
                 error = int(payload.get("error", ErrorCode.SUCCESS))
                 detail = payload.get("detail", "")
             else:
@@ -1104,7 +1121,7 @@ class DVServer:
             self._send(conn, payload)
             return
         if (
-            self._route_op is not None
+            self._route_ops is not None
             and op in _ROUTABLE_OPS
             and isinstance(message.get("context"), str)
             and not self.coordinator.has_context(message["context"])
@@ -1112,7 +1129,7 @@ class DVServer:
             # Gateway path: this daemon does not own the context — the
             # route hook forwards to the owning peer and hands back the
             # reply payload the owner produced.
-            payload = self._run_op(conn, self._route_op, message)
+            payload = self._route(conn, [message])[0]
             payload.update({"op": "reply", "req": req})
             self._send(conn, payload)
             return
@@ -1146,6 +1163,69 @@ class DVServer:
         payload = self._run_op(conn, handler, message)
         payload.update({"op": "reply", "req": req})
         self._send(conn, payload)
+
+    def _run_length(self, messages, start: int = 0) -> int:
+        """How many of ``messages`` from ``start`` on the gateway forwards
+        as one run: 0 when the first is not for the gateway at all, 1 for
+        a routable op that travels alone (anything traced, anything whose
+        reply is not fixed-size), else the consecutive ``open``/
+        ``release``/``wclose`` for the same non-local context, up to
+        ``FWD_RUN_MAX``.  A message for another context, one carrying
+        ``tc`` and any other op end the run."""
+        if self._route_ops is None:
+            return 0
+        head = messages[start]
+        if not isinstance(head, dict):
+            return 0
+        op = head.get("op")
+        context = head.get("context")
+        if (
+            op not in _ROUTABLE_OPS
+            or not isinstance(context, str)
+            or self.coordinator.has_context(context)
+        ):
+            return 0
+        if op not in _RUN_OPS or "tc" in head:
+            return 1
+        end = start + 1
+        limit = min(len(messages), start + FWD_RUN_MAX)
+        while end < limit:
+            message = messages[end]
+            if (
+                not isinstance(message, dict)
+                or message.get("op") not in _RUN_OPS
+                or message.get("context") != context
+                or "tc" in message
+            ):
+                break
+            end += 1
+        return end - start
+
+    def _route(self, conn: _ClientConn, messages: list[dict]) -> list[dict]:
+        """Gateway path: this daemon does not own the messages' context —
+        the route hook forwards them to the owning peer and hands back
+        the reply payloads the owner produced, in order."""
+        try:
+            payloads = self._route_ops(conn, messages)
+        except SimFSError as exc:
+            payloads = [
+                {"error": int(exc.code), "detail": str(exc)} for _ in messages
+            ]
+        for payload in payloads:
+            payload.setdefault("error", int(ErrorCode.SUCCESS))
+        return payloads
+
+    def _dispatch_run(self, conn: _ClientConn, run: list[dict]) -> None:
+        """Forward a run taken off the inbox and reply to each message in
+        request order; each is observed like a dispatch of its own, from
+        the start of the run to its reply queued."""
+        started = time.perf_counter()
+        for message, payload in zip(run, self._route(conn, run)):
+            payload.update({"op": "reply", "req": message.get("req")})
+            self._send(conn, payload)
+            self._observe_op(
+                message.get("op"), time.perf_counter() - started, message
+            )
 
     def _run_op(self, conn: _ClientConn, handler, message: dict) -> dict:
         """Execute one op body, mapping SimFS errors to reply payloads."""
@@ -1246,7 +1326,9 @@ class DVServer:
         if not isinstance(sub_ops, list):
             raise InvalidArgumentError("batch requires a list under 'ops'")
         results = []
-        for sub in sub_ops:
+        idx = 0
+        while idx < len(sub_ops):
+            sub = sub_ops[idx]
             sub_op = sub.get("op") if isinstance(sub, dict) else None
             handler = self._handler_for(sub_op) if sub_op in _BATCHABLE_OPS else None
             if handler is None:
@@ -1255,20 +1337,22 @@ class DVServer:
                     "error": int(ErrorCode.ERR_PROTOCOL),
                     "detail": f"unknown or non-batchable sub-op {sub_op!r}",
                 })
+                idx += 1
                 continue
-            if (
-                self._route_op is not None
-                and sub_op in _ROUTABLE_OPS
-                and isinstance(sub.get("context"), str)
-                and not self.coordinator.has_context(sub["context"])
-            ):
+            count = self._run_length(sub_ops, idx)
+            if count:
                 # Gateway path applies per sub-op: a pipelined batch from
-                # a ring-unaware client still reaches the context owner.
-                payload = self._run_op(conn, self._route_op, sub)
+                # a ring-unaware client still reaches the context owner,
+                # consecutive sub-ops of one run in a single round trip.
+                run = sub_ops[idx:idx + count]
+                payloads = self._route(conn, run)
             else:
-                payload = self._run_op(conn, handler, sub)
-            payload["op"] = sub_op
-            results.append(payload)
+                run = [sub]
+                payloads = [self._run_op(conn, handler, sub)]
+            for routed, payload in zip(run, payloads):
+                payload["op"] = routed["op"]
+                results.append(payload)
+            idx += len(run)
         return {"results": results}
 
     def _op_fetch_info(self, conn: _ClientConn, message: dict) -> dict:

@@ -5,9 +5,15 @@ together with in-memory links and one fake clock: a "peer round trip" is
 a direct call into the owner's ``on_fwd``, a ``ready`` is a direct call
 into the ingress's ``on_link_fwd``, and time only moves when the router
 sleeps.  Each member's shards are a dict-backed stand-in that answers
-with the real error codes and detail strings.
+with the real error codes and detail strings.  A run crosses the fake
+link the way it crosses the real one: one ``fwd`` frame carrying
+``inners``, refused whole by the owner's validation or by the wire's
+frame limit.
 """
 
+import copy
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,15 +24,18 @@ from repro.core.errors import (
     DETAIL_NOT_ATTACHED,
     DVConnectionLost,
     ErrorCode,
+    ProtocolError,
+    SimFSError,
 )
 from repro.dv.coordinator import Notification
-from repro.dv.protocol import encode_frame, make_fwd
+from repro.dv.protocol import FWD_RUN_MAX, encode_frame, make_fwd, make_fwd_run
 from repro.metrics import MetricsRegistry
 
 CTX = "alpha"
 ERR_CONTEXT = int(ErrorCode.ERR_CONTEXT)
 ERR_INVALID = int(ErrorCode.ERR_INVALID)
 ERR_CONNECTION = int(ErrorCode.ERR_CONNECTION)
+ERR_PROTOCOL = int(ErrorCode.ERR_PROTOCOL)
 
 
 class FakeClock:
@@ -55,21 +64,29 @@ class FakeLink:
         self.net, self.src, self.dst = net, src, dst
         self.on_down = on_down
         self.closed = False
-        self.frames = []
+        self.frames, self.oversized = [], []
         net.links.append(self)
 
     def close(self):
         self.closed = True
 
     def call(self, frame, timeout=None):
+        try:
+            encode_frame(dict(frame, req=1), "binary")
+        except ProtocolError:  # past the wire's frame limit: nothing leaves
+            self.oversized.append(frame)
+            raise
         self.frames.append(frame)
         if self.dst in self.net.down:
             raise DVConnectionLost(f"{self.dst} is down")
         if self.dst in self.net.slow:
             raise PeerTimeout(f"{self.dst} is slow")
-        reply = self.net.members[self.dst].router.on_fwd(
-            FakeConn(self.src), dict(frame)
-        )
+        try:
+            reply = self.net.members[self.dst].router.on_fwd(
+                FakeConn(self.src), dict(frame)
+            )
+        except SimFSError as exc:  # what DVServer._dispatch_op answers
+            reply = {"error": int(exc.code), "detail": str(exc)}
         return dict(reply, op="fwd_reply")
 
     def send(self, frame):
@@ -88,6 +105,7 @@ class Member:
         self.waiting = set()  # (client_id, context, file)
         self.local = set()    # clients connected here (as DVServer knows)
         self.delivered = []
+        self.executed = []    # (client_id, op, file) in execution order
         self.unreachable, self.timeouts = [], []
         self.on_unreachable = self.unreachable.append
         stale = {
@@ -122,6 +140,7 @@ class Member:
 
     def execute(self, proxy, inner):
         op, context, cid = inner["op"], inner.get("context"), proxy.client_id
+        self.executed.append((cid, op, inner.get("file")))
         if context not in self.active:
             return {"error": ERR_CONTEXT, "detail": "unknown context"}
         clients = self.attached.setdefault(context, set())
@@ -148,6 +167,11 @@ class Member:
         """A client connected here sends an op for a routed context."""
         self.local.add(client_id)
         return self.router.forward(client_id, inner)
+
+    def forward_many(self, client_id, inners):
+        """The same client pipelines a run of ops for one context."""
+        self.local.add(client_id)
+        return self.router.forward_many(client_id, inners)
 
     def produce(self, filename):
         """A re-simulation landed ``filename``: notify its waiters the way
@@ -470,30 +494,264 @@ class TestOwnerSide:
         assert router._ingress_ctx == {"c1": {"beta": "a"}}
 
 
+
+def attached_pair(policy="dead", third=False):
+    """Owner ``a``, ingress ``b`` (and a spare ``c``), client c1 attached."""
+    net = Net("a", "b", *(["c"] if third else []), policy=policy, owner="a")
+    net.members["b"].forward("c1", op("attach"))
+    return net
+
+
+RUN = [op("open", "f1"), op("open", "f2"), op("release", "f1"), op("wclose", "f3")]
+
+
+class TestRuns:
+    def test_a_run_is_one_frame_answered_in_slot_order(self):
+        net, twin = attached_pair(), attached_pair()
+        net.resident.add("f2")
+        twin.resident.add("f2")
+        a, b = net.members["a"], net.members["b"]
+        payloads = b.forward_many("c1", RUN)
+        assert payloads == [twin.members["b"].forward("c1", inner) for inner in RUN]
+        assert payloads == [
+            {"available": False, "error": 0}, {"available": True, "error": 0},
+            {"error": 0}, {"error": 0},
+        ]
+        assert len({id(payload) for payload in payloads}) == len(RUN)
+        attach, run = net.links[0].frames
+        assert run == make_fwd_run("b", "c1", RUN)
+        assert a.executed[1:] == [("c1", i["op"], i["file"]) for i in RUN]
+        # Exactly what one-by-one forwarding leaves behind.
+        assert b.router._pending == twin.members["b"].router._pending == {}
+        assert b.router._ingress_ctx == twin.members["b"].router._ingress_ctx
+        assert b.forward_many("c1", [op("open", "f1"), op("open", "f3")])
+        assert b.router._pending == {
+            ("c1", CTX, "f1"): "a", ("c1", CTX, "f3"): "a",
+        }
+        counters = b.router._m_fwd_sent.value, b.router._m_fwd_frames.value
+        assert counters == (1 + len(RUN) + 2, 3)
+        assert a.router._m_fwd_recv.value == 1 + len(RUN) + 2
+
+    def test_a_run_of_one_is_the_single_inner_frame_byte_for_byte(self):
+        net = attached_pair()
+        inner = op("open", "f1")
+        net.members["b"].forward_many("c1", [inner])
+        assert encode_frame(net.links[0].frames[-1], "binary") == encode_frame(
+            make_fwd("b", "c1", inner), "binary"
+        )
+
+    def test_owner_down_mid_run_resends_every_slot_to_the_new_owner(self):
+        net = attached_pair(third=True)
+        a, b, c = (net.members[m] for m in "abc")
+        net.down.add("a")
+
+        def membership_reacts(peer):
+            b.unreachable.append(peer)
+            net.assign("c")
+
+        b.on_unreachable = membership_reacts
+        payloads = b.forward_many("c1", RUN)
+        assert [p["error"] for p in payloads] == [0] * len(RUN)
+        assert b.unreachable == ["a"] and net.clock.sleeps == [0.02]
+        # c saw the run (refused: c1 unknown), one attach, then the run
+        # again — each op answered once, in order.
+        to_c = net.links[-1].frames
+        assert to_c == [
+            make_fwd_run("b", "c1", RUN),
+            make_fwd("b", "c1", op("attach")),
+            make_fwd_run("b", "c1", RUN),
+        ]
+        assert [e[1:] for e in c.executed if e[1] != "attach"][len(RUN):] == [
+            (i["op"], i["file"]) for i in RUN
+        ]
+        assert a.executed == [("c1", "attach", None)]
+        assert b.router._pending == {
+            ("c1", CTX, "f2"): "c",
+        }
+
+    def test_slow_owner_fails_every_slot_once_and_resends_nothing(self):
+        net = attached_pair()
+        b = net.members["b"]
+        net.slow.add("a")
+        payloads = b.forward_many("c1", RUN)
+        assert all(
+            p["error"] == ERR_CONNECTION and "timed out" in p["detail"]
+            for p in payloads
+        )
+        assert len({id(payload) for payload in payloads}) == len(RUN)
+        assert b.timeouts == ["a"] and b.unreachable == []
+        assert net.links[0].frames[1:] == [make_fwd_run("b", "c1", RUN)]
+        assert b.router._pending == {} and net.clock.sleeps == []
+
+    def test_not_attached_reattaches_once_then_reruns_the_run(self):
+        net = attached_pair(policy="moved", third=True)
+        b, c = net.members["b"], net.members["c"]
+        net.assign("c")  # moved before any replay told c about c1
+        payloads = b.forward_many("c1", RUN)
+        assert [p["error"] for p in payloads] == [0] * len(RUN)
+        assert net.links[-1].frames == [
+            make_fwd_run("b", "c1", RUN),
+            make_fwd("b", "c1", op("attach")),
+            make_fwd_run("b", "c1", RUN),
+        ]
+        assert b.router._ingress_ctx == {"c1": {CTX: "c"}}
+        assert b.router._pending == {("c1", CTX, "f2"): "c"}
+
+    def test_activation_lag_retries_only_the_refused_slots_after_a_beat(self):
+        net = Net("a", "b")
+        net.assign("a", activate=False)
+        a, b = net.members["a"], net.members["b"]
+        a.attached[CTX] = {"c1"}
+        original = a.execute
+
+        def activates_after_the_first_op(proxy, inner):
+            payload = original(proxy, inner)
+            a.active.add(CTX)
+            return payload
+
+        a.router._execute_local = activates_after_the_first_op
+        payloads = b.router.forward_many("c1", RUN)
+        assert [p["error"] for p in payloads] == [0] * len(RUN)
+        assert net.clock.sleeps == [0.05] and net.clock.now < b.router.rpc_timeout
+        assert net.links[0].frames == [
+            make_fwd_run("b", "c1", RUN), make_fwd("b", "c1", RUN[0]),
+        ]
+        # The other slots kept their first answers: none ran twice.
+        assert [e[1:] for e in a.executed] == [
+            (i["op"], i["file"]) for i in RUN + RUN[:1]
+        ]
+
+    def test_activation_lag_on_a_whole_run_gives_up_at_the_deadline(self):
+        net = Net("a", "b")
+        net.assign("a", activate=False)
+        payloads = net.members["b"].router.forward_many("c1", RUN)
+        assert [p["error"] for p in payloads] == [ERR_CONTEXT] * len(RUN)
+        assert 10.0 <= net.clock.now < 10.1
+
+    def test_a_run_past_the_frame_limit_goes_as_frames_of_one(self):
+        net = attached_pair()
+        b = net.members["b"]
+        big = [op("open", f"f{i}-" + "x" * 400_000) for i in range(3)]
+        payloads = b.forward_many("c1", big)
+        assert payloads == [{"available": False, "error": 0}] * 3
+        link = net.links[0]
+        assert link.oversized == [make_fwd_run("b", "c1", big)]
+        assert link.frames[1:] == [make_fwd("b", "c1", inner) for inner in big]
+        assert len(b.router._pending) == 3
+
+    def test_a_single_op_past_the_frame_limit_fails_alone(self):
+        net = attached_pair()
+        b = net.members["b"]
+        ops = [op("open", "f1"), op("open", "x" * 1_100_000), op("open", "f2")]
+        payloads = b.forward_many("c1", ops)
+        assert [p["error"] for p in payloads] == [0, ERR_PROTOCOL, 0]
+        assert net.members["a"].executed[1:] == [
+            ("c1", "open", "f1"), ("c1", "open", "f2"),
+        ]
+
+    def test_self_owned_run_executes_locally_in_order(self):
+        net = Net("a", "b", owner="b")
+        b = net.members["b"]
+        b.forward("c1", op("attach"))
+        payloads = b.forward_many("c1", RUN)
+        assert [p["error"] for p in payloads] == [0] * len(RUN)
+        assert b.executed[1:] == [("c1", i["op"], i["file"]) for i in RUN]
+        assert net.links == []
+
+    def test_unserved_context_fails_every_slot_without_a_hop(self):
+        net = Net("a", "b", owner="a")
+        ops = [op("open", "f1", context="nope"), op("release", "f1", context="nope")]
+        payloads = net.members["b"].router.forward_many("c1", ops)
+        assert [p["error"] for p in payloads] == [ERR_CONTEXT] * 2
+        assert payloads[0] is not payloads[1] and net.links == []
+
+
+class TestRunValidation:
+    """The owner refuses a malformed run whole: one ``ERR_PROTOCOL``
+    reply, nothing executed — while its well-formed twin runs."""
+
+    def setup_method(self):
+        self.net = attached_pair()
+        self.owner = self.net.members["a"]
+        self.link = self.net.links[0]
+        del self.owner.executed[:]
+
+    def call(self, **fields):
+        frame = make_fwd_run("b", "c1", [op("open", "f1"), op("release", "f1")])
+        frame.update(fields)
+        return self.link.call(frame)
+
+    def test_the_well_formed_twin_executes(self):
+        reply = self.call()
+        assert reply["payloads"] == [{"available": False, "error": 0}, {"error": 0}]
+        full = self.call(inners=[op("wclose", "f1")] * FWD_RUN_MAX)
+        assert len(full["payloads"]) == FWD_RUN_MAX
+        assert len(self.owner.executed) == 2 + FWD_RUN_MAX
+
+    @pytest.mark.parametrize("fields", [
+        {"inners": {"op": "open"}},
+        {"inners": "open"},
+        {"inners": []},
+        {"inners": [op("wclose", "f1")] * (FWD_RUN_MAX + 1)},
+        {"inners": [op("open", "f1"), "release"]},
+        {"inners": [op("open", "f1"), {"context": CTX}]},
+        {"inners": [op("open", "f1"), make_fwd("b", "c1", op("open", "f1"))]},
+        {"inners": [op("open", "f1"), {"op": "hello", "client_id": "x"}]},
+        {"inners": [op("open", "f1"), {"op": "batch", "ops": []}]},
+        {"inners": [op("open", "f1"), dict(op("ready", "f1"), ok=True)]},
+        {"client": 7},
+        {"origin": None},
+    ], ids=lambda fields: next(iter(fields)) + "=" + repr(fields)[:40])
+    def test_a_malformed_run_is_refused_whole(self, fields):
+        reply = self.call(**fields)
+        assert reply["error"] == ERR_PROTOCOL and "payloads" not in reply
+        assert self.owner.executed == []
+        assert self.owner.router._m_fwd_recv.value == 1  # the attach only
+
+    def test_the_ingress_fails_every_slot_of_a_refused_run(self):
+        b = self.net.members["b"]
+        payloads = b.forward_many("c1", [op("open", "f1"), op("ready", "f1")])
+        assert [p["error"] for p in payloads] == [ERR_PROTOCOL] * 2
+        assert payloads[0] is not payloads[1]
+        assert self.owner.executed == [] and b.router._pending == {}
+
+    def test_an_unroutable_inner_fails_its_own_slot_only(self):
+        b = self.net.members["b"]
+        payloads = b.forward_many(
+            "c1", [op("open", "f1"), op("stats"), op("release", "f1")]
+        )
+        assert [p["error"] for p in payloads] == [0, ERR_PROTOCOL, 0]
+
+
 ACTIONS = st.lists(
     st.tuples(
         st.sampled_from(
             ["attach", "open", "open", "release", "finalize", "drop",
-             "produce", "kill"]
+             "produce", "kill", "run", "run"]
         ),
         st.integers(0, 5),   # client (its ingress is member client % 3)
         st.integers(0, 3),   # file
         st.integers(0, 2),   # member to kill
+        st.lists(            # the ops of a "run"
+            st.tuples(
+                st.sampled_from(["open", "release", "wclose"]), st.integers(0, 3)
+            ),
+            min_size=1, max_size=6,
+        ),
     ),
     max_size=40,
 )
 IDS = ["m0", "m1", "m2"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(actions=ACTIONS, policy=st.sampled_from(["dead", "moved"]))
-def test_churn_strands_no_waiter_and_leaves_every_table_empty(actions, policy):
-    """Clients attach, block and leave while owners and ingresses die.
-    Every open that blocked gets its ready once the file exists, and once
-    every client has finalized or dropped no surviving member holds a
-    proxy, an attachment, a pending wait or an open link."""
+def churn(actions, policy, bundled):
+    """Play ``actions`` on a fresh net; a "run" crosses the hop as one
+    ``forward_many`` when ``bundled``, else op by op.  Returns everything
+    the two ways must agree on: every payload, and what each step left in
+    the routers' tables and the owners' shard stand-ins."""
     net = Net(*IDS, policy=policy, owner="m0")
     blocked = set()  # (client, file): open missed, ready still owed
+    transcript = []
 
     def ingress(client):
         member = net.members[IDS[int(client[1:]) % 3]]
@@ -506,7 +764,14 @@ def test_churn_strands_no_waiter_and_leaves_every_table_empty(actions, policy):
                 blocked.discard((ready.client_id, ready.filename))
             member.delivered.clear()
 
-    for action, c, f, m in actions:
+    def state():
+        return copy.deepcopy([(
+            m.id, m.attached, m.waiting, m.router._ingress_ctx, m.router._pending,
+            {cid: (proxy.origin, getattr(proxy.conn, "peer", None), proxy.contexts)
+             for cid, proxy in m.router._proxies.items()},
+        ) for m in net.live()])
+
+    for action, c, f, m, run in actions:
         client, filename, member = f"c{c}", f"f{f}", ingress(f"c{c}")
         if action == "kill":
             if IDS[m] in net.down or len(net.live()) == 1:
@@ -526,17 +791,27 @@ def test_churn_strands_no_waiter_and_leaves_every_table_empty(actions, policy):
             member.local.discard(client)
             blocked = {b for b in blocked if b[0] != client}
         else:
-            routed = action in ("open", "release")
-            payload = member.forward(client, op(action, filename if routed else None))
-            if payload["error"]:
-                continue
-            if action == "open" and not payload["available"]:
-                blocked.add((client, filename))
-            elif action == "release":
-                blocked.discard((client, filename))
-            elif action == "finalize":
-                blocked = {b for b in blocked if b[0] != client}
+            if action == "run":
+                ops = [op(name, f"f{n}") for name, n in run]
+            else:
+                routed = action in ("open", "release")
+                ops = [op(action, filename if routed else None)]
+            if bundled:
+                payloads = member.forward_many(client, ops)
+            else:
+                payloads = [member.forward(client, inner) for inner in ops]
+            transcript.append(payloads)
+            for inner, payload in zip(ops, payloads):
+                if payload["error"]:
+                    continue
+                if inner["op"] == "open" and not payload["available"]:
+                    blocked.add((client, inner["file"]))
+                elif inner["op"] == "release":
+                    blocked.discard((client, inner["file"]))
+                elif inner["op"] == "finalize":
+                    blocked = {b for b in blocked if b[0] != client}
         collect_readies()
+        transcript.append(state())
 
     for f in range(4):
         for live in net.live():
@@ -556,4 +831,21 @@ def test_churn_strands_no_waiter_and_leaves_every_table_empty(actions, policy):
         assert member.router._links == {}
     assert all(
         link.closed for link in net.links if link.src not in net.down
+    )
+    return transcript
+
+
+@settings(max_examples=200, deadline=None)
+@given(actions=ACTIONS, policy=st.sampled_from(["dead", "moved"]))
+def test_churn_strands_no_waiter_and_leaves_every_table_empty(actions, policy):
+    """Clients attach, block, pipeline runs of ops and leave while owners
+    and ingresses die.  Every open that blocked gets its ready once the
+    file exists, and once every client has finalized or dropped no
+    surviving member holds a proxy, an attachment, a pending wait or an
+    open link.  And the contract of forwarding runs: however the ops are
+    split into runs, every payload, the owners' shard stand-ins, the
+    proxy tables and the pending waits are what forwarding them one by
+    one gives."""
+    assert churn(actions, policy, bundled=True) == churn(
+        actions, policy, bundled=False
     )

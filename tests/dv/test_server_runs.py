@@ -1,0 +1,236 @@
+"""What a worker takes off a gateway connection's inbox as one run.
+
+No thread and no listener: a ``_ClientConn`` over a socketpair gets its
+inbox filled the way ``_read_ready`` leaves it, ``_process_inbox`` drains
+it on this thread, and the replies are read off the other end.  The
+route hook is a real :class:`~repro.cluster.router.Router` whose only
+link records the ``fwd`` frames that would cross the hop and answers
+them the way an owner does.
+"""
+
+import os
+import socket
+
+import pytest
+
+from repro.cluster.router import Router
+from repro.core.context import ContextConfig, SimulationContext
+from repro.core.errors import ErrorCode
+from repro.core.perfmodel import PerformanceModel
+from repro.dv.protocol import (
+    FWD_RUN_MAX,
+    StreamDecoder,
+    encode_frame,
+    make_fwd,
+    make_fwd_run,
+)
+from repro.dv.server import DVServer, _ClientConn
+from repro.simulators import SyntheticDriver
+
+REMOTE, OTHER, LOCAL = "remote", "elsewhere", "local"
+ERR_INVALID = int(ErrorCode.ERR_INVALID)
+
+
+class OwnerLink:
+    """The link to the owner: records request frames, answers each inner
+    (a ``release`` of ``missing`` is refused, an ``open`` is a hit)."""
+
+    closed = False
+
+    def __init__(self):
+        self.frames = []
+
+    def answer(self, inner):
+        if inner.get("file") == "missing":
+            return {"error": ERR_INVALID, "detail": "missing is not open"}
+        if inner["op"] == "open":
+            return {"error": 0, "available": True, "state": "on_disk", "wait": 0.0}
+        return {"error": 0}
+
+    def call(self, frame, timeout=None):
+        self.frames.append(frame)
+        if "inners" in frame:
+            body = {"payloads": [self.answer(inner) for inner in frame["inners"]]}
+        else:
+            body = {"payload": self.answer(frame["inner"])}
+        return {"op": "fwd_reply", "error": 0, **body}
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def gateway(tmp_path):
+    server = DVServer()
+    config = ContextConfig(name=LOCAL, delta_d=2, delta_r=8, num_timesteps=16)
+    context = SimulationContext(
+        config=config,
+        driver=SyntheticDriver(config.geometry, prefix=LOCAL, cells=8),
+        perf=PerformanceModel(tau_sim=0.001, alpha_sim=0.0),
+    )
+    out, rst = str(tmp_path / "out"), str(tmp_path / "rst")
+    os.makedirs(out)
+    os.makedirs(rst)
+    server.add_context(context, out, rst)
+    link = OwnerLink()
+    router = Router(
+        "ingress",
+        resolve=lambda context: ("owner", True),
+        dial=lambda peer_id, on_fwd, on_down: link,
+        ready_sink=lambda note: None,
+        is_stale=lambda owner, context: False,
+        metrics=server.metrics,
+        prefix="cluster.",
+    )
+    server.set_cluster_hooks(route_ops=router.route)
+    ours, theirs = socket.socketpair()
+    conn = _ClientConn(ours, client_id="c1")
+    yield server, conn, theirs, link
+    ours.close()
+    theirs.close()
+
+
+def drain(server, conn, theirs, messages):
+    """Queue ``messages`` as one backlog, drain it, return the replies."""
+    conn.inbox.extend(messages)
+    conn.busy = True
+    server._process_inbox(conn)
+    assert not conn.inbox and not conn.busy
+    decoder = StreamDecoder("binary")
+    theirs.settimeout(5.0)
+    replies = []
+    while len(replies) < len(messages):
+        decoder.feed(theirs.recv(1 << 20))
+        while (reply := decoder.next_message()) is not None:
+            replies.append(reply)
+    return replies
+
+
+def msg(op, req, file="f1", context=REMOTE, **extra):
+    return {"op": op, "req": req, "context": context, "file": file, **extra}
+
+
+def inner_of(message):
+    return {k: v for k, v in message.items() if k not in ("req", "_obs_t0")}
+
+
+def shapes(link):
+    """Per ``fwd`` frame: how many ops it carried."""
+    return [len(f["inners"]) if "inners" in f else 1 for f in link.frames]
+
+
+def test_consecutive_forwardable_ops_leave_as_one_frame(gateway):
+    server, conn, theirs, link = gateway
+    burst = [msg("open", 1), msg("release", 2), msg("wclose", 3), msg("open", 4, "f2")]
+    replies = drain(server, conn, theirs, burst)
+    assert link.frames == [
+        make_fwd_run("ingress", "c1", [inner_of(m) for m in burst])
+    ]
+    assert [r["req"] for r in replies] == [1, 2, 3, 4]
+    assert [r.get("available") for r in replies] == [True, None, None, True]
+    assert all(r["op"] == "reply" and r["error"] == 0 for r in replies)
+    # Each op of the run is observed at the ingress as its own dispatch.
+    snapshot = server.metrics.snapshot()
+    assert snapshot["op.open.seconds"]["count"] == 2
+    assert snapshot["op.release.seconds"]["count"] == 1
+    assert snapshot["op.wclose.seconds"]["count"] == 1
+    assert snapshot["cluster.fwd_sent"]["value"] == 4
+    assert snapshot["cluster.fwd_frames"]["value"] == 1
+
+
+def test_what_ends_a_run(gateway):
+    server, conn, theirs, link = gateway
+    burst = [
+        msg("open", 1), msg("release", 2),
+        msg("open", 3, context=LOCAL),                    # a local context
+        msg("open", 4), msg("release", 5),
+        msg("open", 6, tc="00-11-01", _obs_t0=1.0),       # a traced op
+        msg("release", 7), msg("open", 8, context=OTHER),  # another owner's
+        msg("release", 9, context=OTHER),
+        {"op": "batch", "req": 10, "ops": []},            # a batch
+        msg("open", 11), msg("open", 12),
+        {"op": "attach", "req": 13, "context": REMOTE},   # routable, never bundled
+        msg("open", 14),
+        {"op": "stats", "req": 15},                       # a local service op
+        msg("wclose", 16), msg("wclose", 17),
+    ]
+    replies = drain(server, conn, theirs, burst)
+    assert [r["req"] for r in replies] == list(range(1, 18))
+    assert shapes(link) == [2, 2, 1, 1, 2, 2, 1, 1, 2]
+    traced = link.frames[2]
+    assert traced == dict(
+        make_fwd("ingress", "c1", inner_of(burst[5])), tc="00-11-01"
+    )
+    for frame in link.frames:
+        for inner in frame.get("inners", [frame.get("inner")]):
+            assert "req" not in inner and "_obs_t0" not in inner
+    contexts = [
+        (f.get("inners") or [f["inner"]])[0]["context"] for f in link.frames
+    ]
+    assert contexts == [REMOTE] * 4 + [OTHER] + [REMOTE] * 4
+
+
+def test_a_run_is_capped_and_a_lone_op_is_the_parents_frame(gateway):
+    server, conn, theirs, link = gateway
+    burst = [msg("open", i, f"f{i}") for i in range(1, FWD_RUN_MAX + 3)]
+    replies = drain(server, conn, theirs, burst)
+    assert [r["req"] for r in replies] == list(range(1, FWD_RUN_MAX + 3))
+    assert shapes(link) == [FWD_RUN_MAX, 2]
+    del link.frames[:]
+    drain(server, conn, theirs, [msg("open", 1)])
+    assert encode_frame(link.frames[0], "binary") == encode_frame(
+        make_fwd("ingress", "c1", {"op": "open", "context": REMOTE, "file": "f1"}),
+        "binary",
+    )
+
+
+def test_a_connection_without_a_hello_forwards_nothing(gateway):
+    server, conn, theirs, link = gateway
+    conn.client_id = None
+    conn.inbox.extend([msg("open", 1), msg("release", 2)])
+    conn.busy = True
+    server._process_inbox(conn)
+    assert link.frames == []
+
+
+def test_each_slot_keeps_its_own_error(gateway):
+    server, conn, theirs, link = gateway
+    burst = [msg("release", 1), msg("release", 2, "missing"), msg("release", 3)]
+    replies = drain(server, conn, theirs, burst)
+    assert [(r["req"], r["error"]) for r in replies] == [
+        (1, 0), (2, ERR_INVALID), (3, 0),
+    ]
+    assert "missing" in replies[1]["detail"]
+
+
+def test_a_forwarded_batch_of_releases_is_one_frame(gateway):
+    server, conn, theirs, link = gateway
+    subs = [
+        {"op": "release", "context": REMOTE, "file": name}
+        for name in ("f1", "missing", "f2", "f3")
+    ]
+    (reply,) = drain(server, conn, theirs, [{"op": "batch", "req": 9, "ops": subs}])
+    assert link.frames == [make_fwd_run("ingress", "c1", subs)]
+    assert reply["req"] == 9 and reply["error"] == 0
+    assert [(r["op"], r["error"]) for r in reply["results"]] == [
+        ("release", 0), ("release", ERR_INVALID), ("release", 0), ("release", 0),
+    ]
+
+
+def test_a_mixed_batch_keeps_sub_op_order(gateway):
+    server, conn, theirs, link = gateway
+    subs = [
+        {"op": "open", "context": REMOTE, "file": "f1"},
+        {"op": "release", "context": REMOTE, "file": "f1"},
+        {"op": "nonsense"},
+        {"op": "attach", "context": REMOTE},
+        {"op": "release", "context": OTHER, "file": "f1"},
+        {"op": "open", "context": LOCAL, "file": "f1"},
+        {"op": "wclose", "context": REMOTE, "file": "f1"},
+    ]
+    (reply,) = drain(server, conn, theirs, [{"op": "batch", "req": 1, "ops": subs}])
+    assert [r["op"] for r in reply["results"]] == [
+        "open", "release", "nonsense", "attach", "release", "open", "wclose",
+    ]
+    assert shapes(link) == [2, 1, 1, 1]
+    assert reply["results"][0]["available"] is True
