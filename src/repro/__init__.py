@@ -21,61 +21,35 @@ Typical entry points
 See README.md for a quickstart and DESIGN.md for the system inventory.
 """
 
-from repro.cache import StorageArea, make_policy
-from repro.client import (
-    LocalConnection,
-    SimFSSession,
-    TcpConnection,
-    VirtualizedHooks,
-)
-from repro.core import (
-    ContextConfig,
-    ErrorCode,
-    PerformanceModel,
-    SimFSError,
-    SimulationContext,
-    StepGeometry,
-)
-from repro.des import VirtualSimFS, latency_experiment, scaling_experiment
-from repro.dv import DVCoordinator, DVServer, ThreadedLauncher
-from repro.prefetch import PatternDetector, PrefetchAgent
-from repro.simulators import (
-    CosmoDriver,
-    FlashDriver,
-    SimulationDriver,
-    SyntheticDriver,
-)
-from repro.traces import ForwardWorkload, ecmwf_like_trace, replay_trace
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ContextConfig",
-    "CosmoDriver",
-    "DVCoordinator",
-    "DVServer",
-    "ErrorCode",
-    "FlashDriver",
-    "ForwardWorkload",
-    "LocalConnection",
-    "PatternDetector",
-    "PerformanceModel",
-    "PrefetchAgent",
-    "SimFSError",
-    "SimFSSession",
-    "SimulationContext",
-    "SimulationDriver",
-    "StepGeometry",
-    "StorageArea",
-    "SyntheticDriver",
-    "TcpConnection",
-    "ThreadedLauncher",
-    "VirtualSimFS",
-    "VirtualizedHooks",
-    "__version__",
-    "ecmwf_like_trace",
-    "latency_experiment",
-    "make_policy",
-    "replay_trace",
-    "scaling_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("StorageArea", "make_policy"),
+    "client": (
+        "LocalConnection",
+        "SimFSSession",
+        "TcpConnection",
+        "VirtualizedHooks",
+    ),
+    "core": (
+        "ContextConfig",
+        "ErrorCode",
+        "PerformanceModel",
+        "SimFSError",
+        "SimulationContext",
+        "StepGeometry",
+    ),
+    "des": ("VirtualSimFS", "latency_experiment", "scaling_experiment"),
+    "dv": ("DVCoordinator", "DVServer", "ThreadedLauncher"),
+    "prefetch": ("PatternDetector", "PrefetchAgent"),
+    "simulators": (
+        "CosmoDriver",
+        "FlashDriver",
+        "SimulationDriver",
+        "SyntheticDriver",
+    ),
+    "traces": ("ForwardWorkload", "ecmwf_like_trace", "replay_trace"),
+})
+__all__.append("__version__")

@@ -1,22 +1,13 @@
 """Cache replacement schemes and the bounded storage-area manager
 (paper Sec. III-D)."""
 
-from repro.cache.arc import ARCPolicy
-from repro.cache.base import CacheStats, ReplacementPolicy, make_policy
-from repro.cache.cost_aware import BCLPolicy, DCLPolicy
-from repro.cache.lirs import LIRSPolicy
-from repro.cache.lru import LRUPolicy
-from repro.cache.manager import EvictionRecord, StorageArea
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ARCPolicy",
-    "BCLPolicy",
-    "CacheStats",
-    "DCLPolicy",
-    "EvictionRecord",
-    "LIRSPolicy",
-    "LRUPolicy",
-    "ReplacementPolicy",
-    "StorageArea",
-    "make_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arc": ("ARCPolicy",),
+    "base": ("CacheStats", "ReplacementPolicy", "make_policy"),
+    "cost_aware": ("BCLPolicy", "DCLPolicy"),
+    "lirs": ("LIRSPolicy",),
+    "lru": ("LRUPolicy",),
+    "manager": ("EvictionRecord", "StorageArea"),
+})

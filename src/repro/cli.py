@@ -55,11 +55,12 @@ import os
 import sys
 
 from repro.core.steps import StepGeometry
-from repro.simulators import CosmoDriver, FlashDriver, SyntheticDriver
-from repro.traces import TraceSpec, concatenated_trace, ecmwf_like_trace, replay_trace
 from repro.util.checksums import file_checksum
 
-_DRIVERS = {"synthetic": SyntheticDriver, "cosmo": CosmoDriver, "flash": FlashDriver}
+#: ``--simulator`` choice -> driver class in ``repro.simulators`` (resolved
+#: by name in ``initial-run``: a sub-command talking to a running daemon
+#: must not pay for importing simulators it never calls).
+_DRIVERS = {"synthetic": "SyntheticDriver", "cosmo": "CosmoDriver", "flash": "FlashDriver"}
 
 
 def _cmd_record_checksums(args: argparse.Namespace) -> int:
@@ -74,8 +75,11 @@ def _cmd_record_checksums(args: argparse.Namespace) -> int:
 
 
 def _cmd_initial_run(args: argparse.Namespace) -> int:
+    import repro.simulators
+
     geometry = StepGeometry(args.delta_d, args.delta_r, args.num_timesteps)
-    driver = _DRIVERS[args.simulator](geometry, prefix=args.prefix)
+    driver_cls = getattr(repro.simulators, _DRIVERS[args.simulator])
+    driver = driver_cls(geometry, prefix=args.prefix)
     os.makedirs(args.output_dir, exist_ok=True)
     os.makedirs(args.restart_dir, exist_ok=True)
     num_restarts = max(1, args.num_timesteps // args.delta_r)
@@ -90,6 +94,13 @@ def _cmd_initial_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from repro.traces import (
+        TraceSpec,
+        concatenated_trace,
+        ecmwf_like_trace,
+        replay_trace,
+    )
+
     geometry = StepGeometry(args.delta_d, args.delta_r, args.num_timesteps)
     if args.pattern == "ecmwf":
         trace = ecmwf_like_trace(

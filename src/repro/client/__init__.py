@@ -1,39 +1,22 @@
 """DVLib client: connections to the DV, the SIMFS_* API, transparent-mode
 interception, and the Table I I/O-library bindings."""
 
-from repro.client.api import (
-    SimFSSession,
-    simfs_acquire,
-    simfs_acquire_nb,
-    simfs_bitrep,
-    simfs_finalize,
-    simfs_init,
-    simfs_release,
-    simfs_test,
-    simfs_testsome,
-    simfs_wait,
-    simfs_waitsome,
-)
-from repro.client.dvlib import DVConnection, FileInfo, LocalConnection, TcpConnection
-from repro.client.transparent import ENV_CONTEXT, VirtualizedHooks, context_from_env
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DVConnection",
-    "ENV_CONTEXT",
-    "FileInfo",
-    "LocalConnection",
-    "SimFSSession",
-    "TcpConnection",
-    "VirtualizedHooks",
-    "context_from_env",
-    "simfs_acquire",
-    "simfs_acquire_nb",
-    "simfs_bitrep",
-    "simfs_finalize",
-    "simfs_init",
-    "simfs_release",
-    "simfs_test",
-    "simfs_testsome",
-    "simfs_wait",
-    "simfs_waitsome",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "api": (
+        "SimFSSession",
+        "simfs_acquire",
+        "simfs_acquire_nb",
+        "simfs_bitrep",
+        "simfs_finalize",
+        "simfs_init",
+        "simfs_release",
+        "simfs_test",
+        "simfs_testsome",
+        "simfs_wait",
+        "simfs_waitsome",
+    ),
+    "dvlib": ("DVConnection", "FileInfo", "LocalConnection", "TcpConnection"),
+    "transparent": ("ENV_CONTEXT", "VirtualizedHooks", "context_from_env"),
+})

@@ -28,41 +28,23 @@ which drives the same :class:`HashRing`/:class:`PeerTable` logic on the
 virtual clock for node-count sweeps and failure-schedule experiments.
 """
 
-from repro.cluster.autoscaler import (
-    Autoscaler,
-    AutoscalerPolicy,
-    Migrate,
-    NodeLoad,
-    ScaleDown,
-    ScaleUp,
-)
-from repro.cluster.client import ClusterConnection
-from repro.cluster.link import DialBackoff, PeerLink
-from repro.cluster.membership import PeerInfo, PeerTable
-from repro.cluster.migrate import MigrationManager
-from repro.cluster.node import ClusterNode, ContextSpec, parse_peer
-from repro.cluster.replication import ReplicaStore, ReplicationManager
-from repro.cluster.ring import HashRing
-from repro.cluster.router import Router
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "HashRing",
-    "PeerInfo",
-    "PeerTable",
-    "PeerLink",
-    "DialBackoff",
-    "Router",
-    "ClusterNode",
-    "ContextSpec",
-    "parse_peer",
-    "ClusterConnection",
-    "ReplicaStore",
-    "ReplicationManager",
-    "MigrationManager",
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "NodeLoad",
-    "Migrate",
-    "ScaleUp",
-    "ScaleDown",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "autoscaler": (
+        "Autoscaler",
+        "AutoscalerPolicy",
+        "Migrate",
+        "NodeLoad",
+        "ScaleDown",
+        "ScaleUp",
+    ),
+    "client": ("ClusterConnection",),
+    "link": ("DialBackoff", "PeerLink"),
+    "membership": ("PeerInfo", "PeerTable"),
+    "migrate": ("MigrationManager",),
+    "node": ("ClusterNode", "ContextSpec", "parse_peer"),
+    "replication": ("ReplicaStore", "ReplicationManager"),
+    "ring": ("HashRing",),
+    "router": ("Router",),
+})

@@ -115,13 +115,15 @@ class PeerTimeout(DVConnectionLost):
 
 
 class DialBackingOff(DVConnectionLost):
-    """No dial was attempted: the peer's :class:`DialBackoff` window is
-    still open for ``retry_in`` seconds.
+    """No verdict on the peer, try again in ``retry_in`` seconds: its
+    :class:`DialBackoff` window is still open and no dial was attempted,
+    or a dial failed during the join phase, when the peer may simply not
+    be listening yet.
 
     Says nothing new about the peer's health (the refused dial that
-    opened the window was already reported by whoever made it), so
-    callers wait the window out, or give up at their own deadline, and
-    never feed it to the membership table."""
+    opened a heartbeat-scale window was already reported by whoever made
+    it), so callers wait the window out, or give up at their own
+    deadline, and never feed it to the membership table."""
 
     def __init__(self, peer_id: str, retry_in: float) -> None:
         super().__init__(

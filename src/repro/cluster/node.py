@@ -22,9 +22,15 @@ want one-hop steady state use
 owners directly.
 
 **Membership/failover** — a heartbeat thread gossips the
-:class:`~repro.cluster.membership.PeerTable` with every live peer; a
-peer is declared dead after ``suspect_after`` missed rounds, or
-immediately when a forwarding RPC hits a torn connection.  Death removes
+:class:`~repro.cluster.membership.PeerTable` with every live peer, at
+once and then every ``heartbeat_interval``; a peer is declared dead after
+``suspect_after`` missed rounds, or immediately when a forwarding RPC
+hits a torn connection.  A peer that has *never* answered gets a **join
+phase** first: for this node's first ``suspect_after`` intervals a failed
+dial to it proves nothing (it may not be listening yet) and is retried on
+a short doubling schedule, and a peer's first gossip is answered with a
+round of our own, so two nodes started in either order serve forwarded
+ops one round trip after the later one is up.  Death removes
 the node from the ring, the survivors activate the contexts they
 inherit, and the ingress nodes **replay** every forwarded open still
 waiting on the dead owner against the new one — blocked clients are
@@ -219,6 +225,17 @@ class ClusterNode:
             base=heartbeat_interval,
             cap=max(heartbeat_interval * 64, 5.0),
         )
+        # Join phase: until ``_join_until`` (set by start()), a failed dial
+        # to a peer or seed that never answered is no evidence against it —
+        # it is paced by this short schedule instead of the gate above and
+        # does not count as a missed heartbeat.  A completed dial or the
+        # peer's own gossip puts it in ``_answered`` for good.
+        self._join_backoff = DialBackoff(
+            base=min(0.005, heartbeat_interval), cap=heartbeat_interval,
+            jitter=0.0,
+        )
+        self._answered: set[str] = set()
+        self._join_until = 0.0
 
         for spec in peers:
             peer_id, peer_host, peer_port = parse_peer(spec)
@@ -368,6 +385,9 @@ class ClusterNode:
             me = self.table.peers[self.node_id]
             me.host, me.port = host, port
             me.data_port = self.data.port
+        self._join_until = (
+            time.monotonic() + self.table.suspect_after * self.heartbeat_interval
+        )
         self._hb_thread = threading.Thread(
             target=self._heartbeat_loop,
             name=f"cluster-hb-{self.node_id}",
@@ -529,20 +549,59 @@ class ClusterNode:
         peer = self.table.get(owner)
         return peer is None or not peer.alive
 
+    def _joining(self, key: str) -> bool:
+        """Is this node still in the join phase with the peer (or the
+        ``host:port`` seed) ``key``?"""
+        return key not in self._answered and time.monotonic() < self._join_until
+
     def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
+        """Gossip at once, then every ``heartbeat_interval``; in between,
+        while the join phase lasts, retry whoever has not answered yet."""
+        beat = 0.0  # monotonic time the next full round is due
+        while True:
+            full = time.monotonic() >= beat
             try:
-                self._gossip_round()
+                self._gossip_round(joining_only=not full)
             except Exception:
                 # The membership plane must survive any single bad round.
                 pass
+            if full:
+                beat = time.monotonic() + self.heartbeat_interval
+            if self._stop.wait(self._until_next_round(beat)):
+                return
 
-    def _gossip_round(self) -> None:
+    def _until_next_round(self, beat: float) -> float:
+        """Seconds the heartbeat thread may sleep: until ``beat``, or until
+        the earliest join-phase retry is due."""
+        now = time.monotonic()
+        wait = beat - now
+        if now < self._join_until:
+            with self._lock:
+                waiting = [
+                    p.node_id for p in self.table.alive_peers()
+                    if p.node_id not in self._answered
+                ]
+                waiting += [f"{host}:{port}" for host, port in self._seeds]
+            for key in waiting:
+                wait = min(wait, self._join_backoff.remaining(key))
+        return max(wait, 0.0)
+
+    def _gossip_round(self, joining_only: bool = False) -> None:
+        """Exchange views with every live peer, probe the dead ones and
+        the unresolved seeds.  ``joining_only`` is the join phase's retry
+        between two rounds: only peers and seeds that never answered and
+        whose join-schedule window has passed."""
         with self._lock:
             view = self.table.view()
             pins = self._pins_wire()
             targets = list(self.table.alive_peers())
             known_addrs = {(p.host, p.port) for p in self.table.peers.values()}
+        if joining_only:
+            targets = [
+                p for p in targets
+                if self._joining(p.node_id)
+                and self._join_backoff.ready(p.node_id)
+            ]
         frame = {
             "op": OP_GOSSIP, "from": self.node_id,
             "view": view, "pins": pins,
@@ -555,10 +614,11 @@ class ClusterNode:
                     frame, timeout=self.rpc_timeout
                 )
             except (DVConnectionLost, SimFSError, OSError):
-                self._apply_membership(
-                    lambda peer_id=peer.node_id:
-                        self.table.heartbeat_missed(peer_id)
-                )
+                if not self._joining(peer.node_id):
+                    self._apply_membership(
+                        lambda peer_id=peer.node_id:
+                            self.table.heartbeat_missed(peer_id)
+                    )
                 continue
             self._m_gossip.inc()
             peer_view = reply.get("view") or []
@@ -577,7 +637,7 @@ class ClusterNode:
         # exponential with jitter) so a decommissioned peer does not cost
         # every round a dial timeout forever.
         with self._lock:
-            dead = [
+            dead = [] if joining_only else [
                 p for p in self.table.peers.values()
                 if not p.alive and p.node_id != self.node_id
             ]
@@ -603,6 +663,7 @@ class ClusterNode:
             finally:
                 probe.close()
             self._dial_backoff.succeeded(peer.node_id)
+            self._answered.add(peer.node_id)
             peer_view = reply.get("view") or []
             peer_pins = reply.get("pins") or []
             self._apply_membership(
@@ -618,11 +679,20 @@ class ClusterNode:
             if (host, port) in known_addrs:
                 self._seeds.remove((host, port))
                 continue
+            key = f"{host}:{port}"
+            if joining_only and not self._join_backoff.ready(key):
+                continue
+            # Whatever happens below, the join schedule spaces the next try.
+            self._join_backoff.failed(key)
             try:
                 # Bounded dial: an unreachable seed must not stretch the
-                # heartbeat round (and with it, failure detection).
+                # heartbeat round (and with it, failure detection).  Under
+                # its own hello id: the seed answers this probe with a
+                # round of its own, ours follows at once, and the peer
+                # admits one connection per id — a probe it has not
+                # finished dropping must not get that dial refused.
                 probe = PeerLink(
-                    self.node_id, f"{host}:{port}", host, port,
+                    f"{self.node_id}/seed-probe", key, host, port,
                     connect_timeout=1.0,
                 )
             except DVConnectionLost:
@@ -648,7 +718,9 @@ class ClusterNode:
         peer = self.table.get(node_id)
         if peer is None or not peer.alive:
             raise DVConnectionLost(f"peer {node_id!r} is not alive")
-        wait = self._dial_backoff.remaining(node_id)
+        joining = self._joining(node_id)
+        backoff = self._join_backoff if joining else self._dial_backoff
+        wait = backoff.remaining(node_id)
         if wait > 0:
             raise DialBackingOff(node_id, wait)
         if self._dial_backoff.failures(node_id):
@@ -658,9 +730,15 @@ class ClusterNode:
                 self.node_id, node_id, peer.host, peer.port, **callbacks
             )
         except DVConnectionLost:
+            if joining:
+                # It may not be listening yet: no verdict, a short wait.
+                raise DialBackingOff(
+                    node_id, self._join_backoff.failed(node_id)
+                ) from None
             self._dial_backoff.failed(node_id)
             raise
         self._dial_backoff.succeeded(node_id)
+        self._answered.add(node_id)
         return link
 
     # ------------------------------------------------------------------ #
@@ -735,6 +813,12 @@ class ClusterNode:
             return changed
 
         self._apply_membership(mutate)
+        if isinstance(sender, str) and sender not in self._answered:
+            # First contact, and it came from the peer: answer with a round
+            # of our own now, so its join completes ours too instead of
+            # waiting for our retry schedule (or a whole interval).
+            self._answered.add(sender)
+            self._gossip_soon()
         with self._lock:
             return {
                 "from": self.node_id,
@@ -962,7 +1046,8 @@ class ClusterNode:
 
     def _gossip_soon(self) -> None:
         """Kick an immediate out-of-band gossip round (migration cutover
-        must not wait a heartbeat interval to advertise the new pin)."""
+        must not wait a heartbeat interval to advertise the new pin, nor a
+        peer's first contact to be returned)."""
 
         def run() -> None:
             try:

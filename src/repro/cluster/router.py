@@ -133,6 +133,11 @@ class Router:
         self._pending: dict[tuple[str, str, str], str] = {}
         self._links: dict[str, object] = {}
         self._links_lock = threading.Lock()
+        #: One dial per peer at a time.  A peer admits one connection per
+        #: ``node:<id>`` and rejects a second hello while the first is up,
+        #: so two threads dialing together (a gossip round and a forwarded
+        #: op, say) would make a healthy peer look like a failed dial.
+        self._dialing: dict[str, threading.Lock] = {}
         self._m_fwd_sent = metrics.counter(prefix + "fwd_sent")
         self._m_fwd_frames = metrics.counter(prefix + "fwd_frames")
         self._m_fwd_recv = metrics.counter(prefix + "fwd_received")
@@ -145,14 +150,17 @@ class Router:
             link = self._links.get(peer_id)
             if link is not None and not link.closed:
                 return link
-        fresh = self._dial(peer_id, on_fwd=self.on_link_fwd, on_down=self.link_down)
-        with self._links_lock:
-            link = self._links.get(peer_id)
-            if link is not None and not link.closed:
-                fresh.close()  # lost the race; reuse the winner
-                return link
-            self._links[peer_id] = fresh
-        return fresh
+            dialing = self._dialing.setdefault(peer_id, threading.Lock())
+        with dialing:
+            with self._links_lock:
+                link = self._links.get(peer_id)
+            if link is None or link.closed:  # else dialed while we queued
+                link = self._dial(
+                    peer_id, on_fwd=self.on_link_fwd, on_down=self.link_down
+                )
+                with self._links_lock:
+                    self._links[peer_id] = link
+        return link
 
     def link_down(self, peer_id: str) -> None:
         """A link died (its ``on_down``) or a forward hit a torn one:

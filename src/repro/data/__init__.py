@@ -10,42 +10,26 @@ round-robin + a strict-priority control lane); the DES mirror is
 ``repro.des.components.VirtualDataPlane``.
 """
 
-from repro.data.client import DataClient, FetchResult, TransferChecksumError
-from repro.data.protocol import (
-    DEFAULT_CHUNK,
-    KIND_CTRL,
-    KIND_DATA,
-    MAX_FRAME,
-    DataFrameDecoder,
-    decode_ctrl,
-    encode_ctrl,
-    encode_data_header,
-)
-from repro.data.scheduler import (
-    PRIO_BULK,
-    PRIO_CONTROL,
-    BandwidthScheduler,
-    TokenBucket,
-    max_min_rates,
-)
-from repro.data.server import DataServer
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CHUNK",
-    "KIND_CTRL",
-    "KIND_DATA",
-    "MAX_FRAME",
-    "PRIO_BULK",
-    "PRIO_CONTROL",
-    "BandwidthScheduler",
-    "DataClient",
-    "DataFrameDecoder",
-    "DataServer",
-    "FetchResult",
-    "TokenBucket",
-    "TransferChecksumError",
-    "decode_ctrl",
-    "encode_ctrl",
-    "encode_data_header",
-    "max_min_rates",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "client": ("DataClient", "FetchResult", "TransferChecksumError"),
+    "protocol": (
+        "DEFAULT_CHUNK",
+        "KIND_CTRL",
+        "KIND_DATA",
+        "MAX_FRAME",
+        "DataFrameDecoder",
+        "decode_ctrl",
+        "encode_ctrl",
+        "encode_data_header",
+    ),
+    "scheduler": (
+        "PRIO_BULK",
+        "PRIO_CONTROL",
+        "BandwidthScheduler",
+        "TokenBucket",
+        "max_min_rates",
+    ),
+    "server": ("DataServer",),
+})

@@ -1,37 +1,24 @@
 """Virtual-time mode: deterministic DES engine, the coordinator wired to
 it, and the Sec. VI experiment runners (Figs. 16-19)."""
 
-from repro.des.components import (
-    DESExecutor,
-    VirtualAnalysis,
-    VirtualAutoscaler,
-    VirtualCluster,
-    VirtualClusterNode,
-    VirtualDataPlane,
-    VirtualSimFS,
-    VirtualTransfer,
-)
-from repro.des.engine import DESEngine, EventHandle
-from repro.des.experiment import (
-    LatencyPoint,
-    ScalingPoint,
-    latency_experiment,
-    scaling_experiment,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "DESEngine",
-    "DESExecutor",
-    "EventHandle",
-    "LatencyPoint",
-    "ScalingPoint",
-    "VirtualAnalysis",
-    "VirtualAutoscaler",
-    "VirtualCluster",
-    "VirtualClusterNode",
-    "VirtualDataPlane",
-    "VirtualSimFS",
-    "VirtualTransfer",
-    "latency_experiment",
-    "scaling_experiment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "components": (
+        "DESExecutor",
+        "VirtualAnalysis",
+        "VirtualAutoscaler",
+        "VirtualCluster",
+        "VirtualClusterNode",
+        "VirtualDataPlane",
+        "VirtualSimFS",
+        "VirtualTransfer",
+    ),
+    "engine": ("DESEngine", "EventHandle"),
+    "experiment": (
+        "LatencyPoint",
+        "ScalingPoint",
+        "latency_experiment",
+        "scaling_experiment",
+    ),
+})

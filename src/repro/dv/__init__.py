@@ -1,25 +1,17 @@
 """The Data Virtualizer: context shards, the routing coordinator, the
 real-mode launcher, the wire protocol, and the TCP daemon."""
 
-from repro.dv.coordinator import (
-    DVCoordinator,
-    Notification,
-    OpenResult,
-    RunningSim,
-    SimulationExecutor,
-)
-from repro.dv.launcher import ThreadedLauncher
-from repro.dv.server import DVServer
-from repro.dv.shard import ContextShard, JobQueue
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ContextShard",
-    "DVCoordinator",
-    "DVServer",
-    "JobQueue",
-    "Notification",
-    "OpenResult",
-    "RunningSim",
-    "SimulationExecutor",
-    "ThreadedLauncher",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "coordinator": (
+        "DVCoordinator",
+        "Notification",
+        "OpenResult",
+        "RunningSim",
+        "SimulationExecutor",
+    ),
+    "launcher": ("ThreadedLauncher",),
+    "server": ("DVServer",),
+    "shard": ("ContextShard", "JobQueue"),
+})

@@ -1609,7 +1609,6 @@ def main(argv: list[str] | None = None) -> int:
     """
     from repro.core.context import ContextConfig
     from repro.core.perfmodel import PerformanceModel
-    from repro.simulators import CosmoDriver, FlashDriver, SyntheticDriver
 
     parser = argparse.ArgumentParser(prog="simfs-dv", description=main.__doc__)
     parser.add_argument("--config", help="JSON config path (daemon mode)")
@@ -1727,7 +1726,11 @@ def main(argv: list[str] | None = None) -> int:
             obs=getattr(server, "obs", None),
         )
         server.set_data_endpoint(data_server.host, data_server.port)
-    drivers = {"cosmo": CosmoDriver, "flash": FlashDriver, "synthetic": SyntheticDriver}
+    import repro.simulators
+
+    # Resolved by name: the daemon loads the simulators it is configured
+    # with, not all three.
+    drivers = {"cosmo": "CosmoDriver", "flash": "FlashDriver", "synthetic": "SyntheticDriver"}
     for spec in config.get("contexts", []):
         cc = ContextConfig(
             name=spec["name"],
@@ -1738,7 +1741,9 @@ def main(argv: list[str] | None = None) -> int:
             replacement_policy=spec.get("policy", "dcl"),
             smax=spec.get("smax", 8),
         )
-        driver_cls = drivers[spec.get("simulator", "synthetic")]
+        driver_cls = getattr(
+            repro.simulators, drivers[spec.get("simulator", "synthetic")]
+        )
         driver = driver_cls(cc.geometry, prefix=spec["name"])
         perf = PerformanceModel(
             tau_sim=spec.get("tau_sim", 1.0), alpha_sim=spec.get("alpha_sim", 0.0)

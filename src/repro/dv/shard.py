@@ -821,6 +821,10 @@ class ContextShard:
     def _kill_useless_prefetches(self, client_id: str) -> None:
         """Kill prefetch sims of this client nobody else is waiting on
         (Sec. IV-C, prefetching effectiveness)."""
+        if not self.sims and not self.pending_jobs:
+            # Every broken pattern lands here, on the hit path too: with
+            # nothing running or queued there is nothing to kill or prune.
+            return
         for sim in list(self.sims.values()) + list(self.pending_jobs):
             if not sim.is_prefetch or sim.owner_client != client_id or sim.killed:
                 continue

@@ -14,7 +14,10 @@ from __future__ import annotations
 import re
 import threading
 from collections.abc import Callable
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = ["MetricsExporter", "render_prometheus"]
 
@@ -115,6 +118,10 @@ class MetricsExporter:
     def start(self) -> None:
         if self._server is not None:
             return
+        # Here, not at module level: every daemon imports the renderer
+        # above, few ever serve it over HTTP.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         source = self._source
 
         class _Handler(BaseHTTPRequestHandler):

@@ -20,12 +20,13 @@ per client process), but re-entrant and restorable for tests.
 
 from __future__ import annotations
 
-from typing import Any, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.core.errors import InvalidArgumentError, SimFSError
 from repro.simio import format as sdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["IOHooks", "DataFile", "sio_open", "sio_create", "install_hooks", "current_hooks"]
 
@@ -125,6 +126,8 @@ class DataFile:
         self._check_open()
         if self.mode != "w":
             raise SimFSError(f"{self.path} is open read-only")
+        import numpy as np
+
         self._vars[name] = np.asarray(array)
 
     def set_attrs(self, **attrs: Any) -> None:

@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import InvalidArgumentError, SimFSError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["encode", "decode", "write_file", "read_file", "FormatError"]
 
@@ -53,6 +54,8 @@ def encode(variables: dict[str, np.ndarray], attrs: dict[str, Any] | None = None
     Variables are laid out in sorted-name order so the encoding is a pure
     function of its inputs.
     """
+    import numpy as np
+
     if not isinstance(variables, dict):
         raise InvalidArgumentError("variables must be a dict of name -> ndarray")
     header_vars: dict[str, dict[str, Any]] = {}
@@ -83,6 +86,8 @@ def encode(variables: dict[str, np.ndarray], attrs: dict[str, Any] | None = None
 
 def decode(data: bytes) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
     """Parse SDF bytes back into (variables, attrs)."""
+    import numpy as np
+
     if len(data) < 12 or data[:4] != _MAGIC:
         raise FormatError("not an SDF container (bad magic)")
     header_len = int.from_bytes(data[4:12], "little")

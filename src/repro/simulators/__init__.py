@@ -1,43 +1,23 @@
 """Simulator substrates: driver interface, deterministic run loop, and the
 three concrete simulators (synthetic, COSMO-like, FLASH-like)."""
 
-from repro.simulators.base import ForwardSimulator, run_simulation
-from repro.simulators.cosmo import (
-    COSMO_EVAL_CONFIG,
-    COSMO_EVAL_PERF,
-    CosmoDriver,
-    CosmoSimulator,
-)
-from repro.simulators.driver import (
-    FilePatternNaming,
-    SimulationDriver,
-    SimulationJobSpec,
-)
-from repro.simulators.flash import (
-    FLASH_EVAL_CONFIG,
-    FLASH_EVAL_PERF,
-    FlashDriver,
-    FlashSimulator,
-)
-from repro.simulators.pipeline import ArchiveCopyDriver, PipelineDriver
-from repro.simulators.synthetic import SyntheticDriver, SyntheticSimulator
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ArchiveCopyDriver",
-    "COSMO_EVAL_CONFIG",
-    "COSMO_EVAL_PERF",
-    "CosmoDriver",
-    "CosmoSimulator",
-    "FLASH_EVAL_CONFIG",
-    "FLASH_EVAL_PERF",
-    "FilePatternNaming",
-    "FlashDriver",
-    "FlashSimulator",
-    "ForwardSimulator",
-    "PipelineDriver",
-    "SimulationDriver",
-    "SimulationJobSpec",
-    "SyntheticDriver",
-    "SyntheticSimulator",
-    "run_simulation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("ForwardSimulator", "run_simulation"),
+    "cosmo": (
+        "COSMO_EVAL_CONFIG",
+        "COSMO_EVAL_PERF",
+        "CosmoDriver",
+        "CosmoSimulator",
+    ),
+    "driver": ("FilePatternNaming", "SimulationDriver", "SimulationJobSpec"),
+    "flash": (
+        "FLASH_EVAL_CONFIG",
+        "FLASH_EVAL_PERF",
+        "FlashDriver",
+        "FlashSimulator",
+    ),
+    "pipeline": ("ArchiveCopyDriver", "PipelineDriver"),
+    "synthetic": ("SyntheticDriver", "SyntheticSimulator"),
+})

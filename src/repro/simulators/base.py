@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import InvalidArgumentError
 from repro.core.steps import StepGeometry
 from repro.simio import read_file, sio_create
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ForwardSimulator", "run_simulation"]
 

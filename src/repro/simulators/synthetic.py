@@ -13,8 +13,7 @@ sleeps for end-to-end demonstrations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.errors import InvalidArgumentError
 from repro.core.steps import StepGeometry
@@ -24,6 +23,9 @@ from repro.simulators.driver import (
     SimulationDriver,
     SimulationJobSpec,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SyntheticSimulator", "SyntheticDriver"]
 
@@ -45,8 +47,10 @@ class SyntheticSimulator(ForwardSimulator):
 
     name = "synthetic"
 
-    _A = np.uint64(6364136223846793005)
-    _C = np.uint64(1442695040888963407)
+    # Plain ints, wrapped as uint64 at use: numpy is loaded by the first
+    # simulation step, not by importing this module.
+    _A = 6364136223846793005
+    _C = 1442695040888963407
 
     def __init__(self, cells: int = 64, seed: int = 1) -> None:
         if cells < 1:
@@ -55,6 +59,8 @@ class SyntheticSimulator(ForwardSimulator):
         self.seed = seed
 
     def initial_state(self) -> _State:
+        import numpy as np
+
         lattice = (
             np.arange(self.cells, dtype=np.uint64) * np.uint64(2654435761)
             + np.uint64(self.seed)
@@ -62,22 +68,30 @@ class SyntheticSimulator(ForwardSimulator):
         return _State(timestep=0, field=lattice)
 
     def step(self, state: _State) -> _State:
+        import numpy as np
+
         with np.errstate(over="ignore"):
-            lattice = state.field * self._A + self._C
+            lattice = state.field * np.uint64(self._A) + np.uint64(self._C)
         return _State(timestep=state.timestep + 1, field=lattice)
 
     def output_variables(self, state: _State) -> dict[str, np.ndarray]:
+        import numpy as np
+
         # Map the integer lattice to [0, 1) floats for analysis tools.
         as_float = (state.field >> np.uint64(11)).astype(np.float64) / float(1 << 53)
         return {"value": as_float}
 
     def state_to_restart(self, state: _State) -> dict[str, np.ndarray]:
+        import numpy as np
+
         return {
             "lattice": state.field,
             "timestep": np.array([state.timestep], dtype=np.int64),
         }
 
     def restart_to_state(self, variables: dict[str, np.ndarray]) -> _State:
+        import numpy as np
+
         return _State(
             timestep=int(variables["timestep"][0]),
             field=variables["lattice"].astype(np.uint64, copy=True),

@@ -12,6 +12,7 @@ frame limit.
 """
 
 import copy
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -373,6 +374,40 @@ class TestForward:
         payload = b.router.forward("c1", op("attach"))
         assert payload["error"] == ERR_CONNECTION
         assert net.clock.sleeps == [10.0] and b.unreachable == []
+
+
+class TestLink:
+    def test_concurrent_callers_share_one_dial(self):
+        """A peer admits one connection per node id: two threads wanting
+        a link at once must not both dial (the second hello would be
+        refused and read as a failed dial to a healthy peer)."""
+        net = Net("a", "b", owner="a")
+        b = net.members["b"]
+        dial, dials = b.router._dial, []
+        first_in, release = threading.Event(), threading.Event()
+
+        def slow_dial(peer_id, **callbacks):
+            dials.append(peer_id)
+            first_in.set()
+            assert release.wait(5.0)
+            return dial(peer_id, **callbacks)
+
+        b.router._dial = slow_dial
+        got = []
+        callers = [
+            threading.Thread(target=lambda: got.append(b.router.link("a")))
+            for _ in range(2)
+        ]
+        callers[0].start()
+        assert first_in.wait(5.0)
+        callers[1].start()  # queues behind the dial in flight
+        release.set()
+        for caller in callers:
+            caller.join(5.0)
+            assert not caller.is_alive()
+        assert dials == ["a"]
+        assert len(got) == 2 and got[0] is got[1]
+        assert len(net.links) == 1 and not net.links[0].closed
 
 
 class TestStale:

@@ -149,3 +149,51 @@ class TestAggregates:
         # The metrics plane recorded the miss.
         assert snapshot["metrics"]["dv.alpha.misses"]["value"] == 1
         assert snapshot["metrics"]["dv.alpha.opens"]["value"] == 1
+
+
+class TestKillUselessPrefetches:
+    """The Sec. IV-C kill rule, called on every broken pattern."""
+
+    def make_shard(self):
+        dv, _, executor = make_coordinator(names=("ctx",))
+        executor.killed = []
+        executor.kill = executor.killed.append
+        return dv.shard("ctx")
+
+    def test_kills_only_this_clients_unwaited_prefetches(self):
+        shard = self.make_shard()
+        orphan_running = make_sim(1, is_prefetch=True)
+        orphan_queued = make_sim(2, is_prefetch=True)
+        awaited = make_sim(3, is_prefetch=True)
+        demand = make_sim(4)
+        foreign = make_sim(5, is_prefetch=True)
+        foreign.owner_client = "a2"
+        for sim in (orphan_running, awaited, demand, foreign):
+            shard.sims[sim.sim_id] = sim
+        shard.pending_jobs.push(orphan_queued)
+        for sim in (orphan_running, orphan_queued, awaited):
+            shard.in_flight[sim.sim_id] = sim.sim_id
+        shard.waiters[3] = {"a2"}  # someone blocks on the awaited sim's key
+
+        shard._kill_useless_prefetches("a1")
+
+        assert orphan_running.killed and orphan_queued.killed
+        assert not (awaited.killed or demand.killed or foreign.killed)
+        assert sorted(shard.sims) == [3, 4, 5]
+        assert len(shard.pending_jobs) == 0
+        assert shard._executor.killed == [1]  # the queued one never ran
+        assert shard.in_flight == {3: 3}
+        assert shard.total_killed_sims == 2
+
+    def test_idle_shard_returns_before_scanning(self):
+        shard = self.make_shard()
+
+        class EmptyQueue:
+            def __bool__(self):
+                return False
+
+        # Anything beyond the emptiness test (iterating sorts the heap,
+        # prune_killed rebuilds it) would raise on this stand-in.
+        shard.pending_jobs = EmptyQueue()
+        shard._kill_useless_prefetches("a1")
+        assert shard.total_killed_sims == 0

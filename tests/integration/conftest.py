@@ -20,6 +20,19 @@ def free_port() -> int:
     return port
 
 
+@pytest.fixture
+def stop_nodes():
+    """A list for the cluster nodes a test starts; whatever is in it at
+    teardown is stopped abruptly."""
+    started = []
+    yield started
+    for node in started:
+        try:
+            node.stop(drain_timeout=0)
+        except Exception:
+            pass
+
+
 def build_server(
     tmp_path,
     name="synth",

@@ -108,21 +108,11 @@ class PipelinedClient:
         self.sock.close()
 
 
-@pytest.fixture
-def stop_nodes():
-    started = []
-    yield started
-    for node in started:
-        try:
-            node.stop(drain_timeout=0)
-        except Exception:
-            pass
-
-
 def test_dial_backoff_is_not_peer_death(tmp_path, stop_nodes):
-    """B's first dial to A is refused (A is not up yet); A comes up; an
-    op forwarded to A inside B's back-off window must succeed at A, and A
-    must never be marked dead."""
+    """B's dial to A is refused after B's join phase (inside it a refused
+    dial opens no heartbeat-scale window at all, see test_join.py); A comes
+    up; an op forwarded to A inside B's back-off window must succeed at A,
+    and A must never be marked dead."""
     name = owned_by("a", ("a", "b"), "beta")
     # Long heartbeat: the back-off window (1-1.5 x the interval) outlasts
     # A's start-up, and B's own rounds stay out of the way.
@@ -132,6 +122,7 @@ def test_dial_backoff_is_not_peer_death(tmp_path, stop_nodes):
     a, b = nodes["a"], nodes["b"]
     b.start()
     stop_nodes.append(b)
+    b._join_until = 0.0
     b._gossip_round()  # dials A: connection refused
     assert b._dial_backoff.failures("a") == 1
     assert not b._dial_backoff.ready("a")

@@ -95,7 +95,11 @@ class TestHAMode:
             )
             bystander = next(n for n in NODE_IDS if n not in chain)
             assert not nodes[bystander].repl.store.has("alpha")
-            assert nodes[owner].metrics.get("repl.snapshots_sent").value >= 1
+            # Counted when the replica's ack returns — after the store has it.
+            wait_until(
+                lambda: nodes[owner].metrics.get("repl.snapshots_sent").value >= 1,
+                message="owner never counted its snapshot",
+            )
             view = nodes[owner].repl.describe()
             assert view["factor"] == 2
             assert view["contexts"]["alpha"]["owner"] == owner
