@@ -767,12 +767,13 @@ class ClusterNode:
                 pass
         return owner, known
 
-    def _execute_local(self, proxy, inner: dict) -> dict:
-        """Router hook: run a routed client's op on this node's shards."""
+    def _execute_local(self, proxy, inners: list[dict]) -> list[dict]:
+        """Router hook: run a routed client's ops on this node's shards."""
         if self.engine is not None:
-            return self.engine.forward(proxy.client_id, inner)
-        handler = self.server._handlers[inner["op"]]
-        return self.server._run_op(proxy, handler, inner)
+            return [
+                self.engine.forward(proxy.client_id, inner) for inner in inners
+            ]
+        return self.server.execute_ops(proxy, inners)
 
     def _replay(
         self,

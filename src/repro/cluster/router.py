@@ -82,7 +82,8 @@ class Router:
     when nobody serves it) and whether the catalog says it should be
     served, in which case an owner answering "unknown context" only lags.
     ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
-    ``execute_local(proxy, inner)`` runs an op here and ``send(conn,
+    ``execute_local(proxy, inners)`` runs a client's ops here, in order,
+    and returns their payloads; ``send(conn,
     frame)`` writes to a peer's connection (None where nothing is ever
     forwarded *in*).  ``on_unreachable`` / ``on_timeout`` tell membership
     about a dead / slow peer (None where someone else decides),
@@ -101,7 +102,7 @@ class Router:
         metrics,
         prefix: str,
         rpc_timeout: float = 10.0,
-        execute_local: Callable[[_ProxyClient, dict], dict] | None = None,
+        execute_local: Callable[[_ProxyClient, list], list] | None = None,
         send: Callable[[object, dict], None] | None = None,
         on_unreachable: Callable[[str], None] | None = None,
         on_timeout: Callable[[str], None] | None = None,
@@ -235,8 +236,11 @@ class Router:
                 }, None)
                 break
             if owner == self.self_id:
-                for slot in todo:
-                    settled[slot] = (self.run_local(client_id, inners[slot]), owner)
+                served = self.run_local(
+                    client_id, [inners[slot] for slot in todo]
+                )
+                for slot, payload in zip(todo, served):
+                    settled[slot] = (payload, owner)
                 break
             sent = todo[:width]
             try:
@@ -467,15 +471,13 @@ class Router:
         if "inners" in message:
             origin, client_id, inners = unwrap_fwd_run(message)
             self._m_fwd_recv.inc(len(inners))
-            return {"payloads": [
-                self.run_local(client_id, inner, conn, origin) for inner in inners
-            ]}
+            return {"payloads": self.run_local(client_id, inners, conn, origin)}
         origin, client_id, inner = unwrap_fwd(message)
         self._m_fwd_recv.inc()
         if inner.get("op") == "ready":
             self.deliver_routed_ready(client_id, inner)
             return None
-        return {"payload": self.run_local(client_id, inner, conn, origin)}
+        return {"payload": self.run_local(client_id, [inner], conn, origin)[0]}
 
     def on_link_fwd(self, message: dict) -> None:
         """PeerLink callback: an unsolicited ``fwd`` over one of our
@@ -485,16 +487,14 @@ class Router:
             self.deliver_routed_ready(client_id, inner)
 
     def run_local(
-        self, client_id: str, inner: dict, conn=None, origin: str | None = None
-    ) -> dict:
-        """Run a client op here on behalf of a client that has no local
-        connection object (forwarded in, replayed, or self-owned)."""
-        op = inner.get("op")
-        if op not in _ROUTABLE_OPS:
-            return {
-                "error": int(ErrorCode.ERR_PROTOCOL),
-                "detail": f"op {op!r} cannot be executed for a routed client",
-            }
+        self, client_id: str, inners: list[dict], conn=None,
+        origin: str | None = None,
+    ) -> list[dict]:
+        """Run ops here, in order, on behalf of a client that has no local
+        connection object (forwarded in, replayed, or self-owned): the
+        proxy is registered once and the ops go to ``execute_local`` in
+        one call.  An op that cannot be routed fails its own slot."""
+        run = [inner for inner in inners if inner.get("op") in _ROUTABLE_OPS]
         with self._lock:
             proxy = self._proxies.get(client_id)
             if proxy is None:
@@ -502,19 +502,20 @@ class Router:
             if conn is not None:
                 proxy.origin, proxy.conn = origin, conn
             proxy.inflight += 1
-        payload: dict = {}
+        payloads: list[dict] = []
         try:
-            payload = self._execute_local(proxy, inner)
-            payload.setdefault("error", int(ErrorCode.SUCCESS))
-            return payload
+            payloads = self._execute_local(proxy, run) if run else []
+            for payload in payloads:
+                payload.setdefault("error", int(ErrorCode.SUCCESS))
         finally:
             with self._lock:
                 proxy.inflight -= 1
-                if op == "attach" and payload and _attached(payload):
-                    proxy.contexts.add(inner.get("context"))
-                elif op == "finalize" and payload and not payload["error"]:
-                    proxy.contexts.discard(inner.get("context"))
-                # Whatever the op was (a rejected attach, an unknown
+                for inner, payload in zip(run, payloads):
+                    if inner["op"] == "attach" and _attached(payload):
+                        proxy.contexts.add(inner.get("context"))
+                    elif inner["op"] == "finalize" and not payload["error"]:
+                        proxy.contexts.discard(inner.get("context"))
+                # Whatever the ops were (a rejected attach, an unknown
                 # context), a proxy left without attachments is garbage
                 # nothing else would reap: client ids are per connection.
                 # Unless the same client is mid-attach on another thread.
@@ -523,6 +524,15 @@ class Router:
                     and self._proxies.get(client_id) is proxy
                 ):
                     del self._proxies[client_id]
+        served = iter(payloads)
+        return [
+            next(served) if inner.get("op") in _ROUTABLE_OPS else {
+                "error": int(ErrorCode.ERR_PROTOCOL),
+                "detail": f"op {inner.get('op')!r} cannot be executed "
+                          "for a routed client",
+            }
+            for inner in inners
+        ]
 
     def restore_proxies(
         self, context: str, clients: Iterable[str], waiters: Iterable
@@ -604,7 +614,7 @@ class Router:
             for proxy in orphans:
                 for context in list(proxy.contexts):
                     self.run_local(
-                        proxy.client_id, {"op": "finalize", "context": context}
+                        proxy.client_id, [{"op": "finalize", "context": context}]
                     )
                 with self._lock:  # a finalize that failed leaves it behind
                     if self._proxies.get(proxy.client_id) is proxy:

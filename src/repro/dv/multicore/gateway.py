@@ -203,9 +203,8 @@ class ExecutorGateway:
                 self._activate(context)
         return owner, serves
 
-    def _execute_local(self, proxy, inner: dict) -> dict:
-        handler = self.server._handlers[inner["op"]]
-        return self.server._run_op(proxy, handler, inner)
+    def _execute_local(self, proxy, inners: list[dict]) -> list[dict]:
+        return self.server.execute_ops(proxy, inners)
 
     def _dial(self, exec_id: str, **callbacks) -> PeerLink:
         with self._lock:

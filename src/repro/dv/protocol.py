@@ -108,6 +108,7 @@ __all__ = [
     "encode_binary",
     "encode_frame",
     "encode_open_reply",
+    "encode_ok_reply",
     "encode_open_request",
     "negotiate_codec",
     "negotiate_trace",
@@ -467,6 +468,16 @@ def encode_open_reply(
     return encode_frame(message, codec)
 
 
+def encode_ok_reply(req: Any) -> bytes:
+    """The empty success reply (``release``, ...) packed straight from
+    its ``req``: the bytes ``encode_binary`` makes of the reply dict."""
+    if _is_req(req):
+        return _HEADER.pack(
+            _MAGIC, _KIND_OK_REPLY, 0, _OK_REPLY.size
+        ) + _OK_REPLY.pack(req)
+    return encode_binary({"error": 0, "op": "reply", "req": req})
+
+
 def encode_open_request(req: Any, context: str, filename: str, codec: str,
                         tc: Any = None) -> bytes:
     """Client-side twin of :func:`encode_open_reply`: pack an ``open``
@@ -576,6 +587,52 @@ class StreamDecoder:
             if not line.strip():
                 continue
             return decode_message(line)
+
+    def drain(self) -> list[dict[str, Any]]:
+        """Every complete message in the buffer, in order: what calling
+        :meth:`next_message` until ``None`` returns, in one pass — the
+        buffer is walked by offset, its consumed prefix dropped once, and
+        the packed ``open``/``release`` requests are unpacked in place.
+        A bad frame raises what ``next_message`` raises on it and leaves
+        the buffer where that call would; the messages ahead of it are
+        lost with the framing (the connection is going down)."""
+        if self.codec == CODEC_LEGACY:
+            return list(iter(self._next_legacy, None))
+        buf, messages, pos = self._buffer, [], 0
+        size, head, strings = len(buf), _HEADER.size, _REQ_STRINGS.size
+        try:
+            while size - pos >= head:
+                magic, kind, _reserved, length = _HEADER.unpack_from(buf, pos)
+                if magic != _MAGIC:
+                    raise ProtocolError(f"bad binary frame magic 0x{magic:02x}")
+                if length > _MAX_MESSAGE:
+                    raise ProtocolError("binary frame exceeds maximum size")
+                body, end = pos + head, pos + head + length
+                if end > size:
+                    break
+                pos = end  # consumed, whatever the payload turns out to be
+                if kind not in (_KIND_OPEN, _KIND_RELEASE) or length < strings:
+                    messages.append(
+                        _decode_binary_payload(kind, bytes(buf[body:end]))
+                    )
+                    continue
+                req, ctx_len, fname_len = _REQ_STRINGS.unpack_from(buf, body)
+                mid = body + strings + ctx_len
+                if mid + fname_len != end:
+                    raise ProtocolError(
+                        "binary frame length does not match its payload"
+                    )
+                messages.append({
+                    "op": "open" if kind == _KIND_OPEN else "release",
+                    "req": req,
+                    "context": buf[body + strings:mid].decode("utf-8"),
+                    "file": buf[mid:end].decode("utf-8"),
+                })
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed binary string: {exc}") from exc
+        finally:
+            del buf[:pos]
+        return messages
 
     def _next_binary(self) -> dict[str, Any] | None:
         if len(self._buffer) < _HEADER.size:

@@ -52,7 +52,7 @@ from repro.core.errors import (
     ProtocolError,
     SimFSError,
 )
-from repro.dv.coordinator import DVCoordinator, Notification
+from repro.dv.coordinator import DVCoordinator, Notification, OpenResult
 from repro.dv.launcher import ThreadedLauncher
 from repro.dv.protocol import (
     CODEC_BINARY,
@@ -61,6 +61,7 @@ from repro.dv.protocol import (
     StreamDecoder,
     encode_binary,
     encode_message,
+    encode_ok_reply,
     encode_open_reply,
     negotiate_codec,
     negotiate_trace,
@@ -113,12 +114,22 @@ _ROUTABLE_OPS = frozenset(
 #: owner together, as one run (see ``_run_length``).
 _RUN_OPS = frozenset({"open", "release", "wclose"})
 
+#: What a *local* run is made of: a client's consecutive ones for one
+#: context served here execute as one shard call (see ``_next_run``).  A
+#: tuple, so that testing a JSON ``op`` that is a list compares, not hashes.
+_LOCAL_RUN_OPS = ("open", "release")
+
 #: Per-op service-time buckets (seconds): finer than DEFAULT_BUCKETS at the
 #: microsecond end, where the in-memory ops live.
 _SERVICE_BUCKETS = (
     0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
     0.005, 0.025, 0.1, 0.5, 2.5,
 )
+
+
+def _error_payload(exc: SimFSError) -> dict:
+    """The reply payload of an op that failed with ``exc``."""
+    return {"error": int(exc.code), "detail": str(exc)}
 
 
 @dataclass(frozen=True)
@@ -221,10 +232,10 @@ class DVServer:
         self._close_pending: collections.deque[_ClientConn] = collections.deque()
         self._resume_pending: collections.deque[_ClientConn] = collections.deque()
         self._running = False
-        # Set when any context has a bounded storage area: its release/
-        # wclose/finalize ops may evict-and-unlink on the PFS and must
-        # not run on the event loop (see _needs_worker).
-        self._evicting_inline_unsafe = False
+        # Contexts with a bounded storage area: their release/wclose/
+        # finalize ops may evict-and-unlink on the PFS and must not run
+        # on the event loop (see _needs_worker).  Everyone else's may.
+        self._evicting_contexts: set[str] = set()
         # Cluster-tier hooks, all optional (see repro.cluster.node):
         #   _extra_ops    — service ops beyond the classic table (fwd/gossip)
         #   _route_ops    — gateway: handle one client's consecutive ops
@@ -255,9 +266,7 @@ class DVServer:
         # created lazily on first dispatch of each op.
         self._op_hist: dict[str, object] = {}
         self._handlers = {
-            "open": self._op_open,
             "acquire": self._op_acquire,
-            "release": self._op_release,
             "wclose": self._op_wclose,
             "bitrep": self._op_bitrep,
             "attach": self._op_attach,
@@ -297,7 +306,7 @@ class DVServer:
 
         shard = self.coordinator.register_context(context, on_evict_file=delete_file)
         if context.config.max_storage_bytes is not None:
-            self._evicting_inline_unsafe = True
+            self._evicting_contexts.add(context.name)
         self.launcher.register_context(
             context.name, context.driver, output_dir, restart_dir,
             alpha_delay=alpha_delay, tau_delay=tau_delay,
@@ -337,8 +346,8 @@ class DVServer:
             name in self._handlers or name in self._extra_ops or name == "hello"
         ):
             raise InvalidArgumentError(f"op {name!r} is already defined")
-        if name == "hello":
-            raise InvalidArgumentError("the hello handshake cannot be replaced")
+        if name == "hello" or name in _LOCAL_RUN_OPS:  # never reach the table
+            raise InvalidArgumentError(f"op {name!r} cannot be replaced")
         self._extra_ops[name] = _ExtraOp(handler, reply_op, needs_worker)
 
     def set_data_endpoint(self, host: str, port: int) -> None:
@@ -675,17 +684,8 @@ class DVServer:
             return
         self._m_bytes_recv.inc(len(chunk))
         conn.decoder.feed(chunk)
-        messages = []
         try:
-            while True:
-                message = conn.decoder.next_message()
-                if message is None:
-                    break
-                if "tc" in message:
-                    # Traced request: stamp arrival so dispatch can emit a
-                    # queue-wait span (untraced messages pay nothing).
-                    message["_obs_t0"] = time.time()
-                messages.append(message)
+            messages = conn.decoder.drain()
         except ProtocolError:
             # Unparseable or oversized stream: the only safe move is to
             # drop the connection (framing is lost).
@@ -693,6 +693,11 @@ class DVServer:
             return
         if not messages:
             return
+        for message in messages:
+            if "tc" in message:
+                # Traced request: stamp arrival so dispatch can emit a
+                # queue-wait span (untraced messages pay nothing).
+                message["_obs_t0"] = time.time()
         self._m_frames_recv.inc(len(messages))
         with conn.send_lock:
             backlog = conn.busy or bool(conn.inbox)
@@ -721,14 +726,17 @@ class DVServer:
     def _needs_worker(self, message: dict) -> bool:
         """True for ops that may block and therefore must not run on the
         event loop: ``bitrep`` checksums a whole output step off the PFS;
-        when any registered context has a bounded storage area, ``release``/
-        ``wclose``/``finalize`` may evict and delete files on the PFS;
+        on a context with a bounded storage area, ``release``/``wclose``/
+        ``finalize`` may evict and delete files on the PFS;
         registered service ops (``fwd``/``gossip``) declare themselves; and
         any op the cluster gateway must forward to a peer blocks on that
         round trip (one round trip per run of them, see ``_run_length``)."""
         op = message.get("op")
+        context = message.get("context")
         if op in ("bitrep", "fetch_info") or (
-            self._evicting_inline_unsafe and op in _EVICTING_OPS
+            op in _EVICTING_OPS
+            and isinstance(context, str)
+            and context in self._evicting_contexts
         ):
             return True
         extra = self._extra_ops.get(op)
@@ -738,14 +746,8 @@ class DVServer:
             # The hello-extra hook may contend on the cluster lock, which
             # activation can hold across PFS scans — keep it off the loop.
             return True
-        if self._route_ops is not None:
-            context = message.get("context")
-            if (
-                isinstance(context, str)
-                and (op in _ROUTABLE_OPS or op == "hello")
-                and not self.coordinator.has_context(context)
-            ):
-                return True
+        if (op in _ROUTABLE_OPS or op == "hello") and self._forwards(context):
+            return True
         if op == "batch":
             sub_ops = message.get("ops")
             if isinstance(sub_ops, list):
@@ -765,23 +767,27 @@ class DVServer:
         tl.conn = conn
         tl.buf = bytearray()
         tl.frames = 0
+        idx, total = 0, len(messages)
         try:
-            for idx, message in enumerate(messages):
-                if self._needs_worker(message):
-                    # Flush before handing over so replies leave in the
-                    # order their requests arrived.
-                    self._flush_collector()
-                    with conn.send_lock:
-                        conn.inbox.extend(messages[idx:])
-                        conn.busy = True
-                    self._work_queue.put(conn)
-                    return
+            while idx < total:
                 try:
-                    self._handle_message(conn, message)
+                    count, local = self._next_run(conn, messages, idx, True)
+                    if not local and self._needs_worker(messages[idx]):
+                        # Flush before handing over so replies leave in
+                        # the order their requests arrived.
+                        self._flush_collector()
+                        with conn.send_lock:
+                            conn.inbox.extend(messages[idx:])
+                            conn.busy = True
+                        self._work_queue.put(conn)
+                        return
+                    run = messages if count == total else messages[idx:idx + count]
+                    self._execute(conn, run, local)
                 except Exception:
                     tl.frames = 0  # the conn is going down: drop replies
                     self._close_conn(conn)
                     return
+                idx += count
                 if len(tl.buf) >= _COLLECT_MAX:
                     self._flush_collector()
         finally:
@@ -922,13 +928,10 @@ class DVServer:
                 with conn.send_lock:
                     drained = not conn.inbox or conn.closing
                     if not drained:
-                        # The head messages the gateway forwards as one
-                        # run leave the inbox together.
-                        count = (
-                            self._run_length(conn.inbox)
-                            if conn.client_id is not None else 0
-                        )
-                        run = [conn.inbox.popleft() for _ in range(count or 1)]
+                        # The head messages that execute as one run leave
+                        # the inbox together.
+                        count, local = self._next_run(conn, conn.inbox)
+                        run = [conn.inbox.popleft() for _ in range(count)]
                 if drained:
                     # Flush *before* releasing the connection: once busy
                     # drops, the I/O thread may run newer messages inline,
@@ -942,10 +945,7 @@ class DVServer:
                             break
                     continue  # new messages arrived during the flush
                 try:
-                    if len(run) > 1:
-                        self._dispatch_run(conn, run)
-                    else:
-                        self._handle_message(conn, run[0])
+                    self._execute(conn, run, local)
                 except Exception:
                     # A failed send or an unexpected handler crash tears
                     # down this connection only — the worker must survive
@@ -978,11 +978,151 @@ class DVServer:
         self._m_bytes_sent.inc(len(buf))
         self._queue_or_send(tl.conn, buf)
 
-    def _handle_message(self, conn: _ClientConn, message: dict) -> None:
+    # ------------------------------------------------------------------ #
+    # Runs: the unit of execution
+    # ------------------------------------------------------------------ #
+    def _forwards(self, context) -> bool:
+        """Is an op naming ``context`` the gateway's to forward: a cluster
+        tier is installed and the context is not served here?"""
+        return (
+            self._route_ops is not None
+            and isinstance(context, str)
+            and not self.coordinator.has_context(context)
+        )
+
+    def _next_run(
+        self, conn: _ClientConn, messages, start: int = 0, inline: bool = False
+    ) -> tuple[int, bool]:
+        """The run splitter of both drains: how many of ``messages`` from
+        ``start`` on execute together, and whether as a *local* run (one
+        ``handle_run``, see ``_local_run_length``) — else as a *remote*
+        run (one ``fwd`` frame, see ``_run_length``) or, mostly, as one
+        message dispatched on its own."""
         if conn.client_id is None:
-            self._handle_hello(conn, message)
-            return
-        self._dispatch(conn, message)
+            return 1, False  # the hello
+        if not self._forwards(messages[start].get("context")):
+            count = self._local_run_length(messages, start, inline)
+            if count:
+                return count, True
+        return self._run_length(messages, start) or 1, False
+
+    def _local_run_length(self, messages, start: int, inline: bool = False) -> int:
+        """How many of ``messages`` from ``start`` on form a local run:
+        consecutive ``open``/``release`` for one context (which the
+        caller knows is not the gateway's to forward), up to
+        ``FWD_RUN_MAX`` — a run holds the shard lock.  Another context
+        and any other op end it — and, when ``inline`` (the caller is the
+        event loop), a ``release`` that may evict: it must leave the loop."""
+        context = messages[start].get("context")
+        evicts = inline and context in self._evicting_contexts
+        end = start
+        limit = min(len(messages), start + FWD_RUN_MAX)
+        while end < limit:
+            message = messages[end]
+            op = message.get("op")
+            if (
+                op not in _LOCAL_RUN_OPS
+                or message.get("context") != context
+                or (evicts and op == "release")
+            ):
+                break
+            end += 1
+        return end - start
+
+    def _execute(self, conn: _ClientConn, run: list[dict], local: bool) -> None:
+        """Execute what ``_next_run`` cut off the head of a batch."""
+        if local:
+            self._serve_run(conn, run)
+        elif len(run) > 1:
+            self._dispatch_run(conn, run)
+        elif conn.client_id is None:
+            self._handle_hello(conn, run[0])
+        else:
+            self._dispatch(conn, run[0])
+
+    def execute_run(
+        self, client_id: str, run: list[dict], stamps: list | None = None
+    ) -> list:
+        """Every local run enters the shard here, a connection's and a
+        routed client's alike: one ``handle_run`` for the lot.  Returns
+        its results — per message an :class:`OpenResult`, ``None`` for a
+        release, or the :class:`SimFSError` that op failed with."""
+        try:
+            shard = self.coordinator.shard(run[0]["context"])
+        except ContextError as exc:
+            return [exc] * len(run)
+        return shard.handle_run(
+            client_id,
+            [(m["op"] == "open", m["file"], m.get("tc")) for m in run],
+            self._clock.now(),
+            stamps,
+        )
+
+    def _serve_run(self, conn: _ClientConn, run: list[dict]) -> None:
+        """A connection's local run: the replies are packed straight from
+        the results, byte for byte what each op is answered with alone,
+        and every op is observed with its own service time — its turn in
+        the shard, not the run it travelled with."""
+        stamps = [time.perf_counter()]
+        results = self.execute_run(conn.client_id, run, stamps)
+        stamps += [stamps[-1]] * (len(run) + 1 - len(stamps))  # nothing ran
+        out = bytearray()
+        for message, result in zip(run, results):
+            req = message.get("req")
+            if result is None:
+                out += encode_ok_reply(req)
+            elif isinstance(result, OpenResult):
+                out += encode_open_reply(
+                    req, result.available, result.state.value,
+                    result.estimated_wait, CODEC_BINARY,
+                    tc=message.get("tc") if conn.trace else None,
+                )
+            else:  # key order: an open's error always led with the op
+                error = _error_payload(result)
+                out += encode_binary(
+                    {"op": "reply", "req": req, **error}
+                    if message["op"] == "open"
+                    else {**error, "op": "reply", "req": req}
+                )
+        self._send_raw(conn, out, len(run))
+        for idx, message in enumerate(run):
+            self._observe_op(
+                message["op"], stamps[idx + 1] - stamps[idx], message,
+                message.get("_obs_t0"), stamps[idx + 1],
+            )
+
+    def execute_ops(self, client, ops: list[dict]) -> list[dict]:
+        """Run ``ops`` here, in order, forwarding nothing, and return
+        their reply payloads: local runs through ``execute_run``, the
+        rest one by one.  The cluster tier's execute hook for a routed
+        client, and a ``batch``'s sub-ops; ``client`` quacks like a
+        connection (``client_id``/``contexts``)."""
+        payloads: list[dict] = []
+        idx = 0
+        while idx < len(ops):
+            count = self._local_run_length(ops, idx)
+            if count:
+                results = self.execute_run(client.client_id, ops[idx:idx + count])
+                payloads += map(self._result_payload, results)
+            else:
+                handler = self._handlers[ops[idx]["op"]]
+                payloads.append(self._run_op(client, handler, ops[idx]))
+            idx += count or 1
+        return payloads
+
+    @staticmethod
+    def _result_payload(result) -> dict:
+        """An ``execute_run`` result as a reply payload."""
+        if result is None:
+            return {"error": int(ErrorCode.SUCCESS)}
+        if isinstance(result, SimFSError):
+            return _error_payload(result)
+        return {
+            "available": result.available,
+            "state": result.state.value,
+            "wait": result.estimated_wait,
+            "error": int(ErrorCode.SUCCESS),
+        }
 
     # ------------------------------------------------------------------ #
     # Handshake and dispatch
@@ -1021,10 +1161,7 @@ class DVServer:
         error = int(ErrorCode.SUCCESS)
         detail = ""
         if context_name:
-            if (
-                self._route_ops is not None
-                and not self.coordinator.has_context(context_name)
-            ):
+            if self._forwards(context_name):
                 # Gateway path: the context lives on a peer — forward the
                 # attach so the owner registers this client as a waiter.
                 payload = self._route(
@@ -1051,9 +1188,6 @@ class DVServer:
         conn.decoder.set_codec(codec)
         conn.trace = trace
 
-    def _handler_for(self, op):
-        return self._handlers.get(op)
-
     def _dispatch(self, conn: _ClientConn, message: dict) -> None:
         started = time.perf_counter()
         arrived = message.pop("_obs_t0", None)
@@ -1067,9 +1201,11 @@ class DVServer:
 
     def _observe_op(
         self, op, elapsed: float, message: dict | None = None,
-        arrived: float | None = None,
+        arrived: float | None = None, ended: float | None = None,
     ) -> None:
-        """Record one op's service time (dispatch entry to reply queued).
+        """Record one op's service time (dispatch entry to reply queued;
+        for an op of a local run, its turn in the shard, which ended at
+        ``perf_counter`` reading ``ended``).
 
         Traced messages additionally get an ``op.<op>`` span (plus a
         queue-wait span when the arrival timestamp is known) and an
@@ -1092,6 +1228,8 @@ class DVServer:
         if tc is None and elapsed < self.obs.slow_threshold:
             return
         end = time.time()
+        if ended is not None:
+            end -= time.perf_counter() - ended
         start = end - elapsed
         self.obs.record(
             f"op.{op}", tc, start, end,
@@ -1113,19 +1251,14 @@ class DVServer:
             try:
                 payload = extra.handler(conn, message)
             except SimFSError as exc:
-                payload = {"error": int(exc.code), "detail": str(exc)}
+                payload = _error_payload(exc)
             if payload is None:
                 return  # one-way frame, no reply
             payload.setdefault("error", int(ErrorCode.SUCCESS))
             payload.update({"op": extra.reply_op, "req": req})
             self._send(conn, payload)
             return
-        if (
-            self._route_ops is not None
-            and op in _ROUTABLE_OPS
-            and isinstance(message.get("context"), str)
-            and not self.coordinator.has_context(message["context"])
-        ):
+        if op in _ROUTABLE_OPS and self._forwards(message.get("context")):
             # Gateway path: this daemon does not own the context — the
             # route hook forwards to the owning peer and hands back the
             # reply payload the owner produced.
@@ -1133,28 +1266,7 @@ class DVServer:
             payload.update({"op": "reply", "req": req})
             self._send(conn, payload)
             return
-        if op == "open" and "context" in message and "file" in message:
-            # Hottest op of the transparent path: reply packed straight
-            # from the handler result, no intermediate dict — and no
-            # second handler execution on failure (handle_open pins
-            # before it can fail, so a re-run would leak a refcount).
-            tc = message.get("tc")
-            try:
-                result = self.coordinator.handle_open(
-                    conn.client_id, message["context"], message["file"],
-                    self._clock.now(), tc=tc,
-                )
-            except SimFSError as exc:
-                self._send(conn, {"op": "reply", "req": req,
-                                  "error": int(exc.code), "detail": str(exc)})
-            else:
-                self._send_raw(conn, encode_open_reply(
-                    req, result.available, result.state.value,
-                    result.estimated_wait, CODEC_BINARY,
-                    tc=tc if conn.trace else None,
-                ))
-            return
-        handler = self._handler_for(op)
+        handler = self._handlers.get(op)
         if handler is None:
             self._send(conn, {"op": "reply", "req": req,
                               "error": int(ErrorCode.ERR_PROTOCOL),
@@ -1172,18 +1284,12 @@ class DVServer:
         ``release``/``wclose`` for the same non-local context, up to
         ``FWD_RUN_MAX``.  A message for another context, one carrying
         ``tc`` and any other op end the run."""
-        if self._route_ops is None:
-            return 0
         head = messages[start]
         if not isinstance(head, dict):
             return 0
         op = head.get("op")
         context = head.get("context")
-        if (
-            op not in _ROUTABLE_OPS
-            or not isinstance(context, str)
-            or self.coordinator.has_context(context)
-        ):
+        if not self._forwards(context) or op not in _ROUTABLE_OPS:
             return 0
         if op not in _RUN_OPS or "tc" in head:
             return 1
@@ -1208,9 +1314,7 @@ class DVServer:
         try:
             payloads = self._route_ops(conn, messages)
         except SimFSError as exc:
-            payloads = [
-                {"error": int(exc.code), "detail": str(exc)} for _ in messages
-            ]
+            payloads = [_error_payload(exc) for _ in messages]
         for payload in payloads:
             payload.setdefault("error", int(ErrorCode.SUCCESS))
         return payloads
@@ -1233,7 +1337,7 @@ class DVServer:
             payload = handler(conn, message)
             payload.setdefault("error", int(ErrorCode.SUCCESS))
         except SimFSError as exc:
-            payload = {"error": int(exc.code), "detail": str(exc)}
+            payload = _error_payload(exc)
         return payload
 
     # -- op handlers ------------------------------------------------------ #
@@ -1242,17 +1346,6 @@ class DVServer:
         self.coordinator.client_connect(conn.client_id, context)
         conn.contexts.add(context)
         return {}
-
-    def _op_open(self, conn: _ClientConn, message: dict) -> dict:
-        result = self.coordinator.handle_open(
-            conn.client_id, message["context"], message["file"],
-            self._clock.now(), tc=message.get("tc"),
-        )
-        return {
-            "available": result.available,
-            "state": result.state.value,
-            "wait": result.estimated_wait,
-        }
 
     def _op_acquire(self, conn: _ClientConn, message: dict) -> dict:
         results = self.coordinator.handle_acquire(
@@ -1266,13 +1359,6 @@ class DVServer:
                 for r in results
             ]
         }
-
-    def _op_release(self, conn: _ClientConn, message: dict) -> dict:
-        self.coordinator.handle_release(
-            conn.client_id, message["context"], message["file"],
-            self._clock.now(),
-        )
-        return {}
 
     def _op_wclose(self, conn: _ClientConn, message: dict) -> dict:
         self.coordinator.sim_file_closed(
@@ -1330,8 +1416,7 @@ class DVServer:
         while idx < len(sub_ops):
             sub = sub_ops[idx]
             sub_op = sub.get("op") if isinstance(sub, dict) else None
-            handler = self._handler_for(sub_op) if sub_op in _BATCHABLE_OPS else None
-            if handler is None:
+            if sub_op not in _BATCHABLE_OPS:
                 results.append({
                     "op": sub_op,
                     "error": int(ErrorCode.ERR_PROTOCOL),
@@ -1348,7 +1433,7 @@ class DVServer:
                 payloads = self._route(conn, run)
             else:
                 run = [sub]
-                payloads = [self._run_op(conn, handler, sub)]
+                payloads = self.execute_ops(conn, run)
             for routed, payload in zip(run, payloads):
                 payload["op"] = routed["op"]
                 results.append(payload)
@@ -1515,8 +1600,9 @@ class DVServer:
         """The hello reply (granted or rejected): one newline-JSON line."""
         self._send_raw(conn, encode_message(message))
 
-    def _send_raw(self, conn: _ClientConn, data: bytes) -> None:
-        """Ship one encoded frame to a connection.
+    def _send_raw(self, conn: _ClientConn, data: bytes, frames: int = 1) -> None:
+        """Ship one encoded frame (or ``frames`` of them, joined) to a
+        connection.
 
         First choice is the owning worker's collector (coalesced with the
         rest of the inbox drain); frames for *other* connections —
@@ -1526,9 +1612,9 @@ class DVServer:
         tl = self._tl
         if getattr(tl, "conn", None) is conn:
             tl.buf += data
-            tl.frames += 1
+            tl.frames += frames
             return
-        self._m_frames_sent.inc()
+        self._m_frames_sent.inc(frames)
         self._m_bytes_sent.inc(len(data))
         self._queue_or_send(conn, data)
 

@@ -23,15 +23,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from time import perf_counter
+from typing import TYPE_CHECKING, NamedTuple, Protocol
 
 from repro.cache.manager import StorageArea
 from repro.core.context import SimulationContext
 from repro.core.errors import (
     FileNotInContextError,
     InvalidArgumentError,
+    SimFSError,
 )
 from repro.core.status import FileState
 from repro.prefetch.agent import PrefetchAction, PrefetchAgent
@@ -94,8 +96,10 @@ class RunningSim:
         return self.produced_keys >= set(self.planned_keys)
 
 
-@dataclass(frozen=True)
-class OpenResult:
+_ON_DISK = FileState.ON_DISK
+
+
+class OpenResult(NamedTuple):
     """Outcome of a client open/acquire on one file."""
 
     filename: str
@@ -104,7 +108,7 @@ class OpenResult:
 
     @property
     def available(self) -> bool:
-        return self.state is FileState.ON_DISK
+        return self.state is _ON_DISK
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,14 @@ class Notification:
     #: Trace context of the open that registered the waiter (wire string);
     #: carried onto the ready frame so the fan-out hop is traced too.
     tc: str | None = None
+
+
+def _raised(results: list) -> list:
+    """``handle_run``'s results, or the first error among them raised."""
+    for result in results:
+        if isinstance(result, SimFSError):
+            raise result
+    return results
 
 
 class JobQueue:
@@ -426,101 +438,76 @@ class ContextShard:
     # ------------------------------------------------------------------ #
     # Client data path
     # ------------------------------------------------------------------ #
+    def handle_run(
+        self,
+        client_id: str,
+        ops: Sequence[tuple[bool, str, str | None]],
+        now: float,
+        stamps: list[float] | None = None,
+    ) -> list[OpenResult | SimFSError | None]:
+        """One client's consecutive ops, each ``(is_open, filename, tc)``
+        — an ``open``, else a ``release`` — under one lock acquisition and
+        one attachment check.  Per op: the :class:`OpenResult`, ``None``
+        for a release, or the :class:`SimFSError` it failed with (a failed
+        op does not stop the ones behind it).  ``stamps``, when given,
+        receives a ``perf_counter`` reading as each op finishes, so a
+        front end can still time every op on its own."""
+        results: list[OpenResult | SimFSError | None] = []
+        opened = hits = released = 0
+        with self.lock:
+            try:
+                self._require_client(client_id)
+            except SimFSError as exc:
+                return [exc] * len(ops)
+            try:
+                for is_open, filename, tc in ops:
+                    try:
+                        if is_open:
+                            result = self._open_locked(client_id, filename, now, tc)
+                            opened += 1
+                            hits += result.state is _ON_DISK
+                        else:
+                            result = self._release_locked(client_id, filename)
+                            released += 1
+                    except SimFSError as exc:
+                        result = exc
+                    results.append(result)
+                    if stamps is not None:
+                        stamps.append(perf_counter())
+            finally:
+                # One locked inc per counter per run, not per op.
+                if self._m_opens is not None:
+                    if opened:
+                        self._m_opens.inc(opened)
+                        if hits:
+                            self._m_hits.inc(hits)
+                        if opened > hits:
+                            self._m_misses.inc(opened - hits)
+                    if released:
+                        self._m_releases.inc(released)
+        return results
+
     def handle_open(
         self, client_id: str, filename: str, now: float,
         tc: str | None = None,
     ) -> OpenResult:
-        """An analysis wants ``filename`` (transparent open or acquire).
-
-        On a hit the file is pinned for the client and the call reports it
-        available.  On a miss the client is registered as a waiter and a
-        demand re-simulation is launched unless one already covers the
-        step; prefetch decisions from the client's agent are executed
-        either way.
-        """
-        with self.lock:
-            self._require_client(client_id)
-            key = self._key_of(filename)
-
-            hit = self.area.access(key)
-            if hit:
-                self.area.pin(key)
-                self.open_files[client_id].append(key)
-
-            # Pure analysis processing time: gap since this client's
-            # previous access was served (excludes time blocked on
-            # re-simulations).
-            previous_serve = self.last_served.get(client_id)
-            processing_time = (
-                None if previous_serve is None else now - previous_serve
-            )
-            if hit:
-                self.last_served[client_id] = now
-
-            agent = self.agents[client_id]
-            decision = agent.observe_access(key, now, hit, processing_time)
-            if decision.pollution:
-                # A prefetched step was evicted before use: cache
-                # pollution; reset every agent of the context (Sec. IV-C).
-                for other in self.agents.values():
-                    other.reset()
-            if decision.pattern_broken:
-                self._kill_useless_prefetches(client_id)
-
-            estimated = 0.0
-            if not hit:
-                self.waiters.setdefault(key, set()).add(client_id)
-                if self.obs is not None and tc is not None:
-                    self._waiter_obs[(key, client_id)] = (tc, self.obs.now())
-                if key not in self.in_flight:
-                    sim = self._launch_demand(client_id, key, now, tc=tc)
-                    agent.note_demand_job(sim.start_restart, sim.stop_restart)
-                estimated = self._estimate_wait(key, now)
-
-            # Execute prefetch launches after the demand job so coverage
-            # bookkeeping extends from its edge.
-            for action in decision.launch:
-                self._launch_prefetch(client_id, action, now)
-
-            if self._m_opens is not None:
-                self._m_opens.inc()
-                (self._m_hits if hit else self._m_misses).inc()
-                if not hit:
-                    self._m_wait.observe(estimated)
-
-            return OpenResult(
-                filename=filename,
-                state=FileState.ON_DISK if hit else self._flight_state(key),
-                estimated_wait=estimated,
-            )
+        """An analysis wants ``filename`` (transparent open or acquire):
+        a run of one, its error raised (see :meth:`_open_locked`)."""
+        return _raised(self.handle_run(client_id, ((True, filename, tc),), now))[0]
 
     def handle_acquire(
         self, client_id: str, filenames: list[str], now: float,
         tc: str | None = None,
     ) -> list[OpenResult]:
-        """``SIMFS_Acquire``: open semantics over a set of files."""
-        with self.lock:
-            return [
-                self.handle_open(client_id, name, now, tc=tc)
-                for name in filenames
-            ]
+        """``SIMFS_Acquire``: open semantics over a set of files.  Every
+        file is asked for; the first one that failed raises."""
+        return _raised(self.handle_run(
+            client_id, [(True, name, tc) for name in filenames], now
+        ))
 
     def handle_release(self, client_id: str, filename: str, now: float) -> None:
         """``SIMFS_Release`` / transparent read-close: drop the pin."""
-        with self.lock:
-            self._require_client(client_id)
-            key = self._key_of(filename)
-            open_list = self.open_files[client_id]
-            if key not in open_list:
-                raise InvalidArgumentError(
-                    f"client {client_id!r} does not hold {filename!r}"
-                )
-            open_list.remove(key)
-            if key in self.area:
-                self.area.unpin(key)
-                self.area.evict_until_fits()
-            if self._m_releases is not None:
-                self._m_releases.inc()
+        _raised(self.handle_run(client_id, ((False, filename, None),), now))
 
     def handle_bitrep(self, filename: str, path: str) -> bool:
         """``SIMFS_Bitrep``: does the file at ``path`` match the checksum
@@ -655,6 +642,75 @@ class ContextShard:
             ok=None if ok else False,
         )
         return tc
+
+    def _open_locked(
+        self, client_id: str, filename: str, now: float, tc: str | None
+    ) -> OpenResult:
+        """The one ``open`` (lock held, client attached).  On a hit the
+        file is pinned for the client and reported available.  On a miss
+        the client is registered as a waiter and a demand re-simulation
+        is launched unless one already covers the step; prefetch
+        decisions from the client's agent are executed either way."""
+        key = self._key_of(filename)
+
+        hit = self.area.access(key)
+        if hit:
+            self.area.pin(key)
+            self.open_files[client_id].append(key)
+
+        # Pure analysis processing time: gap since this client's
+        # previous access was served (excludes time blocked on
+        # re-simulations).
+        previous_serve = self.last_served.get(client_id)
+        processing_time = (
+            None if previous_serve is None else now - previous_serve
+        )
+        if hit:
+            self.last_served[client_id] = now
+
+        agent = self.agents[client_id]
+        decision = agent.observe_access(key, now, hit, processing_time)
+        if decision.pollution:
+            # A prefetched step was evicted before use: cache
+            # pollution; reset every agent of the context (Sec. IV-C).
+            for other in self.agents.values():
+                other.reset()
+        if decision.pattern_broken:
+            self._kill_useless_prefetches(client_id)
+
+        estimated = 0.0
+        if not hit:
+            self.waiters.setdefault(key, set()).add(client_id)
+            if self.obs is not None and tc is not None:
+                self._waiter_obs[(key, client_id)] = (tc, self.obs.now())
+            if key not in self.in_flight:
+                sim = self._launch_demand(client_id, key, now, tc=tc)
+                agent.note_demand_job(sim.start_restart, sim.stop_restart)
+            estimated = self._estimate_wait(key, now)
+
+        # Execute prefetch launches after the demand job so coverage
+        # bookkeeping extends from its edge.
+        for action in decision.launch:
+            self._launch_prefetch(client_id, action, now)
+
+        if not hit and self._m_wait is not None:
+            self._m_wait.observe(estimated)
+        return OpenResult(
+            filename, _ON_DISK if hit else self._flight_state(key), estimated
+        )
+
+    def _release_locked(self, client_id: str, filename: str) -> None:
+        """The one ``release`` (lock held, client attached)."""
+        key = self._key_of(filename)
+        open_list = self.open_files[client_id]
+        if key not in open_list:
+            raise InvalidArgumentError(
+                f"client {client_id!r} does not hold {filename!r}"
+            )
+        open_list.remove(key)
+        if key in self.area:
+            self.area.unpin(key)
+            self.area.evict_until_fits()
 
     def _require_client(self, client_id: str) -> None:
         if client_id not in self.agents:

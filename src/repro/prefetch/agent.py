@@ -27,7 +27,7 @@ Agents are deliberately I/O-free: :meth:`observe_access` returns a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.context import ContextConfig
 from repro.core.errors import InvalidArgumentError
@@ -55,16 +55,21 @@ class PrefetchAction:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrefetchDecision:
     """What the DV should do after one observed access."""
 
-    launch: list[PrefetchAction] = field(default_factory=list)
+    launch: tuple[PrefetchAction, ...] = ()
     #: the analysis changed direction/stride: prefetched sims for the old
     #: pattern may be killed (if nobody else waits on them)
     pattern_broken: bool = False
     #: a prefetched step was evicted before use: reset all agents
     pollution: bool = False
+
+
+#: The two outcomes of almost every access launch nothing: shared.
+_NOTHING = PrefetchDecision()
+_PATTERN_BROKEN = PrefetchDecision(pattern_broken=True)
 
 
 class PrefetchAgent:
@@ -140,43 +145,44 @@ class PrefetchAgent:
         coordinator supplies it from its serve timestamps so ``τcli``
         reflects the analysis' full-bandwidth consumption rate.
         """
-        decision = PrefetchDecision()
-
         # Cache-pollution signal: a step we prefetched was evicted before
         # the analysis got to it (Sec. IV-C).
-        if not hit and key in self._prefetched_keys:
+        pollution = not hit and key in self._prefetched_keys
+        if pollution:
             self._prefetched_keys.discard(key)
-            decision.pollution = True
 
         state = self.detector.observe(key, now, processing_time)
-        if state.just_reset:
-            decision.pattern_broken = True
+        broken = state.just_reset
+        if broken:
             self._frontier = None
             self._ramp_s = 0
             self._prefetched_keys.clear()
 
-        if not self.config.prefetch_enabled:
-            return decision
-        if not state.confirmed or state.tau_cli is None:
-            return decision
-
-        direction = state.direction
-        k = state.stride or 1
-        tau_cli = max(state.tau_cli, 1e-9)
-        tau_sim = self.perf.tau(self.level)
-        alpha = self.alpha_estimate.value
-
-        # Strategy (1): raise the parallelism level of future jobs while
-        # the analysis outpaces the simulation and more nodes still help.
-        while k * tau_sim > tau_cli and self.perf.next_level_is_faster(self.level):
-            self.level += 1
+        launch: list[PrefetchAction] = []
+        if (
+            self.config.prefetch_enabled
+            and state.confirmed
+            and state.tau_cli is not None
+        ):
+            k = state.stride or 1
+            tau_cli = max(state.tau_cli, 1e-9)
             tau_sim = self.perf.tau(self.level)
+            alpha = self.alpha_estimate.value
 
-        if direction is Direction.FORWARD:
-            self._plan_forward(decision, key, k, tau_sim, tau_cli, alpha)
-        elif direction is Direction.BACKWARD:
-            self._plan_backward(decision, key, k, tau_sim, tau_cli, alpha)
-        return decision
+            # Strategy (1): raise the parallelism level of future jobs
+            # while the analysis outpaces the simulation and more nodes
+            # still help.
+            while k * tau_sim > tau_cli and self.perf.next_level_is_faster(self.level):
+                self.level += 1
+                tau_sim = self.perf.tau(self.level)
+
+            if state.direction is Direction.FORWARD:
+                self._plan_forward(launch, key, k, tau_sim, tau_cli, alpha)
+            elif state.direction is Direction.BACKWARD:
+                self._plan_backward(launch, key, k, tau_sim, tau_cli, alpha)
+        if launch or pollution:
+            return PrefetchDecision(tuple(launch), broken, pollution)
+        return _PATTERN_BROKEN if broken else _NOTHING
 
     # ------------------------------------------------------------------ #
     def _next_batch_size(self, s_opt: int) -> int:
@@ -198,8 +204,8 @@ class PrefetchAgent:
             return None
         return math.ceil(geo.num_timesteps / geo.delta_r)
 
-    def _record_launch(self, decision: PrefetchDecision, action: PrefetchAction) -> None:
-        decision.launch.append(action)
+    def _record_launch(self, launch: list[PrefetchAction], action: PrefetchAction) -> None:
+        launch.append(action)
         self._launched_actions += 1
         for out_key in self.geometry.outputs_between_restarts(
             action.start_restart, action.stop_restart
@@ -208,7 +214,7 @@ class PrefetchAgent:
 
     def _plan_forward(
         self,
-        decision: PrefetchDecision,
+        launch: list[PrefetchAction],
         key: int,
         k: int,
         tau_sim: float,
@@ -216,7 +222,6 @@ class PrefetchAgent:
         alpha: float,
     ) -> None:
         geo = self.geometry
-        n = planner.forward_resim_length(alpha, tau_sim, tau_cli, k, geo)
         per_step = max(k * tau_sim, tau_cli)
         lead_keys = math.ceil(alpha / per_step) * k if alpha > 0 else 0
 
@@ -234,6 +239,8 @@ class PrefetchAgent:
         if max_r is not None and self._frontier >= max_r:
             return  # simulation end reached; nothing left to prefetch
 
+        # This is the prefetching step: only now size the batch.
+        n = planner.forward_resim_length(alpha, tau_sim, tau_cli, k, geo)
         s = self._next_batch_size(planner.s_opt_forward(tau_sim, tau_cli, k))
         q = self._intervals_of(n)
         start = self._frontier
@@ -244,16 +251,16 @@ class PrefetchAgent:
             if stop <= start:
                 break
             self._record_launch(
-                decision,
+                launch,
                 PrefetchAction(start, stop, parallelism_level=self.level),
             )
             start = stop
         self._frontier = start
-        self._ramp_s = max(len(decision.launch), self._ramp_s, 1)
+        self._ramp_s = max(len(launch), self._ramp_s, 1)
 
     def _plan_backward(
         self,
-        decision: PrefetchDecision,
+        launch: list[PrefetchAction],
         key: int,
         k: int,
         tau_sim: float,
@@ -261,17 +268,6 @@ class PrefetchAgent:
         alpha: float,
     ) -> None:
         geo = self.geometry
-        if tau_cli > k * tau_sim:
-            # Analysis slower than the simulation: one job of length n
-            # hides both latency and simulation time (Sec. IV-B2).
-            n = planner.backward_resim_length(alpha, tau_sim, tau_cli, k, geo)
-            s_cap = 1
-        else:
-            # Analysis faster: parallel jobs of one restart interval each.
-            n = geo.round_up_to_restart_outputs(
-                max(1, int(geo.outputs_per_restart_interval))
-            )
-            s_cap = planner.backward_parallel_sims(alpha, tau_sim, tau_cli, k, n)
         per_step = max(k * tau_sim, tau_cli)
         lead_keys = math.ceil(alpha / per_step) * k if alpha > 0 else 0
 
@@ -285,6 +281,18 @@ class PrefetchAgent:
         if self._frontier <= 0:
             return  # reached the beginning of the simulation
 
+        # This is the prefetching step: only now size the batch.
+        if tau_cli > k * tau_sim:
+            # Analysis slower than the simulation: one job of length n
+            # hides both latency and simulation time (Sec. IV-B2).
+            n = planner.backward_resim_length(alpha, tau_sim, tau_cli, k, geo)
+            s_cap = 1
+        else:
+            # Analysis faster: parallel jobs of one restart interval each.
+            n = geo.round_up_to_restart_outputs(
+                max(1, int(geo.outputs_per_restart_interval))
+            )
+            s_cap = planner.backward_parallel_sims(alpha, tau_sim, tau_cli, k, n)
         s = min(self._next_batch_size(s_cap), self.config.smax)
         q = self._intervals_of(n)
         stop = self._frontier
@@ -293,9 +301,9 @@ class PrefetchAgent:
             if start >= stop:
                 break
             self._record_launch(
-                decision,
+                launch,
                 PrefetchAction(start, stop, parallelism_level=self.level),
             )
             stop = start
         self._frontier = stop
-        self._ramp_s = max(len(decision.launch), self._ramp_s, 1)
+        self._ramp_s = max(len(launch), self._ramp_s, 1)

@@ -14,7 +14,7 @@ jumps to a different timespan.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.errors import InvalidArgumentError
 from repro.util.ema import ExponentialMovingAverage
@@ -29,9 +29,9 @@ class Direction(enum.Enum):
     BACKWARD = -1
 
 
-@dataclass(frozen=True)
-class PatternState:
-    """Snapshot of the detector after an access."""
+class PatternState(NamedTuple):
+    """Snapshot of the detector after an access (immutable; a tuple is
+    built in one call where a frozen dataclass pays one per field)."""
 
     confirmed: bool
     direction: Direction | None
@@ -151,11 +151,8 @@ class PatternDetector:
         if not just_reset and self._state_cache is not None:
             return self._state_cache
         state = PatternState(
-            confirmed=self._confirmed,
-            direction=self.direction,
-            stride=self.stride,
-            tau_cli=self.tau_cli,
-            just_reset=just_reset,
+            self._confirmed, self.direction, self.stride, self.tau_cli,
+            just_reset,
         )
         if not just_reset:
             self._state_cache = state

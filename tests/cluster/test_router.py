@@ -96,6 +96,12 @@ class FakeLink:
         self.net.members[self.dst].router.on_fwd(FakeConn(self.src), frame)
 
 
+def per_op(execute):
+    """The router's ``execute_local`` hook takes a client's ops as a list;
+    the fakes here answer one op at a time."""
+    return lambda proxy, inners: [execute(proxy, inner) for inner in inners]
+
+
 class Member:
     """One router plus dict-backed shards and the readies it delivered."""
 
@@ -117,7 +123,7 @@ class Member:
             member_id,
             resolve=lambda c: (net.owners.get(c), c in net.catalog),
             dial=self.dial,
-            execute_local=self.execute,
+            execute_local=per_op(self.execute),
             ready_sink=self.delivered.append,
             send=lambda conn, frame: net.members[conn.peer].router
             .on_link_fwd(frame),
@@ -319,7 +325,7 @@ class TestForward:
                 a.active.add(CTX)
             return original(proxy, inner)
 
-        a.router._execute_local = lagging
+        a.router._execute_local = per_op(lagging)
         assert b.router.forward("c1", op("attach")) == {"error": 0}
         assert len(calls) == 3 and net.clock.sleeps == [0.05] * 2
 
@@ -468,12 +474,12 @@ class TestOwnerSide:
 
         def attach_races_an_open(proxy, inner):
             if inner["op"] == "attach":
-                racing = a.router.run_local("c1", op("open", "f1"))
+                (racing,) = a.router.run_local("c1", [op("open", "f1")])
                 assert racing["error"] == ERR_INVALID
                 assert "c1" in a.router._proxies  # not reaped mid-attach
             return original(proxy, inner)
 
-        a.router._execute_local = attach_races_an_open
+        a.router._execute_local = per_op(attach_races_an_open)
         net.members["b"].router.forward("c1", op("attach"))
         assert a.router._proxies["c1"].contexts == {CTX}
 
@@ -644,7 +650,7 @@ class TestRuns:
             a.active.add(CTX)
             return payload
 
-        a.router._execute_local = activates_after_the_first_op
+        a.router._execute_local = per_op(activates_after_the_first_op)
         payloads = b.router.forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [0] * len(RUN)
         assert net.clock.sleeps == [0.05] and net.clock.now < b.router.rpc_timeout

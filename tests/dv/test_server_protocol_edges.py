@@ -15,6 +15,7 @@ from repro.core.errors import (
     ErrorCode,
     InvalidArgumentError,
     ProtocolError,
+    SimFSError,
 )
 from repro.core.perfmodel import PerformanceModel
 from repro.dv.protocol import _MAX_MESSAGE
@@ -105,6 +106,33 @@ class TestOversizedFrame:
         finally:
             server_sock.close()
             client_sock.close()
+
+
+class TestUnhashableFields:
+    def test_a_list_for_an_op_costs_only_that_connection(self, two_context_server):
+        """JSON lets ``op``/``context`` be a list; the run splitter and
+        the dispatch tables must not take the event loop (or a worker)
+        down with a ``TypeError`` - the connection goes, the daemon stays."""
+        from repro.dv.protocol import encode_frame
+
+        server, contexts = two_context_server
+        fname = contexts["alpha"].filename_of(1)
+        for bad in (
+            {"op": ["open"], "req": 1},
+            {"op": "open", "req": 1, "context": ["alpha"], "file": fname},
+            {"op": "release", "req": 1, "context": {"a": 1}, "file": fname},
+        ):
+            conn = connect(server, "alpha")
+            try:
+                conn._sock.sendall(encode_frame(bad, "binary"))
+                with pytest.raises(SimFSError):
+                    conn.call({"op": "stats"}, timeout=10.0)
+            finally:
+                conn.close()
+            with connect(server, "alpha") as conn:  # the daemon still serves
+                conn.attach("alpha")
+                assert conn.open("alpha", fname)
+                conn.release("alpha", fname)
 
 
 class TestDuplicateHello:

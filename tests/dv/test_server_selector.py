@@ -494,7 +494,7 @@ class TestBoundedAreaEviction:
         server.add_context(context, out, rst)
         server.start()
         try:
-            assert server._evicting_inline_unsafe
+            assert server._evicting_contexts == {"tiny"}
             with connect(server, "tiny") as conn:
                 with SimFSSession(conn, "tiny") as session:
                     for key in range(1, 13):

@@ -11,13 +11,35 @@ from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 
 
+#: Probe sockets of the ports handed out and not yet released.
+_HELD_PORTS: list[socket.socket] = []
+
+
 def free_port() -> int:
-    """An ephemeral TCP port for tests that must bind a known port."""
+    """An ephemeral TCP port for tests that must bind a known port.
+
+    The probe socket stays bound (never listening) until the test that
+    asked is torn down: while it is, the kernel gives the port to no other
+    ``bind(0)`` and to no outgoing connection, so two nodes of one test can
+    no longer be handed the same port, and the port cannot be taken between
+    this call and the node's own bind.  That bind succeeds beside the probe
+    because both set ``SO_REUSEADDR`` (``socket.create_server`` does) and
+    the probe does not listen; a connect to a port nothing else bound is
+    still refused.
+    """
     sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
+    _HELD_PORTS.append(sock)
+    return sock.getsockname()[1]
+
+
+@pytest.fixture(autouse=True)
+def _release_ports():
+    """Give the held ports back once the test's nodes are gone."""
+    yield
+    while _HELD_PORTS:
+        _HELD_PORTS.pop().close()
 
 
 @pytest.fixture
