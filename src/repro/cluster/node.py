@@ -65,7 +65,7 @@ from repro.core.errors import (
 from repro.data.client import DataClient
 from repro.data.server import DataServer
 from repro.dv.protocol import OP_FWD, OP_GOSSIP
-from repro.dv.server import DVServer
+from repro.dv.server import DVServer, reply_frame
 
 __all__ = ["ContextSpec", "ClusterNode", "parse_peer"]
 
@@ -767,13 +767,14 @@ class ClusterNode:
                 pass
         return owner, known
 
-    def _execute_local(self, proxy, inners: list[dict]) -> list[dict]:
+    def _execute_local(self, proxy, messages: list[dict]) -> list[bytes]:
         """Router hook: run a routed client's ops on this node's shards."""
         if self.engine is not None:
             return [
-                self.engine.forward(proxy.client_id, inner) for inner in inners
+                reply_frame(message, self.engine.forward(proxy.client_id, message))
+                for message in messages
             ]
-        return self.server.execute_ops(proxy, inners)
+        return self.server.serve_ops(proxy, messages)
 
     def _replay(
         self,

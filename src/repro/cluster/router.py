@@ -7,7 +7,9 @@ picture and the table of hooks each deployment supplies).  The unit of
 forwarding is a *run*: one client's consecutive ops for one context —
 usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
 which the ingress ships to the context's owner in one ``fwd`` frame and
-gets answered in one ``fwd_reply``.  The ingress remembers which owner
+gets answered in one ``fwd_reply``: a run of two or more crosses as the
+client frames it arrived as and comes back as the reply frames the
+client reads.  The ingress remembers which owner
 holds each client's attachment and which opens still wait for a
 ``ready``, and after a membership change re-registers what was recorded
 against a lost owner, so a blocked client gets its one ``ready`` instead
@@ -34,8 +36,15 @@ from repro.core.errors import (
     SimFSError,
 )
 from repro.dv.coordinator import Notification
-from repro.dv.protocol import make_fwd, make_fwd_run, unwrap_fwd, unwrap_fwd_run
-from repro.dv.server import _ROUTABLE_OPS
+from repro.dv.protocol import (
+    MARK_MISS,
+    make_fwd,
+    pack_run,
+    unpack_run,
+    unpack_run_reply,
+    unwrap_fwd,
+)
+from repro.dv.server import _ROUTABLE_OPS, reply_frame, reply_payloads
 
 __all__ = ["Router"]
 
@@ -48,6 +57,20 @@ def _attached(payload: dict) -> bool:
         error == int(ErrorCode.ERR_INVALID)
         and DETAIL_ALREADY_ATTACHED in payload.get("detail", "")
     )
+
+
+#: What the marks of a run's reply say of a slot, as the payload
+#: :meth:`Router.track` and the retry rules read (shared: never handed out).
+_PLAIN = {"error": 0, "available": True}
+_MISS = {"error": 0, "available": False}
+
+
+def _notes(frames: list[bytes], marks: dict[int, int]) -> dict[int, dict]:
+    """Per marked slot what its reply says: a miss, or its decoded body."""
+    return {
+        slot: _MISS if mark == MARK_MISS else reply_payloads(frames[slot])[0]
+        for slot, mark in marks.items()
+    }
 
 
 def _unreachable(owner: str, context, what: str) -> dict:
@@ -82,8 +105,9 @@ class Router:
     when nobody serves it) and whether the catalog says it should be
     served, in which case an owner answering "unknown context" only lags.
     ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
-    ``execute_local(proxy, inners)`` runs a client's ops here, in order,
-    and returns their payloads; ``send(conn,
+    ``execute_local(proxy, messages)`` runs a client's ops here, in order,
+    and returns their reply frames (``DVServer.serve_ops``);
+    ``send(conn,
     frame)`` writes to a peer's connection (None where nothing is ever
     forwarded *in*).  ``on_unreachable`` / ``on_timeout`` tell membership
     about a dead / slow peer (None where someone else decides),
@@ -182,50 +206,54 @@ class Router:
     # ------------------------------------------------------------------ #
     # Ingress side (this process holds the client's connection)
     # ------------------------------------------------------------------ #
-    def route(self, conn, messages: list[dict]) -> list[dict]:
+    def route(self, conn, messages: list[dict]) -> bytes:
         """DVServer ``route_ops`` hook: one client's consecutive ops for a
-        context not registered locally (a run — usually of one).  Runs on
-        a worker thread."""
-        return self.forward_many(conn.client_id, [
-            {k: v for k, v in message.items() if k != "req"}
-            for message in messages
+        context not registered locally (a run — usually of one).  Returns
+        their reply frames, joined.  Runs on a worker thread."""
+        settled = self._forward_routed(conn.client_id, messages)
+        self.track(conn.client_id, messages, settled)
+        trace = getattr(conn, "trace", False)
+        return b"".join([
+            frame if frame is not None
+            else reply_frame(message, note, message.get("tc") if trace else None)
+            for message, (frame, note, _owner) in zip(messages, settled)
         ])
 
     def forward(self, client_id: str, inner: dict) -> dict:
         """Run one client op at the context's owner: a run of one."""
-        return self.forward_many(client_id, [inner])[0]
+        payload, owner = self._forward_one(client_id, inner)
+        self.track(client_id, [inner], [(None, payload, owner)])
+        return payload
 
-    def forward_many(self, client_id: str, inners: list[dict]) -> list[dict]:
-        """Run one client's ops — all for the same context — in order at
-        its owner and record what each reply means for this client's
-        ingress state.  The payloads come back in slot order."""
-        settled = self._forward_routed(client_id, inners)
-        for inner, (payload, owner) in zip(inners, settled):
-            self.track(client_id, inner, payload, owner)
-        return [payload for payload, _owner in settled]
+    def _forward_one(self, client_id: str, inner: dict) -> tuple[dict, str | None]:
+        _frame, payload, owner = self._forward_routed(client_id, [inner])[0]
+        return payload, owner  # a run of one settles on a payload
 
     def _forward_routed(
-        self, client_id: str, inners: list[dict]
-    ) -> list[tuple[dict, str | None]]:
+        self, client_id: str, messages: list[dict]
+    ) -> list[tuple[bytes | None, dict | None, str | None]]:
         """Route a run to the context's current owner, riding out owner
         death, a dial back-off window, activation lag on a new owner and
         a lost attachment inside one ``rpc_timeout`` deadline.  The
         unsettled slots cross the hop together, in order, as one frame;
         each settles on its own answer and only the rest are re-sent.
-        Returns one ``(payload, owner)`` per slot with the peer that
-        actually served it — what :meth:`track` must record, not a
-        re-derived lookup: the ring may already have moved on, and a wait
-        recorded against the wrong, still-live owner would never be
-        replayed."""
-        context = inners[0].get("context")
+        Returns one ``(frame, note, owner)`` per slot: the reply frame a
+        remote owner made for an op of a run (else None: a run of one, a
+        run served or failed here — then ``note`` is the payload), what
+        the reply says when it is not a plain success (else None), and
+        the peer that actually served it — what :meth:`track` must record,
+        not a re-derived lookup: the ring may already have moved on, and
+        a wait recorded against the wrong, still-live owner would never
+        be replayed."""
+        context = messages[0].get("context")
         deadline = self._clock() + self.rpc_timeout
-        settled: list = [None] * len(inners)
-        todo = list(range(len(inners)))  # unsettled slots, in order
-        width = len(inners)  # slots per frame: all, or one past the limit
+        settled: list = [None] * len(messages)
+        todo = list(range(len(messages)))  # unsettled slots, in order
+        width = len(messages)  # slots per frame: all, or one past the limit
 
         def settle(slots, payload, owner):
             for slot in slots:
-                settled[slot] = (dict(payload), owner)
+                settled[slot] = (None, dict(payload), owner)
 
         while todo:
             owner, serves = self._resolve(context)
@@ -236,16 +264,16 @@ class Router:
                 }, None)
                 break
             if owner == self.self_id:
-                served = self.run_local(
-                    client_id, [inners[slot] for slot in todo]
+                frames = self.run_local(
+                    client_id, [messages[slot] for slot in todo]
                 )
-                for slot, payload in zip(todo, served):
-                    settled[slot] = (payload, owner)
+                for slot, payload in zip(todo, reply_payloads(b"".join(frames))):
+                    settled[slot] = (None, payload, owner)
                 break
             sent = todo[:width]
             try:
-                payloads = self._call(
-                    owner, client_id, [inners[slot] for slot in sent]
+                frames, notes = self._call(
+                    owner, client_id, [messages[slot] for slot in sent]
                 )
             except PeerTimeout:
                 # Slow, not dead: exiling a stalled owner (workers parked
@@ -279,22 +307,25 @@ class Router:
                 if len(sent) > 1:
                     width = 1
                     continue
-                payloads = [{"error": int(exc.code), "detail": str(exc)}]
+                frames, notes = [None], {0: {"error": int(exc.code), "detail": str(exc)}}
             # Every slot takes its answer; the ones an error says to
             # retry stay in the run and are overwritten by the next one.
+            for slot, frame in zip(sent, frames):
+                settled[slot] = (frame, None, owner)
             lagging: list[int] = []
             detached: list[int] = []
-            for slot, payload in zip(sent, payloads):
-                settled[slot] = (payload, owner)
-                error = payload.get("error")
+            for idx, note in notes.items():
+                slot = sent[idx]
+                settled[slot] = (frames[idx], note, owner)
+                error = note.get("error")
                 if not error or self._clock() >= deadline:
                     continue
                 if error == int(ErrorCode.ERR_CONTEXT) and serves:
                     lagging.append(slot)
                 elif (
                     error == int(ErrorCode.ERR_INVALID)
-                    and DETAIL_NOT_ATTACHED in payload.get("detail", "")
-                    and inners[slot].get("op") not in ("attach", "finalize")
+                    and DETAIL_NOT_ATTACHED in note.get("detail", "")
+                    and messages[slot].get("op") not in ("attach", "finalize")
                     and context in self._ingress_ctx.get(client_id, ())
                 ):
                     detached.append(slot)
@@ -309,16 +340,32 @@ class Router:
             todo = sorted(lagging + detached) + todo[len(sent):]
         return settled
 
-    def _call(self, owner: str, client_id: str, inners: list[dict]) -> list[dict]:
-        """One ``fwd`` round trip carrying ``inners``; one payload each."""
+    def _call(
+        self, owner: str, client_id: str, messages: list[dict]
+    ) -> tuple[list, dict[int, dict]]:
+        """One ``fwd`` round trip carrying ``messages``: their reply
+        frames (None for a run of one: the JSON ``inner``, answered with
+        a payload) and, by position, what the not-plain replies say."""
         link = self.link(owner)
-        self._m_fwd_sent.inc(len(inners))
+        self._m_fwd_sent.inc(len(messages))
         self._m_fwd_frames.inc()
-        if len(inners) == 1:
-            frame = make_fwd(self.self_id, client_id, inners[0])
-        else:
-            frame = make_fwd_run(self.self_id, client_id, inners)
-        inner = inners[0]  # a traced op travels alone
+        if len(messages) > 1:
+            reply = link.call(
+                pack_run(self.self_id, client_id, messages),
+                timeout=self.rpc_timeout,
+            )
+            try:
+                frames, marks = unpack_run_reply(reply, len(messages))
+                return frames, _notes(frames, marks)
+            except ProtocolError:
+                # The owner refused the run as a whole (or sent
+                # nonsense): every slot fails the same way.
+                return [None] * len(messages), {slot: {
+                    "error": reply.get("error") or int(ErrorCode.ERR_PROTOCOL),
+                    "detail": reply.get("detail", "malformed fwd_reply"),
+                } for slot in range(len(messages))}
+        inner = {k: v for k, v in messages[0].items() if k != "req"}
+        frame = make_fwd(self.self_id, client_id, inner)
         tc = inner.get("tc")
         if tc is not None:
             # Hoisted onto the fwd frame itself, so the owner's dispatch
@@ -332,44 +379,41 @@ class Router:
                 "fwd", tc, began, self._obs.now(), op=inner.get("op"),
                 context=inner.get("context"), peer=owner,
             )
-        payloads = (
-            [reply.get("payload")] if len(inners) == 1 else reply.get("payloads")
-        )
-        if (
-            not isinstance(payloads, list) or len(payloads) != len(inners)
-            or not all(isinstance(payload, dict) for payload in payloads)
-        ):
-            # The owner refused the frame as a whole (or sent nonsense):
-            # every slot fails the same way.
-            payloads = [{
+        payload = reply.get("payload")
+        if not isinstance(payload, dict):
+            payload = {
                 "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
                 "detail": reply.get("detail", "malformed fwd_reply"),
-            } for _ in inners]
-        return payloads
+            }
+        return [None], {0: payload}
 
-    def track(
-        self, client_id: str, inner: dict, payload: dict, owner: str | None
-    ) -> None:
-        """Record ingress bookkeeping against the owner that served."""
-        op = inner.get("op")
-        context = inner.get("context")
-        if payload.get("error") or not isinstance(context, str) or owner is None:
-            return
+    def track(self, client_id: str, messages: list[dict], settled: list) -> None:
+        """Record ingress bookkeeping, per slot of :meth:`_forward_routed`'s
+        answer, against the owner that served it."""
         with self._lock:
-            if op == "attach":
-                self._ingress_ctx.setdefault(client_id, {})[context] = owner
-            elif op == "finalize":
-                self._ingress_ctx.get(client_id, {}).pop(context, None)
-                self._forget_waits(lambda k: k[:2] == (client_id, context))
-            elif op == "open" and not payload.get("available"):
-                self._pending[(client_id, context, inner.get("file"))] = owner
-            elif op == "release":
-                self._pending.pop((client_id, context, inner.get("file")), None)
-            elif op == "acquire":
-                for result in payload.get("results", ()):
-                    if not result.get("available"):
-                        key = (client_id, context, result.get("file"))
-                        self._pending[key] = owner
+            for inner, (_frame, payload, owner) in zip(messages, settled):
+                op = inner.get("op")
+                if payload is None:
+                    if op in ("open", "wclose") or not self._pending and op == "release":
+                        continue  # a plain success that leaves nothing behind
+                    payload = _PLAIN
+                context = inner.get("context")
+                if payload.get("error") or not isinstance(context, str) or owner is None:
+                    continue
+                if op == "attach":
+                    self._ingress_ctx.setdefault(client_id, {})[context] = owner
+                elif op == "finalize":
+                    self._ingress_ctx.get(client_id, {}).pop(context, None)
+                    self._forget_waits(lambda k: k[:2] == (client_id, context))
+                elif op == "open" and not payload.get("available"):
+                    self._pending[(client_id, context, inner.get("file"))] = owner
+                elif op == "release":
+                    self._pending.pop((client_id, context, inner.get("file")), None)
+                elif op == "acquire":
+                    for result in payload.get("results", ()):
+                        if not result.get("available"):
+                            key = (client_id, context, result.get("file"))
+                            self._pending[key] = owner
 
     def _forget_waits(self, match: Callable[[tuple], bool]) -> None:
         for key in [k for k in self._pending if match(k)]:
@@ -377,9 +421,9 @@ class Router:
 
     def ensure_attached(self, client_id: str, context: str) -> bool:
         """Register a client with the context's current owner."""
-        payload, owner = self._forward_routed(
-            client_id, [{"op": "attach", "context": context}]
-        )[0]
+        payload, owner = self._forward_one(
+            client_id, {"op": "attach", "context": context}
+        )
         ok = _attached(payload)
         if ok and owner is not None:
             with self._lock:
@@ -425,9 +469,9 @@ class Router:
                 if not self.ensure_attached(client_id, context):
                     self._ready_sink(Notification(client_id, context, filename, ok=False))
                     continue
-            payload, owner = self._forward_routed(
-                client_id, [{"op": "open", "context": context, "file": filename}]
-            )[0]
+            payload, owner = self._forward_one(
+                client_id, {"op": "open", "context": context, "file": filename}
+            )
             self._m_replayed.inc()
             if payload.get("error") or payload.get("available"):
                 # Failed, or already on the shared PFS: the wait resolves
@@ -468,16 +512,19 @@ class Router:
         """Server op ``fwd``: execute a peer-forwarded client op (or a run
         of them, in order) here, or take delivery of a ``ready`` a peer
         dialed us to route."""
-        if "inners" in message:
-            origin, client_id, inners = unwrap_fwd_run(message)
-            self._m_fwd_recv.inc(len(inners))
-            return {"payloads": self.run_local(client_id, inners, conn, origin)}
+        if "run" in message:
+            origin, client_id, messages = unpack_run(message)
+            self._m_fwd_recv.inc(len(messages))
+            return {"run": b"".join(
+                self.run_local(client_id, messages, conn, origin)
+            )}
         origin, client_id, inner = unwrap_fwd(message)
         self._m_fwd_recv.inc()
         if inner.get("op") == "ready":
             self.deliver_routed_ready(client_id, inner)
             return None
-        return {"payload": self.run_local(client_id, [inner], conn, origin)[0]}
+        (frame,) = self.run_local(client_id, [inner], conn, origin)
+        return {"payload": reply_payloads(frame)[0]}
 
     def on_link_fwd(self, message: dict) -> None:
         """PeerLink callback: an unsolicited ``fwd`` over one of our
@@ -487,14 +534,15 @@ class Router:
             self.deliver_routed_ready(client_id, inner)
 
     def run_local(
-        self, client_id: str, inners: list[dict], conn=None,
+        self, client_id: str, messages: list[dict], conn=None,
         origin: str | None = None,
-    ) -> list[dict]:
+    ) -> list[bytes]:
         """Run ops here, in order, on behalf of a client that has no local
         connection object (forwarded in, replayed, or self-owned): the
         proxy is registered once and the ops go to ``execute_local`` in
-        one call.  An op that cannot be routed fails its own slot."""
-        run = [inner for inner in inners if inner.get("op") in _ROUTABLE_OPS]
+        one call.  Returns their reply frames.  An op that cannot be
+        routed fails its own slot."""
+        run = [m for m in messages if m.get("op") in _ROUTABLE_OPS]
         with self._lock:
             proxy = self._proxies.get(client_id)
             if proxy is None:
@@ -502,19 +550,20 @@ class Router:
             if conn is not None:
                 proxy.origin, proxy.conn = origin, conn
             proxy.inflight += 1
-        payloads: list[dict] = []
+        frames: list[bytes] = []
         try:
-            payloads = self._execute_local(proxy, run) if run else []
-            for payload in payloads:
-                payload.setdefault("error", int(ErrorCode.SUCCESS))
+            if run:
+                frames = self._execute_local(proxy, run)
         finally:
             with self._lock:
                 proxy.inflight -= 1
-                for inner, payload in zip(run, payloads):
-                    if inner["op"] == "attach" and _attached(payload):
-                        proxy.contexts.add(inner.get("context"))
-                    elif inner["op"] == "finalize" and not payload["error"]:
-                        proxy.contexts.discard(inner.get("context"))
+                for inner, frame in zip(run, frames):
+                    if inner["op"] in ("attach", "finalize"):
+                        payload = reply_payloads(frame)[0]
+                        if inner["op"] == "attach" and _attached(payload):
+                            proxy.contexts.add(inner.get("context"))
+                        elif inner["op"] == "finalize" and not payload["error"]:
+                            proxy.contexts.discard(inner.get("context"))
                 # Whatever the ops were (a rejected attach, an unknown
                 # context), a proxy left without attachments is garbage
                 # nothing else would reap: client ids are per connection.
@@ -524,14 +573,15 @@ class Router:
                     and self._proxies.get(client_id) is proxy
                 ):
                     del self._proxies[client_id]
-        served = iter(payloads)
-        return [
-            next(served) if inner.get("op") in _ROUTABLE_OPS else {
+        served = iter(frames)
+        return frames if len(run) == len(messages) else [
+            next(served) if message.get("op") in _ROUTABLE_OPS
+            else reply_frame(message, {
                 "error": int(ErrorCode.ERR_PROTOCOL),
-                "detail": f"op {inner.get('op')!r} cannot be executed "
+                "detail": f"op {message.get('op')!r} cannot be executed "
                           "for a routed client",
-            }
-            for inner in inners
+            })
+            for message in messages
         ]
 
     def restore_proxies(
@@ -625,7 +675,7 @@ class Router:
             forwarded = self._ingress_ctx.pop(client_id, {})
         for context in forwarded:
             try:
-                self._forward_routed(client_id, [{"op": "finalize", "context": context}])
+                self._forward_one(client_id, {"op": "finalize", "context": context})
             except Exception:
                 pass  # best effort; the owner's own drop hook backs it up
         with self._lock:

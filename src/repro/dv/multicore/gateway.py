@@ -203,8 +203,8 @@ class ExecutorGateway:
                 self._activate(context)
         return owner, serves
 
-    def _execute_local(self, proxy, inners: list[dict]) -> list[dict]:
-        return self.server.execute_ops(proxy, inners)
+    def _execute_local(self, proxy, messages: list[dict]) -> list[bytes]:
+        return self.server.serve_ops(proxy, messages)
 
     def _dial(self, exec_id: str, **callbacks) -> PeerLink:
         with self._lock:

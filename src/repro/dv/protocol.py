@@ -58,11 +58,12 @@ payloads inside the binary framing):
                "req": n, "error": 0, "payload": {...}}`` where
                ``payload`` is exactly the reply body ``inner`` would
                have produced had the client been connected directly.
-               A *run* of one client's ops travels as one ``fwd`` with
-               ``"inners": [...]`` (1..``FWD_RUN_MAX`` ops, executed in
-               order) in place of ``inner`` and is answered by one
-               ``fwd_reply`` with ``"payloads": [...]``, same length,
-               same order.
+               A *run* of one client's ops travels packed (see
+               :func:`pack_run`): one ``fwd`` holding the ops as the
+               client frames they are, ``req`` and all
+               (1..``FWD_RUN_MAX``, executed in order), answered by one
+               ``fwd_reply`` holding the reply frames the client reads,
+               same count, same order (:func:`unpack_run_reply`).
 ``gossip``     membership heartbeat: carries the sender's peer-table
                view (node ids, addresses, generations, aliveness, ring
                epoch); the receiver merges it and replies with its own
@@ -99,10 +100,14 @@ __all__ = [
     "OP_FWD_REPLY",
     "OP_GOSSIP",
     "FWD_RUN_MAX",
+    "MARK_MISS",
+    "MARK_BODY",
     "make_fwd",
-    "make_fwd_run",
     "unwrap_fwd",
-    "unwrap_fwd_run",
+    "pack_run",
+    "unpack_run",
+    "unpack_run_reply",
+    "decode_frames",
     "encode_message",
     "decode_message",
     "encode_binary",
@@ -154,51 +159,23 @@ def make_fwd(origin: str, client_id: str, inner: dict[str, Any],
     return message
 
 
-def make_fwd_run(origin: str, client_id: str,
-                 inners: list[dict[str, Any]]) -> dict[str, Any]:
-    """Wrap a run of one client's ops as a single ``fwd`` request; the
-    ``fwd_reply`` carries their payloads under ``payloads``, in order."""
-    return {"op": OP_FWD, "origin": origin, "client": client_id,
-            "inners": inners}
-
-
-def _unwrap_fwd(message: dict[str, Any], inners: Any,
-                refused: tuple[str, ...]) -> tuple[str, str]:
-    """The checks both ``fwd`` forms share; returns (origin, client)."""
-    origin = message.get("origin")
-    client_id = message.get("client")
+def unwrap_fwd(message: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
+    """Validate and split a ``fwd`` frame into (origin, client, inner)."""
+    origin, client_id, inner = (
+        message.get("origin"), message.get("client"), message.get("inner")
+    )
     if not isinstance(origin, str) or not isinstance(client_id, str):
         raise ProtocolError("fwd frame needs string 'origin' and 'client'")
-    for inner in inners:
+    _check_forwardable([inner], (OP_FWD, "hello", "batch"))
+    return origin, client_id, inner
+
+
+def _check_forwardable(messages: list, refused: tuple[str, ...]) -> None:
+    for inner in messages:
         if not isinstance(inner, dict) or "op" not in inner:
             raise ProtocolError("fwd frame needs an 'inner' message with 'op'")
         if inner["op"] in refused:
             raise ProtocolError(f"op {inner['op']!r} cannot be forwarded")
-    return origin, client_id
-
-
-def unwrap_fwd(message: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
-    """Validate and split a ``fwd`` frame into (origin, client, inner)."""
-    inner = message.get("inner")
-    origin, client_id = _unwrap_fwd(message, [inner], (OP_FWD, "hello", "batch"))
-    return origin, client_id, inner
-
-
-def unwrap_fwd_run(
-    message: dict[str, Any],
-) -> tuple[str, str, list[dict[str, Any]]]:
-    """Validate and split a run-carrying ``fwd`` frame into (origin,
-    client, inners).  One bad inner refuses the whole frame, so nothing
-    of a malformed run executes; a routed ``ready`` travels alone."""
-    inners = message.get("inners")
-    if not isinstance(inners, list) or not 1 <= len(inners) <= FWD_RUN_MAX:
-        raise ProtocolError(
-            f"fwd frame needs 'inners', a list of 1..{FWD_RUN_MAX} messages"
-        )
-    origin, client_id = _unwrap_fwd(
-        message, inners, (OP_FWD, "hello", "batch", "ready")
-    )
-    return origin, client_id, inners
 
 # --------------------------------------------------------------------- #
 # Legacy codec: newline-delimited JSON (the hello line and its reply)
@@ -243,6 +220,8 @@ _KIND_RELEASE = 2     # same layout as OPEN
 _KIND_READY = 3       # !BHH ok, len(context), len(file) + strings
 _KIND_OPEN_REPLY = 4  # !IBBd req, available, state index, wait
 _KIND_OK_REPLY = 5    # !I   req (empty success reply)
+_KIND_RUN = 6         # !I   req + a forwarded run (see pack_run)
+_KIND_RUN_REPLY = 7   # !I   req + its reply frames (see unpack_run_reply)
 
 #: Kind-byte bit marking a packed frame that carries a trace context:
 #: the payload is prefixed with ``_TRACE_CTX`` and the remainder decodes
@@ -251,9 +230,18 @@ _KIND_TRACED = 0x80
 _TRACE_CTX = struct.Struct("!QQB")  # trace_id, span_id, flags
 
 _REQ_STRINGS = struct.Struct("!IHH")
+_REQ_FRAME = struct.Struct("!BBHIIHH")  # _HEADER and _REQ_STRINGS in one
+_REQ_KINDS = {"open": _KIND_OPEN, "release": _KIND_RELEASE}
 _READY_HDR = struct.Struct("!BHH")
 _OPEN_REPLY = struct.Struct("!IBBd")
 _OK_REPLY = struct.Struct("!I")
+_RUN_HDR = struct.Struct("!HHH")  # len(origin), len(client), count
+
+#: What :func:`unpack_run_reply` says of a reply frame that is not a
+#: plain success: an ``open`` that missed (the ingress owes the client
+#: a ``ready``), or a reply whose body must be read (an error, an
+#: answer that carries more than "done").
+MARK_MISS, MARK_BODY = 1, 2
 
 #: File states a packed open-reply can carry (index = wire byte).
 _STATES = ("on_disk", "simulating", "queued", "failed", "unknown")
@@ -360,6 +348,13 @@ def _pack_payload(op: str, message: dict[str, Any]) -> tuple[int, bytes]:
                 return _KIND_OPEN_REPLY, _OPEN_REPLY.pack(
                     req, available, _STATE_INDEX[state], wait
                 )
+    elif (op == OP_FWD and n == 3) or (
+        op == OP_FWD_REPLY and n == 4 and message.get("error") == 0
+    ):
+        req, run = message.get("req"), message.get("run")
+        if _is_req(req) and isinstance(run, bytes):
+            kind = _KIND_RUN if op == OP_FWD else _KIND_RUN_REPLY
+            return kind, _OK_REPLY.pack(req) + run
     blob = json.dumps(message, separators=(",", ":")).encode("utf-8")
     return _KIND_JSON, blob
 
@@ -423,6 +418,13 @@ def _decode_binary_payload(kind: int, payload: bytes) -> dict[str, Any]:
                 raise ProtocolError("binary frame length does not match its payload")
             (req,) = _OK_REPLY.unpack(payload)
             return {"op": "reply", "req": req, "error": 0}
+        if kind == _KIND_RUN:  # validated by whoever executes it: unpack_run
+            (req,) = _OK_REPLY.unpack_from(payload)
+            return {"op": OP_FWD, "req": req, "run": payload[_OK_REPLY.size:]}
+        if kind == _KIND_RUN_REPLY:
+            (req,) = _OK_REPLY.unpack_from(payload)
+            return {"op": OP_FWD_REPLY, "req": req, "error": 0,
+                    "run": payload[_OK_REPLY.size:]}
     except struct.error as exc:
         raise ProtocolError(f"truncated binary frame: {exc}") from exc
     raise ProtocolError(f"unknown binary frame kind {kind}")
@@ -451,7 +453,7 @@ def encode_open_reply(
     context and sets the traced kind bit; ``tc=None`` output is
     bit-for-bit what pre-tracing builds emitted.
     """
-    if codec == CODEC_BINARY and _is_req(req):
+    if codec == CODEC_BINARY and type(req) is int and 0 <= req < 1 << 32:
         state_idx = _STATE_INDEX.get(state)
         if state_idx is not None:
             payload = _OPEN_REPLY.pack(req, available, state_idx, wait)
@@ -471,7 +473,7 @@ def encode_open_reply(
 def encode_ok_reply(req: Any) -> bytes:
     """The empty success reply (``release``, ...) packed straight from
     its ``req``: the bytes ``encode_binary`` makes of the reply dict."""
-    if _is_req(req):
+    if type(req) is int and 0 <= req < 1 << 32:  # _is_req, inline
         return _HEADER.pack(
             _MAGIC, _KIND_OK_REPLY, 0, _OK_REPLY.size
         ) + _OK_REPLY.pack(req)
@@ -499,6 +501,103 @@ def encode_open_request(req: Any, context: str, filename: str, codec: str,
     if tc is not None:
         message["tc"] = tc if isinstance(tc, str) else tc.to_wire()
     return encode_frame(message, codec)
+
+
+# --------------------------------------------------------------------- #
+# Packed runs: the hop carries client frames
+# --------------------------------------------------------------------- #
+
+
+def pack_run(
+    origin: str, client_id: str, messages: list[dict[str, Any]]
+) -> dict[str, Any]:
+    """A run of one client's ops as a ``fwd`` request: ``origin``,
+    ``client``, the count, then the ops as the binary client frames they
+    are — :func:`encode_binary` of each, its own ``req`` included.  The
+    ``fwd_reply`` answers with the reply frames (:func:`unpack_run_reply`)."""
+    org, cid = origin.encode("utf-8"), client_id.encode("utf-8")
+    try:
+        parts = [_RUN_HDR.pack(len(org), len(cid), len(messages)), org, cid]
+    except struct.error as exc:
+        raise ProtocolError(f"fwd run does not fit its header: {exc}") from exc
+    for message in messages:
+        try:  # what drain() made of a packed open/release, packed back
+            if len(message) != 4 or type(message["req"]) is not int:
+                raise KeyError  # like a missing field: the generic encoder
+            ctx, fname = message["context"].encode(), message["file"].encode()
+            parts += _REQ_FRAME.pack(
+                _MAGIC, _REQ_KINDS[message["op"]], 0,
+                _REQ_STRINGS.size + len(ctx) + len(fname),
+                message["req"], len(ctx), len(fname),
+            ), ctx, fname
+        except (KeyError, TypeError, AttributeError, struct.error):
+            parts.append(encode_binary(message))
+    return {"op": OP_FWD, "run": b"".join(parts)}
+
+
+def unpack_run(message: dict[str, Any]) -> tuple[str, str, list[dict[str, Any]]]:
+    """Validate and split a run-carrying ``fwd`` into (origin, client,
+    messages).  A bad header, a count that is not 1..``FWD_RUN_MAX`` or
+    not the frames held, a partial frame or an op that cannot be
+    forwarded (a routed ``ready`` travels alone) refuses the whole run,
+    so nothing of it executes.  The result stays on the message: the
+    event loop asks before the handler does."""
+    if "_run" not in message:
+        run = message["run"]
+        try:
+            org_len, cid_len, count = _RUN_HDR.unpack_from(run)
+            mid = _RUN_HDR.size + org_len
+            origin = str(run[_RUN_HDR.size:mid], "utf-8")
+            client_id = str(run[mid:mid + cid_len], "utf-8")
+        except (TypeError, struct.error, UnicodeDecodeError) as exc:
+            raise ProtocolError(f"malformed fwd run header: {exc}") from exc
+        messages = decode_frames(run[mid + cid_len:])  # none: header cut short
+        if len(messages) != count or not 1 <= count <= FWD_RUN_MAX:
+            raise ProtocolError(
+                f"fwd run says {count} ops, holds {len(messages)} "
+                f"(1..{FWD_RUN_MAX} allowed)"
+            )
+        _check_forwardable(messages, (OP_FWD, "hello", "batch", "ready"))
+        message["_run"] = origin, client_id, messages
+    return message["_run"]
+
+
+def unpack_run_reply(
+    reply: dict[str, Any], count: int
+) -> tuple[list[bytes], dict[int, int]]:
+    """Validate and split the ``fwd_reply`` to a run of ``count`` ops —
+    ``{"run": <per op, in order, the reply frame the owner would have
+    written to a directly connected client>}`` — into those frames and
+    the ``{slot: MARK_*}`` of the ones that are not plain successes, read
+    off their kind bytes.  Anything else, the owner's refusal of the
+    whole run included, raises."""
+    run = reply.get("run")
+    frames, marks, pos = [], {}, 0
+    size = len(run) if isinstance(run, bytes) else -1
+    while 0 <= pos <= size - _HEADER.size:
+        magic, kind, _reserved, length = _HEADER.unpack_from(run, pos)
+        if magic != _MAGIC:
+            break
+        if kind == _KIND_OPEN_REPLY and length == _OPEN_REPLY.size:
+            if not run[pos + _HEADER.size + _OK_REPLY.size]:  # available
+                marks[len(frames)] = MARK_MISS
+        elif kind != _KIND_OK_REPLY or length != _OK_REPLY.size:
+            marks[len(frames)] = MARK_BODY  # a malformed one fails to decode
+        frames.append(run[pos:pos + _HEADER.size + length])
+        pos += _HEADER.size + length
+    if pos != size or len(frames) != count:
+        raise ProtocolError(f"fwd_reply does not hold {count} whole reply frames")
+    return frames, marks
+
+
+def decode_frames(data: bytes) -> list[dict[str, Any]]:
+    """The messages of a buffer that holds whole binary frames only."""
+    decoder = StreamDecoder(CODEC_BINARY)
+    decoder.feed(data)
+    messages = decoder.drain()
+    if decoder.has_partial():
+        raise ProtocolError("partial binary frame")
+    return messages
 
 
 def negotiate_codec(hello: dict[str, Any]) -> str:

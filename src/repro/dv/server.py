@@ -57,14 +57,17 @@ from repro.dv.launcher import ThreadedLauncher
 from repro.dv.protocol import (
     CODEC_BINARY,
     FWD_RUN_MAX,
+    OP_FWD,
     PROTOCOL_VERSION,
     StreamDecoder,
+    decode_frames,
     encode_binary,
     encode_message,
     encode_ok_reply,
     encode_open_reply,
     negotiate_codec,
     negotiate_trace,
+    unpack_run,
 )
 from repro.metrics import MetricsRegistry
 from repro.obs import SpanRecorder
@@ -130,6 +133,29 @@ _SERVICE_BUCKETS = (
 def _error_payload(exc: SimFSError) -> dict:
     """The reply payload of an op that failed with ``exc``."""
     return {"error": int(exc.code), "detail": str(exc)}
+
+
+def reply_frame(message: dict, payload: dict, tc=None) -> bytes:
+    """The reply frame a client reads for ``message`` answered with
+    ``payload``, whichever daemon makes it: an ``open``'s reply leads
+    with the op (and, for a trace-negotiated peer, a success carries the
+    request's ``tc``), any other's with the payload."""
+    if message.get("op") != "open":
+        return encode_binary({**payload, "op": "reply", "req": message.get("req")})
+    reply = {"op": "reply", "req": message.get("req"), **payload}
+    if tc is not None and not payload.get("error"):
+        reply["tc"] = tc
+    return encode_binary(reply)
+
+
+def reply_payloads(data: bytes) -> list[dict]:
+    """Reply frames back as the payloads they were made of — for the
+    few that read them: ``batch`` results, the single-op hop, replays."""
+    replies = decode_frames(data)
+    for reply in replies:
+        del reply["op"]
+        reply.pop("req", None)
+    return replies
 
 
 @dataclass(frozen=True)
@@ -240,7 +266,7 @@ class DVServer:
         #   _extra_ops    — service ops beyond the classic table (fwd/gossip)
         #   _route_ops    — gateway: handle one client's consecutive ops
         #                   for a non-local context, returning their reply
-        #                   payloads in order (runs on a worker)
+        #                   frames in order, joined (runs on a worker)
         #   _ready_router — deliver a notification whose client_id is not a
         #                   local connection (a proxied cluster client)
         #   _hello_extra  — extra fields merged into every hello reply
@@ -725,15 +751,17 @@ class DVServer:
 
     def _needs_worker(self, message: dict) -> bool:
         """True for ops that may block and therefore must not run on the
-        event loop: ``bitrep`` checksums a whole output step off the PFS;
+        event loop: ``bitrep`` checksums a whole output step off the PFS
+        and ``stats`` snapshots every shard and metric;
         on a context with a bounded storage area, ``release``/``wclose``/
         ``finalize`` may evict and delete files on the PFS;
-        registered service ops (``fwd``/``gossip``) declare themselves; and
+        registered service ops (``fwd``/``gossip``) declare themselves —
+        but a forwarded run follows the local run's rule (``_run_stays``); and
         any op the cluster gateway must forward to a peer blocks on that
         round trip (one round trip per run of them, see ``_run_length``)."""
         op = message.get("op")
         context = message.get("context")
-        if op in ("bitrep", "fetch_info") or (
+        if op in ("bitrep", "fetch_info", "stats") or (
             op in _EVICTING_OPS
             and isinstance(context, str)
             and context in self._evicting_contexts
@@ -741,7 +769,9 @@ class DVServer:
             return True
         extra = self._extra_ops.get(op)
         if extra is not None:
-            return extra.needs_worker
+            return extra.needs_worker and not (
+                op == OP_FWD and "run" in message and self._run_stays(message)
+            )
         if op == "hello" and self._hello_extra is not None:
             # The hello-extra hook may contend on the cluster lock, which
             # activation can hold across PFS scans — keep it off the loop.
@@ -1058,71 +1088,76 @@ class DVServer:
             stamps,
         )
 
+    def _run_stays(self, message: dict) -> bool:
+        """Does a forwarded run execute on the event loop?  By the rule
+        a local run follows: it is all ``open``s and non-evicting
+        ``release``s of one context served here.  (A malformed one stays
+        too: its handler refuses it whole.)"""
+        try:
+            ops = unpack_run(message)[2]
+        except ProtocolError:
+            return True
+        context = ops[0].get("context")
+        return (
+            isinstance(context, str) and self.coordinator.has_context(context)
+            and self._local_run_length(ops, 0, True) == len(ops)
+        )
+
     def _serve_run(self, conn: _ClientConn, run: list[dict]) -> None:
-        """A connection's local run: the replies are packed straight from
-        the results, byte for byte what each op is answered with alone,
-        and every op is observed with its own service time — its turn in
-        the shard, not the run it travelled with."""
+        """A connection's local run: every op is observed with its own
+        service time — its turn in the shard, not the run it travelled
+        with."""
         stamps = [time.perf_counter()]
         results = self.execute_run(conn.client_id, run, stamps)
         stamps += [stamps[-1]] * (len(run) + 1 - len(stamps))  # nothing ran
-        out = bytearray()
-        for message, result in zip(run, results):
-            req = message.get("req")
-            if result is None:
-                out += encode_ok_reply(req)
-            elif isinstance(result, OpenResult):
-                out += encode_open_reply(
-                    req, result.available, result.state.value,
-                    result.estimated_wait, CODEC_BINARY,
-                    tc=message.get("tc") if conn.trace else None,
-                )
-            else:  # key order: an open's error always led with the op
-                error = _error_payload(result)
-                out += encode_binary(
-                    {"op": "reply", "req": req, **error}
-                    if message["op"] == "open"
-                    else {**error, "op": "reply", "req": req}
-                )
-        self._send_raw(conn, out, len(run))
+        frames = self._pack_run(run, results, conn.trace)
+        self._send_raw(conn, b"".join(frames), len(run))
         for idx, message in enumerate(run):
             self._observe_op(
                 message["op"], stamps[idx + 1] - stamps[idx], message,
                 message.get("_obs_t0"), stamps[idx + 1],
             )
 
-    def execute_ops(self, client, ops: list[dict]) -> list[dict]:
-        """Run ``ops`` here, in order, forwarding nothing, and return
-        their reply payloads: local runs through ``execute_run``, the
-        rest one by one.  The cluster tier's execute hook for a routed
-        client, and a ``batch``'s sub-ops; ``client`` quacks like a
-        connection (``client_id``/``contexts``)."""
-        payloads: list[dict] = []
+    @staticmethod
+    def _pack_run(run: list[dict], results: list, trace: bool) -> list[bytes]:
+        """A local run's reply frames, packed straight from its results:
+        byte for byte what each op is answered with alone."""
+        frames = []
+        for message, result in zip(run, results):
+            if result is None:
+                frames.append(encode_ok_reply(message.get("req")))
+            elif isinstance(result, OpenResult):
+                frames.append(encode_open_reply(
+                    message.get("req"), result.available, result.state.value,
+                    result.estimated_wait, CODEC_BINARY,
+                    tc=message.get("tc") if trace else None,
+                ))
+            else:
+                frames.append(reply_frame(message, _error_payload(result)))
+        return frames
+
+    def serve_ops(self, client, ops: list[dict]) -> list[bytes]:
+        """Run ``ops`` here, in order, forwarding nothing: local runs
+        through ``execute_run``, the rest one by one.  Returns per op the
+        reply frame a connected client would read.  The cluster tier's
+        execute hook for a routed client, and a ``batch``'s sub-ops;
+        ``client`` quacks like a connection (``client_id``/``contexts``)."""
+        frames: list[bytes] = []
         idx = 0
         while idx < len(ops):
             count = self._local_run_length(ops, idx)
             if count:
-                results = self.execute_run(client.client_id, ops[idx:idx + count])
-                payloads += map(self._result_payload, results)
+                run = ops if count == len(ops) else ops[idx:idx + count]
+                frames += self._pack_run(
+                    run, self.execute_run(client.client_id, run), False
+                )
             else:
                 handler = self._handlers[ops[idx]["op"]]
-                payloads.append(self._run_op(client, handler, ops[idx]))
+                frames.append(
+                    reply_frame(ops[idx], self._run_op(client, handler, ops[idx]))
+                )
             idx += count or 1
-        return payloads
-
-    @staticmethod
-    def _result_payload(result) -> dict:
-        """An ``execute_run`` result as a reply payload."""
-        if result is None:
-            return {"error": int(ErrorCode.SUCCESS)}
-        if isinstance(result, SimFSError):
-            return _error_payload(result)
-        return {
-            "available": result.available,
-            "state": result.state.value,
-            "wait": result.estimated_wait,
-            "error": int(ErrorCode.SUCCESS),
-        }
+        return frames
 
     # ------------------------------------------------------------------ #
     # Handshake and dispatch
@@ -1164,9 +1199,9 @@ class DVServer:
             if self._forwards(context_name):
                 # Gateway path: the context lives on a peer — forward the
                 # attach so the owner registers this client as a waiter.
-                payload = self._route(
+                payload = reply_payloads(self._route(
                     conn, [{"op": "attach", "context": context_name}]
-                )[0]
+                ))[0]
                 error = int(payload.get("error", ErrorCode.SUCCESS))
                 detail = payload.get("detail", "")
             else:
@@ -1261,10 +1296,8 @@ class DVServer:
         if op in _ROUTABLE_OPS and self._forwards(message.get("context")):
             # Gateway path: this daemon does not own the context — the
             # route hook forwards to the owning peer and hands back the
-            # reply payload the owner produced.
-            payload = self._route(conn, [message])[0]
-            payload.update({"op": "reply", "req": req})
-            self._send(conn, payload)
+            # reply frame.
+            self._send_raw(conn, self._route(conn, [message]))
             return
         handler = self._handlers.get(op)
         if handler is None:
@@ -1307,29 +1340,25 @@ class DVServer:
             end += 1
         return end - start
 
-    def _route(self, conn: _ClientConn, messages: list[dict]) -> list[dict]:
+    def _route(self, conn: _ClientConn, messages: list[dict]) -> bytes:
         """Gateway path: this daemon does not own the messages' context —
         the route hook forwards them to the owning peer and hands back
-        the reply payloads the owner produced, in order."""
+        their reply frames, in order, as the owner made them."""
         try:
-            payloads = self._route_ops(conn, messages)
+            return self._route_ops(conn, messages)
         except SimFSError as exc:
-            payloads = [_error_payload(exc) for _ in messages]
-        for payload in payloads:
-            payload.setdefault("error", int(ErrorCode.SUCCESS))
-        return payloads
+            error = _error_payload(exc)
+            return b"".join(reply_frame(message, error) for message in messages)
 
     def _dispatch_run(self, conn: _ClientConn, run: list[dict]) -> None:
-        """Forward a run taken off the inbox and reply to each message in
-        request order; each is observed like a dispatch of its own, from
-        the start of the run to its reply queued."""
+        """Forward a run taken off the inbox and hand its reply frames to
+        the connection in one piece; each op is observed like a dispatch
+        of its own, from the start of the run to its reply queued."""
         started = time.perf_counter()
-        for message, payload in zip(run, self._route(conn, run)):
-            payload.update({"op": "reply", "req": message.get("req")})
-            self._send(conn, payload)
-            self._observe_op(
-                message.get("op"), time.perf_counter() - started, message
-            )
+        self._send_raw(conn, self._route(conn, run), len(run))
+        elapsed = time.perf_counter() - started
+        for message in run:
+            self._observe_op(message.get("op"), elapsed, message)
 
     def _run_op(self, conn: _ClientConn, handler, message: dict) -> dict:
         """Execute one op body, mapping SimFS errors to reply payloads."""
@@ -1430,11 +1459,11 @@ class DVServer:
                 # a ring-unaware client still reaches the context owner,
                 # consecutive sub-ops of one run in a single round trip.
                 run = sub_ops[idx:idx + count]
-                payloads = self._route(conn, run)
+                replies = self._route(conn, run)
             else:
                 run = [sub]
-                payloads = self.execute_ops(conn, run)
-            for routed, payload in zip(run, payloads):
+                replies = self.serve_ops(conn, run)[0]
+            for routed, payload in zip(run, reply_payloads(replies)):
                 payload["op"] = routed["op"]
                 results.append(payload)
             idx += len(run)

@@ -6,9 +6,10 @@ a direct call into the owner's ``on_fwd``, a ``ready`` is a direct call
 into the ingress's ``on_link_fwd``, and time only moves when the router
 sleeps.  Each member's shards are a dict-backed stand-in that answers
 with the real error codes and detail strings.  A run crosses the fake
-link the way it crosses the real one: one ``fwd`` frame carrying
-``inners``, refused whole by the owner's validation or by the wire's
-frame limit.
+link the way it crosses the real one: one packed ``fwd`` frame carrying
+the client's frames (``pack_run``), answered with the reply frames the
+client reads, refused whole by the owner's validation or by the wire's
+frame limit; a run of one is the single-``inner`` JSON frame.
 """
 
 import copy
@@ -29,8 +30,18 @@ from repro.core.errors import (
     SimFSError,
 )
 from repro.dv.coordinator import Notification
-from repro.dv.protocol import FWD_RUN_MAX, encode_frame, make_fwd, make_fwd_run
+from repro.dv.protocol import (
+    FWD_RUN_MAX,
+    MARK_BODY,
+    decode_frames,
+    encode_frame,
+    make_fwd,
+    pack_run,
+    unpack_run_reply,
+)
+from repro.dv.server import reply_frame, reply_payloads
 from repro.metrics import MetricsRegistry
+from tests.dv.test_protocol_runs import MALFORMED_RUNS, run_body
 
 CTX = "alpha"
 ERR_CONTEXT = int(ErrorCode.ERR_CONTEXT)
@@ -58,6 +69,13 @@ class FakeConn:
     def __init__(self, peer):
         self.peer = peer
         self.client_id = f"node:{peer}"
+
+
+class ClientConn:
+    """The ingress's view of a client connection (the ``route`` hook's)."""
+
+    def __init__(self, client_id):
+        self.client_id = client_id
 
 
 class FakeLink:
@@ -97,9 +115,22 @@ class FakeLink:
 
 
 def per_op(execute):
-    """The router's ``execute_local`` hook takes a client's ops as a list;
-    the fakes here answer one op at a time."""
-    return lambda proxy, inners: [execute(proxy, inner) for inner in inners]
+    """The router's ``execute_local`` hook takes a client's ops as a list
+    and returns their reply frames; the fakes here answer one op at a
+    time with a payload."""
+    return lambda proxy, messages: [
+        reply_frame(message, {"error": 0, **execute(proxy, message)})
+        for message in messages
+    ]
+
+
+def run_frame(origin, client_id, ops, slots=None):
+    """The packed ``fwd`` a run crosses as: slot ``i`` of what the client
+    pipelined carries ``req == i``."""
+    slots = range(len(ops)) if slots is None else slots
+    return pack_run(origin, client_id, [
+        dict(inner, req=slot) for slot, inner in zip(slots, ops)
+    ])
 
 
 class Member:
@@ -176,9 +207,15 @@ class Member:
         return self.router.forward(client_id, inner)
 
     def forward_many(self, client_id, inners):
-        """The same client pipelines a run of ops for one context."""
+        """The same client pipelines a run of ops for one context: the
+        ``route`` hook's reply frames — exactly one per request, in
+        request order — back as payloads."""
         self.local.add(client_id)
-        return self.router.forward_many(client_id, inners)
+        data = self.router.route(ClientConn(client_id), [
+            dict(inner, req=slot) for slot, inner in enumerate(inners)
+        ])
+        assert [r["req"] for r in decode_frames(data)] == list(range(len(inners)))
+        return reply_payloads(data)
 
     def produce(self, filename):
         """A re-simulation landed ``filename``: notify its waiters the way
@@ -475,7 +512,7 @@ class TestOwnerSide:
         def attach_races_an_open(proxy, inner):
             if inner["op"] == "attach":
                 (racing,) = a.router.run_local("c1", [op("open", "f1")])
-                assert racing["error"] == ERR_INVALID
+                assert reply_payloads(racing)[0]["error"] == ERR_INVALID
                 assert "c1" in a.router._proxies  # not reaped mid-attach
             return original(proxy, inner)
 
@@ -497,8 +534,9 @@ class TestOwnerSide:
         restored waiter dials the origin, whose fwd handler delivers."""
         net = Net("a", "b", "c", owner="c")
         b, c = net.members["b"], net.members["c"]
-        b.router.track("c1", op("attach"), {}, "a")
-        b.router.track("c1", op("open", "f1"), {"available": False}, "a")
+        b.router.track("c1", [op("attach"), op("open", "f1")], [
+            (None, {}, "a"), (None, {"available": False}, "a"),
+        ])
         c.router.restore_proxies(CTX, ["c1", "c2"], [["c1", "f1", "b"]])
         c.attached[CTX] = {"c1", "c2"}
         c.waiting.add(("c1", CTX, "f1"))
@@ -527,9 +565,10 @@ class TestOwnerSide:
     def test_forget_context_drops_only_that_context(self):
         net = Net("a", "b", owner="a")
         router = net.members["b"].router
-        router.track("c1", op("attach"), {}, "a")
-        router.track("c1", op("attach", context="beta"), {}, "a")
-        router.track("c1", op("open", "f1"), {"available": False}, "a")
+        router.track(
+            "c1", [op("attach"), op("attach", context="beta"), op("open", "f1")],
+            [(None, {}, "a"), (None, {}, "a"), (None, {"available": False}, "a")],
+        )
         router.forget_context(CTX)
         assert router._pending == {}
         assert router._ingress_ctx == {"c1": {"beta": "a"}}
@@ -558,9 +597,8 @@ class TestRuns:
             {"available": False, "error": 0}, {"available": True, "error": 0},
             {"error": 0}, {"error": 0},
         ]
-        assert len({id(payload) for payload in payloads}) == len(RUN)
         attach, run = net.links[0].frames
-        assert run == make_fwd_run("b", "c1", RUN)
+        assert run == run_frame("b", "c1", RUN)
         assert a.executed[1:] == [("c1", i["op"], i["file"]) for i in RUN]
         # Exactly what one-by-one forwarding leaves behind.
         assert b.router._pending == twin.members["b"].router._pending == {}
@@ -598,9 +636,9 @@ class TestRuns:
         # again — each op answered once, in order.
         to_c = net.links[-1].frames
         assert to_c == [
-            make_fwd_run("b", "c1", RUN),
+            run_frame("b", "c1", RUN),
             make_fwd("b", "c1", op("attach")),
-            make_fwd_run("b", "c1", RUN),
+            run_frame("b", "c1", RUN),
         ]
         assert [e[1:] for e in c.executed if e[1] != "attach"][len(RUN):] == [
             (i["op"], i["file"]) for i in RUN
@@ -619,9 +657,8 @@ class TestRuns:
             p["error"] == ERR_CONNECTION and "timed out" in p["detail"]
             for p in payloads
         )
-        assert len({id(payload) for payload in payloads}) == len(RUN)
         assert b.timeouts == ["a"] and b.unreachable == []
-        assert net.links[0].frames[1:] == [make_fwd_run("b", "c1", RUN)]
+        assert net.links[0].frames[1:] == [run_frame("b", "c1", RUN)]
         assert b.router._pending == {} and net.clock.sleeps == []
 
     def test_not_attached_reattaches_once_then_reruns_the_run(self):
@@ -631,9 +668,9 @@ class TestRuns:
         payloads = b.forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [0] * len(RUN)
         assert net.links[-1].frames == [
-            make_fwd_run("b", "c1", RUN),
+            run_frame("b", "c1", RUN),
             make_fwd("b", "c1", op("attach")),
-            make_fwd_run("b", "c1", RUN),
+            run_frame("b", "c1", RUN),
         ]
         assert b.router._ingress_ctx == {"c1": {CTX: "c"}}
         assert b.router._pending == {("c1", CTX, "f2"): "c"}
@@ -651,11 +688,11 @@ class TestRuns:
             return payload
 
         a.router._execute_local = per_op(activates_after_the_first_op)
-        payloads = b.router.forward_many("c1", RUN)
+        payloads = b.forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [0] * len(RUN)
         assert net.clock.sleeps == [0.05] and net.clock.now < b.router.rpc_timeout
         assert net.links[0].frames == [
-            make_fwd_run("b", "c1", RUN), make_fwd("b", "c1", RUN[0]),
+            run_frame("b", "c1", RUN), make_fwd("b", "c1", RUN[0]),
         ]
         # The other slots kept their first answers: none ran twice.
         assert [e[1:] for e in a.executed] == [
@@ -665,7 +702,7 @@ class TestRuns:
     def test_activation_lag_on_a_whole_run_gives_up_at_the_deadline(self):
         net = Net("a", "b")
         net.assign("a", activate=False)
-        payloads = net.members["b"].router.forward_many("c1", RUN)
+        payloads = net.members["b"].forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [ERR_CONTEXT] * len(RUN)
         assert 10.0 <= net.clock.now < 10.1
 
@@ -676,7 +713,7 @@ class TestRuns:
         payloads = b.forward_many("c1", big)
         assert payloads == [{"available": False, "error": 0}] * 3
         link = net.links[0]
-        assert link.oversized == [make_fwd_run("b", "c1", big)]
+        assert link.oversized == [run_frame("b", "c1", big)]
         assert link.frames[1:] == [make_fwd("b", "c1", inner) for inner in big]
         assert len(b.router._pending) == 3
 
@@ -702,9 +739,9 @@ class TestRuns:
     def test_unserved_context_fails_every_slot_without_a_hop(self):
         net = Net("a", "b", owner="a")
         ops = [op("open", "f1", context="nope"), op("release", "f1", context="nope")]
-        payloads = net.members["b"].router.forward_many("c1", ops)
+        payloads = net.members["b"].forward_many("c1", ops)
         assert [p["error"] for p in payloads] == [ERR_CONTEXT] * 2
-        assert payloads[0] is not payloads[1] and net.links == []
+        assert net.links == []
 
 
 class TestRunValidation:
@@ -717,43 +754,41 @@ class TestRunValidation:
         self.link = self.net.links[0]
         del self.owner.executed[:]
 
-    def call(self, **fields):
-        frame = make_fwd_run("b", "c1", [op("open", "f1"), op("release", "f1")])
-        frame.update(fields)
-        return self.link.call(frame)
+    def call(self, run=None, **shape):
+        """One packed ``fwd`` built by hand (``run_body``)."""
+        if run is None:
+            run = run_body(origin=b"b", **shape)
+        return self.link.call({"op": "fwd", "run": run})
 
     def test_the_well_formed_twin_executes(self):
-        reply = self.call()
-        assert reply["payloads"] == [{"available": False, "error": 0}, {"error": 0}]
-        full = self.call(inners=[op("wclose", "f1")] * FWD_RUN_MAX)
-        assert len(full["payloads"]) == FWD_RUN_MAX
+        pair = [dict(op("open", "f1"), req=0), dict(op("release", "f1"), req=1)]
+        frames, marks = unpack_run_reply(self.call(ops=pair), 2)
+        assert reply_payloads(b"".join(frames)) == [
+            {"available": False, "error": 0}, {"error": 0},
+        ]
+        # The stand-in's miss is a JSON reply, a body to read (a shard's
+        # is packed: MARK_MISS); the release is a plain success.
+        assert marks == {0: MARK_BODY}
+        full = self.call(ops=[dict(op("wclose", "f1"), req=7)] * FWD_RUN_MAX)
+        assert len(unpack_run_reply(full, FWD_RUN_MAX)[0]) == FWD_RUN_MAX
         assert len(self.owner.executed) == 2 + FWD_RUN_MAX
 
-    @pytest.mark.parametrize("fields", [
-        {"inners": {"op": "open"}},
-        {"inners": "open"},
-        {"inners": []},
-        {"inners": [op("wclose", "f1")] * (FWD_RUN_MAX + 1)},
-        {"inners": [op("open", "f1"), "release"]},
-        {"inners": [op("open", "f1"), {"context": CTX}]},
-        {"inners": [op("open", "f1"), make_fwd("b", "c1", op("open", "f1"))]},
-        {"inners": [op("open", "f1"), {"op": "hello", "client_id": "x"}]},
-        {"inners": [op("open", "f1"), {"op": "batch", "ops": []}]},
-        {"inners": [op("open", "f1"), dict(op("ready", "f1"), ok=True)]},
-        {"client": 7},
-        {"origin": None},
-    ], ids=lambda fields: next(iter(fields)) + "=" + repr(fields)[:40])
-    def test_a_malformed_run_is_refused_whole(self, fields):
-        reply = self.call(**fields)
-        assert reply["error"] == ERR_PROTOCOL and "payloads" not in reply
+    @pytest.mark.parametrize("name", sorted(MALFORMED_RUNS))
+    def test_a_malformed_run_is_refused_whole(self, name):
+        reply = self.call(MALFORMED_RUNS[name])
+        assert reply["error"] == ERR_PROTOCOL and "run" not in reply
         assert self.owner.executed == []
         assert self.owner.router._m_fwd_recv.value == 1  # the attach only
+
+    @pytest.mark.parametrize("run", [None, "text"], ids=repr)
+    def test_a_run_that_is_no_bytes_is_refused_too(self, run):
+        reply = self.link.call({"op": "fwd", "run": run})
+        assert reply["error"] == ERR_PROTOCOL and self.owner.executed == []
 
     def test_the_ingress_fails_every_slot_of_a_refused_run(self):
         b = self.net.members["b"]
         payloads = b.forward_many("c1", [op("open", "f1"), op("ready", "f1")])
         assert [p["error"] for p in payloads] == [ERR_PROTOCOL] * 2
-        assert payloads[0] is not payloads[1]
         assert self.owner.executed == [] and b.router._pending == {}
 
     def test_an_unroutable_inner_fails_its_own_slot_only(self):

@@ -172,6 +172,60 @@ class TestControlLane:
         assert sid is None and wait > 0
 
 
+class TestSharedLink:
+    """The two ratios the live data-plane tests used to read off the wall
+    clock, on the scheduler itself under an injected clock."""
+
+    def drive(self, sched, streams, quanta, sends, now=0.0):
+        """Grant ``quanta`` times; a granted stream sends what ``sends``
+        says of its budget and stays ready.  Returns bytes per stream."""
+        served = dict.fromkeys(streams, 0)
+        for _ in range(quanta):
+            sid, budget = sched.grant(now)
+            if sid is None:
+                now += budget  # the wait the scheduler asked for
+                continue
+            sent = sends(sid, budget)
+            served[sid] += sent
+            sched.charge(sid, sent, now)
+            sched.mark_ready(sid)
+        return served
+
+    @pytest.mark.parametrize("rate", [None, 4e6], ids=["unlimited", "4MB/s"])
+    def test_four_ready_streams_are_served_within_2x(self, rate):
+        sched = BandwidthScheduler(rate=rate, burst=rate, quantum=64 * 1024)
+        streams = ["a", "b", "c", "d"]
+        for sid in streams:
+            sched.register(sid)
+            sched.mark_ready(sid)
+        # Sockets take what they take: each stream sends a different
+        # share of every budget it is given.
+        share = {"a": 1.0, "b": 0.75, "c": 0.5, "d": 0.9}
+        served = self.drive(
+            sched, streams, 400, lambda sid, budget: int(budget * share[sid])
+        )
+        assert min(served.values()) > 0
+        assert max(served.values()) / min(served.values()) <= 2.0, served
+
+    def test_a_control_frame_is_granted_before_any_queued_bulk_byte(self):
+        sched = BandwidthScheduler(rate=1e6, burst=1e6, quantum=64 * 1024)
+        bulk = ["a", "b", "c", "d"]
+        for sid in bulk:
+            sched.register(sid)
+            sched.mark_ready(sid)
+        sched.register("ping", PRIO_CONTROL)
+        self.drive(sched, bulk, 50, lambda sid, budget: budget)
+        assert sched.queue_depth() == 4  # every bulk stream has bytes queued
+        sched.mark_ready("ping")
+        sid, budget = sched.grant(0.0)  # no time passed: bulk is token-starved
+        assert (sid, budget) == ("ping", sched.quantum)
+        # And again at any later point of the transfer.
+        served = self.drive(sched, bulk, 20, lambda sid, budget: budget, now=5.0)
+        assert sum(served.values()) > 0
+        sched.mark_ready("ping")
+        assert sched.grant(5.0)[0] == "ping"
+
+
 class TestMaxMinRates:
     def test_equal_share_on_one_link(self):
         rates = max_min_rates({"l": 10.0}, {1: ["l"], 2: ["l"]})

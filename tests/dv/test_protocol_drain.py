@@ -16,7 +16,7 @@ from repro.dv.protocol import (
     encode_ok_reply,
     encode_open_reply,
     encode_open_request,
-    make_fwd_run,
+    pack_run,
 )
 
 TC = "00000000000000ab-00000000000000cd-01"
@@ -40,10 +40,15 @@ MESSAGES = [
     {"op": "reply", "req": 11, "error": 3, "detail": "no"},
     {"op": "acquire", "req": 12, "context": "hot", "files": ["a", "b"]},
     {"op": "batch", "req": 13, "ops": [{"op": "stats"}]},
-    make_fwd_run("n1", "c1", [{"op": "open", "context": "hot", "file": "f"}] * 2),
     {"op": "stats", "req": 14},
 ]
 FRAMES = [encode_frame(message, CODEC_BINARY) for message in MESSAGES]
+# The two packed kinds of the hop: a run of client frames, its reply frames.
+MESSAGES += [
+    dict(pack_run("n1", "c1", MESSAGES[:8]), req=15),
+    {"op": "fwd_reply", "req": 15, "error": 0, "run": FRAMES[12] + FRAMES[10]},
+]
+FRAMES += [encode_frame(message, CODEC_BINARY) for message in MESSAGES[-2:]]
 
 
 def one_by_one(decoder):
@@ -124,6 +129,8 @@ BAD_STREAMS = {
     "open reply of the wrong size": _frame(4, b"\x00" * 5),
     "ok reply of the wrong size": _frame(5, b"\x00" * 5),
     "unknown file state": _frame(4, struct.pack("!IBBd", 1, 1, 9, 0.0)),
+    "run shorter than its req": _frame(6, b"\x00\x00"),
+    "run reply with no payload": _frame(7, b""),
 }
 
 

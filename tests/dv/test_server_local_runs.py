@@ -26,7 +26,12 @@ import pytest
 
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
-from repro.dv.protocol import FWD_RUN_MAX, encode_frame, encode_open_request
+from repro.dv.protocol import (
+    FWD_RUN_MAX,
+    decode_frames,
+    encode_frame,
+    encode_open_request,
+)
 from repro.dv.server import DVServer, _ClientConn
 from repro.simulators import SyntheticDriver
 
@@ -40,9 +45,10 @@ KIND_READY = 3
 # --------------------------------------------------------------------- #
 # Fixtures: a daemon with two unbounded contexts and a bounded one
 # --------------------------------------------------------------------- #
-def add_context(server, root, name, steps, keep, capacity_steps=None):
-    """Register ``name`` with outputs ``1..keep`` on disk and checksummed;
-    ``capacity_steps`` bounds its storage area."""
+def build_context(root, name, steps, keep, capacity_steps=None):
+    """Context ``name`` with outputs ``1..keep`` on disk and checksummed,
+    as ``(context, output_dir, restart_dir)``; ``capacity_steps`` bounds
+    its storage area."""
     config = ContextConfig(name=name, delta_d=1, delta_r=8, num_timesteps=steps)
     driver = SyntheticDriver(config.geometry, prefix=name, cells=8)
     out, rst = os.path.join(root, name + "-out"), os.path.join(root, name + "-rst")
@@ -66,17 +72,23 @@ def add_context(server, root, name, steps, keep, capacity_steps=None):
     for fname in produced:
         if context.key_of(fname) > keep:
             os.unlink(os.path.join(out, fname))
-    server.add_context(context, out, rst, alpha_delay=0.3)
-    return context
+    return context, out, rst
+
+
+#: The three contexts of the fixture daemon: two unbounded, one bounded.
+CONTEXTS = {
+    "hot": dict(steps=64, keep=48),
+    "two": dict(steps=16, keep=16),
+    "scan": dict(steps=32, keep=32, capacity_steps=40),
+}
 
 
 def make_server(root):
     server = DVServer()
-    contexts = {
-        "hot": add_context(server, root, "hot", 64, keep=48),
-        "two": add_context(server, root, "two", 16, keep=16),
-        "scan": add_context(server, root, "scan", 32, keep=32, capacity_steps=40),
-    }
+    contexts = {}
+    for name, shape in CONTEXTS.items():
+        contexts[name], out, rst = build_context(root, name, **shape)
+        server.add_context(contexts[name], out, rst, alpha_delay=0.3)
     return server, contexts
 
 
@@ -328,21 +340,46 @@ def test_a_batch_splits_its_ops_per_context(loop):
     assert server._needs_worker({"op": "wclose", "context": "scan", "file": scan})
 
 
+def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
+    """A ``stats`` snapshot takes milliseconds: it runs on a worker — the
+    built-in handler and a replacement (the engine's merged view) alike —
+    and its reply still leaves between those of the opens around it."""
+    server, contexts = make_server(str(tmp_path))
+    assert server._needs_worker({"op": "stats"})
+    assert server._needs_worker({"op": "batch", "ops": [{"op": "stats"}]})
+    server.start()
+    stop_servers.append(server)
+    client = Client(server)
+    try:
+        for replaced in (False, True):
+            if replaced:
+                server.register_op(
+                    "stats", lambda conn, message: {"stats": {"merged": True}},
+                    needs_worker=True, replace=True,
+                )
+                assert server._needs_worker({"op": "stats"})
+            stream = (
+                batch(contexts["hot"], 16)
+                + encode_frame({"op": "stats", "req": 33}, "binary")
+                + batch(contexts["hot"], 16, first_req=34)
+            )
+            client.sock.sendall(stream)
+            replies = decode_frames(b"".join(client.replies(65)))
+            assert [reply["req"] for reply in replies] == list(range(1, 66))
+            assert all(reply["error"] == 0 for reply in replies)
+            stats = replies[32]["stats"]
+            assert stats == {"merged": True} if replaced else "server" in stats
+    finally:
+        client.close()
+
+
 #: Python-level calls per op the hot path may make (the parent made 36.5,
 #: this change 19.5): decode + inline drain of a 32-op local batch.
 CALL_BUDGET = 24
 
 
-def test_the_hot_path_stays_within_its_call_budget(loop):
-    server, contexts, conn, theirs = loop
-    data = batch(contexts["hot"], 16)
-
-    def step():
-        conn.decoder.feed(data)
-        server._run_inline(conn, conn.decoder.drain())
-
-    step()  # warm: histograms created, key memo filled
-    read_replies(theirs, 32)
+def count_calls(step) -> int:
+    """Python-level ``call`` events of one ``step()``."""
     calls = 0
 
     def count(_frame, event, _arg):
@@ -355,6 +392,20 @@ def test_the_hot_path_stays_within_its_call_budget(loop):
         step()
     finally:
         sys.setprofile(previous)
+    return calls
+
+
+def test_the_hot_path_stays_within_its_call_budget(loop):
+    server, contexts, conn, theirs = loop
+    data = batch(contexts["hot"], 16)
+
+    def step():
+        conn.decoder.feed(data)
+        server._run_inline(conn, conn.decoder.drain())
+
+    step()  # warm: histograms created, key memo filled
+    read_replies(theirs, 32)
+    calls = count_calls(step)
     read_replies(theirs, 32)
     assert calls / 32 <= CALL_BUDGET, f"{calls / 32:.1f} Python calls per op"
     assert calls / 32 > 5, "the profiler saw nothing: the count is broken"

@@ -5,7 +5,9 @@ inbox filled the way ``_read_ready`` leaves it, ``_process_inbox`` drains
 it on this thread, and the replies are read off the other end.  The
 route hook is a real :class:`~repro.cluster.router.Router` whose only
 link records the ``fwd`` frames that would cross the hop and answers
-them the way an owner does.
+them the way an owner does: a run of two or more crosses as the packed
+client frames (``pack_run``), their ``req``s and all, and comes back as
+reply frames; a lone op is the single-``inner`` JSON frame.
 """
 
 import os
@@ -19,13 +21,18 @@ from repro.core.errors import ErrorCode
 from repro.core.perfmodel import PerformanceModel
 from repro.dv.protocol import (
     FWD_RUN_MAX,
+    OP_FWD,
     StreamDecoder,
+    decode_frames,
     encode_frame,
     make_fwd,
-    make_fwd_run,
+    pack_run,
+    unpack_run,
+    unpack_run_reply,
 )
-from repro.dv.server import DVServer, _ClientConn
+from repro.dv.server import DVServer, _ClientConn, reply_frame
 from repro.simulators import SyntheticDriver
+from tests.dv.test_server_local_runs import batch, count_calls, make_server
 
 REMOTE, OTHER, LOCAL = "remote", "elsewhere", "local"
 ERR_INVALID = int(ErrorCode.ERR_INVALID)
@@ -49,8 +56,11 @@ class OwnerLink:
 
     def call(self, frame, timeout=None):
         self.frames.append(frame)
-        if "inners" in frame:
-            body = {"payloads": [self.answer(inner) for inner in frame["inners"]]}
+        if "run" in frame:
+            ops = ops_of(frame)
+            body = {"run": b"".join(
+                reply_frame(inner, self.answer(inner)) for inner in ops
+            )}
         else:
             body = {"payload": self.answer(frame["inner"])}
         return {"op": "fwd_reply", "error": 0, **body}
@@ -114,18 +124,27 @@ def inner_of(message):
     return {k: v for k, v in message.items() if k not in ("req", "_obs_t0")}
 
 
+def ops_of(frame):
+    """The ops a ``fwd`` frame carries."""
+    return unpack_run(dict(frame))[2] if "run" in frame else [frame["inner"]]
+
+
+def run_of(messages):
+    """The ``fwd`` frame a run of ``messages`` crosses the hop as."""
+    return pack_run("ingress", "c1", messages)
+
+
 def shapes(link):
     """Per ``fwd`` frame: how many ops it carried."""
-    return [len(f["inners"]) if "inners" in f else 1 for f in link.frames]
+    return [len(ops_of(f)) for f in link.frames]
 
 
 def test_consecutive_forwardable_ops_leave_as_one_frame(gateway):
     server, conn, theirs, link = gateway
     burst = [msg("open", 1), msg("release", 2), msg("wclose", 3), msg("open", 4, "f2")]
     replies = drain(server, conn, theirs, burst)
-    assert link.frames == [
-        make_fwd_run("ingress", "c1", [inner_of(m) for m in burst])
-    ]
+    assert link.frames == [run_of(burst)]
+    assert ops_of(link.frames[0]) == burst  # each op keeps its own req
     assert [r["req"] for r in replies] == [1, 2, 3, 4]
     assert [r.get("available") for r in replies] == [True, None, None, True]
     assert all(r["op"] == "reply" and r["error"] == 0 for r in replies)
@@ -162,11 +181,9 @@ def test_what_ends_a_run(gateway):
         make_fwd("ingress", "c1", inner_of(burst[5])), tc="00-11-01"
     )
     for frame in link.frames:
-        for inner in frame.get("inners", [frame.get("inner")]):
-            assert "req" not in inner and "_obs_t0" not in inner
-    contexts = [
-        (f.get("inners") or [f["inner"]])[0]["context"] for f in link.frames
-    ]
+        for inner in ops_of(frame):
+            assert ("req" in inner) == ("run" in frame) and "_obs_t0" not in inner
+    contexts = [ops_of(f)[0]["context"] for f in link.frames]
     assert contexts == [REMOTE] * 4 + [OTHER] + [REMOTE] * 4
 
 
@@ -210,7 +227,7 @@ def test_a_forwarded_batch_of_releases_is_one_frame(gateway):
         for name in ("f1", "missing", "f2", "f3")
     ]
     (reply,) = drain(server, conn, theirs, [{"op": "batch", "req": 9, "ops": subs}])
-    assert link.frames == [make_fwd_run("ingress", "c1", subs)]
+    assert link.frames == [run_of(subs)]
     assert reply["req"] == 9 and reply["error"] == 0
     assert [(r["op"], r["error"]) for r in reply["results"]] == [
         ("release", 0), ("release", ERR_INVALID), ("release", 0), ("release", 0),
@@ -234,3 +251,83 @@ def test_a_mixed_batch_keeps_sub_op_order(gateway):
     ]
     assert shapes(link) == [2, 1, 1, 1]
     assert reply["results"][0]["available"] is True
+
+
+# --------------------------------------------------------------------- #
+# A budget for both ends of the hop, in Python-level calls per op
+# --------------------------------------------------------------------- #
+#: Python-level calls per forwarded op of a shuffled 32-op run (what
+#: ``gateway_open`` sends), budgets ≈ 20 % above this tree's readings: 2.8
+#: at the ingress, 17.4 at the owner.  The parent's readings of the same
+#: harness: 10.7 and 17.3 — the owner's calls are the shard's own (the
+#: direct path makes them too) plus packing a reply frame where the parent
+#: built a payload dict; what the owner gains is not parking a worker.
+INGRESS_CALL_BUDGET = 3.4
+OWNER_CALL_BUDGET = 21.0
+
+
+class CannedLink:
+    """Answers every ``fwd`` with the reply recorded for it."""
+
+    closed = False
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def call(self, frame, timeout=None):
+        return self.reply
+
+
+def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
+    owner, contexts = make_server(str(tmp_path))
+    router = Router(
+        "owner", resolve=lambda context: ("owner", True), dial=None,
+        ready_sink=lambda note: None, is_stale=lambda owner, context: False,
+        metrics=owner.metrics, prefix="cluster.", execute_local=owner.serve_ops,
+    )
+    owner.register_op(OP_FWD, router.on_fwd, reply_op="fwd_reply", needs_worker=True)
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(5.0)
+    peer = _ClientConn(ours, client_id="node:ingress")
+    peer.decoder.set_codec("binary")
+    client = _ClientConn(ours, client_id="c1")
+    client.decoder.set_codec("binary")
+    try:
+        router.run_local("c1", [{"op": "attach", "context": "hot"}], peer, "ingress")
+        client.decoder.feed(batch(contexts["hot"], 16))
+        run = client.decoder.drain()
+        fwd = encode_frame(dict(pack_run("ingress", "c1", run), req=9), "binary")
+
+        def owner_step():  # the frame arrives; the reply frame leaves
+            peer.decoder.feed(fwd)
+            owner._run_inline(peer, peer.decoder.drain())
+
+        owner_step()  # warm: histograms created, key memo filled
+        (reply,) = decode_frames(theirs.recv(1 << 16))
+        assert len(unpack_run_reply(reply, 32)[0]) == 32 and owner._work_queue.empty()
+        calls = count_calls(owner_step) / 32
+        theirs.recv(1 << 16)
+        assert 5 < calls <= OWNER_CALL_BUDGET, f"owner: {calls:.1f} calls per op"
+
+        ingress = DVServer()
+        link = CannedLink(reply)
+        hop = Router(
+            "ingress", resolve=lambda context: ("owner", True),
+            dial=lambda peer_id, on_fwd, on_down: link,
+            ready_sink=lambda note: None, is_stale=lambda owner, context: False,
+            metrics=ingress.metrics, prefix="cluster.",
+        )
+        ingress.set_cluster_hooks(route_ops=hop.route)
+        data = batch(contexts["hot"], 16)
+
+        def ingress_step():  # the client's bytes arrive; its replies leave
+            client.decoder.feed(data)
+            ingress._dispatch_run(client, client.decoder.drain())
+
+        ingress_step()
+        assert theirs.recv(1 << 16) == reply["run"]
+        calls = count_calls(ingress_step) / 32
+        assert 1 < calls <= INGRESS_CALL_BUDGET, f"ingress: {calls:.1f} calls per op"
+    finally:
+        ours.close()
+        theirs.close()

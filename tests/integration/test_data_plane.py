@@ -196,7 +196,14 @@ class TestResume:
 
 
 class TestBandwidth:
-    def test_four_concurrent_pulls_within_2x(self, two_nodes):
+    """What only a live transfer shows.  The fairness and latency
+    *ratios* these two used to assert on elapsed time are checked on
+    ``BandwidthScheduler`` under an injected clock
+    (``tests/data/test_scheduler.py``: ``TestSharedLink``)."""
+
+    def test_four_concurrent_pulls_all_complete_with_the_right_checksum(
+        self, two_nodes
+    ):
         nodes, outs, owner, produced, bulk_name, tmp_path = two_nodes
         results = {}
         barrier = threading.Barrier(4)
@@ -214,32 +221,28 @@ class TestBandwidth:
             t.start()
         for t in threads:
             t.join(timeout=120)
-        assert len(results) == 4
-        rates = sorted(r.throughput_mbps for r in results.values())
-        assert rates[0] > 0
-        assert rates[-1] / rates[0] <= 2.0, rates
+            assert not t.is_alive()
+        assert sorted(results) == [0, 1, 2, 3]
+        want = sha256(os.path.join(outs[owner], bulk_name))
+        for i, result in results.items():
+            assert result.bytes == result.size > 0
+            assert sha256(str(tmp_path / f"pull{i}.sdf")) == want
 
-    def test_control_p99_within_3x_of_idle_baseline(self, two_nodes):
+    def test_a_ping_is_answered_while_bulk_frames_are_queued(self, two_nodes):
         nodes, outs, owner, produced, bulk_name, tmp_path = two_nodes
         host, port = nodes[owner].data.host, nodes[owner].data.port
-
-        def p99(samples):
-            ordered = sorted(samples)
-            return ordered[min(len(ordered) - 1,
-                               int(len(ordered) * 0.99))]
-
-        with DataClient(host, port) as client:
-            baseline = [client.ping() for _ in range(50)]
         stop = threading.Event()
+        pulled = []
 
         def bulk_pull(i):
             try:
                 with DataClient(host, port) as client:
                     while not stop.is_set():
-                        client.fetch("alpha", bulk_name,
-                                     str(tmp_path / f"bg{i}.sdf"))
+                        pulled.append(client.fetch(
+                            "alpha", bulk_name, str(tmp_path / f"bg{i}.sdf")
+                        ).bytes)
             except Exception:
-                pass  # teardown races are fine; only latency matters
+                pass  # teardown races are fine; only the pings matter
 
         pullers = [
             threading.Thread(target=bulk_pull, args=(i,), daemon=True)
@@ -253,10 +256,9 @@ class TestBandwidth:
                 loaded = [client.ping() for _ in range(50)]
         finally:
             stop.set()
-        # Acceptance: p99 under bulk within 3x of the idle baseline
-        # (floored at 50 ms so scheduler noise cannot flake the bound).
-        assert p99(loaded) <= max(3 * p99(baseline), 0.05), (
-            p99(baseline), p99(loaded)
-        )
+        # Every ping came back (``ping`` raises on a timeout) while the
+        # four pulls kept the link's bulk queue busy.
+        assert len(loaded) == 50 and all(rtt >= 0 for rtt in loaded)
         for t in pullers:
             t.join(timeout=30)
+        assert pulled, "no bulk transfer ran beside the pings"
