@@ -1,17 +1,14 @@
 """Wire-path benchmark: control-channel throughput and latency.
 
 Measures the client<->DV control channel itself (paper Fig. 4: the DV sits
-on every transparent ``open``) — a hello line, then binary frames — in the
-two deployments that exist:
-
-* ``binary+selector``  — the single-process daemon;
-* ``binary+multiproc`` — the multi-core engine: a shared-nothing pool
-  of shard-executor processes behind SO_REUSEPORT, owner-pinned clients
-  (one GIL per core instead of one for the whole daemon).
+on every transparent ``open``) — a hello line, then binary frames — against
+the one deployment that exists, the single-process selector daemon
+(``binary+selector``).  It scales across cores as a ring of daemons, not
+inside one.
 
 The retired comparisons (newline-JSON frames after the hello, the
-thread-per-client front end, the fd-passing acceptor) have their final
-numbers in ``CHANGES.md``.
+thread-per-client front end, the fd-passing acceptor, the multi-core
+executor pool) have their final numbers in ``CHANGES.md``.
 
 Three series, persisted as ``BENCH_wire.json`` at the repo root (the
 perf-trajectory artifact the CI ``bench-smoke`` job uploads):
@@ -26,7 +23,7 @@ perf-trajectory artifact the CI ``bench-smoke`` job uploads):
     Pure encode/decode cost (ns/op) of the hot binary frames, no sockets
     involved.
 
-Run directly (``python benchmarks/bench_wire.py [--smoke]``) or under
+Run directly (``python benchmarks/bench_wire.py [--quick]``) or under
 pytest (``pytest benchmarks/bench_wire.py``).
 """
 
@@ -56,66 +53,43 @@ from repro.dv.protocol import (  # noqa: E402
     encode_open_request,
     send_message,
 )
-from repro.dv.multicore import MultiCoreServer  # noqa: E402
 from repro.dv.server import DVServer  # noqa: E402
 from repro.simulators import SyntheticDriver  # noqa: E402
 
 import socket  # noqa: E402
 
 SELECTOR = "binary+selector"
-MULTIPROC = "binary+multiproc"
 
-#: Full-run / smoke-run sizing.  ``workers`` sizes the multi-core pool
-#: (and its warm-context count); the quick/smoke run pins it to 2 so the
-#: CI bench-smoke sweep stays under a minute.
+#: Full-run / smoke-run sizing (the quick/smoke run keeps the CI
+#: bench-smoke sweep under a minute).
 FULL = {"clients": 8, "window": 64, "seconds": 2.0, "latency_ops": 2000,
-        "codec_iters": 20000, "workers": max(2, os.cpu_count() or 1)}
+        "codec_iters": 20000}
 SMOKE = {"clients": 4, "window": 32, "seconds": 0.5, "latency_ops": 400,
-         "codec_iters": 4000, "workers": 2}
+         "codec_iters": 4000}
 
 
-def _warm_context(workdir: str, name: str) -> tuple[SimulationContext, str, str]:
-    """One context with every output resident (pure control-plane opens)."""
-    config = ContextConfig(name=name, delta_d=2, delta_r=8, num_timesteps=64)
-    driver = SyntheticDriver(config.geometry, prefix=name, cells=64)
+def build_server(workdir: str) -> tuple[DVServer, SimulationContext]:
+    """A started daemon with one warm context: every output resident, so
+    every open is pure control plane."""
+    config = ContextConfig(name="wire", delta_d=2, delta_r=8, num_timesteps=64)
+    driver = SyntheticDriver(config.geometry, prefix="wire", cells=64)
     context = SimulationContext(
         config=config, driver=driver,
         perf=PerformanceModel(tau_sim=0.001, alpha_sim=0.0),
     )
-    out = os.path.join(workdir, f"{name}-out")
-    rst = os.path.join(workdir, f"{name}-rst")
+    out = os.path.join(workdir, "wire-out")
+    rst = os.path.join(workdir, "wire-rst")
     os.makedirs(out, exist_ok=True)
     os.makedirs(rst, exist_ok=True)
     produced = driver.execute(
-        driver.make_job(name, 0, 31, write_restarts=True), out, rst
+        driver.make_job("wire", 0, 31, write_restarts=True), out, rst
     )
     for fname in produced:
         context.record_checksum(fname, driver.checksum(os.path.join(out, fname)))
-    return context, out, rst
-
-
-def build_server(workdir: str) -> tuple[DVServer, SimulationContext]:
-    """A started daemon with one warm context (every output resident)."""
     server = DVServer()
-    context, out, rst = _warm_context(workdir, "wire")
     server.add_context(context, out, rst)
     server.start()
     return server, context
-
-
-def build_pool(
-    workdir: str, workers: int
-) -> tuple[MultiCoreServer, list[SimulationContext]]:
-    """A started multi-core pool with one warm context per executor, so
-    the ring spreads ownership and every core has local work."""
-    pool = MultiCoreServer(workers=workers)
-    contexts = []
-    for idx in range(workers):
-        context, out, rst = _warm_context(workdir, f"wire{idx}")
-        pool.add_context(context, out, rst)
-        contexts.append(context)
-    pool.start()
-    return pool, contexts
 
 
 class RawClient:
@@ -159,36 +133,14 @@ class RawClient:
                 return message
 
 
-def connect_pinned(
-    host: str, port: int, client_id: str, context: str,
-    attempts: int = 32,
-) -> "RawClient":
-    """Connect to a multi-core daemon until the kernel's REUSEPORT hash
-    lands the connection on the executor owning ``context`` (each attempt
-    draws a fresh ephemeral port, so a new hash).  A locality-aware
-    client avoids the forwarding hop on every single op; falls back to a
-    forwarded connection after ``attempts`` (still correct, one hop
-    slower)."""
-    for attempt in range(attempts):
-        client = RawClient(host, port, f"{client_id}-a{attempt}", context)
-        info = client.hello.get("multicore") or {}
-        owner = (info.get("owners") or {}).get(context)
-        if owner is None or info.get("executor") == owner:
-            return client
-        client.close()
-    return RawClient(host, port, f"{client_id}-fwd", context)
-
-
 def _pipelined_worker(
     host: str, port: int, slot: int, filename: str,
     window: int, stop_at: list[float], start_gate: threading.Event,
     counts: list[int], errors: list[Exception],
-    context: str = "wire", pinned: bool = False,
 ) -> None:
     """Keep ``window`` open requests in flight; count completed replies."""
     try:
-        connect = connect_pinned if pinned else RawClient
-        client = connect(host, port, f"bench-wire-{slot}", context)
+        client = RawClient(host, port, f"bench-wire-{slot}")
         try:
             req = 0
             in_flight = 0
@@ -197,7 +149,7 @@ def _pipelined_worker(
                 while in_flight < window:
                     req += 1
                     client.sock.sendall(encode_open_request(
-                        req, context, filename, CODEC_BINARY
+                        req, "wire", filename, CODEC_BINARY
                     ))
                     in_flight += 1
                 client.read_reply()
@@ -214,11 +166,10 @@ def _pipelined_worker(
 
 
 def _drive_pipelined(
-    address: tuple[str, int], sizing: dict,
-    targets: list[tuple[str, str]], pinned: bool,
+    address: tuple[str, int], sizing: dict, filename: str,
 ) -> tuple[float, float]:
-    """Fan out the pipelined-open workers (client ``slot`` drives
-    ``targets[slot % len(targets)]``); returns (msgs/sec, wall seconds)."""
+    """Fan out the pipelined-open workers; returns (msgs/sec, wall
+    seconds)."""
     host, port = address
     clients = sizing["clients"]
     counts = [0] * clients
@@ -228,10 +179,8 @@ def _drive_pipelined(
     threads = [
         threading.Thread(
             target=_pipelined_worker,
-            args=(host, port, slot, targets[slot % len(targets)][1],
+            args=(host, port, slot, filename,
                   sizing["window"], stop_at, start_gate, counts, errors),
-            kwargs={"context": targets[slot % len(targets)][0],
-                    "pinned": pinned},
         )
         for slot in range(clients)
     ]
@@ -249,30 +198,21 @@ def _drive_pipelined(
     return sum(counts) / elapsed, elapsed
 
 
-def measure_throughput(sizing: dict, pool: bool) -> dict:
-    """Aggregate pipelined open msgs/sec, with the wall/CPU utilization
-    of the run: against the single-process daemon, or (``pool``) against
-    the shared-nothing executor pool with owner-pinned clients and one
-    warm context per executor."""
-    workers = sizing["workers"] if pool else 1
+def measure_throughput(sizing: dict) -> dict:
+    """Aggregate pipelined open msgs/sec against the daemon, with the
+    wall/CPU utilization of the run (the load generator shares the
+    process, so the CPU figure is both sides')."""
     with tempfile.TemporaryDirectory(prefix="bench-wire-") as workdir:
-        if pool:
-            server, contexts = build_pool(workdir, workers)
-        else:
-            server, context = build_server(workdir)
-            contexts = [context]
+        server, context = build_server(workdir)
         cpu_begin = process_cpu_seconds()
         try:
             rate, wall = _drive_pipelined(
-                server.address, sizing,
-                [(c.name, c.filename_of(1)) for c in contexts], pinned=pool,
+                server.address, sizing, context.filename_of(1)
             )
         finally:
             server.stop(drain_timeout=2.0)
-        # After stop(): executor CPU time is only accounted once reaped.
         cpu = process_cpu_seconds() - cpu_begin
-        return {"rate": rate, "workers": workers, "wall_s": wall,
-                "cpu_s": cpu,
+        return {"rate": rate, "wall_s": wall, "cpu_s": cpu,
                 "cpu_wall_ratio": cpu / wall if wall else 0.0}
 
 
@@ -338,17 +278,13 @@ def measure_codec(sizing: dict) -> list[dict]:
 
 
 def compute(sizing: dict) -> dict:
-    runs = {SELECTOR: measure_throughput(sizing, pool=False),
-            MULTIPROC: measure_throughput(sizing, pool=True)}
-    mp_speedup = runs[MULTIPROC]["rate"] / runs[SELECTOR]["rate"]
+    runs = {SELECTOR: measure_throughput(sizing)}
     return {
         "throughput_msgs_per_sec": {
             k: round(r["rate"], 1) for k, r in runs.items()
         },
-        "speedup_multiproc_vs_selector": round(mp_speedup, 2),
         "utilization": {
-            k: {"workers": r["workers"],
-                "wall_s": round(r["wall_s"], 3),
+            k: {"wall_s": round(r["wall_s"], 3),
                 "cpu_s": round(r["cpu_s"], 3),
                 "cpu_wall_ratio": round(r["cpu_wall_ratio"], 2)}
             for k, r in runs.items()
@@ -361,20 +297,14 @@ def compute(sizing: dict) -> dict:
 
 def report(results: dict) -> None:
     utilization = results["utilization"]
-    throughput_rows = [
-        [key, round(value, 1),
-         utilization[key]["workers"], utilization[key]["cpu_wall_ratio"]]
-        for key, value in results["throughput_msgs_per_sec"].items()
-    ]
-    throughput_rows.append(
-        ["speedup(multiproc)", results["speedup_multiproc_vs_selector"],
-         "", ""]
-    )
     emit(
         "wire_throughput",
-        "Pipelined open throughput by deployment",
-        ["config", "msgs/s", "workers", "cpu/wall"],
-        throughput_rows,
+        "Pipelined open throughput",
+        ["config", "msgs/s", "cpu/wall"],
+        [
+            [key, round(value, 1), utilization[key]["cpu_wall_ratio"]]
+            for key, value in results["throughput_msgs_per_sec"].items()
+        ],
     )
     emit(
         "wire_latency",
@@ -395,8 +325,7 @@ def report(results: dict) -> None:
         ],
     )
     path = emit_json("wire", results, env={"modes": {
-        key: {"workers": util["workers"],
-              "cpu_wall_ratio": util["cpu_wall_ratio"]}
+        key: {"cpu_wall_ratio": util["cpu_wall_ratio"]}
         for key, util in results["utilization"].items()
     }})
     print(f"wrote {path}")
@@ -407,39 +336,17 @@ def test_wire_throughput(benchmark):
 
     results = run_once(benchmark, lambda: compute(SMOKE))
     report(results)
-    # The multi-core pool only beats the single-process selector when
-    # there are cores to spread over; on smaller boxes the run is still
-    # recorded (BENCH_wire.json stays honest) but not gated.
-    mp_speedup = results["speedup_multiproc_vs_selector"]
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        floor = 2.0
-    elif cores >= 2:
-        floor = 1.2
-    else:
-        floor = None
-    if floor is not None:
-        assert mp_speedup >= floor, (
-            f"multiproc vs binary+selector speedup {mp_speedup:.2f}x "
-            f"below the {floor}x regression floor for {cores} cores"
-        )
+    assert results["throughput_msgs_per_sec"][SELECTOR] > 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", "--quick", dest="smoke",
                         action="store_true",
-                        help="short run for CI (fewer clients, less time, "
-                             "2-worker pool) — keeps bench-smoke under a "
-                             "minute")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="override the multi-core pool size "
-                             "(default: CPU count, or 2 with --smoke)")
+                        help="short run for CI (fewer clients, less time) "
+                             "— keeps bench-smoke under a minute")
     args = parser.parse_args(argv)
-    sizing = dict(SMOKE if args.smoke else FULL)
-    if args.workers:
-        sizing["workers"] = args.workers
-    results = compute(sizing)
+    results = compute(dict(SMOKE if args.smoke else FULL))
     report(results)
     return 0
 

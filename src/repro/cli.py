@@ -34,8 +34,8 @@ Subcommands
     plus the ``migrate.*`` metrics.
 ``trace``
     Reconstruct one distributed trace by id: any node merges its own
-    spans with every reachable peer's (and its executor pool's) and the
-    CLI prints the timeline plus a critical-path breakdown.  Unreachable
+    spans with every reachable peer's and the CLI prints the timeline
+    plus a critical-path breakdown.  Unreachable
     peers produce a warning and a partial trace, never a failure.
 ``trace-slow``
     Print the cluster's slowest retained spans (tail-sampled, so slow
@@ -57,11 +57,6 @@ import sys
 from repro.core.steps import StepGeometry
 from repro.util.checksums import file_checksum
 
-#: ``--simulator`` choice -> driver class in ``repro.simulators`` (resolved
-#: by name in ``initial-run``: a sub-command talking to a running daemon
-#: must not pay for importing simulators it never calls).
-_DRIVERS = {"synthetic": "SyntheticDriver", "cosmo": "CosmoDriver", "flash": "FlashDriver"}
-
 
 def _cmd_record_checksums(args: argparse.Namespace) -> int:
     checksums = {}
@@ -75,11 +70,10 @@ def _cmd_record_checksums(args: argparse.Namespace) -> int:
 
 
 def _cmd_initial_run(args: argparse.Namespace) -> int:
-    import repro.simulators
+    from repro.simulators import driver_class
 
     geometry = StepGeometry(args.delta_d, args.delta_r, args.num_timesteps)
-    driver_cls = getattr(repro.simulators, _DRIVERS[args.simulator])
-    driver = driver_cls(geometry, prefix=args.prefix)
+    driver = driver_class(args.simulator)(geometry, prefix=args.prefix)
     os.makedirs(args.output_dir, exist_ok=True)
     os.makedirs(args.restart_dir, exist_ok=True)
     num_restarts = max(1, args.num_timesteps // args.delta_r)
@@ -505,6 +499,9 @@ def _cmd_metrics_export(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The name table only: no simulator module loads until initial-run.
+    from repro.simulators import DRIVERS
+
     parser = argparse.ArgumentParser(prog="simfs-ctl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -515,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_record_checksums)
 
     p = sub.add_parser("initial-run", help="run an initial simulation")
-    p.add_argument("--simulator", choices=sorted(_DRIVERS), default="synthetic")
+    p.add_argument("--simulator", choices=sorted(DRIVERS), default="synthetic")
     p.add_argument("--prefix", default="sim")
     p.add_argument("--delta-d", type=int, dest="delta_d", default=2)
     p.add_argument("--delta-r", type=int, dest="delta_r", default=8)
@@ -540,10 +537,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "dv-stats",
-        help="print a running DV daemon's stats (against a multi-core "
-             "daemon the metric series are pool-merged; each executor's "
-             "unmerged series also appear under an exec.<i>. prefix and "
-             "supervisor-local ones under sup.)",
+        help="print a running DV daemon's stats: its per-context "
+             "summaries and metric series (a cluster node reports its "
+             "own; metrics-export collects every node's)",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7878)

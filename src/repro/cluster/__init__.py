@@ -10,8 +10,7 @@ installation; this package spreads contexts across peers:
 * :mod:`repro.cluster.link` — :class:`PeerLink`, node-to-node RPC over
   the ordinary DV wire protocol (``fwd``/``fwd_reply``/``gossip`` ops);
 * :mod:`repro.cluster.router` — :class:`Router`, the ring-routed op
-  forwarding, ready routing and waiter replay shared with the
-  multi-core tier (:mod:`repro.dv.multicore`);
+  forwarding, ready routing and waiter replay;
 * :mod:`repro.cluster.node` — :class:`ClusterNode`, a DVServer plus
   membership, activation and failover, forwarding through a router;
 * :mod:`repro.cluster.replication` — the HA tier: owner→replica state

@@ -144,7 +144,6 @@ class PeerLink:
         on_fwd: Callable[[dict], None] | None = None,
         on_down: Callable[[str], None] | None = None,
         connect_timeout: float = 5.0,
-        path: str | None = None,
     ) -> None:
         self.self_id = self_id
         self.peer_id = peer_id
@@ -156,20 +155,12 @@ class PeerLink:
         self._send_lock = threading.Lock()
         self._closed = False
         try:
-            if path is not None:
-                # Same-host peering (multi-core executors): a Unix-domain
-                # stream socket carries the identical wire protocol.
-                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(connect_timeout)
-                self._sock.connect(path)
-            else:
-                self._sock = socket.create_connection(
-                    (host, port), timeout=connect_timeout
-                )
+            self._sock = socket.create_connection(
+                (host, port), timeout=connect_timeout
+            )
         except OSError as exc:
-            where = path if path is not None else f"{host}:{port}"
             raise DVConnectionLost(
-                f"cannot reach peer {peer_id!r} at {where}: {exc}"
+                f"cannot reach peer {peer_id!r} at {host}:{port}: {exc}"
             ) from exc
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

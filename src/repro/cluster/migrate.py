@@ -105,11 +105,6 @@ class MigrationManager:
         and the migration rolled back (the context is still served here).
         """
         node = self.node
-        if node.engine is not None:
-            raise InvalidArgumentError(
-                "live migration is not supported on engine-mode nodes "
-                "(the shards live in executor processes)"
-            )
         if dest == node.node_id:
             raise InvalidArgumentError(
                 f"context {context!r} is already on {dest!r}"
@@ -346,11 +341,6 @@ class MigrationManager:
         state = frame.get("state")
         if not isinstance(state, dict):
             return {"ok": False, "detail": "final frame without state"}
-        if node.engine is not None:
-            return {
-                "ok": False,
-                "detail": "engine-mode node cannot accept a migration",
-            }
         pin = frame.get("pin") or [context, node.node_id, 1]
         target, version = str(pin[1]), int(pin[2])
         with node._lock:

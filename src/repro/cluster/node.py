@@ -65,7 +65,7 @@ from repro.core.errors import (
 from repro.data.client import DataClient
 from repro.data.server import DataServer
 from repro.dv.protocol import OP_FWD, OP_GOSSIP
-from repro.dv.server import DVServer, reply_frame
+from repro.dv.server import DVServer
 
 __all__ = ["ContextSpec", "ClusterNode", "parse_peer"]
 
@@ -127,16 +127,16 @@ class ClusterNode:
             # single-valued, because the frozen benchmarks/e2e/daemon.py
             # passes it; the benchmark PR that edits that file drops both.
             raise InvalidArgumentError(f"unknown server mode {mode!r}")
+        if engine_workers is not None:
+            # Same story, same fate: the multi-core engine is retired
+            # (final numbers in CHANGES.md); the frozen daemon passes None.
+            raise InvalidArgumentError(
+                f"engine_workers={engine_workers!r}: the multi-core engine "
+                "is retired (one ClusterNode per core scales instead)"
+            )
         if replication_factor < 1:
             raise InvalidArgumentError(
                 f"replication_factor must be >= 1, got {replication_factor}"
-            )
-        if replication_factor > 1 and engine_workers is not None and engine_workers > 1:
-            # The executor pool's shards live in other processes; the
-            # replication pump cannot snapshot them from here.  HA is a
-            # single-coordinator feature for now.
-            raise InvalidArgumentError(
-                "replication_factor > 1 is not supported with engine_workers"
             )
         self.node_id = node_id
         self.heartbeat_interval = heartbeat_interval
@@ -157,7 +157,7 @@ class ClusterNode:
             node_id,
             resolve=self._resolve,
             dial=self._dial,
-            execute_local=self._execute_local,
+            execute_local=self.server.serve_ops,
             ready_sink=self.server._push_ready,
             send=self.server._send,
             on_unreachable=lambda peer_id: self._apply_membership(
@@ -168,15 +168,14 @@ class ClusterNode:
             ),
             is_stale=self._owner_gone,
             metrics=self.metrics,
-            prefix="cluster.",
             rpc_timeout=rpc_timeout,
             obs=self.server.obs,
         )
-        #: Bulk data plane: bound here (so the port is known before the
-        #: engine forks and before hellos advertise it), threads started
-        #: in :meth:`start`.  Serves every context in the catalog from its
-        #: PFS directory; files this node cannot resolve locally are
-        #: proxied one hop from the ring owner's data port into a spool.
+        #: Bulk data plane: bound here (so the port is known before hellos
+        #: advertise it), threads started in :meth:`start`.  Serves every
+        #: context in the catalog from its PFS directory; files this node
+        #: cannot resolve locally are proxied one hop from the ring
+        #: owner's data port into a spool.
         self.data = DataServer(
             host, data_port,
             link_rate=data_link_rate,
@@ -189,21 +188,6 @@ class ClusterNode:
         self._spool: str | None = None
         self._spool_lock = threading.Lock()
         self.server.set_data_endpoint(host, self.data.port)
-        #: Multi-core engine (``engine_workers > 1``): contexts this node
-        #: owns are served by a shared-nothing executor pool instead of
-        #: the node's own coordinator; the node stays the cluster-facing
-        #: ingress/gossip front and forwards owned-context ops inward.
-        self.engine = None
-        if engine_workers is not None and engine_workers > 1:
-            from repro.dv.multicore import MultiCoreServer
-
-            self.engine = MultiCoreServer(
-                workers=engine_workers,
-                accept="none",
-                rpc_timeout=rpc_timeout,
-                ready_router=self.router.deliver_ready,
-                data_endpoint=(host, self.data.port),
-            )
         self.ring = HashRing(vnodes)
         self.table = PeerTable(
             node_id, host, port,
@@ -295,9 +279,9 @@ class ClusterNode:
             "rebalance", self._op_rebalance, needs_worker=True
         )
         # Observability plane: cluster-wide versions of the daemon's
-        # trace/trace_slow ops — merge local spans (and the engine's)
-        # with every live peer's, reporting unreachable peers in the
-        # payload instead of failing the whole query.
+        # trace/trace_slow ops — merge local spans with every live
+        # peer's, reporting unreachable peers in the payload instead of
+        # failing the whole query.
         self.server.register_op(
             "trace", self._op_trace, needs_worker=True, replace=True
         )
@@ -308,13 +292,6 @@ class ClusterNode:
             "metrics_text", self._op_metrics_text,
             needs_worker=True, replace=True,
         )
-        if self.engine is not None:
-            # The real shards live in the pool: a client's `stats` must
-            # show the merged executor view, not this node's empty
-            # coordinator.
-            self.server.register_op(
-                "stats", self._op_engine_stats, needs_worker=True, replace=True
-            )
         self.server.set_cluster_hooks(
             route_ops=self.router.route,
             ready_router=self.router.route_ready,
@@ -345,15 +322,6 @@ class ClusterNode:
             self._specs[context.name] = ContextSpec(
                 context, output_dir, restart_dir, alpha_delay, tau_delay
             )
-            if self.engine is not None:
-                # The pool catalog ships to executors at spawn time, so
-                # every context must be declared before start() — inactive
-                # until ring ownership says otherwise.
-                self.engine.add_context(
-                    context, output_dir, restart_dir,
-                    alpha_delay=alpha_delay, tau_delay=tau_delay,
-                    active=False,
-                )
             if self.ring.owner(context.name) == self.node_id:
                 self._activate(context.name)
 
@@ -373,11 +341,6 @@ class ClusterNode:
         return self.server.address
 
     def start(self) -> None:
-        if self.engine is not None:
-            # Fork the executor fleet before this process grows threads
-            # (server loop, heartbeats): forking a multithreaded parent
-            # risks inheriting locks mid-flight.
-            self.engine.start()
         self.data.start()
         self.server.start()
         host, port = self.server.address
@@ -410,11 +373,7 @@ class ClusterNode:
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
         self.router.close()
-        # Client plane first (drains replies that may still need the
-        # engine), then the executor pool.
         self.server.stop(drain_timeout=drain_timeout)
-        if self.engine is not None:
-            self.engine.stop(drain_timeout=drain_timeout)
         self.data.stop()
         if self._spool is not None:
             shutil.rmtree(self._spool, ignore_errors=True)
@@ -496,10 +455,6 @@ class ClusterNode:
         return reattaches + stale_attached, replays + stale_waits, promotions
 
     def _activate(self, name: str) -> None:
-        if self.engine is not None:
-            self.engine.activate(name)
-            self._active.add(name)
-            return
         spec = self._specs[name]
         self.server.add_context(
             spec.context, spec.output_dir, spec.restart_dir,
@@ -515,8 +470,6 @@ class ClusterNode:
         replay against the new owner (waiters are cleared first, so the
         unregister does not fail them)."""
         self._active.discard(name)
-        if self.engine is not None:
-            return self.engine.deactivate(name)
         return self.server.coordinator.release_context(name)
 
     # ------------------------------------------------------------------ #
@@ -742,7 +695,7 @@ class ClusterNode:
         return link
 
     # ------------------------------------------------------------------ #
-    # Router hooks: ownership and local execution
+    # Router hook: ownership
     # ------------------------------------------------------------------ #
     def _resolve(self, context) -> tuple[str | None, bool]:
         """Router hook: ``(owner, known)`` for a context, activating it
@@ -766,15 +719,6 @@ class ClusterNode:
             except Exception:
                 pass
         return owner, known
-
-    def _execute_local(self, proxy, messages: list[dict]) -> list[bytes]:
-        """Router hook: run a routed client's ops on this node's shards."""
-        if self.engine is not None:
-            return [
-                reply_frame(message, self.engine.forward(proxy.client_id, message))
-                for message in messages
-            ]
-        return self.server.serve_ops(proxy, messages)
 
     def _replay(
         self,
@@ -864,14 +808,11 @@ class ClusterNode:
 
     def _op_trace(self, conn, message: dict) -> dict:
         """Cluster ``trace`` op: one trace's spans merged from every
-        reachable node (and this node's executor pool), deduplicated by
-        span id and sorted by start time."""
+        reachable node, deduplicated by span id and sorted by start time."""
         trace_id = message.get("trace_id")
         if not isinstance(trace_id, str) or not trace_id:
             raise InvalidArgumentError("trace requires a 'trace_id' string")
         spans = list(self.server.obs.trace(trace_id))
-        if self.engine is not None:
-            spans.extend(self.engine.trace_spans(trace_id))
         nodes = [self.node_id]
         unreachable: list[str] = []
         if message.get("fanout", 1):
@@ -906,8 +847,6 @@ class ClusterNode:
         limit = max(1, int(message.get("limit", 20)))
         spans = list(self.server.obs.slow(limit))
         journal = self.server.obs.journal_entries(limit=limit)
-        if self.engine is not None:
-            spans.extend(self.engine.slow_spans(limit))
         nodes = [self.node_id]
         unreachable: list[str] = []
         if message.get("fanout", 1):
@@ -930,24 +869,12 @@ class ClusterNode:
             "unreachable": sorted(set(unreachable)),
         }}
 
-    def _local_metrics_text(self) -> str:
-        """This node's Prometheus exposition (pool-merged in engine mode:
-        the real shards live in the executors, not our registry)."""
-        if self.engine is None:
-            return self.server.metrics_text()
-        from repro.metrics import merge_snapshots
-        from repro.obs.export import render_prometheus
-
-        pool = self.engine.stats()
-        merged = merge_snapshots([pool["metrics"], self.metrics.snapshot()])
-        return render_prometheus(merged, self.server.obs.exemplars())
-
     def _op_metrics_text(self, conn, message: dict) -> dict:
         """Cluster ``metrics_text`` op: this node's exposition, plus —
         unless ``fanout`` is off — every reachable peer's, concatenated
         under ``# node <id>`` separators for ``simfs-ctl metrics-export``
         (scrapers wanting a single node's series hit its own /metrics)."""
-        text = self._local_metrics_text()
+        text = self.server.metrics_text()
         nodes = [self.node_id]
         unreachable: list[str] = []
         if message.get("fanout", 1):
@@ -1079,14 +1006,13 @@ class ClusterNode:
         / running-sim / queued-job depth, open-latency p99, and the wire
         message counter (rate is the sampler's job)."""
         contexts: dict[str, dict] = {}
-        if self.engine is None:
-            for shard in self.server.coordinator.shards():
-                summary = shard.summary()
-                contexts[summary["context"]] = {
-                    "waiters": summary["waited_keys"],
-                    "sims": summary["running_sims"],
-                    "queued": summary["queued_jobs"],
-                }
+        for shard in self.server.coordinator.shards():
+            summary = shard.summary()
+            contexts[summary["context"]] = {
+                "waiters": summary["waited_keys"],
+                "sims": summary["running_sims"],
+                "queued": summary["queued_jobs"],
+            }
         snap = self.metrics.snapshot("op.open.seconds")
         series = snap.get("op.open.seconds") or {}
         frames = self.metrics.snapshot("wire.frames_recv")
@@ -1171,28 +1097,6 @@ class ClusterNode:
         ]
         return state
 
-    def _op_engine_stats(self, conn, message: dict) -> dict:
-        """Replacement ``stats`` op (engine mode): the pool's merged view
-        plus this node's own wire/cluster metric series."""
-        from repro.metrics import merge_snapshots
-
-        pool = self.engine.stats()
-        local = self.server._op_stats(conn, message)["stats"]
-        server_info = dict(pool["server"])
-        server_info["mode"] = "cluster+multiproc"
-        server_info["node"] = self.node_id
-        server_info["connected_clients"] = (
-            local.get("server", {}).get("connected_clients", 0)
-        )
-        return {"stats": {
-            "contexts": pool["contexts"],
-            "totals": pool["totals"],
-            "metrics": merge_snapshots(
-                [pool["metrics"], local.get("metrics", {})]
-            ),
-            "server": server_info,
-        }}
-
     def _hello_extra(self) -> dict:
         return {"cluster": self.describe()}
 
@@ -1212,10 +1116,6 @@ class ClusterNode:
                 "pins": self.ring.pins(),
                 "active": sorted(self._active),
                 "replication": self.repl.factor if self.repl else 1,
-                "engine": (
-                    {"mode": "multiproc", "workers": self.engine.workers}
-                    if self.engine is not None else None
-                ),
             }
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,8 @@
 """Router: the one ring-routed op-forwarding core.
 
-A cluster node, a multi-core executor gateway and the engine-mode
-supervisor all take client ops for contexts served elsewhere and run the
-same protocol, so it lives here once (ARCHITECTURE.md, "Routing", has the
-picture and the table of hooks each deployment supplies).  The unit of
+A cluster node takes client ops for contexts served elsewhere and ships
+them to the owner (ARCHITECTURE.md, "Routing", has the picture and the
+table of hooks the node supplies).  The unit of
 forwarding is a *run*: one client's consecutive ops for one context —
 usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
 which the ingress ships to the context's owner in one ``fwd`` frame and
@@ -99,7 +98,7 @@ class _ProxyClient:
 
 
 class Router:
-    """Ring-routed forwarding for one node, executor or supervisor.
+    """Ring-routed forwarding for one node.
 
     ``resolve(context) -> (owner, serves)`` names the current owner (None
     when nobody serves it) and whether the catalog says it should be
@@ -107,12 +106,11 @@ class Router:
     ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
     ``execute_local(proxy, messages)`` runs a client's ops here, in order,
     and returns their reply frames (``DVServer.serve_ops``);
-    ``send(conn,
-    frame)`` writes to a peer's connection (None where nothing is ever
-    forwarded *in*).  ``on_unreachable`` / ``on_timeout`` tell membership
-    about a dead / slow peer (None where someone else decides),
-    ``is_stale(owner, context)`` says when state recorded against an owner
-    must be replayed, ``ready_sink`` delivers to a local client.
+    ``send(conn, frame)`` writes to a peer's connection.
+    ``on_unreachable`` / ``on_timeout`` tell membership about a dead /
+    slow peer, ``is_stale(owner, context)`` says when state recorded
+    against an owner must be replayed, ``ready_sink`` delivers to a local
+    client.
     """
 
     def __init__(
@@ -124,7 +122,6 @@ class Router:
         ready_sink: Callable[[Notification], None],
         is_stale: Callable[[str, str], bool],
         metrics,
-        prefix: str,
         rpc_timeout: float = 10.0,
         execute_local: Callable[[_ProxyClient, list], list] | None = None,
         send: Callable[[object, dict], None] | None = None,
@@ -163,11 +160,11 @@ class Router:
         #: so two threads dialing together (a gossip round and a forwarded
         #: op, say) would make a healthy peer look like a failed dial.
         self._dialing: dict[str, threading.Lock] = {}
-        self._m_fwd_sent = metrics.counter(prefix + "fwd_sent")
-        self._m_fwd_frames = metrics.counter(prefix + "fwd_frames")
-        self._m_fwd_recv = metrics.counter(prefix + "fwd_received")
-        self._m_ready_routed = metrics.counter(prefix + "ready_routed")
-        self._m_replayed = metrics.counter(prefix + "replayed_waits")
+        self._m_fwd_sent = metrics.counter("cluster.fwd_sent")
+        self._m_fwd_frames = metrics.counter("cluster.fwd_frames")
+        self._m_fwd_recv = metrics.counter("cluster.fwd_received")
+        self._m_ready_routed = metrics.counter("cluster.ready_routed")
+        self._m_replayed = metrics.counter("cluster.replayed_waits")
 
     def link(self, peer_id: str):
         """The cached link to ``peer_id``, dialing one if needed."""
@@ -218,12 +215,6 @@ class Router:
             else reply_frame(message, note, message.get("tc") if trace else None)
             for message, (frame, note, _owner) in zip(messages, settled)
         ])
-
-    def forward(self, client_id: str, inner: dict) -> dict:
-        """Run one client op at the context's owner: a run of one."""
-        payload, owner = self._forward_one(client_id, inner)
-        self.track(client_id, [inner], [(None, payload, owner)])
-        return payload
 
     def _forward_one(self, client_id: str, inner: dict) -> tuple[dict, str | None]:
         _frame, payload, owner = self._forward_routed(client_id, [inner])[0]
@@ -290,8 +281,7 @@ class Router:
                     # peer: wait the window out, membership stays out of it.
                     pause = exc.retry_in
                 else:
-                    # Whoever decides membership (on_unreachable, or the
-                    # supervisor's next ring update) moves the context.
+                    # Membership (on_unreachable) moves the context.
                     self.link_down(owner)
                     pause = 0.02
                 remaining = deadline - self._clock()

@@ -2,7 +2,7 @@
 
 The control plane (``repro.dv``/``repro.cluster``) coordinates *which*
 files exist and when they are ready; this package moves the bytes.  Each
-node (or multi-core pool) runs a :class:`DataServer` on its own data port;
+node runs a :class:`DataServer` on its own data port;
 clients pull files with :class:`DataClient`, discovering the owning node's
 endpoint via the routable ``fetch_info`` control-plane op.  Bandwidth on a
 link is arbitrated by :class:`BandwidthScheduler` (token bucket + deficit

@@ -1,7 +1,7 @@
 """Selector-based bulk data server: the node's data port.
 
-One ``DataServer`` runs next to each DV daemon (or cluster node /
-multi-core pool) on its own port, streaming context files in
+One ``DataServer`` runs next to each DV daemon (or cluster node) on its
+own port, streaming context files in
 length-prefixed chunks.  Design points:
 
 * **Zero-copy body path.**  DATA frame headers are written separately from
@@ -21,9 +21,8 @@ length-prefixed chunks.  Design points:
   selector thread owns all sockets; blocking work (path resolution, stat,
   checksum, one-hop upstream proxy pulls) happens on a small worker pool.
 
-The listener is bound in ``__init__`` (so the port is known before any
-process forks — the multi-core supervisor ships the endpoint to executors
-at spawn) but threads start only in :meth:`start`.
+The listener is bound in ``__init__`` (so the port is known before the
+daemon advertises it) but threads start only in :meth:`start`.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ class _DataConn:
 
 
 class DataServer:
-    """Bulk data port for one node or executor pool.
+    """Bulk data port for one node.
 
     ``resolver(context, filename) -> path`` maps requests to files; the
     default resolver looks up directories registered via

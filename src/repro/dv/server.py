@@ -211,13 +211,9 @@ class DVServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int | None = None,
-        reuse_port: bool = False,
-        listen: bool = True,
     ) -> None:
         self._host = host
         self._port = port
-        self._reuse_port = reuse_port
-        self._listen = listen
         self._num_workers = workers or max(2, min(8, os.cpu_count() or 2))
         self._clock = WallClock()
         self.metrics = MetricsRegistry()
@@ -238,13 +234,6 @@ class DVServer:
         self._clients: dict[str, _ClientConn] = {}
         self._clients_lock = threading.Lock()
         self._listener: socket.socket | None = None
-        # Extra listening sockets added before start(): (sock, role).
-        # ``stop_accepting(role)`` closes every listener of one role, so
-        # an executor can refuse new clients while its peer plane (role
-        # "peer") keeps accepting forwarded traffic during a drain.
-        self._extra_listeners: list[tuple[socket.socket, str]] = []
-        self._listener_roles: dict[int, str] = {}
-        self._stop_accept_pending: collections.deque[str] = collections.deque()
         self._io_thread: threading.Thread | None = None
         self._worker_threads: list[threading.Thread] = []
         self._work_queue: queue.Queue[_ClientConn | None] = queue.Queue()
@@ -364,9 +353,9 @@ class DVServer:
         so they never run on the event loop.
 
         ``replace=True`` lets an embedding layer shadow an existing op at
-        the top level (the multi-core executor overrides ``stats`` with a
-        merged cross-process view); the built-in handler stays reachable
-        for ``batch`` sub-ops.
+        the top level (a cluster node overrides ``trace`` with a
+        cluster-wide view); the built-in handler stays reachable for
+        ``batch`` sub-ops.
         """
         if not replace and (
             name in self._handlers or name in self._extra_ops or name == "hello"
@@ -407,72 +396,15 @@ class DVServer:
         assert self._listener is not None, "server not started"
         return self._listener.getsockname()[:2]
 
-    def add_listener(self, sock: socket.socket, role: str = "client") -> None:
-        """Register an extra bound+listening socket to accept from.
-
-        Must be called before :meth:`start`.  The multi-core executor
-        adds its Unix-domain peer listener (role ``"peer"``) this way; its
-        SO_REUSEPORT share of the client port is the ordinary listener.
-        """
-        if self._running:
-            raise InvalidArgumentError("add_listener must precede start()")
-        self._extra_listeners.append((sock, role))
-
-    @staticmethod
-    def make_reuseport_listener(
-        host: str, port: int, listen: bool = True
-    ) -> socket.socket:
-        """A TCP socket bound with SO_REUSEADDR + SO_REUSEPORT.
-
-        Every socket sharing a port must set both options consistently
-        (mixing them makes later binds fail with EADDRINUSE on some
-        kernels).  ``listen=False`` returns the socket bound but not
-        listening — a bound-not-listening TCP socket receives no SYNs, so
-        the supervisor uses one purely to reserve the port number while
-        executors carry the real listeners.
-        """
-        if not hasattr(socket, "SO_REUSEPORT"):  # pragma: no cover
-            raise OSError("SO_REUSEPORT is not supported on this platform")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((host, port))
-            if listen:
-                sock.listen(128)
-        except OSError:
-            sock.close()
-            raise
-        return sock
-
-    def stop_accepting(self, role: str = "client") -> None:
-        """Close every listener of ``role`` without touching live
-        connections (phase one of a graceful drain).  Thread-safe."""
-        if self._selector is None:
-            return  # not started: nothing is listening yet
-        self._stop_accept_pending.append(role)
-        self._wake()
-
     def start(self) -> None:
         """Bind, listen, and serve clients on background threads."""
-        if self._listen:
-            if self._reuse_port:
-                self._listener = self.make_reuseport_listener(
-                    self._host, self._port
-                )
-            else:
-                self._listener = socket.create_server((self._host, self._port))
+        self._listener = socket.create_server((self._host, self._port))
+        self._listener.setblocking(False)
         self._running = True
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
-        listeners = list(self._extra_listeners)
-        if self._listener is not None:
-            listeners.insert(0, (self._listener, "client"))
-        for sock, listener_role in listeners:
-            sock.setblocking(False)
-            self._listener_roles[sock.fileno()] = listener_role
-            self._selector.register(sock, selectors.EVENT_READ, ("accept", sock))
+        self._selector.register(self._listener, selectors.EVENT_READ, "accept")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         for idx in range(self._num_workers):
             thread = threading.Thread(
@@ -497,12 +429,9 @@ class DVServer:
         bounds the whole wait; pass ``0`` for an abrupt teardown (what a
         crash looks like to clients and cluster peers).
         """
-        listeners = [sock for sock, _role in self._extra_listeners]
         if self._listener is not None:
-            listeners.insert(0, self._listener)
-        for sock in listeners:
             try:
-                sock.close()
+                self._listener.close()
             except OSError:
                 pass
         if drain_timeout > 0 and self._running:
@@ -521,17 +450,6 @@ class DVServer:
             self._clients.clear()
         for conn in conns:
             self._shutdown_socket(conn.sock)
-
-    def drain(self, timeout: float) -> bool:
-        """Quiesce without tearing down: wait until in-flight simulations
-        reported, inboxes emptied and output buffers flushed.  Returns
-        True when fully drained within ``timeout``.  Phase two of the
-        multi-core graceful stop (after :meth:`stop_accepting`); existing
-        connections keep being served throughout and afterwards.
-        """
-        if not self._running:
-            return True
-        return self._drain_for_stop(timeout)
 
     def _drain_for_stop(self, timeout: float) -> bool:
         """Best-effort quiesce before teardown: wait until running
@@ -623,8 +541,8 @@ class DVServer:
                 events = self._selector.select(timeout=1.0)
                 for key, mask in events:
                     data = key.data
-                    if isinstance(data, tuple) and data[0] == "accept":
-                        self._accept_ready(data[1])
+                    if data == "accept":
+                        self._accept_ready()
                     elif data == "wake":
                         self._drain_wake()
                     else:
@@ -633,7 +551,6 @@ class DVServer:
                             self._read_ready(conn)
                         if mask & selectors.EVENT_WRITE and not conn.closing:
                             self._flush_conn(conn)
-                self._drain_stop_accept_requests()
                 self._drain_flush_requests()
                 self._drain_resume_requests()
                 self._drain_close_requests()
@@ -649,11 +566,11 @@ class DVServer:
                     except OSError:
                         pass
 
-    def _accept_ready(self, listener: socket.socket) -> None:
-        assert self._selector is not None
+    def _accept_ready(self) -> None:
+        assert self._selector is not None and self._listener is not None
         while True:
             try:
-                sock, _addr = listener.accept()
+                sock, _addr = self._listener.accept()
             except BlockingIOError:
                 return
             except OSError:
@@ -666,28 +583,6 @@ class DVServer:
                 conn.sel_mask = selectors.EVENT_READ
             except (KeyError, ValueError, OSError):
                 self._shutdown_socket(sock)
-
-    def _drain_stop_accept_requests(self) -> None:
-        assert self._selector is not None
-        while True:
-            try:
-                role = self._stop_accept_pending.popleft()
-            except IndexError:
-                return
-            listeners = list(self._extra_listeners)
-            if self._listener is not None:
-                listeners.insert(0, (self._listener, "client"))
-            for sock, listener_role in listeners:
-                if listener_role != role:
-                    continue
-                try:
-                    self._selector.unregister(sock)
-                except (KeyError, ValueError, OSError):
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
 
     def _drain_wake(self) -> None:
         assert self._wake_r is not None
@@ -1472,7 +1367,7 @@ class DVServer:
     def _op_fetch_info(self, conn: _ClientConn, message: dict) -> dict:
         """Where (and whether) a context file can be pulled over the data
         plane.  Routable: asked of a non-owner, the gateway forwards it to
-        the owning node/executor, whose reply names *its* data endpoint —
+        the owning node, whose reply names *its* data endpoint —
         which is exactly the redirect the client needs.  Without ``file``
         the reply lists the context's available output files instead
         (the ``fetch_context`` enumeration)."""
@@ -1519,9 +1414,9 @@ class DVServer:
         return {"stats": snapshot}
 
     # -- observability ops ------------------------------------------------ #
-    # The cluster node and the multi-core executor shadow these three with
-    # fan-out versions (register_op(..., replace=True)) that merge peer /
-    # executor recorders; the bodies below are the single-process view.
+    # The cluster node shadows these three with fan-out versions
+    # (register_op(..., replace=True)) that merge its peers' recorders;
+    # the bodies below are the single-daemon view.
     def trace_spans(self, trace_id: str | int) -> list[dict]:
         """Retained spans of one trace on this daemon."""
         return self.obs.trace(trace_id)
@@ -1750,15 +1645,6 @@ def main(argv: list[str] | None = None) -> int:
              "failover (cluster mode only; the config file may also set "
              "\"replication_factor\")",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="run a multi-core engine with this many shard-executor "
-             "processes (standalone: the whole daemon becomes a "
-             "supervisor + executor pool; cluster: this node serves its "
-             "owned contexts from the pool).  Defaults to single-process; "
-             "--workers 0 means one executor per CPU core.  The config "
-             "file may also set \"workers\".",
-    )
     args = parser.parse_args(argv)
 
     if args.stats:
@@ -1776,6 +1662,20 @@ def main(argv: list[str] | None = None) -> int:
             f"config \"mode\": {config['mode']!r} is not supported "
             "(the selector front end is the only one)"
         )
+    if config.get("workers", 1) not in (1, None):
+        parser.error(
+            f"config \"workers\": {config['workers']!r} is not supported "
+            "(the multi-core engine is retired: run one cluster node per "
+            "core instead)"
+        )
+    from repro.simulators import DRIVERS, driver_class
+
+    for spec in config.get("contexts", []):
+        if spec.get("simulator", "synthetic") not in DRIVERS:
+            parser.error(
+                f"context {spec.get('name')!r}: unknown \"simulator\" "
+                f"{spec['simulator']!r} (choose from {', '.join(sorted(DRIVERS))})"
+            )
 
     node_id = args.node_id or config.get("node_id")
     peer_arg = args.peers or config.get("peers")
@@ -1784,9 +1684,6 @@ def main(argv: list[str] | None = None) -> int:
         peers = [p.strip() for p in peer_arg.split(",") if p.strip()]
     elif isinstance(peer_arg, list):
         peers = [str(p) for p in peer_arg]
-    workers = args.workers if args.workers is not None else config.get("workers")
-    if workers is not None:
-        workers = int(workers) or (os.cpu_count() or 1)  # 0 = per core
     node = None
     if node_id or peers:
         from repro.cluster import ClusterNode
@@ -1800,7 +1697,6 @@ def main(argv: list[str] | None = None) -> int:
             generation=int(config.get("generation", 1)),
             heartbeat_interval=float(config.get("heartbeat_interval", 0.5)),
             suspect_after=int(config.get("suspect_after", 3)),
-            engine_workers=workers,
             data_port=int(config.get("data_port", 0)),
             data_link_rate=config.get("data_link_rate"),
             replication_factor=int(
@@ -1814,21 +1710,12 @@ def main(argv: list[str] | None = None) -> int:
             ),
         )
         server = node.server
-    elif workers is not None and workers > 1:
-        from repro.dv.multicore import MultiCoreServer
-
-        server = MultiCoreServer(
-            config.get("host", "127.0.0.1"),
-            config.get("port", 7878),
-            workers=workers,
-        )
     else:
         server = DVServer(
             config.get("host", "127.0.0.1"),
             config.get("port", 7878),
         )
-    # Standalone data plane (cluster nodes carry their own): bind it now
-    # so multi-core executors learn the endpoint before they spawn.
+    # Standalone data plane (cluster nodes carry their own).
     data_server = None
     if node is None and config.get("data_port") is not None:
         from repro.data.server import DataServer
@@ -1837,15 +1724,10 @@ def main(argv: list[str] | None = None) -> int:
             config.get("host", "127.0.0.1"),
             int(config["data_port"]),
             link_rate=config.get("data_link_rate"),
-            metrics=getattr(server, "metrics", None),
-            obs=getattr(server, "obs", None),
+            metrics=server.metrics,
+            obs=server.obs,
         )
         server.set_data_endpoint(data_server.host, data_server.port)
-    import repro.simulators
-
-    # Resolved by name: the daemon loads the simulators it is configured
-    # with, not all three.
-    drivers = {"cosmo": "CosmoDriver", "flash": "FlashDriver", "synthetic": "SyntheticDriver"}
     for spec in config.get("contexts", []):
         cc = ContextConfig(
             name=spec["name"],
@@ -1856,10 +1738,9 @@ def main(argv: list[str] | None = None) -> int:
             replacement_policy=spec.get("policy", "dcl"),
             smax=spec.get("smax", 8),
         )
-        driver_cls = getattr(
-            repro.simulators, drivers[spec.get("simulator", "synthetic")]
+        driver = driver_class(spec.get("simulator", "synthetic"))(
+            cc.geometry, prefix=spec["name"]
         )
-        driver = driver_cls(cc.geometry, prefix=spec["name"])
         perf = PerformanceModel(
             tau_sim=spec.get("tau_sim", 1.0), alpha_sim=spec.get("alpha_sim", 0.0)
         )
@@ -1889,9 +1770,8 @@ def main(argv: list[str] | None = None) -> int:
     if config.get("metrics_port") is not None:
         from repro.obs.export import MetricsExporter
 
-        source = getattr(service, "metrics_text", None) or server.metrics_text
         exporter = MetricsExporter(
-            source, config.get("host", "127.0.0.1"),
+            server.metrics_text, config.get("host", "127.0.0.1"),
             int(config["metrics_port"]),
         )
         exporter.start()
@@ -1904,12 +1784,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"simfs-dv data plane on {node.data.host}:{node.data.port}")
     host, port = server.address
     if node is not None:
-        engine = f" ({workers}-core engine)" if node.engine is not None else ""
         print(f"simfs-dv cluster node {node.node_id} listening on "
-              f"{host}:{port}{engine}")
-    elif workers is not None and workers > 1:
-        print(f"simfs-dv listening on {host}:{port} "
-              f"({workers} shard executors)")
+              f"{host}:{port}")
     else:
         print(f"simfs-dv listening on {host}:{port}")
     try:

@@ -385,7 +385,7 @@ class ContextShard:
         everyone attached to this shard plus every outstanding waiter —
         and clears the waiter table, so a subsequent unregister does not
         fail those waits: the new owner replays them instead.  Used when a
-        context moves between cluster nodes or multi-core executors.
+        context moves between cluster nodes.
         """
         with self.lock:
             attached = list(self.agents)

@@ -1,11 +1,5 @@
 """Metrics plane: counters, gauges and histograms for the DV service."""
 
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_snapshots,
-)
+from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_snapshots"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]

@@ -30,7 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_snapshots",
 ]
 
 #: Default histogram bucket upper bounds (seconds-flavoured, log-spaced).
@@ -214,61 +213,6 @@ def _bucket_percentiles(
             value = min(value, hi)
         out[key] = value
     return out
-
-
-def merge_snapshots(snapshots: Sequence[dict[str, dict]]) -> dict[str, dict]:
-    """Merge per-process ``MetricsRegistry.snapshot()`` dicts into one view.
-
-    Counters and gauges sum; histograms merge bucket-wise (bucket layouts
-    must agree for a given series name) and re-derive their percentile
-    estimates from the combined counts.  Used by the multi-core supervisor
-    to fold per-executor metric planes into the single ``stats`` payload.
-    """
-    merged: dict[str, dict] = {}
-    for snap in snapshots:
-        for name, metric in snap.items():
-            cur = merged.get(name)
-            if cur is None:
-                merged[name] = {
-                    **metric,
-                    "buckets": dict(metric.get("buckets", {})),
-                }
-                if "buckets" not in metric:
-                    merged[name].pop("buckets")
-                continue
-            if cur.get("type") != metric.get("type"):
-                raise InvalidArgumentError(
-                    f"metric {name!r} merged as both "
-                    f"{cur.get('type')!r} and {metric.get('type')!r}"
-                )
-            if metric["type"] in ("counter", "gauge"):
-                cur["value"] += metric["value"]
-            else:
-                if set(cur.get("buckets", ())) != set(metric.get("buckets", ())):
-                    raise InvalidArgumentError(
-                        f"histogram {name!r} merged with mismatched bucket "
-                        f"layouts {sorted(cur.get('buckets', ()))} vs "
-                        f"{sorted(metric.get('buckets', ()))}"
-                    )
-                cur["count"] += metric["count"]
-                cur["sum"] += metric["sum"]
-                for edge in ("min", "max"):
-                    vals = [v for v in (cur[edge], metric[edge]) if v is not None]
-                    if vals:
-                        cur[edge] = min(vals) if edge == "min" else max(vals)
-                for key, n in metric["buckets"].items():
-                    cur["buckets"][key] = cur["buckets"].get(key, 0) + n
-    for metric in merged.values():
-        if metric.get("type") == "histogram":
-            buckets = metric["buckets"]
-            bounds = sorted(float(k) for k in buckets if k != "+inf")
-            counts = [buckets[str(b)] for b in bounds] + [buckets.get("+inf", 0)]
-            metric.update(
-                _bucket_percentiles(
-                    bounds, counts, metric["count"], metric["min"], metric["max"]
-                )
-            )
-    return merged
 
 
 class MetricsRegistry:

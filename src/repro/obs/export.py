@@ -93,8 +93,7 @@ class MetricsExporter:
     """Background HTTP endpoint serving ``render_prometheus`` output.
 
     ``source`` is a zero-argument callable returning the exposition text
-    at scrape time (so daemons can merge per-executor snapshots and
-    attach fresh exemplars on every scrape).
+    at scrape time (so every scrape sees fresh values and exemplars).
     """
 
     def __init__(

@@ -21,3 +21,17 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "pipeline": ("ArchiveCopyDriver", "PipelineDriver"),
     "synthetic": ("SyntheticDriver", "SyntheticSimulator"),
 })
+
+#: A ``"simulator"`` name (``simfs-dv`` config, ``simfs-ctl initial-run
+#: --simulator``) -> its driver class's name, resolved at first use so a
+#: process loads only the simulator it runs.
+DRIVERS = {
+    "cosmo": "CosmoDriver",
+    "flash": "FlashDriver",
+    "synthetic": "SyntheticDriver",
+}
+
+
+def driver_class(name: str) -> type:
+    """The driver class of the simulator called ``name`` in :data:`DRIVERS`."""
+    return __getattr__(DRIVERS[name])

@@ -162,7 +162,6 @@ class Member:
             on_timeout=self.timeouts.append,
             is_stale=stale,
             metrics=MetricsRegistry(),
-            prefix="t.",
             rpc_timeout=10.0,
             clock=net.clock,
             sleep=net.clock.sleep,
@@ -202,9 +201,10 @@ class Member:
         return {}
 
     def forward(self, client_id, inner):
-        """A client connected here sends an op for a routed context."""
-        self.local.add(client_id)
-        return self.router.forward(client_id, inner)
+        """A client connected here sends an op for a routed context: a
+        run of one."""
+        (payload,) = self.forward_many(client_id, [inner])
+        return payload
 
     def forward_many(self, client_id, inners):
         """The same client pipelines a run of ops for one context: the
@@ -278,8 +278,8 @@ class TestForward:
     def test_hop_and_ready_round_trip(self):
         net = Net("a", "b", owner="a")
         a, b = net.members["a"], net.members["b"]
-        assert b.router.forward("c1", op("attach")) == {"error": 0}
-        assert b.router.forward("c1", op("open", "f1")) == {
+        assert b.forward("c1", op("attach")) == {"error": 0}
+        assert b.forward("c1", op("open", "f1")) == {
             "available": False, "error": 0,
         }
         assert b.router._pending == {("c1", CTX, "f1"): "a"}
@@ -291,9 +291,9 @@ class TestForward:
     def test_fwd_frame_is_exactly_make_fwd_plus_hoisted_tc(self):
         net = Net("a", "b", owner="a")
         b = net.members["b"]
-        b.router.forward("c1", op("attach"))
+        b.forward("c1", op("attach"))
         traced = dict(op("open", "f1"), tc="00-11-01")
-        b.router.forward("c1", traced)
+        b.forward("c1", traced)
         plain, hoisted = net.links[0].frames
         assert encode_frame(plain, "binary") == encode_frame(
             make_fwd("b", "c1", op("attach")), "binary"
@@ -302,15 +302,15 @@ class TestForward:
 
     def test_unknown_context_fails_without_a_hop(self):
         net = Net("a", "b", owner="a")
-        payload = net.members["b"].router.forward("c1", op("attach", context="nope"))
+        payload = net.members["b"].forward("c1", op("attach", context="nope"))
         assert payload["error"] == ERR_CONTEXT
         assert net.links == [] and net.clock.sleeps == []
 
     def test_dead_owner_failover_and_replay(self):
         net = Net("a", "b", "c", owner="a")
         a, b, c = (net.members[m] for m in "abc")
-        b.router.forward("c1", op("attach"))
-        b.router.forward("c1", op("open", "f1"))
+        b.forward("c1", op("attach"))
+        b.forward("c1", op("open", "f1"))
         net.kill("a")
         net.assign("c")  # membership moved the context
         net.reconcile()
@@ -324,7 +324,7 @@ class TestForward:
     def test_torn_link_reports_then_follows_the_new_owner(self):
         net = Net("a", "b", "c", owner="a")
         b = net.members["b"]
-        b.router.forward("c1", op("attach"))
+        b.forward("c1", op("attach"))
         net.down.add("a")
 
         def membership_reacts(peer):
@@ -332,7 +332,7 @@ class TestForward:
             net.assign("c")
 
         b.on_unreachable = membership_reacts
-        payload = b.router.forward("c1", op("open", "f1"))
+        payload = b.forward("c1", op("open", "f1"))
         assert payload == {"available": False, "error": 0}
         assert b.unreachable == ["a"]
         assert net.clock.sleeps == [0.02]
@@ -343,7 +343,7 @@ class TestForward:
         net = Net("a", "b", owner="a")
         b = net.members["b"]
         net.down.add("a")
-        payload = b.router.forward("c1", op("attach"))
+        payload = b.forward("c1", op("attach"))
         assert payload["error"] == ERR_CONNECTION
         assert "unreachable" in payload["detail"]
         assert 10.0 <= net.clock.now < 10.1
@@ -363,13 +363,13 @@ class TestForward:
             return original(proxy, inner)
 
         a.router._execute_local = per_op(lagging)
-        assert b.router.forward("c1", op("attach")) == {"error": 0}
+        assert b.forward("c1", op("attach")) == {"error": 0}
         assert len(calls) == 3 and net.clock.sleeps == [0.05] * 2
 
     def test_activation_lag_gives_up_at_the_deadline(self):
         net = Net("a", "b")
         net.assign("a", activate=False)
-        payload = net.members["b"].router.forward("c1", op("attach"))
+        payload = net.members["b"].forward("c1", op("attach"))
         assert payload["error"] == ERR_CONTEXT
         assert 10.0 <= net.clock.now < 10.1
         assert net.members["a"].router._proxies == {}
@@ -377,25 +377,25 @@ class TestForward:
     def test_not_attached_reattaches_and_retries(self):
         net = Net("a", "b", "c", policy="moved", owner="a")
         b, c = net.members["b"], net.members["c"]
-        b.router.forward("c1", op("attach"))
+        b.forward("c1", op("attach"))
         net.assign("c")  # moved before any replay told c about c1
-        payload = b.router.forward("c1", op("open", "f1"))
+        payload = b.forward("c1", op("open", "f1"))
         assert payload == {"available": False, "error": 0}
         assert c.attached[CTX] == {"c1"}
         assert b.router._ingress_ctx == {"c1": {CTX: "c"}}
 
     def test_not_attached_is_final_for_a_client_never_attached_here(self):
         net = Net("a", "b", owner="a")
-        payload = net.members["b"].router.forward("c1", op("open", "f1"))
+        payload = net.members["b"].forward("c1", op("open", "f1"))
         assert payload["error"] == ERR_INVALID
         assert net.clock.sleeps == []
 
     def test_timeout_reports_without_exiling(self):
         net = Net("a", "b", owner="a")
         b = net.members["b"]
-        b.router.forward("c1", op("attach"))
+        b.forward("c1", op("attach"))
         net.slow.add("a")
-        payload = b.router.forward("c1", op("open", "f1"))
+        payload = b.forward("c1", op("open", "f1"))
         assert payload["error"] == ERR_CONNECTION
         assert "timed out" in payload["detail"]
         assert b.timeouts == ["a"] and b.unreachable == []
@@ -406,7 +406,7 @@ class TestForward:
         net = Net("a", "b", owner="a")
         b = net.members["b"]
         net.backoff[("b", "a")] = 0.75
-        assert b.router.forward("c1", op("attach")) == {"error": 0}
+        assert b.forward("c1", op("attach")) == {"error": 0}
         assert net.clock.sleeps == [0.75]
         assert b.unreachable == [] and b.timeouts == []
 
@@ -414,7 +414,7 @@ class TestForward:
         net = Net("a", "b", owner="a")
         b = net.members["b"]
         net.backoff[("b", "a")] = 60.0
-        payload = b.router.forward("c1", op("attach"))
+        payload = b.forward("c1", op("attach"))
         assert payload["error"] == ERR_CONNECTION
         assert net.clock.sleeps == [10.0] and b.unreachable == []
 
@@ -457,8 +457,8 @@ class TestStale:
     def setup_net(self, policy):
         net = Net("a", "b", "c", policy=policy, owner="a")
         b = net.members["b"]
-        b.router.forward("c1", op("attach"))
-        b.router.forward("c1", op("open", "f1"))
+        b.forward("c1", op("attach"))
+        b.forward("c1", op("open", "f1"))
         return net, b
 
     def test_dead_policy_ignores_a_live_former_owner(self):
@@ -496,12 +496,12 @@ class TestOwnerSide:
         net = Net("a", "b", owner="a")
         a, b = net.members["a"], net.members["b"]
         for client in ("c1", "c2", "c3"):
-            assert b.router.forward(client, op("open", "f1"))["error"]
-            assert b.router.forward(client, op("attach", context="nope"))["error"]
+            assert b.forward(client, op("open", "f1"))["error"]
+            assert b.forward(client, op("attach", context="nope"))["error"]
         assert a.router._proxies == {}
-        b.router.forward("c4", op("attach"))
+        b.forward("c4", op("attach"))
         assert set(a.router._proxies) == {"c4"}
-        b.router.forward("c4", op("finalize"))
+        b.forward("c4", op("finalize"))
         assert a.router._proxies == {}
 
     def test_an_op_failing_beside_an_attach_in_flight_keeps_the_proxy(self):
@@ -517,14 +517,14 @@ class TestOwnerSide:
             return original(proxy, inner)
 
         a.router._execute_local = per_op(attach_races_an_open)
-        net.members["b"].router.forward("c1", op("attach"))
+        net.members["b"].forward("c1", op("attach"))
         assert a.router._proxies["c1"].contexts == {CTX}
 
     def test_peer_link_drop_disconnects_what_it_proxied(self):
         net = Net("a", "b", owner="a")
         a, b = net.members["a"], net.members["b"]
-        b.router.forward("c1", op("attach"))
-        b.router.forward("c1", op("open", "f1"))
+        b.forward("c1", op("attach"))
+        b.forward("c1", op("open", "f1"))
         a.router.drop_client("node:b")
         assert a.router._proxies == {}
         assert a.attached[CTX] == set() and a.waiting == set()
@@ -543,7 +543,7 @@ class TestOwnerSide:
         assert c.router.origin_of("c1") == "b"
         assert c.router.origin_of("c2") is None
         # A restored client's first op must not cost it its proxy.
-        assert b.router.forward("c2", op("open", "f1"))["error"] == 0
+        assert b.forward("c2", op("open", "f1"))["error"] == 0
         assert c.router._proxies["c2"].contexts == {CTX}
         c.produce("f1")
         assert Notification("c1", CTX, "f1", ok=True) in b.delivered
@@ -552,7 +552,7 @@ class TestOwnerSide:
     def test_handoff_makes_the_source_the_ingress_of_what_it_gave_away(self):
         net = Net("a", "b", "c", owner="a")
         a, b = net.members["a"], net.members["b"]
-        b.router.forward("remote", op("attach"))
+        b.forward("remote", op("attach"))
         a.router.adopt_handoff(
             CTX, "c", [["local", "f1", "a"], ["remote", "f2", "b"]],
             ["local", "remote"],

@@ -119,24 +119,55 @@ class TestMainConfig:
         server.stop()
 
     def test_retired_mode_is_a_startup_error(self, tmp_path, capsys):
-        """The selector front end is the only one: a config that still
-        asks for another must fail loudly, not silently run selector."""
+        """The selector front end is the only one, in one process: a
+        config that still asks for another front end or for the retired
+        multi-core engine must fail loudly, not silently run selector."""
         from repro.cluster import ClusterNode
         from repro.core.errors import InvalidArgumentError
         from repro.dv import server as server_mod
 
         config_path = tmp_path / "dv.json"
-        config_path.write_text(json.dumps(
-            {"host": "127.0.0.1", "port": 0, "mode": "threaded"}
-        ))
+        for key, value in (("mode", "threaded"), ("workers", 2)):
+            config_path.write_text(json.dumps(
+                {"host": "127.0.0.1", "port": 0, key: value}
+            ))
+            with pytest.raises(SystemExit) as exit_info:
+                server_mod.main(["--config", str(config_path)])
+            assert exit_info.value.code == 2
+            assert f'"{key}": {value!r}' in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            server_mod.main(["--config", str(config_path), "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        with pytest.raises(InvalidArgumentError):
+            ClusterNode("n1", mode="threaded")
+        with pytest.raises(InvalidArgumentError):
+            ClusterNode("n1", engine_workers=2)
+        with pytest.raises(TypeError):
+            DVServer(mode="selector")
+
+    def test_unknown_simulator_is_a_startup_error(self, tmp_path, capsys):
+        """A typo in a context's ``simulator`` names the valid choices
+        and exits 2 before anything binds, like any other bad config."""
+        from repro.dv import server as server_mod
+
+        config_path = tmp_path / "dv.json"
+        config_path.write_text(json.dumps({
+            "host": "127.0.0.1", "port": 0,
+            "contexts": [{
+                "name": "typo", "simulator": "cosmos",
+                "delta_d": 2, "delta_r": 8, "num_timesteps": 32,
+                "output_dir": str(tmp_path / "out"),
+                "restart_dir": str(tmp_path / "rst"),
+            }],
+        }))
         with pytest.raises(SystemExit) as exit_info:
             server_mod.main(["--config", str(config_path)])
         assert exit_info.value.code == 2
-        assert "threaded" in capsys.readouterr().err
-        with pytest.raises(InvalidArgumentError):
-            ClusterNode("n1", mode="threaded")
-        with pytest.raises(TypeError):
-            DVServer(mode="selector")
+        err = capsys.readouterr().err
+        assert "'cosmos'" in err
+        assert "cosmo, flash, synthetic" in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_paces_resimulations(self, tmp_path, monkeypatch):
         """`alpha_delay`/`tau_delay` context keys must reach the launcher:

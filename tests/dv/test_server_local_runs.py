@@ -342,7 +342,7 @@ def test_a_batch_splits_its_ops_per_context(loop):
 
 def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
     """A ``stats`` snapshot takes milliseconds: it runs on a worker — the
-    built-in handler and a replacement (the engine's merged view) alike —
+    built-in handler and a ``register_op(replace=True)`` one alike —
     and its reply still leaves between those of the opens around it."""
     server, contexts = make_server(str(tmp_path))
     assert server._needs_worker({"op": "stats"})

@@ -90,7 +90,6 @@ def gateway(tmp_path):
         ready_sink=lambda note: None,
         is_stale=lambda owner, context: False,
         metrics=server.metrics,
-        prefix="cluster.",
     )
     server.set_cluster_hooks(route_ops=router.route)
     ours, theirs = socket.socketpair()
@@ -283,7 +282,7 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
     router = Router(
         "owner", resolve=lambda context: ("owner", True), dial=None,
         ready_sink=lambda note: None, is_stale=lambda owner, context: False,
-        metrics=owner.metrics, prefix="cluster.", execute_local=owner.serve_ops,
+        metrics=owner.metrics, execute_local=owner.serve_ops,
     )
     owner.register_op(OP_FWD, router.on_fwd, reply_op="fwd_reply", needs_worker=True)
     ours, theirs = socket.socketpair()
@@ -315,7 +314,7 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
             "ingress", resolve=lambda context: ("owner", True),
             dial=lambda peer_id, on_fwd, on_down: link,
             ready_sink=lambda note: None, is_stale=lambda owner, context: False,
-            metrics=ingress.metrics, prefix="cluster.",
+            metrics=ingress.metrics,
         )
         ingress.set_cluster_hooks(route_ops=hop.route)
         data = batch(contexts["hot"], 16)

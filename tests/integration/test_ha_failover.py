@@ -79,8 +79,6 @@ def replica_waiter_count(node, context_name):
 class TestHAMode:
     def test_replication_needs_single_coordinator(self):
         with pytest.raises(InvalidArgumentError):
-            ClusterNode("n1", replication_factor=2, engine_workers=2)
-        with pytest.raises(InvalidArgumentError):
             ClusterNode("n1", replication_factor=0)
 
     @pytest.mark.timeout(120)

@@ -1,7 +1,7 @@
 """Acceptance scenario for the observability plane: a blocked open
-forwarded through the gateway into a multi-core owner yields ONE trace
-whose spans cover (almost) the whole measured wall time, and the trace
-is reconstructable from any node — protocol op and simfs-ctl alike."""
+forwarded through the gateway to its owner yields ONE trace whose spans
+cover (almost) the whole measured wall time, and the trace is
+reconstructable from any node — protocol op and simfs-ctl alike."""
 
 import os
 import time
@@ -21,8 +21,8 @@ NODE_IDS = ("n1", "n2")
 
 @pytest.fixture
 def traced_cluster(tmp_path):
-    """Two nodes, multi-core engines, one context whose simulations are
-    paced (alpha_delay) so waits dominate the measured wall time."""
+    """Two nodes, one context whose simulations are paced (alpha_delay)
+    so waits dominate the measured wall time."""
     config = ContextConfig(name="alpha", delta_d=2, delta_r=8, num_timesteps=32)
     driver = SyntheticDriver(config.geometry, prefix="alpha", cells=16)
     context = SimulationContext(
@@ -45,7 +45,6 @@ def traced_cluster(tmp_path):
             nid, port=ports[nid],
             peers=[s for s in specs if not s.startswith(f"{nid}@")],
             vnodes=32, heartbeat_interval=0.15, suspect_after=3,
-            engine_workers=2,
         )
         for nid in NODE_IDS
     }
@@ -93,7 +92,7 @@ class TestEndToEndTrace:
         assert trace_id is not None
 
         # Reconstructable from ANY node: ingress and owner both return
-        # the merged trace (peer fan-out + executor-pool fan-in).
+        # the merged trace (peer fan-out).
         views = {nid: fetch_trace(nodes[nid], trace_id) for nid in NODE_IDS}
         for nid, view in views.items():
             assert view["unreachable"] == [], nid

@@ -1,18 +1,13 @@
-"""Histogram percentiles and cross-process snapshot merging.
+"""Histogram percentiles.
 
-The multi-core supervisor presents one metrics plane for N executor
-processes: each ships its registry snapshot over the control channel and
-the supervisor merges them (:func:`repro.metrics.merge_snapshots`).
-Percentiles cannot be merged, so they are re-derived from the merged
-bucket counts — these tests pin the estimator's contract: linear
-interpolation inside the covering bucket, clamped to the observed
-[min, max].
+Every histogram snapshot estimates its p50/p95/p99 from fixed bucket
+counts — these tests pin the estimator's contract: linear interpolation
+inside the covering bucket, clamped to the observed [min, max].
 """
 
 import pytest
 
-from repro.core.errors import InvalidArgumentError
-from repro.metrics import MetricsRegistry, merge_snapshots
+from repro.metrics import MetricsRegistry
 
 
 def snapshot_of(*observations, buckets=(0.01, 0.1, 1.0)):
@@ -62,126 +57,3 @@ class TestPercentiles:
         # with bounds (0.01, 0.1, 1.0) is coarse but must stay in the
         # covering bucket's range.
         assert 0.01 <= snap["p50"] <= 1.0
-
-
-class TestMergeSnapshots:
-    def build(self, fill) -> dict:
-        registry = MetricsRegistry()
-        fill(registry)
-        return registry.snapshot()
-
-    def test_counters_and_gauges_sum(self):
-        a = self.build(lambda r: r.counter("ops").inc(3))
-        b = self.build(lambda r: (r.counter("ops").inc(4),
-                                  r.gauge("depth").set(2)))
-        merged = merge_snapshots([a, b])
-        assert merged["ops"]["value"] == pytest.approx(7)
-        assert merged["depth"]["value"] == pytest.approx(2)
-
-    def test_disjoint_names_pass_through(self):
-        a = self.build(lambda r: r.counter("only.a").inc())
-        b = self.build(lambda r: r.counter("only.b").inc(5))
-        merged = merge_snapshots([a, b])
-        assert merged["only.a"]["value"] == 1
-        assert merged["only.b"]["value"] == 5
-
-    def test_histograms_merge_bucketwise(self):
-        a = self.build(lambda r: [
-            r.histogram("h", buckets=(0.01, 0.1)).observe(v)
-            for v in (0.005, 0.05)
-        ])
-        b = self.build(lambda r: [
-            r.histogram("h", buckets=(0.01, 0.1)).observe(v)
-            for v in (0.05, 2.0)
-        ])
-        merged = merge_snapshots([a, b])
-        assert merged["h"]["count"] == 4
-        assert merged["h"]["sum"] == pytest.approx(0.005 + 0.05 + 0.05 + 2.0)
-        assert merged["h"]["min"] == pytest.approx(0.005)
-        assert merged["h"]["max"] == pytest.approx(2.0)
-        # Bucket counts are per-bin (not cumulative): one obs at or below
-        # 0.01, two in (0.01, 0.1], one past the last bound.
-        assert merged["h"]["buckets"]["0.01"] == 1
-        assert merged["h"]["buckets"]["0.1"] == 2
-        assert merged["h"]["buckets"]["+inf"] == 1
-
-    def test_merged_percentiles_rederived(self):
-        a = self.build(lambda r: [
-            r.histogram("h", buckets=(0.01, 0.1)).observe(0.002)
-            for _ in range(99)
-        ])
-        b = self.build(lambda r: r.histogram("h", buckets=(0.01, 0.1))
-                       .observe(5.0))
-        merged = merge_snapshots([a, b])
-        assert merged["h"]["p50"] <= 0.01
-        assert merged["h"]["p99"] >= 0.01
-        assert merged["h"]["p99"] <= 5.0
-
-    def test_empty_histograms_merge_to_null_percentiles(self):
-        a = self.build(lambda r: r.histogram("h", buckets=(0.01, 0.1)))
-        b = self.build(lambda r: r.histogram("h", buckets=(0.01, 0.1)))
-        merged = merge_snapshots([a, b])
-        assert merged["h"]["count"] == 0
-        assert merged["h"]["min"] is None
-        assert merged["h"]["max"] is None
-        assert merged["h"]["p50"] is None
-        assert merged["h"]["p99"] is None
-
-    def test_empty_histogram_merges_with_populated_one(self):
-        a = self.build(lambda r: r.histogram("h", buckets=(0.01, 0.1)))
-        b = self.build(lambda r: r.histogram("h", buckets=(0.01, 0.1))
-                       .observe(0.05))
-        merged = merge_snapshots([a, b])
-        assert merged["h"]["count"] == 1
-        assert merged["h"]["min"] == pytest.approx(0.05)
-        assert merged["h"]["p50"] == pytest.approx(0.05)
-
-    def test_mismatched_bucket_layouts_rejected(self):
-        a = self.build(lambda r: r.histogram("h", buckets=(0.01, 0.1)))
-        b = self.build(lambda r: r.histogram("h", buckets=(0.5, 2.0)))
-        with pytest.raises(InvalidArgumentError):
-            merge_snapshots([a, b])
-
-    def test_type_mismatch_rejected(self):
-        a = self.build(lambda r: r.counter("x").inc())
-        b = self.build(lambda r: r.gauge("x").set(1))
-        with pytest.raises(InvalidArgumentError):
-            merge_snapshots([a, b])
-
-    def test_empty_input(self):
-        assert merge_snapshots([]) == {}
-
-    def test_single_snapshot_round_trips(self):
-        a = self.build(lambda r: (r.counter("c").inc(2),
-                                  r.histogram("h").observe(0.5)))
-        merged = merge_snapshots([a])
-        assert merged["c"]["value"] == 2
-        assert merged["h"]["count"] == 1
-
-    def test_transfer_series_survive_pool_merge(self):
-        """The bulk data plane's ``transfer.*`` series ride the same
-        merged metrics plane as the wire/cluster series: counters sum
-        across executors and the MB/s histogram re-derives percentiles."""
-        from repro.data.server import _MBPS_BUCKETS
-
-        def fill(registry, completed, mbps):
-            registry.counter("transfer.completed").inc(completed)
-            registry.counter("transfer.bytes_sent").inc(completed * 1000)
-            registry.gauge("transfer.active").set(1)
-            h = registry.histogram(
-                "transfer.throughput_mbps", buckets=_MBPS_BUCKETS
-            )
-            for value in mbps:
-                h.observe(value)
-
-        a = self.build(lambda r: fill(r, 3, [80.0, 120.0]))
-        b = self.build(lambda r: fill(r, 5, [240.0]))
-        merged = merge_snapshots([a, b])
-        assert merged["transfer.completed"]["value"] == 8
-        assert merged["transfer.bytes_sent"]["value"] == 8000
-        assert merged["transfer.active"]["value"] == 2
-        mbps = merged["transfer.throughput_mbps"]
-        assert mbps["count"] == 3
-        assert mbps["min"] == pytest.approx(80.0)
-        assert mbps["max"] == pytest.approx(240.0)
-        assert 80.0 <= mbps["p50"] <= 240.0
