@@ -30,8 +30,8 @@ Subcommands
     (waiters moved, freeze window, pin version).
 ``rebalance-status``
     Query a cluster node's ``rebalance`` op and print its placement pins,
-    in-flight/incoming migrations, autoscaler decisions and load sample,
-    plus the ``migrate.*`` metrics.
+    in-flight/incoming migrations and per-context load (waiters, running
+    re-simulations, queued jobs), plus the ``migrate.*`` metrics.
 ``trace``
     Reconstruct one distributed trace by id: any node merges its own
     spans with every reachable peer's and the CLI prints the timeline
@@ -40,7 +40,7 @@ Subcommands
 ``trace-slow``
     Print the cluster's slowest retained spans (tail-sampled, so slow
     requests appear even when head sampling skipped them) next to the
-    merged autoscaler/migration/promotion decision journal.
+    merged migration/promotion decision journal.
 ``metrics-export``
     Pull the Prometheus text exposition — the queried node's own series,
     or every reachable node's concatenated under ``# node <id>``
@@ -320,23 +320,9 @@ def _cmd_rebalance_status(args: argparse.Namespace) -> int:
         print(f" last incoming: {last.get('context')} <- {last.get('from')}"
               f" restored_waiters={last.get('restored_waiters')}"
               f"{' (partial)' if last.get('partial') else ''}")
-    scaler = view.get("autoscaler")
-    if scaler:
-        print(f" autoscaler: interval={scaler.get('interval')}s"
-              f" high={scaler.get('high')} low={scaler.get('low')}"
-              f" slo_p99_s={scaler.get('slo_p99_s')}")
-        for entry in scaler.get("last_decisions") or []:
-            fields = ", ".join(
-                f"{k}={v}" for k, v in sorted(entry.items()) if k != "action"
-            )
-            print(f"  decision {entry.get('action')}: {fields}")
-    else:
-        print(" autoscaler: off")
-    load = view.get("load") or {}
-    for name, depth in sorted((load.get("contexts") or {}).items()):
+    for name, depth in sorted((view.get("load") or {}).items()):
         print(f" load {name}: waiters={depth.get('waiters')}"
               f" sims={depth.get('sims')} queued={depth.get('queued')}")
-    print(f" p99 open: {load.get('p99_open_s')}s  msgs: {load.get('msgs')}")
     print(" metrics:")
     for line in _metric_lines(payload.get("metrics") or {}):
         print(line)
@@ -574,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_migrate)
 
     p = sub.add_parser("rebalance-status",
-                       help="print a cluster node's migration/autoscaler view")
+                       help="print a cluster node's pins, migrations and load")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7878)
     p.add_argument("--json", action="store_true",

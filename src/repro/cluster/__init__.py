@@ -16,9 +16,8 @@ installation; this package spreads contexts across peers:
 * :mod:`repro.cluster.replication` — the HA tier: owner→replica state
   streaming with epoch fencing, hot promotion and background healing;
 * :mod:`repro.cluster.migrate` — :class:`MigrationManager`, live
-  context migration (pre-copy, cutover freeze, pinned placement);
-* :mod:`repro.cluster.autoscaler` — the decentralized metrics-driven
-  policy deciding when to migrate, grow, or shrink;
+  context migration (pre-copy, cutover freeze, pinned placement), moved
+  by an operator with ``simfs-ctl migrate``;
 * :mod:`repro.cluster.client` — :class:`ClusterConnection`, the
   one-hop cluster-aware DVLib connection.
 
@@ -30,14 +29,6 @@ virtual clock for node-count sweeps and failure-schedule experiments.
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "autoscaler": (
-        "Autoscaler",
-        "AutoscalerPolicy",
-        "Migrate",
-        "NodeLoad",
-        "ScaleDown",
-        "ScaleUp",
-    ),
     "client": ("ClusterConnection",),
     "link": ("DialBackoff", "PeerLink"),
     "membership": ("PeerInfo", "PeerTable"),

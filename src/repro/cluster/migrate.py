@@ -3,9 +3,8 @@
 Ring membership used to be the only thing that moved contexts — a node
 died and the hash reassigned its contexts cold.  Migration moves one
 context from its current (healthy) owner to a chosen destination while
-both keep serving, the relief valve the autoscaler pulls when a node
-saturates (NEXUSAI-style demand scaling: the decision is made where the
-load is, no coordinator).
+both keep serving: the operator's relief valve for a hot node
+(``simfs-ctl migrate``, accepted by any node and forwarded to the owner).
 
 The protocol is source-driven over the ordinary
 :class:`~repro.cluster.link.PeerLink`, reusing the HA tier's

@@ -47,7 +47,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.link import DialBackingOff, DialBackoff, PeerLink
 from repro.cluster.membership import PeerTable
 from repro.cluster.migrate import MigrationManager
@@ -120,12 +119,12 @@ class ClusterNode:
         anti_entropy_interval: float = 5.0,
         repl_frame_hook=None,
         autoscale_policy=None,
-        autoscale_interval: float = 2.0,
     ) -> None:
         if mode != "selector":
             # The selector front end is the only one.  The keyword stays,
             # single-valued, because the frozen benchmarks/e2e/daemon.py
-            # passes it; the benchmark PR that edits that file drops both.
+            # passes it; the benchmark PR that edits that file drops it and
+            # the two retired keywords below.
             raise InvalidArgumentError(f"unknown server mode {mode!r}")
         if engine_workers is not None:
             # Same story, same fate: the multi-core engine is retired
@@ -133,6 +132,14 @@ class ClusterNode:
             raise InvalidArgumentError(
                 f"engine_workers={engine_workers!r}: the multi-core engine "
                 "is retired (one ClusterNode per core scales instead)"
+            )
+        if autoscale_policy is not None:
+            # And the autoscaler, measured on a skewed two-node load and
+            # retired (numbers in ARCHITECTURE.md); the frozen daemon
+            # passes None.
+            raise InvalidArgumentError(
+                f"autoscale_policy={autoscale_policy!r}: the autoscaler is "
+                "retired (move a context with simfs-ctl migrate)"
             )
         if replication_factor < 1:
             raise InvalidArgumentError(
@@ -254,13 +261,6 @@ class ClusterNode:
         self._synced_epoch = -1
         #: Live migration protocol, both halves (source and destination).
         self.migration = MigrationManager(self)
-        #: Decentralized autoscaler: each node watches its own load plus
-        #: the peers' and migrates contexts *it* owns when saturated.
-        self.autoscaler: Autoscaler | None = None
-        if autoscale_policy is not None:
-            self.autoscaler = Autoscaler(
-                self, autoscale_policy, interval=autoscale_interval
-            )
 
         self.server.register_op(
             OP_FWD, self.router.on_fwd, reply_op="fwd_reply", needs_worker=True
@@ -359,15 +359,11 @@ class ClusterNode:
         self._hb_thread.start()
         if self.repl is not None:
             self.repl.start()
-        if self.autoscaler is not None:
-            self.autoscaler.start()
 
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Tear the node down (abruptly from the peers' point of view —
         survivors notice through heartbeats, exactly like a crash)."""
         self._stop.set()
-        if self.autoscaler is not None:
-            self.autoscaler.stop()
         if self.repl is not None:
             self.repl.stop()
         if self._hb_thread is not None:
@@ -799,9 +795,7 @@ class ClusterNode:
             yield peer_id, None
         for peer_id in peer_ids:
             try:
-                reply = self.router.link(peer_id).call(
-                    dict(message, fanout=0), timeout=self.rpc_timeout
-                )
+                reply = self.router.call(peer_id, dict(message, fanout=0))
             except (DVConnectionLost, SimFSError, OSError):
                 reply = None
             yield peer_id, reply
@@ -919,7 +913,7 @@ class ClusterNode:
         return {"ha": payload, "metrics": self.metrics.snapshot("repl.")}
 
     # ------------------------------------------------------------------ #
-    # Live migration (placement pins, the migrate op, load probes)
+    # Live migration (placement pins, the migrate and rebalance ops)
     # ------------------------------------------------------------------ #
     def _pins_wire(self) -> list[list]:
         """Wire form of the pin table (called with the lock held): a
@@ -1001,28 +995,6 @@ class ClusterNode:
                 pass
         self.migration.promote_incoming(context_name)
 
-    def local_load(self) -> dict:
-        """This node's load sample for the autoscaler: per-context waiter
-        / running-sim / queued-job depth, open-latency p99, and the wire
-        message counter (rate is the sampler's job)."""
-        contexts: dict[str, dict] = {}
-        for shard in self.server.coordinator.shards():
-            summary = shard.summary()
-            contexts[summary["context"]] = {
-                "waiters": summary["waited_keys"],
-                "sims": summary["running_sims"],
-                "queued": summary["queued_jobs"],
-            }
-        snap = self.metrics.snapshot("op.open.seconds")
-        series = snap.get("op.open.seconds") or {}
-        frames = self.metrics.snapshot("wire.frames_recv")
-        return {
-            "node": self.node_id,
-            "contexts": contexts,
-            "p99_open_s": series.get("p99"),
-            "msgs": (frames.get("wire.frames_recv") or {}).get("value", 0),
-        }
-
     def _op_migrate(self, conn, message: dict) -> dict:
         """Server op, two roles: peer data frames (``kind`` set) feed the
         destination half; control requests (``context``/``dest``) start a
@@ -1049,15 +1021,29 @@ class ClusterNode:
                 "context": context, "from": owner, "to": dest, "noop": True,
             }}
         if owner != self.node_id:
-            reply = self.router.link(owner).call(
-                {"op": "migrate", "context": context, "dest": dest},
-                timeout=self.rpc_timeout,
+            reply = self.router.call(
+                owner, {"op": "migrate", "context": context, "dest": dest}
             )
             return {k: v for k, v in reply.items() if k != "req"}
         return {"migrate": self.migration.migrate(context, dest)}
 
+    def _context_load(self) -> dict[str, dict]:
+        """Per-context waiter / running-sim / queued-job depth."""
+        load = {}
+        for shard in self.server.coordinator.shards():
+            summary = shard.summary()
+            load[summary["context"]] = {
+                "waiters": summary["waited_keys"],
+                "sims": summary["running_sims"],
+                "queued": summary["queued_jobs"],
+            }
+        return load
+
     def _op_load(self, conn, message: dict) -> dict:
-        return {"load": self.local_load()}
+        # Kept for the frozen benchmarks/e2e/layers.py, which times peer
+        # link round trips with it; the benchmark PR that edits that file
+        # can drop it with the retired constructor keywords.
+        return {"load": {"node": self.node_id, "contexts": self._context_load()}}
 
     def _op_rebalance(self, conn, message: dict) -> dict:
         """Server op: rebalance status (``simfs-ctl rebalance-status``)."""
@@ -1070,10 +1056,7 @@ class ClusterNode:
                 "epoch": epoch,
                 "pins": pins,
                 "migration": self.migration.describe(),
-                "autoscaler": (
-                    self.autoscaler.describe() if self.autoscaler else None
-                ),
-                "load": self.local_load(),
+                "load": self._context_load(),
             },
             "metrics": self.metrics.snapshot("migrate."),
         }

@@ -184,6 +184,23 @@ class Router:
                     self._links[peer_id] = link
         return link
 
+    def call(self, peer_id: str, message: dict) -> dict:
+        """One request/reply with a peer (control and obs ops, not runs).
+        A dial back-off window is waited out inside ``rpc_timeout`` and
+        membership is not told: no dial was made, so it says nothing
+        about the peer.  Anything else the link raises is the caller's."""
+        deadline = self._clock() + self.rpc_timeout
+        while True:
+            try:
+                link = self.link(peer_id)
+            except DialBackingOff as exc:
+                remaining = deadline - self._clock()
+                if remaining <= 0:
+                    raise
+                self._sleep(min(exc.retry_in, remaining))
+                continue
+            return link.call(message, timeout=self.rpc_timeout)
+
     def link_down(self, peer_id: str) -> None:
         """A link died (its ``on_down``) or a forward hit a torn one:
         forget it and tell whoever decides membership."""

@@ -7,7 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "components": (
         "DESExecutor",
         "VirtualAnalysis",
-        "VirtualAutoscaler",
         "VirtualCluster",
         "VirtualClusterNode",
         "VirtualDataPlane",

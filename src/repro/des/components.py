@@ -16,13 +16,6 @@ from dataclasses import dataclass, field
 
 import itertools
 
-from repro.cluster.autoscaler import (
-    AutoscalerPolicy,
-    Migrate,
-    NodeLoad,
-    ScaleDown,
-    ScaleUp,
-)
 from repro.cluster.membership import PeerTable
 from repro.cluster.ring import HashRing
 from repro.core.context import SimulationContext
@@ -39,7 +32,6 @@ __all__ = [
     "VirtualSimFS",
     "VirtualClusterNode",
     "VirtualCluster",
-    "VirtualAutoscaler",
     "VirtualTransfer",
     "VirtualDataPlane",
 ]
@@ -516,12 +508,9 @@ class VirtualCluster:
         self.hot_restored_waiters = 0
         self.lost_waiters = 0
         self.healed = 0
-        self._queue_delay = queue_delay
         self.migrations = 0
         self.migrated_waiters = 0
         self.resumed_sims = 0
-        self.joined = 0
-        self.drained = 0
 
     # ------------------------------------------------------------------ #
     def _target_replicas(self) -> int:
@@ -695,8 +684,7 @@ class VirtualCluster:
                 )
 
     # ------------------------------------------------------------------ #
-    # Elasticity: live migration, node join/drain, load sampling — the
-    # DES mirror of the migrate protocol and the autoscaler's actuators
+    # Live migration — the DES mirror of the migrate protocol
     # ------------------------------------------------------------------ #
     def migrate_context(
         self, context_name: str, dest: str, freeze: float = 0.0
@@ -782,79 +770,6 @@ class VirtualCluster:
             self.engine.schedule(freeze, lambda: self._replay(captured))
         return len(captured)
 
-    def join_node(self, node_id: str) -> None:
-        """Add a fresh node (scale-up).  Every located context is pinned
-        in place first, so joining moves *nothing* implicitly — the ring
-        would otherwise cold-reassign hash ranges, losing shard state the
-        DES (like the live tier) only moves through migration.  The
-        autoscaler then sheds load onto the new node deliberately."""
-        if node_id in self.nodes and self.nodes[node_id].alive:
-            raise InvalidArgumentError(f"node {node_id!r} already present")
-        pins = self.ring.pins()
-        for name, where in self._located.items():
-            if pins.get(name) != where:
-                self.ring.pin(name, where)
-        self.nodes[node_id] = VirtualClusterNode(
-            node_id, self.engine, self._route, self._queue_delay
-        )
-        self.ring.add_node(node_id)
-        self.table.upsert(node_id, "virtual", 0)
-        self.joined += 1
-
-    def drain_node(self, node_id: str, freeze: float = 0.0) -> None:
-        """Gracefully decommission a node (scale-down): migrate every
-        context it hosts to the least-loaded survivor, then leave the
-        ring.  No failover counters move — nothing was lost."""
-        node = self.nodes.get(node_id)
-        if node is None or not node.alive:
-            raise InvalidArgumentError(f"node {node_id!r} is not alive")
-        survivors = [
-            other for other, n in self.nodes.items()
-            if n.alive and other != node_id
-        ]
-        if not survivors:
-            raise InvalidArgumentError(
-                "cannot drain the last live node of the virtual cluster"
-            )
-        hosted = sorted(
-            name for name, where in self._located.items() if where == node_id
-        )
-        for name in hosted:
-            placed = {
-                other: sum(
-                    1 for where in self._located.values() if where == other
-                )
-                for other in survivors
-            }
-            dest = min(survivors, key=lambda other: (placed[other], other))
-            self.migrate_context(name, dest, freeze=freeze)
-        node.alive = False
-        self.table.link_failed(node_id)
-        self.ring.remove_node(node_id)
-        self.drained += 1
-
-    def node_loads(self) -> list[NodeLoad]:
-        """Per-node load samples in :class:`AutoscalerPolicy`'s shape —
-        the DES equivalent of each live node's ``load`` op."""
-        loads = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if not node.alive:
-                continue
-            contexts: dict[str, float] = {}
-            for name, where in self._located.items():
-                if where != node_id:
-                    continue
-                shard = node.coordinator.shard(name)
-                with shard.lock:
-                    contexts[name] = float(
-                        sum(len(w) for w in shard.waiters.values())
-                        + len(shard.sims)
-                        + len(shard.pending_jobs)
-                    )
-            loads.append(NodeLoad(node_id, contexts))
-        return loads
-
     # ------------------------------------------------------------------ #
     def run(self, until: float | None = None) -> float:
         return self.engine.run(until=until)
@@ -886,8 +801,6 @@ class VirtualCluster:
             "migrations": self.migrations,
             "migrated_waiters": self.migrated_waiters,
             "resumed_sims": self.resumed_sims,
-            "joined": self.joined,
-            "drained": self.drained,
             "replication": {
                 "factor": self.replication_factor,
                 "promotions": self.promotions,
@@ -934,86 +847,6 @@ class VirtualCluster:
         analysis = self._analyses.get(notification.client_id)
         if analysis is not None:
             analysis.on_notification(notification)
-
-
-class VirtualAutoscaler:
-    """The autoscaler loop in virtual time: the *same*
-    :class:`~repro.cluster.autoscaler.AutoscalerPolicy` the live nodes
-    run, sampling :meth:`VirtualCluster.node_loads` every ``tick``
-    virtual seconds and actuating through the cluster's elasticity
-    methods.  Unlike a live node (which can only migrate and hint), the
-    DES is omniscient and owns the hardware: ``ScaleUp`` joins fresh
-    nodes and ``ScaleDown`` drains them, so scale scenarios (diurnal
-    load, flash crowds, 1→8→2 sweeps) run end to end.
-
-    Ticks are pre-scheduled up to ``until`` and stop there, keeping
-    ``engine.run()`` termination deterministic (the
-    :class:`VirtualDataPlane` self-stopping pattern, bounded instead of
-    demand-driven because the sampler must observe idleness too).
-    """
-
-    def __init__(
-        self,
-        cluster: VirtualCluster,
-        policy: AutoscalerPolicy,
-        tick: float = 1.0,
-        freeze: float = 0.05,
-        max_nodes: int = 16,
-    ) -> None:
-        if tick <= 0:
-            raise InvalidArgumentError(f"tick must be > 0, got {tick}")
-        self.cluster = cluster
-        self.policy = policy
-        self.tick = tick
-        self.freeze = freeze
-        self.max_nodes = max_nodes
-        self._next_id = itertools.count(1)
-        self.started = False
-        #: (virtual time, decision record) log for scenario assertions
-        self.history: list[tuple[float, dict]] = []
-
-    def start(self, until: float) -> None:
-        """Schedule sampling ticks over ``(0, until]``."""
-        if self.started:
-            raise InvalidArgumentError("autoscaler already started")
-        self.started = True
-        ticks = int(until / self.tick)
-        for position in range(1, ticks + 1):
-            self.cluster.engine.schedule_at(position * self.tick, self._tick)
-
-    def _tick(self) -> None:
-        decisions = self.policy.decide(self.cluster.node_loads())
-        now = self.cluster.engine.now()
-        for decision in decisions:
-            if isinstance(decision, Migrate):
-                moved = self.cluster.migrate_context(
-                    decision.context, decision.dest, freeze=self.freeze
-                )
-                self.history.append((now, {
-                    "action": "migrate", "context": decision.context,
-                    "src": decision.src, "dest": decision.dest,
-                    "waiters": moved,
-                }))
-            elif isinstance(decision, ScaleUp):
-                alive = sum(1 for n in self.cluster.nodes.values() if n.alive)
-                for _ in range(decision.count):
-                    if alive >= self.max_nodes:
-                        break
-                    node_id = f"scale-{next(self._next_id)}"
-                    self.cluster.join_node(node_id)
-                    alive += 1
-                    self.history.append(
-                        (now, {"action": "scale_up", "node": node_id})
-                    )
-            elif isinstance(decision, ScaleDown):
-                node = self.cluster.nodes.get(decision.node_id)
-                if node is not None and node.alive:
-                    self.cluster.drain_node(
-                        decision.node_id, freeze=self.freeze
-                    )
-                    self.history.append((now, {
-                        "action": "scale_down", "node": decision.node_id,
-                    }))
 
 
 # --------------------------------------------------------------------- #

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.core.context import SimulationContext
 from repro.core.errors import (
+    DETAIL_ALREADY_CONNECTED,
     ContextError,
     ErrorCode,
     InvalidArgumentError,
@@ -1079,7 +1080,7 @@ class DVServer:
                     # A second hello reusing a live client_id would silently
                     # orphan the first connection's notifications.
                     raise InvalidArgumentError(
-                        f"client_id {client_id!r} is already connected"
+                        f"client_id {client_id!r} is {DETAIL_ALREADY_CONNECTED}"
                     )
                 conn.client_id = client_id
                 self._clients[client_id] = conn

@@ -17,7 +17,7 @@ Exemplars bind a sampled trace_id to the latency-histogram bucket its
 observation landed in (:meth:`attach_exemplar`), so a p99 spike in the
 exported metrics points straight at a reconstructable trace.  The
 decision journal (:meth:`journal`) keeps the last N structured
-autoscaler/migration/promotion decisions.
+migration/promotion decisions.
 
 Timestamps are caller-supplied, so the DES records the same span
 structure in virtual time (``clock`` only stamps journal entries).
@@ -222,8 +222,8 @@ class SpanRecorder:
     # Decision journal
     # ------------------------------------------------------------------ #
     def journal(self, kind: str, **fields: object) -> dict:
-        """Append one structured decision record (autoscaler verdicts,
-        migration cutovers, HA promotions)."""
+        """Append one structured decision record (migration cutovers,
+        HA promotions)."""
         entry = {"ts": self._clock(), "kind": kind, "node": self.node}
         entry.update({k: v for k, v in fields.items() if v is not None})
         with self._journal_lock:

@@ -142,8 +142,8 @@ class TestTraceRendering:
     def test_trace_slow_output(self, stub_reply, capsys):
         stub_reply({"slow": {
             "spans": [self.span("sim.wait", 0.0, 5.0, context="c")],
-            "journal": [{"ts": 12.0, "kind": "autoscale", "node": "n0",
-                         "decision": "up"}],
+            "journal": [{"ts": 12.0, "kind": "migrate.cutover", "node": "n0",
+                         "dest": "n1"}],
             "nodes": ["n0"],
             "unreachable": [],
         }})
@@ -153,7 +153,7 @@ class TestTraceRendering:
         assert "slowest 1 spans nodes=[n0]" in out
         assert f"sim.wait @n0  trace={'ab' * 8}" in out
         assert "decision journal:" in out
-        assert "[12.0] autoscale @n0: decision=up" in out
+        assert "[12.0] migrate.cutover @n0: dest=n1" in out
 
 
 class TestLiveCommands:

@@ -453,6 +453,42 @@ class TestLink:
         assert len(net.links) == 1 and not net.links[0].closed
 
 
+class Answering:
+    """A link that answers any request by echoing it."""
+
+    closed = False
+
+    def call(self, message, timeout=None):
+        return {"echo": message, "timeout": timeout}
+
+
+class TestCall:
+    def test_a_dial_backoff_is_waited_out_and_tells_nobody(self):
+        net = Net("a", "b")
+        b = net.members["b"]
+        dials = []
+
+        def backs_off_once(peer_id, **callbacks):
+            dials.append(net.clock())
+            if len(dials) == 1:
+                raise DialBackingOff(peer_id, 0.4)
+            return Answering()
+
+        b.router._dial = backs_off_once
+        reply = b.router.call("a", {"op": "metrics_text"})
+        assert reply == {"echo": {"op": "metrics_text"}, "timeout": 10.0}
+        assert dials == [0.0, 0.4] and net.clock.sleeps == [0.4]
+        assert b.unreachable == [] and b.timeouts == []
+
+    def test_a_backoff_past_rpc_timeout_raises_at_the_deadline(self):
+        net = Net("a", "b")
+        b = net.members["b"]
+        net.backoff[("b", "a")] = 60.0
+        with pytest.raises(DialBackingOff):
+            b.router.call("a", {"op": "metrics_text"})
+        assert net.clock.sleeps == [10.0] and b.unreachable == []
+
+
 class TestStale:
     def setup_net(self, policy):
         net = Net("a", "b", "c", policy=policy, owner="a")

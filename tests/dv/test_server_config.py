@@ -120,8 +120,9 @@ class TestMainConfig:
 
     def test_retired_mode_is_a_startup_error(self, tmp_path, capsys):
         """The selector front end is the only one, in one process: a
-        config that still asks for another front end or for the retired
-        multi-core engine must fail loudly, not silently run selector."""
+        config that still asks for another front end, for the retired
+        multi-core engine or for the retired autoscaler must fail loudly,
+        not silently run selector."""
         from repro.cluster import ClusterNode
         from repro.core.errors import InvalidArgumentError
         from repro.dv import server as server_mod
@@ -143,6 +144,8 @@ class TestMainConfig:
             ClusterNode("n1", mode="threaded")
         with pytest.raises(InvalidArgumentError):
             ClusterNode("n1", engine_workers=2)
+        with pytest.raises(InvalidArgumentError):
+            ClusterNode("n1", autoscale_policy=object())
         with pytest.raises(TypeError):
             DVServer(mode="selector")
 

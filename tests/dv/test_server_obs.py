@@ -146,14 +146,14 @@ class TestInspectionOps:
         server, _ = warm_server
         now = server.obs.now()
         server.obs.record("sim.wait", None, now - 5.0, now, context="obs")
-        server.obs.journal("autoscale", decision="noop")
+        server.obs.journal("migrate.cutover", dest="n1")
         with connect(server) as conn:
             reply = conn.call({"op": "trace_slow", "limit": 5})
         view = reply["slow"]
         assert view["spans"][0]["name"] == "sim.wait"
         assert view["spans"][0]["duration"] == pytest.approx(5.0)
         kinds = [e["kind"] for e in view["journal"]]
-        assert "autoscale" in kinds
+        assert "migrate.cutover" in kinds
 
     def test_metrics_text_is_prometheus_exposition(self, warm_server):
         server, context = warm_server

@@ -12,6 +12,7 @@ import pytest
 from repro.client import SimFSSession, TcpConnection
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.errors import (
+    DETAIL_ALREADY_CONNECTED,
     ErrorCode,
     InvalidArgumentError,
     ProtocolError,
@@ -140,8 +141,10 @@ class TestDuplicateHello:
         server, contexts = two_context_server
         fname = contexts["alpha"].filename_of(1)
         with connect(server, "alpha", client_id="dup-client") as first:
-            with pytest.raises(InvalidArgumentError):
+            with pytest.raises(InvalidArgumentError) as refused:
                 connect(server, "alpha", client_id="dup-client")
+            # The detail the clients' retry loops match on.
+            assert DETAIL_ALREADY_CONNECTED in str(refused.value)
             # The original connection keeps working after the rejection.
             with SimFSSession(first, "alpha") as session:
                 status = session.acquire([fname], timeout=30.0)

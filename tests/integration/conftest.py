@@ -1,7 +1,9 @@
 """Shared fixtures for full-stack integration tests."""
 
+import json
 import os
 import socket
+import time
 
 import pytest
 
@@ -32,6 +34,27 @@ def free_port() -> int:
     sock.bind(("127.0.0.1", 0))
     _HELD_PORTS.append(sock)
     return sock.getsockname()[1]
+
+
+def wait_until(predicate, timeout=20.0, message="condition never held",
+               nodes=()):
+    """Poll ``predicate`` until it holds; past ``timeout`` seconds fail
+    with ``message`` (a callable is asked for it then) followed by the
+    ``describe()`` view of each of ``nodes``, so a failed wait shows the
+    ring, membership and pins it was waiting on."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            text = message() if callable(message) else message
+            for node in nodes:
+                try:
+                    view = json.dumps(node.describe(), sort_keys=True,
+                                      default=str)
+                except Exception as exc:  # a stopped node: say so, go on
+                    view = f"describe() failed: {exc!r}"
+                text += f"\n{getattr(node, 'node_id', node)}: {view}"
+            pytest.fail(text)
+        time.sleep(0.02)
 
 
 @pytest.fixture(autouse=True)

@@ -19,7 +19,7 @@ from repro.cluster import ClusterConnection, ClusterNode
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
 from repro.simulators import SyntheticDriver
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 
 NODE_IDS = ("n1", "n2", "n3")
 
@@ -199,10 +199,10 @@ class TestRejoin:
                 n["id"] for n in node.describe()["nodes"] if n["alive"]
             }
 
-        deadline = time.time() + 20.0
-        while victim in alive_view(nodes[survivor]):
-            assert time.time() < deadline, "death never detected"
-            time.sleep(0.1)
+        wait_until(
+            lambda: victim not in alive_view(nodes[survivor]), 20.0,
+            "death never detected", nodes=[nodes[survivor]],
+        )
         # Same id, same generation, same port: only direct contact can
         # bring it back.
         reborn = ClusterNode(
@@ -216,16 +216,16 @@ class TestRejoin:
         reborn.add_context(context, out, rst)
         reborn.start()
         try:
-            deadline = time.time() + 20.0
-            while victim not in alive_view(nodes[survivor]):
-                assert time.time() < deadline, "rejoin never propagated"
-                time.sleep(0.1)
+            wait_until(
+                lambda: victim in alive_view(nodes[survivor]), 20.0,
+                "rejoin never propagated", nodes=[nodes[survivor], reborn],
+            )
             # Minimal-movement property: the ring converges back to the
             # original assignment, so the owner is unchanged.
-            deadline = time.time() + 10.0
-            while nodes[survivor].owner_of("alpha") != owner:
-                assert time.time() < deadline
-                time.sleep(0.1)
+            wait_until(
+                lambda: nodes[survivor].owner_of("alpha") == owner, 10.0,
+                "the ring never gave the arc back", nodes=[nodes[survivor], reborn],
+            )
         finally:
             reborn.stop(drain_timeout=0)
 

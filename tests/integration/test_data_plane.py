@@ -29,7 +29,7 @@ from repro.data.protocol import (
     encode_ctrl,
 )
 from repro.simulators import SyntheticDriver
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 
 NODE_IDS = ("n1", "n2")
 BULK_FILE_STEP = 99  # synthetic step number for the hand-written big file
@@ -76,18 +76,18 @@ def two_nodes(tmp_path):
         fh.write(os.urandom(4 * 1024 * 1024))
     for node in nodes.values():
         node.start()
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        views = [n.describe() for n in nodes.values()]
-        # Ready once every node sees both peers alive AND has learnt
-        # their data ports through gossip.
-        if all(
+
+    def settled():
+        # Every node sees both peers alive AND has learnt their data
+        # ports through gossip.
+        return all(
             len([p for p in v["nodes"] if p["alive"]]) == 2
             and all(p.get("data") for p in v["nodes"])
-            for v in views
-        ):
-            break
-        time.sleep(0.05)
+            for v in (n.describe() for n in nodes.values())
+        )
+
+    wait_until(settled, 10.0, "data ports never gossiped",
+               nodes=nodes.values())
     yield nodes, outs, owner, produced, bulk_name, tmp_path
     for node in nodes.values():
         try:

@@ -20,7 +20,7 @@ from repro.cluster import ClusterNode
 from repro.cluster.ring import HashRing
 from repro.core.errors import SimFSError
 from repro.dv.protocol import MessageReader, encode_frame, send_message
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 from tests.integration.test_cluster_stack import build_context
 
 VNODES = 32
@@ -60,13 +60,12 @@ def start_settled(nodes, stop_nodes):
     for node in nodes.values():
         node.start()
         stop_nodes.append(node)
-    deadline = time.monotonic() + 10.0
-    while any(
-        node.metrics.get("cluster.gossip_rounds").value < 1
-        for node in nodes.values()
-    ):
-        assert time.monotonic() < deadline
-        time.sleep(0.02)
+    wait_until(
+        lambda: all(
+            node.metrics.get("cluster.gossip_rounds").value >= 1
+            for node in nodes.values()
+        ), 10.0, "a node never finished a gossip round", nodes=nodes.values(),
+    )
 
 
 class PipelinedClient:
@@ -205,10 +204,12 @@ def test_pipelined_ops_cross_the_hop_as_runs(tmp_path, stop_nodes):
         assert a.metrics.get("cluster.fwd_received").value == fwd_sent
     finally:
         client.close()
-    deadline = time.monotonic() + 10.0
-    while a.router._proxies or b.router._ingress_ctx or b.router._pending:
-        assert time.monotonic() < deadline, (a.router._proxies, b.router._pending)
-        time.sleep(0.02)
+    wait_until(
+        lambda: not (
+            a.router._proxies or b.router._ingress_ctx or b.router._pending
+        ), 10.0, lambda: repr((a.router._proxies, b.router._pending)),
+        nodes=[a, b],
+    )
 
 
 def test_owner_killed_mid_stream_every_request_gets_one_reply(

@@ -33,8 +33,7 @@ from tests.dv.test_server_local_runs import (
     build_context,
     request_stream,
 )
-from tests.integration.conftest import free_port
-from tests.integration.test_ha_failover import wait_until
+from tests.integration.conftest import free_port, wait_until
 
 VNODES = 32
 

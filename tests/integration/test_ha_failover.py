@@ -19,7 +19,7 @@ import pytest
 from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterConnection, ClusterNode
 from repro.core.errors import InvalidArgumentError
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 from tests.integration.test_cluster_stack import build_context, wait_ready
 
 NODE_IDS = ("n1", "n2", "n3")
@@ -58,13 +58,6 @@ def stop_all(nodes):
             pass
 
 
-def wait_until(predicate, timeout=20.0, message="condition never held"):
-    deadline = time.time() + timeout
-    while not predicate():
-        assert time.time() < deadline, message
-        time.sleep(0.05)
-
-
 def preference_chain(nodes, context_name, count):
     any_node = next(iter(nodes.values()))
     with any_node._lock:
@@ -90,6 +83,7 @@ class TestHAMode:
             wait_until(
                 lambda: nodes[replica].repl.store.has("alpha"),
                 message="replica never received a snapshot",
+                nodes=nodes.values(),
             )
             bystander = next(n for n in NODE_IDS if n not in chain)
             assert not nodes[bystander].repl.store.has("alpha")
@@ -97,6 +91,7 @@ class TestHAMode:
             wait_until(
                 lambda: nodes[owner].metrics.get("repl.snapshots_sent").value >= 1,
                 message="owner never counted its snapshot",
+                nodes=nodes.values(),
             )
             view = nodes[owner].repl.describe()
             assert view["factor"] == 2
@@ -135,6 +130,7 @@ class TestHotFailover:
             wait_until(
                 lambda: replica_waiter_count(nodes[replica], "alpha") >= 1,
                 message="waiter never replicated",
+                nodes=nodes.values(),
             )
             nodes[owner].stop(drain_timeout=0)  # dies mid-restart
             assert wait_ready(conn, "alpha", filename, timeout=60.0)
@@ -150,10 +146,12 @@ class TestHotFailover:
             wait_until(
                 lambda: nodes[other].repl.store.has("alpha"),
                 message="context never healed back to factor 2",
+                nodes=nodes.values(),
             )
             wait_until(
                 lambda: nodes[replica].metrics.get("repl.healed").value >= 1,
                 message="healing never recorded",
+                nodes=nodes.values(),
             )
             assert nodes[replica].metrics.get(
                 "repl.healing_queue").value == 0
@@ -172,15 +170,20 @@ class TestHotFailover:
             chain = preference_chain(nodes, "alpha", 2)
             owner, replica = chain
             bystander = next(n for n in NODE_IDS if n not in chain)
-            wait_until(lambda: nodes[replica].repl.store.has("alpha"))
+            wait_until(
+                lambda: nodes[replica].repl.store.has("alpha"),
+                nodes=nodes.values(),
+            )
             nodes[replica].stop(drain_timeout=0)
             wait_until(
                 lambda: nodes[bystander].repl.store.has("alpha"),
                 message="replacement replica never received the context",
+                nodes=nodes.values(),
             )
             wait_until(
                 lambda: nodes[owner].metrics.get("repl.healed").value >= 1,
                 message="healing never recorded on the owner",
+                nodes=nodes.values(),
             )
             assert nodes[owner].metrics.get("repl.promotions").value == 0
         finally:
@@ -208,7 +211,8 @@ class TestHotFailover:
             info = conn.open("alpha", filename)
             assert not info.available
             wait_until(
-                lambda: replica_waiter_count(nodes[replica], "alpha") >= 1
+                lambda: replica_waiter_count(nodes[replica], "alpha") >= 1,
+                nodes=nodes.values(),
             )
             nodes[owner].stop(drain_timeout=0)
             assert wait_ready(conn, "alpha", filename, timeout=60.0)
@@ -259,6 +263,7 @@ class TestFaultInjection:
             wait_until(
                 lambda: replica_waiter_count(nodes[replica], "alpha") >= 1,
                 message="replica never converged despite drops",
+                nodes=nodes.values(),
             )
             assert drops["count"] >= 2  # losses really happened
             assert wait_ready(conn, "alpha", filename, timeout=60.0)
@@ -287,9 +292,13 @@ class TestFaultInjection:
         try:
             chain = preference_chain(nodes, "alpha", 2)
             owner, replica = chain
-            wait_until(lambda: nodes[replica].repl.store.has("alpha"))
             wait_until(
-                lambda: nodes[owner].metrics.get("repl.frames_sent").value >= 3
+                lambda: nodes[replica].repl.store.has("alpha"),
+                nodes=nodes.values(),
+            )
+            wait_until(
+                lambda: nodes[owner].metrics.get("repl.frames_sent").value >= 3,
+                nodes=nodes.values(),
             )
             entry = nodes[replica].repl.store.describe()["alpha"]
             stream_seq = [
@@ -328,6 +337,7 @@ class TestFaultInjection:
             wait_until(
                 lambda: replica_waiter_count(nodes[second], "alpha") >= 1,
                 message="second replica never received the waiter",
+                nodes=nodes.values(),
             )
             nodes[owner].stop(drain_timeout=0)
             # Kill the would-be promotee immediately: the second replica
@@ -353,7 +363,10 @@ class TestHAStatusCLI:
         try:
             chain = preference_chain(nodes, "alpha", 2)
             owner, replica = chain
-            wait_until(lambda: nodes[replica].repl.store.has("alpha"))
+            wait_until(
+                lambda: nodes[replica].repl.store.has("alpha"),
+                nodes=nodes.values(),
+            )
             host, port = nodes[owner].address
             assert ctl_main([
                 "ha-status", "--host", host, "--port", str(port), "--json",
@@ -389,7 +402,10 @@ class TestEpochFencing:
         try:
             chain = preference_chain(nodes, "alpha", 2)
             owner, replica = chain
-            wait_until(lambda: nodes[replica].repl.store.has("alpha"))
+            wait_until(
+                lambda: nodes[replica].repl.store.has("alpha"),
+                nodes=nodes.values(),
+            )
             # Simulate the replica having promoted itself (owner death
             # from its point of view) without actually killing the owner.
             target = nodes[replica]

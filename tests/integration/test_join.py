@@ -16,14 +16,13 @@ import pytest
 
 from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 from tests.integration.test_cluster_stack import build_context
 from tests.integration.test_forwarding_regressions import (
     VNODES,
     make_pair,
     owned_by,
 )
-from tests.integration.test_ha_failover import wait_until
 
 
 def joined(nodes) -> bool:

@@ -12,7 +12,7 @@ from repro.client import (
 )
 from repro.core.errors import ErrorCode
 from repro.simio import install_hooks, sio_open
-from tests.integration.conftest import build_server
+from tests.integration.conftest import build_server, wait_until
 
 
 class TestBlockingAcquire:
@@ -79,19 +79,12 @@ class TestNonBlockingAcquire:
                 assert sorted(seen) == [0, 1]
 
     def test_test_eventually_completes(self, synth_server):
-        import time
-
         server, context, _ = synth_server
         with LocalConnection(server) as conn:
             with SimFSSession(conn, context.name) as session:
                 _, request = session.acquire_nb([context.filename_of(4)])
-                deadline = time.time() + 30.0
-                while time.time() < deadline:
-                    done, _ = session.test(request)
-                    if done:
-                        break
-                    time.sleep(0.005)
-                assert done
+                wait_until(lambda: session.test(request)[0], 30.0,
+                           "a non-blocking acquire never completed")
 
 
 class TestTransparentMode:

@@ -13,14 +13,14 @@ mid-handoff.
 
 import json
 import os
-import time
 
 import pytest
 
 from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
+from repro.cluster.link import PeerLink
 from repro.core.errors import DVConnectionLost, SimFSError
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 from tests.integration.test_cluster_stack import build_context, wait_ready
 
 NODE_IDS = ("n1", "n2", "n3")
@@ -53,13 +53,6 @@ def stop_all(nodes):
             node.stop(drain_timeout=0)
         except Exception:
             pass
-
-
-def wait_until(predicate, timeout=20.0, message="condition never held"):
-    deadline = time.time() + timeout
-    while not predicate():
-        assert time.time() < deadline, message
-        time.sleep(0.05)
 
 
 def owner_of(nodes, context_name):
@@ -101,6 +94,7 @@ class TestLiveMigration:
             wait_until(
                 lambda: shard_waiters(nodes[owner], "alpha") >= 1,
                 message="waiter never registered at the source",
+                nodes=nodes.values(),
             )
             result = nodes[owner].migration.migrate("alpha", dest)
             assert result["moved_waiters"] >= 1
@@ -118,6 +112,7 @@ class TestLiveMigration:
                     for node in nodes.values()
                 ),
                 message="ring never converged on the pinned owner",
+                nodes=nodes.values(),
             )
             assert nodes[owner].metrics.get("migrate.completed").value == 1
             assert nodes[dest].metrics.get("migrate.adopted").value == 1
@@ -197,6 +192,7 @@ class TestLiveMigration:
             wait_until(
                 lambda: shard_waiters(nodes[owner], "alpha") >= 1,
                 message="waiter never registered at the source",
+                nodes=nodes.values(),
             )
             with pytest.raises(DVConnectionLost):
                 manager.migrate("alpha", dest)
@@ -238,6 +234,7 @@ class TestLiveMigration:
             wait_until(
                 lambda: shard_waiters(nodes[owner], "alpha") >= 1,
                 message="waiter never registered at the source",
+                nodes=nodes.values(),
             )
             # The pre-copy phase delivered one snapshot, then the source
             # died before the cutover: forge exactly that state.
@@ -308,6 +305,7 @@ class TestMigrationCLI:
                     for node in nodes.values()
                 ),
                 message="ring never converged after CLI migrate",
+                nodes=nodes.values(),
             )
             # Re-issuing the same move is a calm no-op.
             assert ctl_main([
@@ -325,6 +323,7 @@ class TestMigrationCLI:
             assert f"node {dest}" in printed
             assert f"pin alpha -> {dest}" in printed
             assert "last incoming: alpha" in printed
+            assert "load alpha: waiters=" in printed
             assert "migrate." in printed
             # JSON view parses and carries the same facts.
             assert ctl_main([
@@ -336,6 +335,14 @@ class TestMigrationCLI:
             assert any(
                 name.startswith("migrate.") for name in payload["metrics"]
             )
+            # The bare load probe over a peer link answers too.
+            link = PeerLink("probe", dest, host, port)
+            try:
+                reply = link.call({"op": "load"})
+            finally:
+                link.close()
+            assert reply["load"]["node"] == dest
+            assert "alpha" in reply["load"]["contexts"]
             # Unknown context fails loudly.
             assert ctl_main([
                 "migrate", "nope", dest,

@@ -14,7 +14,7 @@ from repro.cluster import ClusterNode
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
 from repro.simulators import SyntheticDriver
-from tests.integration.conftest import free_port
+from tests.integration.conftest import free_port, wait_until
 
 NODE_IDS = ("n1", "n2")
 
@@ -147,14 +147,18 @@ class TestEndToEndTrace:
         nodes, context, out, rst = traced_cluster
         nodes["n2"].stop(drain_timeout=0)
         host, port = nodes["n1"].address
-        deadline = time.time() + 10.0
         unreachable: list = []
-        while time.time() < deadline and "n2" not in unreachable:
+
+        def n2_unreachable():
             with TcpConnection(host, port, {}, {}) as conn:
                 reply = conn.call(
                     {"op": "trace", "trace_id": "ab" * 8}, timeout=30.0
                 )
-            unreachable = reply["trace"]["unreachable"]
+            unreachable[:] = reply["trace"]["unreachable"]
+            return "n2" in unreachable
+
+        wait_until(n2_unreachable, 10.0, "n2 never reported unreachable",
+                   nodes=[nodes["n1"]])
         assert unreachable == ["n2"]
         code = ctl_main([
             "trace", "ab" * 8, "--host", host, "--port", str(port),
@@ -177,3 +181,39 @@ class TestEndToEndTrace:
         for nid in NODE_IDS:
             assert f"# node {nid}" in text
         assert "# TYPE wire_frames_recv counter" in text
+
+
+def test_fan_out_waits_out_a_peer_dial_backoff(tmp_path):
+    """A peer inside a dial back-off window — fresh from the join phase,
+    or one refused dial ago — is no verdict on it: the fan-out waits the
+    window out and lists the peer with the nodes it reached."""
+    ports = {nid: free_port() for nid in NODE_IDS}
+    nodes = {
+        nid: ClusterNode(
+            nid, port=ports[nid],
+            peers=[f"{p}@127.0.0.1:{ports[p]}" for p in NODE_IDS if p != nid],
+            vnodes=32, heartbeat_interval=0.5,
+        )
+        for nid in NODE_IDS
+    }
+    n1 = nodes["n1"]
+    try:
+        for node in nodes.values():
+            node.start()
+        wait_until(
+            lambda: n1.metrics.get("cluster.gossip_rounds").value >= 1, 10.0,
+            "n1 never finished a gossip round", nodes=nodes.values(),
+        )
+        # Drop the link quietly (no membership verdict) and open a
+        # heartbeat-long window before the next dial may be made.
+        n1.router.link("n2").close()
+        n1._dial_backoff.failed("n2")
+        host, port = n1.address
+        with TcpConnection(host, port, {}, {}) as conn:
+            reply = conn.call({"op": "metrics_text"}, timeout=30.0)
+        assert reply["unreachable"] == []
+        assert reply["nodes"] == ["n1", "n2"]
+        assert "# node n2" in reply["text"]
+    finally:
+        for node in nodes.values():
+            node.stop(drain_timeout=0)

@@ -1,7 +1,5 @@
 """Client resilience: DVConnectionLost surfacing and session reconnect."""
 
-import time
-
 import pytest
 
 from repro.client.api import SimFSSession
@@ -9,8 +7,17 @@ from repro.client.dvlib import TcpConnection
 from repro.core.errors import DVConnectionLost
 from repro.dv.server import DVServer
 
-from tests.integration.conftest import build_server, free_port
+from tests.integration.conftest import build_server, free_port, wait_until
 
+
+def lost(op, *args, **kwargs) -> bool:
+    """Run one op: True once it fails with DVConnectionLost (any other
+    error propagates)."""
+    try:
+        op(*args, **kwargs)
+    except DVConnectionLost:
+        return True
+    return False
 
 
 def rebuild_server(tmp_path, port):
@@ -42,11 +49,10 @@ class TestConnectionLost:
             conn.attach(context.name)
             assert not conn.is_lost
             server.stop(drain_timeout=0)
-            deadline = time.monotonic() + 10.0
-            with pytest.raises(DVConnectionLost):
-                while time.monotonic() < deadline:
-                    conn.open(context.name, context.filename_of(1))
-                    time.sleep(0.05)
+            wait_until(
+                lambda: lost(conn.open, context.name, context.filename_of(1)),
+                10.0, "ops kept succeeding after the daemon stopped",
+            )
             assert conn.is_lost
         finally:
             conn.close()
@@ -72,11 +78,10 @@ class TestSessionReconnect:
             session.release(filename)
             # Daemon restart: the link dies, ops fail cleanly...
             server.stop(drain_timeout=0)
-            deadline = time.monotonic() + 10.0
-            with pytest.raises(DVConnectionLost):
-                while time.monotonic() < deadline:
-                    session.acquire([filename], timeout=5.0)
-                    time.sleep(0.05)
+            wait_until(
+                lambda: lost(session.acquire, [filename], timeout=5.0),
+                10.0, "ops kept succeeding after the daemon stopped",
+            )
             server2 = restart_server(context, out, rst, port)
             server2.start()
             try:

@@ -8,6 +8,7 @@ import pytest
 from repro.client import SimFSSession, TcpConnection, VirtualizedHooks
 from repro.core.errors import ContextError
 from repro.simio import install_hooks, sio_open
+from tests.integration.conftest import wait_until
 
 
 def connect(server, context):
@@ -111,18 +112,15 @@ class TestTcpConcurrency:
                     session.release(fname)
 
     def test_client_disconnect_releases_state(self, tcp_server):
-        import time
-
         server, context, _ = tcp_server
         conn = connect(server, context)
         session = SimFSSession(conn, context.name)
         session.acquire([context.filename_of(2)], timeout=30.0)
         conn.close()  # abrupt disconnect, no release/finalize
-        deadline = time.time() + 10.0
         state = server.coordinator.get_state(context.name)
-        while time.time() < deadline:
-            if not state.agents and state.area.refcount(2) == 0:
-                break
-            time.sleep(0.01)
+        wait_until(
+            lambda: not state.agents and state.area.refcount(2) == 0, 10.0,
+            "a dropped client's agent or pin outlived its connection",
+        )
         assert not state.agents
         assert state.area.refcount(2) == 0

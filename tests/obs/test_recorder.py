@@ -147,11 +147,11 @@ class TestJournal:
     def test_journal_entry_shape(self):
         clock_now = [100.0]
         rec = make_recorder(clock=lambda: clock_now[0])
-        entry = rec.journal("autoscale", decision="up", skip=None)
+        entry = rec.journal("migrate.cutover", dest="n1", skip=None)
         assert entry["ts"] == 100.0
-        assert entry["kind"] == "autoscale"
+        assert entry["kind"] == "migrate.cutover"
         assert entry["node"] == "n0"
-        assert entry["decision"] == "up"
+        assert entry["dest"] == "n1"
         assert "skip" not in entry
 
     def test_journal_entries_filter_and_limit(self):
