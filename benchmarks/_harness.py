@@ -36,6 +36,15 @@ def free_port() -> int:
     return port
 
 
+def refuse_owner(host: str, port: int, *_args, **_kwargs):
+    """``TcpConnection(owner_dial=...)`` for a client that must stay a
+    gateway client: every owner is unreachable to it, so its ops cross
+    the forwarding hop."""
+    from repro.core.errors import DVConnectionLost
+
+    raise DVConnectionLost(f"owner at {host}:{port} kept out of reach")
+
+
 def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Render an aligned text table."""
     cells = [[str(h) for h in headers]] + [

@@ -44,7 +44,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _harness import emit, emit_json, free_port  # noqa: E402
+from _harness import emit, emit_json, free_port, refuse_owner  # noqa: E402
 
 from repro.client.dvlib import TcpConnection  # noqa: E402
 from repro.cluster import ClusterNode  # noqa: E402
@@ -222,7 +222,8 @@ def measure_forwarding(sizing: dict) -> dict:
             def rtt_p50(node_id: str) -> float:
                 host, port = nodes[node_id].address
                 conn = TcpConnection(host, port, {}, {},
-                                     client_id=f"fwd-{node_id}")
+                                     client_id=f"fwd-{node_id}",
+                                     owner_dial=refuse_owner)
                 try:
                     conn.attach("fwd")
                     samples = []

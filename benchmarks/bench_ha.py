@@ -6,8 +6,8 @@ perf-trajectory artifact the CI ``bench-smoke`` job uploads):
 
 ``live_recovery_seconds``
     Live measurement on a real three-node cluster: a *gateway* client
-    (plain TcpConnection through a non-owner ingress — it cannot detect
-    the kill itself) blocks on an open, the context's owner is killed,
+    (a TcpConnection through a non-owner ingress, the owner kept out of
+    its reach — it cannot detect the kill itself) blocks on an open, the context's owner is killed,
     and we time from the kill to the client's ready notification.  At
     factor 1 recovery is cold (the ingress replays the waiter against
     the new owner, which re-simulates from scratch); at factor >= 2 the
@@ -43,7 +43,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _harness import emit, emit_json, free_port  # noqa: E402
+from _harness import emit, emit_json, free_port, refuse_owner  # noqa: E402
 
 from repro.client.dvlib import TcpConnection  # noqa: E402
 from repro.cluster import ClusterNode  # noqa: E402
@@ -113,7 +113,7 @@ def live_trial(factor: int, alpha_delay: float) -> float:
             host, port = nodes[chain[2]].address
             conn = TcpConnection(
                 host, port, {"ha": out}, {"ha": rst},
-                client_id="bench-ha-client",
+                client_id="bench-ha-client", owner_dial=refuse_owner,
             )
             conn.attach("ha")
             filename = context.filename_of(3)

@@ -29,7 +29,7 @@ import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _harness import emit, emit_json, free_port  # noqa: E402
+from _harness import emit, emit_json, free_port, refuse_owner  # noqa: E402
 
 from repro.client.dvlib import TcpConnection  # noqa: E402
 from repro.cluster import ClusterNode  # noqa: E402
@@ -94,7 +94,7 @@ def live_trial(alpha_delay: float) -> dict:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"mig": out}, {"mig": rst},
-                client_id="bench-migrate-client",
+                client_id="bench-migrate-client", owner_dial=refuse_owner,
             )
             conn.attach("mig")
             filename = context.filename_of(3)

@@ -4,9 +4,13 @@
 Two interchangeable connection flavours expose the same interface:
 
 * :class:`TcpConnection` — talks to a :class:`repro.dv.server.DVServer`
-  over the JSON wire protocol, with a background listener thread matching
-  replies and recording unsolicited ``ready`` notifications (the paper's
-  deployment: DVLib and DV are separate processes).
+  over the binary wire protocol, one
+  :class:`~repro.dv.channel.RpcChannel` per daemon (its reader thread
+  matches replies and records unsolicited ``ready`` notifications).  In
+  a cluster it is its own router: it learns the ring from the hello
+  reply and sends each context's ops straight to the context's owner
+  (the paper's deployment: DVLib is the analysis' direct line to the DV
+  that owns its context).
 * :class:`LocalConnection` — drives a :class:`DVCoordinator` in-process
   (handy for examples, tests, and single-process pipelines).
 
@@ -21,32 +25,33 @@ from __future__ import annotations
 import abc
 import itertools
 import os
-import queue
 import random
-import socket
 import threading
 import time
 import uuid
 from dataclasses import dataclass
 
+from repro.cluster.link import DialBackoff
+from repro.cluster.ring import HashRing
 from repro.core.errors import (
     ConnectionLostError,
+    DETAIL_ALREADY_ATTACHED,
     DETAIL_ALREADY_CONNECTED,
     DVConnectionLost,
     ErrorCode,
     FileNotInContextError,
+    InvalidArgumentError,
     ProtocolError,
     RestartFailedError,
     SimFSError,
 )
 from repro.core.status import FileState
+from repro.dv.channel import HelloRefused, RpcChannel
 from repro.dv.protocol import (
     CODEC_BINARY,
     PROTOCOL_VERSION,
-    MessageReader,
     encode_binary,
     encode_open_request,
-    send_message,
 )
 from repro.obs.trace import new_trace
 
@@ -212,6 +217,10 @@ class DVConnection(abc.ABC):
 
 
 # --------------------------------------------------------------------- #
+#: Channel counters :meth:`TcpConnection.wire_stats` sums.
+_WIRE_KEYS = ("frames_sent", "bytes_sent", "frames_recv", "bytes_recv")
+
+
 class TcpConnection(DVConnection):
     """DVLib over the TCP wire protocol.
 
@@ -219,12 +228,39 @@ class TcpConnection(DVConnection):
     frame after it is binary.  A DV whose hello reply does not grant the
     binary codec is refused with :class:`ProtocolError`.
 
+    **The owner is the door.**  Given one address, the connection learns
+    the ring from the ``cluster`` view every cluster node's hello reply
+    carries, and :meth:`attach` dials the context's owner (same
+    ``client_id``, same ready table) when that is not the node dialled
+    first.  From then on every op naming the context is one dict lookup
+    away from its channel.  The first node stays open as the admin
+    channel (``stats``, ``cluster``, :meth:`call`) and as the fallback
+    door: an owner that cannot be dialled — refused, or inside its
+    :class:`~repro.cluster.link.DialBackoff` window — is reached through
+    it, and it forwards.  A plain :class:`~repro.dv.server.DVServer`
+    carries no view, and a context the first node owns needs no second
+    socket.
+
+    When an owner channel tears, RPCs in flight on it raise
+    :class:`DVConnectionLost` (they may have executed: nothing is
+    re-sent), and its contexts are routed anew at once: one ``cluster``
+    call on the first channel refreshes the view, the context is
+    re-attached on its new route, and opens still blocked on a ``ready``
+    are re-issued there.  A stale view costs a hop, never correctness:
+    every node forwards.  No redirect hint travels on the wire — the
+    view in the hello reply is all a client learns from.
+
     ``trace`` opts requests into distributed tracing: ``True`` traces
     every request, a float in ``(0, 1]`` head-samples that fraction.
     Tracing is negotiated during ``hello``; sampled requests carry a
     compact trace context the DV chain propagates hop by hop.
     :attr:`last_trace_id` holds the trace id of the most recent sampled
     request for ``simfs-ctl trace``.
+
+    ``owner_dial`` is a test seam, not an option: the factory owner
+    channels are dialled with (:class:`~repro.dv.channel.RpcChannel`'s
+    signature), so a test can make an owner unreachable and drive the
+    forwarding fallback.
     """
 
     def __init__(
@@ -236,6 +272,7 @@ class TcpConnection(DVConnection):
         client_id: str | None = None,
         connect_timeout: float = 10.0,
         trace: bool | float = False,
+        owner_dial=RpcChannel,
     ) -> None:
         super().__init__(client_id)
         self._trace_rate = 1.0 if trace is True else max(0.0, float(trace))
@@ -248,96 +285,80 @@ class TcpConnection(DVConnection):
         self._connect_timeout = connect_timeout
         self._storage_dirs = dict(storage_dirs)
         self._restart_dirs = dict(restart_dirs)
-        self._send_lock = threading.Lock()
+        self._owner_dial = owner_dial
         self._reqs = itertools.count(1)
-        self._replies: dict[int, queue.Queue] = {}
-        self._replies_lock = threading.Lock()
         self._closed = False
-        self._lost = True  # until the first handshake succeeds
         #: Extra fields the daemon attached to its hello reply (a cluster
         #: node reports its ring/membership view here).
         self.server_info: dict = {}
-        # Client-side mirror of the daemon's wire counters (guarded by the
-        # matching send/replies locks; surfaced via :meth:`wire_stats`).
-        self._frames_sent = 0
-        self._bytes_sent = 0
-        self._frames_recv = 0
-        self._bytes_recv = 0
-        self._connect()
+        # Routing state, changed under _lock (the op paths only read it):
+        # the view's ring and node addresses, one channel per owner
+        # dialled, the channel each attached context's ops take, and the
+        # channel each blocked open waits on.
+        self._lock = threading.RLock()
+        self._ring: HashRing | None = None
+        self._addrs: dict[str, tuple[str, int]] = {}
+        self._entry_id: str | None = None
+        self._owners: dict[str, RpcChannel] = {}
+        self._routes: dict[str, RpcChannel] = {}
+        self._waits: dict[tuple[str, str], RpcChannel] = {}
+        self._dial_backoff = DialBackoff(base=0.1, cap=2.0)
+        # Counters of channels already replaced: wire_stats stays cumulative.
+        self._retired = dict.fromkeys(_WIRE_KEYS, 0)
+        self._entry = self._connect()
 
-    def _connect(self, deadline: float | None = None) -> None:
-        """Dial and run the hello handshake; starts the listener thread.
-
-        The hello and its reply travel as newline JSON; ``connect_timeout``
-        stays on the socket until the reply is read (a wedged daemon's
-        backlog still completes the TCP connect).  ``deadline`` (reconnect
-        path) allows brief retries of a "client_id already connected"
-        rejection while the daemon finishes tearing down our previous
-        connection.
-        """
-        try:
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self._connect_timeout
-            )
-        except OSError as exc:
-            raise DVConnectionLost(
-                f"cannot reach DV at {self._host}:{self._port}: {exc}"
-            ) from exc
-        # Request/reply frames are tiny: Nagle's algorithm only adds
-        # latency to every RPC round trip.
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        hello = {"op": "hello", "req": 0, "client_id": self.client_id,
-                 "vers": PROTOCOL_VERSION, "codec": CODEC_BINARY}
-        if self._trace_rate > 0.0:
-            hello["trace"] = 1
-        try:
-            send_message(sock, hello)
-            reader = MessageReader(sock)
-            reply = reader.read_message()
-        except (OSError, SimFSError) as exc:
-            sock.close()
-            raise DVConnectionLost(f"DV handshake failed: {exc}") from exc
-        if reply is None or reply.get("op") != "reply":
-            sock.close()
-            raise DVConnectionLost("DV handshake failed")
-        if reply.get("error"):
-            sock.close()
-            error = _error_from_code(reply["error"], reply.get("detail", ""))
-            if deadline is not None and DETAIL_ALREADY_CONNECTED in str(error):
-                # Reconnect race: the daemon releases a dead connection's
-                # client_id asynchronously (worker-pool cleanup); ours may
-                # still be reserved for a few milliseconds.
-                if time.monotonic() < deadline:
-                    time.sleep(0.05)
-                    return self._connect(deadline)
-            raise error
-        if reply.get("codec") != CODEC_BINARY:
-            sock.close()
-            raise ProtocolError(
-                f"DV at {self._host}:{self._port} did not grant the binary "
-                f"codec (hello reply: {reply!r})"
-            )
-        sock.settimeout(None)
-        reader.set_codec(CODEC_BINARY)
+    def _connect(self, deadline: float | None = None) -> RpcChannel:
+        """Dial the address this connection was given and learn the view
+        its hello reply carries."""
+        channel = self._dial(RpcChannel, self._host, self._port, deadline)
+        reply = channel.hello_reply
         self._trace_granted = bool(reply.get("trace"))
         self.server_info = {
             key: value for key, value in reply.items()
             if key not in ("op", "req", "error", "detail")
         }
-        self._sock = sock
-        # Swap reader and clear the lost flag atomically with respect to
-        # the old listener's teardown check (see _listen).
-        with self._replies_lock:
-            self._reader = reader
-            self._lost = False
-        self._listener = threading.Thread(
-            target=self._listen, args=(reader,),
-            name=f"dvlib-listen-{self.client_id}", daemon=True,
-        )
-        self._listener.start()
+        self._learn(self.server_info.get("cluster"))
+        return channel
+
+    def _dial(
+        self, dial, host: str, port: int, deadline: float | None = None,
+        on_down=None,
+    ) -> RpcChannel:
+        """One channel to ``host:port`` under this client's id, its
+        refusals mapped to the local exceptions.  ``deadline`` (reconnect
+        path) allows brief retries of a "client_id already connected"
+        rejection while the daemon finishes tearing down our previous
+        connection."""
+        hello = {"op": "hello", "req": 0, "client_id": self.client_id,
+                 "vers": PROTOCOL_VERSION, "codec": CODEC_BINARY}
+        if self._trace_rate > 0.0:
+            hello["trace"] = 1
+        while True:
+            try:
+                return dial(
+                    host, port, hello,
+                    on_frame=self._on_frame, on_down=on_down,
+                    connect_timeout=self._connect_timeout,
+                )
+            except HelloRefused as exc:
+                reply = exc.reply
+                if not reply or reply.get("op") != "reply":
+                    raise
+                if not reply.get("error"):
+                    raise ProtocolError(
+                        f"DV at {host}:{port} did not grant the binary "
+                        f"codec (hello reply: {reply!r})"
+                    ) from None
+                error = _error_from_code(reply["error"], reply.get("detail", ""))
+                if (
+                    deadline is None or DETAIL_ALREADY_CONNECTED not in str(error)
+                    or time.monotonic() >= deadline
+                ):
+                    raise error from None
+            # Reconnect race: the daemon releases a dead connection's
+            # client_id asynchronously (worker-pool cleanup); ours may
+            # still be reserved for a few milliseconds.
+            time.sleep(0.05)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -346,12 +367,13 @@ class TcpConnection(DVConnection):
 
     @property
     def is_lost(self) -> bool:
-        """True once the link died (or was closed); :meth:`reconnect`
-        clears it."""
-        return self._lost or self._closed
+        """True once the link to the address given died (or the
+        connection was closed); :meth:`reconnect` clears it."""
+        return self._closed or self._entry.closed
 
     def reconnect(self) -> None:
-        """Re-dial the daemon: fresh socket, fresh ``hello`` handshake.
+        """Re-dial the daemon: fresh socket, fresh ``hello`` handshake,
+        fresh view; owner channels are dropped.
 
         The client_id and the ready table survive, so a
         :class:`~repro.client.api.SimFSSession` can re-register its
@@ -361,70 +383,175 @@ class TcpConnection(DVConnection):
         """
         if self._closed:
             raise DVConnectionLost("connection is closed")
-        self._lost = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except (OSError, AttributeError):
-            pass
-        try:
-            self._sock.close()
-        except (OSError, AttributeError):
-            pass
-        self._fail_outstanding()
-        self._connect(deadline=time.monotonic() + 5.0)
+        with self._lock:
+            for channel in (self._entry, *self._owners.values()):
+                channel.close()
+            for channel in self._owners.values():
+                self._retire(channel)
+            self._owners.clear()
+            self._routes.clear()
+            self._waits.clear()
+            entry = self._connect(deadline=time.monotonic() + 5.0)
+            self._retire(self._entry)
+            self._entry = entry
 
     def wire_stats(self) -> dict:
-        """Client-side wire counters (frames/bytes in each direction)."""
-        with self._send_lock:
-            sent = {"frames_sent": self._frames_sent,
-                    "bytes_sent": self._bytes_sent}
-        with self._replies_lock:
-            recv = {"frames_recv": self._frames_recv,
-                    "bytes_recv": self._bytes_recv}
-        return {"codec": CODEC_BINARY, **sent, **recv}
+        """Client-side wire counters (frames/bytes in each direction),
+        summed over every channel this connection opened."""
+        with self._lock:
+            totals = dict(self._retired)
+            channels = (self._entry, *self._owners.values())
+        for channel in channels:
+            for key in _WIRE_KEYS:
+                totals[key] += getattr(channel, key)
+        return {"codec": CODEC_BINARY, **totals}
+
+    # -- routing ------------------------------------------------------------#
+    def _learn(self, view) -> None:
+        """Adopt a cluster view (hello reply or ``cluster`` op): the ring
+        rebuilt from its live nodes and pins, the way the daemons build
+        theirs, so client and daemons agree on owners."""
+        if not isinstance(view, dict):
+            return
+        ring = HashRing(int(view.get("vnodes", 16)))
+        addrs: dict[str, tuple[str, int]] = {}
+        for node in view.get("nodes", ()):
+            node_id = node.get("id")
+            if node.get("alive", True) and isinstance(node_id, str):
+                ring.add_node(node_id)
+                addrs[node_id] = (str(node.get("host")), int(node.get("port")))
+        for name, target in (view.get("pins") or {}).items():
+            if isinstance(target, str) and target in ring:
+                ring.pin(str(name), target)
+        if len(ring):
+            self._ring, self._addrs = ring, addrs
+            self._entry_id = view.get("self")
+
+    def _door(self, context: str) -> RpcChannel:
+        """The channel ``context``'s ops should take (lock held): its
+        owner's, dialled if need be — or the first channel when there is
+        no view, the first node owns the context, or the owner cannot be
+        dialled now."""
+        owner = self._ring.owner(context) if self._ring is not None else None
+        if owner is None or owner == self._entry_id or owner not in self._addrs:
+            return self._entry
+        channel = self._owners.get(owner)
+        if channel is not None and not channel.closed:
+            return channel
+        if not self._dial_backoff.ready(owner):
+            return self._entry
+        try:
+            fresh = self._dial(
+                self._owner_dial, *self._addrs[owner],
+                on_down=self._channel_down,
+            )
+        except SimFSError:
+            self._dial_backoff.failed(owner)
+            return self._entry
+        self._dial_backoff.succeeded(owner)
+        if channel is not None:
+            self._retire(channel)
+        self._owners[owner] = fresh
+        if self._closed:  # close() raced the dial: it may not have seen it
+            fresh.close()
+            raise ConnectionLostError("connection is closed")
+        return fresh
+
+    def _retire(self, channel: RpcChannel) -> None:
+        for key in _WIRE_KEYS:
+            self._retired[key] += getattr(channel, key)
+
+    def _reroute(self, context) -> RpcChannel:
+        """The slow path of every op: its channel is gone."""
+        with self._lock:
+            channel = self._routes.get(context, self._entry)
+            if channel.closed:
+                channel = self._move(context, channel)
+            return channel
+
+    def _move(self, context, dead: RpcChannel) -> RpcChannel:
+        """Route an attached context whose channel died anew (lock held):
+        refresh the view, re-attach on the new route and re-issue the
+        opens that were blocked on the dead channel."""
+        if self._closed:
+            raise ConnectionLostError("connection is closed")
+        if self._entry.closed:
+            raise DVConnectionLost("DV connection lost (reconnect to resume)")
+        self._learn(self._call_on(self._entry, {"op": "cluster"}).get("cluster"))
+        channel = self._door(context)
+        try:
+            self._call_on(channel, {"op": "attach", "context": context})
+        except InvalidArgumentError as exc:
+            # A promoted or migrated owner restored our attachment with
+            # the context's state.
+            if DETAIL_ALREADY_ATTACHED not in str(exc):
+                raise
+        self._routes[context] = channel
+        for (waited, filename), waited_on in list(self._waits.items()):
+            if waited == context and waited_on is dead:
+                self._reopen(channel, context, filename)
+        return channel
+
+    def _reopen(self, channel: RpcChannel, context: str, filename: str) -> None:
+        try:
+            reply = self._call_on(
+                channel, {"op": "open", "context": context, "file": filename}
+            )
+        except ConnectionLostError:
+            raise
+        except SimFSError:
+            self._ready(context, filename, False)
+            return
+        if not reply["available"]:
+            self._wait(channel, context, filename)
+        elif not self.ready_table.is_ready(context, filename):
+            # Produced while no channel could carry its ready.
+            self._ready(context, filename, True)
+
+    def _channel_down(self, channel: RpcChannel) -> None:
+        """An owner channel was lost (called on its reader thread, on the
+        way out): its contexts move now, not at their next op — a client
+        blocked on a ``ready`` issues no op, and its open must be
+        re-issued where the ready can come from.  (Losing the first
+        channel loses the connection: ops raise until :meth:`reconnect`.)"""
+        delay = 0.05
+        while not self._closed and not self._entry.closed:
+            try:
+                with self._lock:
+                    for context, routed in list(self._routes.items()):
+                        if routed is channel:
+                            self._move(context, channel)
+                return
+            except ConnectionLostError:
+                time.sleep(delay)
+                delay = min(2 * delay, 2.0)
+            except SimFSError:
+                # Nobody serves the context any more: fail its waits.
+                for key, waited_on in list(self._waits.items()):
+                    if waited_on is channel:
+                        self._ready(*key, False)
+                return
+
+    def _on_frame(self, message: dict) -> None:
+        """Every channel's unsolicited frames: ``ready`` notifications."""
+        if message.get("op") == "ready":
+            self._ready(
+                message["context"], message["file"], bool(message.get("ok", True))
+            )
+
+    def _ready(self, context: str, filename: str, ok: bool) -> None:
+        self._waits.pop((context, filename), None)
+        self.ready_table.record(context, filename, ok)
+
+    def _wait(self, channel: RpcChannel, context: str, filename: str) -> None:
+        """Remember which channel an open blocked on (a ready that beat
+        the reply has already resolved it)."""
+        key = (context, filename)
+        self._waits[key] = channel
+        if self.ready_table.is_ready(context, filename):
+            self._waits.pop(key, None)
 
     # -- plumbing ----------------------------------------------------------#
-    def _listen(self, reader: MessageReader) -> None:
-        try:
-            while not self._closed and self._reader is reader:
-                message = reader.read_message()
-                if message is None:
-                    break
-                with self._replies_lock:
-                    self._frames_recv += 1
-                    self._bytes_recv = reader.bytes_read
-                if message.get("op") == "ready":
-                    self.ready_table.record(
-                        message["context"], message["file"], bool(message.get("ok", True))
-                    )
-                elif message.get("op") == "reply":
-                    with self._replies_lock:
-                        waiter = self._replies.pop(message.get("req"), None)
-                    if waiter is not None:
-                        waiter.put(message)
-        except Exception:
-            pass  # a frame this code cannot digest loses the link too
-        finally:
-            # Mark the link dead and unblock any RPC still waiting — but
-            # only if this listener still owns the connection (a reconnect
-            # swaps in a new reader before this thread observes the old
-            # socket die).  The check-and-set is atomic under
-            # _replies_lock: a stale listener racing a concurrent reconnect
-            # must not mark the fresh connection lost after the swap.
-            with self._replies_lock:
-                owns = self._reader is reader
-                if owns:
-                    self._lost = True
-            if owns:
-                self._fail_outstanding()
-
-    def _fail_outstanding(self) -> None:
-        with self._replies_lock:
-            waiters = list(self._replies.values())
-            self._replies.clear()
-        for waiter in waiters:
-            waiter.put(None)  # sentinel: the link is gone
-
     def _next_tc(self) -> str | None:
         """Head-sampling coin flip: a fresh sampled trace context (wire
         form) for this request, or ``None`` when untraced."""
@@ -436,91 +563,84 @@ class TcpConnection(DVConnection):
         self.last_trace_id = f"{tc.trace_id:016x}"
         return tc.to_wire()
 
-    def _rpc(self, message: dict, timeout: float = 60.0) -> dict:
+    def _rpc(self, message: dict, context=None, timeout: float = 60.0) -> dict:
+        """Send ``message`` on ``context``'s channel (the first channel
+        when ``context`` is None or not attached)."""
         if self._closed:
             raise ConnectionLostError("connection is closed")
+        channel = self._routes.get(context, self._entry)
+        if channel.closed:
+            channel = self._reroute(context)
         if "tc" not in message:
             tc = self._next_tc()
             if tc is not None:
                 message["tc"] = tc
+        return self._call_on(channel, message, timeout)
+
+    def _call_on(
+        self, channel: RpcChannel, message: dict, timeout: float = 60.0
+    ) -> dict:
         req = next(self._reqs)
         message["req"] = req
-        return self._rpc_send(req, encode_binary(message), timeout)
+        return self._roundtrip(channel, req, encode_binary(message), timeout)
 
-    def call(self, message: dict, timeout: float = 60.0) -> dict:
-        """Generic RPC: send any op-bearing message, return its reply.
-
-        The escape hatch for service-level ops outside the classic DVLib
-        surface (``{"op": "cluster"}``, future admin ops).
-        """
-        return self._rpc(dict(message), timeout)
-
-    def _rpc_send(self, req: int, data: bytes, timeout: float = 60.0) -> dict:
+    @staticmethod
+    def _roundtrip(
+        channel: RpcChannel, req: int, data: bytes, timeout: float = 60.0
+    ) -> dict:
         """Ship one pre-encoded request frame and await its reply."""
-        if self._lost:
-            raise DVConnectionLost("DV connection lost (reconnect to resume)")
-        waiter: queue.Queue = queue.Queue(maxsize=1)
-        with self._replies_lock:
-            self._replies[req] = waiter
-        try:
-            with self._send_lock:
-                self._frames_sent += 1
-                self._bytes_sent += len(data)
-                self._sock.sendall(data)
-        except OSError as exc:
-            self._lost = True
-            with self._replies_lock:
-                self._replies.pop(req, None)
-            raise DVConnectionLost(f"DV connection lost: {exc}") from exc
-        try:
-            reply = waiter.get(timeout=timeout)
-        except queue.Empty:
-            with self._replies_lock:
-                self._replies.pop(req, None)
-            raise ConnectionLostError("DV reply timed out") from None
-        if reply is None:
-            raise DVConnectionLost("DV connection lost mid-request")
+        reply = channel.request(req, data, timeout)
         error = reply.get("error", 0)
         if error:
             raise _error_from_code(error, reply.get("detail", ""))
         return reply
 
+    def call(self, message: dict, timeout: float = 60.0) -> dict:
+        """Generic RPC on the first channel: send any op-bearing message,
+        return its reply.
+
+        The escape hatch for service-level ops outside the classic DVLib
+        surface (``{"op": "cluster"}``, future admin ops).
+        """
+        return self._rpc(dict(message), timeout=timeout)
+
     # -- interface ----------------------------------------------------------#
     def attach(self, context: str) -> None:
-        self._rpc({"op": "attach", "context": context})
+        with self._lock:
+            channel = self._door(context)
+        self._call_on(channel, {"op": "attach", "context": context})
+        self._routes[context] = channel
 
     def finalize(self, context: str) -> None:
-        self._rpc({"op": "finalize", "context": context})
+        self._rpc({"op": "finalize", "context": context}, context)
+        self._routes.pop(context, None)
+        for key in [k for k in self._waits if k[0] == context]:
+            self._waits.pop(key, None)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        # shutdown() (not just close()) is required: the listener thread is
-        # blocked in recv() on this socket, which keeps the kernel-side file
-        # description alive — a bare close() would neither wake it nor send
-        # the FIN the DV needs to clean up this client.
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        for channel in (self._entry, *list(self._owners.values())):
+            channel.close()
 
     def open(self, context: str, filename: str) -> FileInfo:
         # The transparent path's hottest RPC: packed straight from the
         # fields, skipping the dict round-trip.
         if self._closed:
             raise ConnectionLostError("connection is closed")
+        channel = self._routes.get(context, self._entry)
+        if channel.closed:
+            channel = self._reroute(context)
         req = next(self._reqs)
-        reply = self._rpc_send(
-            req,
+        reply = self._roundtrip(
+            channel, req,
             encode_open_request(
                 req, context, filename, CODEC_BINARY, tc=self._next_tc()
             ),
         )
+        if not reply["available"]:
+            self._wait(channel, context, filename)
         return FileInfo(
             filename=filename,
             available=bool(reply["available"]),
@@ -529,32 +649,49 @@ class TcpConnection(DVConnection):
         )
 
     def acquire(self, context: str, filenames: list[str]) -> list[FileInfo]:
-        reply = self._rpc({"op": "acquire", "context": context, "files": filenames})
-        return [
-            FileInfo(
+        reply = self._rpc(
+            {"op": "acquire", "context": context, "files": filenames}, context
+        )
+        channel = self._routes.get(context, self._entry)
+        infos = []
+        for item in reply["results"]:
+            if not item["available"]:
+                self._wait(channel, context, item["file"])
+            infos.append(FileInfo(
                 filename=item["file"],
                 available=bool(item["available"]),
                 state=FileState(item["state"]),
                 estimated_wait=float(item["wait"]),
-            )
-            for item in reply["results"]
-        ]
+            ))
+        return infos
 
     def release(self, context: str, filename: str) -> None:
-        self._rpc({"op": "release", "context": context, "file": filename})
+        self._rpc({"op": "release", "context": context, "file": filename}, context)
+        self._waits.pop((context, filename), None)
         self.ready_table.forget(context, filename)
 
     def notify_write_close(self, context: str, filename: str) -> None:
-        self._rpc({"op": "wclose", "context": context, "file": filename})
+        self._rpc({"op": "wclose", "context": context, "file": filename}, context)
 
     def bitrep(self, context: str, filename: str, path: str | None = None) -> bool:
         message = {"op": "bitrep", "context": context, "file": filename}
         if path is not None:
             message["path"] = path
-        return bool(self._rpc(message)["matches"])
+        return bool(self._rpc(message, context)["matches"])
 
     def batch(self, ops: list[dict]) -> list[dict]:
-        return list(self._rpc({"op": "batch", "ops": list(ops)})["results"])
+        """Pipelined sub-ops, on their context's channel when they name
+        one context (else on the first channel, which forwards each)."""
+        contexts = {sub.get("context") for sub in ops if isinstance(sub, dict)}
+        context = contexts.pop() if len(contexts) == 1 else None
+        results = list(self._rpc({"op": "batch", "ops": list(ops)}, context)["results"])
+        for sub, result in zip(ops, results):
+            if (
+                isinstance(sub, dict) and sub.get("op") == "release"
+                and not result.get("error")
+            ):
+                self._waits.pop((sub.get("context"), sub.get("file")), None)
+        return results
 
     def stats(self) -> dict:
         return dict(self._rpc({"op": "stats"})["stats"])
@@ -563,15 +700,15 @@ class TcpConnection(DVConnection):
     def fetch_info(self, context: str, filename: str | None = None) -> dict:
         """Ask the control plane where a context file can be pulled from.
 
-        Routable: whichever daemon this connection reaches forwards the
-        question to the context's owner, so the reply's ``data_host``/
+        Asked on the context's channel: its owner answers, or a node that
+        forwards the question to the owner, so the reply's ``data_host``/
         ``data_port`` name the owner's data plane.  Without ``filename``
         the reply enumerates the context's available output files.
         """
         message = {"op": "fetch_info", "context": context}
         if filename is not None:
             message["file"] = filename
-        return self._rpc(message)
+        return self._rpc(message, context)
 
     def fetch_file(
         self,

@@ -17,9 +17,11 @@ installation; this package spreads contexts across peers:
   streaming with epoch fencing, hot promotion and background healing;
 * :mod:`repro.cluster.migrate` — :class:`MigrationManager`, live
   context migration (pre-copy, cutover freeze, pinned placement), moved
-  by an operator with ``simfs-ctl migrate``;
-* :mod:`repro.cluster.client` — :class:`ClusterConnection`, the
-  one-hop cluster-aware DVLib connection.
+  by an operator with ``simfs-ctl migrate``.
+
+A DVLib :class:`~repro.client.dvlib.TcpConnection` given any node's
+address learns the ring from that node's hello reply and talks to each
+context's owner directly; forwarding is its fallback.
 
 The DES twin lives in :class:`repro.des.components.VirtualCluster`,
 which drives the same :class:`HashRing`/:class:`PeerTable` logic on the
@@ -29,7 +31,6 @@ virtual clock for node-count sweeps and failure-schedule experiments.
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "client": ("ClusterConnection",),
     "link": ("DialBackoff", "PeerLink"),
     "membership": ("PeerInfo", "PeerTable"),
     "migrate": ("MigrationManager",),

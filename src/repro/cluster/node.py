@@ -16,10 +16,9 @@ just convergent hashing.
 context this node does not own is forwarded to the owner, and the
 ``ready`` for a blocked open travels the reverse path, by the shared
 :class:`~repro.cluster.router.Router`; this module only tells it who
-owns what, how to dial a peer and what a dead one means.  Clients that
-want one-hop steady state use
-:class:`~repro.cluster.client.ClusterConnection` instead and talk to
-owners directly.
+owns what, how to dial a peer and what a dead one means.  DVLib clients
+use it as their fallback: they learn the ring from the hello reply and
+talk to owners directly.
 
 **Membership/failover** — a heartbeat thread gossips the
 :class:`~repro.cluster.membership.PeerTable` with every live peer, at

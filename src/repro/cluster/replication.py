@@ -76,7 +76,7 @@ __all__ = [
 
 #: Keys of a replication state dict that hold *sets* represented as
 #: sorted lists (diffed as add/remove), vs. scalars replaced wholesale.
-_SET_KEYS = ("clients", "waiters", "resident")
+_SET_KEYS = ("clients", "held", "waiters", "resident")
 _SCALAR_KEYS = ("alpha", "alpha_count", "sims")
 
 

@@ -687,5 +687,10 @@ class Router:
                 pass  # best effort; the owner's own drop hook backs it up
         with self._lock:
             # The connection was here, so a proxy here is a leftover of
-            # self-owned execution or a restore, not a route to anywhere.
-            self._proxies.pop(client_id, None)
+            # self-owned execution or a restore, not a route to anywhere —
+            # unless a peer forwards for the same client id (one that
+            # dialled this owner directly, lost that channel and came back
+            # through a gateway): that record is the peer's to finalize.
+            proxy = self._proxies.get(client_id)
+            if proxy is not None and proxy.conn is None:
+                del self._proxies[client_id]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -279,7 +280,8 @@ class ContextShard:
     def capture_repl_state(self) -> dict:
         """JSON-serializable snapshot of the shard's warm state — what a
         replica needs to promote itself into a working owner: attached
-        clients, the waiter table, cache-resident keys (storage metadata),
+        clients, the files each holds open (``[client, file, count]``),
+        the waiter table, cache-resident keys (storage metadata),
         running/queued re-simulation progress markers, and the restart
         latency estimate.  Read-only: unlike :meth:`capture_handoff` the
         shard keeps serving (this is the replication stream's source, not
@@ -299,6 +301,11 @@ class ContextShard:
             ]
             return {
                 "clients": sorted(self.agents),
+                "held": sorted(
+                    [client_id, self.context.filename_of(key), count]
+                    for client_id, keys in self.open_files.items()
+                    for key, count in Counter(keys).items()
+                ),
                 "waiters": sorted(
                     (client_id, self.context.filename_of(key))
                     for key, waiting in self.waiters.items()
@@ -316,7 +323,8 @@ class ContextShard:
 
         Re-attaches clients, re-registers every replicated waiter through
         the normal open path (relaunching demand re-simulations for files
-        not on disk), and relaunches in-flight re-simulations whose
+        not on disk), gives every client back the files it held open with
+        their pin counts, and relaunches in-flight re-simulations whose
         planned outputs have not materialized.  Returns ready
         notifications for waited files already on disk — the caller
         delivers those to the blocked clients immediately; the rest flow
@@ -345,6 +353,18 @@ class ContextShard:
                     ready.append(
                         Notification(client_id, self.name, filename, ok=True)
                     )
+            for client_id, filename, count in state.get("held", ()):
+                if client_id not in self.agents:
+                    self.client_connect(client_id)
+                key = self._key_of(filename)
+                # Topped up, not added: a restored waiter whose file is on
+                # disk already holds it through the open above, and a
+                # second restore of the same state must not pin twice.
+                open_list = self.open_files[client_id]
+                for _ in range(int(count) - open_list.count(key)):
+                    open_list.append(key)
+                    if key in self.area:
+                        self.area.pin(key)
             for marker in state.get("sims", ()):
                 # Resume interrupted re-simulations (prefetches included):
                 # _launch plans only keys still missing, so progress the

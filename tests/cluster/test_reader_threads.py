@@ -1,12 +1,13 @@
 """A frame the reader thread cannot digest loses the link, loudly.
 
-Both RPC multiplexers (``PeerLink`` and ``TcpConnection``) used to catch
-only ``SimFSError``/``OSError`` around their reader loop: a well-framed
-reply that breaks the loop body (an unhashable ``req``, a ``ready``
-without ``context``) ended the thread and left a zombie — link "open",
-calls in flight never failed, every later call burning its full timeout.
-The stub peer below grants the hello and answers the first request with
-such a frame, keeping the socket open.
+The RPC multiplexer under ``PeerLink`` and ``TcpConnection``
+(``RpcChannel``) once caught only ``SimFSError``/``OSError`` around its
+reader loop: a well-framed reply that breaks the loop body (an
+unhashable ``req``, a ``ready`` without ``context``) ended the thread
+and left a zombie — link "open", calls in flight never failed, every
+later call burning its full timeout.  The stub peer below grants the
+hello and answers the first request with such a frame, keeping the
+socket open.
 """
 
 import json
@@ -68,8 +69,8 @@ def test_peer_link_reader_death_is_a_lost_link(stub_peer):
         link.call({"op": "gossip"}, timeout=3.0)
     assert not isinstance(lost.value, PeerTimeout)
     assert time.monotonic() - began < 2.0
-    link._listener.join(2.0)
-    assert not link._listener.is_alive()
+    link._thread.join(2.0)
+    assert not link._thread.is_alive()
     assert link.closed and downs == ["peer"]
     began = time.monotonic()
     with pytest.raises(DVConnectionLost):
@@ -86,8 +87,8 @@ def test_client_reader_death_is_a_lost_connection(stub_peer, frame):
         with pytest.raises(ConnectionLostError, match="lost"):
             conn.call({"op": "stats"}, timeout=3.0)
         assert time.monotonic() - began < 2.0
-        conn._listener.join(2.0)
-        assert not conn._listener.is_alive() and conn.is_lost
+        conn._entry._thread.join(2.0)
+        assert not conn._entry._thread.is_alive() and conn.is_lost
         began = time.monotonic()
         with pytest.raises(DVConnectionLost):
             conn.call({"op": "stats"}, timeout=3.0)

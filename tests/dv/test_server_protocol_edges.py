@@ -125,7 +125,7 @@ class TestUnhashableFields:
         ):
             conn = connect(server, "alpha")
             try:
-                conn._sock.sendall(encode_frame(bad, "binary"))
+                conn._entry.sock.sendall(encode_frame(bad, "binary"))
                 with pytest.raises(SimFSError):
                     conn.call({"op": "stats"}, timeout=10.0)
             finally:

@@ -197,3 +197,43 @@ class TestKillUselessPrefetches:
         shard.pending_jobs = EmptyQueue()
         shard._kill_useless_prefetches("a1")
         assert shard.total_killed_sims == 0
+
+
+class TestReplicatedState:
+    """``capture_repl_state`` -> ``restore_repl_state``: the state an HA
+    promotion and a live migration hand to the new owner."""
+
+    @staticmethod
+    def held(shard) -> dict:
+        return {client: sorted(keys) for client, keys in shard.open_files.items()}
+
+    def test_held_files_survive_the_round_trip(self):
+        source, contexts, _ = make_coordinator(names=("ctx",))
+        name = contexts["ctx"].filename_of
+        shard = source.shard("ctx")
+        source.client_connect("a2", "ctx")
+        for key in (1, 2):
+            shard.sim_file_closed(name(key), 0.0)  # resident, unpinned
+        for client, key in (("a1", 1), ("a1", 1), ("a1", 2), ("a2", 1)):
+            assert shard.handle_open(client, name(key), 1.0).available
+        assert not shard.handle_open("a2", name(9), 1.0).available  # a waiter
+        state = shard.capture_repl_state()
+
+        dest_dv, _, _ = make_coordinator(names=("ctx",))
+        dest = dest_dv.shard("ctx")
+        for key in state["resident"]:  # what the activation scan finds
+            dest.area.insert(key)
+        dest.restore_repl_state(state, 2.0)
+        assert self.held(dest) == self.held(shard) == {"a1": [1, 1, 2], "a2": [1]}
+        assert (dest.area.refcount(1), dest.area.refcount(2)) == (3, 1)
+        assert dest.waiters == {9: {"a2"}}
+
+        # Restoring again, or a waiter whose file is on disk by now: the
+        # holds are topped up to what was captured, never counted twice.
+        dest.area.insert(9)
+        dest.restore_repl_state(state, 3.0)
+        assert self.held(dest) == {"a1": [1, 1, 2], "a2": [1, 9]}
+        assert [dest.area.refcount(k) for k in (1, 2, 9)] == [3, 1, 1]
+        for client, key in (("a1", 1), ("a1", 1), ("a1", 2), ("a2", 1), ("a2", 9)):
+            dest.handle_release(client, name(key), 4.0)
+        assert [dest.area.refcount(k) for k in (1, 2, 9)] == [0, 0, 0]

@@ -43,7 +43,7 @@ class TestSlowConsumerDisconnect:
         conn = connect(server, "alpha", client_id="sloth")
         try:
             conn.attach("alpha")
-            raw: socket.socket = conn._sock
+            raw: socket.socket = conn._entry.sock
             # Shrink the kernel buffers so queued frames land in outbuf
             # instead of in-flight socket buffers, then stop reading.
             raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -70,7 +70,7 @@ class TestSlowConsumerDisconnect:
         conn = connect(server, "alpha", client_id="sloth")
         try:
             conn.attach("alpha")
-            conn._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            conn._entry.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             with server._clients_lock:
                 sloth = server._clients["sloth"]
             fill_fanout(server, "sloth")

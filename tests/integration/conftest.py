@@ -8,9 +8,17 @@ import time
 import pytest
 
 from repro.core.context import ContextConfig, SimulationContext
+from repro.core.errors import DVConnectionLost
 from repro.core.perfmodel import PerformanceModel
 from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
+
+
+def refuse_owner(host, port, *_args, **_kwargs):
+    """``TcpConnection(owner_dial=...)`` for tests that must cross the
+    forwarding hop: every owner is unreachable, so the connection's ops
+    go through the node it dialled first, which forwards them."""
+    raise DVConnectionLost(f"owner at {host}:{port} unreachable (test)")
 
 
 #: Probe sockets of the ports handed out and not yet released.

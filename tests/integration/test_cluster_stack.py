@@ -3,8 +3,10 @@
 Covers the acceptance scenario of the cluster tier: a client connected
 to one node drives a context owned by another (gateway forwarding, ready
 routed back through the ingress), survives the owner being killed
-(reassignment + waiter replay), and the cluster-aware client connects
-straight to owners with client-side failover.
+(reassignment + waiter replay), and a DVLib connection dialled at any
+one node learns the ring and talks straight to owners, failing over on
+the client side.  The gateway tests make every owner unreachable to the
+client (``refuse_owner``), so their ops cross the hop.
 """
 
 import os
@@ -15,11 +17,11 @@ import pytest
 
 from repro.cli import main as ctl_main
 from repro.client.dvlib import TcpConnection
-from repro.cluster import ClusterConnection, ClusterNode
+from repro.cluster import ClusterNode
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
 from repro.simulators import SyntheticDriver
-from tests.integration.conftest import free_port, wait_until
+from tests.integration.conftest import free_port, refuse_owner, wait_until
 
 NODE_IDS = ("n1", "n2", "n3")
 
@@ -100,7 +102,8 @@ class TestGatewayPath:
         ingress = next(nid for nid in NODE_IDS if nid != owner)
         host, port = nodes[ingress].address
         conn = TcpConnection(
-            host, port, {"alpha": out}, {"alpha": rst}, client_id="gw-client"
+            host, port, {"alpha": out}, {"alpha": rst}, client_id="gw-client",
+            owner_dial=refuse_owner,
         )
         try:
             conn.attach("alpha")
@@ -160,7 +163,7 @@ class TestGatewayPath:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="blocked-client",
+                client_id="blocked-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(7)
@@ -230,12 +233,28 @@ class TestRejoin:
             reborn.stop(drain_timeout=0)
 
 
+def entry_other_than_owner(nodes, context_name="alpha"):
+    """A node that does not own ``context_name``: the address a client
+    dials when it must learn the owner from the hello reply."""
+    owner = nodes["n1"].owner_of(context_name)
+    return next(nid for nid in NODE_IDS if nid != owner)
+
+
+def moved_off(conn, context_name, channel):
+    """Has ``conn`` routed ``context_name`` away from ``channel`` (it
+    noticed the channel die and picked a new door)?"""
+    return conn._routes.get(context_name) is not channel
+
+
 class TestClusterConnection:
+    """The cluster-aware connection: a TcpConnection dialled at one node
+    that is not the owner."""
+
     def test_one_hop_steady_state(self, cluster):
         nodes, context, out, rst = cluster
-        seeds = [nodes[nid].address for nid in NODE_IDS]
-        conn = ClusterConnection(
-            seeds, {"alpha": out}, {"alpha": rst}, client_id="aware-client"
+        host, port = nodes[entry_other_than_owner(nodes)].address
+        conn = TcpConnection(
+            host, port, {"alpha": out}, {"alpha": rst}, client_id="aware-client"
         )
         try:
             conn.attach("alpha")
@@ -255,10 +274,10 @@ class TestClusterConnection:
 
     def test_client_side_failover(self, cluster):
         nodes, context, out, rst = cluster
-        seeds = [nodes[nid].address for nid in NODE_IDS]
-        conn = ClusterConnection(
-            seeds, {"alpha": out}, {"alpha": rst},
-            client_id="failover-client", failover_timeout=30.0,
+        host, port = nodes[entry_other_than_owner(nodes)].address
+        conn = TcpConnection(
+            host, port, {"alpha": out}, {"alpha": rst},
+            client_id="failover-client",
         )
         try:
             conn.attach("alpha")
@@ -268,9 +287,14 @@ class TestClusterConnection:
                 assert wait_ready(conn, "alpha", filename)
             conn.release("alpha", filename)
             owner = nodes["n1"].owner_of("alpha")
+            door = conn._routes["alpha"]
             nodes[owner].stop(drain_timeout=0)
-            # The next open re-learns the ring, re-attaches at the new
-            # owner, and completes on the same session.
+            # An op racing the teardown may have executed: it would raise,
+            # never be re-sent.  Once the connection has seen the channel
+            # die it re-learns the ring and re-attaches on the new route,
+            # and the next open completes on the same session.
+            wait_until(lambda: moved_off(conn, "alpha", door), 30.0,
+                       "the connection never left the dead owner")
             filename2 = context.filename_of(13)
             info2 = conn.open("alpha", filename2)
             if not info2.available:
@@ -279,9 +303,9 @@ class TestClusterConnection:
             conn.close()
 
     def test_blocked_waiter_failed_over_client_side(self, tmp_path):
-        """A ClusterConnection client blocked on a ready when the owner
-        dies gets unstuck by the wait watchdog (a blocked waiter issues
-        no ops, so op-triggered failover alone would hang it)."""
+        """A client blocked on a ready when the owner dies gets unstuck by
+        its connection re-issuing the open on the new route (a blocked
+        waiter issues no ops of its own)."""
         ports = {nid: free_port() for nid in NODE_IDS}
         specs = [f"{nid}@127.0.0.1:{ports[nid]}" for nid in NODE_IDS]
         nodes = {
@@ -299,10 +323,10 @@ class TestClusterConnection:
             node.start()
         conn = None
         try:
-            conn = ClusterConnection(
-                [nodes[nid].address for nid in NODE_IDS],
-                {"alpha": out}, {"alpha": rst},
-                client_id="blocked-aware-client", failover_timeout=30.0,
+            host, port = nodes[entry_other_than_owner(nodes)].address
+            conn = TcpConnection(
+                host, port, {"alpha": out}, {"alpha": rst},
+                client_id="blocked-aware-client",
             )
             conn.attach("alpha")
             filename = context.filename_of(7)
@@ -322,8 +346,8 @@ class TestClusterConnection:
 
     def test_batch_must_not_span_owners(self, cluster):
         nodes, context, out, rst = cluster
-        seeds = [nodes[nid].address for nid in NODE_IDS]
-        conn = ClusterConnection(seeds, {"alpha": out}, {"alpha": rst})
+        host, port = nodes[entry_other_than_owner(nodes)].address
+        conn = TcpConnection(host, port, {"alpha": out}, {"alpha": rst})
         try:
             results = conn.batch([
                 {"op": "open", "context": "alpha", "file": context.filename_of(3)},

@@ -7,6 +7,11 @@
 * A pipelined client's ops cross the hop as runs — fewer ``fwd`` frames
   than ops — and every request still gets exactly one reply, in order,
   also while the owner dies under it.
+* A DVLib client that lost its direct channel to a live owner falls back
+  to the gateway without the owner's two records of it colliding.
+
+DVLib clients here are handed ``refuse_owner``: their ops must cross
+the hop, not go to the owner directly.
 """
 
 import socket
@@ -19,8 +24,9 @@ from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
 from repro.cluster.ring import HashRing
 from repro.core.errors import SimFSError
+from repro.dv.channel import RpcChannel
 from repro.dv.protocol import MessageReader, encode_frame, send_message
-from tests.integration.conftest import free_port, wait_until
+from tests.integration.conftest import free_port, refuse_owner, wait_until
 from tests.integration.test_cluster_stack import build_context
 
 VNODES = 32
@@ -130,7 +136,8 @@ def test_dial_backoff_is_not_peer_death(tmp_path, stop_nodes):
 
     host, port = b.address
     with TcpConnection(
-        host, port, {name: out}, {name: rst}, client_id="early-bird"
+        host, port, {name: out}, {name: rst}, client_id="early-bird",
+        owner_dial=refuse_owner,
     ) as conn:
         conn.attach(name)
         info = conn.open(name, context.filename_of(3))
@@ -159,7 +166,8 @@ def test_failed_first_op_leaves_no_proxy_behind(tmp_path, stop_nodes):
     host, port = b.address
     for i in range(8):
         with TcpConnection(
-            host, port, {name: out}, {name: rst}, client_id=f"churn-{i}"
+            host, port, {name: out}, {name: rst}, client_id=f"churn-{i}",
+            owner_dial=refuse_owner,
         ) as conn:
             with pytest.raises(SimFSError):
                 conn.open(name, context.filename_of(1))
@@ -168,7 +176,8 @@ def test_failed_first_op_leaves_no_proxy_behind(tmp_path, stop_nodes):
 
     # An attached client keeps its proxy until it finalizes.
     with TcpConnection(
-        host, port, {name: out}, {name: rst}, client_id="stayer"
+        host, port, {name: out}, {name: rst}, client_id="stayer",
+        owner_dial=refuse_owner,
     ) as conn:
         conn.attach(name)
         assert set(a.router._proxies) == {"stayer"}
@@ -244,3 +253,66 @@ def test_owner_killed_mid_stream_every_request_gets_one_reply(
     finally:
         client.close()
     assert b.active_contexts() == [name]
+
+
+def test_owner_channel_dropped_falls_back_through_the_entry(
+    tmp_path, stop_nodes
+):
+    """A client dialled at B reaches A, the owner, directly.  Its channel
+    to A drops while A stays up, and A cannot be dialled again: the next
+    ops go through B, which forwards them.  A's records of the client id
+    — the local connection that went and the proxy B's forwards made —
+    do not collide, and once the client is gone every router table on
+    both nodes is empty."""
+    name = owned_by("a", ("a", "b"), "zeta")
+    nodes, context, out, rst = make_pair(
+        tmp_path, name, heartbeat_interval=0.15
+    )
+    start_settled(nodes, stop_nodes)
+    a, b = nodes["a"], nodes["b"]
+    reachable = [True]
+
+    def dial(*args, **kwargs):
+        if not reachable[0]:
+            refuse_owner(*args, **kwargs)
+        return RpcChannel(*args, **kwargs)
+
+    host, port = b.address
+    conn = TcpConnection(
+        host, port, {name: out}, {name: rst}, client_id="dropper",
+        owner_dial=dial,
+    )
+    try:
+        conn.attach(name)
+        first = context.filename_of(3)
+        assert not conn.open(name, first).available
+        assert conn.ready_table.wait(name, first, 30.0)
+        conn.release(name, first)
+        assert "dropper" in a.server._clients
+        assert b.metrics.get("cluster.fwd_sent").value == 0
+
+        reachable[0] = False
+        door = conn._routes[name]
+        door.sock.shutdown(socket.SHUT_RDWR)  # the channel drops; A lives
+        wait_until(lambda: conn._routes.get(name) is not door, 10.0,
+                   "the connection never routed around the lost channel")
+        second = context.filename_of(5)
+        assert not conn.open(name, second).available
+        assert conn.ready_table.wait(name, second, 30.0)
+        conn.release(name, second)
+        assert b.metrics.get("cluster.fwd_sent").value > 0
+        assert "dropper" not in a.server._clients
+        assert a.router._proxies["dropper"].origin == "b"
+        assert b.router._ingress_ctx == {"dropper": {name: "a"}}
+    finally:
+        conn.close()
+    wait_until(
+        lambda: not (
+            a.router._proxies or a.router._ingress_ctx or a.router._pending
+            or b.router._proxies or b.router._ingress_ctx or b.router._pending
+        ), 10.0, lambda: repr((a.router._proxies, b.router._ingress_ctx)),
+        nodes=[a, b],
+    )
+    shard = a.server.coordinator.shard(name)
+    with shard.lock:
+        assert "dropper" not in shard.agents

@@ -9,6 +9,8 @@ then re-replicates the context back to full factor on the survivors.
 
 The fault-injection harness lives here too: dropped/duplicated/delayed
 replication frames, and the double failure (owner plus first replica).
+Tests of the gateway path make every owner unreachable to the client
+(``refuse_owner``); the owner-direct tests let it dial the owner.
 """
 
 import os
@@ -17,9 +19,9 @@ import time
 import pytest
 
 from repro.client.dvlib import TcpConnection
-from repro.cluster import ClusterConnection, ClusterNode
+from repro.cluster import ClusterNode
 from repro.core.errors import InvalidArgumentError
-from tests.integration.conftest import free_port, wait_until
+from tests.integration.conftest import free_port, refuse_owner, wait_until
 from tests.integration.test_cluster_stack import build_context, wait_ready
 
 NODE_IDS = ("n1", "n2", "n3")
@@ -119,7 +121,7 @@ class TestHotFailover:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="ha-blocked-client",
+                client_id="ha-blocked-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(7)
@@ -190,10 +192,59 @@ class TestHotFailover:
             stop_all(nodes)
 
     @pytest.mark.timeout(120)
+    def test_kill_owner_with_blocked_waiter_owner_direct(self, tmp_path):
+        """The acceptance scenario's owner-direct twin: the client dials a
+        node that is not the owner and reaches the owner itself.  It
+        issues ONE open and then only waits; when the owner dies its
+        connection re-issues the open on the new route, and the wait
+        resolves with exactly one ready."""
+        nodes, context, out, rst = build_ha_cluster(
+            tmp_path, factor=2, alpha_delay=1.5
+        )
+        conn = None
+        try:
+            owner, replica = preference_chain(nodes, "alpha", 2)
+            entry = next(n for n in NODE_IDS if n != owner)
+            host, port = nodes[entry].address
+            conn = TcpConnection(
+                host, port, {"alpha": out}, {"alpha": rst},
+                client_id="ha-direct-client",
+            )
+            readies = []
+            conn.ready_table.add_watcher(
+                lambda ctx, name, ok: readies.append((ctx, name, ok))
+            )
+            conn.attach("alpha")
+            filename = context.filename_of(7)
+            info = conn.open("alpha", filename)
+            assert not info.available
+            # Straight to the owner: nothing crossed the hop.
+            assert nodes[entry].metrics.get("cluster.fwd_sent").value == 0
+            wait_until(
+                lambda: replica_waiter_count(nodes[replica], "alpha") >= 1,
+                message="waiter never replicated",
+                nodes=nodes.values(),
+            )
+            nodes[owner].stop(drain_timeout=0)  # dies mid-restart
+            assert wait_ready(conn, "alpha", filename, timeout=60.0)
+            assert nodes[replica].metrics.get("repl.promotions").value >= 1
+            # One more round trip on each channel (stats on the first, the
+            # release on the context's), then count: a second ready would
+            # have landed by now.
+            conn.stats()
+            conn.release("alpha", filename)
+            assert readies == [("alpha", filename, True)]
+        finally:
+            if conn is not None:
+                conn.close()
+            stop_all(nodes)
+
+    @pytest.mark.timeout(120)
     def test_cluster_connection_fails_over_to_promoted_owner(self, tmp_path):
-        """A ring-aware client blocked on a ready survives the owner kill:
-        the watchdog replays against the promoted replica (which already
-        has the waiter state), and the session keeps working."""
+        """A ring-aware client (a TcpConnection dialled at a non-owner)
+        blocked on a ready survives the owner kill: its connection
+        re-issues the open at the promoted replica (which already has
+        the waiter state), and the session keeps working."""
         nodes, context, out, rst = build_ha_cluster(
             tmp_path, factor=2, alpha_delay=1.5
         )
@@ -201,10 +252,11 @@ class TestHotFailover:
         try:
             chain = preference_chain(nodes, "alpha", 2)
             owner, replica = chain
-            conn = ClusterConnection(
-                [nodes[nid].address for nid in NODE_IDS],
-                {"alpha": out}, {"alpha": rst},
-                client_id="ha-aware-client", failover_timeout=30.0,
+            entry = next(n for n in NODE_IDS if n != owner)
+            host, port = nodes[entry].address
+            conn = TcpConnection(
+                host, port, {"alpha": out}, {"alpha": rst},
+                client_id="ha-aware-client",
             )
             conn.attach("alpha")
             filename = context.filename_of(9)
@@ -255,7 +307,7 @@ class TestFaultInjection:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="ha-droppy-client",
+                client_id="ha-droppy-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(5)
@@ -328,7 +380,7 @@ class TestFaultInjection:
             host, port = nodes[second].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="ha-double-client",
+                client_id="ha-double-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(7)

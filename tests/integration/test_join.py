@@ -16,7 +16,7 @@ import pytest
 
 from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
-from tests.integration.conftest import free_port, wait_until
+from tests.integration.conftest import free_port, refuse_owner, wait_until
 from tests.integration.test_cluster_stack import build_context
 from tests.integration.test_forwarding_regressions import (
     VNODES,
@@ -57,7 +57,8 @@ def start_staggered(first, second, stop_nodes):
 def forwarded_open_hits(ingress, name, context, out, rst):
     host, port = ingress.address
     with TcpConnection(
-        host, port, {name: out}, {name: rst}, client_id="early-bird"
+        host, port, {name: out}, {name: rst}, client_id="early-bird",
+        owner_dial=refuse_owner,
     ) as conn:
         conn.attach(name)
         info = conn.open(name, context.filename_of(3))

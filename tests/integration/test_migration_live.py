@@ -4,8 +4,10 @@ real nodes.
 The tentpole scenario: a context with a blocked waiter and an in-flight
 re-simulation is migrated off its node; the destination restores the
 waiter table, resumes the restart, and the client — a plain gateway
-connection that issued ONE open and then only waits — sees its ready
-arrive with zero retries and zero lost replies.  Abort and source-death
+connection (every owner unreachable to it: ``refuse_owner``) that issued
+ONE open and then only waits — sees its ready arrive with zero retries
+and zero lost replies.  A client that reached the owner directly keeps
+the files it holds open across the move.  Abort and source-death
 edge cases ride along: a failed cutover leaves the source serving, and a
 partial pre-copy on the ring successor is promoted when the source dies
 mid-handoff.
@@ -20,7 +22,7 @@ from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
 from repro.cluster.link import PeerLink
 from repro.core.errors import DVConnectionLost, SimFSError
-from tests.integration.conftest import free_port, wait_until
+from tests.integration.conftest import free_port, refuse_owner, wait_until
 from tests.integration.test_cluster_stack import build_context, wait_ready
 
 NODE_IDS = ("n1", "n2", "n3")
@@ -85,7 +87,7 @@ class TestLiveMigration:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="migrate-blocked-client",
+                client_id="migrate-blocked-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(7)
@@ -142,7 +144,7 @@ class TestLiveMigration:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="racing-client",
+                client_id="racing-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             first = [context.filename_of(k) for k in (3, 5, 7, 9)]
@@ -184,7 +186,7 @@ class TestLiveMigration:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="abort-client",
+                client_id="abort-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(5)
@@ -226,7 +228,7 @@ class TestLiveMigration:
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
-                client_id="partial-client",
+                client_id="partial-client", owner_dial=refuse_owner,
             )
             conn.attach("alpha")
             filename = context.filename_of(7)
@@ -255,6 +257,40 @@ class TestLiveMigration:
                 "migrate.promoted_partial"
             ).value
             assert promoted >= 1
+        finally:
+            if conn is not None:
+                conn.close()
+            stop_all(nodes)
+
+
+    @pytest.mark.timeout(120)
+    def test_owner_direct_hold_survives_migration(self, tmp_path):
+        """A client that reached the owner directly holds a file when the
+        context migrates.  Its release still goes to the source, which
+        forwards it now; the destination got the hold with the handed-off
+        state, so the release succeeds and the file's refcount ends at 0
+        there."""
+        nodes, context, out, rst = build_cluster(tmp_path)
+        conn = None
+        try:
+            owner = owner_of(nodes, "alpha")
+            dest, entry = [n for n in NODE_IDS if n != owner]
+            host, port = nodes[entry].address
+            conn = TcpConnection(
+                host, port, {"alpha": out}, {"alpha": rst},
+                client_id="holding-client",
+            )
+            conn.attach("alpha")
+            filename = context.filename_of(5)
+            if not conn.open("alpha", filename).available:
+                assert wait_ready(conn, "alpha", filename, timeout=60.0)
+            assert "holding-client" in nodes[owner].server._clients
+            nodes[owner].migration.migrate("alpha", dest)
+            conn.release("alpha", filename)
+            shard = nodes[dest].server.coordinator.shard("alpha")
+            with shard.lock:
+                assert shard.area.refcount(context.key_of(filename)) == 0
+                assert shard.open_files["holding-client"] == []
         finally:
             if conn is not None:
                 conn.close()

@@ -14,7 +14,7 @@ from repro.cluster import ClusterNode
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
 from repro.simulators import SyntheticDriver
-from tests.integration.conftest import free_port, wait_until
+from tests.integration.conftest import free_port, refuse_owner, wait_until
 
 NODE_IDS = ("n1", "n2")
 
@@ -78,7 +78,7 @@ class TestEndToEndTrace:
         filename = context.filename_of(3)
         with TcpConnection(
             host, port, {"alpha": out}, {"alpha": rst},
-            client_id="traced-client", trace=1.0,
+            client_id="traced-client", trace=1.0, owner_dial=refuse_owner,
         ) as conn:
             conn.attach("alpha")
             t0 = time.time()
