@@ -14,8 +14,9 @@ checksumming a multi-GB step is I/O time during which the daemon must
 keep serving every other client.
 
 The headline number is the aggregate op throughput.  A second
-series measures the ``batch`` op's round-trip savings: N open+release
-pairs issued as 2N sequential RPCs versus one pipelined frame.
+series measures what pipelining saves: N open+release pairs issued as 2N
+sequential RPCs versus DVLib's ``acquire`` + ``release_many``, which
+send the N opens, then the N releases, in one write each.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ MEASURE_SECONDS = 2.0
 CELLS = 16384
 #: emulated PFS read latency for one output-step checksum (see module doc)
 CHECKSUM_IO_DELAY = 0.002
-BATCH_PAIRS = 64
+PIPELINED_PAIRS = 64
 
 
 class PacedChecksumDriver(SyntheticDriver):
@@ -142,9 +143,9 @@ def measure_throughput() -> list[list]:
     return [["sharded", NUM_CLIENTS, NUM_CONTEXTS, throughput]]
 
 
-def measure_batch_round_trips() -> list[list]:
-    """Sequential open/release RPCs versus one pipelined ``batch`` frame."""
-    workdir = tempfile.mkdtemp(prefix="bench-dv-batch-")
+def measure_pipelined_round_trips() -> list[list]:
+    """Sequential open/release RPCs versus the same ops pipelined."""
+    workdir = tempfile.mkdtemp(prefix="bench-dv-pipelined-")
     rows = []
     try:
         server, contexts = build_server(workdir)
@@ -162,23 +163,21 @@ def measure_batch_round_trips() -> list[list]:
                 fname = context.filename_of(1)
 
                 begin = time.perf_counter()
-                for _ in range(BATCH_PAIRS):
+                for _ in range(PIPELINED_PAIRS):
                     conn.open(name, fname)
                     conn.release(name, fname)
                 sequential = time.perf_counter() - begin
 
-                frame = []
-                for _ in range(BATCH_PAIRS):
-                    frame.append({"op": "open", "context": name, "file": fname})
-                    frame.append({"op": "release", "context": name, "file": fname})
+                files = [fname] * PIPELINED_PAIRS
                 begin = time.perf_counter()
-                results = conn.batch(frame)
-                batched = time.perf_counter() - begin
-                assert all(r["error"] == 0 for r in results)
+                infos = conn.acquire(name, files)
+                conn.release_many(name, files)
+                pipelined = time.perf_counter() - begin
+                assert all(info.available for info in infos)
 
-            rows.append(["sequential", 2 * BATCH_PAIRS, sequential * 1e3])
-            rows.append(["batch", 2 * BATCH_PAIRS, batched * 1e3])
-            rows.append(["speedup", 2 * BATCH_PAIRS, sequential / batched])
+            rows.append(["sequential", 2 * PIPELINED_PAIRS, sequential * 1e3])
+            rows.append(["pipelined", 2 * PIPELINED_PAIRS, pipelined * 1e3])
+            rows.append(["speedup", 2 * PIPELINED_PAIRS, sequential / pipelined])
         finally:
             server.stop()
     finally:
@@ -187,10 +186,10 @@ def measure_batch_round_trips() -> list[list]:
 
 
 def compute() -> tuple[list[list], list[list]]:
-    return measure_throughput(), measure_batch_round_trips()
+    return measure_throughput(), measure_pipelined_round_trips()
 
 
-def report(throughput_rows: list[list], batch_rows: list[list]) -> None:
+def report(throughput_rows: list[list], pipelined_rows: list[list]) -> None:
     emit(
         "concurrent_clients",
         f"Multi-client DV throughput: {NUM_CLIENTS} clients over "
@@ -199,18 +198,18 @@ def report(throughput_rows: list[list], batch_rows: list[list]) -> None:
         throughput_rows,
     )
     emit(
-        "batch_round_trips",
-        f"Batch op round-trip savings ({BATCH_PAIRS} open+release pairs)",
-        ["mode", "sub-ops", "ms"],
-        batch_rows,
+        "pipelined_round_trips",
+        f"Pipelined round-trip savings ({PIPELINED_PAIRS} open+release pairs)",
+        ["mode", "ops", "ms"],
+        pipelined_rows,
     )
 
 
 def test_concurrent_client_throughput(benchmark):
-    throughput_rows, batch_rows = run_once(benchmark, compute)
-    report(throughput_rows, batch_rows)
+    throughput_rows, pipelined_rows = run_once(benchmark, compute)
+    report(throughput_rows, pipelined_rows)
     assert throughput_rows[0][-1] > 0
-    assert batch_rows[-1][-1] > 1.0, "batch frame slower than sequential RPCs"
+    assert pipelined_rows[-1][-1] > 1.0, "pipelined ops slower than sequential RPCs"
 
 
 if __name__ == "__main__":

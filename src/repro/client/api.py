@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.client.dvlib import DVConnection, _error_from_code
+from repro.client.dvlib import DVConnection
 from repro.core.errors import ErrorCode, InvalidArgumentError, SimFSError
 from repro.core.status import AcquireRequest, FileState, Status
 from repro.simio import DataFile, sio_open
@@ -87,26 +87,14 @@ class SimFSSession:
         self.connection.release(self.context, filename)
 
     def release_many(self, filenames: list[str]) -> None:
-        """Release several files in one pipelined ``batch`` frame.
+        """Release several files, their requests pipelined.
 
         Equivalent to :meth:`release` per file but with a single round
         trip — the counterpart to acquiring a window of steps at once.
+        Every file is released; the first failure is raised after.
         """
-        if not filenames:
-            return
-        results = self.connection.batch([
-            {"op": "release", "context": self.context, "file": name}
-            for name in filenames
-        ])
-        first_error: tuple[int, str] | None = None
-        for name, payload in zip(filenames, results):
-            if payload.get("error"):
-                if first_error is None:
-                    first_error = (payload["error"], payload.get("detail", ""))
-            else:
-                self.connection.ready_table.forget(self.context, name)
-        if first_error is not None:
-            raise _error_from_code(*first_error)
+        if filenames:
+            self.connection.release_many(self.context, filenames)
 
     def stats(self) -> dict:
         """Metrics-plane snapshot of the DV this session talks to.

@@ -169,6 +169,18 @@ class DVConnection(abc.ABC):
     def release(self, context: str, filename: str) -> None:
         """Drop the reference to a file."""
 
+    def release_many(self, context: str, filenames: list[str]) -> None:
+        """Drop the references to several files: every one is released;
+        the first failure is raised once all have been tried."""
+        first_error = None
+        for filename in filenames:
+            try:
+                self.release(context, filename)
+            except SimFSError as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
+
     @abc.abstractmethod
     def notify_write_close(self, context: str, filename: str) -> None:
         """Simulator-side: an output file was closed and is ready on disk."""
@@ -176,12 +188,6 @@ class DVConnection(abc.ABC):
     @abc.abstractmethod
     def bitrep(self, context: str, filename: str, path: str | None = None) -> bool:
         """Compare a file against the recorded initial-run checksum."""
-
-    @abc.abstractmethod
-    def batch(self, ops: list[dict]) -> list[dict]:
-        """Pipelined sub-ops: send many requests in one frame, get the
-        per-sub-op reply payloads back in order.  Each payload carries its
-        own ``error`` field; a failing sub-op does not abort the rest."""
 
     @abc.abstractmethod
     def stats(self) -> dict:
@@ -648,20 +654,39 @@ class TcpConnection(DVConnection):
             estimated_wait=float(reply["wait"]),
         )
 
-    def acquire(self, context: str, filenames: list[str]) -> list[FileInfo]:
-        reply = self._rpc(
-            {"op": "acquire", "context": context, "files": filenames}, context
-        )
+    def _pipeline(self, op: str, context: str, filenames: list[str]):
+        """One ``op`` per file, pipelined on ``context``'s channel: its
+        frames leave in one write (a daemon runs them as one run) and
+        every reply is awaited.  Returns the channel and the replies."""
+        if self._closed:
+            raise ConnectionLostError("connection is closed")
         channel = self._routes.get(context, self._entry)
+        if channel.closed:
+            channel = self._reroute(context)
+        tc = self._next_tc()
+        reqs = [next(self._reqs) for _ in filenames]
+        frames = []
+        for req, filename in zip(reqs, filenames):
+            message = {"op": op, "req": req, "context": context, "file": filename}
+            if tc is not None:
+                message["tc"] = tc
+            frames.append(encode_binary(message))
+        return channel, channel.pipeline(reqs, b"".join(frames), 60.0)
+
+    def acquire(self, context: str, filenames: list[str]) -> list[FileInfo]:
+        """``SIMFS_Acquire``: an ``open`` per file, pipelined.  Every file
+        is asked for; the first that failed raises once all replies are in."""
+        channel, replies = self._pipeline("open", context, filenames)
+        _raise_first(replies)
         infos = []
-        for item in reply["results"]:
-            if not item["available"]:
-                self._wait(channel, context, item["file"])
+        for filename, reply in zip(filenames, replies):
+            if not reply["available"]:
+                self._wait(channel, context, filename)
             infos.append(FileInfo(
-                filename=item["file"],
-                available=bool(item["available"]),
-                state=FileState(item["state"]),
-                estimated_wait=float(item["wait"]),
+                filename=filename,
+                available=bool(reply["available"]),
+                state=FileState(reply["state"]),
+                estimated_wait=float(reply["wait"]),
             ))
         return infos
 
@@ -669,6 +694,16 @@ class TcpConnection(DVConnection):
         self._rpc({"op": "release", "context": context, "file": filename}, context)
         self._waits.pop((context, filename), None)
         self.ready_table.forget(context, filename)
+
+    def release_many(self, context: str, filenames: list[str]) -> None:
+        """A ``release`` per file, pipelined: every file is released; the
+        first failure is raised once all replies are in."""
+        _channel, replies = self._pipeline("release", context, filenames)
+        for filename, reply in zip(filenames, replies):
+            if not reply.get("error"):
+                self._waits.pop((context, filename), None)
+                self.ready_table.forget(context, filename)
+        _raise_first(replies)
 
     def notify_write_close(self, context: str, filename: str) -> None:
         self._rpc({"op": "wclose", "context": context, "file": filename}, context)
@@ -678,20 +713,6 @@ class TcpConnection(DVConnection):
         if path is not None:
             message["path"] = path
         return bool(self._rpc(message, context)["matches"])
-
-    def batch(self, ops: list[dict]) -> list[dict]:
-        """Pipelined sub-ops, on their context's channel when they name
-        one context (else on the first channel, which forwards each)."""
-        contexts = {sub.get("context") for sub in ops if isinstance(sub, dict)}
-        context = contexts.pop() if len(contexts) == 1 else None
-        results = list(self._rpc({"op": "batch", "ops": list(ops)}, context)["results"])
-        for sub, result in zip(ops, results):
-            if (
-                isinstance(sub, dict) and sub.get("op") == "release"
-                and not result.get("error")
-            ):
-                self._waits.pop((sub.get("context"), sub.get("file")), None)
-        return results
 
     def stats(self) -> dict:
         return dict(self._rpc({"op": "stats"})["stats"])
@@ -853,52 +874,6 @@ class LocalConnection(DVConnection):
             path = self.storage_path(context, filename)
         return self._coordinator.handle_bitrep(context, filename, path)
 
-    def batch(self, ops: list[dict]) -> list[dict]:
-        """In-process mirror of the daemon's ``batch`` op semantics."""
-        results = []
-        for sub in ops:
-            sub_op = sub.get("op") if isinstance(sub, dict) else None
-            try:
-                payload = self._local_op(sub_op, sub)
-            except SimFSError as exc:
-                payload = {"error": int(exc.code), "detail": str(exc)}
-            payload.setdefault("error", int(ErrorCode.SUCCESS))
-            payload["op"] = sub_op
-            results.append(payload)
-        return results
-
-    def _local_op(self, sub_op: str | None, sub: dict) -> dict:
-        if sub_op == "open":
-            info = self.open(sub["context"], sub["file"])
-            return {"available": info.available, "state": info.state.value,
-                    "wait": info.estimated_wait}
-        if sub_op == "acquire":
-            infos = self.acquire(sub["context"], list(sub["files"]))
-            return {"results": [
-                {"file": i.filename, "available": i.available,
-                 "state": i.state.value, "wait": i.estimated_wait}
-                for i in infos
-            ]}
-        if sub_op == "release":
-            self.release(sub["context"], sub["file"])
-            return {}
-        if sub_op == "wclose":
-            self.notify_write_close(sub["context"], sub["file"])
-            return {}
-        if sub_op == "bitrep":
-            return {"matches": self.bitrep(
-                sub["context"], sub["file"], sub.get("path")
-            )}
-        if sub_op == "attach":
-            self.attach(sub["context"])
-            return {}
-        if sub_op == "finalize":
-            self.finalize(sub["context"])
-            return {}
-        if sub_op == "stats":
-            return {"stats": self.stats()}
-        raise ProtocolError(f"unknown or non-batchable sub-op {sub_op!r}")
-
     def stats(self) -> dict:
         return self._coordinator.stats_snapshot()
 
@@ -907,6 +882,13 @@ class LocalConnection(DVConnection):
 
     def restart_dir(self, context: str) -> str:
         return self._server.launcher.restart_dir(context)
+
+
+def _raise_first(replies: list[dict]) -> None:
+    """Raise the error of the first reply that carries one."""
+    for reply in replies:
+        if reply.get("error"):
+            raise _error_from_code(reply["error"], reply.get("detail", ""))
 
 
 def _error_from_code(code: int, detail: str) -> SimFSError:

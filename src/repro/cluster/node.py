@@ -261,36 +261,25 @@ class ClusterNode:
         #: Live migration protocol, both halves (source and destination).
         self.migration = MigrationManager(self)
 
-        self.server.register_op(
-            OP_FWD, self.router.on_fwd, reply_op="fwd_reply", needs_worker=True
-        )
-        self.server.register_op(OP_GOSSIP, self._op_gossip, needs_worker=True)
-        # describe() takes the cluster lock, which activation may hold
-        # across a PFS directory scan — never run it on the event loop.
-        self.server.register_op("cluster", self._op_cluster, needs_worker=True)
-        self.server.register_op("repl", self._op_repl, needs_worker=True)
-        self.server.register_op("ha", self._op_ha, needs_worker=True)
-        # Migration control/data frames and the load/rebalance probes all
-        # take the cluster lock (and migrate crosses the wire) — workers.
-        self.server.register_op("migrate", self._op_migrate, needs_worker=True)
-        self.server.register_op("load", self._op_load, needs_worker=True)
-        self.server.register_op(
-            "rebalance", self._op_rebalance, needs_worker=True
-        )
+        # The node's rows of the op table.  They run on workers: they
+        # take the cluster lock, which activation may hold across a PFS
+        # directory scan, or cross the wire.
+        for name, handler in (
+            (OP_FWD, self.router.on_fwd), (OP_GOSSIP, self._op_gossip),
+            ("cluster", self._op_cluster), ("repl", self._op_repl),
+            ("ha", self._op_ha), ("migrate", self._op_migrate),
+            ("load", self._op_load), ("rebalance", self._op_rebalance),
+        ):
+            self.server.register_op(name, handler)
         # Observability plane: cluster-wide versions of the daemon's
-        # trace/trace_slow ops — merge local spans with every live
-        # peer's, reporting unreachable peers in the payload instead of
-        # failing the whole query.
-        self.server.register_op(
-            "trace", self._op_trace, needs_worker=True, replace=True
-        )
-        self.server.register_op(
-            "trace_slow", self._op_trace_slow, needs_worker=True, replace=True
-        )
-        self.server.register_op(
-            "metrics_text", self._op_metrics_text,
-            needs_worker=True, replace=True,
-        )
+        # trace/trace_slow/metrics_text ops — merge local spans with every
+        # live peer's, reporting unreachable peers in the payload instead
+        # of failing the whole query.
+        for name, handler in (
+            ("trace", self._op_trace), ("trace_slow", self._op_trace_slow),
+            ("metrics_text", self._op_metrics_text),
+        ):
+            self.server.register_op(name, handler, replace=True)
         self.server.set_cluster_hooks(
             route_ops=self.router.route,
             ready_router=self.router.route_ready,
@@ -802,9 +791,9 @@ class ClusterNode:
     def _op_trace(self, conn, message: dict) -> dict:
         """Cluster ``trace`` op: one trace's spans merged from every
         reachable node, deduplicated by span id and sorted by start time."""
-        trace_id = message.get("trace_id")
-        if not isinstance(trace_id, str) or not trace_id:
-            raise InvalidArgumentError("trace requires a 'trace_id' string")
+        trace_id = message["trace_id"]
+        if not trace_id:
+            raise InvalidArgumentError("trace requires a non-empty 'trace_id'")
         spans = list(self.server.obs.trace(trace_id))
         nodes = [self.node_id]
         unreachable: list[str] = []
@@ -837,7 +826,7 @@ class ClusterNode:
     def _op_trace_slow(self, conn, message: dict) -> dict:
         """Cluster ``trace_slow`` op: the slowest spans and the decision
         journals of every reachable node."""
-        limit = max(1, int(message.get("limit", 20)))
+        limit = max(1, message.get("limit", 20))
         spans = list(self.server.obs.slow(limit))
         journal = self.server.obs.journal_entries(limit=limit)
         nodes = [self.node_id]

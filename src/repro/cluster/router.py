@@ -6,9 +6,9 @@ table of hooks the node supplies).  The unit of
 forwarding is a *run*: one client's consecutive ops for one context —
 usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
 which the ingress ships to the context's owner in one ``fwd`` frame and
-gets answered in one ``fwd_reply``: a run of two or more crosses as the
-client frames it arrived as and comes back as the reply frames the
-client reads.  The ingress remembers which owner
+gets answered in one ``fwd_reply``: a run, a run of one included, crosses
+as the client frames it arrived as and comes back as the reply frames
+the client reads.  The ingress remembers which owner
 holds each client's attachment and which opens still wait for a
 ``ready``, and after a membership change re-registers what was recorded
 against a lost owner, so a blocked client gets its one ``ready`` instead
@@ -37,13 +37,15 @@ from repro.core.errors import (
 from repro.dv.coordinator import Notification
 from repro.dv.protocol import (
     MARK_MISS,
+    OP_FWD_REPLY,
     make_fwd,
     pack_run,
     unpack_run,
     unpack_run_reply,
     unwrap_fwd,
 )
-from repro.dv.server import _ROUTABLE_OPS, reply_frame, reply_payloads
+from repro.dv.server import reply_frame, reply_payloads
+from repro.obs.trace import parse_wire
 
 __all__ = ["Router"]
 
@@ -227,15 +229,24 @@ class Router:
         settled = self._forward_routed(conn.client_id, messages)
         self.track(conn.client_id, messages, settled)
         trace = getattr(conn, "trace", False)
-        return b"".join([
-            frame if frame is not None
-            else reply_frame(message, note, message.get("tc") if trace else None)
-            for message, (frame, note, _owner) in zip(messages, settled)
-        ])
+        frames = []
+        for message, (frame, note, _owner) in zip(messages, settled):
+            tc = message.get("tc") if trace else None
+            if frame is None or tc is not None:
+                # Failed here; or traced for a client that negotiated
+                # tracing, whose reply carries the request's tc — the
+                # owner cannot know that, so the frame is made here.
+                frame = reply_frame(
+                    message, note if frame is None else reply_payloads(frame)[0], tc
+                )
+            frames.append(frame)
+        return b"".join(frames)
 
     def _forward_one(self, client_id: str, inner: dict) -> tuple[dict, str | None]:
-        _frame, payload, owner = self._forward_routed(client_id, [inner])[0]
-        return payload, owner  # a run of one settles on a payload
+        """Route one op of the router's own (an attach, a replayed open, a
+        finalize): its reply payload and the owner that served it."""
+        frame, note, owner = self._forward_routed(client_id, [inner])[0]
+        return (note if note is not None else reply_payloads(frame)[0]), owner
 
     def _forward_routed(
         self, client_id: str, messages: list[dict]
@@ -245,14 +256,13 @@ class Router:
         a lost attachment inside one ``rpc_timeout`` deadline.  The
         unsettled slots cross the hop together, in order, as one frame;
         each settles on its own answer and only the rest are re-sent.
-        Returns one ``(frame, note, owner)`` per slot: the reply frame a
-        remote owner made for an op of a run (else None: a run of one, a
-        run served or failed here — then ``note`` is the payload), what
-        the reply says when it is not a plain success (else None), and
-        the peer that actually served it — what :meth:`track` must record,
-        not a re-derived lookup: the ring may already have moved on, and
-        a wait recorded against the wrong, still-live owner would never
-        be replayed."""
+        Returns one ``(frame, note, owner)`` per slot: the reply frame the
+        client reads (None when the slot failed here: then ``note`` is the
+        payload), what the reply says when it is not a plain success (else
+        None), and the peer that actually served it — what :meth:`track`
+        must record, not a re-derived lookup: the ring may already have
+        moved on, and a wait recorded against the wrong, still-live owner
+        would never be replayed."""
         context = messages[0].get("context")
         deadline = self._clock() + self.rpc_timeout
         settled: list = [None] * len(messages)
@@ -275,8 +285,8 @@ class Router:
                 frames = self.run_local(
                     client_id, [messages[slot] for slot in todo]
                 )
-                for slot, payload in zip(todo, reply_payloads(b"".join(frames))):
-                    settled[slot] = (None, payload, owner)
+                for slot, frame in zip(todo, frames):
+                    settled[slot] = (frame, reply_payloads(frame)[0], owner)
                 break
             sent = todo[:width]
             try:
@@ -350,49 +360,38 @@ class Router:
     def _call(
         self, owner: str, client_id: str, messages: list[dict]
     ) -> tuple[list, dict[int, dict]]:
-        """One ``fwd`` round trip carrying ``messages``: their reply
-        frames (None for a run of one: the JSON ``inner``, answered with
-        a payload) and, by position, what the not-plain replies say."""
+        """One ``fwd`` round trip carrying ``messages`` as a packed run:
+        their reply frames (None where the owner refused the run whole)
+        and, by position, what the not-plain replies say."""
         link = self.link(owner)
         self._m_fwd_sent.inc(len(messages))
         self._m_fwd_frames.inc()
-        if len(messages) > 1:
-            reply = link.call(
-                pack_run(self.self_id, client_id, messages),
-                timeout=self.rpc_timeout,
-            )
-            try:
-                frames, marks = unpack_run_reply(reply, len(messages))
-                return frames, _notes(frames, marks)
-            except ProtocolError:
-                # The owner refused the run as a whole (or sent
-                # nonsense): every slot fails the same way.
-                return [None] * len(messages), {slot: {
-                    "error": reply.get("error") or int(ErrorCode.ERR_PROTOCOL),
-                    "detail": reply.get("detail", "malformed fwd_reply"),
-                } for slot in range(len(messages))}
-        inner = {k: v for k, v in messages[0].items() if k != "req"}
-        frame = make_fwd(self.self_id, client_id, inner)
-        tc = inner.get("tc")
+        frame = pack_run(self.self_id, client_id, messages)
+        tc = messages[0].get("tc")  # a traced op travels alone
+        if parse_wire(tc) is None:
+            tc = None  # a malformed tc degrades to untraced
         if tc is not None:
             # Hoisted onto the fwd frame itself, so the owner's dispatch
-            # records an ``op.fwd`` span without unwrapping the payload.
+            # records an ``op.fwd`` span without unpacking the run.
             frame["tc"] = tc
         traced = tc is not None and self._obs is not None
         began = self._obs.now() if traced else 0.0
         reply = link.call(frame, timeout=self.rpc_timeout)
         if traced:
             self._obs.record(
-                "fwd", tc, began, self._obs.now(), op=inner.get("op"),
-                context=inner.get("context"), peer=owner,
+                "fwd", tc, began, self._obs.now(), op=messages[0]["op"],
+                context=messages[0].get("context"), peer=owner,
             )
-        payload = reply.get("payload")
-        if not isinstance(payload, dict):
-            payload = {
-                "error": reply.get("error", int(ErrorCode.ERR_PROTOCOL)),
+        try:
+            frames, marks = unpack_run_reply(reply, len(messages))
+            return frames, _notes(frames, marks)
+        except ProtocolError:
+            # The owner refused the run as a whole (or sent nonsense):
+            # every slot fails the same way.
+            return [None] * len(messages), {slot: {
+                "error": reply.get("error") or int(ErrorCode.ERR_PROTOCOL),
                 "detail": reply.get("detail", "malformed fwd_reply"),
-            }
-        return [None], {0: payload}
+            } for slot in range(len(messages))}
 
     def track(self, client_id: str, messages: list[dict], settled: list) -> None:
         """Record ingress bookkeeping, per slot of :meth:`_forward_routed`'s
@@ -416,11 +415,6 @@ class Router:
                     self._pending[(client_id, context, inner.get("file"))] = owner
                 elif op == "release":
                     self._pending.pop((client_id, context, inner.get("file")), None)
-                elif op == "acquire":
-                    for result in payload.get("results", ()):
-                        if not result.get("available"):
-                            key = (client_id, context, result.get("file"))
-                            self._pending[key] = owner
 
     def _forget_waits(self, match: Callable[[tuple], bool]) -> None:
         for key in [k for k in self._pending if match(k)]:
@@ -516,22 +510,28 @@ class Router:
     # Owner side (a peer forwarded a client op here)
     # ------------------------------------------------------------------ #
     def on_fwd(self, conn, message: dict) -> dict | None:
-        """Server op ``fwd``: execute a peer-forwarded client op (or a run
-        of them, in order) here, or take delivery of a ``ready`` a peer
-        dialed us to route."""
-        if "run" in message:
+        """Server op ``fwd``: execute a peer's forwarded run here, in
+        order, or take delivery of a ``ready`` a peer routed to us.
+        Never raises: what cannot be executed is answered, in the slot it
+        came in or, refused whole, as one ``ERR_PROTOCOL`` ``fwd_reply``
+        (a one-way frame, which nobody waits on, is dropped)."""
+        try:
+            if "run" not in message:
+                _origin, client_id, inner = unwrap_fwd(message)
+                if inner["op"] != "ready":
+                    raise ProtocolError("a fwd carries a run or a routed ready")
+                self._m_fwd_recv.inc()
+                self.deliver_routed_ready(client_id, inner)
+                return None
             origin, client_id, messages = unpack_run(message)
-            self._m_fwd_recv.inc(len(messages))
-            return {"run": b"".join(
-                self.run_local(client_id, messages, conn, origin)
-            )}
-        origin, client_id, inner = unwrap_fwd(message)
-        self._m_fwd_recv.inc()
-        if inner.get("op") == "ready":
-            self.deliver_routed_ready(client_id, inner)
-            return None
-        (frame,) = self.run_local(client_id, [inner], conn, origin)
-        return {"payload": reply_payloads(frame)[0]}
+        except ProtocolError as exc:
+            if message.get("req") is None:
+                return None
+            return {"op": OP_FWD_REPLY, "error": int(exc.code), "detail": str(exc)}
+        self._m_fwd_recv.inc(len(messages))
+        return {"op": OP_FWD_REPLY, "run": b"".join(
+            self.run_local(client_id, messages, conn, origin)
+        )}
 
     def on_link_fwd(self, message: dict) -> None:
         """PeerLink callback: an unsolicited ``fwd`` over one of our
@@ -547,9 +547,7 @@ class Router:
         """Run ops here, in order, on behalf of a client that has no local
         connection object (forwarded in, replayed, or self-owned): the
         proxy is registered once and the ops go to ``execute_local`` in
-        one call.  Returns their reply frames.  An op that cannot be
-        routed fails its own slot."""
-        run = [m for m in messages if m.get("op") in _ROUTABLE_OPS]
+        one call.  Returns their reply frames."""
         with self._lock:
             proxy = self._proxies.get(client_id)
             if proxy is None:
@@ -559,12 +557,11 @@ class Router:
             proxy.inflight += 1
         frames: list[bytes] = []
         try:
-            if run:
-                frames = self._execute_local(proxy, run)
+            frames = self._execute_local(proxy, messages)
         finally:
             with self._lock:
                 proxy.inflight -= 1
-                for inner, frame in zip(run, frames):
+                for inner, frame in zip(messages, frames):
                     if inner["op"] in ("attach", "finalize"):
                         payload = reply_payloads(frame)[0]
                         if inner["op"] == "attach" and _attached(payload):
@@ -580,16 +577,7 @@ class Router:
                     and self._proxies.get(client_id) is proxy
                 ):
                     del self._proxies[client_id]
-        served = iter(frames)
-        return frames if len(run) == len(messages) else [
-            next(served) if message.get("op") in _ROUTABLE_OPS
-            else reply_frame(message, {
-                "error": int(ErrorCode.ERR_PROTOCOL),
-                "detail": f"op {message.get('op')!r} cannot be executed "
-                          "for a routed client",
-            })
-            for message in messages
-        ]
+        return frames
 
     def restore_proxies(
         self, context: str, clients: Iterable[str], waiters: Iterable

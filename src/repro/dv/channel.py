@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+import time
 from collections.abc import Callable
 
 from repro.core.errors import DVConnectionLost, SimFSError
@@ -181,40 +182,53 @@ class RpcChannel:
     def request(self, req: int, data: bytes, timeout: float) -> dict:
         """Ship one pre-encoded request frame carrying ``req`` and wait
         for its reply.  A caller that numbers its own requests sends them
-        all this way: mixed with :meth:`call`, two counters would hand
-        out one ``req`` twice."""
+        all this way (or :meth:`pipeline`): mixed with :meth:`call`, two
+        counters would hand out one ``req`` twice."""
+        return self.pipeline((req,), data, timeout)[0]
+
+    def pipeline(self, reqs, data: bytes, timeout: float) -> list[dict]:
+        """Ship several pre-encoded request frames — ``data``, carrying
+        ``reqs`` in order — in one write and wait for all their replies,
+        returned in ``reqs`` order.  ``timeout`` bounds the whole wait."""
         if self.closed:
             raise DVConnectionLost(f"{self.what} connection is closed")
-        done = threading.Lock()
-        done.acquire()
-        waiter = [done, None]
+        waiters = []
+        for _req in reqs:
+            done = threading.Lock()
+            done.acquire()
+            waiters.append([done, None])
         with self._lock:
-            self._waiters[req] = waiter
+            self._waiters.update(zip(reqs, waiters))
         try:
-            self._write(data)
+            self._write(data, len(waiters))
+            deadline = time.monotonic() + timeout
+            for waiter in waiters:
+                if not waiter[0].acquire(
+                    timeout=max(0.0, deadline - time.monotonic())
+                ):
+                    raise ReplyTimeout(
+                        f"{self.what} did not answer within {timeout}s"
+                    )
+                if waiter[1] is None:
+                    raise DVConnectionLost(
+                        f"{self.what} connection lost mid-request"
+                    )
         except DVConnectionLost:
             with self._lock:
-                self._waiters.pop(req, None)
+                for req in reqs:
+                    self._waiters.pop(req, None)
             raise
-        if not done.acquire(timeout=timeout):
-            with self._lock:
-                self._waiters.pop(req, None)
-            raise ReplyTimeout(
-                f"{self.what} did not answer within {timeout}s"
-            )
-        if waiter[1] is None:
-            raise DVConnectionLost(f"{self.what} connection lost mid-request")
-        return waiter[1]
+        return [waiter[1] for waiter in waiters]
 
     def send(self, message: dict) -> None:
         """One-way frame (no reply expected)."""
         self._write(encode_binary(message))
 
-    def _write(self, data: bytes) -> None:
+    def _write(self, data: bytes, frames: int = 1) -> None:
         try:
             with self._send_lock:
                 self.sock.sendall(data)
-                self.frames_sent += 1
+                self.frames_sent += frames
                 self.bytes_sent += len(data)
         except OSError as exc:
             raise DVConnectionLost(

@@ -21,49 +21,28 @@ the same split.  A control connection carries two framings, in this order:
     under ``KIND_JSON``.  No newline scanning, no key sorting, no escaping
     on the critical path.
 
-Client -> DV requests (each carries a ``req`` sequence number):
-
-===========  =============================================================
-``hello``    attach a client to a context (``SIMFS_Init``); carries the
-             mandatory ``client_id``/``vers``/``codec`` fields
-``open``     request one file (transparent open / blocking acquire)
-``acquire``  request a set of files (``SIMFS_Acquire``)
-``release``  drop the reference to a file (``SIMFS_Release`` / read close)
-``wclose``   a *simulator* closed an output file (file-ready signal)
-``bitrep``   compare a file against its recorded checksum
-``finalize`` detach the client (``SIMFS_Finalize``)
-``batch``    pipelined sub-ops: ``{"op": "batch", "ops": [...]}`` executes
-             the listed sub-ops in order and returns their reply payloads
-             as ``results`` in one frame (no nested ``batch``/``hello``)
-``stats``    snapshot of the DV metrics plane (per-shard summaries plus
-             every counter/gauge/histogram)
-===========  =============================================================
+Client -> DV requests each carry a ``req`` sequence number; what each op
+is — its fields, whether it is forwarded, joins a run, may block — is
+:data:`repro.dv.ops.OPS`.  A client keeps many ops in flight by
+pipelining their frames: there is no multi-op request.
 
 DV -> client messages: ``reply`` (matched to ``req``) and unsolicited
 ``ready`` notifications for files the client waits on.
 
 Peer-to-peer (cluster tier, :mod:`repro.cluster`) — DV daemons exchange
-three additional ops over the very same wire (they travel as JSON
-payloads inside the binary framing):
+three additional ops over the very same wire:
 
 =============  ===========================================================
-``fwd``        gateway forwarding: ``{"op": "fwd", "req": n, "origin":
-               node_id, "client": client_id, "inner": {...}}`` asks the
-               receiving daemon to execute ``inner`` on behalf of
-               ``client`` connected at ``origin``.  Sent ingress -> owner
-               for client ops; sent owner -> ingress (without ``req``)
-               to route a ``ready`` notification back to the client's
-               ingress node.
-``fwd_reply``  the owner's answer to a ``fwd``: ``{"op": "fwd_reply",
-               "req": n, "error": 0, "payload": {...}}`` where
-               ``payload`` is exactly the reply body ``inner`` would
-               have produced had the client been connected directly.
-               A *run* of one client's ops travels packed (see
-               :func:`pack_run`): one ``fwd`` holding the ops as the
+``fwd``        gateway forwarding.  Ingress -> owner, a *run* of one
+               client's ops, packed (:func:`pack_run`): the ops as the
                client frames they are, ``req`` and all
-               (1..``FWD_RUN_MAX``, executed in order), answered by one
-               ``fwd_reply`` holding the reply frames the client reads,
-               same count, same order (:func:`unpack_run_reply`).
+               (1..``FWD_RUN_MAX``, executed in order) — a lone op is a
+               run of one.  Owner -> ingress, without ``req``: ``{"op":
+               "fwd", "origin": node_id, "client": client_id, "inner":
+               {"op": "ready", ...}}`` routes a ``ready`` back to the
+               client's ingress node (:func:`make_fwd`).
+``fwd_reply``  the owner's answer to a run: the reply frames the client
+               reads, same count, same order (:func:`unpack_run_reply`).
 ``gossip``     membership heartbeat: carries the sender's peer-table
                view (node ids, addresses, generations, aliveness, ring
                epoch); the receiver merges it and replies with its own
@@ -89,6 +68,7 @@ import struct
 from typing import Any
 
 from repro.core.errors import ProtocolError
+from repro.dv.ops import OPS, checked
 from repro.obs.trace import TraceContext, parse_wire as _parse_trace
 
 __all__ = [
@@ -145,12 +125,8 @@ FWD_RUN_MAX = 256
 
 def make_fwd(origin: str, client_id: str, inner: dict[str, Any],
              req: Any = None) -> dict[str, Any]:
-    """Wrap ``inner`` for peer-to-peer forwarding on behalf of a client.
-
-    With ``req`` the frame is a request expecting a ``fwd_reply``;
-    without it, it is a one-way routed notification (owner -> ingress
-    ``ready`` delivery).
-    """
+    """Wrap ``inner`` — a ``ready`` the owner routes back to a client's
+    ingress — in a one-way ``fwd`` (a ``req`` makes it a request)."""
     message: dict[str, Any] = {
         "op": OP_FWD, "origin": origin, "client": client_id, "inner": inner,
     }
@@ -160,22 +136,16 @@ def make_fwd(origin: str, client_id: str, inner: dict[str, Any],
 
 
 def unwrap_fwd(message: dict[str, Any]) -> tuple[str, str, dict[str, Any]]:
-    """Validate and split a ``fwd`` frame into (origin, client, inner)."""
+    """Validate and split a :func:`make_fwd` frame into (origin, client,
+    inner)."""
     origin, client_id, inner = (
         message.get("origin"), message.get("client"), message.get("inner")
     )
     if not isinstance(origin, str) or not isinstance(client_id, str):
         raise ProtocolError("fwd frame needs string 'origin' and 'client'")
-    _check_forwardable([inner], (OP_FWD, "hello", "batch"))
+    if not isinstance(inner, dict) or "op" not in inner:
+        raise ProtocolError("fwd frame needs an 'inner' message with 'op'")
     return origin, client_id, inner
-
-
-def _check_forwardable(messages: list, refused: tuple[str, ...]) -> None:
-    for inner in messages:
-        if not isinstance(inner, dict) or "op" not in inner:
-            raise ProtocolError("fwd frame needs an 'inner' message with 'op'")
-        if inner["op"] in refused:
-            raise ProtocolError(f"op {inner['op']!r} cannot be forwarded")
 
 # --------------------------------------------------------------------- #
 # Legacy codec: newline-delimited JSON (the hello line and its reply)
@@ -538,10 +508,12 @@ def pack_run(
 def unpack_run(message: dict[str, Any]) -> tuple[str, str, list[dict[str, Any]]]:
     """Validate and split a run-carrying ``fwd`` into (origin, client,
     messages).  A bad header, a count that is not 1..``FWD_RUN_MAX`` or
-    not the frames held, a partial frame or an op that cannot be
-    forwarded (a routed ``ready`` travels alone) refuses the whole run,
-    so nothing of it executes.  The result stays on the message: the
-    event loop asks before the handler does."""
+    not the frames held, a partial frame or an op the table does not
+    forward refuses the whole run, so nothing of it executes; a
+    forwardable op that is malformed becomes its refusal
+    (:func:`~repro.dv.ops.checked`), answered in its own slot.  The
+    result stays on the message: the event loop asks before the handler
+    does."""
     if "_run" not in message:
         run = message["run"]
         try:
@@ -551,15 +523,24 @@ def unpack_run(message: dict[str, Any]) -> tuple[str, str, list[dict[str, Any]]]
             client_id = str(run[mid:mid + cid_len], "utf-8")
         except (TypeError, struct.error, UnicodeDecodeError) as exc:
             raise ProtocolError(f"malformed fwd run header: {exc}") from exc
-        messages = decode_frames(run[mid + cid_len:])  # none: header cut short
+        # No frames at all when the header was cut short.
+        messages = decode_frames(run[mid + cid_len:], _forwarded)
         if len(messages) != count or not 1 <= count <= FWD_RUN_MAX:
             raise ProtocolError(
                 f"fwd run says {count} ops, holds {len(messages)} "
                 f"(1..{FWD_RUN_MAX} allowed)"
             )
-        _check_forwardable(messages, (OP_FWD, "hello", "batch", "ready"))
         message["_run"] = origin, client_id, messages
     return message["_run"]
+
+
+def _forwarded(message: dict[str, Any]) -> dict[str, Any]:
+    """A run's op that is not a packed ``open``/``release`` (which are
+    forwardable and well-formed by construction), as its owner takes it."""
+    op = message["op"]
+    if not (isinstance(op, str) and op in OPS and OPS[op].forwardable):
+        raise ProtocolError(f"op {op!r} cannot be forwarded")
+    return checked(message)
 
 
 def unpack_run_reply(
@@ -590,11 +571,12 @@ def unpack_run_reply(
     return frames, marks
 
 
-def decode_frames(data: bytes) -> list[dict[str, Any]]:
-    """The messages of a buffer that holds whole binary frames only."""
+def decode_frames(data: bytes, check=None) -> list[dict[str, Any]]:
+    """The messages of a buffer that holds whole binary frames only
+    (``check`` as in :meth:`StreamDecoder.drain`)."""
     decoder = StreamDecoder(CODEC_BINARY)
     decoder.feed(data)
-    messages = decoder.drain()
+    messages = decoder.drain(check)
     if decoder.has_partial():
         raise ProtocolError("partial binary frame")
     return messages
@@ -687,14 +669,19 @@ class StreamDecoder:
                 continue
             return decode_message(line)
 
-    def drain(self) -> list[dict[str, Any]]:
+    def drain(self, check=None) -> list[dict[str, Any]]:
         """Every complete message in the buffer, in order: what calling
         :meth:`next_message` until ``None`` returns, in one pass — the
         buffer is walked by offset, its consumed prefix dropped once, and
         the packed ``open``/``release`` requests are unpacked in place.
         A bad frame raises what ``next_message`` raises on it and leaves
         the buffer where that call would; the messages ahead of it are
-        lost with the framing (the connection is going down)."""
+        lost with the framing (the connection is going down).
+
+        ``check`` (binary frames only) maps every message that is not an
+        untraced packed ``open``/``release`` — those are well-formed by
+        construction and pay nothing — to what is returned in its place
+        (a daemon passes :func:`repro.dv.ops.checked`)."""
         if self.codec == CODEC_LEGACY:
             return list(iter(self._next_legacy, None))
         buf, messages, pos = self._buffer, [], 0
@@ -711,9 +698,8 @@ class StreamDecoder:
                     break
                 pos = end  # consumed, whatever the payload turns out to be
                 if kind not in (_KIND_OPEN, _KIND_RELEASE) or length < strings:
-                    messages.append(
-                        _decode_binary_payload(kind, bytes(buf[body:end]))
-                    )
+                    message = _decode_binary_payload(kind, bytes(buf[body:end]))
+                    messages.append(message if check is None else check(message))
                     continue
                 req, ctx_len, fname_len = _REQ_STRINGS.unpack_from(buf, body)
                 mid = body + strings + ctx_len

@@ -14,17 +14,15 @@ frame.
 Every connection starts with one newline-JSON ``hello`` line and its
 reply line; every frame after that is binary (:mod:`repro.dv.protocol`).
 A hello that fails validation gets an error reply line and the connection
-stays un-negotiated.
+stays un-negotiated.  What each op is comes from the op table
+(:mod:`repro.dv.ops`); a message that is no well-formed op is answered
+``ERR_PROTOCOL`` and the connection is served on.
 
-Beyond the classic per-file ops, the daemon speaks two service-level ops:
-
-* ``batch`` — one frame carrying a list of sub-ops executed in order,
-  their replies returned in one frame (pipelining for
-  ``SIMFS_Acquire``-heavy analyses);
-* ``stats`` — a snapshot of the metrics plane (per-shard summaries plus
-  every counter/gauge/histogram), also reachable as ``simfs-dv --stats``.
-  The wire itself is metered too: ``wire.frames_sent`` /
-  ``wire.bytes_sent`` / ``wire.frames_recv`` / ``wire.bytes_recv``.
+Beyond the classic per-file ops, ``stats`` snapshots the metrics plane
+(per-shard summaries plus every counter/gauge/histogram), also reachable
+as ``simfs-dv --stats``.  The wire itself is metered too:
+``wire.frames_sent`` / ``wire.bytes_sent`` / ``wire.frames_recv`` /
+``wire.bytes_recv``.
 
 The daemon is also usable in-process via :meth:`DVServer.start` /
 :meth:`DVServer.stop` — integration tests and the examples run it that
@@ -46,6 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.core.context import SimulationContext
 from repro.core.errors import (
+    DETAIL_ALREADY_ATTACHED,
     DETAIL_ALREADY_CONNECTED,
     ContextError,
     ErrorCode,
@@ -55,6 +54,7 @@ from repro.core.errors import (
 )
 from repro.dv.coordinator import DVCoordinator, Notification, OpenResult
 from repro.dv.launcher import ThreadedLauncher
+from repro.dv.ops import BOUNDED, OPS, WORKER, checked, problem
 from repro.dv.protocol import (
     CODEC_BINARY,
     FWD_RUN_MAX,
@@ -77,11 +77,6 @@ from repro.util.clock import WallClock
 
 __all__ = ["DVServer", "main"]
 
-#: Ops a ``batch`` frame may carry (no nesting, no handshakes).
-_BATCHABLE_OPS = frozenset(
-    {"open", "acquire", "release", "wclose", "bitrep", "attach", "finalize", "stats"}
-)
-
 _RECV_SIZE = 65536
 
 #: Flush a worker's reply collector once it holds this many bytes, even
@@ -101,27 +96,10 @@ _OUTBUF_HIGH = 1 << 22
 #: the buffer without bound.
 _OUTBUF_HARD = 4 * _OUTBUF_HIGH
 
-
-#: Ops that can trigger storage-area eviction (and hence ``os.unlink`` on
-#: the PFS) when a context is capacity-bounded.
-_EVICTING_OPS = frozenset({"release", "wclose", "finalize"})
-
-#: Context-addressed client ops a cluster gateway may forward to the
-#: owning peer when the named context is not registered locally.
-_ROUTABLE_OPS = frozenset(
-    {"open", "acquire", "release", "wclose", "bitrep", "attach", "finalize",
-     "fetch_info"}
-)
-
-#: Routable ops whose replies are fixed-size: a pipelined client's
-#: consecutive ones for the same non-local context are forwarded to the
-#: owner together, as one run (see ``_run_length``).
-_RUN_OPS = frozenset({"open", "release", "wclose"})
-
-#: What a *local* run is made of: a client's consecutive ones for one
-#: context served here execute as one shard call (see ``_next_run``).  A
-#: tuple, so that testing a JSON ``op`` that is a list compares, not hashes.
-_LOCAL_RUN_OPS = ("open", "release")
+#: How the splitter says a piece of a batch executes: as a local run (one
+#: ``handle_run``), as a routed run (one ``fwd`` to the owner), as the
+#: hello of an un-negotiated connection, or as one message on its own.
+_LOCAL, _ROUTED, _HELLO, _ONE = range(4)
 
 #: Per-op service-time buckets (seconds): finer than DEFAULT_BUCKETS at the
 #: microsecond end, where the in-memory ops live.
@@ -140,9 +118,12 @@ def reply_frame(message: dict, payload: dict, tc=None) -> bytes:
     """The reply frame a client reads for ``message`` answered with
     ``payload``, whichever daemon makes it: an ``open``'s reply leads
     with the op (and, for a trace-negotiated peer, a success carries the
-    request's ``tc``), any other's with the payload."""
+    request's ``tc``), any other's with the payload — whose own ``op``,
+    if it names one (``fwd_reply``), replaces ``reply``."""
     if message.get("op") != "open":
-        return encode_binary({**payload, "op": "reply", "req": message.get("req")})
+        return encode_binary({
+            **payload, "op": payload.get("op", "reply"), "req": message.get("req"),
+        })
     reply = {"op": "reply", "req": message.get("req"), **payload}
     if tc is not None and not payload.get("error"):
         reply["tc"] = tc
@@ -151,23 +132,12 @@ def reply_frame(message: dict, payload: dict, tc=None) -> bytes:
 
 def reply_payloads(data: bytes) -> list[dict]:
     """Reply frames back as the payloads they were made of — for the
-    few that read them: ``batch`` results, the single-op hop, replays."""
+    few that read them: an answer the hop carried, a replay, a re-attach."""
     replies = decode_frames(data)
     for reply in replies:
         del reply["op"]
         reply.pop("req", None)
     return replies
-
-
-@dataclass(frozen=True)
-class _ExtraOp:
-    """A service-level op registered by an embedding layer (the cluster
-    node adds ``fwd``/``gossip`` this way).  A handler returning ``None``
-    sends no reply (one-way frames such as routed ``ready`` deliveries)."""
-
-    handler: "collections.abc.Callable"
-    reply_op: str = "reply"
-    needs_worker: bool = False
 
 
 @dataclass
@@ -253,7 +223,6 @@ class DVServer:
         # on the event loop (see _needs_worker).  Everyone else's may.
         self._evicting_contexts: set[str] = set()
         # Cluster-tier hooks, all optional (see repro.cluster.node):
-        #   _extra_ops    — service ops beyond the classic table (fwd/gossip)
         #   _route_ops    — gateway: handle one client's consecutive ops
         #                   for a non-local context, returning their reply
         #                   frames in order, joined (runs on a worker)
@@ -261,7 +230,6 @@ class DVServer:
         #                   local connection (a proxied cluster client)
         #   _hello_extra  — extra fields merged into every hello reply
         #   _drop_hook    — observe client disconnects (proxy cleanup)
-        self._extra_ops: dict[str, _ExtraOp] = {}
         self._route_ops = None
         self._ready_router = None
         self._hello_extra = None
@@ -281,13 +249,13 @@ class DVServer:
         # Per-op service-time histograms (p50/p95/p99 in the stats op),
         # created lazily on first dispatch of each op.
         self._op_hist: dict[str, object] = {}
+        # Handlers of the table's ops that are not run ops (those
+        # execute as runs only), ``register_op`` adding to them.
         self._handlers = {
-            "acquire": self._op_acquire,
             "wclose": self._op_wclose,
             "bitrep": self._op_bitrep,
             "attach": self._op_attach,
             "finalize": self._op_finalize,
-            "batch": self._op_batch,
             "stats": self._op_stats,
             "fetch_info": self._op_fetch_info,
             "trace": self._op_trace,
@@ -338,33 +306,22 @@ class DVServer:
     def storage_path(self, context_name: str, filename: str) -> str:
         return os.path.join(self.launcher.output_dir(context_name), filename)
 
-    def register_op(
-        self,
-        name: str,
-        handler,
-        reply_op: str = "reply",
-        needs_worker: bool = False,
-        replace: bool = False,
-    ) -> None:
-        """Add a service-level op to the dispatch table.
+    def register_op(self, name: str, handler, replace: bool = False) -> None:
+        """Serve the op table's row ``name`` with ``handler(conn,
+        message) -> payload`` (a cluster node's ops).  The row says where
+        it runs; a payload of ``None`` sends no reply (a routed ``ready``)
+        and one may name its reply op (``fwd_reply``).
 
-        ``handler(conn, message) -> payload`` follows the built-in handler
-        contract; the reply frame is sent as ``reply_op``.  Ops that may
-        block (peer round trips, file I/O) must pass ``needs_worker=True``
-        so they never run on the event loop.
-
-        ``replace=True`` lets an embedding layer shadow an existing op at
-        the top level (a cluster node overrides ``trace`` with a
-        cluster-wide view); the built-in handler stays reachable for
-        ``batch`` sub-ops.
+        ``replace=True`` shadows a built-in handler (a cluster node
+        overrides ``trace`` with a cluster-wide view).  The handshake and
+        the run ops execute nowhere else, so they cannot be registered.
         """
-        if not replace and (
-            name in self._handlers or name in self._extra_ops or name == "hello"
-        ):
+        row = OPS.get(name)
+        if row is None or row.runs or name == "hello":
+            raise InvalidArgumentError(f"op {name!r} cannot be registered")
+        if name in self._handlers and not replace:
             raise InvalidArgumentError(f"op {name!r} is already defined")
-        if name == "hello" or name in _LOCAL_RUN_OPS:  # never reach the table
-            raise InvalidArgumentError(f"op {name!r} cannot be replaced")
-        self._extra_ops[name] = _ExtraOp(handler, reply_op, needs_worker)
+        self._handlers[name] = handler
 
     def set_data_endpoint(self, host: str, port: int) -> None:
         """Advertise the bulk data plane serving this daemon's context
@@ -607,7 +564,8 @@ class DVServer:
         self._m_bytes_recv.inc(len(chunk))
         conn.decoder.feed(chunk)
         try:
-            messages = conn.decoder.drain()
+            # Every op is validated here, once, before any rule reads it.
+            messages = conn.decoder.drain(checked)
         except ProtocolError:
             # Unparseable or oversized stream: the only safe move is to
             # drop the connection (framing is lost).
@@ -646,46 +604,37 @@ class DVServer:
         self._update_interest(conn)
 
     def _needs_worker(self, message: dict) -> bool:
-        """True for ops that may block and therefore must not run on the
-        event loop: ``bitrep`` checksums a whole output step off the PFS
-        and ``stats`` snapshots every shard and metric;
-        on a context with a bounded storage area, ``release``/``wclose``/
-        ``finalize`` may evict and delete files on the PFS;
-        registered service ops (``fwd``/``gossip``) declare themselves —
-        but a forwarded run follows the local run's rule (``_run_stays``); and
-        any op the cluster gateway must forward to a peer blocks on that
-        round trip (one round trip per run of them, see ``_run_length``)."""
+        """Must ``message`` leave the event loop?  Its row's ``where``
+        says (``bitrep`` checksums a step off the PFS, ``stats`` snapshots
+        every shard; a bounded context's ``release``/``wclose``/
+        ``finalize`` may evict and unlink files), except that an op the
+        gateway forwards blocks on that round trip, a forwarded run stays
+        on the loop when it is all one local run — the rule a client's
+        run follows — and a cluster node's hello may wait on the cluster
+        lock (activation holds it across PFS scans) or forward an attach."""
         op = message.get("op")
+        row = OPS.get(op) if isinstance(op, str) else None
+        if row is None:
+            return False  # refused: answered on the loop
         context = message.get("context")
-        if op in ("bitrep", "fetch_info", "stats") or (
-            op in _EVICTING_OPS
-            and isinstance(context, str)
-            and context in self._evicting_contexts
-        ):
+        if op == OP_FWD and "run" in message:
+            try:
+                _origin, client_id, ops = unpack_run(message)
+            except ProtocolError:
+                return False  # refused whole: answered on the loop
+            count, how = self._split(client_id, ops, 0, inline=True, route=False)
+            return how != _LOCAL or count < len(ops)
+        if row.forwardable and self._forwards(context):
             return True
-        extra = self._extra_ops.get(op)
-        if extra is not None:
-            return extra.needs_worker and not (
-                op == OP_FWD and "run" in message and self._run_stays(message)
-            )
-        if op == "hello" and self._hello_extra is not None:
-            # The hello-extra hook may contend on the cluster lock, which
-            # activation can hold across PFS scans — keep it off the loop.
-            return True
-        if (op in _ROUTABLE_OPS or op == "hello") and self._forwards(context):
-            return True
-        if op == "batch":
-            sub_ops = message.get("ops")
-            if isinstance(sub_ops, list):
-                return any(
-                    isinstance(sub, dict) and self._needs_worker(sub)
-                    for sub in sub_ops
-                )
-        return False
+        if op == "hello":
+            return self._hello_extra is not None or self._route_ops is not None
+        if row.where == BOUNDED:
+            return isinstance(context, str) and context in self._evicting_contexts
+        return row.where == WORKER
 
     def _run_inline(self, conn: _ClientConn, messages: list[dict]) -> None:
         """Hot path: execute a quiescent connection's batch on the event
-        loop itself — in-memory ops (open/acquire/release/...) never pay
+        loop itself — in-memory ops (open/release/attach/...) never pay
         a worker-pool hop.  The first op that may block (a ``bitrep``
         checksum reads the file off the PFS) hands the rest of the batch
         to the pool, keeping the loop responsive."""
@@ -697,8 +646,8 @@ class DVServer:
         try:
             while idx < total:
                 try:
-                    count, local = self._next_run(conn, messages, idx, True)
-                    if not local and self._needs_worker(messages[idx]):
+                    count, how = self._split(conn.client_id, messages, idx, True)
+                    if how != _LOCAL and self._needs_worker(messages[idx]):
                         # Flush before handing over so replies leave in
                         # the order their requests arrived.
                         self._flush_collector()
@@ -708,7 +657,7 @@ class DVServer:
                         self._work_queue.put(conn)
                         return
                     run = messages if count == total else messages[idx:idx + count]
-                    self._execute(conn, run, local)
+                    self._execute(conn, run, how)
                 except Exception:
                     tl.frames = 0  # the conn is going down: drop replies
                     self._close_conn(conn)
@@ -856,7 +805,7 @@ class DVServer:
                     if not drained:
                         # The head messages that execute as one run leave
                         # the inbox together.
-                        count, local = self._next_run(conn, conn.inbox)
+                        count, how = self._split(conn.client_id, conn.inbox)
                         run = [conn.inbox.popleft() for _ in range(count)]
                 if drained:
                     # Flush *before* releasing the connection: once busy
@@ -871,7 +820,7 @@ class DVServer:
                             break
                     continue  # new messages arrived during the flush
                 try:
-                    self._execute(conn, run, local)
+                    self._execute(conn, run, how)
                 except Exception:
                     # A failed send or an unexpected handler crash tears
                     # down this connection only — the worker must survive
@@ -916,52 +865,54 @@ class DVServer:
             and not self.coordinator.has_context(context)
         )
 
-    def _next_run(
-        self, conn: _ClientConn, messages, start: int = 0, inline: bool = False
-    ) -> tuple[int, bool]:
-        """The run splitter of both drains: how many of ``messages`` from
-        ``start`` on execute together, and whether as a *local* run (one
-        ``handle_run``, see ``_local_run_length``) — else as a *remote*
-        run (one ``fwd`` frame, see ``_run_length``) or, mostly, as one
-        message dispatched on its own."""
-        if conn.client_id is None:
-            return 1, False  # the hello
-        if not self._forwards(messages[start].get("context")):
-            count = self._local_run_length(messages, start, inline)
-            if count:
-                return count, True
-        return self._run_length(messages, start) or 1, False
+    def _split(
+        self, client_id, messages, start: int = 0, inline: bool = False,
+        route: bool = True,
+    ) -> tuple[int, int]:
+        """The run splitter (both drains and ``serve_ops``): how many of
+        a client's ``messages`` from ``start`` on execute together, and
+        how.  A run is consecutive ops the table says join runs, for one
+        context, up to ``FWD_RUN_MAX``: a *local* run (one ``handle_run``:
+        it holds the shard lock) or, when ``route`` and the context is
+        the gateway's to forward, a *routed* one (one ``fwd`` frame).
+        Another context and any other op end it; so does, on the event
+        loop (``inline``), a local release that may evict — it must leave
+        the loop.  Any other forwardable op is a run of one; everything
+        else is one message on its own."""
+        if client_id is None:
+            return 1, _HELLO
+        head = messages[start]
+        row = OPS.get(head["op"])
+        if row is None or not row.forwardable:
+            return 1, _ONE
+        context = head["context"]
+        routed = route and self._forwards(context)
+        if row.runs:
+            evicts = inline and not routed and context in self._evicting_contexts
+            end = start
+            limit = min(len(messages), start + FWD_RUN_MAX)
+            while end < limit:
+                message = messages[end]
+                row = OPS.get(message["op"])
+                if (
+                    row is None or not row.runs or message["context"] != context
+                    or (evicts and row.where == BOUNDED)
+                    # A traced op crosses the hop alone, its tc on the fwd.
+                    or (routed and "tc" in message)
+                ):
+                    break
+                end += 1
+            if end > start:
+                return end - start, _ROUTED if routed else _LOCAL
+        return 1, _ROUTED if routed else _ONE
 
-    def _local_run_length(self, messages, start: int, inline: bool = False) -> int:
-        """How many of ``messages`` from ``start`` on form a local run:
-        consecutive ``open``/``release`` for one context (which the
-        caller knows is not the gateway's to forward), up to
-        ``FWD_RUN_MAX`` — a run holds the shard lock.  Another context
-        and any other op end it — and, when ``inline`` (the caller is the
-        event loop), a ``release`` that may evict: it must leave the loop."""
-        context = messages[start].get("context")
-        evicts = inline and context in self._evicting_contexts
-        end = start
-        limit = min(len(messages), start + FWD_RUN_MAX)
-        while end < limit:
-            message = messages[end]
-            op = message.get("op")
-            if (
-                op not in _LOCAL_RUN_OPS
-                or message.get("context") != context
-                or (evicts and op == "release")
-            ):
-                break
-            end += 1
-        return end - start
-
-    def _execute(self, conn: _ClientConn, run: list[dict], local: bool) -> None:
-        """Execute what ``_next_run`` cut off the head of a batch."""
-        if local:
+    def _execute(self, conn: _ClientConn, run: list[dict], how: int) -> None:
+        """Execute what ``_split`` cut off the head of a batch."""
+        if how == _LOCAL:
             self._serve_run(conn, run)
-        elif len(run) > 1:
+        elif how == _ROUTED:
             self._dispatch_run(conn, run)
-        elif conn.client_id is None:
+        elif how == _HELLO:
             self._handle_hello(conn, run[0])
         else:
             self._dispatch(conn, run[0])
@@ -982,21 +933,6 @@ class DVServer:
             [(m["op"] == "open", m["file"], m.get("tc")) for m in run],
             self._clock.now(),
             stamps,
-        )
-
-    def _run_stays(self, message: dict) -> bool:
-        """Does a forwarded run execute on the event loop?  By the rule
-        a local run follows: it is all ``open``s and non-evicting
-        ``release``s of one context served here.  (A malformed one stays
-        too: its handler refuses it whole.)"""
-        try:
-            ops = unpack_run(message)[2]
-        except ProtocolError:
-            return True
-        context = ops[0].get("context")
-        return (
-            isinstance(context, str) and self.coordinator.has_context(context)
-            and self._local_run_length(ops, 0, True) == len(ops)
         )
 
     def _serve_run(self, conn: _ClientConn, run: list[dict]) -> None:
@@ -1036,23 +972,20 @@ class DVServer:
         """Run ``ops`` here, in order, forwarding nothing: local runs
         through ``execute_run``, the rest one by one.  Returns per op the
         reply frame a connected client would read.  The cluster tier's
-        execute hook for a routed client, and a ``batch``'s sub-ops;
-        ``client`` quacks like a connection (``client_id``/``contexts``)."""
+        execute hook for a routed client; ``client`` quacks like a
+        connection (``client_id``/``contexts``)."""
         frames: list[bytes] = []
         idx = 0
         while idx < len(ops):
-            count = self._local_run_length(ops, idx)
-            if count:
+            count, how = self._split(client.client_id, ops, idx, route=False)
+            if how == _LOCAL:
                 run = ops if count == len(ops) else ops[idx:idx + count]
                 frames += self._pack_run(
                     run, self.execute_run(client.client_id, run), False
                 )
             else:
-                handler = self._handlers[ops[idx]["op"]]
-                frames.append(
-                    reply_frame(ops[idx], self._run_op(client, handler, ops[idx]))
-                )
-            idx += count or 1
+                frames.append(reply_frame(ops[idx], self._answer(client, ops[idx])))
+            idx += count
         return frames
 
     # ------------------------------------------------------------------ #
@@ -1069,12 +1002,12 @@ class DVServer:
         try:
             if message.get("op") != "hello":
                 raise ProtocolError("first message must be hello")
+            detail = problem(message)
+            if detail is not None:
+                raise ProtocolError(detail)
             codec = negotiate_codec(message)
-            if not isinstance(client_id, str) or not client_id:
-                raise ProtocolError(
-                    f"hello needs a non-empty string 'client_id', "
-                    f"got {client_id!r}"
-                )
+            if not client_id:
+                raise ProtocolError("hello needs a non-empty 'client_id'")
             with self._clients_lock:
                 if client_id in self._clients:
                     # A second hello reusing a live client_id would silently
@@ -1174,67 +1107,9 @@ class DVServer:
             )
 
     def _dispatch_op(self, conn: _ClientConn, message: dict) -> None:
-        op = message.get("op")
-        req = message.get("req")
-        extra = self._extra_ops.get(op)
-        if extra is not None:
-            # Service-level op from an embedding layer (fwd/gossip).
-            try:
-                payload = extra.handler(conn, message)
-            except SimFSError as exc:
-                payload = _error_payload(exc)
-            if payload is None:
-                return  # one-way frame, no reply
-            payload.setdefault("error", int(ErrorCode.SUCCESS))
-            payload.update({"op": extra.reply_op, "req": req})
-            self._send(conn, payload)
-            return
-        if op in _ROUTABLE_OPS and self._forwards(message.get("context")):
-            # Gateway path: this daemon does not own the context — the
-            # route hook forwards to the owning peer and hands back the
-            # reply frame.
-            self._send_raw(conn, self._route(conn, [message]))
-            return
-        handler = self._handlers.get(op)
-        if handler is None:
-            self._send(conn, {"op": "reply", "req": req,
-                              "error": int(ErrorCode.ERR_PROTOCOL),
-                              "detail": f"unknown op {op!r}"})
-            return
-        payload = self._run_op(conn, handler, message)
-        payload.update({"op": "reply", "req": req})
-        self._send(conn, payload)
-
-    def _run_length(self, messages, start: int = 0) -> int:
-        """How many of ``messages`` from ``start`` on the gateway forwards
-        as one run: 0 when the first is not for the gateway at all, 1 for
-        a routable op that travels alone (anything traced, anything whose
-        reply is not fixed-size), else the consecutive ``open``/
-        ``release``/``wclose`` for the same non-local context, up to
-        ``FWD_RUN_MAX``.  A message for another context, one carrying
-        ``tc`` and any other op end the run."""
-        head = messages[start]
-        if not isinstance(head, dict):
-            return 0
-        op = head.get("op")
-        context = head.get("context")
-        if not self._forwards(context) or op not in _ROUTABLE_OPS:
-            return 0
-        if op not in _RUN_OPS or "tc" in head:
-            return 1
-        end = start + 1
-        limit = min(len(messages), start + FWD_RUN_MAX)
-        while end < limit:
-            message = messages[end]
-            if (
-                not isinstance(message, dict)
-                or message.get("op") not in _RUN_OPS
-                or message.get("context") != context
-                or "tc" in message
-            ):
-                break
-            end += 1
-        return end - start
+        payload = self._answer(conn, message)
+        if payload is not None:  # None: a one-way frame, no reply
+            self._send_raw(conn, reply_frame(message, payload))
 
     def _route(self, conn: _ClientConn, messages: list[dict]) -> bytes:
         """Gateway path: this daemon does not own the messages' context —
@@ -1249,41 +1124,48 @@ class DVServer:
     def _dispatch_run(self, conn: _ClientConn, run: list[dict]) -> None:
         """Forward a run taken off the inbox and hand its reply frames to
         the connection in one piece; each op is observed like a dispatch
-        of its own, from the start of the run to its reply queued."""
+        of its own, from the start of the run to its reply queued (a
+        traced op travels alone, its arrival stamp off before packing)."""
         started = time.perf_counter()
+        arrived = run[0].pop("_obs_t0", None)
         self._send_raw(conn, self._route(conn, run), len(run))
         elapsed = time.perf_counter() - started
         for message in run:
-            self._observe_op(message.get("op"), elapsed, message)
+            self._observe_op(message["op"], elapsed, message, arrived)
 
-    def _run_op(self, conn: _ClientConn, handler, message: dict) -> dict:
-        """Execute one op body, mapping SimFS errors to reply payloads."""
+    def _answer(self, conn: _ClientConn, message: dict) -> dict | None:
+        """Execute one op here: its handler's payload, a SimFS error as
+        one, or — for a message refused by the table or an op this daemon
+        has no handler for — ``ERR_PROTOCOL``."""
+        handler = self._handlers.get(message["op"])
+        if handler is None:
+            return {
+                "error": int(ErrorCode.ERR_PROTOCOL),
+                "detail": message.get("_refused")
+                or f"unknown op {message['op']!r}",
+            }
         try:
             payload = handler(conn, message)
-            payload.setdefault("error", int(ErrorCode.SUCCESS))
         except SimFSError as exc:
-            payload = _error_payload(exc)
+            return _error_payload(exc)
+        if payload is not None:
+            payload.setdefault("error", int(ErrorCode.SUCCESS))
         return payload
 
     # -- op handlers ------------------------------------------------------ #
     def _op_attach(self, conn: _ClientConn, message: dict) -> dict:
         context = message["context"]
-        self.coordinator.client_connect(conn.client_id, context)
+        try:
+            self.coordinator.client_connect(conn.client_id, context)
+        except InvalidArgumentError as exc:
+            if DETAIL_ALREADY_ATTACHED in str(exc):
+                # Restored with the shard's state (a promotion, a
+                # migration): the attachment is this connection's now,
+                # and leaves with it.
+                conn.contexts.add(context)
+            raise
         conn.contexts.add(context)
         return {}
-
-    def _op_acquire(self, conn: _ClientConn, message: dict) -> dict:
-        results = self.coordinator.handle_acquire(
-            conn.client_id, message["context"], list(message["files"]),
-            self._clock.now(), tc=message.get("tc"),
-        )
-        return {
-            "results": [
-                {"file": r.filename, "available": r.available,
-                 "state": r.state.value, "wait": r.estimated_wait}
-                for r in results
-            ]
-        }
 
     def _op_wclose(self, conn: _ClientConn, message: dict) -> dict:
         self.coordinator.sim_file_closed(
@@ -1325,45 +1207,6 @@ class DVServer:
         )
         conn.contexts.discard(context)
         return {}
-
-    def _op_batch(self, conn: _ClientConn, message: dict) -> dict:
-        """Pipelined sub-ops: one request frame, one reply frame.
-
-        Sub-ops execute in order; each entry of ``results`` is the payload
-        the sub-op would have produced as its own reply (including its own
-        ``error`` field), so one failing sub-op does not abort the rest.
-        """
-        sub_ops = message.get("ops")
-        if not isinstance(sub_ops, list):
-            raise InvalidArgumentError("batch requires a list under 'ops'")
-        results = []
-        idx = 0
-        while idx < len(sub_ops):
-            sub = sub_ops[idx]
-            sub_op = sub.get("op") if isinstance(sub, dict) else None
-            if sub_op not in _BATCHABLE_OPS:
-                results.append({
-                    "op": sub_op,
-                    "error": int(ErrorCode.ERR_PROTOCOL),
-                    "detail": f"unknown or non-batchable sub-op {sub_op!r}",
-                })
-                idx += 1
-                continue
-            count = self._run_length(sub_ops, idx)
-            if count:
-                # Gateway path applies per sub-op: a pipelined batch from
-                # a ring-unaware client still reaches the context owner,
-                # consecutive sub-ops of one run in a single round trip.
-                run = sub_ops[idx:idx + count]
-                replies = self._route(conn, run)
-            else:
-                run = [sub]
-                replies = self.serve_ops(conn, run)[0]
-            for routed, payload in zip(run, reply_payloads(replies)):
-                payload["op"] = routed["op"]
-                results.append(payload)
-            idx += len(run)
-        return {"results": results}
 
     def _op_fetch_info(self, conn: _ClientConn, message: dict) -> dict:
         """Where (and whether) a context file can be pulled over the data
@@ -1431,9 +1274,9 @@ class DVServer:
         return render_prometheus(self.metrics.snapshot(), self.obs.exemplars())
 
     def _op_trace(self, conn: _ClientConn, message: dict) -> dict:
-        trace_id = message.get("trace_id")
-        if not isinstance(trace_id, str) or not trace_id:
-            raise InvalidArgumentError("trace requires a 'trace_id' string")
+        trace_id = message["trace_id"]
+        if not trace_id:
+            raise InvalidArgumentError("trace requires a non-empty 'trace_id'")
         return {"trace": {
             "trace_id": trace_id.lower(),
             "spans": self.trace_spans(trace_id),
@@ -1442,7 +1285,7 @@ class DVServer:
         }}
 
     def _op_trace_slow(self, conn: _ClientConn, message: dict) -> dict:
-        limit = int(message.get("limit", 20))
+        limit = message.get("limit", 20)
         return {"slow": {
             "spans": self.slow_spans(limit),
             "journal": self.obs.journal_entries(limit=limit),

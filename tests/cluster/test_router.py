@@ -5,11 +5,11 @@ together with in-memory links and one fake clock: a "peer round trip" is
 a direct call into the owner's ``on_fwd``, a ``ready`` is a direct call
 into the ingress's ``on_link_fwd``, and time only moves when the router
 sleeps.  Each member's shards are a dict-backed stand-in that answers
-with the real error codes and detail strings.  A run crosses the fake
-link the way it crosses the real one: one packed ``fwd`` frame carrying
-the client's frames (``pack_run``), answered with the reply frames the
-client reads, refused whole by the owner's validation or by the wire's
-frame limit; a run of one is the single-``inner`` JSON frame.
+with the real error codes and detail strings.  A run — a run of one
+included — crosses the fake link the way it crosses the real one: one
+packed ``fwd`` frame carrying the client's frames (``pack_run``),
+answered with the reply frames the client reads, refused whole by the
+owner's validation or by the wire's frame limit.
 """
 
 import copy
@@ -35,7 +35,6 @@ from repro.dv.protocol import (
     MARK_BODY,
     decode_frames,
     encode_frame,
-    make_fwd,
     pack_run,
     unpack_run_reply,
 )
@@ -90,8 +89,9 @@ class FakeLink:
         self.closed = True
 
     def call(self, frame, timeout=None):
+        request = dict(frame, req=1)  # what the channel sends
         try:
-            encode_frame(dict(frame, req=1), "binary")
+            encode_frame(request, "binary")
         except ProtocolError:  # past the wire's frame limit: nothing leaves
             self.oversized.append(frame)
             raise
@@ -102,7 +102,7 @@ class FakeLink:
             raise PeerTimeout(f"{self.dst} is slow")
         try:
             reply = self.net.members[self.dst].router.on_fwd(
-                FakeConn(self.src), dict(frame)
+                FakeConn(self.src), request
             )
         except SimFSError as exc:  # what DVServer._dispatch_op answers
             reply = {"error": int(exc.code), "detail": str(exc)}
@@ -288,17 +288,20 @@ class TestForward:
         assert b.delivered == [Notification("c1", CTX, "f1", ok=True)]
         assert b.router._pending == {}
 
-    def test_fwd_frame_is_exactly_make_fwd_plus_hoisted_tc(self):
+    def test_fwd_frame_is_exactly_pack_run_plus_hoisted_tc(self):
         net = Net("a", "b", owner="a")
         b = net.members["b"]
         b.forward("c1", op("attach"))
-        traced = dict(op("open", "f1"), tc="00-11-01")
+        tc = f"{0x11:016x}-{0x22:016x}-01"
+        traced = dict(op("open", "f1"), tc=tc)
         b.forward("c1", traced)
-        plain, hoisted = net.links[0].frames
-        assert encode_frame(plain, "binary") == encode_frame(
-            make_fwd("b", "c1", op("attach")), "binary"
-        )
-        assert hoisted == dict(make_fwd("b", "c1", traced), tc="00-11-01")
+        # A tc that does not parse is untraced: it rides in its op only.
+        garbled = dict(op("open", "f2"), tc="00-11-01")
+        b.forward("c1", garbled)
+        plain, hoisted, unhoisted = net.links[0].frames
+        assert plain == run_frame("b", "c1", [op("attach")])
+        assert hoisted == dict(run_frame("b", "c1", [traced]), tc=tc)
+        assert unhoisted == run_frame("b", "c1", [garbled])
 
     def test_unknown_context_fails_without_a_hop(self):
         net = Net("a", "b", owner="a")
@@ -647,12 +650,13 @@ class TestRuns:
         assert counters == (1 + len(RUN) + 2, 3)
         assert a.router._m_fwd_recv.value == 1 + len(RUN) + 2
 
-    def test_a_run_of_one_is_the_single_inner_frame_byte_for_byte(self):
+    def test_a_run_of_one_is_packed_like_any_run(self):
         net = attached_pair()
         inner = op("open", "f1")
         net.members["b"].forward_many("c1", [inner])
-        assert encode_frame(net.links[0].frames[-1], "binary") == encode_frame(
-            make_fwd("b", "c1", inner), "binary"
+        frame = dict(net.links[0].frames[-1], req=5)
+        assert encode_frame(frame, "binary") == encode_frame(
+            dict(run_frame("b", "c1", [inner]), req=5), "binary"
         )
 
     def test_owner_down_mid_run_resends_every_slot_to_the_new_owner(self):
@@ -673,7 +677,7 @@ class TestRuns:
         to_c = net.links[-1].frames
         assert to_c == [
             run_frame("b", "c1", RUN),
-            make_fwd("b", "c1", op("attach")),
+            pack_run("b", "c1", [op("attach")]),
             run_frame("b", "c1", RUN),
         ]
         assert [e[1:] for e in c.executed if e[1] != "attach"][len(RUN):] == [
@@ -705,7 +709,7 @@ class TestRuns:
         assert [p["error"] for p in payloads] == [0] * len(RUN)
         assert net.links[-1].frames == [
             run_frame("b", "c1", RUN),
-            make_fwd("b", "c1", op("attach")),
+            pack_run("b", "c1", [op("attach")]),
             run_frame("b", "c1", RUN),
         ]
         assert b.router._ingress_ctx == {"c1": {CTX: "c"}}
@@ -728,7 +732,7 @@ class TestRuns:
         assert [p["error"] for p in payloads] == [0] * len(RUN)
         assert net.clock.sleeps == [0.05] and net.clock.now < b.router.rpc_timeout
         assert net.links[0].frames == [
-            run_frame("b", "c1", RUN), make_fwd("b", "c1", RUN[0]),
+            run_frame("b", "c1", RUN), run_frame("b", "c1", RUN[:1]),
         ]
         # The other slots kept their first answers: none ran twice.
         assert [e[1:] for e in a.executed] == [
@@ -750,7 +754,9 @@ class TestRuns:
         assert payloads == [{"available": False, "error": 0}] * 3
         link = net.links[0]
         assert link.oversized == [run_frame("b", "c1", big)]
-        assert link.frames[1:] == [make_fwd("b", "c1", inner) for inner in big]
+        assert link.frames[1:] == [
+            run_frame("b", "c1", [inner], [slot]) for slot, inner in enumerate(big)
+        ]
         assert len(b.router._pending) == 3
 
     def test_a_single_op_past_the_frame_limit_fails_alone(self):
@@ -821,18 +827,33 @@ class TestRunValidation:
         reply = self.link.call({"op": "fwd", "run": run})
         assert reply["error"] == ERR_PROTOCOL and self.owner.executed == []
 
+    def test_a_fwd_that_is_no_run_and_no_ready_is_refused(self):
+        """The retired single-``inner`` request shape: a request is
+        answered ``ERR_PROTOCOL``; a one-way frame, which nobody waits
+        on, gets no answer."""
+        frame = {"op": "fwd", "origin": "b", "client": "c1",
+                 "inner": op("open", "f1")}
+        reply = self.link.call(frame)
+        assert reply["error"] == ERR_PROTOCOL and "run or a routed ready" in reply["detail"]
+        assert self.owner.router.on_fwd(FakeConn("b"), frame) is None
+        assert self.owner.executed == []
+
     def test_the_ingress_fails_every_slot_of_a_refused_run(self):
         b = self.net.members["b"]
         payloads = b.forward_many("c1", [op("open", "f1"), op("ready", "f1")])
         assert [p["error"] for p in payloads] == [ERR_PROTOCOL] * 2
         assert self.owner.executed == [] and b.router._pending == {}
 
-    def test_an_unroutable_inner_fails_its_own_slot_only(self):
+    def test_an_unroutable_inner_refuses_the_run_whole(self):
+        """The table does not forward ``stats``: a run holding one came
+        from a broken peer, and none of it executes."""
         b = self.net.members["b"]
         payloads = b.forward_many(
             "c1", [op("open", "f1"), op("stats"), op("release", "f1")]
         )
-        assert [p["error"] for p in payloads] == [0, ERR_PROTOCOL, 0]
+        assert [p["error"] for p in payloads] == [ERR_PROTOCOL] * 3
+        assert "'stats' cannot be forwarded" in payloads[1]["detail"]
+        assert self.owner.executed == []
 
 
 ACTIONS = st.lists(

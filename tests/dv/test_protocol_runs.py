@@ -52,8 +52,10 @@ ops = st.one_of(
         reqs, text, text,
     ),
     st.builds(
-        lambda req, files: {"op": "acquire", "req": req, "context": "c", "files": files},
-        reqs, st.lists(text, max_size=3),
+        lambda req, file, path: {
+            "op": "bitrep", "req": req, "context": "c", "file": file, "path": path,
+        },
+        reqs, text, text,
     ),
     st.builds(lambda context: {"op": "attach", "context": context}, text),
 )
@@ -165,6 +167,18 @@ def test_a_malformed_run_is_refused_whole(name):
         unpack_run({"op": "fwd", "req": 1, "run": MALFORMED_RUNS[name]})
 
 
+def test_a_malformed_forwardable_op_is_refused_in_its_own_slot():
+    """Not the run: the owner answers that slot ``ERR_PROTOCOL``."""
+    bad = {"op": "open", "req": 2, "context": "hot"}
+    origin, client, messages = unpack_run(
+        {"op": "fwd", "run": run_body(ops=(OPEN, bad, RELEASE))}
+    )
+    assert (origin, client) == ("gw", "c1")
+    assert messages[0] == OPEN and messages[2] == RELEASE
+    assert messages[1]["op"] is None and messages[1]["req"] == 2
+    assert "'file'" in messages[1]["_refused"]
+
+
 def test_the_well_formed_twins_are_accepted():
     assert unpack_run({"op": "fwd", "run": run_body()}) == ("gw", "c1", [OPEN, RELEASE])
     full = (RELEASE,) * FWD_RUN_MAX
@@ -204,8 +218,8 @@ def test_a_live_owner_refuses_each_malformed_run_and_keeps_the_link(tmp_path):
     link = None
     try:
         link = PeerLink("tester", "solo", *node.address)
-        attach = link.call(make_fwd("tester", "c1", {"op": "attach", "context": "hot"}))
-        assert attach["payload"] == {"error": 0}
+        attach = link.call(pack_run("tester", "c1", [{"op": "attach", "context": "hot"}]))
+        assert decode_frames(unpack_run_reply(attach, 1)[0][0])[0]["error"] == 0
         name = context.filename_of(1)
         good = pack_run("tester", "c1", [
             {"op": "open", "req": 1, "context": "hot", "file": name},

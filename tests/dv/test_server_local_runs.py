@@ -32,7 +32,7 @@ from repro.dv.protocol import (
     encode_frame,
     encode_open_request,
 )
-from repro.dv.server import DVServer, _ClientConn
+from repro.dv.server import _LOCAL, _ONE, DVServer, _ClientConn
 from repro.simulators import SyntheticDriver
 
 FIXTURE = os.path.join(
@@ -328,14 +328,18 @@ def test_a_bounded_context_does_not_send_its_neighbours_off_the_loop(loop):
 
 
 def test_a_batch_splits_its_ops_per_context(loop):
-    """``batch`` recursion tests each sub-op's own context."""
-    server, contexts, _conn, _theirs = loop
+    """The splitter cuts a drained batch at each change of context, and
+    the eviction gate reads each op's own context."""
+    server, contexts, conn, _theirs = loop
     hot, scan = (contexts[n].filename_of(1) for n in ("hot", "scan"))
     release = lambda ctx, f: {"op": "release", "context": ctx, "file": f}  # noqa: E731
-    assert not server._needs_worker({"op": "batch", "ops": [release("hot", hot)]})
-    assert server._needs_worker(
-        {"op": "batch", "ops": [release("hot", hot), release("scan", scan)]}
-    )
+    mixed = [release("hot", hot)] * 2 + [release("scan", scan)] * 2
+    assert server._split("c1", mixed, 0, inline=True) == (2, _LOCAL)
+    # On the loop, a bounded context's release stands alone, bound for a
+    # worker; the worker takes it into a run.
+    assert server._split("c1", mixed, 2, inline=True) == (1, _ONE)
+    assert server._needs_worker(mixed[2]) and not server._needs_worker(mixed[0])
+    assert server._split("c1", mixed, 2) == (2, _LOCAL)
     assert not server._needs_worker({"op": "finalize", "context": "hot"})
     assert server._needs_worker({"op": "wclose", "context": "scan", "file": scan})
 
@@ -346,7 +350,6 @@ def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
     and its reply still leaves between those of the opens around it."""
     server, contexts = make_server(str(tmp_path))
     assert server._needs_worker({"op": "stats"})
-    assert server._needs_worker({"op": "batch", "ops": [{"op": "stats"}]})
     server.start()
     stop_servers.append(server)
     client = Client(server)
@@ -355,7 +358,7 @@ def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
             if replaced:
                 server.register_op(
                     "stats", lambda conn, message: {"stats": {"merged": True}},
-                    needs_worker=True, replace=True,
+                    replace=True,
                 )
                 assert server._needs_worker({"op": "stats"})
             stream = (

@@ -8,8 +8,9 @@ import pytest
 
 from repro.client import TcpConnection
 from repro.core.context import ContextConfig, SimulationContext
-from repro.core.errors import InvalidArgumentError, SimFSError
+from repro.core.errors import InvalidArgumentError, ProtocolError, SimFSError
 from repro.core.perfmodel import PerformanceModel
+from repro.dv.ops import OPS
 from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 
@@ -52,27 +53,27 @@ def connect(server, context_name="obs", **kwargs):
 
 class TestOpCoverageGuard:
     def test_every_registered_op_records_a_service_histogram(self, warm_server):
-        """Guard: dispatching any op from the daemon's dispatch table must
-        leave an ``op.<name>.seconds`` histogram behind — the `_observe_op`
-        hook runs in the dispatch ``finally``, so even an error reply
-        counts.  A new op added without riding `_dispatch` breaks this."""
+        """Guard: every op of the op table — whether this daemon has a
+        handler for it (a node op has none here) or runs it as a local
+        run — must leave an ``op.<name>.seconds`` histogram behind: the
+        `_observe_op` hook runs in the dispatch ``finally``, so even an
+        error reply counts.  A new op that does not ride `_dispatch` or a
+        run breaks this."""
         server, context = warm_server
-        # open/release never reach the table: they execute as local runs,
-        # which observe every op themselves.
-        ops = sorted({*server._handlers, "open", "release"})
-        assert ops, "dispatch table unexpectedly empty"
+        assert set(server._handlers) <= set(OPS), "a handler without a row"
         fname = context.filename_of(1)
-        extra_fields = {
-            "acquire": {"files": [fname]},
-            "batch": {"ops": []},
-            "trace": {"trace_id": "f" * 16},
+        plausible = {
+            "context": "obs", "file": fname, "trace_id": "f" * 16,
+            "client_id": "again", "vers": 2, "codec": "binary",
         }
-        for op in ops:
-            # Plausible arguments where cheap; error replies are fine (the
-            # histogram observe happens either way).  One connection per
-            # op: a handler crash on odd arguments only costs that conn.
-            message = {"op": op, "context": "obs", "file": fname}
-            message.update(extra_fields.get(op, {}))
+        for op, row in sorted(OPS.items()):
+            # Every required field, with a plausible value; error replies
+            # are fine (the histogram observe happens either way).  One
+            # connection per op: it only costs that conn if it goes.
+            message = {"op": op}
+            for key in row.fields:
+                if not key.endswith("?"):
+                    message[key] = plausible[key]
             with connect(server) as conn:
                 try:
                     conn.attach("obs")
@@ -80,7 +81,7 @@ class TestOpCoverageGuard:
                 except SimFSError:
                     pass
         names = set(server.metrics.names())
-        missing = [op for op in ops if f"op.{op}.seconds" not in names]
+        missing = [op for op in OPS if f"op.{op}.seconds" not in names]
         assert not missing, f"ops without service histograms: {missing}"
 
 
@@ -114,12 +115,16 @@ class TestTracedRequests:
 
 class TestInspectionOps:
     def test_trace_requires_trace_id(self, warm_server):
+        """The table refuses a missing or non-string id; the handler an
+        empty one — on the same connection, which stays up."""
         server, _ = warm_server
         with connect(server) as conn:
-            with pytest.raises(InvalidArgumentError):
+            with pytest.raises(ProtocolError, match="trace_id"):
                 conn.call({"op": "trace"})
-            with pytest.raises(InvalidArgumentError):
+            with pytest.raises(ProtocolError, match="trace_id"):
                 conn.call({"op": "trace", "trace_id": 7})
+            with pytest.raises(InvalidArgumentError, match="trace_id"):
+                conn.call({"op": "trace", "trace_id": ""})
 
     def test_trace_reply_shape(self, warm_server):
         server, context = warm_server

@@ -1,6 +1,7 @@
 """Protocol edge cases and concurrency behavior of the sharded TCP daemon:
-oversized frames, ``batch`` sub-op validation, duplicate ``hello``,
-``stats``, bitrep path confinement, and cross-context non-blocking."""
+oversized frames, malformed ops (each answered, the connection served
+on), pipelined batches of requests, duplicate ``hello``, ``stats``,
+bitrep path confinement, and cross-context non-blocking."""
 
 import os
 import socket
@@ -16,12 +17,20 @@ from repro.core.errors import (
     ErrorCode,
     InvalidArgumentError,
     ProtocolError,
-    SimFSError,
 )
 from repro.core.perfmodel import PerformanceModel
-from repro.dv.protocol import _MAX_MESSAGE
+from repro.dv.ops import OPS
+from repro.dv.protocol import (
+    _MAX_MESSAGE,
+    MessageReader,
+    encode_binary,
+    encode_open_request,
+    send_message,
+)
 from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
+
+ERR_PROTOCOL = int(ErrorCode.ERR_PROTOCOL)
 
 
 @pytest.fixture
@@ -63,6 +72,32 @@ def connect(server, context_name, client_id=None):
         restart_dirs={context_name: server.launcher.restart_dir(context_name)},
         client_id=client_id,
     )
+
+
+def pipelined(conn, messages):
+    """``messages`` sent in one write on ``conn``'s channel, numbered
+    from its own counter; their replies, in order."""
+    reqs = [next(conn._reqs) for _ in messages]
+    data = b"".join(
+        encode_binary(dict(message, req=req)) for message, req in zip(messages, reqs)
+    )
+    return conn._entry.pipeline(reqs, data, 30.0)
+
+
+class RawClient:
+    """A binary-codec connection with no client library in between:
+    every frame the daemon sends is read, none is matched away."""
+
+    def __init__(self, server, context="alpha"):
+        self.sock = socket.create_connection(server.address, timeout=10.0)
+        send_message(self.sock, {"op": "hello", "req": 0, "client_id": "raw",
+                                 "vers": 2, "codec": "binary", "context": context})
+        self.reader = MessageReader(self.sock)
+        assert self.reader.read_message()["error"] == 0
+        self.reader.set_codec("binary")
+
+    def close(self):
+        self.sock.close()
 
 
 class TestOversizedFrame:
@@ -113,27 +148,79 @@ class TestUnhashableFields:
     def test_a_list_for_an_op_costs_only_that_connection(self, two_context_server):
         """JSON lets ``op``/``context`` be a list; the run splitter and
         the dispatch tables must not take the event loop (or a worker)
-        down with a ``TypeError`` - the connection goes, the daemon stays."""
-        from repro.dv.protocol import encode_frame
-
+        down with a ``TypeError``.  The message is refused — one
+        ``ERR_PROTOCOL`` reply — and the connection is served on."""
         server, contexts = two_context_server
         fname = contexts["alpha"].filename_of(1)
-        for bad in (
-            {"op": ["open"], "req": 1},
-            {"op": "open", "req": 1, "context": ["alpha"], "file": fname},
-            {"op": "release", "req": 1, "context": {"a": 1}, "file": fname},
-        ):
-            conn = connect(server, "alpha")
-            try:
-                conn._entry.sock.sendall(encode_frame(bad, "binary"))
-                with pytest.raises(SimFSError):
-                    conn.call({"op": "stats"}, timeout=10.0)
-            finally:
-                conn.close()
-            with connect(server, "alpha") as conn:  # the daemon still serves
-                conn.attach("alpha")
-                assert conn.open("alpha", fname)
-                conn.release("alpha", fname)
+        with connect(server, "alpha") as conn:
+            conn.attach("alpha")
+            for bad in (
+                {"op": ["open"]},
+                {"op": "open", "context": ["alpha"], "file": fname},
+                {"op": "release", "context": {"a": 1}, "file": fname},
+            ):
+                refused, served = pipelined(conn, [bad, {"op": "stats"}])
+                assert refused["error"] == ERR_PROTOCOL, refused
+                assert served["error"] == 0 and "stats" in served
+            assert conn.open("alpha", fname).available
+            conn.release("alpha", fname)
+
+
+def _malformed_probes():
+    """Per row of the op table: the op without each of its required
+    fields, and with its first field of the wrong type (``"<file>"``
+    stands for a resident file of ``alpha``)."""
+    plausible = {str: "x", int: 2}
+    wrong = {str: 5, int: "a"}
+    values = {"context": "alpha", "file": "<file>", "codec": "binary"}
+    for op, row in sorted(OPS.items()):
+        fields = {key.rstrip("?"): kind for key, kind in row.fields.items()}
+        message = {"op": op}
+        for key, kind in row.fields.items():
+            if not key.endswith("?"):
+                message[key] = values.get(key, plausible[kind])
+        for name in row.fields:
+            if not name.endswith("?"):
+                missing = {k: v for k, v in message.items() if k != name}
+                yield pytest.param(missing, name, id=f"{op}-without-{name}")
+        if fields:
+            name, kind = next(iter(fields.items()))
+            yield pytest.param(
+                dict(message, **{name: wrong[kind]}), name, id=f"{op}-bad-{name}"
+            )
+    # The multi-op requests are gone: a client that still sends one is
+    # told so, and keeps its connection.
+    for op in ("acquire", "batch"):
+        yield pytest.param(
+            {"op": op, "context": "alpha", "files": [], "ops": []}, op, id=op
+        )
+
+
+class TestMalformedOps:
+    @pytest.mark.parametrize("message, named", list(_malformed_probes()))
+    def test_a_malformed_op_is_answered_and_the_next_one_served(
+        self, two_context_server, message, named
+    ):
+        """Exactly one ``ERR_PROTOCOL`` reply, for the message's own
+        ``req``, naming what is wrong; then the next op on the same
+        connection is served."""
+        server, contexts = two_context_server
+        fname = contexts["alpha"].filename_of(1)
+        if message.get("file") == "<file>":
+            message = dict(message, file=fname)
+        client = RawClient(server)
+        try:
+            client.sock.sendall(
+                encode_binary(dict(message, req=1))
+                + encode_open_request(2, "alpha", fname, "binary")
+            )
+            refused = client.reader.read_message()
+            served = client.reader.read_message()
+        finally:
+            client.close()
+        assert refused["req"] == 1 and refused["error"] == ERR_PROTOCOL, refused
+        assert repr(named) in refused["detail"]
+        assert served["req"] == 2 and served["error"] == 0 and served["available"]
 
 
 class TestDuplicateHello:
@@ -168,12 +255,15 @@ class TestDuplicateHello:
 
 
 class TestBatch:
+    """A batch of requests pipelined in one write: the one way to carry
+    many ops (there is no multi-op request)."""
+
     def test_batch_runs_sub_ops_in_order(self, two_context_server):
         server, contexts = two_context_server
         fname = contexts["alpha"].filename_of(1)
         with connect(server, "alpha") as conn:
             conn.attach("alpha")
-            results = conn.batch([
+            results = pipelined(conn, [
                 {"op": "open", "context": "alpha", "file": fname},
                 {"op": "release", "context": "alpha", "file": fname},
             ])
@@ -185,7 +275,7 @@ class TestBatch:
         fname = contexts["alpha"].filename_of(1)
         with connect(server, "alpha") as conn:
             conn.attach("alpha")
-            results = conn.batch([
+            results = pipelined(conn, [
                 {"op": "open", "context": "alpha", "file": fname},
                 {"op": "frobnicate"},
                 {"op": "release", "context": "alpha", "file": fname},
@@ -195,11 +285,14 @@ class TestBatch:
             assert results[2]["error"] == 0
 
     def test_nested_batch_and_hello_rejected(self, two_context_server):
+        """The retired ``batch`` request, and a ``hello`` past the
+        handshake, are refused — each for its own ``req``."""
         server, _ = two_context_server
         with connect(server, "alpha") as conn:
-            results = conn.batch([
+            results = pipelined(conn, [
                 {"op": "batch", "ops": []},
-                {"op": "hello", "client_id": "smuggled"},
+                {"op": "hello", "client_id": "smuggled", "vers": 2,
+                 "codec": "binary"},
             ])
             assert all(r["error"] == int(ErrorCode.ERR_PROTOCOL) for r in results)
 
@@ -208,7 +301,7 @@ class TestBatch:
         fname = contexts["alpha"].filename_of(1)
         with connect(server, "alpha") as conn:
             conn.attach("alpha")
-            results = conn.batch([
+            results = pipelined(conn, [
                 # release of a file the client does not hold -> ERR_INVALID
                 {"op": "release", "context": "alpha", "file": fname},
                 {"op": "open", "context": "alpha", "file": fname},
@@ -216,14 +309,23 @@ class TestBatch:
             assert results[0]["error"] == int(ErrorCode.ERR_INVALID)
             assert results[1]["error"] == 0
 
-    def test_release_many_uses_one_frame(self, two_context_server):
+    def test_acquire_and_release_many_are_one_write_each(self, two_context_server):
         server, contexts = two_context_server
         context = contexts["beta"]
         filenames = [context.filename_of(k) for k in (1, 2, 3)]
         with connect(server, "beta") as conn:
             with SimFSSession(conn, "beta") as session:
+                writes = []
+                write = conn._entry._write
+                conn._entry._write = lambda data, frames=1: (
+                    writes.append(frames), write(data, frames)
+                )
                 assert session.acquire(filenames, timeout=30.0).ok
                 session.release_many(filenames)
+                assert writes == [3, 3]
+                with pytest.raises(InvalidArgumentError, match="does not hold"):
+                    session.release_many(filenames)  # every one is tried
+                assert writes == [3, 3, 3]
         shard = server.coordinator.shard("beta")
         assert all(shard.area.refcount(k) == 0 for k in (1, 2, 3))
 
@@ -296,10 +398,7 @@ class TestBitrepPathConfinement:
             with pytest.raises(InvalidArgumentError):
                 conn.bitrep("alpha", fname, path=ghost)
             # The connection survives the unreadable path.
-            results = conn.batch([
-                {"op": "open", "context": "alpha", "file": fname}
-            ])
-            assert results[0]["error"] == 0
+            assert conn.open("alpha", fname).available
 
     def test_restart_dir_allowed(self, two_context_server):
         server, contexts = two_context_server

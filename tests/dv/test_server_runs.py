@@ -5,9 +5,9 @@ inbox filled the way ``_read_ready`` leaves it, ``_process_inbox`` drains
 it on this thread, and the replies are read off the other end.  The
 route hook is a real :class:`~repro.cluster.router.Router` whose only
 link records the ``fwd`` frames that would cross the hop and answers
-them the way an owner does: a run of two or more crosses as the packed
-client frames (``pack_run``), their ``req``s and all, and comes back as
-reply frames; a lone op is the single-``inner`` JSON frame.
+them the way an owner does: every run, a lone op included, crosses as
+the packed client frames (``pack_run``), their ``req``s and all, and
+comes back as reply frames.
 """
 
 import os
@@ -19,13 +19,13 @@ from repro.cluster.router import Router
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.errors import ErrorCode
 from repro.core.perfmodel import PerformanceModel
+from repro.dv.ops import checked
 from repro.dv.protocol import (
     FWD_RUN_MAX,
     OP_FWD,
     StreamDecoder,
     decode_frames,
     encode_frame,
-    make_fwd,
     pack_run,
     unpack_run,
     unpack_run_reply,
@@ -36,11 +36,13 @@ from tests.dv.test_server_local_runs import batch, count_calls, make_server
 
 REMOTE, OTHER, LOCAL = "remote", "elsewhere", "local"
 ERR_INVALID = int(ErrorCode.ERR_INVALID)
+ERR_PROTOCOL = int(ErrorCode.ERR_PROTOCOL)
+TC = f"{0x11:016x}-{0x22:016x}-01"
 
 
 class OwnerLink:
-    """The link to the owner: records request frames, answers each inner
-    (a ``release`` of ``missing`` is refused, an ``open`` is a hit)."""
+    """The link to the owner: records request frames, answers each op of
+    a run (a ``release`` of ``missing`` is refused, an ``open`` is a hit)."""
 
     closed = False
 
@@ -56,14 +58,9 @@ class OwnerLink:
 
     def call(self, frame, timeout=None):
         self.frames.append(frame)
-        if "run" in frame:
-            ops = ops_of(frame)
-            body = {"run": b"".join(
-                reply_frame(inner, self.answer(inner)) for inner in ops
-            )}
-        else:
-            body = {"payload": self.answer(frame["inner"])}
-        return {"op": "fwd_reply", "error": 0, **body}
+        return {"op": "fwd_reply", "error": 0, "run": b"".join(
+            reply_frame(inner, self.answer(inner)) for inner in ops_of(frame)
+        )}
 
     def close(self):
         pass
@@ -100,8 +97,9 @@ def gateway(tmp_path):
 
 
 def drain(server, conn, theirs, messages):
-    """Queue ``messages`` as one backlog, drain it, return the replies."""
-    conn.inbox.extend(messages)
+    """Queue ``messages`` as one backlog (checked, as ``_read_ready``
+    leaves them), drain it, return the replies."""
+    conn.inbox.extend(checked(message) for message in messages)
     conn.busy = True
     server._process_inbox(conn)
     assert not conn.inbox and not conn.busy
@@ -119,13 +117,9 @@ def msg(op, req, file="f1", context=REMOTE, **extra):
     return {"op": op, "req": req, "context": context, "file": file, **extra}
 
 
-def inner_of(message):
-    return {k: v for k, v in message.items() if k not in ("req", "_obs_t0")}
-
-
 def ops_of(frame):
     """The ops a ``fwd`` frame carries."""
-    return unpack_run(dict(frame))[2] if "run" in frame else [frame["inner"]]
+    return unpack_run(dict(frame))[2]
 
 
 def run_of(messages):
@@ -140,18 +134,20 @@ def shapes(link):
 
 def test_consecutive_forwardable_ops_leave_as_one_frame(gateway):
     server, conn, theirs, link = gateway
-    burst = [msg("open", 1), msg("release", 2), msg("wclose", 3), msg("open", 4, "f2")]
+    burst = [
+        msg("open", 1), msg("release", 2), msg("open", 3, "f2"),
+        msg("release", 4, "f2"),
+    ]
     replies = drain(server, conn, theirs, burst)
     assert link.frames == [run_of(burst)]
     assert ops_of(link.frames[0]) == burst  # each op keeps its own req
     assert [r["req"] for r in replies] == [1, 2, 3, 4]
-    assert [r.get("available") for r in replies] == [True, None, None, True]
+    assert [r.get("available") for r in replies] == [True, None, True, None]
     assert all(r["op"] == "reply" and r["error"] == 0 for r in replies)
     # Each op of the run is observed at the ingress as its own dispatch.
     snapshot = server.metrics.snapshot()
     assert snapshot["op.open.seconds"]["count"] == 2
-    assert snapshot["op.release.seconds"]["count"] == 1
-    assert snapshot["op.wclose.seconds"]["count"] == 1
+    assert snapshot["op.release.seconds"]["count"] == 2
     assert snapshot["cluster.fwd_sent"]["value"] == 4
     assert snapshot["cluster.fwd_frames"]["value"] == 1
 
@@ -162,31 +158,30 @@ def test_what_ends_a_run(gateway):
         msg("open", 1), msg("release", 2),
         msg("open", 3, context=LOCAL),                    # a local context
         msg("open", 4), msg("release", 5),
-        msg("open", 6, tc="00-11-01", _obs_t0=1.0),       # a traced op
+        msg("open", 6, tc=TC, _obs_t0=1.0),              # a traced op
         msg("release", 7), msg("open", 8, context=OTHER),  # another owner's
         msg("release", 9, context=OTHER),
-        {"op": "batch", "req": 10, "ops": []},            # a batch
+        {"op": "batch", "req": 10, "ops": []},            # no op: refused here
         msg("open", 11), msg("open", 12),
         {"op": "attach", "req": 13, "context": REMOTE},   # routable, never bundled
         msg("open", 14),
         {"op": "stats", "req": 15},                       # a local service op
-        msg("wclose", 16), msg("wclose", 17),
+        msg("wclose", 16), msg("wclose", 17),             # no run op
     ]
     replies = drain(server, conn, theirs, burst)
     assert [r["req"] for r in replies] == list(range(1, 18))
-    assert shapes(link) == [2, 2, 1, 1, 2, 2, 1, 1, 2]
+    assert replies[9]["error"] == ERR_PROTOCOL and "batch" in replies[9]["detail"]
+    assert shapes(link) == [2, 2, 1, 1, 2, 2, 1, 1, 1, 1]
     traced = link.frames[2]
-    assert traced == dict(
-        make_fwd("ingress", "c1", inner_of(burst[5])), tc="00-11-01"
-    )
+    assert traced == dict(run_of([msg("open", 6, tc=TC)]), tc=TC)
     for frame in link.frames:
         for inner in ops_of(frame):
-            assert ("req" in inner) == ("run" in frame) and "_obs_t0" not in inner
+            assert "req" in inner and "_obs_t0" not in inner
     contexts = [ops_of(f)[0]["context"] for f in link.frames]
-    assert contexts == [REMOTE] * 4 + [OTHER] + [REMOTE] * 4
+    assert contexts == [REMOTE] * 4 + [OTHER] + [REMOTE] * 5
 
 
-def test_a_run_is_capped_and_a_lone_op_is_the_parents_frame(gateway):
+def test_a_run_is_capped_and_a_lone_op_is_a_run_of_one(gateway):
     server, conn, theirs, link = gateway
     burst = [msg("open", i, f"f{i}") for i in range(1, FWD_RUN_MAX + 3)]
     replies = drain(server, conn, theirs, burst)
@@ -194,9 +189,8 @@ def test_a_run_is_capped_and_a_lone_op_is_the_parents_frame(gateway):
     assert shapes(link) == [FWD_RUN_MAX, 2]
     del link.frames[:]
     drain(server, conn, theirs, [msg("open", 1)])
-    assert encode_frame(link.frames[0], "binary") == encode_frame(
-        make_fwd("ingress", "c1", {"op": "open", "context": REMOTE, "file": "f1"}),
-        "binary",
+    assert encode_frame(dict(link.frames[0], req=9), "binary") == encode_frame(
+        dict(run_of([msg("open", 1)]), req=9), "binary"
     )
 
 
@@ -220,36 +214,34 @@ def test_each_slot_keeps_its_own_error(gateway):
 
 
 def test_a_forwarded_batch_of_releases_is_one_frame(gateway):
+    """What ``release_many`` pipelines: one frame, each slot answered."""
     server, conn, theirs, link = gateway
-    subs = [
-        {"op": "release", "context": REMOTE, "file": name}
-        for name in ("f1", "missing", "f2", "f3")
+    burst = [
+        msg("release", req, name)
+        for req, name in enumerate(("f1", "missing", "f2", "f3"), start=9)
     ]
-    (reply,) = drain(server, conn, theirs, [{"op": "batch", "req": 9, "ops": subs}])
-    assert link.frames == [run_of(subs)]
-    assert reply["req"] == 9 and reply["error"] == 0
-    assert [(r["op"], r["error"]) for r in reply["results"]] == [
-        ("release", 0), ("release", ERR_INVALID), ("release", 0), ("release", 0),
+    replies = drain(server, conn, theirs, burst)
+    assert link.frames == [run_of(burst)]
+    assert [(r["req"], r["error"]) for r in replies] == [
+        (9, 0), (10, ERR_INVALID), (11, 0), (12, 0),
     ]
 
 
 def test_a_mixed_batch_keeps_sub_op_order(gateway):
     server, conn, theirs, link = gateway
-    subs = [
-        {"op": "open", "context": REMOTE, "file": "f1"},
-        {"op": "release", "context": REMOTE, "file": "f1"},
-        {"op": "nonsense"},
-        {"op": "attach", "context": REMOTE},
-        {"op": "release", "context": OTHER, "file": "f1"},
-        {"op": "open", "context": LOCAL, "file": "f1"},
-        {"op": "wclose", "context": REMOTE, "file": "f1"},
+    burst = [
+        msg("open", 1), msg("release", 2),
+        {"op": "nonsense", "req": 3},
+        {"op": "attach", "req": 4, "context": REMOTE},
+        msg("release", 5, context=OTHER),
+        msg("open", 6, context=LOCAL),
+        msg("wclose", 7),
     ]
-    (reply,) = drain(server, conn, theirs, [{"op": "batch", "req": 1, "ops": subs}])
-    assert [r["op"] for r in reply["results"]] == [
-        "open", "release", "nonsense", "attach", "release", "open", "wclose",
-    ]
+    replies = drain(server, conn, theirs, burst)
+    assert [r["req"] for r in replies] == list(range(1, 8))
+    assert replies[2]["error"] == ERR_PROTOCOL
     assert shapes(link) == [2, 1, 1, 1]
-    assert reply["results"][0]["available"] is True
+    assert replies[0]["available"] is True
 
 
 # --------------------------------------------------------------------- #
@@ -284,7 +276,7 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
         ready_sink=lambda note: None, is_stale=lambda owner, context: False,
         metrics=owner.metrics, execute_local=owner.serve_ops,
     )
-    owner.register_op(OP_FWD, router.on_fwd, reply_op="fwd_reply", needs_worker=True)
+    owner.register_op(OP_FWD, router.on_fwd)
     ours, theirs = socket.socketpair()
     theirs.settimeout(5.0)
     peer = _ClientConn(ours, client_id="node:ingress")

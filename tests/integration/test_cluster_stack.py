@@ -345,16 +345,22 @@ class TestClusterConnection:
                     pass
 
     def test_batch_must_not_span_owners(self, cluster):
+        """A pipelined window (``acquire``, ``release_many``) dialled at a
+        non-owner runs at alpha's owner, whole."""
         nodes, context, out, rst = cluster
+        owner = nodes["n1"].owner_of("alpha")
         host, port = nodes[entry_other_than_owner(nodes)].address
         conn = TcpConnection(host, port, {"alpha": out}, {"alpha": rst})
+        files = [context.filename_of(k) for k in (3, 4)]
         try:
-            results = conn.batch([
-                {"op": "open", "context": "alpha", "file": context.filename_of(3)},
-                {"op": "release", "context": "alpha", "file": context.filename_of(3)},
-            ])
-            # Both sub-ops went to alpha's owner; first must have run.
-            assert results[0].get("error") in (0, None) or "error" in results[0]
+            conn.attach("alpha")
+            for info in conn.acquire("alpha", files):
+                if not info.available:
+                    assert wait_ready(conn, "alpha", info.filename)
+            conn.release_many("alpha", files)
+            metrics = nodes[owner].metrics
+            assert metrics.get("dv.alpha.opens").value == 2
+            assert metrics.get("dv.alpha.releases").value == 2
         finally:
             conn.close()
 

@@ -9,6 +9,8 @@
   also while the owner dies under it.
 * A DVLib client that lost its direct channel to a live owner falls back
   to the gateway without the owner's two records of it colliding.
+* A malformed op entering at the non-owner is answered there; it never
+  reaches the owner, tears no peer link and fails no owner over.
 
 DVLib clients here are handed ``refuse_owner``: their ops must cross
 the hop, not go to the owner directly.
@@ -23,7 +25,7 @@ import pytest
 from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
 from repro.cluster.ring import HashRing
-from repro.core.errors import SimFSError
+from repro.core.errors import ErrorCode, SimFSError
 from repro.dv.channel import RpcChannel
 from repro.dv.protocol import MessageReader, encode_frame, send_message
 from tests.integration.conftest import free_port, refuse_owner, wait_until
@@ -316,3 +318,53 @@ def test_owner_channel_dropped_falls_back_through_the_entry(
     shard = a.server.coordinator.shard(name)
     with shard.lock:
         assert "dropper" not in shard.agents
+
+
+def test_a_malformed_op_at_the_non_owner_fails_no_owner_over(tmp_path, stop_nodes):
+    """A raw client at the non-owner pipelines a good ``open`` and one
+    without ``file`` — a run of two — then the bad ``open`` alone.  The
+    good slot is served, each bad one gets ``ERR_PROTOCOL``; the gateway
+    keeps its link to the owner, fails nobody over, and the owner serves
+    a second client."""
+    name = owned_by("a", ("a", "b"), "eta")
+    nodes, context, out, rst = make_pair(
+        tmp_path, name, keep_outputs=True, heartbeat_interval=0.15
+    )
+    start_settled(nodes, stop_nodes)
+    a, b = nodes["a"], nodes["b"]
+    epoch = b.describe()["epoch"]
+    link = b.router.link("a")
+    filename = context.filename_of(1)
+    good = {"op": "open", "req": 1, "context": name, "file": filename}
+    client = PipelinedClient(b.address, "raw", name)
+    client.sock.settimeout(10.0)
+    try:
+        client.sock.sendall(
+            encode_frame(good, "binary")
+            + encode_frame({"op": "open", "req": 2, "context": name}, "binary")
+        )
+        replies = [client.reader.read_message() for _ in range(2)]
+        client.sock.sendall(
+            encode_frame({"op": "open", "req": 3, "context": name}, "binary")
+        )
+        replies.append(client.reader.read_message())
+    finally:
+        client.close()
+    assert (replies[0]["req"], replies[0]["error"]) == (1, 0)
+    assert replies[0]["available"] is True
+    assert [(r["req"], r["error"]) for r in replies[1:]] == [
+        (2, int(ErrorCode.ERR_PROTOCOL)), (3, int(ErrorCode.ERR_PROTOCOL)),
+    ]
+    assert all("'file'" in r["detail"] for r in replies[1:])
+    assert b.metrics.get("cluster.failovers").value == 0
+    assert b.describe()["epoch"] == epoch
+    assert b.router.link("a") is link and not link.closed
+    opens = a.metrics.get(f"dv.{name}.opens").value
+    with TcpConnection(
+        *b.address, {name: out}, {name: rst}, client_id="second",
+    ) as conn:
+        conn.attach(name)
+        assert conn.open(name, filename).available
+        conn.release(name, filename)
+    assert a.metrics.get(f"dv.{name}.opens").value == opens + 1
+    assert b.metrics.get("cluster.failovers").value == 0

@@ -21,6 +21,7 @@ import pytest
 from repro.client.dvlib import TcpConnection
 from repro.cluster import ClusterNode
 from repro.core.errors import InvalidArgumentError
+from repro.dv.channel import RpcChannel
 from tests.integration.conftest import free_port, refuse_owner, wait_until
 from tests.integration.test_cluster_stack import build_context, wait_ready
 
@@ -234,6 +235,59 @@ class TestHotFailover:
             conn.stats()
             conn.release("alpha", filename)
             assert readies == [("alpha", filename, True)]
+        finally:
+            if conn is not None:
+                conn.close()
+            stop_all(nodes)
+
+    @pytest.mark.timeout(120)
+    def test_a_restored_attachment_leaves_with_the_connection(self, tmp_path):
+        """The client dials the bystander and reaches the owner directly;
+        the owner dies and the replica promotes with the client's
+        attachment restored.  The client's next op re-routes there and
+        re-attaches ("already attached"): the connection adopts the
+        attachment, so a ``close()`` without ``finalize`` leaves the
+        promoted shard with no record of the client."""
+        nodes, context, out, rst = build_ha_cluster(tmp_path, factor=2)
+        conn = None
+
+        def lazy_owner_dial(host, port, hello, *, on_down=None, **kwargs):
+            # No eager re-route on a lost owner: the next op moves the
+            # context, once the cluster has settled.
+            return RpcChannel(host, port, hello, **kwargs)
+
+        try:
+            owner, replica = preference_chain(nodes, "alpha", 2)
+            entry = next(n for n in NODE_IDS if n not in (owner, replica))
+            conn = TcpConnection(
+                *nodes[entry].address, {"alpha": out}, {"alpha": rst},
+                client_id="ha-adopter", owner_dial=lazy_owner_dial,
+            )
+            conn.attach("alpha")
+            assert "ha-adopter" in nodes[owner].server._clients
+            wait_until(
+                lambda: nodes[replica].repl.store.describe()
+                .get("alpha", {}).get("clients", 0) >= 1,
+                message="the attachment never replicated",
+                nodes=nodes.values(),
+            )
+            nodes[owner].stop(drain_timeout=0)
+            wait_until(
+                lambda: nodes[replica].metrics.get("repl.promotions").value >= 1
+                and nodes[entry].owner_of("alpha") == replica,
+                message="the replica never took over",
+                nodes=[nodes[entry], nodes[replica]],
+            )
+            filename = context.filename_of(3)
+            if not conn.open("alpha", filename).available:
+                assert wait_ready(conn, "alpha", filename, timeout=30.0)
+            assert "ha-adopter" in nodes[replica].server._clients
+            conn.close()
+            shard = nodes[replica].server.coordinator.shard("alpha")
+            wait_until(
+                lambda: "ha-adopter" not in shard.agents, timeout=10.0,
+                message="the promoted owner kept the client attached",
+            )
         finally:
             if conn is not None:
                 conn.close()
