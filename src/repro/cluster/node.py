@@ -52,7 +52,7 @@ from repro.cluster.migrate import MigrationManager
 from repro.cluster.replication import ReplicationManager
 from repro.cluster.ring import HashRing
 from repro.cluster.router import Router
-from repro.core.context import SimulationContext
+from repro.core.context import SimulationContext, confine
 from repro.core.errors import (
     DVConnectionLost,
     ErrorCode,
@@ -271,15 +271,9 @@ class ClusterNode:
             ("load", self._op_load), ("rebalance", self._op_rebalance),
         ):
             self.server.register_op(name, handler)
-        # Observability plane: cluster-wide versions of the daemon's
-        # trace/trace_slow/metrics_text ops — merge local spans with every
-        # live peer's, reporting unreachable peers in the payload instead
-        # of failing the whole query.
-        for name, handler in (
-            ("trace", self._op_trace), ("trace_slow", self._op_trace_slow),
-            ("metrics_text", self._op_metrics_text),
-        ):
-            self.server.register_op(name, handler, replace=True)
+        # Observability plane: the daemon's trace / trace_slow /
+        # metrics_text ops fan out to every peer and merge the answers.
+        self.server.inspection.peers = self._obs_peer_query
         self.server.set_cluster_hooks(
             route_ops=self.router.route,
             ready_router=self.router.route_ready,
@@ -766,13 +760,13 @@ class ClusterNode:
     # ------------------------------------------------------------------ #
     # Observability plane (cluster-wide trace reconstruction)
     # ------------------------------------------------------------------ #
-    def _obs_peer_query(self, message: dict):
-        """Fan one obs query out to every live peer with recursion off;
-        yields ``(peer_id, reply | None)`` — ``None`` marks a peer that
-        could not be reached (the caller reports it, never fails).
-        Peers gossip already declared dead are yielded as unreachable
-        without burning a dial on them: their spans are just as missing
-        from the merged view either way, and a partial view must say so."""
+    def _obs_peer_query(self, query: dict):
+        """Inspection fan-out: ask every live peer ``query``; yields
+        ``(peer_id, reply | None)`` — ``None`` marks a peer that could not
+        be reached (the caller reports it, never fails).  Peers gossip
+        already declared dead are yielded as unreachable without burning
+        a dial on them: their spans are just as missing from the merged
+        view either way, and a partial view must say so."""
         with self._lock:
             peer_ids = [p.node_id for p in self.table.alive_peers()]
             dead_ids = [
@@ -783,98 +777,10 @@ class ClusterNode:
             yield peer_id, None
         for peer_id in peer_ids:
             try:
-                reply = self.router.call(peer_id, dict(message, fanout=0))
+                reply = self.router.call(peer_id, query)
             except (DVConnectionLost, SimFSError, OSError):
                 reply = None
             yield peer_id, reply
-
-    def _op_trace(self, conn, message: dict) -> dict:
-        """Cluster ``trace`` op: one trace's spans merged from every
-        reachable node, deduplicated by span id and sorted by start time."""
-        trace_id = message["trace_id"]
-        if not trace_id:
-            raise InvalidArgumentError("trace requires a non-empty 'trace_id'")
-        spans = list(self.server.obs.trace(trace_id))
-        nodes = [self.node_id]
-        unreachable: list[str] = []
-        if message.get("fanout", 1):
-            query = {"op": "trace", "trace_id": trace_id}
-            for peer_id, reply in self._obs_peer_query(query):
-                if reply is None:
-                    unreachable.append(peer_id)
-                    continue
-                payload = reply.get("trace") or {}
-                spans.extend(payload.get("spans") or ())
-                nodes.extend(payload.get("nodes") or (peer_id,))
-                unreachable.extend(payload.get("unreachable") or ())
-        seen: set[str] = set()
-        merged = []
-        for span in spans:
-            span_id = span.get("span_id")
-            if span_id in seen:
-                continue
-            seen.add(span_id)
-            merged.append(span)
-        merged.sort(key=lambda s: (s.get("start", 0.0), s.get("end", 0.0)))
-        return {"trace": {
-            "trace_id": trace_id.lower(),
-            "spans": merged,
-            "nodes": sorted(set(nodes)),
-            "unreachable": sorted(set(unreachable)),
-        }}
-
-    def _op_trace_slow(self, conn, message: dict) -> dict:
-        """Cluster ``trace_slow`` op: the slowest spans and the decision
-        journals of every reachable node."""
-        limit = max(1, message.get("limit", 20))
-        spans = list(self.server.obs.slow(limit))
-        journal = self.server.obs.journal_entries(limit=limit)
-        nodes = [self.node_id]
-        unreachable: list[str] = []
-        if message.get("fanout", 1):
-            query = {"op": "trace_slow", "limit": limit}
-            for peer_id, reply in self._obs_peer_query(query):
-                if reply is None:
-                    unreachable.append(peer_id)
-                    continue
-                payload = reply.get("slow") or {}
-                spans.extend(payload.get("spans") or ())
-                journal.extend(payload.get("journal") or ())
-                nodes.extend(payload.get("nodes") or (peer_id,))
-                unreachable.extend(payload.get("unreachable") or ())
-        spans.sort(key=lambda s: s.get("duration", 0.0), reverse=True)
-        journal.sort(key=lambda e: e.get("ts", 0.0))
-        return {"slow": {
-            "spans": spans[:limit],
-            "journal": journal[-limit:],
-            "nodes": sorted(set(nodes)),
-            "unreachable": sorted(set(unreachable)),
-        }}
-
-    def _op_metrics_text(self, conn, message: dict) -> dict:
-        """Cluster ``metrics_text`` op: this node's exposition, plus —
-        unless ``fanout`` is off — every reachable peer's, concatenated
-        under ``# node <id>`` separators for ``simfs-ctl metrics-export``
-        (scrapers wanting a single node's series hit its own /metrics)."""
-        text = self.server.metrics_text()
-        nodes = [self.node_id]
-        unreachable: list[str] = []
-        if message.get("fanout", 1):
-            parts = [f"# node {self.node_id}\n{text}"]
-            for peer_id, reply in self._obs_peer_query({"op": "metrics_text"}):
-                if reply is None:
-                    unreachable.append(peer_id)
-                    continue
-                parts.append(
-                    f"# node {peer_id}\n{reply.get('text') or ''}"
-                )
-                nodes.extend(reply.get("nodes") or (peer_id,))
-            text = "\n".join(parts)
-        return {
-            "text": text,
-            "nodes": sorted(set(nodes)),
-            "unreachable": sorted(set(unreachable)),
-        }
 
     # ------------------------------------------------------------------ #
     # HA tier (owner→replica streaming, promotion, healing)
@@ -1099,12 +1005,7 @@ class ClusterNode:
             spec = self._specs.get(context)
         if spec is None:
             raise FileNotInContextError(f"unknown context {context!r}")
-        base = os.path.realpath(spec.output_dir)
-        path = os.path.realpath(os.path.join(base, filename))
-        if os.path.commonpath([path, base]) != base:
-            raise FileNotInContextError(
-                f"file {filename!r} escapes context directory"
-            )
+        path = confine(filename, spec.output_dir)
         if not os.path.isfile(path) and self._spool is not None:
             spooled = os.path.join(self._spool, context, filename)
             if os.path.isfile(spooled):
@@ -1116,15 +1017,7 @@ class ClusterNode:
             spec = self._specs.get(context)
         if spec is None:
             raise FileNotInContextError(f"unknown context {context!r}")
-        naming = spec.context.driver.naming
-        try:
-            return sorted(
-                n for n in os.listdir(spec.output_dir)
-                if naming.is_output(n)
-                and os.path.isfile(os.path.join(spec.output_dir, n))
-            )
-        except OSError:
-            return []
+        return spec.context.output_files(spec.output_dir)
 
     def _data_upstream(self, context: str, filename: str) -> str | None:
         """One-hop proxy: pull a non-local file from the ring owner's data

@@ -44,7 +44,7 @@ from repro.dv.protocol import (
     unpack_run_reply,
     unwrap_fwd,
 )
-from repro.dv.server import reply_frame, reply_payloads
+from repro.dv.core import reply_frame, reply_payloads
 from repro.obs.trace import parse_wire
 
 __all__ = ["Router"]
@@ -86,10 +86,12 @@ class _ProxyClient:
     """Owner-side stand-in for a client connected at a peer.
 
     Quacks like the server's ``_ClientConn`` where op handlers care
-    (``client_id``/``contexts``).  ``conn`` is the peer's server-side
-    connection, the channel readies route back through; ``origin`` its
-    name, for when only that survived a promotion.  ``contexts`` mirrors
-    the client's attachments here: a proxy without any is owed nothing.
+    (``client_id``/``contexts``/``trace``).  ``conn`` is the peer's
+    server-side connection, the channel readies route back through;
+    ``origin`` its name, for when only that survived a promotion.
+    ``contexts`` mirrors the client's attachments here: a proxy without
+    any is owed nothing.  Its replies carry no ``tc``: the ingress adds
+    one for a client that negotiated tracing.
     """
 
     client_id: str
@@ -97,6 +99,7 @@ class _ProxyClient:
     conn: object | None = None
     contexts: set[str] = field(default_factory=set)
     inflight: int = 0
+    trace = False
 
 
 class Router:

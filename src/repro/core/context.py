@@ -10,17 +10,30 @@ grained outputs at different re-simulation speeds.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.core.errors import InvalidArgumentError
+from repro.core.errors import FileNotInContextError, InvalidArgumentError
 from repro.core.perfmodel import PerformanceModel
 from repro.core.steps import StepGeometry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulators.driver import SimulationDriver
 
-__all__ = ["ContextConfig", "SimulationContext"]
+__all__ = ["ContextConfig", "SimulationContext", "confine"]
+
+
+def confine(name: str, *dirs: str) -> str:
+    """The real path ``name`` names, taken relative to the first of
+    ``dirs``, if it lies inside one of them.  A client-supplied name that
+    escapes them (``..``, an absolute path, a symlink out) raises
+    :class:`FileNotInContextError`: a client may not probe other files."""
+    path = os.path.realpath(os.path.join(dirs[0], name))
+    for base in map(os.path.realpath, dirs):
+        if os.path.commonpath([path, base]) == base:
+            return path
+    raise FileNotInContextError(f"file {name!r} escapes context directory")
 
 
 @dataclass(frozen=True)
@@ -148,6 +161,18 @@ class SimulationContext:
     def restart_name_of(self, restart_index: int) -> str:
         """Restart file name for restart step ``r_j``."""
         return self.driver.restart_filename(restart_index)
+
+    def output_files(self, directory: str) -> list[str]:
+        """The output files in ``directory`` (a storage area), sorted."""
+        naming = self.driver.naming
+        try:
+            return sorted(
+                name for name in os.listdir(directory)
+                if naming.is_output(name)
+                and os.path.isfile(os.path.join(directory, name))
+            )
+        except OSError:
+            return []
 
     # ------------------------------------------------------------------ #
     def record_checksum(self, filename: str, checksum: str) -> None:

@@ -38,6 +38,7 @@ import time
 from collections import deque
 from collections.abc import Callable
 
+from repro.core.context import confine
 from repro.core.errors import (
     ErrorCode,
     FileNotInContextError,
@@ -194,12 +195,7 @@ class DataServer:
         directory = self._dirs.get(context)
         if directory is None:
             raise FileNotInContextError(f"unknown context {context!r}")
-        path = os.path.realpath(os.path.join(directory, filename))
-        if os.path.commonpath([path, directory]) != directory:
-            raise FileNotInContextError(
-                f"file {filename!r} escapes context directory"
-            )
-        return path
+        return confine(filename, directory)
 
     def _list(self, context: str) -> list[str]:
         if self._lister is not None:

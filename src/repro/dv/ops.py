@@ -65,8 +65,7 @@ OPS: dict[str, Op] = {
     "trace": Op({"trace_id": str}, where=WORKER),
     "trace_slow": Op({"limit?": int}, where=WORKER),
     "metrics_text": Op(where=WORKER),
-    # Node ops: a ClusterNode registers their handlers (and fan-out
-    # versions of trace / trace_slow / metrics_text).  A ``fwd``'s two
+    # Node ops: a ClusterNode registers their handlers.  A ``fwd``'s two
     # shapes — a packed run, a routed ready — are read by
     # ``unpack_run`` / ``unwrap_fwd``.
     "fwd": Op(where=WORKER),

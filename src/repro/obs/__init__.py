@@ -8,6 +8,8 @@ and Prometheus-text export (see ARCHITECTURE.md "Observability").
   exemplars and the structured decision journal.
 * :mod:`repro.obs.export` — the Prometheus text renderer and the
   optional HTTP exporter endpoint.
+* :mod:`repro.obs.inspection` — the ``trace`` / ``trace_slow`` /
+  ``metrics_text`` ops, for a plain daemon and a cluster node alike.
 """
 
 from repro.obs.recorder import Span, SpanRecorder

@@ -233,13 +233,14 @@ class SpanRecorder:
     def journal_entries(
         self, kind: str | None = None, limit: int | None = None
     ) -> list[dict]:
-        """Retained journal entries, oldest first."""
+        """Retained journal entries, oldest first; ``limit`` keeps the
+        newest that many (none for 0)."""
         with self._journal_lock:
             entries = list(self._journal)
         if kind is not None:
             entries = [e for e in entries if e.get("kind") == kind]
         if limit is not None:
-            entries = entries[-max(0, int(limit)):]
+            entries = entries[max(0, len(entries) - int(limit)):]
         return [dict(e) for e in entries]
 
     # ------------------------------------------------------------------ #

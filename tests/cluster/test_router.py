@@ -38,7 +38,7 @@ from repro.dv.protocol import (
     pack_run,
     unpack_run_reply,
 )
-from repro.dv.server import reply_frame, reply_payloads
+from repro.dv.core import reply_frame, reply_payloads
 from repro.metrics import MetricsRegistry
 from tests.dv.test_protocol_runs import MALFORMED_RUNS, run_body
 
@@ -104,7 +104,7 @@ class FakeLink:
             reply = self.net.members[self.dst].router.on_fwd(
                 FakeConn(self.src), request
             )
-        except SimFSError as exc:  # what DVServer._dispatch_op answers
+        except SimFSError as exc:  # what DVServer._answer answers
             reply = {"error": int(exc.code), "detail": str(exc)}
         return dict(reply, op="fwd_reply")
 

@@ -62,4 +62,5 @@ def test_register_op_reads_the_table():
         server.register_op("gossip", handler)
     with pytest.raises(InvalidArgumentError, match="already defined"):
         server.register_op("stats", handler)
-    server.register_op("stats", handler, replace=True)
+    with pytest.raises(TypeError):  # nothing shadows a built-in handler
+        server.register_op("stats", handler, replace=True)

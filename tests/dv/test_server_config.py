@@ -2,7 +2,11 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -76,7 +80,7 @@ class TestAddContext:
 class TestMainConfig:
     def test_daemon_starts_from_json_config(self, tmp_path, monkeypatch):
         """Drive `simfs-dv --config ...` far enough to bind its socket."""
-        from repro.dv import server as server_mod
+        from repro.dv import daemon
 
         config = {
             "host": "127.0.0.1",
@@ -110,13 +114,53 @@ class TestMainConfig:
 
         monkeypatch.setattr(DVServer, "start", fake_start)
         try:
-            server_mod.main(["--config", str(config_path)])
+            daemon.main(["--config", str(config_path)])
         except KeyboardInterrupt:
             pass
         assert started.is_set()
         server = captured["server"]
         assert "jsonctx" in server.coordinator.context_names()
         server.stop()
+
+    def test_the_module_serves_until_sigint(self, tmp_path):
+        """``python -m repro.dv.daemon --config`` — the entry point itself,
+        not a monkeypatched ``start`` — serves until SIGINT, then exits 0."""
+        import repro
+        from repro.client.dvlib import fetch_stats
+        from repro.core.errors import DVConnectionLost
+        from tests.integration.conftest import free_port
+
+        port = free_port()
+        config_path = tmp_path / "dv.json"
+        config_path.write_text(json.dumps({"host": "127.0.0.1", "port": port,
+                                           "contexts": [{
+            "name": "clictx", "simulator": "synthetic",
+            "delta_d": 2, "delta_r": 8, "num_timesteps": 32,
+            "output_dir": str(tmp_path / "out"),
+            "restart_dir": str(tmp_path / "rst"),
+        }]}))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.dv.daemon", "--config", str(config_path)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while True:
+                try:
+                    stats = fetch_stats("127.0.0.1", port)
+                    break
+                except DVConnectionLost:
+                    assert daemon.poll() is None, "the daemon exited"
+                    assert time.monotonic() < deadline, "no stats in 30 s"
+                    time.sleep(0.05)
+            assert [c["context"] for c in stats["contexts"]] == ["clictx"]
+            daemon.send_signal(signal.SIGINT)
+            assert daemon.wait(timeout=30.0) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=10.0)
 
     def test_retired_mode_is_a_startup_error(self, tmp_path, capsys):
         """The selector front end is the only one, in one process: a
@@ -125,7 +169,7 @@ class TestMainConfig:
         not silently run selector."""
         from repro.cluster import ClusterNode
         from repro.core.errors import InvalidArgumentError
-        from repro.dv import server as server_mod
+        from repro.dv import daemon
 
         config_path = tmp_path / "dv.json"
         for key, value in (("mode", "threaded"), ("workers", 2)):
@@ -133,11 +177,11 @@ class TestMainConfig:
                 {"host": "127.0.0.1", "port": 0, key: value}
             ))
             with pytest.raises(SystemExit) as exit_info:
-                server_mod.main(["--config", str(config_path)])
+                daemon.main(["--config", str(config_path)])
             assert exit_info.value.code == 2
             assert f'"{key}": {value!r}' in capsys.readouterr().err
         with pytest.raises(SystemExit) as exit_info:
-            server_mod.main(["--config", str(config_path), "--workers", "2"])
+            daemon.main(["--config", str(config_path), "--workers", "2"])
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
         with pytest.raises(InvalidArgumentError):
@@ -152,7 +196,7 @@ class TestMainConfig:
     def test_unknown_simulator_is_a_startup_error(self, tmp_path, capsys):
         """A typo in a context's ``simulator`` names the valid choices
         and exits 2 before anything binds, like any other bad config."""
-        from repro.dv import server as server_mod
+        from repro.dv import daemon
 
         config_path = tmp_path / "dv.json"
         config_path.write_text(json.dumps({
@@ -165,7 +209,7 @@ class TestMainConfig:
             }],
         }))
         with pytest.raises(SystemExit) as exit_info:
-            server_mod.main(["--config", str(config_path)])
+            daemon.main(["--config", str(config_path)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "'cosmos'" in err
@@ -176,7 +220,7 @@ class TestMainConfig:
         """`alpha_delay`/`tau_delay` context keys must reach the launcher:
         without pacing a synthetic re-simulation finishes in milliseconds
         and a live daemon can never show a blocked waiter."""
-        from repro.dv import server as server_mod
+        from repro.dv import daemon
 
         config = {
             "host": "127.0.0.1",
@@ -208,7 +252,7 @@ class TestMainConfig:
 
         monkeypatch.setattr(DVServer, "start", fake_start)
         try:
-            server_mod.main(["--config", str(config_path)])
+            daemon.main(["--config", str(config_path)])
         except KeyboardInterrupt:
             pass
         server = captured["server"]

@@ -32,7 +32,8 @@ from repro.dv.protocol import (
     encode_frame,
     encode_open_request,
 )
-from repro.dv.server import _LOCAL, _ONE, DVServer, _ClientConn
+from repro.dv.core import _LOCAL, _ONE, _ClientConn
+from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 
 FIXTURE = os.path.join(
@@ -310,19 +311,16 @@ def read_replies(theirs, count: int) -> list[bytes]:
 def test_a_bounded_context_does_not_send_its_neighbours_off_the_loop(loop):
     server, contexts, conn, theirs = loop
     assert server._evicting_contexts == {"scan"}
-    conn.decoder.feed(batch(contexts["hot"], 16))
-    messages = conn.decoder.drain()
-    assert len(messages) == 32
-    server._run_inline(conn, messages)
+    server.feed(conn, batch(contexts["hot"], 16))
+    assert server.metrics.get("wire.frames_recv").value == 32
     assert not conn.busy and not conn.inbox and server._work_queue.empty()
     assert len(read_replies(theirs, 32)) == 32
     # The bounded context's opens stay on the loop; its release leaves it.
-    conn.decoder.feed(batch(contexts["scan"], 1, first_req=101))
-    server._run_inline(conn, conn.decoder.drain())
+    server.feed(conn, batch(contexts["scan"], 1, first_req=101))
     assert len(read_replies(theirs, 1)) == 1
     assert conn.busy and len(conn.inbox) == 1
     assert server._work_queue.get_nowait() is conn
-    server._process_inbox(conn)
+    server.drain(conn)
     assert len(read_replies(theirs, 1)) == 1 and not conn.busy
     assert server.coordinator.shard("scan").open_files["c1"] == []
 
@@ -346,8 +344,8 @@ def test_a_batch_splits_its_ops_per_context(loop):
 
 def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
     """A ``stats`` snapshot takes milliseconds: it runs on a worker — the
-    built-in handler and a ``register_op(replace=True)`` one alike —
-    and its reply still leaves between those of the opens around it."""
+    built-in handler and any other one alike: the row says where — and
+    its reply still leaves between those of the opens around it."""
     server, contexts = make_server(str(tmp_path))
     assert server._needs_worker({"op": "stats"})
     server.start()
@@ -356,9 +354,8 @@ def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
     try:
         for replaced in (False, True):
             if replaced:
-                server.register_op(
-                    "stats", lambda conn, message: {"stats": {"merged": True}},
-                    replace=True,
+                server._handlers["stats"] = (
+                    lambda conn, message: {"stats": {"merged": True}}
                 )
                 assert server._needs_worker({"op": "stats"})
             stream = (
@@ -376,8 +373,38 @@ def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
         client.close()
 
 
-#: Python-level calls per op the hot path may make (the parent made 36.5,
-#: this change 19.5): decode + inline drain of a 32-op local batch.
+def test_a_drain_answers_and_fans_out_in_request_order(tmp_path, stop_servers):
+    """One write: an ``open`` that misses, then the ``wclose`` that lands
+    its file.  The ``ready`` the wclose fans out leaves in the same drain
+    as the two replies — after the open's reply, before the wclose's."""
+    server, contexts = make_server(str(tmp_path))
+    server.start()
+    stop_servers.append(server)
+    missing = contexts["hot"].filename_of(60)  # paced: no sim lands it first
+    client = Client(server)
+    try:
+        client.sock.sendall(
+            encode_open_request(1, "hot", missing, "binary")
+            + encode_frame({"op": "wclose", "req": 2, "context": "hot",
+                            "file": missing}, "binary")
+        )
+        stream = b""
+        while len(split_frames(stream)[0]) < 3:
+            chunk = client.sock.recv(1 << 16)
+            assert chunk, "the daemon closed the connection"
+            stream += chunk
+        opened, ready, closed = decode_frames(stream)
+        assert (opened["op"], opened["req"], opened["available"]) == (
+            "reply", 1, False
+        )
+        assert (ready["op"], ready["file"], ready["ok"]) == ("ready", missing, True)
+        assert (closed["op"], closed["req"], closed["error"]) == ("reply", 2, 0)
+    finally:
+        client.close()
+
+
+#: Python-level calls per op the hot path may make: ``feed`` of a 32-op
+#: local batch — decode, validate, drain on the loop (reads 18.6).
 CALL_BUDGET = 24
 
 
@@ -403,8 +430,7 @@ def test_the_hot_path_stays_within_its_call_budget(loop):
     data = batch(contexts["hot"], 16)
 
     def step():
-        conn.decoder.feed(data)
-        server._run_inline(conn, conn.decoder.drain())
+        server.feed(conn, data)
 
     step()  # warm: histograms created, key memo filled
     read_replies(theirs, 32)

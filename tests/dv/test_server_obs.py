@@ -56,9 +56,8 @@ class TestOpCoverageGuard:
         """Guard: every op of the op table — whether this daemon has a
         handler for it (a node op has none here) or runs it as a local
         run — must leave an ``op.<name>.seconds`` histogram behind: the
-        `_observe_op` hook runs in the dispatch ``finally``, so even an
-        error reply counts.  A new op that does not ride `_dispatch` or a
-        run breaks this."""
+        `_execute` observes every piece it runs, so even an error reply
+        counts.  A new op that does not ride `_execute` breaks this."""
         server, context = warm_server
         assert set(server._handlers) <= set(OPS), "a handler without a row"
         fname = context.filename_of(1)
@@ -94,7 +93,7 @@ class TestTracedRequests:
             conn.open("obs", fname)
             trace_id = conn.last_trace_id
         assert trace_id is not None
-        spans = server.trace_spans(trace_id)
+        spans = server.obs.trace(trace_id)
         assert any(s["name"] == "op.open" for s in spans)
         open_span = next(s for s in spans if s["name"] == "op.open")
         assert open_span["attrs"]["context"] == "obs"

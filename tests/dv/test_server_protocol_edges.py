@@ -1,7 +1,7 @@
 """Protocol edge cases and concurrency behavior of the sharded TCP daemon:
 oversized frames, malformed ops (each answered, the connection served
 on), pipelined batches of requests, duplicate ``hello``, ``stats``,
-bitrep path confinement, and cross-context non-blocking."""
+bitrep and fetch_info path confinement, and cross-context non-blocking."""
 
 import os
 import socket
@@ -15,6 +15,7 @@ from repro.core.context import ContextConfig, SimulationContext
 from repro.core.errors import (
     DETAIL_ALREADY_CONNECTED,
     ErrorCode,
+    FileNotInContextError,
     InvalidArgumentError,
     ProtocolError,
 )
@@ -347,11 +348,11 @@ class TestStats:
     def test_simfs_dv_stats_cli(self, two_context_server, capsys):
         import json
 
-        from repro.dv import server as server_mod
+        from repro.dv import daemon
 
         server, _ = two_context_server
         host, port = server.address
-        rc = server_mod.main(["--stats", "--host", host, "--port", str(port)])
+        rc = daemon.main(["--stats", "--host", host, "--port", str(port)])
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert [c["context"] for c in printed["contexts"]] == ["alpha", "beta"]
@@ -410,6 +411,31 @@ class TestBitrepPathConfinement:
             conn.attach("alpha")
             # Confinement admits the path; the checksum simply mismatches.
             assert conn.bitrep("alpha", fname, path=path) is False
+
+
+class TestFetchInfoConfinement:
+    @pytest.mark.parametrize("spelling", ["relative", "absolute"])
+    def test_a_name_outside_the_storage_area_is_refused(
+        self, two_context_server, tmp_path, spelling
+    ):
+        """``fetch_info`` says whether a file exists and how big it is: a
+        name outside the storage area would probe any server file.  It is
+        refused as the data plane refuses it, and the connection is
+        served on."""
+        server, contexts = two_context_server
+        secret = tmp_path / "secret.txt"
+        secret.write_bytes(b"not a context file")
+        out_dir = server.launcher.output_dir("alpha")
+        name = str(secret) if spelling == "absolute" else os.path.relpath(
+            secret, out_dir
+        )
+        fname = contexts["alpha"].filename_of(1)
+        with connect(server, "alpha") as conn:
+            with pytest.raises(FileNotInContextError, match="escapes"):
+                conn.call({"op": "fetch_info", "context": "alpha", "file": name})
+            info = conn.call({"op": "fetch_info", "context": "alpha", "file": fname})
+        assert info["exists"]
+        assert info["size"] == os.path.getsize(os.path.join(out_dir, fname))
 
 
 class TestCrossContextConcurrency:

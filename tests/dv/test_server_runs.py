@@ -1,13 +1,13 @@
 """What a worker takes off a gateway connection's inbox as one run.
 
-No thread and no listener: a ``_ClientConn`` over a socketpair gets its
-inbox filled the way ``_read_ready`` leaves it, ``_process_inbox`` drains
-it on this thread, and the replies are read off the other end.  The
-route hook is a real :class:`~repro.cluster.router.Router` whose only
-link records the ``fwd`` frames that would cross the hop and answers
-them the way an owner does: every run, a lone op included, crosses as
-the packed client frames (``pack_run``), their ``req``s and all, and
-comes back as reply frames.
+No thread and no listener: a ``_ClientConn`` over a socketpair is fed
+the bytes a client writes (``feed``), the drain the event loop hands to
+a worker runs on this thread, and the replies are read off the other
+end.  The route hook is a real :class:`~repro.cluster.router.Router`
+whose only link records the ``fwd`` frames that would cross the hop and
+answers them the way an owner does: every run, a lone op included,
+crosses as the packed client frames (``pack_run``), their ``req``s and
+all, and comes back as reply frames.
 """
 
 import os
@@ -19,7 +19,7 @@ from repro.cluster.router import Router
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.errors import ErrorCode
 from repro.core.perfmodel import PerformanceModel
-from repro.dv.ops import checked
+from repro.dv.core import _ClientConn, reply_frame
 from repro.dv.protocol import (
     FWD_RUN_MAX,
     OP_FWD,
@@ -30,7 +30,7 @@ from repro.dv.protocol import (
     unpack_run,
     unpack_run_reply,
 )
-from repro.dv.server import DVServer, _ClientConn, reply_frame
+from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 from tests.dv.test_server_local_runs import batch, count_calls, make_server
 
@@ -91,17 +91,23 @@ def gateway(tmp_path):
     server.set_cluster_hooks(route_ops=router.route)
     ours, theirs = socket.socketpair()
     conn = _ClientConn(ours, client_id="c1")
+    conn.decoder.set_codec("binary")
     yield server, conn, theirs, link
     ours.close()
     theirs.close()
 
 
+def run_worker(server, conn):
+    """Run the drain the event loop handed to the pool, if it did."""
+    while not server._work_queue.empty():
+        assert server._work_queue.get_nowait() is conn
+        server.drain(conn)
+
+
 def drain(server, conn, theirs, messages):
-    """Queue ``messages`` as one backlog (checked, as ``_read_ready``
-    leaves them), drain it, return the replies."""
-    conn.inbox.extend(checked(message) for message in messages)
-    conn.busy = True
-    server._process_inbox(conn)
+    """Feed ``messages`` as one write, drain it, return the replies."""
+    server.feed(conn, b"".join(encode_frame(m, "binary") for m in messages))
+    run_worker(server, conn)
     assert not conn.inbox and not conn.busy
     decoder = StreamDecoder("binary")
     theirs.settimeout(5.0)
@@ -197,9 +203,12 @@ def test_a_run_is_capped_and_a_lone_op_is_a_run_of_one(gateway):
 def test_a_connection_without_a_hello_forwards_nothing(gateway):
     server, conn, theirs, link = gateway
     conn.client_id = None
-    conn.inbox.extend([msg("open", 1), msg("release", 2)])
-    conn.busy = True
-    server._process_inbox(conn)
+    conn.decoder.set_codec("legacy")
+    server.feed(conn, b"".join(
+        encode_frame(m, "legacy") for m in (msg("open", 1), msg("release", 2))
+    ))
+    run_worker(server, conn)
+    assert not conn.inbox and not conn.busy
     assert link.frames == []
 
 
@@ -248,11 +257,12 @@ def test_a_mixed_batch_keeps_sub_op_order(gateway):
 # A budget for both ends of the hop, in Python-level calls per op
 # --------------------------------------------------------------------- #
 #: Python-level calls per forwarded op of a shuffled 32-op run (what
-#: ``gateway_open`` sends), budgets ≈ 20 % above this tree's readings: 2.8
-#: at the ingress, 17.4 at the owner.  The parent's readings of the same
-#: harness: 10.7 and 17.3 — the owner's calls are the shard's own (the
-#: direct path makes them too) plus packing a reply frame where the parent
-#: built a payload dict; what the owner gains is not parking a worker.
+#: ``gateway_open`` sends), budgets set ≈ 20 % above the readings of the
+#: forwarding alone: 2.8 at the ingress, 17.4 at the owner.  The owner's
+#: calls are the shard's own (the direct path makes them too) plus packing
+#: the reply frames.  The ingress is measured over its whole path —
+#: ``feed``, the hand-off to a worker and that worker's drain — and reads
+#: 3.3.
 INGRESS_CALL_BUDGET = 3.4
 OWNER_CALL_BUDGET = 21.0
 
@@ -285,13 +295,11 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
     client.decoder.set_codec("binary")
     try:
         router.run_local("c1", [{"op": "attach", "context": "hot"}], peer, "ingress")
-        client.decoder.feed(batch(contexts["hot"], 16))
-        run = client.decoder.drain()
+        run = decode_frames(batch(contexts["hot"], 16))
         fwd = encode_frame(dict(pack_run("ingress", "c1", run), req=9), "binary")
 
         def owner_step():  # the frame arrives; the reply frame leaves
-            peer.decoder.feed(fwd)
-            owner._run_inline(peer, peer.decoder.drain())
+            owner.feed(peer, fwd)
 
         owner_step()  # warm: histograms created, key memo filled
         (reply,) = decode_frames(theirs.recv(1 << 16))
@@ -312,8 +320,8 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
         data = batch(contexts["hot"], 16)
 
         def ingress_step():  # the client's bytes arrive; its replies leave
-            client.decoder.feed(data)
-            ingress._dispatch_run(client, client.decoder.drain())
+            ingress.feed(client, data)
+            run_worker(ingress, client)
 
         ingress_step()
         assert theirs.recv(1 << 16) == reply["run"]

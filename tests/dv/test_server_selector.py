@@ -7,6 +7,7 @@ survive hostile framing, and keep per-connection ordering.
 """
 
 import os
+import selectors
 import socket
 import threading
 import time
@@ -30,7 +31,7 @@ from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 
 
-def make_server(tmp_path, names=("alpha",), timesteps=32):
+def make_server(tmp_path, names=("alpha",), timesteps=32, start=True):
     server = DVServer()
     contexts = {}
     for name in names:
@@ -54,7 +55,8 @@ def make_server(tmp_path, names=("alpha",), timesteps=32):
             )
         server.add_context(context, out, rst)
         contexts[name] = context
-    server.start()
+    if start:
+        server.start()
     return server, contexts
 
 
@@ -371,7 +373,7 @@ class TestSelectorRobustness:
         # A handler that crashes (a bug, not a SimFS error) costs the
         # connection it served; the server must keep serving the rest.
         # (A malformed op never reaches a handler: it is answered.)
-        server.register_op("stats", lambda conn, message: 1 / 0, replace=True)
+        server._handlers["stats"] = lambda conn, message: 1 / 0
         sock, reader, reply = raw_hello(
             server, client_id="evil", context="alpha", vers=2, codec="binary"
         )
@@ -523,41 +525,60 @@ class TestBoundedAreaEviction:
 class TestBackpressure:
     def test_flood_pauses_and_resumes(self, tmp_path, monkeypatch):
         """A client flooding requests past the inbox high-water mark is
-        paused, then resumed once the worker drains — every request still
-        gets exactly one reply."""
-        from repro.dv import server as server_mod
+        no longer read, and is read again once the worker's drain brings
+        it back under the mark — every request still gets exactly one
+        reply.  No thread: this test feeds the core and reconciles the
+        selector the way the I/O thread does after each read, and runs
+        the worker's drain itself."""
+        from repro.dv import core as core_mod
+        from repro.dv.core import _ClientConn
         from repro.dv.protocol import encode_frame, encode_open_request
 
-        monkeypatch.setattr(server_mod, "_INBOX_HIGH", 8)
-        server, contexts = make_server(tmp_path)
+        monkeypatch.setattr(core_mod, "_INBOX_HIGH", 8)
+        server, contexts = make_server(tmp_path, start=False)
+        fname = contexts["alpha"].filename_of(1)
+        ours, theirs = socket.socketpair()
+        server._selector = selectors.DefaultSelector()
         try:
-            context = contexts["alpha"]
-            fname = context.filename_of(1)
-            sock, reader, reply = raw_hello(
-                server, client_id="flood", vers=2, codec="binary",
-                context="alpha",
-            )
-            assert reply["error"] == 0
-            reader.set_codec(CODEC_BINARY)
-            # bitrep routes to the worker pool; the opens behind it pile
-            # into the inbox and trip the (tiny) high-water mark.
-            total = 200
-            sock.sendall(encode_frame(
+            conn = _ClientConn(ours, client_id="flood")
+            conn.decoder.set_codec(CODEC_BINARY)
+            server.coordinator.client_connect("flood", "alpha")
+            server._selector.register(ours, selectors.EVENT_READ, conn)
+            conn.sel_mask = selectors.EVENT_READ
+            # bitrep leaves the loop; the opens behind it pile into the
+            # inbox until the (tiny) high-water mark stops the reading.
+            server.feed(conn, encode_frame(
                 {"op": "bitrep", "req": 1, "context": "alpha", "file": fname},
                 CODEC_BINARY,
             ))
-            for req in range(2, total + 1):
-                sock.sendall(encode_open_request(
+            req = 1
+            while conn.sel_mask & selectors.EVENT_READ:
+                req += 1
+                server.feed(conn, encode_open_request(
                     req, "alpha", fname, CODEC_BINARY
                 ))
-            seen = set()
-            while len(seen) < total:
-                message = reader.read_message()
-                assert message is not None, "connection dropped mid-flood"
-                if message.get("op") == "reply":
-                    assert message["req"] not in seen
-                    seen.add(message["req"])
-            assert seen == set(range(1, total + 1))
-            sock.close()
+                server._reconcile(conn)
+            assert conn.paused and req == 8 and len(conn.inbox) == 8
+            assert server._work_queue.get_nowait() is conn
+            server.drain(conn)
+            assert not conn.busy and not conn.inbox
+            # The drain handed the connection back: it is read again.
+            assert list(server._handed) == [conn]
+            server._reconcile(server._handed.popleft())
+            assert conn.sel_mask & selectors.EVENT_READ and not conn.paused
+            total = 200
+            for req in range(req + 1, total + 1):
+                server.feed(conn, encode_open_request(
+                    req, "alpha", fname, CODEC_BINARY
+                ))
+                server._reconcile(conn)
+            assert server._work_queue.empty() and not conn.busy
+            reader = MessageReader(theirs, CODEC_BINARY)
+            theirs.settimeout(5.0)
+            replies = [reader.read_message()["req"] for _ in range(total)]
+            assert sorted(replies) == list(range(1, total + 1))
         finally:
+            server._selector.close()
+            ours.close()
+            theirs.close()
             server.stop()

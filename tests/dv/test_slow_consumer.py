@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.dv import core as core_mod
 from repro.dv import server as server_mod
 from repro.dv.coordinator import Notification
 from tests.dv.test_server_selector import connect, make_server
@@ -19,7 +20,7 @@ from tests.dv.test_server_selector import connect, make_server
 @pytest.fixture
 def capped_server(tmp_path, monkeypatch):
     # Small caps so the test fills them in a handful of frames.
-    monkeypatch.setattr(server_mod, "_OUTBUF_HIGH", 64 * 1024)
+    monkeypatch.setattr(core_mod, "_OUTBUF_HIGH", 64 * 1024)
     monkeypatch.setattr(server_mod, "_OUTBUF_HARD", 256 * 1024)
     server, contexts = make_server(tmp_path)
     yield server, contexts

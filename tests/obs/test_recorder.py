@@ -162,6 +162,8 @@ class TestJournal:
         assert [e["i"] for e in rec.journal_entries()] == [0, 1, 2]
         assert [e["i"] for e in rec.journal_entries(kind="a")] == [0, 2]
         assert [e["i"] for e in rec.journal_entries(limit=1)] == [2]
+        assert [e["i"] for e in rec.journal_entries(limit=5)] == [0, 1, 2]
+        assert rec.journal_entries(limit=0) == []
 
     def test_journal_capacity(self):
         rec = make_recorder(journal_capacity=2)
