@@ -13,11 +13,12 @@ installation; this package spreads contexts across peers:
   forwarding, ready routing and waiter replay;
 * :mod:`repro.cluster.node` — :class:`ClusterNode`, a DVServer plus
   membership, activation and failover, forwarding through a router;
-* :mod:`repro.cluster.replication` — the HA tier: owner→replica state
-  streaming with epoch fencing, hot promotion and background healing;
+* :mod:`repro.cluster.replication` — state transfer: the owner→peer
+  stream (HA replicas and migration), its fenced store, hot promotion
+  and background healing;
 * :mod:`repro.cluster.migrate` — :class:`MigrationManager`, live
-  context migration (pre-copy, cutover freeze, pinned placement), moved
-  by an operator with ``simfs-ctl migrate``.
+  context migration over that stream (cutover freeze, pinned placement,
+  abort), moved by an operator with ``simfs-ctl migrate``.
 
 A DVLib :class:`~repro.client.dvlib.TcpConnection` given any node's
 address learns the ring from that node's hello reply and talks to each

@@ -240,16 +240,14 @@ class ClusterNode:
         self._m_peers = self.metrics.gauge("cluster.peers_alive")
         self._m_redial = self.metrics.counter("cluster.redial")
 
-        #: HA tier: owner→replica state streaming and hot promotion.
-        #: None at factor 1 (the pre-HA single-owner behavior).
-        self.repl: ReplicationManager | None = None
-        if replication_factor > 1:
-            self.repl = ReplicationManager(
-                self, replication_factor,
-                interval=repl_interval,
-                anti_entropy_interval=anti_entropy_interval,
-                frame_hook=repl_frame_hook,
-            )
+        #: State transfer: HA replica streams (none at factor 1), the
+        #: migration stream, the store and promotion.
+        self.repl = ReplicationManager(
+            self, replication_factor,
+            interval=repl_interval,
+            anti_entropy_interval=anti_entropy_interval,
+            frame_hook=repl_frame_hook,
+        )
 
         #: Versioned placement pins (context -> (target | None, version)),
         #: the migration overlay on the ring.  Gossip merges them with
@@ -258,7 +256,7 @@ class ClusterNode:
         #: outrank the stale pin it replaced.
         self._pin_versions: dict[str, tuple[str | None, int]] = {}
         self._synced_epoch = -1
-        #: Live migration protocol, both halves (source and destination).
+        #: Live migration: cutover and abort over the state stream.
         self.migration = MigrationManager(self)
 
         # The node's rows of the op table.  They run on workers: they
@@ -266,7 +264,8 @@ class ClusterNode:
         # directory scan, or cross the wire.
         for name, handler in (
             (OP_FWD, self.router.on_fwd), (OP_GOSSIP, self._op_gossip),
-            ("cluster", self._op_cluster), ("repl", self._op_repl),
+            ("cluster", self._op_cluster),
+            ("repl", lambda conn, message: self.repl.receive(message)),
             ("ha", self._op_ha), ("migrate", self._op_migrate),
             ("load", self._op_load), ("rebalance", self._op_rebalance),
         ):
@@ -339,15 +338,13 @@ class ClusterNode:
             daemon=True,
         )
         self._hb_thread.start()
-        if self.repl is not None:
-            self.repl.start()
+        self.repl.start()
 
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Tear the node down (abruptly from the peers' point of view —
         survivors notice through heartbeats, exactly like a crash)."""
         self._stop.set()
-        if self.repl is not None:
-            self.repl.stop()
+        self.repl.stop()
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
         self.router.close()
@@ -367,15 +364,11 @@ class ClusterNode:
     # ------------------------------------------------------------------ #
     # Ring maintenance (all called with self._lock held)
     # ------------------------------------------------------------------ #
-    def _sync_ring(
-        self,
-    ) -> tuple[
-        list[tuple[str, str]], list[tuple[str, str, str]], list[str]
-    ]:
+    def _sync_ring(self) -> tuple[list, list, list]:
         """Reconcile ring membership with the peer table; activate and
         deactivate contexts accordingly.  Returns the client re-attaches,
-        waiter replays and replica promotions the caller must run *after*
-        releasing the lock (they cross the wire)."""
+        waiter replays and ``(context, record)`` promotions the caller
+        must run *after* releasing the lock (they cross the wire)."""
         alive = set(self.table.alive_ids())
         for node_id in self.ring.nodes():
             if node_id not in alive:
@@ -394,9 +387,7 @@ class ClusterNode:
                 self.ring.unpin(name)
             elif target is not None and ring_pins.get(name) != target:
                 self.ring.pin(name, target)
-        # Pre-copied migration state whose source died while the ring
-        # assigned the context elsewhere is stale — drop it.
-        self.migration.prune(alive, self.ring.owner)
+        self.repl.prune(alive)
         self._m_epoch.set(self.ring.epoch)
         self._m_peers.set(len(alive))
         # Membership *or* pin movement both bump the epoch; either one
@@ -404,24 +395,20 @@ class ClusterNode:
         if self.ring.epoch == self._synced_epoch:
             return [], [], []
         self._synced_epoch = self.ring.epoch
-        if self.repl is not None:
-            # Membership moved: re-replication from here on is healing.
-            self.repl.schedule_heal()
+        # Membership moved: re-replication from here on is healing.
+        self.repl.schedule_heal()
         reattaches: list[tuple[str, str]] = []
         replays: list[tuple[str, str, str]] = []
-        promotions: list[str] = []
+        promotions: list = []
         for name in sorted(self._specs):
             owner = self.ring.owner(name)
             if owner == self.node_id and name not in self._active:
-                self._activate(name)
-                if (
-                    self.repl is not None and self.repl.store.has(name)
-                ) or self.migration.has_incoming(name):
-                    # We hold warm state for the context we just
-                    # inherited — a replica stream or a pre-copied
-                    # migration handoff whose source died: hot promotion
-                    # (runs on the replay thread, outside this lock).
-                    promotions.append(name)
+                record = self._activate(name)
+                if record is not None:
+                    # Warm state for the context we just inherited — a
+                    # replica, or a pre-copy whose migration source died:
+                    # hot promotion, on the replay thread.
+                    promotions.append((name, record))
             elif owner != self.node_id and name in self._active:
                 attached, waits = self._deactivate(name)
                 reattaches.extend(attached)
@@ -432,13 +419,18 @@ class ClusterNode:
         stale_attached, stale_waits = self.router.stale()
         return reattaches + stale_attached, replays + stale_waits, promotions
 
-    def _activate(self, name: str) -> None:
+    def _activate(self, name: str):
+        """Serve a context this node now owns.  Activation consumes this
+        node's record of the context's state stream: it is returned (or
+        None) for the caller to promote from outside the lock — a caller
+        that does not, drops it."""
         spec = self._specs[name]
         self.server.add_context(
             spec.context, spec.output_dir, spec.restart_dir,
             alpha_delay=spec.alpha_delay, tau_delay=spec.tau_delay,
         )
         self._active.add(name)
+        return self.repl.store.take(name)
 
     def _deactivate(
         self, name: str
@@ -678,38 +670,32 @@ class ClusterNode:
     def _resolve(self, context) -> tuple[str | None, bool]:
         """Router hook: ``(owner, known)`` for a context, activating it
         here first if the ring says it is ours and it is not up yet."""
-        promote = False
+        record = None
         with self._lock:
             owner = self.ring.owner(context) if context else None
             known = context in self._specs
             if owner == self.node_id and known and context not in self._active:
-                self._activate(context)
                 # A forwarded op can beat the heartbeat to the ring
                 # change: promote warm state here too, not only from
                 # _sync_ring, or the first op after a failover would
                 # see a cold shard.
-                promote = (
-                    self.repl is not None and self.repl.store.has(context)
-                ) or self.migration.has_incoming(context)
-        if promote:
-            try:
-                self._promote_warm(context)
-            except Exception:
-                pass
+                record = self._activate(context)
+        if record is not None:
+            self._replay([], [], [(context, record)])
         return owner, known
 
     def _replay(
         self,
         reattaches: list[tuple[str, str]],
         replays: list[tuple[str, str, str]],
-        promotions: tuple[str, ...] | list[str] = (),
+        promotions=(),
     ) -> None:
         """The cross-wire half of a ring change.  Promotions run first: a
         hot-promoted shard already holds the dead owner's waiter table, so
         the replays after it are idempotent re-registrations."""
-        for context_name in promotions:
+        for context_name, record in promotions:
             try:
-                self._promote_warm(context_name)
+                self.repl.promote(context_name, record)
             except Exception:
                 pass  # a failed promotion degrades to the cold path
         self.router.replay(reattaches, replays)
@@ -782,29 +768,12 @@ class ClusterNode:
                 reply = None
             yield peer_id, reply
 
-    # ------------------------------------------------------------------ #
-    # HA tier (owner→replica streaming, promotion, healing)
-    # ------------------------------------------------------------------ #
-    def _op_repl(self, conn, message: dict) -> dict:
-        """Server op: a peer owner streaming replicated context state."""
-        if self.repl is None:
-            with self._lock:
-                epoch = self.ring.epoch
-            return {"fenced": True, "epoch": epoch,
-                    "detail": "replication disabled on this node"}
-        return self.repl.receive(message)
-
     def _op_ha(self, conn, message: dict) -> dict:
         """Server op: HA status (``simfs-ctl ha-status``)."""
-        if self.repl is None:
-            payload = {
-                "factor": 1, "contexts": {}, "replica_of": {},
-                "fenced": [], "healing_queue": 0, "last_promotion": None,
-            }
-        else:
-            payload = self.repl.describe()
-        payload["self"] = self.node_id
-        return {"ha": payload, "metrics": self.metrics.snapshot("repl.")}
+        return {
+            "ha": dict(self.repl.describe(), self=self.node_id),
+            "metrics": self.metrics.snapshot("repl."),
+        }
 
     # ------------------------------------------------------------------ #
     # Live migration (placement pins, the migrate and rebalance ops)
@@ -877,30 +846,10 @@ class ClusterNode:
             daemon=True,
         ).start()
 
-    def _promote_warm(self, context_name: str) -> None:
-        """Warm-restore a context this node just inherited: replicated
-        state first (HA tier), else a pre-copied migration handoff whose
-        source died before the final frame."""
-        if self.repl is not None and self.repl.store.has(context_name):
-            try:
-                self.repl.promote(context_name)
-                return
-            except Exception:
-                pass
-        self.migration.promote_incoming(context_name)
-
     def _op_migrate(self, conn, message: dict) -> dict:
-        """Server op, two roles: peer data frames (``kind`` set) feed the
-        destination half; control requests (``context``/``dest``) start a
-        migration, forwarded to the owner when that is not us."""
-        if message.get("kind"):
-            return self.migration.receive(message)
-        context = message.get("context")
-        dest = message.get("dest")
-        if not isinstance(context, str) or not isinstance(dest, str):
-            raise InvalidArgumentError(
-                "migrate needs a context and a dest node id"
-            )
+        """Server op: start a migration, forwarded to the owner when that
+        is not us (the state itself travels as ``repl`` frames)."""
+        context, dest = message["context"], message["dest"]
         with self._lock:
             owner = (
                 self.ring.owner(context) if context in self._specs else None
@@ -992,7 +941,7 @@ class ClusterNode:
                 },
                 "pins": self.ring.pins(),
                 "active": sorted(self._active),
-                "replication": self.repl.factor if self.repl else 1,
+                "replication": self.repl.factor,
             }
 
     # ------------------------------------------------------------------ #

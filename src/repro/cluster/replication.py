@@ -1,60 +1,54 @@
-"""Replicated contexts: hot failover and background healing (HA tier).
+"""State transfer: the one owner→peer stream behind HA and migration.
 
-Without replication every context has exactly one ring owner; when that
-node dies all warm state — the waiter table, cache/storage metadata,
-ready events, in-flight re-simulation progress — dies with it, and
-blocked clients stall through failure detection plus a cold replay.
-This module places each context's control-plane state on its owner
-**plus the next ``factor - 1`` ring successors** (the ring's preference
-list, :meth:`~repro.cluster.ring.HashRing.successors`), so the node the
-ring promotes after a death is always already holding a warm copy.
+A context's control-plane state — attached clients, the files each holds
+open, the waiter table (each waiter annotated with its ingress origin),
+cache-resident keys, re-simulation progress markers and the restart
+latency estimate — moves between nodes over one kind of stream, one per
+``(context, peer)``:
 
-Three cooperating pieces:
+* **HA replication** — with ``factor > 1`` the owner's pump thread keeps
+  a stream to each of the next ``factor - 1`` ring successors (the
+  preference list, :meth:`~repro.cluster.ring.HashRing.successors`), so
+  the node the ring promotes after a death already holds a warm copy.
+  At factor 1 there are no replica streams and no pump thread.
+* **Migration** — :class:`~repro.cluster.migrate.MigrationManager`
+  pre-copies over the ``(context, dest)`` stream (deltas, when ``dest``
+  already is a synced replica) and ends it with a *final frame* that
+  also carries the placement pin and the source's data port.
 
-:class:`ReplicaStore` — the replica side.  Holds the last applied state
-per context plus the ``(source, epoch, seq)`` stream position, and
-enforces the acceptance rules: contiguous sequence numbers per source
-(anything else answers ``resync`` and the owner falls back to a full
-snapshot), duplicate frames are ignored, and **fencing** — a frame from
-a node the receiver's own ring does not consider the context's owner,
-or any frame arriving once this node has itself become the active
-owner, is rejected with ``fenced`` so a partitioned stale owner can
-never overwrite a promoted replica.  Fences are judged afresh on every
-frame against the receiver's current ring (ring epochs are per-node
-counters, never compared across nodes), and the fenced sender stands
-down only transiently — it retries after ``fence_retry`` seconds or on
-any local membership change, so a fence issued from a
-not-yet-converged ring heals itself as gossip catches up.
+Frames travel as the ``repl`` op.  A stream's first frame — and the
+first after a lost reply, a ``resync``, a fence or an anti-entropy tick
+of the pump — is a full ``snap``; the rest are ``delta`` frames
+(:func:`diff_state`/:func:`apply_delta`) with contiguous sequence
+numbers.
 
-:class:`ReplicationManager` — the owner side.  A pump thread snapshots
-each owned context's shard state (via the node's capture hook, which
-annotates waiters with their ingress origin), diffs it against what each
-replica last acknowledged, and ships per-context **delta frames** with
-monotonically increasing sequence numbers over the node's
-:class:`~repro.cluster.link.PeerLink`\\ s; a periodic full snapshot per
-stream bounds divergence (anti-entropy), and any gap the replica reports
-is repaired the same way.  The pump also *is* the background healing
-pass: after a membership change the successor list is recomputed, new
-``(context, replica)`` streams start unsynced, and the queue of unsynced
-streams (``repl.healing_queue``) drains by shipping snapshots until the
-context is back at full replication factor.
+:class:`ReplicaStore` — the receiving side: the last applied state per
+context plus its ``(source, epoch, seq)`` position.  A gap, an unknown
+stream or a source change answers ``resync``, a duplicate is ignored,
+and **fencing** rejects a frame whose sender the receiver's own ring
+does not consider the owner, or that arrives once the receiver actively
+owns the context, so a partitioned stale owner can never overwrite a
+promoted one.  The one exception is a final frame whose pin names the
+receiver at a version at least the one it holds: it is accepted even
+when gossip already made the receiver the owner.  The fence is judged
+afresh per frame (ring epochs are per-node counters, never compared
+across nodes); a fenced sender stands down for ``fence_retry`` seconds
+or until its own ring changes, so a fence from a not-yet-converged ring
+heals itself.
 
-Promotion — the node calls :meth:`ReplicationManager.promote` when ring
-reassignment activates a context for which the store holds replicated
-state: the shard is rebuilt through
-:meth:`~repro.dv.shard.ContextShard.restore_repl_state` (waiters
-re-registered and their re-simulations relaunched, in-flight progress
-resumed, latency EMA seeded), proxies are registered so ready
-notifications route back out through each waiter's ingress node, and
-files that already landed on the shared PFS are acknowledged
-immediately.  The blocked client sees its ready arrive — no error, no
-retry, no reconnect.
+:class:`ReplicationManager` — both sides for one node: the pump (also
+the background healing pass: after a membership change new streams
+start unsynced and ``repl.healing_queue`` drains as their snapshots
+land), the receive path, and the one **promotion**: activating a
+context as owner consumes this node's record of it, and
+:meth:`~ReplicationManager.restore` rebuilds the shard from it —
+waiters re-registered with their ingress proxies, held files re-pinned,
+re-simulations resumed, readies pushed for files already on disk.  The
+blocked client sees its ready arrive: no error, no retry, no reconnect.
 
-``frame_hook`` exists for the fault-injection harness: it sees every
-outgoing frame and may ``drop`` it (models loss — the sequence gap
-forces a resync), ``dup`` it (the replica must ignore the duplicate), or
-delay inside the hook (replication lag grows and the ``repl.lag_seconds``
-gauge shows it).
+``frame_hook`` is the fault-injection seam: it sees every outgoing
+frame and may ``drop`` it (the gap forces a resync), ``dup`` it (the
+receiver ignores the copy) or sleep (``repl.lag_seconds`` grows).
 """
 
 from __future__ import annotations
@@ -127,9 +121,20 @@ def apply_delta(state: dict, delta: dict) -> dict:
     return result
 
 
+def _pin_version(pin, context, node_id: str) -> int | None:
+    """The version of a final frame's pin ``[context, target, version]``
+    when it hands ``context`` to ``node_id``, else None."""
+    try:
+        if pin[0] == context and pin[1] == node_id:
+            return int(pin[2])
+    except (TypeError, ValueError, IndexError, KeyError):
+        pass
+    return None
+
+
 @dataclass
 class _ReplicaRecord:
-    """Replica-side stream position + state for one context."""
+    """Receiving-side stream position + state for one context."""
 
     src: str
     epoch: int
@@ -139,13 +144,12 @@ class _ReplicaRecord:
 
 
 class ReplicaStore:
-    """Replica half: replicated context state plus acceptance rules."""
+    """Receiving side: streamed context state plus acceptance rules."""
 
     def __init__(self) -> None:
         self._records: dict[str, _ReplicaRecord] = {}
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
     def receive(
         self,
         frame: dict,
@@ -153,41 +157,34 @@ class ReplicaStore:
         local_owner: str | None,
         self_is_owner: bool,
         now: float | None = None,
+        handoff: bool = False,
     ) -> dict:
-        """Apply one replication frame; returns the reply payload.
+        """Apply one frame; returns the reply payload.
 
         ``local_epoch``/``local_owner`` describe the receiver's current
         ring view of the frame's context; ``self_is_owner`` is True when
-        the receiver itself actively owns it (promoted).  Replies:
-        ``{"ok": True}`` applied (or duplicate ignored), ``{"resync":
-        True}`` sequence gap — send a snapshot, ``{"fenced": True,
-        "epoch": e}`` the sender is not the owner in the receiver's ring
-        and must stand down.
-
-        The fence is evaluated afresh on every frame against the
-        receiver's *own* ring — ring epochs are per-node counters and are
-        never compared across nodes (two nodes with identical membership
-        can sit at different epochs after a staggered bring-up).  A fence
-        is therefore allowed to be wrong transiently: if the receiver's
-        ring is the stale side, the sender's retry succeeds as soon as
-        membership converges here.
+        the receiver itself actively owns it; ``handoff`` when the frame
+        is a final frame handing the context to the receiver (it skips
+        the fence).  Replies: ``{"ok": True}`` applied (or a duplicate
+        ignored), ``{"resync": True}`` sequence gap — send a snapshot,
+        ``{"fenced": True, "epoch": e}`` the sender is not the owner in
+        the receiver's ring and must stand down.
         """
         context = frame.get("context")
         sender = frame.get("from")
-        epoch = int(frame.get("epoch", 0))
-        seq = int(frame.get("seq", 0))
-        kind = frame.get("kind")
         if not isinstance(context, str) or not isinstance(sender, str):
             return {"resync": True}
-        if self_is_owner or local_owner != sender:
+        if not handoff and (self_is_owner or local_owner != sender):
             # The sender is not this context's owner as far as this node
             # can tell — a deposed owner that has not heard it lost the
             # ring, or a legit owner this node has not yet heard of.
             return {"fenced": True, "epoch": local_epoch}
+        epoch = int(frame.get("epoch", 0))
+        seq = int(frame.get("seq", 0))
         now = time.time() if now is None else now
         with self._lock:
             record = self._records.get(context)
-            if kind == "snap":
+            if frame.get("kind") == "snap":
                 state = frame.get("state")
                 if not isinstance(state, dict):
                     return {"resync": True}
@@ -199,10 +196,8 @@ class ReplicaStore:
                 return {"resync": True}
             if seq <= record.seq:
                 return {"ok": True, "seq": record.seq, "duplicate": True}
-            if seq != record.seq + 1:
-                return {"resync": True}
             delta = frame.get("delta")
-            if not isinstance(delta, dict):
+            if seq != record.seq + 1 or not isinstance(delta, dict):
                 return {"resync": True}
             record.state = apply_delta(record.state, delta)
             record.seq = seq
@@ -210,24 +205,23 @@ class ReplicaStore:
             record.received_at = now
             return {"ok": True, "seq": seq}
 
-    # ------------------------------------------------------------------ #
     def has(self, context: str) -> bool:
         with self._lock:
             return context in self._records
 
-    def take(self, context: str) -> dict | None:
-        """Pop the replicated state for promotion (one shot)."""
+    def take(self, context: str) -> _ReplicaRecord | None:
+        """Pop a context's record to promote from (one shot)."""
         with self._lock:
-            record = self._records.pop(context, None)
-        return record.state if record is not None else None
+            return self._records.pop(context, None)
 
-    def drop(self, context: str) -> None:
+    def prune(self, stale: Callable[[str, str], bool]) -> None:
+        """Drop every record for which ``stale(context, source)`` holds."""
         with self._lock:
-            self._records.pop(context, None)
-
-    def contexts(self) -> list[str]:
-        with self._lock:
-            return sorted(self._records)
+            for name in [
+                name for name, record in self._records.items()
+                if stale(name, record.src)
+            ]:
+                del self._records[name]
 
     def describe(self, now: float | None = None) -> dict:
         """Per-context stream positions (the ``ha`` op's replica view)."""
@@ -248,23 +242,24 @@ class ReplicaStore:
 
 @dataclass
 class _Stream:
-    """Owner-side stream state for one (context, replica) pair."""
+    """Sending side of one (context, peer) stream."""
 
     peer_id: str
     context: str
     seq: int = 0
-    #: Last state the replica acknowledged (None = snapshot needed).
+    #: Last state the peer acknowledged (None: the next frame is a snap).
     acked: dict | None = None
-    needs_snapshot: bool = True
     #: True when this stream exists because of a membership change while
     #: the context was already replicated (its first sync is a *heal*).
     healing: bool = False
     last_sync: float = field(default_factory=time.time)
     last_snapshot: float = 0.0
+    #: Size of the last frame the peer has not acknowledged.
+    backlog: int = 0
 
 
 class ReplicationManager:
-    """Owner half: the delta pump, healing pass, and promotion."""
+    """Both sides of the state-transfer stream for one cluster node."""
 
     def __init__(
         self,
@@ -282,16 +277,19 @@ class ReplicationManager:
         self.store = ReplicaStore()
         self.last_promotion: dict | None = None
         self._streams: dict[tuple[str, str], _Stream] = {}
-        #: Contexts a replica fenced us on → (our ring epoch at the
-        #: time, retry deadline).  A fence is a transient stand-down,
-        #: not a death sentence: it clears on any local membership
-        #: change or after ``fence_retry`` seconds, whichever comes
-        #: first.  Safety lives on the receiver, which re-evaluates the
-        #: fence against its own ring on every frame — the sender only
-        #: backs off to avoid hammering a peer that said no.
+        #: Contexts a peer fenced us on → (our ring epoch at the time,
+        #: retry deadline).  A fence is a transient stand-down: it clears
+        #: on any local membership change or after ``fence_retry``
+        #: seconds.  Safety lives on the receiver, which re-judges every
+        #: frame against its own ring — the sender only backs off to
+        #: avoid hammering a peer that said no.
         self._fenced: dict[str, tuple[int, float]] = {}
         self.fence_retry = max(10.0 * interval, 0.5)
+        self._heal_mark = False
         self._lock = threading.Lock()
+        #: One sender per stream: held for a whole pump pass, and by a
+        #: migration from its pre-copy to its final frame.
+        self.pump_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         metrics = node.metrics
@@ -312,6 +310,9 @@ class ReplicationManager:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
+        """Start the pump thread; at factor 1 there is nothing to pump."""
+        if self.factor == 1:
+            return
         self._thread = threading.Thread(
             target=self._pump_loop,
             name=f"repl-pump-{self.node.node_id}",
@@ -333,257 +334,260 @@ class ReplicationManager:
                 pass
 
     # ------------------------------------------------------------------ #
-    # Replica-side entry (the node's ``repl`` op hands frames here)
+    # Receiving side (the node's ``repl`` op)
     # ------------------------------------------------------------------ #
     def receive(self, frame: dict) -> dict:
-        context = frame.get("context")
+        """Apply one frame to the store.  A final frame — its pin hands
+        the context to this node at a version at least the one held here
+        — skips the fence and completes the handoff: the pin is adopted,
+        the shard activated and the record promoted."""
         node = self.node
+        context = frame.get("context")
+        record = None
         with node._lock:
-            local_epoch = node.ring.epoch
-            local_owner = (
-                node.ring.owner(context) if isinstance(context, str) else None
+            known = isinstance(context, str) and context in node._specs
+            owner = node.ring.owner(context) if known else None
+            version = _pin_version(frame.get("pin"), context, node.node_id)
+            handoff = known and version is not None and (
+                version >= node._pin_versions.get(context, (None, 0))[1]
             )
-            self_is_owner = (
-                local_owner == node.node_id and context in node._active
+            reply = self.store.receive(
+                frame, local_epoch=node.ring.epoch, local_owner=owner,
+                self_is_owner=owner == node.node_id and context in node._active,
+                handoff=handoff,
             )
+            if handoff and reply.get("ok"):
+                node._adopt_pin(context, node.node_id, version, force=True)
+                record = (
+                    self.store.take(context) if context in node._active
+                    else node._activate(context)
+                )
         self._m_frames_recv.inc()
-        return self.store.receive(
-            frame, local_epoch=local_epoch, local_owner=local_owner,
-            self_is_owner=self_is_owner,
-        )
+        if record is not None:
+            reply["restored_waiters"] = self.promote(context, record, frame)
+        return reply
 
     # ------------------------------------------------------------------ #
-    # Healing trigger (the node calls this on every membership change)
+    # Sending side: the pump, healing, and one frame at a time
     # ------------------------------------------------------------------ #
     def schedule_heal(self) -> None:
-        """A membership change happened: new streams created from here on
+        """A membership change happened: streams unsynced from here on
         are re-replication (healing), not initial bring-up."""
-        with self._lock:
-            for stream in self._streams.values():
-                if stream.needs_snapshot:
-                    stream.healing = True
         self._heal_mark = True
 
-    _heal_mark = False
+    def stream(self, context: str, peer_id: str) -> _Stream:
+        """The ``(context, peer)`` stream: the pump's when the peer is a
+        replica, else a fresh one for the caller (a migration) to drive."""
+        with self._lock:
+            return (
+                self._streams.get((context, peer_id))
+                or _Stream(peer_id=peer_id, context=context)
+            )
 
-    # ------------------------------------------------------------------ #
-    # The pump: capture, diff, ship, heal
-    # ------------------------------------------------------------------ #
     def pump(self, now: float | None = None) -> None:
         """One replication pass.  Called periodically by the pump thread;
         tests call it directly for deterministic stepping (``now``
         overrides the wall clock for the fence-retry bookkeeping)."""
         now = time.time() if now is None else now
         node = self.node
-        with node._lock:
-            epoch = node.ring.epoch
-            alive = set(node.table.alive_ids())
-            plan: dict[str, list[str]] = {}
-            for name in sorted(node._active):
-                chain = node.ring.successors(name, self.factor)
-                if not chain or chain[0] != node.node_id:
-                    continue  # not the owner (racing a reassignment)
-                plan[name] = [
-                    peer for peer in chain[1:] if peer in alive
-                ]
-        heal_mark = self._heal_mark
-        self._heal_mark = False
-        with self._lock:
-            # Prune streams for contexts we no longer own or peers that
-            # left the replica set; create streams for new pairs.
-            wanted = {
-                (name, peer) for name, peers in plan.items() for peer in peers
-            }
-            for key in [k for k in self._streams if k not in wanted]:
-                del self._streams[key]
-            for name, peers in plan.items():
-                for peer in peers:
-                    if (name, peer) not in self._streams:
-                        self._streams[(name, peer)] = _Stream(
-                            peer_id=peer, context=name, healing=heal_mark,
+        with self.pump_lock:
+            with node._lock:
+                epoch = node.ring.epoch
+                alive = set(node.table.alive_ids())
+                wanted: set[tuple[str, str]] = set()
+                for name in node._active:
+                    chain = node.ring.successors(name, self.factor)
+                    if chain and chain[0] == node.node_id:
+                        wanted.update(
+                            (name, peer) for peer in chain[1:] if peer in alive
                         )
-            # A fenced context stays silent until our ring changes or the
-            # retry window lapses; the replica re-judges every attempt
-            # against its own ring, so retrying is always safe.
-            for name, (fenced_epoch, retry_at) in list(self._fenced.items()):
-                if epoch != fenced_epoch or now >= retry_at:
-                    del self._fenced[name]
-            streams = [
-                s for s in self._streams.values()
-                if s.context not in self._fenced
-            ]
-        states: dict[str, dict | None] = {}
-        for name in plan:
-            if name not in self._fenced:
-                states[name] = node._capture_repl(name)
-        lag_bytes = 0.0
-        for stream in streams:
-            state = states.get(stream.context)
-            if state is None:
-                continue
-            lag_bytes += self._ship_stream(stream, state, epoch, now)
-        with self._lock:
-            pending = [
-                s for s in self._streams.values()
-                if s.needs_snapshot or s.acked is None
-            ]
-            self._m_queue.set(len(pending))
-            lag = max(
-                (now - s.last_sync for s in self._streams.values()),
-                default=0.0,
-            )
-        self._m_lag_s.set(round(lag, 6))
-        self._m_lag_b.set(lag_bytes)
-
-    def _ship_stream(
-        self, stream: _Stream, state: dict, epoch: int, now: float
-    ) -> float:
-        """Bring one replica up to date; returns unshipped backlog bytes."""
-        snapshot_due = (
-            stream.needs_snapshot
-            or stream.acked is None
-            or now - stream.last_snapshot >= self.anti_entropy_interval
-        )
-        if snapshot_due:
-            frame = {
-                "op": "repl", "from": self.node.node_id,
-                "context": stream.context, "epoch": epoch,
-                "seq": stream.seq + 1, "kind": "snap", "state": state,
-            }
-        else:
-            delta = diff_state(stream.acked, state)
-            if delta is None:
-                stream.last_sync = now
-                return 0.0
-            frame = {
-                "op": "repl", "from": self.node.node_id,
-                "context": stream.context, "epoch": epoch,
-                "seq": stream.seq + 1, "kind": "delta", "delta": delta,
-            }
-        stream.seq += 1
-        size = float(len(json.dumps(frame, separators=(",", ":"))))
-        reply = self._send_frame(stream.peer_id, frame)
-        if reply is None:
-            # Unreachable (or dropped by the fault hook): the sequence
-            # gap forces a snapshot resync once the peer answers again.
-            stream.needs_snapshot = True
-            return size
-        if reply.get("fenced"):
-            # Stand down, but only briefly: the replica judged us against
-            # *its* ring, which may simply not have converged yet (a
-            # staggered bring-up routinely fences the rightful owner's
-            # first frame).  The replica never applied this frame, so the
-            # resumed stream must restart from a snapshot.
-            self._m_fence.inc()
-            stream.needs_snapshot = True
+            heal, self._heal_mark = self._heal_mark, False
             with self._lock:
-                self._fenced[stream.context] = (
-                    epoch, now + self.fence_retry
-                )
-            return 0.0
-        if reply.get("resync"):
-            self._m_resyncs.inc()
-            stream.needs_snapshot = True
-            # Retry immediately as a snapshot (one extra round trip, not
-            # one extra pump interval).
-            snap = {
-                "op": "repl", "from": self.node.node_id,
-                "context": stream.context, "epoch": epoch,
-                "seq": stream.seq + 1, "kind": "snap", "state": state,
-            }
-            stream.seq += 1
-            reply = self._send_frame(stream.peer_id, snap)
-            if reply is None or not reply.get("ok"):
-                return size
-            self._m_snapshots.inc()
-            self._mark_synced(stream, state, now, snapshotted=True)
-            return 0.0
-        if reply.get("ok"):
-            if frame["kind"] == "snap":
-                self._m_snapshots.inc()
-            self._mark_synced(
-                stream, state, now, snapshotted=frame["kind"] == "snap"
-            )
-            return 0.0
-        return size
+                for key in [k for k in self._streams if k not in wanted]:
+                    del self._streams[key]
+                for name, peer in sorted(wanted - self._streams.keys()):
+                    self._streams[(name, peer)] = _Stream(
+                        peer_id=peer, context=name, healing=heal,
+                    )
+                if heal:
+                    for stream in self._streams.values():
+                        stream.healing |= stream.acked is None
+                # A fenced context stays silent until our ring changes or
+                # the retry window lapses; the peer re-judges every frame
+                # against its own ring, so retrying is always safe.
+                for name, (fenced_epoch, retry_at) in list(self._fenced.items()):
+                    if epoch != fenced_epoch or now >= retry_at:
+                        del self._fenced[name]
+                streams = [
+                    s for s in self._streams.values()
+                    if s.context not in self._fenced
+                ]
+            states: dict[str, dict | None] = {}
+            for stream in streams:
+                if stream.context not in states:
+                    states[stream.context] = node._capture_repl(stream.context)
+                state = states[stream.context]
+                if state is None:
+                    continue
+                if now - stream.last_snapshot >= self.anti_entropy_interval:
+                    stream.acked = None  # anti-entropy: bound divergence
+                self.ship(stream, state, epoch, now)
+        with self._lock:
+            streams = list(self._streams.values())
+        self._m_queue.set(sum(1 for s in streams if s.acked is None))
+        self._m_lag_s.set(
+            round(max((now - s.last_sync for s in streams), default=0.0), 6)
+        )
+        self._m_lag_b.set(sum(s.backlog for s in streams))
 
-    def _mark_synced(
-        self, stream: _Stream, state: dict, now: float, snapshotted: bool
-    ) -> None:
-        first_sync = stream.needs_snapshot or stream.acked is None
-        stream.acked = state
-        stream.last_sync = now
-        if snapshotted:
+    def ship(
+        self, stream: _Stream, state: dict, epoch: int,
+        now: float | None = None, tc: str | None = None,
+        extra: dict | None = None,
+    ) -> dict | None:
+        """Bring ``stream``'s peer up to ``state`` (caller holds
+        ``pump_lock``): a delta against what it acknowledged, else a
+        snapshot — also the immediate retry when it answers ``resync``.
+        ``tc`` is the frames' trace context (default: head-sampled);
+        ``extra`` rides on the frame and sends one even when the peer
+        already holds ``state`` (a migration's final frame).  Returns
+        the peer's reply: ``{}`` when nothing was sent, None when it was
+        unreachable."""
+        now = time.time() if now is None else now
+        snap = stream.acked is None
+        delta = None if snap else diff_state(stream.acked, state)
+        if not snap and delta is None and extra is None:
+            stream.last_sync = now
+            return {}
+        body = (
+            {"kind": "snap", "state": state} if snap
+            else {"kind": "delta", "delta": delta or {}}
+        )
+        reply = self._send(stream, epoch, {**body, **(extra or {})}, tc)
+        if reply is not None and reply.get("resync"):
+            # Retry at once as a snapshot: one extra round trip, not one
+            # extra pump interval.
+            self._m_resyncs.inc()
+            snap = True
+            reply = self._send(
+                stream, epoch,
+                {"kind": "snap", "state": state, **(extra or {})}, tc,
+            )
+        if reply is None or not reply.get("ok"):
+            # Never applied (lost, fenced, refused): the stream restarts
+            # from a snapshot.
+            stream.acked = None
+            if reply is not None and reply.get("fenced"):
+                # Stand down, but only briefly: the peer judged us against
+                # *its* ring, which may simply not have converged yet.
+                self._m_fence.inc()
+                with self._lock:
+                    self._fenced[stream.context] = (
+                        epoch, now + self.fence_retry
+                    )
+            return reply
+        if snap:
+            self._m_snapshots.inc()
             stream.last_snapshot = now
-            stream.needs_snapshot = False
-        if first_sync and stream.healing:
+        if stream.acked is None and stream.healing:
             stream.healing = False
             self._m_healed.inc()
+        stream.acked = state
+        stream.last_sync = now
+        stream.backlog = 0
+        return reply
 
-    def _send_frame(self, peer_id: str, frame: dict) -> dict | None:
-        # Head-sampled trace context per frame: sampled frames show up as
-        # ``op.repl`` spans on the replica, tying replication lag into
-        # the same trace plane as client traffic.
-        obs = getattr(getattr(self.node, "server", None), "obs", None)
-        if obs is not None:
-            tc = obs.start_trace()
-            if tc.sampled:
-                frame = dict(frame, tc=tc.to_wire())
-        action = self.frame_hook(peer_id, frame) if self.frame_hook else None
+    def _send(
+        self, stream: _Stream, epoch: int, body: dict, tc: str | None
+    ) -> dict | None:
+        """One frame of ``stream``, with the next sequence number."""
+        stream.seq += 1
+        frame = {
+            "op": "repl", "from": self.node.node_id,
+            "context": stream.context, "epoch": epoch, "seq": stream.seq,
+            **body,
+        }
+        stream.backlog = len(json.dumps(frame, separators=(",", ":")))
+        if tc is None:
+            # Head-sampled: a sampled frame shows up as an ``op.repl`` span
+            # on the peer, tying replication lag into the trace plane.
+            obs = getattr(getattr(self.node, "server", None), "obs", None)
+            sampled = obs.start_trace() if obs is not None else None
+            tc = sampled.to_wire() if sampled and sampled.sampled else None
+        if tc is not None:
+            frame["tc"] = tc
+        action = self.frame_hook(stream.peer_id, frame) if self.frame_hook else None
         if action == "drop":
             return None
         try:
-            link = self.node.router.link(peer_id)
+            link = self.node.router.link(stream.peer_id)
             if action == "dup":
                 link.call(dict(frame), timeout=self.node.rpc_timeout)
             reply = link.call(frame, timeout=self.node.rpc_timeout)
         except (DVConnectionLost, SimFSError, OSError):
             return None
         self._m_frames.inc()
-        self._m_bytes.inc(len(json.dumps(frame, separators=(",", ":"))))
+        self._m_bytes.inc(stream.backlog)
         return reply
 
     # ------------------------------------------------------------------ #
-    # Promotion
+    # Promotion, restore and pruning
     # ------------------------------------------------------------------ #
-    def promote(self, context_name: str) -> int:
-        """This node just became owner of a context it held replica state
-        for: rebuild the shard from that state (hot failover).  Returns
-        the number of waiters restored (0 on a cold activation)."""
-        state = self.store.take(context_name)
-        if state is None:
-            return 0
+    def promote(
+        self, context: str, record: _ReplicaRecord, final: dict | None = None
+    ) -> int:
+        """Rebuild ``context`` from the record its activation here took:
+        hot failover from a replica, a pre-copy whose migration source
+        died, or (``final``, the frame carrying the pin) a completed
+        migration.  Returns the number of waiters restored."""
+        state = record.state
+        restored = self.restore(context, state)
+        self._m_promotions.inc()
+        self._m_restored.inc(restored)
+        resumed = len(state.get("sims", ()))
+        self.last_promotion = {
+            "context": context, "from": record.src, "at": time.time(),
+            "restored_waiters": restored, "resumed_sims": resumed,
+            "partial": final is None,
+        }
+        if final is None:
+            self.node.server.obs.journal(
+                "ha.promote", context=context, src=record.src,
+                restored_waiters=restored, resumed_sims=resumed,
+            )
+        else:
+            self.node.migration.adopted(context, record.src, final, state)
+        return restored
+
+    def restore(self, context: str, state: dict) -> int:
+        """The one restore path (promotion, a migration's final frame, its
+        abort): proxies first, so readies route back out through each
+        waiter's ingress, then the shard rebuilt; readies for files
+        already on disk go out at once.  Returns the waiters restored."""
         node = self.node
-        waiters = [
-            entry for entry in state.get("waiters", ()) if len(entry) >= 2
-        ]
-        node.router.restore_proxies(
-            context_name, state.get("clients", ()), waiters
-        )
-        try:
-            shard = node.server.coordinator.shard(context_name)
-        except SimFSError:
-            return 0
+        waiters = [e for e in state.get("waiters", ()) if len(e) >= 2]
+        node.router.restore_proxies(context, state.get("clients", ()), waiters)
+        shard = node.server.coordinator.shard(context)
         # The shard's clock is the server's (monotonic) clock, not wall
         # time — mixing them trips the shard's time-went-backwards guard.
-        ready = shard.restore_repl_state(state, node.server._clock.now())
-        for notification in ready:
+        for notification in shard.restore_repl_state(
+            state, node.server._clock.now()
+        ):
             node.server._push_ready(notification)
-        self._m_promotions.inc()
-        if waiters:
-            self._m_restored.inc(len(waiters))
-        node.server.obs.journal(
-            "ha.promote", context=context_name,
-            restored_waiters=len(waiters),
-            resumed_sims=len(state.get("sims", ())),
-        )
-        self.last_promotion = {
-            "context": context_name,
-            "at": time.time(),
-            "restored_waiters": len(waiters),
-            "resumed_sims": len(state.get("sims", ())),
-        }
         return len(waiters)
+
+    def prune(self, alive: set[str]) -> None:
+        """One rule for every record (node lock held): drop it when its
+        source is dead and the ring places the context away from this
+        node — another node restarts it, and a stale record here must not
+        shadow a later promotion.  A node still in the context's
+        preference list keeps its record: a second death may yet
+        promote it."""
+        node = self.node
+        self.store.prune(
+            lambda name, src: src not in alive
+            and node.node_id not in node.ring.successors(name, self.factor)
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection (the ``ha`` op / simfs-ctl ha-status)
@@ -592,33 +596,23 @@ class ReplicationManager:
         node = self.node
         now = time.time()
         with node._lock:
-            contexts = sorted(node._specs)
             chains = {
                 name: node.ring.successors(name, self.factor)
-                for name in contexts
+                for name in sorted(node._specs)
             }
         with self._lock:
             streams = {
                 (s.context, s.peer_id): s for s in self._streams.values()
             }
             fenced = sorted(self._fenced)
-            queue = sum(
-                1 for s in streams.values()
-                if s.needs_snapshot or s.acked is None
-            )
         view: dict[str, dict] = {}
-        for name in contexts:
-            chain = chains.get(name, [])
+        for name, chain in chains.items():
             replicas = []
             for peer in chain[1:]:
                 stream = streams.get((name, peer))
                 replicas.append({
                     "node": peer,
-                    "synced": bool(
-                        stream is not None
-                        and stream.acked is not None
-                        and not stream.needs_snapshot
-                    ),
+                    "synced": stream is not None and stream.acked is not None,
                     "seq": stream.seq if stream is not None else 0,
                     "lag_seconds": (
                         round(max(0.0, now - stream.last_sync), 3)
@@ -638,6 +632,8 @@ class ReplicationManager:
             "contexts": view,
             "replica_of": self.store.describe(now),
             "fenced": fenced,
-            "healing_queue": queue,
+            "healing_queue": sum(
+                1 for s in streams.values() if s.acked is None
+            ),
             "last_promotion": self.last_promotion,
         }

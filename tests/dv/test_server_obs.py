@@ -63,7 +63,7 @@ class TestOpCoverageGuard:
         fname = context.filename_of(1)
         plausible = {
             "context": "obs", "file": fname, "trace_id": "f" * 16,
-            "client_id": "again", "vers": 2, "codec": "binary",
+            "client_id": "again", "vers": 2, "codec": "binary", "dest": "n2",
         }
         for op, row in sorted(OPS.items()):
             # Every required field, with a plausible value; error replies

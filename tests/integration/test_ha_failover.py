@@ -30,6 +30,7 @@ NODE_IDS = ("n1", "n2", "n3")
 
 def build_ha_cluster(
     tmp_path, factor=2, alpha_delay=0.0, frame_hooks=None, context_name="alpha",
+    anti_entropy_interval=5.0,
 ):
     """Three started nodes with replication on; returns (nodes, context,
     out_dir, restart_dir).  ``frame_hooks`` maps node_id -> frame hook."""
@@ -41,6 +42,7 @@ def build_ha_cluster(
             peers=[s for s in specs if not s.startswith(f"{nid}@")],
             vnodes=32, heartbeat_interval=0.15, suspect_after=2,
             replication_factor=factor, repl_interval=0.05,
+            anti_entropy_interval=anti_entropy_interval,
             repl_frame_hook=(frame_hooks or {}).get(nid),
         )
         for nid in NODE_IDS

@@ -24,6 +24,10 @@ from repro.cluster.link import PeerLink
 from repro.core.errors import DVConnectionLost, SimFSError
 from tests.integration.conftest import free_port, refuse_owner, wait_until
 from tests.integration.test_cluster_stack import build_context, wait_ready
+from tests.integration.test_ha_failover import (
+    build_ha_cluster,
+    preference_chain,
+)
 
 NODE_IDS = ("n1", "n2", "n3")
 
@@ -175,14 +179,13 @@ class TestLiveMigration:
             others = [n for n in NODE_IDS if n != owner]
             dest, ingress = others[0], others[1]
             manager = nodes[owner].migration
-            original = manager._send
 
             def drop_final(dest_id, frame):
-                if frame.get("kind") == "final":
-                    return None  # the cutover frame vanishes
-                return original(dest_id, frame)
+                if "pin" in frame:
+                    return "drop"  # the cutover frame vanishes
+                return None
 
-            manager._send = drop_final
+            nodes[owner].repl.frame_hook = drop_final
             host, port = nodes[ingress].address
             conn = TcpConnection(
                 host, port, {"alpha": out}, {"alpha": rst},
@@ -242,9 +245,9 @@ class TestLiveMigration:
             # died before the cutover: forge exactly that state.
             with nodes[owner]._lock:
                 state = nodes[owner]._capture_repl("alpha")
-            reply = nodes[successor].migration.receive({
-                "op": "migrate", "from": owner, "context": "alpha",
-                "seq": 1, "kind": "snap", "state": state,
+            reply = nodes[successor].repl.receive({
+                "op": "repl", "from": owner, "context": "alpha",
+                "epoch": 1, "seq": 1, "kind": "snap", "state": state,
             })
             assert reply["ok"]
             nodes[owner].stop(drain_timeout=0)
@@ -253,9 +256,7 @@ class TestLiveMigration:
             assert wait_ready(conn, "alpha", filename, timeout=60.0)
             assert os.path.exists(os.path.join(out, filename))
             assert "alpha" in nodes[successor].active_contexts()
-            promoted = nodes[successor].metrics.get(
-                "migrate.promoted_partial"
-            ).value
+            promoted = nodes[successor].metrics.get("repl.promotions").value
             assert promoted >= 1
         finally:
             if conn is not None:
@@ -294,6 +295,83 @@ class TestLiveMigration:
         finally:
             if conn is not None:
                 conn.close()
+            stop_all(nodes)
+
+
+class TestMigrationOntoReplica:
+    """Factor 2: the destination already holds the context's replica
+    stream, and the migration rides that stream."""
+
+    @pytest.mark.timeout(120)
+    def test_the_new_owner_holds_no_record_of_its_context(self, tmp_path):
+        nodes, context, out, rst = build_ha_cluster(tmp_path, factor=2)
+        try:
+            owner, replica = preference_chain(nodes, "alpha", 2)
+            wait_until(
+                lambda: nodes[replica].repl.store.has("alpha"),
+                message="replica never received a snapshot",
+                nodes=nodes.values(),
+            )
+            nodes[owner].migration.migrate("alpha", replica)
+            # The new owner's own stream is up: some other node now holds
+            # a record that came from it.
+            wait_until(
+                lambda: any(
+                    node.repl.store.describe().get("alpha", {}).get("src")
+                    == replica
+                    for nid, node in nodes.items() if nid != replica
+                ),
+                message="the new owner never replicated the context",
+                nodes=nodes.values(),
+            )
+            assert not nodes[replica].repl.store.has("alpha")
+            ha = nodes[replica]._op_ha(None, {"op": "ha"})["ha"]
+            assert ha["contexts"]["alpha"]["owner"] == replica
+            assert "alpha" not in ha["replica_of"]
+        finally:
+            stop_all(nodes)
+
+    @pytest.mark.timeout(120)
+    def test_migrating_to_a_synced_replica_sends_no_snapshot(self, tmp_path):
+        """Pre-copy is the replica stream's next delta, and so is the
+        final frame: no snapshot between migrate() and the cutover."""
+        seen = []  # (sender, peer, kind, carries the pin, snapshots sent)
+        nodes = {}
+
+        def recorder(nid):
+            def hook(peer_id, frame):
+                if nid in nodes:
+                    seen.append((
+                        nid, peer_id, frame["kind"], "pin" in frame,
+                        nodes[nid].metrics.get("repl.snapshots_sent").value,
+                    ))
+            return hook
+
+        built, context, out, rst = build_ha_cluster(
+            tmp_path, factor=2, anti_entropy_interval=300.0,
+            frame_hooks={nid: recorder(nid) for nid in NODE_IDS},
+        )
+        nodes.update(built)
+        try:
+            owner, replica = preference_chain(nodes, "alpha", 2)
+            wait_until(
+                lambda: nodes[owner].repl.describe()["contexts"]["alpha"]
+                ["replicas"][0]["synced"],
+                message="the replica stream never synced",
+                nodes=nodes.values(),
+            )
+            before = nodes[owner].metrics.get("repl.snapshots_sent").value
+            mark = len(seen)
+            nodes[owner].migration.migrate("alpha", replica)
+            frames = [
+                entry for entry in seen[mark:]
+                if entry[:2] == (owner, replica)
+            ]
+            finals = [entry for entry in frames if entry[3]]
+            assert finals, "no final frame rode the replica stream"
+            assert finals[0][4] == before
+            assert all(kind == "delta" for _, _, kind, *_ in frames)
+        finally:
             stop_all(nodes)
 
 
