@@ -1,31 +1,19 @@
-"""Cluster-tier benchmark: per-node capacity, forwarding overhead, and
-node-count scaling.
+"""Cluster-tier benchmark: per-node capacity and forwarding overhead.
 
-Three series, persisted as ``BENCH_cluster.json`` at the repo root (the
-perf-trajectory artifact the CI ``bench-smoke`` job uploads alongside
-``BENCH_wire.json``):
+Two live series, persisted as ``BENCH_cluster.json`` at the repo root
+(the perf-trajectory artifact the CI ``bench-smoke`` job uploads
+alongside ``BENCH_wire.json``):
 
 ``per_node_capacity``
-    Live measurement: pipelined ``open`` throughput of one DV daemon
-    (binary codec + selector loop) — the service rate everything else is
-    calibrated against.
+    Pipelined ``open`` throughput of one DV daemon (binary codec +
+    selector loop).  The ring scales by adding one node per core; the
+    two-node measurement behind that choice is in ARCHITECTURE.md
+    ("Multi-core engine — retired").
 
 ``forwarding``
-    Live measurement on a real two-node cluster: sequential open round
-    trips against the owner directly vs through the gateway (ingress !=
-    owner), i.e. the price of the extra ``fwd``/``fwd_reply`` hop.
-
-``aggregate_msgs_per_sec``
-    DES capacity model for 1/2/4 nodes — each node is a FIFO server with
-    the *measured* per-node service rate; closed-loop clients keep a
-    fixed window of opens in flight against contexts pinned to their
-    owners (the cluster-aware client's one-hop steady state), and the
-    gateway variant charges every op at both ingress and owner.  Virtual
-    time makes the scaling number independent of how many cores the
-    benchmark host happens to have — which is the whole point of the
-    cluster DES model: a laptop (or a 1-core CI box) can project what N
-    daemons on N machines deliver.  The model's honesty anchor is the
-    live single-node measurement it is calibrated with.
+    Sequential open round trips on a real two-node cluster against the
+    owner directly vs through the gateway (ingress != owner), i.e. the
+    price of the extra ``fwd``/``fwd_reply`` hop.
 
 Run directly (``python benchmarks/bench_cluster.py [--smoke]``) or under
 pytest (``pytest benchmarks/bench_cluster.py``).
@@ -34,7 +22,6 @@ pytest (``pytest benchmarks/bench_cluster.py``).
 from __future__ import annotations
 
 import argparse
-import collections
 import os
 import statistics
 import sys
@@ -50,7 +37,6 @@ from repro.client.dvlib import TcpConnection  # noqa: E402
 from repro.cluster import ClusterNode  # noqa: E402
 from repro.core.context import ContextConfig, SimulationContext  # noqa: E402
 from repro.core.perfmodel import PerformanceModel  # noqa: E402
-from repro.des.engine import DESEngine  # noqa: E402
 from repro.dv.protocol import (  # noqa: E402
     CODEC_BINARY,
     PROTOCOL_VERSION,
@@ -61,12 +47,8 @@ from repro.dv.protocol import (  # noqa: E402
 from repro.dv.server import DVServer  # noqa: E402
 from repro.simulators import SyntheticDriver  # noqa: E402
 
-FULL = {"clients": 4, "window": 64, "seconds": 2.0, "latency_ops": 800,
-        "model_ops": 200_000}
-SMOKE = {"clients": 4, "window": 32, "seconds": 0.5, "latency_ops": 200,
-         "model_ops": 40_000}
-
-NODE_COUNTS = (1, 2, 4)
+FULL = {"clients": 4, "window": 64, "seconds": 2.0, "latency_ops": 800}
+SMOKE = {"clients": 4, "window": 32, "seconds": 0.5, "latency_ops": 200}
 
 
 # --------------------------------------------------------------------- #
@@ -250,123 +232,23 @@ def measure_forwarding(sizing: dict) -> dict:
                     pass
 
 
-# --------------------------------------------------------------------- #
-# DES capacity model: node-count scaling in virtual time
-# --------------------------------------------------------------------- #
-class _ModelNode:
-    """A DV daemon as a FIFO server with deterministic service time."""
-
-    def __init__(self, engine: DESEngine, service_time: float) -> None:
-        self.engine = engine
-        self.service_time = service_time
-        self.queue: collections.deque = collections.deque()
-        self.busy = False
-        self.completed = 0
-
-    def submit(self, done) -> None:
-        self.queue.append(done)
-        self._kick()
-
-    def _kick(self) -> None:
-        if self.busy or not self.queue:
-            return
-        self.busy = True
-        done = self.queue.popleft()
-
-        def finish() -> None:
-            self.busy = False
-            self.completed += 1
-            done()
-            self._kick()
-
-        self.engine.schedule(self.service_time, finish)
-
-
-def model_aggregate(num_nodes: int, per_node_rate: float, sizing: dict,
-                    gateway: bool) -> float:
-    """Closed-loop aggregate msgs/s for a cluster of ``num_nodes``.
-
-    Each node hosts independent contexts; every node has one client with
-    a fixed in-flight window on its own contexts.  ``gateway=False`` is
-    the cluster-aware one-hop path (op serviced at the owner only);
-    ``gateway=True`` charges each op at the ingress *and* the owner —
-    ring-unaware clients whose ingress is uniformly random, so a
-    fraction (N-1)/N of ops pays the double service.
-    """
-    engine = DESEngine()
-    service_time = 1.0 / per_node_rate
-    nodes = [_ModelNode(engine, service_time) for _ in range(num_nodes)]
-    total_ops = sizing["model_ops"]
-    issued = [0]
-
-    def launch(owner_idx: int, ingress_idx: int) -> None:
-        if issued[0] >= total_ops:
-            return
-        issued[0] += 1
-
-        def resubmit() -> None:
-            launch(owner_idx, ingress_idx)
-
-        if gateway and ingress_idx != owner_idx:
-            # Two-stage: the ingress decodes/forwards, the owner executes.
-            nodes[ingress_idx].submit(
-                lambda: nodes[owner_idx].submit(resubmit)
-            )
-        else:
-            nodes[owner_idx].submit(resubmit)
-
-    window = sizing["window"]
-    for owner_idx in range(num_nodes):
-        for slot in range(window):
-            # Ring-unaware ingress: spread deterministically over nodes.
-            ingress_idx = (owner_idx + slot) % num_nodes if gateway else owner_idx
-            launch(owner_idx, ingress_idx)
-    makespan = engine.run()
-    # Client-visible completions (a forwarded op is serviced twice but
-    # completes once).
-    return issued[0] / makespan if makespan > 0 else 0.0
-
-
 def compute(sizing: dict) -> dict:
-    per_node = measure_per_node_capacity(sizing)
-    forwarding = measure_forwarding(sizing)
-    direct = {
-        str(n): round(model_aggregate(n, per_node, sizing, gateway=False), 1)
-        for n in NODE_COUNTS
-    }
-    gateway = {
-        str(n): round(model_aggregate(n, per_node, sizing, gateway=True), 1)
-        for n in NODE_COUNTS
-    }
     return {
-        "per_node_capacity_msgs_per_sec": round(per_node, 1),
-        "forwarding": forwarding,
-        "aggregate_msgs_per_sec": {
-            "model": "des-capacity-model calibrated with the live "
-                     "per-node measurement (virtual time: host core count "
-                     "does not cap the projection)",
-            "direct": direct,
-            "gateway": gateway,
-        },
-        "scaling_4_vs_1_direct": round(direct["4"] / direct["1"], 2),
-        "scaling_4_vs_1_gateway": round(gateway["4"] / gateway["1"], 2),
+        "per_node_capacity_msgs_per_sec": round(
+            measure_per_node_capacity(sizing), 1
+        ),
+        "forwarding": measure_forwarding(sizing),
         "sizing": sizing,
     }
 
 
 def report(results: dict) -> None:
-    aggregate = results["aggregate_msgs_per_sec"]
     emit(
         "cluster_scaling",
-        "Aggregate open throughput by node count (DES capacity model)",
-        ["nodes", "direct msgs/s", "gateway msgs/s"],
-        [
-            [n, aggregate["direct"][str(n)], aggregate["gateway"][str(n)]]
-            for n in NODE_COUNTS
-        ] + [
-            ["4v1", results["scaling_4_vs_1_direct"],
-             results["scaling_4_vs_1_gateway"]],
-        ],
+        "Open throughput of one daemon (live, pipelined opens)",
+        ["nodes", "msgs/s", "clients", "window"],
+        [[1, results["per_node_capacity_msgs_per_sec"],
+          results["sizing"]["clients"], results["sizing"]["window"]]],
     )
     emit(
         "cluster_forwarding",
@@ -388,11 +270,6 @@ def test_cluster_scaling(benchmark):
     results = run_once(benchmark, lambda: compute(SMOKE))
     report(results)
     assert results["per_node_capacity_msgs_per_sec"] > 0
-    # The acceptance floor: 4 independent nodes must deliver >= 1.7x one
-    # node.  The direct model lands near 4x; even the gateway path (every
-    # op decoded twice for 3/4 of the traffic) clears the floor.
-    assert results["scaling_4_vs_1_direct"] >= 1.7
-    assert results["scaling_4_vs_1_gateway"] >= 1.7
     assert results["forwarding"]["hop_overhead_x"] >= 1.0
 
 

@@ -1,32 +1,23 @@
 """HA-tier benchmark: client-observed open latency across an owner kill,
 replication factor 1 vs 2 vs 3.
 
-Two series, persisted as ``BENCH_ha.json`` at the repo root (part of the
+One series, persisted as ``BENCH_ha.json`` at the repo root (part of the
 perf-trajectory artifact the CI ``bench-smoke`` job uploads):
 
 ``live_recovery_seconds``
     Live measurement on a real three-node cluster: a *gateway* client
     (a TcpConnection through a non-owner ingress, the owner kept out of
-    its reach — it cannot detect the kill itself) blocks on an open, the context's owner is killed,
-    and we time from the kill to the client's ready notification.  At
-    factor 1 recovery is cold (the ingress replays the waiter against
-    the new owner, which re-simulates from scratch); at factor >= 2 the
-    first ring successor promotes its replicated waiter table and the
-    client never retries.  In a three-node LAN cluster both paths learn
-    of the death by the forwarding link dropping, so the medians sit
-    close together — the recovery-time series here is the honesty
-    anchor showing HA costs nothing; the *detection* gap HA removes is
-    the regime the DES series below projects (gossip-timeout detection,
-    the multi-rack deployment).  Few trials (wall time is dominated by
-    the deliberate simulation delay), so the stat is median and max.
-
-``des_p99_wait_seconds``
-    The p99 over many waiters comes from the DES mirror: 64 single-open
-    clients all block against a four-node :class:`VirtualCluster` before
-    the owner of their context dies mid-warmup.  Virtual time makes the
-    tail deterministic and free of host noise; the honesty anchor is the
-    live series next to it.  p99(factor>=2) must undercut p99(factor=1)
-    by the detection gap (detect_delay - promote_delay).
+    its reach — it cannot detect the kill itself) blocks on an open, the
+    context's owner is killed, and we time from the kill to the client's
+    ready notification.  At factor 1 recovery is cold (the ingress
+    replays the waiter against the new owner, which re-simulates from
+    scratch); at factor >= 2 the first ring successor promotes its
+    replicated waiter table and the client never retries.  In a
+    three-node LAN cluster both paths learn of the death by the
+    forwarding link dropping, so the medians sit close together: the
+    recovery time is the deliberate simulation delay plus milliseconds.
+    Few trials (wall time is dominated by that delay), so the stat is
+    median and max.
 
 Run directly (``python benchmarks/bench_ha.py [--quick]``) or under
 pytest (``pytest benchmarks/bench_ha.py``).
@@ -49,14 +40,13 @@ from repro.client.dvlib import TcpConnection  # noqa: E402
 from repro.cluster import ClusterNode  # noqa: E402
 from repro.core.context import ContextConfig, SimulationContext  # noqa: E402
 from repro.core.perfmodel import PerformanceModel  # noqa: E402
-from repro.des.components import VirtualCluster  # noqa: E402
 from repro.simulators import SyntheticDriver  # noqa: E402
 
 NODE_IDS = ("n1", "n2", "n3")
 FACTORS = (1, 2, 3)
 
-FULL = {"trials": 3, "alpha_delay": 1.2, "des_clients": 64}
-QUICK = {"trials": 1, "alpha_delay": 0.8, "des_clients": 64}
+FULL = {"trials": 3, "alpha_delay": 1.2}
+QUICK = {"trials": 1, "alpha_delay": 0.8}
 
 
 # --------------------------------------------------------------------- #
@@ -161,68 +151,19 @@ def measure_live(sizing: dict) -> dict:
     return series
 
 
-# --------------------------------------------------------------------- #
-# DES: p99 open wait over many killed-owner waiters
-# --------------------------------------------------------------------- #
-def des_p99(factor: int, clients: int) -> dict:
-    """p50/p99 of per-client blocked-open wait, owner killed mid-warmup."""
-    cluster = VirtualCluster(
-        node_ids=("a", "b", "c", "d"), detect_delay=2.0,
-        replication_factor=factor, promote_delay=0.1,
-        repl_lag=0.05, heal_rate=10.0,
-    )
-    config = ContextConfig(name="des-ha", delta_d=2, delta_r=8,
-                           num_timesteps=64)
-    driver = SyntheticDriver(config.geometry, prefix="des-ha")
-    context = SimulationContext(
-        config=config, driver=driver,
-        perf=PerformanceModel(tau_sim=0.2, alpha_sim=5.0),
-    )
-    cluster.add_context(context)
-    # Every client is already blocked (and replicated: the failure lands
-    # well past repl_lag after the last open) when the owner dies at
-    # t=2.0, still inside the alpha_sim warmup — the wait each client
-    # observes is warmup plus exactly the recovery path's delay.
-    analyses = [
-        cluster.add_analysis(
-            context, keys=[idx % 8 + 1], tau_cli=1.0,
-            client_id=f"p99-{idx}", start_at=0.02 * idx,
-        )
-        for idx in range(clients)
-    ]
-    cluster.schedule_failure(cluster.owner_of("des-ha"), at=2.0)
-    cluster.run()
-    waits = sorted(a.wait_time for a in analyses)
-    rank = max(0, min(len(waits) - 1, round(0.99 * len(waits)) - 1))
-    return {
-        "p50_s": round(statistics.median(waits), 3),
-        "p99_s": round(waits[rank], 3),
-        "clients": clients,
-        "promotions": cluster.promotions,
-        "lost_waiters": cluster.lost_waiters,
-    }
-
-
 def compute(sizing: dict) -> dict:
-    live = measure_live(sizing)
-    des = {str(f): des_p99(f, sizing["des_clients"]) for f in FACTORS}
-    return {
-        "live_recovery_seconds": live,
-        "des_p99_wait_seconds": des,
-        "sizing": sizing,
-    }
+    return {"live_recovery_seconds": measure_live(sizing), "sizing": sizing}
 
 
 def report(results: dict) -> None:
     live = results["live_recovery_seconds"]
-    des = results["des_p99_wait_seconds"]
     emit(
         "ha_failover",
         "Client-observed open latency across an owner kill, by factor",
-        ["factor", "live median s", "live max s", "des p50 s", "des p99 s"],
+        ["factor", "live median s", "live max s", "trials"],
         [
             [f, live[str(f)]["median_s"], live[str(f)]["max_s"],
-             des[str(f)]["p50_s"], des[str(f)]["p99_s"]]
+             live[str(f)]["trials"]]
             for f in FACTORS
         ],
     )
@@ -235,11 +176,6 @@ def test_ha_failover(benchmark):
 
     results = run_once(benchmark, lambda: compute(QUICK))
     report(results)
-    des = results["des_p99_wait_seconds"]
-    # The HA tier's reason to exist: replication must cut the DES p99
-    # below the cold-path baseline (it skips the detection delay).
-    assert des["2"]["p99_s"] < des["1"]["p99_s"]
-    assert des["3"]["p99_s"] <= des["2"]["p99_s"]
     for factor in FACTORS:
         assert results["live_recovery_seconds"][str(factor)]["median_s"] > 0
 

@@ -24,9 +24,8 @@ A DVLib :class:`~repro.client.dvlib.TcpConnection` given any node's
 address learns the ring from that node's hello reply and talks to each
 context's owner directly; forwarding is its fallback.
 
-The DES twin lives in :class:`repro.des.components.VirtualCluster`,
-which drives the same :class:`HashRing`/:class:`PeerTable` logic on the
-virtual clock for node-count sweeps and failure-schedule experiments.
+The tier has no virtual-time copy: its failover, migration and scaling
+questions are answered by live multi-node tests and benchmarks.
 """
 
 from repro.util.lazy import lazy_exports

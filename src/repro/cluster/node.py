@@ -40,8 +40,6 @@ same replay for its own captured waiters before unregistering the shard.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -60,7 +58,6 @@ from repro.core.errors import (
     InvalidArgumentError,
     SimFSError,
 )
-from repro.data.client import DataClient
 from repro.data.server import DataServer
 from repro.dv.protocol import OP_FWD, OP_GOSSIP
 from repro.dv.server import DVServer
@@ -179,20 +176,16 @@ class ClusterNode:
         )
         #: Bulk data plane: bound here (so the port is known before hellos
         #: advertise it), threads started in :meth:`start`.  Serves every
-        #: context in the catalog from its PFS directory; files this node
-        #: cannot resolve locally are proxied one hop from the ring
-        #: owner's data port into a spool.
+        #: context in the catalog from its PFS directory; a file this
+        #: node does not have is refused with the owner's data endpoint.
         self.data = DataServer(
             host, data_port,
             link_rate=data_link_rate,
             metrics=self.server.metrics,
             resolver=self._data_resolve,
             lister=self._data_list,
-            upstream=self._data_upstream,
             obs=self.server.obs,
         )
-        self._spool: str | None = None
-        self._spool_lock = threading.Lock()
         self.server.set_data_endpoint(host, self.data.port)
         self.ring = HashRing(vnodes)
         self.table = PeerTable(
@@ -350,9 +343,6 @@ class ClusterNode:
         self.router.close()
         self.server.stop(drain_timeout=drain_timeout)
         self.data.stop()
-        if self._spool is not None:
-            shutil.rmtree(self._spool, ignore_errors=True)
-            self._spool = None
 
     def __enter__(self) -> "ClusterNode":
         self.start()
@@ -948,18 +938,24 @@ class ClusterNode:
     # Data plane (callbacks run on DataServer worker threads)
     # ------------------------------------------------------------------ #
     def _data_resolve(self, context: str, filename: str) -> str:
-        """Map a fetch to a file path: the context's PFS output dir first,
-        then this node's proxy spool (files pulled from the owner)."""
+        """Map a fetch to a file in the context's output dir.  A node
+        serves only the bytes it has: when it lacks the file and another
+        node owns the context, the refusal names that owner's data
+        endpoint (the one ``fetch_info`` answers from any node)."""
         with self._lock:
             spec = self._specs.get(context)
+            owner = self.ring.owner(context)
+            peer = self.table.get(owner) if owner else None
         if spec is None:
             raise FileNotInContextError(f"unknown context {context!r}")
         path = confine(filename, spec.output_dir)
-        if not os.path.isfile(path) and self._spool is not None:
-            spooled = os.path.join(self._spool, context, filename)
-            if os.path.isfile(spooled):
-                return spooled
-        return path
+        if os.path.isfile(path) or peer is None or owner == self.node_id:
+            return path
+        raise FileNotInContextError(
+            f"file {filename!r} is not on {self.node_id}: context "
+            f"{context!r} is served by its owner {owner} at data endpoint "
+            f"{peer.host}:{peer.data_port}"
+        )
 
     def _data_list(self, context: str) -> list[str]:
         with self._lock:
@@ -967,33 +963,3 @@ class ClusterNode:
         if spec is None:
             raise FileNotInContextError(f"unknown context {context!r}")
         return spec.context.output_files(spec.output_dir)
-
-    def _data_upstream(self, context: str, filename: str) -> str | None:
-        """One-hop proxy: pull a non-local file from the ring owner's data
-        port into this node's spool and serve it from there."""
-        with self._lock:
-            owner = self.ring.owner(context)
-            peer = self.table.get(owner) if owner else None
-        if (
-            peer is None
-            or peer.node_id == self.node_id
-            or not peer.alive
-            or not peer.data_port
-        ):
-            return None
-        with self._spool_lock:
-            if self._spool is None:
-                self._spool = tempfile.mkdtemp(
-                    prefix=f"simfs-spool-{self.node_id}-"
-                )
-            dest = os.path.join(self._spool, context, filename)
-            if os.path.isfile(dest):
-                return dest
-            os.makedirs(os.path.dirname(dest), exist_ok=True)
-            try:
-                with DataClient(peer.host, peer.data_port,
-                                timeout=self.rpc_timeout) as client:
-                    client.fetch(context, filename, dest)
-            except SimFSError:
-                return None
-            return dest

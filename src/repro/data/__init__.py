@@ -4,10 +4,11 @@ The control plane (``repro.dv``/``repro.cluster``) coordinates *which*
 files exist and when they are ready; this package moves the bytes.  Each
 node runs a :class:`DataServer` on its own data port;
 clients pull files with :class:`DataClient`, discovering the owning node's
-endpoint via the routable ``fetch_info`` control-plane op.  Bandwidth on a
-link is arbitrated by :class:`BandwidthScheduler` (token bucket + deficit
-round-robin + a strict-priority control lane); the DES mirror is
-``repro.des.components.VirtualDataPlane``.
+endpoint via the routable ``fetch_info`` control-plane op.  A node serves
+only the bytes it has: a cluster node that lacks a file refuses the fetch
+and names the owner's data endpoint.  Bandwidth on a link is arbitrated
+by :class:`BandwidthScheduler` (token bucket + deficit round-robin + a
+strict-priority control lane).
 """
 
 from repro.util.lazy import lazy_exports
@@ -29,7 +30,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "PRIO_CONTROL",
         "BandwidthScheduler",
         "TokenBucket",
-        "max_min_rates",
     ),
     "server": ("DataServer",),
 })

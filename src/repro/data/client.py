@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import (
     DVConnectionLost,
@@ -58,7 +58,6 @@ class FetchResult:
     resumed_from: int
     seconds: float
     checksum: str
-    proxied: bool = field(default=False)
 
     @property
     def throughput_mbps(self) -> float:

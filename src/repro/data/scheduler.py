@@ -1,8 +1,8 @@
 """Bandwidth-aware transfer scheduling for the bulk data plane.
 
-Three pieces, all clock-agnostic (callers pass ``now`` explicitly, so the
-live DataServer drives them with ``time.monotonic()`` and the DES mirror
-with virtual time):
+Two pieces, both clock-agnostic (callers pass ``now`` explicitly, so the
+live DataServer drives them with ``time.monotonic()`` and tests with an
+injected clock):
 
 * :class:`TokenBucket` — per-link rate limit with burst capacity.
 * :class:`BandwidthScheduler` — deficit-round-robin across concurrent
@@ -11,22 +11,13 @@ with virtual time):
   streams and are never blocked waiting for tokens (they may drive the
   bucket negative; bulk repays the debt), so latency-sensitive frames
   cannot queue behind bulk bytes.
-* :func:`max_min_rates` — progressive-filling max-min fair allocation of
-  link capacities across multi-hop paths, used by the DES
-  ``VirtualDataPlane`` and by capacity-model tests.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-__all__ = [
-    "PRIO_BULK",
-    "PRIO_CONTROL",
-    "BandwidthScheduler",
-    "TokenBucket",
-    "max_min_rates",
-]
+__all__ = ["PRIO_BULK", "PRIO_CONTROL", "BandwidthScheduler", "TokenBucket"]
 
 PRIO_CONTROL = 0
 PRIO_BULK = 1
@@ -175,41 +166,3 @@ class BandwidthScheduler:
             self.bucket.consume(sent, now)
         if stream_id in self._deficit:
             self._deficit[stream_id] = max(0.0, self._deficit[stream_id] - sent)
-
-
-def max_min_rates(
-    capacities: dict[object, float],
-    paths: dict[object, tuple[object, ...] | list[object]],
-) -> dict[object, float]:
-    """Max-min fair rates for transfers sharing links via progressive filling.
-
-    ``capacities`` maps link id -> capacity; ``paths`` maps transfer id ->
-    the links it traverses.  Repeatedly saturate the tightest bottleneck
-    link (smallest fair share ``residual / users``), freeze its transfers
-    at that share, subtract, and continue until every transfer is frozen.
-    A transfer over an unknown or zero-capacity link gets rate 0.
-    """
-    residual = {link: float(cap) for link, cap in capacities.items()}
-    rates: dict[object, float] = {}
-    active = {
-        tid: tuple(path)
-        for tid, path in paths.items()
-        if path and all(residual.get(link, 0.0) > 0.0 for link in path)
-    }
-    for tid in paths:
-        if tid not in active:
-            rates[tid] = 0.0
-    while active:
-        users: dict[object, int] = {}
-        for path in active.values():
-            for link in path:
-                users[link] = users.get(link, 0) + 1
-        bottleneck = min(users, key=lambda link: residual[link] / users[link])
-        share = residual[bottleneck] / users[bottleneck]
-        frozen = [tid for tid, path in active.items() if bottleneck in path]
-        for tid in frozen:
-            rates[tid] = share
-            for link in active[tid]:
-                residual[link] = max(0.0, residual[link] - share)
-            del active[tid]
-    return rates

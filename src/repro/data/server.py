@@ -18,8 +18,11 @@ length-prefixed chunks.  Design points:
   control only ever waits for an in-flight DATA frame to finish, never for
   the bulk queue to drain.
 * **Non-blocking I/O thread.**  Like the DV control server, a single
-  selector thread owns all sockets; blocking work (path resolution, stat,
-  checksum, one-hop upstream proxy pulls) happens on a small worker pool.
+  selector thread owns all sockets; blocking work (request validation,
+  path resolution, stat, checksum) happens on a small worker pool, which
+  answers every request it cannot serve with an error frame.
+* **Local bytes only.**  A server streams files its resolver finds on
+  this node and nothing else; it never fetches on a client's behalf.
 
 The listener is bound in ``__init__`` (so the port is known before the
 daemon advertises it) but threads start only in :meth:`start`.
@@ -119,12 +122,11 @@ class _DataConn:
 class DataServer:
     """Bulk data port for one node.
 
-    ``resolver(context, filename) -> path`` maps requests to files; the
-    default resolver looks up directories registered via
-    :meth:`add_context` with path confinement.  ``upstream(context,
-    filename) -> path | None`` is the one-hop proxy hook: called (on a
-    worker thread) when a file is not local, it may pull the file from the
-    owning node and return a local spool path to serve.
+    ``resolver(context, filename) -> path`` maps requests to files (it
+    runs on a worker thread and refuses by raising
+    :class:`~repro.core.errors.FileNotInContextError`); the default
+    resolver looks up directories registered via :meth:`add_context`
+    with path confinement.
     """
 
     def __init__(
@@ -138,7 +140,6 @@ class DataServer:
         quantum: int = 64 * 1024,
         resolver: Callable[[str, str], str] | None = None,
         lister: Callable[[str], list[str]] | None = None,
-        upstream: Callable[[str, str], str | None] | None = None,
         metrics: MetricsRegistry | None = None,
         workers: int = 1,
         obs: SpanRecorder | None = None,
@@ -150,7 +151,6 @@ class DataServer:
         self.obs = obs if obs is not None else SpanRecorder(node="data")
         self._resolver = resolver
         self._lister = lister
-        self.upstream = upstream
         self._dirs: dict[str, str] = {}
         self._sched = BandwidthScheduler(rate=link_rate, burst=burst, quantum=quantum)
         self._sums: dict[str, tuple[int, int, str]] = {}
@@ -180,7 +180,6 @@ class DataServer:
         self._m_completed = m.counter("transfer.completed")
         self._m_resumed = m.counter("transfer.resumed")
         self._m_errors = m.counter("transfer.errors")
-        self._m_proxied = m.counter("transfer.proxied")
         self._m_queue = m.gauge("transfer.queue_depth")
         self._m_mbps = m.histogram("transfer.throughput_mbps", buckets=_MBPS_BUCKETS)
 
@@ -297,50 +296,45 @@ class DataServer:
             conn, message = item
             try:
                 result = self._prepare(message)
-            except SimFSError as exc:
-                result = {
-                    "op": "error",
-                    "channel": message.get("channel", 0),
-                    "code": int(exc.code),
-                    "error": str(exc),
-                }
-            except OSError as exc:
-                result = {
-                    "op": "error",
-                    "channel": message.get("channel", 0),
-                    "code": int(ErrorCode.ERR_NOT_FOUND),
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+            except Exception as exc:
+                # Every failure gets an answer, a bug included: a worker
+                # that dies takes every later request on the port with it.
+                code, detail = ErrorCode.ERR_PROTOCOL, f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, SimFSError):
+                    code, detail = exc.code, str(exc)
+                elif isinstance(exc, OSError):
+                    code = ErrorCode.ERR_NOT_FOUND
+                else:
+                    log.exception("data-plane %r request failed", message.get("op"))
+                result = {"op": "error", "channel": message["channel"],
+                          "code": int(code), "error": detail}
             self._done.append((conn, message, result))
             self._wake()
 
     def _prepare(self, message: dict) -> dict:
         op = message.get("op")
         context = message.get("context", "")
+        if not isinstance(context, str):
+            raise ProtocolError(f"{op}: 'context' must be a string")
         if op == "list":
             return {
                 "op": "listing",
-                "channel": message.get("channel", 0),
+                "channel": message["channel"],
                 "context": context,
                 "files": self._list(context),
             }
         filename = message.get("file", "")
-        proxied = False
-        try:
-            path = self._resolve(context, filename)
-            exists = os.path.isfile(path)
-        except FileNotInContextError:
-            path, exists = "", False
-        if not exists and self.upstream is not None:
-            pulled = self.upstream(context, filename)
-            if pulled:
-                path, exists, proxied = pulled, os.path.isfile(pulled), True
-        if not exists:
+        offset = message.get("offset", 0)
+        if not isinstance(filename, str):
+            raise ProtocolError("fetch: 'file' must be a string")
+        if not isinstance(offset, int) or isinstance(offset, bool):
+            raise ProtocolError("fetch: 'offset' must be an integer")
+        path = self._resolve(context, filename)
+        if not os.path.isfile(path):
             raise FileNotInContextError(
                 f"file {filename!r} not available in context {context!r}"
             )
         size = os.path.getsize(path)
-        offset = int(message.get("offset", 0))
         if offset < 0 or offset > size:
             # ERR_INVALID, not a protocol error: the client maps it to a
             # stale-.part condition and retries the fetch from offset 0.
@@ -351,13 +345,12 @@ class DataServer:
         fd = os.open(path, os.O_RDONLY)
         return {
             "op": "start",
-            "channel": message.get("channel", 0),
+            "channel": message["channel"],
             "path": path,
             "fd": fd,
             "size": size,
             "offset": offset,
             "checksum": digest,
-            "proxied": proxied,
             "priority": message.get("priority", "bulk"),
             "context": context,
             "file": filename,
@@ -460,13 +453,15 @@ class DataServer:
             self._send_ctrl(conn, {"op": "pong", "channel": channel,
                                    "t": message.get("t")})
         elif op in ("fetch", "list"):
-            message.setdefault("channel", channel)
-            if op == "fetch" and message["channel"] in conn.transfers:
+            # The frame header's channel is the one the reply goes out on;
+            # a ``channel`` field in the body cannot override it.
+            message["channel"] = channel
+            if op == "fetch" and channel in conn.transfers:
                 self._m_errors.inc()
                 self._send_ctrl(conn, {
-                    "op": "error", "channel": message["channel"],
+                    "op": "error", "channel": channel,
                     "code": int(ErrorCode.ERR_INVALID),
-                    "error": f"channel {message['channel']} already transferring",
+                    "error": f"channel {channel} already transferring",
                 })
                 return
             self._work.put((conn, message))
@@ -491,7 +486,7 @@ class DataServer:
             self._begin_transfer(conn, result)
 
     def _begin_transfer(self, conn: _DataConn, result: dict) -> None:
-        channel = result["channel"] & 0xFFFF
+        channel = result["channel"]
         if channel in conn.transfers:
             # Authoritative duplicate check: _handle_ctrl's early reject
             # cannot see fetches still sitting in the worker queue.
@@ -516,8 +511,6 @@ class DataServer:
             "size": result["size"], "offset": result["offset"],
             "checksum": result["checksum"],
         })
-        if result["proxied"]:
-            self._m_proxied.inc()
         if result["offset"]:
             self._m_resumed.inc()
         if transfer.remaining <= 0:

@@ -1,5 +1,7 @@
 """Unit tests for the gossip peer table (pure state machine)."""
 
+import pytest
+
 from repro.cluster.membership import PeerTable
 
 
@@ -58,6 +60,19 @@ class TestLiveness:
         assert not table.get("n2").alive
         # Further misses on a dead peer report nothing new.
         assert not table.heartbeat_missed("n2")
+
+    @pytest.mark.parametrize("suspect_after", [1, 2, 3, 5])
+    def test_death_is_declared_on_exactly_the_nth_consecutive_miss(
+        self, suspect_after
+    ):
+        """Detection takes ``suspect_after`` heartbeat intervals: the knob
+        that sets how long a silent owner's waiters wait."""
+        table = make_table(suspect_after=suspect_after)
+        verdicts = [
+            table.heartbeat_missed("n2") for _ in range(suspect_after + 2)
+        ]
+        assert verdicts == [False] * (suspect_after - 1) + [True, False, False]
+        assert table.alive_ids() == ["n1", "n3"]
 
     def test_heartbeat_ok_resets_the_count(self):
         table = make_table(suspect_after=2)

@@ -4,6 +4,7 @@ Everything here is socket-free: the delta codec, the replica-side
 acceptance rules (sequence gaps, duplicates, epoch fencing), and the
 re-dial backoff gate."""
 
+import json
 import threading
 import types
 
@@ -281,6 +282,107 @@ class TestSenderFenceRetry:
         stream = manager._streams[("alpha", "n2")]
         assert stream.acked == make_state()  # synced: the next frame is a delta
         assert manager.node.metrics.snapshot()["repl.fenced"]["value"] == 1.0
+
+
+class _StoreLink:
+    """PeerLink stand-in that is n2: frames cross as JSON into a real
+    ReplicaStore whose ring names n1 the owner."""
+
+    def __init__(self):
+        self.store = ReplicaStore()
+        self.frames = []
+
+    def call(self, frame, timeout=None):
+        frame = json.loads(json.dumps(frame))
+        self.frames.append(frame)
+        return self.store.receive(
+            frame, local_epoch=5, local_owner="n1", self_is_owner=False,
+            now=100.0,
+        )
+
+
+class _LiveOwnerNode(_OwnerStubNode):
+    """The owner stub, with a state the test changes between passes."""
+
+    def __init__(self, link):
+        super().__init__(link)
+        self.state = make_state()
+
+    def _capture_repl(self, name):
+        return self.state
+
+
+#: One change of the owner's context state each, as the shard makes them.
+CHANGES = {
+    "client-attaches": lambda s: {**s, "clients": s["clients"] + ["c3"]},
+    "client-leaves": lambda s: {**s, "clients": ["c2"]},
+    "file-held": lambda s: {**s, "held": [["c1", "alpha-3.sdf"]]},
+    "open-blocks": lambda s: {
+        **s, "waiters": s["waiters"] + [["c2", "alpha-9.sdf", "n3"]],
+    },
+    "ready-sent": lambda s: {**s, "waiters": []},
+    "file-lands": lambda s: {**s, "resident": s["resident"] + [6]},
+    "restart-launched": lambda s: {
+        **s, "sims": s["sims"] + [{"start": 8, "stop": 9, "level": 2}],
+        "alpha": 0.5, "alpha_count": 5,
+    },
+}
+
+
+class TestReplicaFollowsTheOwner:
+    """The sender's pump against a real replica store: whatever the owner
+    changes reaches the replica, so the node the ring promotes holds the
+    blocked waiters."""
+
+    def make(self, factor=2, frame_hook=None):
+        link = _StoreLink()
+        node = _LiveOwnerNode(link)
+        manager = ReplicationManager(
+            node, factor=factor, interval=0.01, frame_hook=frame_hook,
+        )
+        return node, manager, link
+
+    @pytest.mark.parametrize("change", list(CHANGES))
+    def test_each_change_travels_as_one_delta(self, change):
+        node, manager, link = self.make()
+        manager.pump(now=100.0)
+        node.state = CHANGES[change](node.state)
+        manager.pump(now=100.1)
+        manager.pump(now=100.2)  # nothing new: nothing sent
+        assert [frame["kind"] for frame in link.frames] == ["snap", "delta"]
+        assert link.store.take("alpha").state == node.state
+
+    @pytest.mark.parametrize("action, kinds", [
+        ("drop", ["snap", "snap"]),
+        ("dup", ["snap", "delta", "delta"]),
+    ], ids=["drop", "dup"])
+    def test_a_lost_or_doubled_delta_still_converges(self, action, kinds):
+        hooked = []
+
+        def hook(peer_id, frame):
+            if frame["kind"] == "delta" and not hooked:
+                hooked.append(frame["seq"])
+                return action
+            return None
+
+        node, manager, link = self.make(frame_hook=hook)
+        manager.pump(now=100.0)
+        node.state = CHANGES["open-blocks"](node.state)
+        manager.pump(now=100.1)
+        manager.pump(now=100.2)
+        assert hooked == [2]
+        assert [frame["kind"] for frame in link.frames] == kinds
+        state = link.store.take("alpha").state
+        assert state == node.state
+        assert len(state["waiters"]) == 2  # the blocked open, exactly once
+
+    def test_factor_one_streams_nothing(self):
+        node, manager, link = self.make(factor=1)
+        manager.start()
+        manager.pump(now=100.0)
+        assert manager._thread is None
+        assert manager._streams == {}
+        assert link.frames == []
 
 
 class TestDialBackoff:

@@ -1,14 +1,14 @@
 """Unit tests for the bandwidth scheduler: token bucket semantics, DRR
-fairness, the strict-priority control lane, and max-min fair allocation."""
+fairness and the strict-priority control lane."""
 
 import pytest
 
 from repro.data.scheduler import (
+    _MIN_GRANT,
     PRIO_BULK,
     PRIO_CONTROL,
     BandwidthScheduler,
     TokenBucket,
-    max_min_rates,
 )
 
 
@@ -226,48 +226,105 @@ class TestSharedLink:
         assert sched.grant(5.0)[0] == "ping"
 
 
-class TestMaxMinRates:
-    def test_equal_share_on_one_link(self):
-        rates = max_min_rates({"l": 10.0}, {1: ["l"], 2: ["l"]})
-        assert rates == {1: pytest.approx(5.0), 2: pytest.approx(5.0)}
+MB = 1e6
+QUANTUM = 64 * 1024
+PING = 1024
 
-    def test_bottleneck_link_pins_multi_hop_path(self):
-        rates = max_min_rates(
-            {"fast": 10.0, "slow": 1.0},
-            {1: ["fast", "slow"], 2: ["fast"]},
-        )
-        assert rates[1] == pytest.approx(1.0)
-        assert rates[2] == pytest.approx(9.0)  # picks up the residual
 
-    def test_three_way_progressive_fill(self):
-        # Classic example: flows a:(l1), b:(l1,l2), c:(l2) with c1=1, c2=2.
-        rates = max_min_rates(
-            {"l1": 1.0, "l2": 2.0},
-            {"a": ["l1"], "b": ["l1", "l2"], "c": ["l2"]},
-        )
-        assert rates["a"] == pytest.approx(0.5)
-        assert rates["b"] == pytest.approx(0.5)
-        assert rates["c"] == pytest.approx(1.5)
+def pull(rate, sizes, ping_every=0):
+    """Bulk pulls of ``sizes`` bytes over one link of ``rate`` bytes/s,
+    driven like the data server drives the scheduler: send what is
+    granted, re-mark while bytes remain, unregister when done.  The burst
+    is one quantum, so after it the link paces at ``rate``.  The clock
+    moves only by the waits the scheduler asks for (at least 1 us, so
+    float rounding cannot stall it).  Every ``ping_every`` bulk grants a
+    control frame of ``PING`` bytes is queued.  Returns each pull's finish
+    time and each ping's wait from queued to granted."""
+    sched = BandwidthScheduler(rate=rate, burst=QUANTUM, quantum=QUANTUM)
+    left = dict(enumerate(sizes))
+    for sid in left:
+        sched.register(sid)
+        sched.mark_ready(sid)
+    sched.register("ping", PRIO_CONTROL)
+    now, asked, grants = 0.0, 0.0, 0
+    finished, pings = {}, []
+    while left:
+        sid, budget = sched.grant(now)
+        if sid is None:
+            now += max(budget, 1e-6)
+            continue
+        if sid == "ping":
+            pings.append(now - asked)
+            sched.charge(sid, PING, now)
+            continue
+        sent = min(budget, left[sid])
+        sched.charge(sid, sent, now)
+        left[sid] -= sent
+        if left[sid]:
+            sched.mark_ready(sid)
+        else:
+            del left[sid]
+            sched.unregister(sid)
+            finished[sid] = now
+        grants += 1
+        if ping_every and grants % ping_every == 0:
+            sched.mark_ready("ping")
+            asked = now
+    return finished, pings
 
-    def test_unknown_or_dead_link_gets_zero(self):
-        rates = max_min_rates({"l": 5.0, "dead": 0.0},
-                              {1: ["nope"], 2: ["dead"], 3: ["l"], 4: []})
-        assert rates[1] == 0.0
-        assert rates[2] == 0.0
-        assert rates[3] == pytest.approx(5.0)
-        assert rates[4] == 0.0
 
-    def test_empty_inputs(self):
-        assert max_min_rates({}, {}) == {}
-        assert max_min_rates({"l": 1.0}, {}) == {}
+def paced(nbytes, rate):
+    """What a pull of ``nbytes`` should take on a link of ``rate``: the
+    bytes past the burst at the link's pace.  The last grant may wait for
+    a whole minimum grant of tokens, which bounds the error."""
+    return pytest.approx((nbytes - QUANTUM) / rate, rel=0.01, abs=_MIN_GRANT / rate)
 
-    def test_conservation(self):
-        # Allocated rate on any link never exceeds its capacity.
-        capacities = {"a": 3.0, "b": 7.0, "c": 2.0}
-        paths = {
-            1: ["a", "b"], 2: ["b"], 3: ["b", "c"], 4: ["a"], 5: ["c"],
-        }
-        rates = max_min_rates(capacities, paths)
-        for link, cap in capacities.items():
-            load = sum(r for tid, r in rates.items() if link in paths[tid])
-            assert load <= cap + 1e-9
+
+class TestLinkShare:
+    """How concurrent pulls share one paced link, end to end through the
+    scheduler: the questions of fair share, link speed and the control
+    lane, answered by the code the data server runs."""
+
+    def test_one_pull_gets_the_whole_link(self):
+        finished, _ = pull(10 * MB, [10 * MB])
+        assert finished[0] == paced(10 * MB, 10 * MB)
+
+    @pytest.mark.parametrize("pullers", [2, 3, 4, 8])
+    def test_equal_pulls_share_equally(self, pullers):
+        rate = 10 * MB
+        finished, _ = pull(rate, [2 * MB] * pullers)
+        # The link never idles while a pull has bytes left ...
+        assert max(finished.values()) == paced(pullers * 2 * MB, rate)
+        # ... and DRR keeps every pull within a quantum of its fair share,
+        # so they finish within a quantum each of one another.
+        spread = max(finished.values()) - min(finished.values())
+        assert spread <= pullers * QUANTUM / rate, finished
+
+    def test_short_pull_frees_its_share_for_the_long_one(self):
+        # Both run at 5 MB/s until the short one is done at ~1 s; the long
+        # one then has the whole link for its last 10 MB.
+        finished, _ = pull(10 * MB, [15 * MB, 5 * MB])
+        assert finished[1] == paced(10 * MB, 10 * MB)
+        assert finished[0] == paced(20 * MB, 10 * MB)
+
+    @pytest.mark.parametrize("rate_mb", [1, 5, 10, 40, 100])
+    def test_completion_time_scales_with_capacity(self, rate_mb):
+        rate = rate_mb * MB
+        size = rate / 4  # a quarter second of link at any speed
+        finished, _ = pull(rate, [size])
+        assert finished[0] == paced(size, rate)
+
+    def test_aggregate_matches_capacity(self):
+        rate = 40 * MB
+        finished, _ = pull(rate, [5 * MB] * 4)
+        assert max(finished.values()) == paced(20 * MB, rate)
+
+    @pytest.mark.parametrize("bulk_flows", [1, 2, 8])
+    def test_pings_never_wait_behind_bulk(self, bulk_flows):
+        rate = 10 * MB
+        finished, pings = pull(rate, [2 * MB] * bulk_flows, ping_every=5)
+        assert len(pings) >= 50
+        assert pings == [0.0] * len(pings)
+        # Control spends on credit: its bytes come off the bulk share.
+        sent = bulk_flows * 2 * MB + len(pings) * PING
+        assert max(finished.values()) == paced(sent, rate)

@@ -1,8 +1,10 @@
 """DataServer + DataClient over loopback: chunked fetch, checksums,
-resume, error mapping, proxying, and the control lane's latency
-guarantee under bulk load."""
+resume, error mapping, malformed requests, and the control lane's
+latency guarantee under bulk load."""
 
+import json
 import os
+import socket
 import threading
 import time
 
@@ -10,11 +12,41 @@ import pytest
 
 from repro.core.errors import (
     DVConnectionLost,
+    ErrorCode,
     FileNotInContextError,
-    ProtocolError,
 )
 from repro.data import DataClient, DataServer, TransferChecksumError
+from repro.data.protocol import (
+    HEADER,
+    KIND_CTRL,
+    MAGIC,
+    DataFrameDecoder,
+    decode_ctrl,
+    encode_ctrl,
+)
 from repro.util.checksums import file_checksum
+
+#: Fetch fields no client library sends; each must get an ERR_PROTOCOL
+#: answer and leave the port serving.
+MALFORMED_FETCH = {
+    "offset-str": {"offset": "abc"},
+    "offset-none": {"offset": None},
+    "offset-bool": {"offset": True},
+    "file-int": {"file": 7},
+    "file-none": {"file": None},
+    "context-list": {"context": ["ctx"]},
+}
+
+
+def first_ctrl(sock):
+    """The first control message the server sends on ``sock``."""
+    decoder = DataFrameDecoder()
+    while True:
+        data = sock.recv(65536)
+        assert data, "the server closed the connection without a reply"
+        for kind, _chan, payload in decoder.feed(data):
+            if kind == KIND_CTRL:
+                return decode_ctrl(payload)
 
 
 @pytest.fixture
@@ -215,6 +247,39 @@ class TestSchedulingLive:
 
 
 class TestProtocolEdges:
+    @pytest.mark.parametrize(
+        "fields", list(MALFORMED_FETCH.values()), ids=list(MALFORMED_FETCH)
+    )
+    def test_malformed_fetch_is_answered_and_the_port_keeps_serving(
+        self, served_context, fields
+    ):
+        server, outdir, files, tmp_path = served_context
+        request = {"op": "fetch", "channel": 3, "context": "ctx",
+                   "file": "small.sdf", "offset": 0, **fields}
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(encode_ctrl(request))
+            reply = first_ctrl(sock)
+        assert reply["op"] == "error", reply
+        assert (reply["code"], reply["channel"]) == (ErrorCode.ERR_PROTOCOL, 3)
+        with DataClient(server.host, server.port, timeout=5.0) as client:
+            result = client.fetch("ctx", "small.sdf", str(tmp_path / "next.sdf"))
+        assert result.size == len(files["small.sdf"])
+
+    def test_the_frame_header_names_the_channel(self, served_context):
+        """A ``channel`` field in the body is ignored: the transfer runs
+        on the header's channel, and the port keeps serving."""
+        server, outdir, files, tmp_path = served_context
+        payload = json.dumps({"op": "fetch", "channel": "abc", "context": "ctx",
+                              "file": "small.sdf", "offset": 0}).encode()
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(HEADER.pack(MAGIC, KIND_CTRL, 5, len(payload)) + payload)
+            reply = first_ctrl(sock)
+        assert (reply["op"], reply["channel"]) == ("fetch_start", 5)
+        with DataClient(server.host, server.port, timeout=5.0) as client:
+            assert client.list_files("ctx") == sorted(files)
+
     def test_garbage_bytes_get_error_frame_and_close(self, served_context):
         server, *_ = served_context
         import socket as socket_mod

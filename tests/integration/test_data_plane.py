@@ -5,7 +5,8 @@ its output bytes.  A client attached to the *other* node must still be
 able to pull files — ``fetch_info`` routes to the owner and hands back
 the owner's data endpoint — with checksum verification, resumable
 transfers, fair concurrent bandwidth shares, and a control plane whose
-latency survives bulk load."""
+latency survives bulk load.  A non-owner's data port serves only what
+it has: it refuses the rest and names the owner's data endpoint."""
 
 import hashlib
 import os
@@ -136,16 +137,49 @@ class TestNonLocalFetch:
                 conn.fetch_file("alpha", "alpha_out_00000777.sdf",
                                 str(tmp_path / "void.sdf"))
 
-    def test_proxy_serves_from_non_owner_data_port(self, two_nodes):
+    def test_non_owner_data_port_refuses_and_names_the_owner(self, two_nodes):
         nodes, outs, owner, produced, bulk_name, tmp_path = two_nodes
         ingress = next(nid for nid in NODE_IDS if nid != owner)
+        dest = tmp_path / "refused.sdf"
         with DataClient(nodes[ingress].data.host,
                         nodes[ingress].data.port) as client:
-            result = client.fetch("alpha", produced[1],
-                                  str(tmp_path / "proxied.sdf"))
-        assert result.checksum == sha256(os.path.join(outs[owner], produced[1]))
-        metrics = nodes[ingress].data.stats()["metrics"]
-        assert metrics["transfer.proxied"]["value"] >= 1
+            with pytest.raises(FileNotInContextError) as refused:
+                client.fetch("alpha", produced[1], str(dest))
+        owner_data = nodes[owner].data
+        assert f"{owner_data.host}:{owner_data.port}" in str(refused.value)
+        assert not dest.exists() and not (tmp_path / "refused.sdf.part").exists()
+
+    @pytest.mark.parametrize("port_of", ["owner", "non_owner"])
+    @pytest.mark.parametrize("request_kind",
+                             ["absolute", "dotdot", "unknown_context"])
+    def test_a_name_outside_every_context_is_refused(
+        self, two_nodes, port_of, request_kind
+    ):
+        """Whichever node's data port it reaches, a request for a file
+        outside the context's directory is refused, a repeated one too
+        (the first may leave directories behind), and writes nothing."""
+        nodes, outs, owner, produced, bulk_name, tmp_path = two_nodes
+        secret = tmp_path / "secret.txt"
+        secret.write_bytes(b"outside every context")
+        node = nodes[owner] if port_of == "owner" else next(
+            nodes[nid] for nid in NODE_IDS if nid != owner
+        )
+        context, name = "alpha", str(secret)
+        if request_kind == "dotdot":
+            name = "../" * 32 + str(secret).lstrip("/")
+        elif request_kind == "unknown_context":
+            # An uncatalogued name the ring still places on the owner, so
+            # the non-owner has a peer it could have asked.
+            context = next(
+                c for c in (f"ghost{i}" for i in range(1000))
+                if node.owner_of(c) == owner
+            )
+        dest = tmp_path / "stolen.txt"
+        with DataClient(node.data.host, node.data.port) as client:
+            for _attempt in range(2):
+                with pytest.raises(FileNotInContextError):
+                    client.fetch(context, name, str(dest))
+        assert not dest.exists() and not (tmp_path / "stolen.txt.part").exists()
 
     def test_data_port_gossiped_in_membership(self, two_nodes):
         nodes, *_ = two_nodes
