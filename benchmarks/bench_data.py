@@ -1,5 +1,6 @@
 """Bulk data plane benchmark: per-link throughput, concurrent-pull
-fairness, and control-lane latency under bulk load.
+fairness, and the latency of a ping on its own connection under bulk
+load.
 
 Three series, persisted as ``BENCH_data.json`` at the repo root (the
 perf-trajectory artifact the CI ``bench-smoke`` job uploads alongside
@@ -16,9 +17,9 @@ perf-trajectory artifact the CI ``bench-smoke`` job uploads alongside
     and the DRR fairness spread (fastest/slowest per-stream rate).
 
 ``control_latency``
-    Ping RTT percentiles against the same server idle vs under bulk
-    pullers — the strict-priority control lane's guarantee, expressed
-    as a p99 ratio.
+    RTT percentiles of a ping on its own connection against the same
+    server, idle vs under bulk pullers, and their p99 ratio: answers
+    never queue behind the link's bulk bytes.
 
 Run directly (``python benchmarks/bench_data.py [--quick]``) or under
 pytest (``pytest benchmarks/bench_data.py``).
@@ -221,7 +222,7 @@ def report(results: dict) -> None:
     control = results["control_latency"]
     emit(
         "data_control_latency",
-        "Control-lane ping RTT: idle vs under bulk pullers",
+        "Ping RTT on its own connection: idle vs under bulk pullers",
         ["state", "p50 ms", "p99 ms"],
         [
             ["idle", control["idle_p50_ms"], control["idle_p99_ms"]],

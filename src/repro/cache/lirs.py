@@ -155,9 +155,6 @@ class LIRSPolicy(ReplacementPolicy):
             1 for k in self._resident if self._state.get(k) == _LIR
         )
 
-    def _any_lir(self) -> bool:
-        return any(self._state.get(k) == _LIR for k in self._resident)
-
     # ------------------------------------------------------------------ #
     def _demote_excess_lir(self, force_one: bool = False) -> None:
         """Demote stack-bottom LIR entries to HIR while over the LIR target."""

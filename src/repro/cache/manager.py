@@ -118,9 +118,6 @@ class StorageArea:
     def refcount(self, key: int) -> int:
         return self._refcounts.get(key, 0)
 
-    def size_of(self, key: int) -> int:
-        return self._sizes[key]
-
     # ------------------------------------------------------------------ #
     # Access / insert / evict
     # ------------------------------------------------------------------ #

@@ -54,11 +54,13 @@ class SimFSSession:
     # ------------------------------------------------------------------ #
     def acquire(self, filenames: list[str], timeout: float | None = None) -> Status:
         """Blocking acquire: returns when every file is on disk."""
+        since = self.connection.ready_table.stamp
         infos = self.connection.acquire(self.context, filenames)
         status = self._status_from_infos(infos)
         missing = [i.filename for i in infos if not i.available]
         for filename in missing:
-            ok = self.connection.ready_table.wait(self.context, filename, timeout)
+            ok = self.connection.ready_table.wait(
+                self.context, filename, timeout, since)
             status.file_states[filename] = (
                 FileState.ON_DISK if ok else FileState.FAILED
             )
@@ -73,11 +75,14 @@ class SimFSSession:
         request = AcquireRequest(filenames=list(filenames))
         with self._requests_lock:
             self._requests.append(request)
+        since = self.connection.ready_table.stamp
         infos = self.connection.acquire(self.context, filenames)
         for info in infos:
             if info.available:
                 request.mark_ready(info.filename)
-            elif self.connection.ready_table.is_ready(self.context, info.filename):
+            elif self.connection.ready_table.is_ready(
+                self.context, info.filename, since
+            ):
                 # Notification raced ahead of the acquire reply.
                 request.mark_ready(info.filename)
         return self._status_from_infos(infos), request
@@ -172,7 +177,8 @@ class SimFSSession:
         return fetch(self.context, dest_dir, resume=resume)
 
     def reconnect(self) -> None:
-        """Re-establish the session after a :class:`DVConnectionLost`.
+        """Re-establish the session after a :class:`DVConnectionLost`
+        (or after :meth:`finalize`).
 
         Re-dials the DV (fresh ``hello`` handshake) when the underlying
         connection supports it, then re-registers the context — the
@@ -186,13 +192,16 @@ class SimFSSession:
         if callable(reconnect):
             reconnect()
         self.connection.attach(self.context)
-        self._finalized = False
+        if self._finalized:
+            self.connection.ready_table.add_watcher(self._on_notification)
+            self._finalized = False
 
     def finalize(self) -> None:
         """``SIMFS_Finalize``: detach from the context."""
         if not self._finalized:
             self.connection.finalize(self.context)
             self._finalized = True
+            self.connection.ready_table.remove_watcher(self._on_notification)
 
     def __enter__(self) -> "SimFSSession":
         return self

@@ -84,15 +84,23 @@ class FileInfo:
 class _ReadyTable:
     """Thread-safe record of ready/failed notifications per (context, file).
 
-    Notifications may arrive *before* the reply of the open that caused
-    them; recording everything unconditionally makes the race harmless.
+    Every outcome is stamped; :attr:`stamp` is the latest.  Notifications
+    may arrive *before* the reply of the open that caused them, so a
+    caller takes ``stamp`` before it sends its ``open`` and asks for the
+    outcomes ``since`` then: a ``ready`` racing the reply counts, one left
+    from an earlier re-simulation (a failure, which leaves the client
+    nothing to release) does not.  Outcomes are never dropped; without
+    ``since`` a query counts what came after the file's last
+    :meth:`forget`.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._ready: set[tuple[str, str]] = set()
-        self._failed: set[tuple[str, str]] = set()
+        self._outcomes: dict[tuple[str, str], tuple[int, bool]] = {}
+        self._forgotten: dict[tuple[str, str], int] = {}
         self._watchers: list = []
+        #: Stamp of the latest outcome recorded.
+        self.stamp = 0
 
     def add_watcher(self, callback) -> None:
         """Register a callback fired on every notification (used to update
@@ -100,40 +108,54 @@ class _ReadyTable:
         with self._cond:
             self._watchers.append(callback)
 
+    def remove_watcher(self, callback) -> None:
+        with self._cond:
+            self._watchers.remove(callback)
+
     def record(self, context: str, filename: str, ok: bool) -> None:
         with self._cond:
-            (self._ready if ok else self._failed).add((context, filename))
+            self.stamp += 1
+            self._outcomes[(context, filename)] = (self.stamp, ok)
             watchers = list(self._watchers)
             self._cond.notify_all()
         for watcher in watchers:
             watcher(context, filename, ok)
 
-    def wait(self, context: str, filename: str, timeout: float | None) -> bool:
-        """Block until the file is ready; returns False if it failed.
+    def _outcome(self, key: tuple[str, str], since: int | None) -> bool | None:
+        stamp, ok = self._outcomes.get(key, (0, None))
+        if since is None:
+            since = self._forgotten.get(key, 0)
+        return ok if stamp > since else None
+
+    def wait(self, context: str, filename: str, timeout: float | None,
+             since: int | None = None) -> bool:
+        """Block until the file has an outcome recorded after ``since``;
+        returns False if it failed.
 
         Raises ``TimeoutError`` when the timeout expires first.
         """
         key = (context, filename)
         with self._cond:
             happened = self._cond.wait_for(
-                lambda: key in self._ready or key in self._failed,
+                lambda: self._outcome(key, since) is not None,
                 timeout=timeout,
             )
             if not happened:
                 raise TimeoutError(
                     f"timed out waiting for {filename!r} in context {context!r}"
                 )
-            return key in self._ready
+            return self._outcome(key, since)
 
-    def is_ready(self, context: str, filename: str) -> bool:
+    def is_ready(self, context: str, filename: str,
+                 since: int | None = None) -> bool:
         with self._cond:
-            return (context, filename) in self._ready
+            return self._outcome((context, filename), since) is True
 
     def forget(self, context: str, filename: str) -> None:
-        """Drop state for a file (after release, so re-acquires re-wait)."""
+        """Stop counting the file's outcomes so far for queries without
+        ``since`` (after release, so re-acquires re-wait)."""
         with self._cond:
-            self._ready.discard((context, filename))
-            self._failed.discard((context, filename))
+            self._forgotten[(context, filename)] = self.stamp
 
 
 class DVConnection(abc.ABC):
@@ -206,10 +228,11 @@ class DVConnection(abc.ABC):
         self, context: str, filename: str, timeout: float | None = None
     ) -> None:
         """Block until ``filename`` is on disk; raises on failed restarts."""
+        since = self.ready_table.stamp
         info = self.open(context, filename)
         if info.available:
             return
-        ok = self.ready_table.wait(context, filename, timeout)
+        ok = self.ready_table.wait(context, filename, timeout, since)
         if not ok:
             raise RestartFailedError(
                 f"re-simulation for {filename!r} failed (context {context!r})"
@@ -499,6 +522,7 @@ class TcpConnection(DVConnection):
         return channel
 
     def _reopen(self, channel: RpcChannel, context: str, filename: str) -> None:
+        since = self.ready_table.stamp
         try:
             reply = self._call_on(
                 channel, {"op": "open", "context": context, "file": filename}
@@ -509,9 +533,8 @@ class TcpConnection(DVConnection):
             self._ready(context, filename, False)
             return
         if not reply["available"]:
-            self._wait(channel, context, filename)
-        elif not self.ready_table.is_ready(context, filename):
-            # Produced while no channel could carry its ready.
+            self._wait(channel, context, filename, since)
+        else:  # produced while no channel could carry its ready
             self._ready(context, filename, True)
 
     def _channel_down(self, channel: RpcChannel) -> None:
@@ -549,12 +572,13 @@ class TcpConnection(DVConnection):
         self._waits.pop((context, filename), None)
         self.ready_table.record(context, filename, ok)
 
-    def _wait(self, channel: RpcChannel, context: str, filename: str) -> None:
-        """Remember which channel an open blocked on (a ready that beat
-        the reply has already resolved it)."""
+    def _wait(self, channel: RpcChannel, context: str, filename: str,
+              since: int) -> None:
+        """Remember which channel an open sent after ``since`` blocked on
+        (a ready that beat the reply has already resolved it)."""
         key = (context, filename)
         self._waits[key] = channel
-        if self.ready_table.is_ready(context, filename):
+        if self.ready_table.is_ready(context, filename, since):
             self._waits.pop(key, None)
 
     # -- plumbing ----------------------------------------------------------#
@@ -638,6 +662,7 @@ class TcpConnection(DVConnection):
         channel = self._routes.get(context, self._entry)
         if channel.closed:
             channel = self._reroute(context)
+        since = self.ready_table.stamp
         req = next(self._reqs)
         reply = self._roundtrip(
             channel, req,
@@ -646,7 +671,7 @@ class TcpConnection(DVConnection):
             ),
         )
         if not reply["available"]:
-            self._wait(channel, context, filename)
+            self._wait(channel, context, filename, since)
         return FileInfo(
             filename=filename,
             available=bool(reply["available"]),
@@ -676,12 +701,13 @@ class TcpConnection(DVConnection):
     def acquire(self, context: str, filenames: list[str]) -> list[FileInfo]:
         """``SIMFS_Acquire``: an ``open`` per file, pipelined.  Every file
         is asked for; the first that failed raises once all replies are in."""
+        since = self.ready_table.stamp
         channel, replies = self._pipeline("open", context, filenames)
         _raise_first(replies)
         infos = []
         for filename, reply in zip(filenames, replies):
             if not reply["available"]:
-                self._wait(channel, context, filename)
+                self._wait(channel, context, filename, since)
             infos.append(FileInfo(
                 filename=filename,
                 available=bool(reply["available"]),

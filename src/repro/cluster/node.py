@@ -183,7 +183,6 @@ class ClusterNode:
             link_rate=data_link_rate,
             metrics=self.server.metrics,
             resolver=self._data_resolve,
-            lister=self._data_list,
             obs=self.server.obs,
         )
         self.server.set_data_endpoint(host, self.data.port)
@@ -935,7 +934,7 @@ class ClusterNode:
             }
 
     # ------------------------------------------------------------------ #
-    # Data plane (callbacks run on DataServer worker threads)
+    # Data plane (the resolver runs on the DataServer's prepare worker)
     # ------------------------------------------------------------------ #
     def _data_resolve(self, context: str, filename: str) -> str:
         """Map a fetch to a file in the context's output dir.  A node
@@ -956,10 +955,3 @@ class ClusterNode:
             f"{context!r} is served by its owner {owner} at data endpoint "
             f"{peer.host}:{peer.data_port}"
         )
-
-    def _data_list(self, context: str) -> list[str]:
-        with self._lock:
-            spec = self._specs.get(context)
-        if spec is None:
-            raise FileNotInContextError(f"unknown context {context!r}")
-        return spec.context.output_files(spec.output_dir)

@@ -502,13 +502,6 @@ class Router:
                 if client_id not in self._proxies:
                     self._ingress_ctx.setdefault(client_id, {})[context] = owner
 
-    def forget_context(self, context: str) -> None:
-        """The context is no longer served behind this router at all."""
-        with self._lock:
-            self._forget_waits(lambda k: k[1] == context)
-            for attachments in self._ingress_ctx.values():
-                attachments.pop(context, None)
-
     # ------------------------------------------------------------------ #
     # Owner side (a peer forwarded a client op here)
     # ------------------------------------------------------------------ #

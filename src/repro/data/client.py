@@ -5,6 +5,12 @@ deliberately synchronous — analysis clients pull files one (or a few
 sockets) at a time; concurrency comes from running many clients, which is
 exactly what the bandwidth scheduler arbitrates on the server side.
 
+It speaks the control port's binary frames (:mod:`repro.dv.protocol`):
+one fetch at a time, answered by ``fetch_start``, the file's ``chunk``
+frames and ``fetch_end`` (or one ``error`` frame).  An error answer leaves
+the connection usable; a fetch that fails mid-stream closes it, since
+where the stream stands is then unknown.
+
 Downloads land in ``<dest>.part`` and are renamed into place only after
 the whole-file SHA-256 announced in ``fetch_start`` matches, so a partial
 ``.part`` file is always resumable: a re-issued fetch requests
@@ -16,6 +22,7 @@ from __future__ import annotations
 import os
 import socket
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.errors import (
@@ -26,13 +33,7 @@ from repro.core.errors import (
     ProtocolError,
     SimFSError,
 )
-from repro.data.protocol import (
-    KIND_CTRL,
-    KIND_DATA,
-    DataFrameDecoder,
-    decode_ctrl,
-    encode_ctrl,
-)
+from repro.dv.protocol import CODEC_BINARY, StreamDecoder, encode_binary
 from repro.util.checksums import file_checksum
 
 __all__ = ["DataClient", "FetchResult", "TransferChecksumError"]
@@ -79,9 +80,8 @@ class DataClient:
 
     def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.host, self.port = host, port
-        self._decoder = DataFrameDecoder()
-        self._pending: list[tuple[int, int, bytes]] = []
-        self._channel = 0
+        self._decoder = StreamDecoder(CODEC_BINARY)
+        self._pending: deque[dict] = deque()
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -107,14 +107,12 @@ class DataClient:
 
     def _send(self, message: dict) -> None:
         try:
-            self._sock.sendall(encode_ctrl(message))
+            self._sock.sendall(encode_binary(message))
         except OSError as exc:
             raise DVConnectionLost(f"data connection lost: {exc}") from exc
 
-    def _read_frame(self) -> tuple[int, int, bytes]:
-        while True:
-            if self._pending:
-                return self._pending.pop(0)
+    def _read(self) -> dict:
+        while not self._pending:
             try:
                 data = self._sock.recv(_RECV_SIZE)
             except socket.timeout as exc:
@@ -123,31 +121,19 @@ class DataClient:
                 raise DVConnectionLost(f"data connection lost: {exc}") from exc
             if not data:
                 raise DVConnectionLost("data connection closed by server")
-            self._pending.extend(self._decoder.feed(data))
+            self._decoder.feed(data)
+            self._pending.extend(self._decoder.drain())
+        return self._pending.popleft()
 
     # -- public API ------------------------------------------------------
 
     def ping(self) -> float:
         """Round-trip a control frame; returns latency in seconds."""
         start = time.monotonic()
-        self._send({"op": "ping", "channel": 0, "t": start})
-        kind, _, payload = self._read_frame()
-        if kind != KIND_CTRL or decode_ctrl(payload).get("op") != "pong":
+        self._send({"op": "ping", "t": start})
+        if self._read()["op"] != "pong":
             raise ProtocolError("unexpected reply to data-plane ping")
         return time.monotonic() - start
-
-    def list_files(self, context: str) -> list[str]:
-        self._send({"op": "list", "channel": 0, "context": context})
-        while True:
-            kind, _, payload = self._read_frame()
-            if kind != KIND_CTRL:
-                raise ProtocolError("unexpected DATA frame during list")
-            message = decode_ctrl(payload)
-            op = message.get("op")
-            if op == "listing":
-                return list(message.get("files", []))
-            if op == "error":
-                raise _map_error(message)
 
     def fetch(
         self,
@@ -183,11 +169,9 @@ class DataClient:
 
     def _fetch_once(self, context, filename, dest, part, offset,
                     expected_checksum, tc=None) -> FetchResult:
-        self._channel = (self._channel % 0xFFFF) + 1
-        channel = self._channel
         start = time.monotonic()
-        request = {"op": "fetch", "channel": channel, "context": context,
-                   "file": filename, "offset": offset}
+        request = {"op": "fetch", "context": context, "file": filename,
+                   "offset": offset}
         if tc is not None:
             request["tc"] = tc
         self._send(request)
@@ -195,20 +179,17 @@ class DataClient:
         checksum = ""
         received = 0
         fh = None
+        error = None
         try:
             while True:
-                kind, chan, payload = self._read_frame()
-                if kind == KIND_DATA:
-                    if chan != channel or fh is None:
-                        raise ProtocolError(
-                            f"DATA frame on unexpected channel {chan}"
-                        )
-                    fh.write(payload)
-                    received += len(payload)
-                    continue
-                message = decode_ctrl(payload)
-                op = message.get("op")
-                if op == "fetch_start":
+                message = self._read()
+                op = message["op"]
+                if op == "chunk":
+                    if fh is None:
+                        raise ProtocolError("chunk frame before fetch_start")
+                    fh.write(message["data"])
+                    received += len(message["data"])
+                elif op == "fetch_start":
                     size = int(message["size"])
                     checksum = message.get("checksum", "")
                     os.makedirs(os.path.dirname(part) or ".", exist_ok=True)
@@ -218,11 +199,17 @@ class DataClient:
                 elif op == "fetch_end":
                     break
                 elif op == "error":
-                    raise _map_error(message)
+                    error = _map_error(message)
+                    break
+        except BaseException:
+            self.close()  # stopped mid-stream: where it stands is unknown
+            raise
         finally:
             if fh is not None:
                 fh.flush()
                 fh.close()
+        if error is not None:
+            raise error  # an answer: the connection serves the next fetch
         seconds = max(1e-9, time.monotonic() - start)
         actual = os.path.getsize(part)
         if size is None or actual != size:

@@ -5,22 +5,17 @@ live DataServer drives them with ``time.monotonic()`` and tests with an
 injected clock):
 
 * :class:`TokenBucket` — per-link rate limit with burst capacity.
-* :class:`BandwidthScheduler` — deficit-round-robin across concurrent
-  transfers sharing one link, with a strict-priority control lane: control
-  streams (ping/pong, fetch metadata) are always granted before bulk
-  streams and are never blocked waiting for tokens (they may drive the
-  bucket negative; bulk repays the debt), so latency-sensitive frames
-  cannot queue behind bulk bytes.
+* :class:`BandwidthScheduler` — deficit-round-robin across the concurrent
+  transfers sharing one link, in one bulk lane.  Control frames (pongs,
+  fetch metadata) never pass through it: a data server writes them from
+  each connection's own buffer at the next frame boundary.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-__all__ = ["PRIO_BULK", "PRIO_CONTROL", "BandwidthScheduler", "TokenBucket"]
-
-PRIO_CONTROL = 0
-PRIO_BULK = 1
+__all__ = ["BandwidthScheduler", "TokenBucket"]
 
 #: Smallest bulk grant worth waking up for; below this we report a wait.
 _MIN_GRANT = 4096
@@ -60,8 +55,9 @@ class TokenBucket:
         return self._tokens
 
     def consume(self, amount: float, now: float) -> None:
-        """Deduct ``amount`` tokens; may drive the bucket negative
-        (priority traffic spends on credit and bulk repays the debt)."""
+        """Deduct ``amount`` tokens; may drive the bucket negative (a
+        caller that sent more than it was granted repays the debt out of
+        the grants that follow)."""
         if self.rate is None:
             return
         self._refill(now)
@@ -95,33 +91,26 @@ class BandwidthScheduler:
     ) -> None:
         self.bucket = TokenBucket(rate, burst)
         self.quantum = int(quantum)
-        self._prio: dict[object, int] = {}
         self._deficit: dict[object, float] = {}
         self._ready: set[object] = set()
-        self._ctrl: deque[object] = deque()
         self._bulk: deque[object] = deque()
 
     # -- membership ------------------------------------------------------
 
-    def register(self, stream_id: object, priority: int = PRIO_BULK) -> None:
-        if stream_id in self._prio:
+    def register(self, stream_id: object) -> None:
+        if stream_id in self._deficit:
             raise ValueError(f"stream {stream_id!r} already registered")
-        self._prio[stream_id] = priority
         self._deficit[stream_id] = 0.0
 
     def unregister(self, stream_id: object) -> None:
-        self._prio.pop(stream_id, None)
         self._deficit.pop(stream_id, None)
         self._ready.discard(stream_id)
 
     def mark_ready(self, stream_id: object) -> None:
-        if stream_id not in self._prio or stream_id in self._ready:
+        if stream_id not in self._deficit or stream_id in self._ready:
             return
         self._ready.add(stream_id)
-        if self._prio[stream_id] == PRIO_CONTROL:
-            self._ctrl.append(stream_id)
-        else:
-            self._bulk.append(stream_id)
+        self._bulk.append(stream_id)
 
     def mark_idle(self, stream_id: object) -> None:
         self._ready.discard(stream_id)
@@ -133,26 +122,16 @@ class BandwidthScheduler:
 
     # -- scheduling ------------------------------------------------------
 
-    def _next(self, queue: deque) -> object | None:
-        while queue:
-            stream_id = queue.popleft()
-            if stream_id in self._ready:
-                return stream_id
-        return None
-
     def grant(self, now: float) -> tuple[object, int] | tuple[None, float | None]:
-        # Strict priority: the control lane never waits for tokens.
-        stream_id = self._next(self._ctrl)
-        if stream_id is not None:
-            self._ready.discard(stream_id)
-            return stream_id, self.quantum
-        stream_id = self._next(self._bulk)
-        if stream_id is None:
+        queue = self._bulk
+        while queue and queue[0] not in self._ready:
+            queue.popleft()  # went idle or unregistered since it queued
+        if not queue:
             return None, None
         tokens = self.bucket.available(now)
         if tokens < _MIN_GRANT:
-            self._bulk.appendleft(stream_id)
             return None, self.bucket.delay_until(_MIN_GRANT, now)
+        stream_id = queue.popleft()
         self._ready.discard(stream_id)
         self._deficit[stream_id] += self.quantum
         budget = int(min(self._deficit[stream_id], tokens))

@@ -1,25 +1,32 @@
 """Selector-based bulk data server: the node's data port.
 
 One ``DataServer`` runs next to each DV daemon (or cluster node) on its
-own port, streaming context files in
-length-prefixed chunks.  Design points:
+own port.  It speaks the control port's binary frames
+(:mod:`repro.dv.protocol`), with no ``hello``: requests and answers are
+JSON frames, and file bytes are ``chunk`` frames.  Design points:
 
-* **Zero-copy body path.**  DATA frame headers are written separately from
-  their bodies so the body can go straight from the page cache to the
-  socket with ``os.sendfile``; where sendfile is unavailable the fallback
-  is ``os.pread`` + ``memoryview`` send (no intermediate slicing copies).
+* **One fetch per connection.**  A connection holds at most one fetch,
+  from its ``fetch`` until its ``fetch_end``, its error answer or the
+  connection's end; another ``fetch`` meanwhile is refused with
+  ``ERR_INVALID``.  Concurrent pulls are concurrent connections.
+* **Zero-copy body path.**  A chunk's header is written apart from its
+  body, so the body goes straight from the page cache to the socket with
+  ``os.sendfile``; where sendfile is unavailable the fallback is
+  ``os.pread`` + ``memoryview`` send (no intermediate slicing copies).
 * **Resumable.**  A fetch names ``(context, file, offset)``; the server
   streams from ``offset`` and announces the whole-file SHA-256 up front so
   the client can verify after completing a resumed download.
-* **Fair + priority-aware.**  All transfers on the link share a
-  :class:`~repro.data.scheduler.BandwidthScheduler` (token bucket + DRR),
-  and each connection's control bytes (pong replies, ``fetch_start`` /
-  ``fetch_end`` metadata) are flushed ahead of queued bulk frames —
-  control only ever waits for an in-flight DATA frame to finish, never for
-  the bulk queue to drain.
+* **Fair.**  All transfers on the link share one
+  :class:`~repro.data.scheduler.BandwidthScheduler` (token bucket + DRR).
+  A connection's answers (pongs, ``fetch_start`` / ``fetch_end``, errors)
+  leave from its own buffer at the next chunk boundary, never behind the
+  link's queue.
+* **Bounded answers.**  A connection whose unsent answers pass
+  ``_CTRL_HIGH_WATER`` is not read again until they drain, so a client
+  that asks without reading cannot grow the server's memory.
 * **Non-blocking I/O thread.**  Like the DV control server, a single
   selector thread owns all sockets; blocking work (request validation,
-  path resolution, stat, checksum) happens on a small worker pool, which
+  path resolution, stat, checksum) runs on one prepare worker, which
   answers every request it cannot serve with an error frame.
 * **Local bytes only.**  A server streams files its resolver finds on
   this node and nothing else; it never fetches on a client's behalf.
@@ -49,14 +56,13 @@ from repro.core.errors import (
     ProtocolError,
     SimFSError,
 )
-from repro.data.protocol import (
-    DEFAULT_CHUNK,
-    KIND_CTRL,
-    decode_ctrl,
-    encode_ctrl,
-    encode_data_header,
+from repro.data.scheduler import BandwidthScheduler
+from repro.dv.protocol import (
+    CODEC_BINARY,
+    StreamDecoder,
+    encode_binary,
+    encode_chunk_header,
 )
-from repro.data.scheduler import PRIO_CONTROL, BandwidthScheduler
 from repro.metrics import MetricsRegistry
 from repro.obs import SpanRecorder
 from repro.obs.trace import parse_wire
@@ -68,62 +74,64 @@ log = logging.getLogger("repro.data.server")
 
 _RECV_SIZE = 64 * 1024
 
+#: Most file bytes one chunk frame carries.
+_CHUNK = 256 * 1024
+
+#: Deficit round-robin quantum: what a ready transfer may send per turn.
+_QUANTUM = 64 * 1024
+
+#: Unsent answer bytes past which a connection is not read until they
+#: drain (one read past it adds at most the answers to ``_RECV_SIZE``).
+_CTRL_HIGH_WATER = 256 * 1024
+
 #: Throughput histogram bounds, MB/s (localhost loopback reaches GB/s).
 _MBPS_BUCKETS = (1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000)
 
 
 class _Transfer:
-    """One in-flight (context, file, offset) pull on one connection."""
+    """A connection's one fetch: being prepared while ``fd`` is None,
+    then streaming."""
 
     __slots__ = (
-        "channel", "conn", "context", "filename", "fd", "offset",
-        "remaining", "size", "frame_left", "head", "started", "sent",
-        "tc", "obs_began",
+        "conn", "context", "filename", "fd", "offset", "remaining",
+        "frame_left", "head", "started", "sent", "tc", "obs_began",
     )
 
-    def __init__(self, conn, channel, context, filename, fd, offset, size):
+    def __init__(self, conn):
         self.conn = conn
-        self.channel = channel
-        self.context = context
-        self.filename = filename
-        self.fd = fd
-        self.offset = offset
-        self.size = size
-        self.remaining = size - offset
+        self.fd = None
         self.frame_left = 0
         self.head = b""
-        self.started = time.monotonic()
         self.sent = 0
         self.tc = None
-        self.obs_began = 0.0
 
 
 class _DataConn:
     __slots__ = (
-        "sock", "fd", "addr", "decoder", "ctrl_out", "blocked",
-        "transfers", "inflight", "events", "closing",
+        "sock", "fd", "decoder", "ctrl_out", "blocked", "transfer",
+        "events", "closing",
     )
 
-    def __init__(self, sock, addr):
-        from repro.data.protocol import DataFrameDecoder
-
+    def __init__(self, sock):
         self.sock = sock
         self.fd = sock.fileno()
-        self.addr = addr
-        self.decoder = DataFrameDecoder()
+        self.decoder = StreamDecoder(CODEC_BINARY)
         self.ctrl_out = bytearray()
         self.blocked = False
-        self.transfers: dict[int, _Transfer] = {}
-        self.inflight: _Transfer | None = None
+        self.transfer: _Transfer | None = None
         self.events = selectors.EVENT_READ
         self.closing = False
+
+
+def _error(code: ErrorCode, detail: str) -> dict:
+    return {"op": "error", "code": int(code), "error": detail}
 
 
 class DataServer:
     """Bulk data port for one node.
 
     ``resolver(context, filename) -> path`` maps requests to files (it
-    runs on a worker thread and refuses by raising
+    runs on the prepare worker and refuses by raising
     :class:`~repro.core.errors.FileNotInContextError`); the default
     resolver looks up directories registered via :meth:`add_context`
     with path confinement.
@@ -136,23 +144,17 @@ class DataServer:
         *,
         link_rate: float | None = None,
         burst: float | None = None,
-        chunk_size: int = DEFAULT_CHUNK,
-        quantum: int = 64 * 1024,
         resolver: Callable[[str, str], str] | None = None,
-        lister: Callable[[str], list[str]] | None = None,
         metrics: MetricsRegistry | None = None,
-        workers: int = 1,
         obs: SpanRecorder | None = None,
     ) -> None:
-        self.chunk_size = int(chunk_size)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Span recorder for traced transfers — share the owning daemon's
         #: so ``data.fetch`` spans land in the same per-node ring.
         self.obs = obs if obs is not None else SpanRecorder(node="data")
         self._resolver = resolver
-        self._lister = lister
         self._dirs: dict[str, str] = {}
-        self._sched = BandwidthScheduler(rate=link_rate, burst=burst, quantum=quantum)
+        self._sched = BandwidthScheduler(rate=link_rate, burst=burst, quantum=_QUANTUM)
         self._sums: dict[str, tuple[int, int, str]] = {}
         self._sums_lock = threading.Lock()
         self._use_sendfile = hasattr(os, "sendfile")
@@ -170,8 +172,7 @@ class DataServer:
         self._wake_w: socket.socket | None = None
         self._running = False
         self._io_thread: threading.Thread | None = None
-        self._workers = max(1, int(workers))
-        self._worker_threads: list[threading.Thread] = []
+        self._worker: threading.Thread | None = None
 
         m = self.metrics
         self._m_bytes = m.counter("transfer.bytes_sent")
@@ -195,21 +196,6 @@ class DataServer:
         if directory is None:
             raise FileNotInContextError(f"unknown context {context!r}")
         return confine(filename, directory)
-
-    def _list(self, context: str) -> list[str]:
-        if self._lister is not None:
-            return self._lister(context)
-        directory = self._dirs.get(context)
-        if directory is None:
-            raise FileNotInContextError(f"unknown context {context!r}")
-        try:
-            names = sorted(
-                n for n in os.listdir(directory)
-                if os.path.isfile(os.path.join(directory, n))
-            )
-        except OSError:
-            names = []
-        return names
 
     def checksum(self, path: str) -> str:
         """Whole-file SHA-256, cached by (path, size, mtime_ns)."""
@@ -237,12 +223,10 @@ class DataServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, "listener")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "waker")
-        for i in range(self._workers):
-            t = threading.Thread(
-                target=self._worker_loop, name=f"data-worker-{i}", daemon=True
-            )
-            t.start()
-            self._worker_threads.append(t)
+        self._worker = threading.Thread(
+            target=self._worker_loop, name="data-worker", daemon=True
+        )
+        self._worker.start()
         self._io_thread = threading.Thread(
             target=self._serve, name="data-io", daemon=True
         )
@@ -256,11 +240,8 @@ class DataServer:
         self._wake()
         if self._io_thread is not None:
             self._io_thread.join(timeout=5.0)
-        for _ in self._worker_threads:
-            self._work.put(None)
-        for t in self._worker_threads:
-            t.join(timeout=5.0)
-        self._worker_threads.clear()
+        self._work.put(None)
+        self._worker.join(timeout=5.0)
         for conn in list(self._conns.values()):
             self._teardown(conn)
         if self._selector is not None:
@@ -286,14 +267,14 @@ class DataServer:
             "metrics": self.metrics.snapshot("transfer."),
         }
 
-    # -- worker pool -----------------------------------------------------
+    # -- prepare worker --------------------------------------------------
 
     def _worker_loop(self) -> None:
         while True:
             item = self._work.get()
             if item is None:
                 return
-            conn, message = item
+            transfer, message = item
             try:
                 result = self._prepare(message)
             except Exception as exc:
@@ -305,26 +286,17 @@ class DataServer:
                 elif isinstance(exc, OSError):
                     code = ErrorCode.ERR_NOT_FOUND
                 else:
-                    log.exception("data-plane %r request failed", message.get("op"))
-                result = {"op": "error", "channel": message["channel"],
-                          "code": int(code), "error": detail}
-            self._done.append((conn, message, result))
+                    log.exception("data-plane fetch failed")
+                result = _error(code, detail)
+            self._done.append((transfer, result))
             self._wake()
 
     def _prepare(self, message: dict) -> dict:
-        op = message.get("op")
         context = message.get("context", "")
-        if not isinstance(context, str):
-            raise ProtocolError(f"{op}: 'context' must be a string")
-        if op == "list":
-            return {
-                "op": "listing",
-                "channel": message["channel"],
-                "context": context,
-                "files": self._list(context),
-            }
         filename = message.get("file", "")
         offset = message.get("offset", 0)
+        if not isinstance(context, str):
+            raise ProtocolError("fetch: 'context' must be a string")
         if not isinstance(filename, str):
             raise ProtocolError("fetch: 'file' must be a string")
         if not isinstance(offset, int) or isinstance(offset, bool):
@@ -345,13 +317,10 @@ class DataServer:
         fd = os.open(path, os.O_RDONLY)
         return {
             "op": "start",
-            "channel": message["channel"],
-            "path": path,
             "fd": fd,
             "size": size,
             "offset": offset,
             "checksum": digest,
-            "priority": message.get("priority", "bulk"),
             "context": context,
             "file": filename,
             "tc": message.get("tc"),
@@ -389,27 +358,37 @@ class DataServer:
     def _accept(self) -> None:
         while True:
             try:
-                sock, addr = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
+                sock, _addr = self._listener.accept()
+            except OSError:  # BlockingIOError included: none left
                 return
             sock.setblocking(False)
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
-            conn = _DataConn(sock, addr)
+            conn = _DataConn(sock)
             self._conns[conn.fd] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)
 
-    def _set_events(self, conn: _DataConn, events: int) -> None:
-        if conn.events != events and conn.fd in self._conns:
-            conn.events = events
-            try:
+    def _arm(self, conn: _DataConn) -> None:
+        """Wait for what the connection can use: writability while it is
+        blocked, and more requests unless it is closing or its unsent
+        answers are past the high-water mark."""
+        events = selectors.EVENT_WRITE if conn.blocked else 0
+        if not conn.closing and len(conn.ctrl_out) <= _CTRL_HIGH_WATER:
+            events |= selectors.EVENT_READ
+        if conn.events == events or conn.fd not in self._conns:
+            return
+        try:
+            if not events:
+                self._selector.unregister(conn.sock)
+            elif not conn.events:
+                self._selector.register(conn.sock, events, conn)
+            else:
                 self._selector.modify(conn.sock, events, conn)
-            except (KeyError, ValueError, OSError):
-                pass
+        except (KeyError, ValueError, OSError):
+            pass
+        conn.events = events
 
     def _on_readable(self, conn: _DataConn) -> None:
         try:
@@ -422,111 +401,84 @@ class DataServer:
         if not data:
             self._teardown(conn)
             return
+        conn.decoder.feed(data)
         try:
-            frames = conn.decoder.feed(data)
+            messages = conn.decoder.drain()
         except ProtocolError as exc:
+            # The stream is lost: say why and close, mid-chunk at once.
             self._m_errors.inc()
-            self._send_ctrl(conn, {"op": "error", "channel": 0,
-                                   "code": int(ErrorCode.ERR_PROTOCOL),
-                                   "error": str(exc)})
+            transfer = conn.transfer
+            if transfer is not None and transfer.frame_left:
+                self._teardown(conn)
+                return
+            self._drop_transfer(conn)
             conn.closing = True
-            if conn.inflight is None and not conn.ctrl_out:
+            self._send_ctrl(conn, _error(ErrorCode.ERR_PROTOCOL, str(exc)))
+            if not conn.ctrl_out:
                 self._teardown(conn)
+            else:
+                self._arm(conn)
             return
-        for kind, channel, payload in frames:
-            if kind != KIND_CTRL:
-                self._teardown(conn)
+        for message in messages:
+            if conn.fd not in self._conns:  # an answer found it gone
                 return
-            try:
-                message = decode_ctrl(payload)
-            except ProtocolError as exc:
-                self._m_errors.inc()
-                self._send_ctrl(conn, {"op": "error", "channel": channel,
-                                       "code": int(ErrorCode.ERR_PROTOCOL),
-                                       "error": str(exc)})
-                continue
-            self._handle_ctrl(conn, channel, message)
+            self._handle(conn, message)
+        self._arm(conn)
 
-    def _handle_ctrl(self, conn: _DataConn, channel: int, message: dict) -> None:
-        op = message.get("op")
+    def _handle(self, conn: _DataConn, message: dict) -> None:
+        op = message["op"]
         if op == "ping":
-            self._send_ctrl(conn, {"op": "pong", "channel": channel,
-                                   "t": message.get("t")})
-        elif op in ("fetch", "list"):
-            # The frame header's channel is the one the reply goes out on;
-            # a ``channel`` field in the body cannot override it.
-            message["channel"] = channel
-            if op == "fetch" and channel in conn.transfers:
-                self._m_errors.inc()
-                self._send_ctrl(conn, {
-                    "op": "error", "channel": channel,
-                    "code": int(ErrorCode.ERR_INVALID),
-                    "error": f"channel {channel} already transferring",
-                })
-                return
-            self._work.put((conn, message))
+            self._send_ctrl(conn, {"op": "pong", "t": message.get("t")})
+        elif op != "fetch":
+            self._refuse(conn, _error(ErrorCode.ERR_PROTOCOL,
+                                      f"unknown data-plane op {op!r}"))
+        elif conn.transfer is not None:
+            self._refuse(conn, _error(ErrorCode.ERR_INVALID,
+                                      "this connection's fetch is not done"))
         else:
-            self._m_errors.inc()
-            self._send_ctrl(conn, {"op": "error", "channel": channel,
-                                   "code": int(ErrorCode.ERR_PROTOCOL),
-                                   "error": f"unknown data-plane op {op!r}"})
+            conn.transfer = _Transfer(conn)
+            self._work.put((conn.transfer, message))
+
+    def _refuse(self, conn: _DataConn, error: dict) -> None:
+        self._m_errors.inc()
+        self._send_ctrl(conn, error)
 
     def _drain_done(self) -> None:
         while self._done:
-            conn, message, result = self._done.popleft()
-            if conn.fd not in self._conns or conn.closing:
-                if result.get("op") == "start":
+            transfer, result = self._done.popleft()
+            conn = transfer.conn
+            if conn.transfer is not transfer:  # the connection went first
+                if result["op"] == "start":
                     os.close(result["fd"])
-                continue
-            if result["op"] != "start":
-                if result["op"] == "error":
-                    self._m_errors.inc()
-                self._send_ctrl(conn, result)
-                continue
-            self._begin_transfer(conn, result)
+            elif result["op"] == "error":
+                conn.transfer = None
+                self._refuse(conn, result)
+            else:
+                self._begin_transfer(conn, transfer, result)
 
-    def _begin_transfer(self, conn: _DataConn, result: dict) -> None:
-        channel = result["channel"]
-        if channel in conn.transfers:
-            # Authoritative duplicate check: _handle_ctrl's early reject
-            # cannot see fetches still sitting in the worker queue.
-            os.close(result["fd"])
-            self._m_errors.inc()
-            self._send_ctrl(conn, {
-                "op": "error", "channel": channel,
-                "code": int(ErrorCode.ERR_INVALID),
-                "error": f"channel {channel} already transferring",
-            })
-            return
-        transfer = _Transfer(
-            conn, channel, result["context"], result["file"],
-            result["fd"], result["offset"], result["size"],
-        )
-        tc_wire = result.get("tc")
+    def _begin_transfer(self, conn: _DataConn, transfer: _Transfer,
+                        result: dict) -> None:
+        transfer.context, transfer.filename = result["context"], result["file"]
+        transfer.fd, transfer.offset = result["fd"], result["offset"]
+        transfer.remaining = result["size"] - result["offset"]
+        transfer.started = time.monotonic()
+        tc_wire = result["tc"]
         if isinstance(tc_wire, str):
             transfer.tc = parse_wire(tc_wire)
         transfer.obs_began = self.obs.now()
         self._send_ctrl(conn, {
-            "op": "fetch_start", "channel": channel,
-            "size": result["size"], "offset": result["offset"],
-            "checksum": result["checksum"],
+            "op": "fetch_start", "size": result["size"],
+            "offset": result["offset"], "checksum": result["checksum"],
         })
         if result["offset"]:
             self._m_resumed.inc()
-        if transfer.remaining <= 0:
-            os.close(transfer.fd)
-            self._send_ctrl(conn, {"op": "fetch_end", "channel": channel,
-                                   "bytes": 0})
-            self._m_completed.inc()
-            return
-        conn.transfers[channel] = transfer
-        priority = PRIO_CONTROL if result.get("priority") == "control" else None
-        if priority is not None:
-            self._sched.register(transfer, priority)
-        else:
-            self._sched.register(transfer)
-        self._sched.mark_ready(transfer)
         self._m_active.inc()
+        if transfer.remaining <= 0:
+            self._finish_transfer(conn, transfer)
+            return
+        self._sched.register(transfer)
+        if not conn.blocked:
+            self._sched.mark_ready(transfer)
 
     # -- the send pump ---------------------------------------------------
 
@@ -546,77 +498,45 @@ class DataServer:
             if transfer is None:
                 return budget  # None (idle) or wait seconds
             conn = transfer.conn
-            if conn.fd not in self._conns:
-                self._abort_transfer(transfer)
-                continue
-            if conn.blocked:
-                sched.mark_idle(transfer)
-                continue
-            # Priority lane: control bytes go out before any new bulk frame.
-            self._flush_ctrl(conn)
-            if conn.blocked:
-                sched.mark_idle(transfer)
-                continue
-            if conn.inflight is not None and conn.inflight is not transfer:
-                # Another transfer holds this connection mid-frame; this
-                # one re-queues when the frame completes or the socket
-                # unblocks.
-                sched.mark_idle(transfer)
-                continue
-            sent = self._advance(conn, transfer, budget, now)
-            if conn.fd not in self._conns:
-                continue
-            if sent == 0 and not conn.blocked:
-                # No forward progress without a socket block: park the
-                # stream and wait for the next event rather than spin.
-                sched.mark_idle(transfer)
-                return None
-            if not conn.blocked and transfer.remaining > 0:
+            self._advance(conn, transfer, budget, now)
+            if conn.transfer is transfer and not conn.blocked:
                 sched.mark_ready(transfer)
         # Spin limit reached with streams still ready: come straight back.
         return 0.0 if sched.queue_depth() > 0 else None
 
     def _advance(self, conn: _DataConn, transfer: _Transfer,
-                 budget: int, now: float) -> int:
-        """Send up to ``budget`` body bytes of one transfer; returns sent."""
+                 budget: int, now: float) -> None:
+        """Send up to ``budget`` body bytes of the connection's transfer."""
         if transfer.frame_left == 0:
-            chunk = min(budget, self.chunk_size, transfer.remaining)
-            if chunk <= 0:
-                return 0
-            transfer.head = encode_data_header(transfer.channel, chunk)
+            chunk = min(budget, _CHUNK, transfer.remaining)
+            transfer.head = encode_chunk_header(chunk)
             transfer.frame_left = chunk
-            conn.inflight = transfer
         try:
             while transfer.head:
                 n = conn.sock.send(transfer.head)
                 transfer.head = transfer.head[n:]
             want = min(budget, transfer.frame_left)
-            sent = self._send_body(conn, transfer, want) if want > 0 else 0
+            sent = self._send_body(conn, transfer, want)
         except (BlockingIOError, InterruptedError):
-            self._block(conn, transfer)
-            return 0
+            self._block(conn)
+            return
         except OSError:
             self._teardown(conn)
-            return 0
-        if sent:
-            transfer.offset += sent
-            transfer.remaining -= sent
-            transfer.frame_left -= sent
-            transfer.sent += sent
-            self._m_bytes.inc(sent)
-            self._sched.charge(transfer, sent, now)
+            return
+        transfer.offset += sent
+        transfer.remaining -= sent
+        transfer.frame_left -= sent
+        transfer.sent += sent
+        self._m_bytes.inc(sent)
+        self._sched.charge(transfer, sent, now)
         if transfer.frame_left == 0:
-            conn.inflight = None
             self._m_frames.inc()
-            self._flush_ctrl(conn)
             if transfer.remaining <= 0:
                 self._finish_transfer(conn, transfer)
             else:
-                # Frame boundary: any siblings parked behind it may go.
-                self._reready(conn)
+                self._flush_ctrl(conn)  # answers go at chunk boundaries
         elif sent < want:
-            self._block(conn, transfer)
-        return sent
+            self._block(conn)
 
     def _send_body(self, conn: _DataConn, transfer: _Transfer, want: int) -> int:
         if self._use_sendfile:
@@ -638,34 +558,29 @@ class DataServer:
         with memoryview(data) as view:
             return conn.sock.send(view)
 
-    def _block(self, conn: _DataConn, transfer: _Transfer | None = None) -> None:
+    def _block(self, conn: _DataConn) -> None:
         conn.blocked = True
-        if transfer is not None:
-            self._sched.mark_idle(transfer)
-        for t in conn.transfers.values():
-            self._sched.mark_idle(t)
-        self._set_events(conn, selectors.EVENT_READ | selectors.EVENT_WRITE)
-
-    def _reready(self, conn: _DataConn) -> None:
-        if conn.blocked:
-            return
-        for t in conn.transfers.values():
-            if t.remaining > 0 and (conn.inflight is None or conn.inflight is t):
-                self._sched.mark_ready(t)
+        if conn.transfer is not None:
+            self._sched.mark_idle(conn.transfer)
+        self._arm(conn)
 
     def _on_writable(self, conn: _DataConn) -> None:
         conn.blocked = False
-        self._set_events(conn, selectors.EVENT_READ)
         self._flush_ctrl(conn)
-        if conn.closing and not conn.ctrl_out and conn.inflight is None:
+        if conn.closing and not conn.ctrl_out:
             self._teardown(conn)
             return
-        self._reready(conn)
+        self._arm(conn)
+        if not conn.blocked and conn.transfer is not None:
+            self._sched.mark_ready(conn.transfer)
 
     def _flush_ctrl(self, conn: _DataConn) -> None:
-        """Flush the priority lane; only an in-flight DATA frame may
-        legitimately delay control bytes (frames are atomic on the wire)."""
-        if conn.blocked or conn.inflight is not None or not conn.ctrl_out:
+        """Write the connection's answers; only a chunk on its way out may
+        hold them back (frames are atomic on the wire)."""
+        transfer = conn.transfer
+        if conn.blocked or not conn.ctrl_out or (
+            transfer is not None and transfer.frame_left
+        ):
             return
         try:
             while conn.ctrl_out:
@@ -673,40 +588,46 @@ class DataServer:
                 del conn.ctrl_out[:n]
         except (BlockingIOError, InterruptedError):
             self._block(conn)
+            return
         except OSError:
             self._teardown(conn)
+            return
+        self._arm(conn)  # reading resumes once the answers are out
 
     def _send_ctrl(self, conn: _DataConn, message: dict) -> None:
-        conn.ctrl_out += encode_ctrl(message)
+        conn.ctrl_out += encode_binary(message)
         self._flush_ctrl(conn)
 
     def _finish_transfer(self, conn: _DataConn, transfer: _Transfer) -> None:
         os.close(transfer.fd)
-        conn.transfers.pop(transfer.channel, None)
+        conn.transfer = None
         self._sched.unregister(transfer)
         seconds = max(1e-9, time.monotonic() - transfer.started)
         # Account before fetch_end leaves: a client that saw the transfer
         # finish must also see it in the metrics snapshot.
         self._m_active.dec()
         self._m_completed.inc()
-        self._m_mbps.observe(transfer.sent / seconds / 1e6)
+        if transfer.sent:
+            self._m_mbps.observe(transfer.sent / seconds / 1e6)
         if transfer.tc is not None:
             self.obs.record(
                 "data.fetch", transfer.tc, transfer.obs_began, self.obs.now(),
                 context=transfer.context, file=transfer.filename,
                 bytes=transfer.sent, offset=transfer.offset - transfer.sent,
             )
-        self._send_ctrl(conn, {
-            "op": "fetch_end", "channel": transfer.channel,
-            "bytes": transfer.sent,
-        })
+        self._send_ctrl(conn, {"op": "fetch_end", "bytes": transfer.sent})
 
-    def _abort_transfer(self, transfer: _Transfer) -> None:
+    def _drop_transfer(self, conn: _DataConn) -> None:
+        """Free the connection's slot without finishing its transfer."""
+        transfer, conn.transfer = conn.transfer, None
+        if transfer is None or transfer.fd is None:
+            return  # none, or still with the worker (its fd is closed there)
         try:
             os.close(transfer.fd)
         except OSError:
             pass
         self._sched.unregister(transfer)
+        self._m_active.dec()
 
     def _teardown(self, conn: _DataConn) -> None:
         if self._conns.pop(conn.fd, None) is None:
@@ -715,11 +636,7 @@ class DataServer:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
             pass
-        for transfer in conn.transfers.values():
-            self._abort_transfer(transfer)
-            self._m_active.dec()
-        conn.transfers.clear()
-        conn.inflight = None
+        self._drop_transfer(conn)
         try:
             conn.sock.close()
         except OSError:

@@ -286,9 +286,6 @@ class DVCore:
         pull bytes from."""
         self._data_endpoint = (host, int(port))
 
-    def data_endpoint(self) -> tuple[str, int] | None:
-        return self._data_endpoint
-
     def set_cluster_hooks(
         self,
         route_ops=None,

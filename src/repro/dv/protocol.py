@@ -29,6 +29,12 @@ pipelining their frames: there is no multi-op request.
 DV -> client messages: ``reply`` (matched to ``req``) and unsolicited
 ``ready`` notifications for files the client waits on.
 
+A node's data port (:mod:`repro.data`) speaks the same binary frames,
+with no ``hello``: its requests and answers are JSON frames, and the
+bytes of a fetched file travel as ``chunk`` frames, a packed kind whose
+header (:func:`encode_chunk_header`) is written apart from the body.
+``chunk`` is no op of the table, so the control port refuses it.
+
 Peer-to-peer (cluster tier, :mod:`repro.cluster`) — DV daemons exchange
 three additional ops over the very same wire:
 
@@ -91,6 +97,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "encode_binary",
+    "encode_chunk_header",
     "encode_frame",
     "encode_open_reply",
     "encode_ok_reply",
@@ -192,6 +199,7 @@ _KIND_OPEN_REPLY = 4  # !IBBd req, available, state index, wait
 _KIND_OK_REPLY = 5    # !I   req (empty success reply)
 _KIND_RUN = 6         # !I   req + a forwarded run (see pack_run)
 _KIND_RUN_REPLY = 7   # !I   req + its reply frames (see unpack_run_reply)
+_KIND_CHUNK = 8       # raw file bytes of a data-port fetch (encode_chunk_header)
 
 #: Kind-byte bit marking a packed frame that carries a trace context:
 #: the payload is prefixed with ``_TRACE_CTX`` and the remainder decodes
@@ -224,10 +232,6 @@ def _is_req(value: Any) -> bool:
         and not isinstance(value, bool)
         and 0 <= value < 1 << 32
     )
-
-
-def _pack_strings(head: bytes, context: str, filename: str) -> bytes:
-    return head + context.encode("utf-8") + filename.encode("utf-8")
 
 
 def _pack_trace(tc: Any) -> bytes | None:
@@ -395,9 +399,20 @@ def _decode_binary_payload(kind: int, payload: bytes) -> dict[str, Any]:
             (req,) = _OK_REPLY.unpack_from(payload)
             return {"op": OP_FWD_REPLY, "req": req, "error": 0,
                     "run": payload[_OK_REPLY.size:]}
+        if kind == _KIND_CHUNK:  # no op of the table: a DV refuses it
+            return {"op": "chunk", "data": payload}
     except struct.error as exc:
         raise ProtocolError(f"truncated binary frame: {exc}") from exc
     raise ProtocolError(f"unknown binary frame kind {kind}")
+
+
+def encode_chunk_header(length: int) -> bytes:
+    """Header of a frame of ``length`` file bytes, which follow it apart
+    (a data port ``sendfile``s them); it decodes as ``{"op": "chunk",
+    "data": <the bytes>}``."""
+    if not 0 < length <= _MAX_MESSAGE:
+        raise ProtocolError(f"chunk length {length} out of range")
+    return _HEADER.pack(_MAGIC, _KIND_CHUNK, 0, length)
 
 
 def encode_frame(message: dict[str, Any], codec: str = CODEC_LEGACY) -> bytes:

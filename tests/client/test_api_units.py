@@ -1,10 +1,14 @@
 """Unit tests for SimFSSession plumbing against an in-process server."""
 
+import os
+import threading
+import time
+
 import pytest
 
-from repro.client import LocalConnection, SimFSSession
+from repro.client import LocalConnection, SimFSSession, TcpConnection
 from repro.client.api import simfs_release, simfs_test, simfs_testsome, simfs_wait
-from repro.core.errors import ErrorCode
+from repro.core.errors import ErrorCode, RestartFailedError
 from repro.core.status import FileState
 from tests.integration.conftest import build_server
 
@@ -92,3 +96,86 @@ class TestReadyTableRace:
             _status, request = session.acquire_nb([fname])
             assert request.complete
             session.finalize()
+
+
+class TestOutcomesOfEarlierOpens:
+    """A wait counts only an outcome recorded after its own open."""
+
+    @pytest.mark.parametrize("path", ["wait_ready", "session_acquire"])
+    @pytest.mark.parametrize("flavour", ["local", "tcp"])
+    def test_a_failed_resimulation_does_not_fail_the_next_wait(
+        self, stack, monkeypatch, flavour, path
+    ):
+        """The first re-simulation of a file fails; the second succeeds.
+        The failure leaves the client nothing to release, so it stays in
+        the ready table — and must not answer the second wait.  Each run
+        outlasts the open's reply, as a real one does."""
+        server, context = stack
+        driver = context.driver
+        real = driver.execute
+        runs = []
+
+        def fails_first(*args, **kwargs):
+            runs.append(1)
+            time.sleep(0.3)
+            if len(runs) == 1:
+                raise RuntimeError("the first re-simulation fails")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "execute", fails_first)
+        fname = context.filename_of(5)
+        if flavour == "tcp":
+            server.start()
+            conn = TcpConnection(*server.address, {}, {}, client_id="flaky")
+        else:
+            conn = LocalConnection(server, client_id="flaky")
+        with conn:
+            if path == "wait_ready":
+                conn.attach(context.name)
+                with pytest.raises(RestartFailedError):
+                    conn.wait_ready(context.name, fname, timeout=30.0)
+                conn.wait_ready(context.name, fname, timeout=30.0)
+            else:
+                session = SimFSSession(conn, context.name)
+                failed = session.acquire([fname], timeout=30.0)
+                assert failed.error == int(ErrorCode.ERR_RESTART_FAILED)
+                served = session.acquire([fname], timeout=30.0)
+                assert served.ok, served
+                assert served.file_states[fname] is FileState.ON_DISK
+            assert len(runs) == 2
+            assert os.path.exists(server.storage_path(context.name, fname))
+
+    def test_an_outcome_another_thread_waits_on_survives_a_release(self, stack):
+        """Thread A waits on a file; thread B, holding the same file,
+        releases it between A's open and A's wait: A still gets the
+        ready that came after its open."""
+        server, context = stack
+        fname = context.filename_of(7)
+        with LocalConnection(server, client_id="two-threads") as conn:
+            conn.attach(context.name)
+            since = conn.ready_table.stamp
+            assert not conn.open(context.name, fname).available
+            assert conn.ready_table.wait(context.name, fname, 30.0, since)
+            # B held the file and lets it go; A's outcome is kept.
+            conn.release(context.name, fname)
+            got = []
+            waiter = threading.Thread(target=lambda: got.append(
+                conn.ready_table.wait(context.name, fname, 5.0, since)))
+            waiter.start()
+            waiter.join(timeout=10.0)
+            assert got == [True]
+            # A query that names no open of its own starts after the release.
+            assert not conn.ready_table.is_ready(context.name, fname)
+
+    def test_finalize_removes_the_session_watcher(self, stack):
+        server, context = stack
+        with LocalConnection(server) as conn:
+            for _ in range(100):
+                SimFSSession(conn, context.name).finalize()
+            assert conn.ready_table._watchers == []
+            session = SimFSSession(conn, context.name)
+            session.finalize()
+            session.reconnect()  # attached again: notified again
+            assert conn.ready_table._watchers == [session._on_notification]
+            session.finalize()
+            assert conn.ready_table._watchers == []

@@ -601,17 +601,6 @@ class TestOwnerSide:
         }
         assert a.router._ingress_ctx == {"local": {CTX: "c"}}
 
-    def test_forget_context_drops_only_that_context(self):
-        net = Net("a", "b", owner="a")
-        router = net.members["b"].router
-        router.track(
-            "c1", [op("attach"), op("attach", context="beta"), op("open", "f1")],
-            [(None, {}, "a"), (None, {}, "a"), (None, {"available": False}, "a")],
-        )
-        router.forget_context(CTX)
-        assert router._pending == {}
-        assert router._ingress_ctx == {"c1": {"beta": "a"}}
-
 
 
 def attached_pair(policy="dead", third=False):

@@ -1,15 +1,9 @@
-"""Unit tests for the bandwidth scheduler: token bucket semantics, DRR
-fairness and the strict-priority control lane."""
+"""Unit tests for the bandwidth scheduler: token bucket semantics and
+DRR fairness across the transfers sharing one link."""
 
 import pytest
 
-from repro.data.scheduler import (
-    _MIN_GRANT,
-    PRIO_BULK,
-    PRIO_CONTROL,
-    BandwidthScheduler,
-    TokenBucket,
-)
+from repro.data.scheduler import _MIN_GRANT, BandwidthScheduler, TokenBucket
 
 
 class TestTokenBucket:
@@ -27,7 +21,8 @@ class TestTokenBucket:
         assert bucket.available(2.5) == pytest.approx(250.0)
 
     def test_consume_may_go_negative(self):
-        # Priority traffic spends on credit; the debt delays bulk.
+        # Bytes sent past a grant are spent on credit; the debt delays
+        # the grants that follow.
         bucket = TokenBucket(rate=100.0, burst=100.0)
         bucket.consume(300.0, 0.0)
         assert bucket.available(0.0) == pytest.approx(-200.0)
@@ -146,35 +141,9 @@ class TestDeficitRoundRobin:
         assert sched.queue_depth() == 0
 
 
-class TestControlLane:
-    def test_control_granted_before_bulk(self):
-        sched = BandwidthScheduler(rate=1e6, quantum=1000)
-        sched.register("bulk", PRIO_BULK)
-        sched.register("ctrl", PRIO_CONTROL)
-        sched.mark_ready("bulk")
-        sched.mark_ready("ctrl")
-        sid, _ = sched.grant(0.0)
-        assert sid == "ctrl"
-
-    def test_control_never_token_blocked(self):
-        sched = BandwidthScheduler(rate=1e4, burst=1e4, quantum=64 * 1024)
-        sched.register("bulk", PRIO_BULK)
-        sched.register("ctrl", PRIO_CONTROL)
-        sched.mark_ready("bulk")
-        sid, budget = sched.grant(0.0)
-        sched.charge(sid, budget, 0.0)  # bucket now deeply negative
-        sched.mark_ready("bulk")
-        sched.mark_ready("ctrl")
-        sid, budget = sched.grant(0.0)
-        assert sid == "ctrl" and budget == sched.quantum
-        # Bulk, by contrast, is starved.
-        sid, wait = sched.grant(0.0)
-        assert sid is None and wait > 0
-
-
 class TestSharedLink:
-    """The two ratios the live data-plane tests used to read off the wall
-    clock, on the scheduler itself under an injected clock."""
+    """The fairness ratio the live data-plane tests used to read off the
+    wall clock, on the scheduler itself under an injected clock."""
 
     def drive(self, sched, streams, quanta, sends, now=0.0):
         """Grant ``quanta`` times; a granted stream sends what ``sends``
@@ -207,55 +176,29 @@ class TestSharedLink:
         assert min(served.values()) > 0
         assert max(served.values()) / min(served.values()) <= 2.0, served
 
-    def test_a_control_frame_is_granted_before_any_queued_bulk_byte(self):
-        sched = BandwidthScheduler(rate=1e6, burst=1e6, quantum=64 * 1024)
-        bulk = ["a", "b", "c", "d"]
-        for sid in bulk:
-            sched.register(sid)
-            sched.mark_ready(sid)
-        sched.register("ping", PRIO_CONTROL)
-        self.drive(sched, bulk, 50, lambda sid, budget: budget)
-        assert sched.queue_depth() == 4  # every bulk stream has bytes queued
-        sched.mark_ready("ping")
-        sid, budget = sched.grant(0.0)  # no time passed: bulk is token-starved
-        assert (sid, budget) == ("ping", sched.quantum)
-        # And again at any later point of the transfer.
-        served = self.drive(sched, bulk, 20, lambda sid, budget: budget, now=5.0)
-        assert sum(served.values()) > 0
-        sched.mark_ready("ping")
-        assert sched.grant(5.0)[0] == "ping"
-
 
 MB = 1e6
 QUANTUM = 64 * 1024
-PING = 1024
 
 
-def pull(rate, sizes, ping_every=0):
+def pull(rate, sizes):
     """Bulk pulls of ``sizes`` bytes over one link of ``rate`` bytes/s,
     driven like the data server drives the scheduler: send what is
     granted, re-mark while bytes remain, unregister when done.  The burst
     is one quantum, so after it the link paces at ``rate``.  The clock
     moves only by the waits the scheduler asks for (at least 1 us, so
-    float rounding cannot stall it).  Every ``ping_every`` bulk grants a
-    control frame of ``PING`` bytes is queued.  Returns each pull's finish
-    time and each ping's wait from queued to granted."""
+    float rounding cannot stall it).  Returns each pull's finish time."""
     sched = BandwidthScheduler(rate=rate, burst=QUANTUM, quantum=QUANTUM)
     left = dict(enumerate(sizes))
     for sid in left:
         sched.register(sid)
         sched.mark_ready(sid)
-    sched.register("ping", PRIO_CONTROL)
-    now, asked, grants = 0.0, 0.0, 0
-    finished, pings = {}, []
+    now = 0.0
+    finished = {}
     while left:
         sid, budget = sched.grant(now)
         if sid is None:
             now += max(budget, 1e-6)
-            continue
-        if sid == "ping":
-            pings.append(now - asked)
-            sched.charge(sid, PING, now)
             continue
         sent = min(budget, left[sid])
         sched.charge(sid, sent, now)
@@ -266,11 +209,7 @@ def pull(rate, sizes, ping_every=0):
             del left[sid]
             sched.unregister(sid)
             finished[sid] = now
-        grants += 1
-        if ping_every and grants % ping_every == 0:
-            sched.mark_ready("ping")
-            asked = now
-    return finished, pings
+    return finished
 
 
 def paced(nbytes, rate):
@@ -282,17 +221,17 @@ def paced(nbytes, rate):
 
 class TestLinkShare:
     """How concurrent pulls share one paced link, end to end through the
-    scheduler: the questions of fair share, link speed and the control
-    lane, answered by the code the data server runs."""
+    scheduler: the questions of fair share and link speed, answered by
+    the code the data server runs."""
 
     def test_one_pull_gets_the_whole_link(self):
-        finished, _ = pull(10 * MB, [10 * MB])
+        finished = pull(10 * MB, [10 * MB])
         assert finished[0] == paced(10 * MB, 10 * MB)
 
     @pytest.mark.parametrize("pullers", [2, 3, 4, 8])
     def test_equal_pulls_share_equally(self, pullers):
         rate = 10 * MB
-        finished, _ = pull(rate, [2 * MB] * pullers)
+        finished = pull(rate, [2 * MB] * pullers)
         # The link never idles while a pull has bytes left ...
         assert max(finished.values()) == paced(pullers * 2 * MB, rate)
         # ... and DRR keeps every pull within a quantum of its fair share,
@@ -303,7 +242,7 @@ class TestLinkShare:
     def test_short_pull_frees_its_share_for_the_long_one(self):
         # Both run at 5 MB/s until the short one is done at ~1 s; the long
         # one then has the whole link for its last 10 MB.
-        finished, _ = pull(10 * MB, [15 * MB, 5 * MB])
+        finished = pull(10 * MB, [15 * MB, 5 * MB])
         assert finished[1] == paced(10 * MB, 10 * MB)
         assert finished[0] == paced(20 * MB, 10 * MB)
 
@@ -311,20 +250,10 @@ class TestLinkShare:
     def test_completion_time_scales_with_capacity(self, rate_mb):
         rate = rate_mb * MB
         size = rate / 4  # a quarter second of link at any speed
-        finished, _ = pull(rate, [size])
+        finished = pull(rate, [size])
         assert finished[0] == paced(size, rate)
 
     def test_aggregate_matches_capacity(self):
         rate = 40 * MB
-        finished, _ = pull(rate, [5 * MB] * 4)
+        finished = pull(rate, [5 * MB] * 4)
         assert max(finished.values()) == paced(20 * MB, rate)
-
-    @pytest.mark.parametrize("bulk_flows", [1, 2, 8])
-    def test_pings_never_wait_behind_bulk(self, bulk_flows):
-        rate = 10 * MB
-        finished, pings = pull(rate, [2 * MB] * bulk_flows, ping_every=5)
-        assert len(pings) >= 50
-        assert pings == [0.0] * len(pings)
-        # Control spends on credit: its bytes come off the bulk share.
-        sent = bulk_flows * 2 * MB + len(pings) * PING
-        assert max(finished.values()) == paced(sent, rate)

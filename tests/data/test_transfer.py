@@ -1,8 +1,7 @@
 """DataServer + DataClient over loopback: chunked fetch, checksums,
-resume, error mapping, malformed requests, and the control lane's
-latency guarantee under bulk load."""
+resume, error mapping, malformed requests, one fetch per connection,
+bounded answers, and ping latency under bulk load."""
 
-import json
 import os
 import socket
 import threading
@@ -14,15 +13,15 @@ from repro.core.errors import (
     DVConnectionLost,
     ErrorCode,
     FileNotInContextError,
+    ProtocolError,
 )
 from repro.data import DataClient, DataServer, TransferChecksumError
-from repro.data.protocol import (
-    HEADER,
-    KIND_CTRL,
-    MAGIC,
-    DataFrameDecoder,
-    decode_ctrl,
-    encode_ctrl,
+from repro.data.server import _CTRL_HIGH_WATER, _RECV_SIZE
+from repro.dv.protocol import (
+    CODEC_BINARY,
+    StreamDecoder,
+    encode_binary,
+    encode_chunk_header,
 )
 from repro.util.checksums import file_checksum
 
@@ -38,15 +37,14 @@ MALFORMED_FETCH = {
 }
 
 
-def first_ctrl(sock):
-    """The first control message the server sends on ``sock``."""
-    decoder = DataFrameDecoder()
+def answers(sock, decoder=None):
+    """The messages the server sends on ``sock``, as they arrive."""
+    decoder = decoder or StreamDecoder(CODEC_BINARY)
     while True:
         data = sock.recv(65536)
         assert data, "the server closed the connection without a reply"
-        for kind, _chan, payload in decoder.feed(data):
-            if kind == KIND_CTRL:
-                return decode_ctrl(payload)
+        decoder.feed(data)
+        yield from decoder.drain()
 
 
 @pytest.fixture
@@ -146,13 +144,6 @@ class TestFetch:
             with pytest.raises(FileNotInContextError):
                 client.fetch("ctx", "../secret.txt", str(tmp_path / "s.txt"))
 
-    def test_list_files(self, served_context):
-        server, outdir, files, tmp_path = served_context
-        with DataClient(server.host, server.port) as client:
-            assert sorted(client.list_files("ctx")) == sorted(files)
-            with pytest.raises(FileNotInContextError):
-                client.list_files("other")
-
     def test_connect_refused_maps_to_connection_lost(self, served_context):
         server, *_ = served_context
         from tests.integration.conftest import free_port
@@ -226,8 +217,9 @@ class TestSchedulingLive:
             with DataClient(server.host, server.port) as client:
                 rtts = [client.ping() for _ in range(20)]
             rtts.sort()
-            # Control lane: even p95 stays well under the multi-second
-            # span a 20 MB/s link spends on each 8 MiB bulk file.
+            # A ping on its own connection never waits for the link:
+            # even p95 stays well under the multi-second span a 20 MB/s
+            # link spends on each 8 MiB bulk file.
             assert rtts[int(len(rtts) * 0.95) - 1] < 0.5, rtts
         finally:
             stop.set()
@@ -254,31 +246,39 @@ class TestProtocolEdges:
         self, served_context, fields
     ):
         server, outdir, files, tmp_path = served_context
-        request = {"op": "fetch", "channel": 3, "context": "ctx",
-                   "file": "small.sdf", "offset": 0, **fields}
+        request = {"op": "fetch", "context": "ctx", "file": "small.sdf",
+                   "offset": 0, **fields}
         with socket.create_connection((server.host, server.port),
                                       timeout=5.0) as sock:
-            sock.sendall(encode_ctrl(request))
-            reply = first_ctrl(sock)
+            sock.sendall(encode_binary(request))
+            reply = next(answers(sock))
         assert reply["op"] == "error", reply
-        assert (reply["code"], reply["channel"]) == (ErrorCode.ERR_PROTOCOL, 3)
+        assert reply["code"] == ErrorCode.ERR_PROTOCOL
         with DataClient(server.host, server.port, timeout=5.0) as client:
             result = client.fetch("ctx", "small.sdf", str(tmp_path / "next.sdf"))
         assert result.size == len(files["small.sdf"])
 
-    def test_the_frame_header_names_the_channel(self, served_context):
-        """A ``channel`` field in the body is ignored: the transfer runs
-        on the header's channel, and the port keeps serving."""
-        server, outdir, files, tmp_path = served_context
-        payload = json.dumps({"op": "fetch", "channel": "abc", "context": "ctx",
-                              "file": "small.sdf", "offset": 0}).encode()
+    @pytest.mark.parametrize("op", ["list", "chunk", "open"])
+    def test_an_op_the_port_does_not_serve_is_refused(self, served_context, op):
+        """``list`` is gone (``fetch_info`` lists a context), a ``chunk``
+        is the server's to send, and control-port ops have no business
+        here: each is answered ``ERR_PROTOCOL`` and the connection serves
+        the next request."""
+        server, *_ = served_context
+        frame = {
+            "list": encode_binary({"op": "list", "context": "ctx"}),
+            "chunk": encode_chunk_header(5) + b"bytes",
+            "open": encode_binary({"op": "open", "req": 1, "context": "ctx",
+                                   "file": "small.sdf"}),
+        }[op]
         with socket.create_connection((server.host, server.port),
                                       timeout=5.0) as sock:
-            sock.sendall(HEADER.pack(MAGIC, KIND_CTRL, 5, len(payload)) + payload)
-            reply = first_ctrl(sock)
-        assert (reply["op"], reply["channel"]) == ("fetch_start", 5)
-        with DataClient(server.host, server.port, timeout=5.0) as client:
-            assert client.list_files("ctx") == sorted(files)
+            sock.sendall(frame + encode_binary({"op": "ping", "t": 1}))
+            replies = answers(sock)
+            refused = next(replies)
+            assert (refused["op"], refused["code"]) == (
+                "error", ErrorCode.ERR_PROTOCOL), refused
+            assert next(replies) == {"op": "pong", "t": 1}
 
     def test_garbage_bytes_get_error_frame_and_close(self, served_context):
         server, *_ = served_context
@@ -296,45 +296,134 @@ class TestProtocolEdges:
         finally:
             sock.close()
 
-    def test_duplicate_channel_rejected(self, tmp_path):
-        from repro.data.protocol import (
-            KIND_CTRL,
-            DataFrameDecoder,
-            decode_ctrl,
-            encode_ctrl,
-        )
-        import socket as socket_mod
-
+    @pytest.mark.parametrize("second", ["same", "different"])
+    def test_a_fetch_while_the_slot_is_taken_is_refused(self, tmp_path, second):
+        """One fetch per connection: a second ``fetch`` — the same file
+        or another — while the first streams is refused ``ERR_INVALID``,
+        the first streams on to its ``fetch_end``, and the freed slot
+        serves the next fetch."""
         outdir = tmp_path / "out"
         outdir.mkdir()
-        (outdir / "big.sdf").write_bytes(os.urandom(4 * 1024 * 1024))
+        size = 4 * 1024 * 1024
+        (outdir / "big.sdf").write_bytes(os.urandom(size))
+        (outdir / "other.sdf").write_bytes(b"other")
         # Throttled link: the first transfer is guaranteed in flight
-        # when the duplicate fetch lands.
-        server = DataServer("127.0.0.1", link_rate=2e6, burst=256 * 1024)
+        # when the second fetch lands.
+        server = DataServer("127.0.0.1", link_rate=8e6, burst=256 * 1024)
         server.add_context("ctx", str(outdir))
         server.start()
-        sock = socket_mod.create_connection((server.host, server.port))
-        sock.settimeout(10.0)
+        first = {"op": "fetch", "context": "ctx", "file": "big.sdf", "offset": 0}
+        again = first if second == "same" else dict(first, file="other.sdf")
         try:
-            fetch = encode_ctrl({
-                "op": "fetch", "channel": 9, "context": "ctx",
-                "file": "big.sdf", "offset": 0,
-            })
-            sock.sendall(fetch)
-            decoder = DataFrameDecoder()
-            saw_start = saw_error = False
-            deadline = time.monotonic() + 15.0
-            while not saw_error and time.monotonic() < deadline:
-                for kind, _chan, payload in decoder.feed(sock.recv(65536)):
-                    if kind != KIND_CTRL:
-                        continue
-                    op = decode_ctrl(payload).get("op")
-                    if op == "fetch_start" and not saw_start:
-                        saw_start = True
-                        sock.sendall(fetch)  # duplicate while in flight
-                    elif op == "error":
-                        saw_error = True
-            assert saw_start and saw_error
+            with socket.create_connection((server.host, server.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(encode_binary(first))
+                replies = answers(sock)
+                ops, streamed = [], 0
+                for message in replies:
+                    ops.append(message["op"])
+                    if message["op"] == "fetch_start" and ops.count("fetch_start") == 1:
+                        sock.sendall(encode_binary(again))
+                    elif message["op"] == "chunk":
+                        streamed += len(message["data"])
+                    elif message["op"] == "error":
+                        assert message["code"] == ErrorCode.ERR_INVALID, message
+                    elif message["op"] == "fetch_end":
+                        assert message["bytes"] == size
+                        break
+                assert streamed == size
+                assert [op for op in ops if op != "chunk"] == [
+                    "fetch_start", "error", "fetch_end"]
+                sock.sendall(encode_binary(again))
+                follow_up = [next(replies) for _ in range(2)]
+                assert follow_up[0]["op"] == "fetch_start", follow_up
+        finally:
+            server.stop()
+
+
+class TestOneConnectionState:
+    def test_unread_answers_stay_bounded_and_all_arrive_in_order(
+        self, served_context
+    ):
+        """A client that floods pings and never reads: the server stops
+        reading that connection while its unsent answers are past the
+        high-water mark, so they stay under the mark plus one read's
+        worth.  Once the client reads, every ping the kernel took is
+        answered, in order."""
+        server, *_ = served_context
+        ping = len(encode_binary({"op": "ping", "t": 0}))
+        pong = len(encode_binary({"op": "pong", "t": 10 ** 9}))
+        bound = _CTRL_HIGH_WATER + (_RECV_SIZE // ping + 1) * pong
+        # Small socket buffers on both ends (the server's connection
+        # inherits its listener's) keep the flood and the read-back short.
+        server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock.connect((server.host, server.port))
+        try:
+            sock.setblocking(False)
+            sent, peak = 0, 0
+            pending = b""
+            now = time.monotonic()
+            deadline, stalled = now + 3.0, now + 0.5
+            # Until the server has stopped reading for half a second.
+            while now < min(deadline, stalled):
+                if not pending:
+                    pending = b"".join(
+                        encode_binary({"op": "ping", "t": sent + i})
+                        for i in range(1000))
+                try:
+                    n = sock.send(pending)
+                except BlockingIOError:
+                    time.sleep(0.01)
+                else:
+                    pending = pending[n:]
+                    if not pending:
+                        sent += 1000
+                    stalled = time.monotonic() + 0.5
+                peak = max([peak, *(len(conn.ctrl_out)
+                                     for conn in list(server._conns.values()))])
+                now = time.monotonic()
+            # The flood reached the mark, and the server stopped there.
+            assert _CTRL_HIGH_WATER < peak <= bound, (peak, bound)
+            # Read everything while the last partial burst goes out.
+            sock.setblocking(True)
+            sock.settimeout(30.0)
+            tail = threading.Thread(target=sock.sendall, args=(pending,))
+            tail.start()
+            replies = answers(sock)
+            for i in range(sent + (1000 if pending else 0)):
+                assert next(replies) == {"op": "pong", "t": i}
+            tail.join(timeout=30.0)
         finally:
             sock.close()
-            server.stop()
+
+    def test_a_fetch_that_fails_mid_stream_closes_the_client(self, tmp_path):
+        """After ``fetch_start`` a bad frame leaves the client nowhere in
+        the stream: the fetch raises and the connection is closed, so
+        the next call cannot misread the rest of that stream."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(
+                    encode_binary({"op": "fetch_start", "size": 10,
+                                   "offset": 0, "checksum": ""})
+                    + encode_chunk_header(4) + b"abcd" + b"\x00" * 16)
+                conn.recv(65536)  # until the client hangs up
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            client = DataClient(*listener.getsockname(), timeout=5.0)
+            with pytest.raises(ProtocolError):
+                client.fetch("ctx", "f.sdf", str(tmp_path / "f.sdf"))
+            with pytest.raises(DVConnectionLost):
+                client.ping()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        finally:
+            listener.close()

@@ -1,28 +1,23 @@
-"""Frame-size limits of both stream decoders (control and data plane):
-frames exactly at the cap decode, anything larger is a clean
-``ProtocolError`` (a protocol violation, never an OOM or a hang), and
-boundary-fuzzed chunking around the header/payload split never changes
-the decoded result."""
+"""Frame-size limits of the stream decoder both ports share (the control
+port's frames and the data port's ``chunk`` frames): frames exactly at
+the cap decode, anything larger is a clean ``ProtocolError`` (a protocol
+violation, never an OOM or a hang), and boundary-fuzzed chunking around
+the header/payload split never changes the decoded result."""
 
 import json
 
 import pytest
 
 from repro.core.errors import ProtocolError
-from repro.data import protocol as data_protocol
-from repro.data.protocol import (
-    KIND_CTRL,
-    KIND_DATA,
-    MAGIC,
-    DataFrameDecoder,
-    encode_ctrl,
-    encode_data_header,
-)
 from repro.dv.protocol import (
+    _HEADER,
+    _KIND_CHUNK,
+    _MAGIC,
+    _MAX_MESSAGE,
     CODEC_BINARY,
     StreamDecoder,
-    _MAX_MESSAGE,
     encode_binary,
+    encode_chunk_header,
 )
 
 
@@ -51,15 +46,11 @@ class TestControlPlaneLimits:
     def test_binary_header_announcing_oversize_is_protocol_error(self):
         # A malicious header claiming a huge payload must fail on the
         # header alone — before any payload is buffered.
-        header = data_protocol.struct.Struct("!BBHI")  # same layout
-        from repro.dv.protocol import _HEADER, _MAGIC
-
         frame = _HEADER.pack(_MAGIC, 0, 0, _MAX_MESSAGE + 1)
         decoder = StreamDecoder(CODEC_BINARY)
         decoder.feed(frame)
         with pytest.raises(ProtocolError, match="maximum size"):
             decoder.next_message()
-        assert header.size  # silence the unused-local lint
 
     def test_legacy_unterminated_line_over_max_is_protocol_error(self):
         decoder = StreamDecoder()
@@ -83,50 +74,52 @@ class TestControlPlaneLimits:
         assert decoder.next_message() == message
 
 
-class TestDataPlaneLimits:
-    def test_data_header_at_max_encodes(self):
-        header = encode_data_header(7, data_protocol.MAX_FRAME)
-        frames = DataFrameDecoder().feed(
-            header + b"z" * data_protocol.MAX_FRAME
-        )
-        assert frames == [(KIND_DATA, 7, b"z" * data_protocol.MAX_FRAME)]
+def drained(*pieces: bytes) -> list:
+    """What ``drain`` yields of ``pieces`` fed one after another, the
+    buffer checked empty at the end."""
+    decoder = StreamDecoder(CODEC_BINARY)
+    messages = []
+    for piece in pieces:
+        decoder.feed(piece)
+        messages += decoder.drain()
+    assert not decoder.has_partial()
+    return messages
 
-    @pytest.mark.parametrize("length", [0, data_protocol.MAX_FRAME + 1])
-    def test_data_header_out_of_range_rejected(self, length):
+
+class TestChunkLimits:
+    """The data port's file bytes: ``chunk`` frames of the same codec."""
+
+    def test_chunk_at_max_size_decodes(self):
+        body = b"z" * _MAX_MESSAGE
+        assert drained(encode_chunk_header(_MAX_MESSAGE) + body) == [
+            {"op": "chunk", "data": body}]
+
+    @pytest.mark.parametrize("length", [0, _MAX_MESSAGE + 1])
+    def test_chunk_length_out_of_range_rejected(self, length):
         with pytest.raises(ProtocolError, match="out of range"):
-            encode_data_header(1, length)
+            encode_chunk_header(length)
 
-    def test_oversized_announcement_is_protocol_error(self):
-        frame = data_protocol.HEADER.pack(
-            MAGIC, KIND_DATA, 1, data_protocol.MAX_FRAME + 1
-        )
+    def test_oversized_chunk_announcement_is_protocol_error(self):
+        decoder = StreamDecoder(CODEC_BINARY)
+        decoder.feed(_HEADER.pack(_MAGIC, _KIND_CHUNK, 0, _MAX_MESSAGE + 1))
         with pytest.raises(ProtocolError, match="maximum size"):
-            DataFrameDecoder().feed(frame)
-
-    def test_oversized_ctrl_rejected_by_encoder(self):
-        with pytest.raises(ProtocolError, match="maximum size"):
-            encode_ctrl({"op": "x", "pad": "a" * data_protocol.MAX_FRAME})
+            decoder.drain()
 
     def test_bad_magic_and_unknown_kind(self):
-        with pytest.raises(ProtocolError, match="magic"):
-            DataFrameDecoder().feed(
-                data_protocol.HEADER.pack(0x00, KIND_CTRL, 0, 0)
-            )
-        with pytest.raises(ProtocolError, match="kind"):
-            DataFrameDecoder().feed(
-                data_protocol.HEADER.pack(MAGIC, 9, 0, 0)
-            )
+        for header, problem in ((_HEADER.pack(0xDA, _KIND_CHUNK, 0, 0), "magic"),
+                                (_HEADER.pack(_MAGIC, 0x7F, 0, 0), "kind")):
+            decoder = StreamDecoder(CODEC_BINARY)
+            decoder.feed(header)
+            with pytest.raises(ProtocolError, match=problem):
+                decoder.drain()
 
-    @pytest.mark.parametrize("split", [1, 7, 8, 9, 4096])
+    @pytest.mark.parametrize("split", [1, 7, 8, 9, 20, 4096])
     def test_boundary_fuzz_chunking_is_invisible(self, split):
-        frame = encode_ctrl({"op": "ping", "channel": 3}) + (
-            encode_data_header(3, 5) + b"hello"
-        )
-        decoder = DataFrameDecoder()
-        frames = list(decoder.feed(frame[:split]))
-        frames += decoder.feed(frame[split:])
-        assert frames == [
-            (KIND_CTRL, 3, b'{"op":"ping","channel":3}'),
-            (KIND_DATA, 3, b"hello"),
+        stream = (encode_binary({"op": "fetch_start", "size": 5})
+                  + encode_chunk_header(5) + b"hello"
+                  + encode_binary({"op": "fetch_end", "bytes": 5}))
+        assert drained(stream[:split], stream[split:]) == [
+            {"op": "fetch_start", "size": 5},
+            {"op": "chunk", "data": b"hello"},
+            {"op": "fetch_end", "bytes": 5},
         ]
-        assert decoder.buffered == 0

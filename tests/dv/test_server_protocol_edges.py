@@ -25,6 +25,7 @@ from repro.dv.protocol import (
     _MAX_MESSAGE,
     MessageReader,
     encode_binary,
+    encode_chunk_header,
     encode_open_request,
     send_message,
 )
@@ -221,6 +222,27 @@ class TestMalformedOps:
             client.close()
         assert refused["req"] == 1 and refused["error"] == ERR_PROTOCOL, refused
         assert repr(named) in refused["detail"]
+        assert served["req"] == 2 and served["error"] == 0 and served["available"]
+
+    def test_a_data_port_chunk_is_refused_like_any_unknown_op(
+        self, two_context_server
+    ):
+        """The data port's ``chunk`` kind shares the codec but is no op of
+        the table: one ``ERR_PROTOCOL`` reply, and the next op is served."""
+        server, contexts = two_context_server
+        fname = contexts["alpha"].filename_of(1)
+        client = RawClient(server)
+        try:
+            client.sock.sendall(
+                encode_chunk_header(5) + b"bytes"
+                + encode_open_request(2, "alpha", fname, "binary")
+            )
+            refused = client.reader.read_message()
+            served = client.reader.read_message()
+        finally:
+            client.close()
+        assert refused["error"] == ERR_PROTOCOL, refused
+        assert "chunk" in refused["detail"]
         assert served["req"] == 2 and served["error"] == 0 and served["available"]
 
 

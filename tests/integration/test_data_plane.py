@@ -22,13 +22,7 @@ from repro.core.context import ContextConfig, SimulationContext
 from repro.core.errors import FileNotInContextError
 from repro.core.perfmodel import PerformanceModel
 from repro.data import DataClient
-from repro.data.protocol import (
-    KIND_CTRL,
-    KIND_DATA,
-    DataFrameDecoder,
-    decode_ctrl,
-    encode_ctrl,
-)
+from repro.dv.protocol import CODEC_BINARY, StreamDecoder, encode_binary
 from repro.simulators import SyntheticDriver
 from tests.integration.conftest import free_port, wait_until
 
@@ -200,20 +194,19 @@ class TestResume:
             (nodes[owner].data.host, nodes[owner].data.port)
         )
         sock.settimeout(10.0)
-        decoder = DataFrameDecoder()
+        decoder = StreamDecoder(CODEC_BINARY)
         received = b""
         try:
-            sock.sendall(encode_ctrl({
-                "op": "fetch", "channel": 1, "context": "alpha",
-                "file": bulk_name, "offset": 0,
+            sock.sendall(encode_binary({
+                "op": "fetch", "context": "alpha", "file": bulk_name,
+                "offset": 0,
             }))
             while len(received) < 512 * 1024:
-                for kind, _chan, payload in decoder.feed(sock.recv(65536)):
-                    if kind == KIND_DATA:
-                        received += payload
-                    elif kind == KIND_CTRL:
-                        message = decode_ctrl(payload)
-                        assert message.get("op") != "error", message
+                decoder.feed(sock.recv(65536))
+                for message in decoder.drain():
+                    assert message["op"] != "error", message
+                    if message["op"] == "chunk":
+                        received += message["data"]
         finally:
             sock.close()  # the "kill": server aborts the transfer
         assert 0 < len(received) < 4 * 1024 * 1024
