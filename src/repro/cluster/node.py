@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cluster.link import DialBackingOff, DialBackoff, PeerLink
 from repro.cluster.membership import PeerTable
@@ -89,6 +89,11 @@ class ContextSpec:
     restart_dir: str
     alpha_delay: float = 0.0
     tau_delay: float = 0.0
+    #: ``output_dir`` as a real path, resolved once (what ``confine`` takes).
+    real_output_dir: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.real_output_dir = os.path.realpath(self.output_dir)
 
 
 class ClusterNode:
@@ -947,8 +952,8 @@ class ClusterNode:
             peer = self.table.get(owner) if owner else None
         if spec is None:
             raise FileNotInContextError(f"unknown context {context!r}")
-        path = confine(filename, spec.output_dir)
-        if os.path.isfile(path) or peer is None or owner == self.node_id:
+        path = confine(filename, spec.real_output_dir)
+        if peer is None or owner == self.node_id or os.path.isfile(path):
             return path
         raise FileNotInContextError(
             f"file {filename!r} is not on {self.node_id}: context "

@@ -11,6 +11,7 @@ grained outputs at different re-simulation speeds.
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -28,9 +29,25 @@ def confine(name: str, *dirs: str) -> str:
     """The real path ``name`` names, taken relative to the first of
     ``dirs``, if it lies inside one of them.  A client-supplied name that
     escapes them (``..``, an absolute path, a symlink out) raises
-    :class:`FileNotInContextError`: a client may not probe other files."""
-    path = os.path.realpath(os.path.join(dirs[0], name))
-    for base in map(os.path.realpath, dirs):
+    :class:`FileNotInContextError`: a client may not probe other files.
+
+    ``dirs`` are real paths (``os.path.realpath``), resolved once where
+    the directory is registered.  A plain name — one path component, not
+    ``.`` or ``..`` — that is not a symlink then costs one ``lstat``;
+    anything else is resolved and checked in full."""
+    path = os.path.join(dirs[0], name)
+    if name not in ("", ".", "..") and os.sep not in name and not (
+        os.altsep and os.altsep in name
+    ):
+        try:
+            if not stat.S_ISLNK(os.lstat(path).st_mode):
+                return path
+        except FileNotFoundError:
+            return path  # what resolving it names: nothing to follow
+        except OSError:
+            pass  # resolved in full below, with what that raises
+    path = os.path.realpath(path)
+    for base in dirs:
         if os.path.commonpath([path, base]) == base:
             return path
     raise FileNotInContextError(f"file {name!r} escapes context directory")

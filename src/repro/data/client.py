@@ -11,18 +11,24 @@ frames and ``fetch_end`` (or one ``error`` frame).  An error answer leaves
 the connection usable; a fetch that fails mid-stream closes it, since
 where the stream stands is then unknown.
 
+A fetch touches each byte once.  The client reads frame headers itself
+(:func:`~repro.dv.protocol.frame_header`, the decoder's checks) and
+receives into one reused buffer of at most one frame; each slice of a
+chunk body goes from that buffer to the running SHA-256 and to the file.
+
 Downloads land in ``<dest>.part`` and are renamed into place only after
-the whole-file SHA-256 announced in ``fetch_start`` matches, so a partial
-``.part`` file is always resumable: a re-issued fetch requests
-``offset = len(part)`` and the server streams the remainder.
+the whole-file SHA-256 matches the one announced in ``fetch_start``, so
+a partial ``.part`` file is always resumable: a re-issued fetch requests
+``offset = len(part)``, hashes that prefix from disk, and the server
+streams the remainder.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import socket
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.errors import (
@@ -33,12 +39,19 @@ from repro.core.errors import (
     ProtocolError,
     SimFSError,
 )
-from repro.dv.protocol import CODEC_BINARY, StreamDecoder, encode_binary
-from repro.util.checksums import file_checksum
+from repro.dv.protocol import (
+    FRAME_HEADER_SIZE,
+    KIND_CHUNK,
+    decode_payload,
+    encode_binary,
+    frame_header,
+)
 
 __all__ = ["DataClient", "FetchResult", "TransferChecksumError"]
 
-_RECV_SIZE = 256 * 1024
+#: Receive buffer before the first chunk frame grows it to that frame's
+#: size: room for any answer (a bigger one streams through all the same).
+_CTRL_BUFFER = 4096
 
 
 class TransferChecksumError(SimFSError):
@@ -80,8 +93,10 @@ class DataClient:
 
     def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.host, self.port = host, port
-        self._decoder = StreamDecoder(CODEC_BINARY)
-        self._pending: deque[dict] = deque()
+        # The stream bytes received and not yet taken: _buf[_pos:_end].
+        self._buf = bytearray(_CTRL_BUFFER)
+        self._view = memoryview(self._buf)
+        self._pos = self._end = 0
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -111,19 +126,67 @@ class DataClient:
         except OSError as exc:
             raise DVConnectionLost(f"data connection lost: {exc}") from exc
 
+    def _recv(self) -> None:
+        """Receive more of the stream behind the bytes not yet taken."""
+        if self._pos == self._end:
+            self._pos = self._end = 0
+        elif self._end == len(self._buf):  # full: move the rest to the front
+            self._rebase(len(self._buf))
+        try:
+            n = self._sock.recv_into(self._view[self._end:])
+        except socket.timeout as exc:
+            raise DVConnectionLost("data connection timed out") from exc
+        except OSError as exc:
+            raise DVConnectionLost(f"data connection lost: {exc}") from exc
+        if not n:
+            raise DVConnectionLost("data connection closed by server")
+        self._end += n
+
+    def _reserve(self, body: int) -> None:
+        """Grow the buffer to hold a frame of ``body`` bytes: it reaches
+        the largest chunk frame the server sends (a whole small file, or
+        one full frame of a large one)."""
+        if FRAME_HEADER_SIZE + body > len(self._buf):
+            self._rebase(FRAME_HEADER_SIZE + body)
+
+    def _rebase(self, size: int) -> None:
+        """Move the bytes not yet taken to the front of a buffer of
+        ``size`` bytes (a new one if the size changes)."""
+        rest = bytes(self._view[self._pos:self._end])
+        if size != len(self._buf):
+            self._buf = bytearray(size)
+            self._view = memoryview(self._buf)
+        self._buf[:len(rest)] = rest
+        self._pos, self._end = 0, len(rest)
+
+    def _header(self) -> tuple[int, int]:
+        """``(kind, length)`` of the next frame."""
+        while self._end - self._pos < FRAME_HEADER_SIZE:
+            self._recv()
+        header = frame_header(self._buf, self._pos)
+        self._pos += FRAME_HEADER_SIZE
+        return header
+
+    def _stream(self, length: int, *sinks) -> None:
+        """Hand the next ``length`` stream bytes to each of ``sinks``, as
+        slices of the buffer."""
+        while length:
+            if self._pos == self._end:
+                self._recv()
+            n = min(length, self._end - self._pos)
+            piece = self._view[self._pos:self._pos + n]
+            for sink in sinks:
+                sink(piece)
+            self._pos += n
+            length -= n
+
+    def _message(self, kind: int, length: int) -> dict:
+        payload = bytearray()
+        self._stream(length, payload.extend)
+        return decode_payload(kind, bytes(payload))
+
     def _read(self) -> dict:
-        while not self._pending:
-            try:
-                data = self._sock.recv(_RECV_SIZE)
-            except socket.timeout as exc:
-                raise DVConnectionLost("data connection timed out") from exc
-            except OSError as exc:
-                raise DVConnectionLost(f"data connection lost: {exc}") from exc
-            if not data:
-                raise DVConnectionLost("data connection closed by server")
-            self._decoder.feed(data)
-            self._pending.extend(self._decoder.drain())
-        return self._pending.popleft()
+        return self._message(*self._header())
 
     # -- public API ------------------------------------------------------
 
@@ -178,24 +241,31 @@ class DataClient:
         size = None
         checksum = ""
         received = 0
-        fh = None
+        fh = digest = None
         error = None
         try:
             while True:
-                message = self._read()
-                op = message["op"]
-                if op == "chunk":
+                kind, length = self._header()
+                if kind == KIND_CHUNK:
                     if fh is None:
                         raise ProtocolError("chunk frame before fetch_start")
-                    fh.write(message["data"])
-                    received += len(message["data"])
-                elif op == "fetch_start":
+                    self._reserve(length)
+                    self._stream(length, digest.update, fh.write)
+                    received += length
+                    continue
+                message = self._message(kind, length)
+                op = message["op"]
+                if op == "fetch_start":
                     size = int(message["size"])
                     checksum = message.get("checksum", "")
                     os.makedirs(os.path.dirname(part) or ".", exist_ok=True)
                     fh = open(part, "ab")
                     if fh.tell() != offset:
                         fh.truncate(offset)
+                    digest = hashlib.sha256()
+                    if offset:  # the prefix a resume keeps, from disk
+                        with open(part, "rb") as prefix:
+                            digest = hashlib.file_digest(prefix, "sha256")
                 elif op == "fetch_end":
                     break
                 elif op == "error":
@@ -206,32 +276,25 @@ class DataClient:
             raise
         finally:
             if fh is not None:
-                fh.flush()
                 fh.close()
         if error is not None:
             raise error  # an answer: the connection serves the next fetch
         seconds = max(1e-9, time.monotonic() - start)
-        actual = os.path.getsize(part)
-        if size is None or actual != size:
+        if size is None or offset + received != size:
             raise ProtocolError(
-                f"short transfer: have {actual} of {size} bytes"
+                f"short transfer: have {offset + received} of {size} bytes"
             )
-        digest = file_checksum(part)
-        if checksum and digest != checksum:
-            os.unlink(part)
-            raise TransferChecksumError(
-                f"checksum mismatch for {context}/{filename}: "
-                f"{digest} != {checksum}"
-            )
-        if expected_checksum and digest != expected_checksum:
-            os.unlink(part)
-            raise TransferChecksumError(
-                f"checksum mismatch for {context}/{filename}: "
-                f"{digest} != {expected_checksum}"
-            )
+        actual = digest.hexdigest()
+        for wanted in (checksum, expected_checksum):
+            if wanted and actual != wanted:
+                os.unlink(part)
+                raise TransferChecksumError(
+                    f"checksum mismatch for {context}/{filename}: "
+                    f"{actual} != {wanted}"
+                )
         os.replace(part, dest)
         return FetchResult(
             context=context, filename=filename, path=dest, size=size,
             bytes=received, resumed_from=offset, seconds=seconds,
-            checksum=digest,
+            checksum=actual,
         )

@@ -17,17 +17,22 @@ JSON frames, and file bytes are ``chunk`` frames.  Design points:
   streams from ``offset`` and announces the whole-file SHA-256 up front so
   the client can verify after completing a resumed download.
 * **Fair.**  All transfers on the link share one
-  :class:`~repro.data.scheduler.BandwidthScheduler` (token bucket + DRR).
-  A connection's answers (pongs, ``fetch_start`` / ``fetch_end``, errors)
-  leave from its own buffer at the next chunk boundary, never behind the
-  link's queue.
+  :class:`~repro.data.scheduler.BandwidthScheduler` (token bucket + DRR)
+  whose quantum is one full chunk frame, so an unlimited link sends
+  256 KiB frames.  A connection's answers (pongs, ``fetch_start`` /
+  ``fetch_end``, errors) leave from its own buffer at the next chunk
+  boundary, never behind the link's queue; the answers to one read
+  leave in one ``send``.
 * **Bounded answers.**  A connection whose unsent answers pass
   ``_CTRL_HIGH_WATER`` is not read again until they drain, so a client
   that asks without reading cannot grow the server's memory.
 * **Non-blocking I/O thread.**  Like the DV control server, a single
   selector thread owns all sockets; blocking work (request validation,
-  path resolution, stat, checksum) runs on one prepare worker, which
-  answers every request it cannot serve with an error frame.
+  path resolution, open, checksum) runs on one prepare worker, which
+  answers every request it cannot serve with an error frame.  A prepare
+  opens the file once and takes its type, size and checksum from that
+  descriptor, so what ``fetch_start`` announces describes the bytes sent
+  even if a new version is renamed over the path meanwhile.
 * **Local bytes only.**  A server streams files its resolver finds on
   this node and nothing else; it never fetches on a client's behalf.
 
@@ -38,11 +43,13 @@ daemon advertises it) but threads start only in :meth:`start`.
 from __future__ import annotations
 
 import errno
+import hashlib
 import logging
 import os
 import queue
 import selectors
 import socket
+import stat
 import threading
 import time
 from collections import deque
@@ -66,7 +73,6 @@ from repro.dv.protocol import (
 from repro.metrics import MetricsRegistry
 from repro.obs import SpanRecorder
 from repro.obs.trace import parse_wire
-from repro.util.checksums import file_checksum
 
 __all__ = ["DataServer"]
 
@@ -74,11 +80,10 @@ log = logging.getLogger("repro.data.server")
 
 _RECV_SIZE = 64 * 1024
 
-#: Most file bytes one chunk frame carries.
+#: Most file bytes one chunk frame carries, and the deficit round-robin
+#: quantum (what a ready transfer may send per turn): a link with tokens
+#: to spare sends whole frames.
 _CHUNK = 256 * 1024
-
-#: Deficit round-robin quantum: what a ready transfer may send per turn.
-_QUANTUM = 64 * 1024
 
 #: Unsent answer bytes past which a connection is not read until they
 #: drain (one read past it adds at most the answers to ``_RECV_SIZE``).
@@ -154,8 +159,8 @@ class DataServer:
         self.obs = obs if obs is not None else SpanRecorder(node="data")
         self._resolver = resolver
         self._dirs: dict[str, str] = {}
-        self._sched = BandwidthScheduler(rate=link_rate, burst=burst, quantum=_QUANTUM)
-        self._sums: dict[str, tuple[int, int, str]] = {}
+        self._sched = BandwidthScheduler(rate=link_rate, burst=burst, quantum=_CHUNK)
+        self._sums: dict[str, tuple[tuple[int, int, int], str]] = {}
         self._sums_lock = threading.Lock()
         self._use_sendfile = hasattr(os, "sendfile")
 
@@ -197,17 +202,18 @@ class DataServer:
             raise FileNotInContextError(f"unknown context {context!r}")
         return confine(filename, directory)
 
-    def checksum(self, path: str) -> str:
-        """Whole-file SHA-256, cached by (path, size, mtime_ns)."""
-        st = os.stat(path)
-        key = (st.st_size, st.st_mtime_ns)
+    def _checksum(self, path: str, fd: int, st: os.stat_result) -> str:
+        """Whole-file SHA-256 of the open ``fd`` (``st`` its ``fstat``),
+        cached by path and (inode, size, mtime_ns)."""
+        key = (st.st_ino, st.st_size, st.st_mtime_ns)
         with self._sums_lock:
             cached = self._sums.get(path)
-            if cached is not None and cached[:2] == key:
-                return cached[2]
-        digest = file_checksum(path)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        with open(fd, "rb", closefd=False) as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
         with self._sums_lock:
-            self._sums[path] = (st.st_size, st.st_mtime_ns, digest)
+            self._sums[path] = (key, digest)
         return digest
 
     # -- lifecycle -------------------------------------------------------
@@ -302,23 +308,31 @@ class DataServer:
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise ProtocolError("fetch: 'offset' must be an integer")
         path = self._resolve(context, filename)
-        if not os.path.isfile(path):
-            raise FileNotInContextError(
-                f"file {filename!r} not available in context {context!r}"
-            )
-        size = os.path.getsize(path)
-        if offset < 0 or offset > size:
-            # ERR_INVALID, not a protocol error: the client maps it to a
-            # stale-.part condition and retries the fetch from offset 0.
-            raise InvalidArgumentError(
-                f"fetch offset {offset} out of range for size {size}"
-            )
-        digest = self.checksum(path)
-        fd = os.open(path, os.O_RDONLY)
+        missing = FileNotInContextError(
+            f"file {filename!r} not available in context {context!r}"
+        )
+        try:  # non-blocking: a FIFO must not hold the worker (refused below)
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        except OSError:
+            raise missing from None
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise missing
+            if offset < 0 or offset > st.st_size:
+                # ERR_INVALID, not a protocol error: the client maps it to
+                # a stale-.part condition and retries from offset 0.
+                raise InvalidArgumentError(
+                    f"fetch offset {offset} out of range for size {st.st_size}"
+                )
+            digest = self._checksum(path, fd, st)
+        except BaseException:
+            os.close(fd)
+            raise
         return {
             "op": "start",
             "fd": fd,
-            "size": size,
+            "size": st.st_size,
             "offset": offset,
             "checksum": digest,
             "context": context,
@@ -414,15 +428,15 @@ class DataServer:
             self._drop_transfer(conn)
             conn.closing = True
             self._send_ctrl(conn, _error(ErrorCode.ERR_PROTOCOL, str(exc)))
+            self._flush_ctrl(conn)
             if not conn.ctrl_out:
                 self._teardown(conn)
             else:
                 self._arm(conn)
             return
         for message in messages:
-            if conn.fd not in self._conns:  # an answer found it gone
-                return
             self._handle(conn, message)
+        self._flush_ctrl(conn)  # the answers to one read, in one send
         self._arm(conn)
 
     def _handle(self, conn: _DataConn, message: dict) -> None:
@@ -450,11 +464,13 @@ class DataServer:
             if conn.transfer is not transfer:  # the connection went first
                 if result["op"] == "start":
                     os.close(result["fd"])
-            elif result["op"] == "error":
-                conn.transfer = None
-                self._refuse(conn, result)
             else:
-                self._begin_transfer(conn, transfer, result)
+                if result["op"] == "error":
+                    conn.transfer = None
+                    self._refuse(conn, result)
+                else:
+                    self._begin_transfer(conn, transfer, result)
+                self._flush_ctrl(conn)
 
     def _begin_transfer(self, conn: _DataConn, transfer: _Transfer,
                         result: dict) -> None:
@@ -533,8 +549,7 @@ class DataServer:
             self._m_frames.inc()
             if transfer.remaining <= 0:
                 self._finish_transfer(conn, transfer)
-            else:
-                self._flush_ctrl(conn)  # answers go at chunk boundaries
+            self._flush_ctrl(conn)  # answers go at chunk boundaries
         elif sent < want:
             self._block(conn)
 
@@ -595,8 +610,9 @@ class DataServer:
         self._arm(conn)  # reading resumes once the answers are out
 
     def _send_ctrl(self, conn: _DataConn, message: dict) -> None:
+        """Queue an answer; whoever queues it flushes (:meth:`_flush_ctrl`)
+        once it has queued the rest."""
         conn.ctrl_out += encode_binary(message)
-        self._flush_ctrl(conn)
 
     def _finish_transfer(self, conn: _DataConn, transfer: _Transfer) -> None:
         os.close(transfer.fd)

@@ -721,10 +721,7 @@ class DVCore:
             # The checksum result would otherwise let a client probe any
             # server file byte for byte.
             try:
-                path = confine(
-                    path, self.launcher.output_dir(context),
-                    self.launcher.restart_dir(context),
-                )
+                path = confine(path, *self.launcher.areas(context))
             except FileNotInContextError:
                 raise InvalidArgumentError(
                     f"bitrep path {path!r} is outside the {context!r} "
@@ -760,7 +757,9 @@ class DVCore:
             payload["files"] = shard.context.output_files(out_dir)
             return payload
         try:
-            payload["size"] = os.path.getsize(confine(filename, out_dir))
+            payload["size"] = os.path.getsize(
+                confine(filename, self.launcher.areas(context)[0])
+            )
             payload["exists"] = True
         except OSError:
             payload["size"] = 0

@@ -20,8 +20,9 @@ demonstrations; tests leave both at zero.
 
 from __future__ import annotations
 
+import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.context import SimulationContext
 from repro.core.errors import ContextError
@@ -40,6 +41,11 @@ class _ContextRuntime:
     restart_dir: str
     alpha_delay: float = 0.0
     tau_delay: float = 0.0
+    areas: tuple[str, str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.areas = (os.path.realpath(self.output_dir),
+                      os.path.realpath(self.restart_dir))
 
 
 class ThreadedLauncher:
@@ -105,6 +111,11 @@ class ThreadedLauncher:
     def restart_dir(self, context_name: str) -> str:
         """Restart-file directory of a registered context."""
         return self._runtime(context_name).restart_dir
+
+    def areas(self, context_name: str) -> tuple[str, str]:
+        """The output and restart directories as real paths, resolved at
+        registration (what :func:`~repro.core.context.confine` takes)."""
+        return self._runtime(context_name).areas
 
     # -- SimulationExecutor interface ------------------------------------ #
     def launch(self, context: SimulationContext, sim: RunningSim) -> None:

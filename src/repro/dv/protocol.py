@@ -98,6 +98,10 @@ __all__ = [
     "decode_message",
     "encode_binary",
     "encode_chunk_header",
+    "FRAME_HEADER_SIZE",
+    "KIND_CHUNK",
+    "frame_header",
+    "decode_payload",
     "encode_frame",
     "encode_open_reply",
     "encode_ok_reply",
@@ -346,13 +350,14 @@ def _unpack_strings(payload: bytes, offset: int, ctx_len: int, fname_len: int
     return context, filename
 
 
-def _decode_binary_payload(kind: int, payload: bytes) -> dict[str, Any]:
+def decode_payload(kind: int, payload: bytes) -> dict[str, Any]:
+    """The message one binary frame of ``kind`` carries in ``payload``."""
     if kind & _KIND_TRACED:
         base = kind & ~_KIND_TRACED
         if base == _KIND_JSON or len(payload) < _TRACE_CTX.size:
             raise ProtocolError(f"malformed traced binary frame kind {kind}")
         tid, sid, flags = _TRACE_CTX.unpack_from(payload)
-        message = _decode_binary_payload(base, payload[_TRACE_CTX.size:])
+        message = decode_payload(base, payload[_TRACE_CTX.size:])
         message["tc"] = f"{tid:016x}-{sid:016x}-{flags:02x}"
         return message
     if kind == _KIND_JSON:
@@ -404,6 +409,26 @@ def _decode_binary_payload(kind: int, payload: bytes) -> dict[str, Any]:
     except struct.error as exc:
         raise ProtocolError(f"truncated binary frame: {exc}") from exc
     raise ProtocolError(f"unknown binary frame kind {kind}")
+
+
+#: Bytes of a binary frame's header, and the kind of a ``chunk`` frame:
+#: what a reader that takes payloads itself needs (see :func:`frame_header`).
+FRAME_HEADER_SIZE = _HEADER.size
+KIND_CHUNK = _KIND_CHUNK
+
+
+def frame_header(buf: Any, pos: int = 0) -> tuple[int, int]:
+    """``(kind, payload length)`` of the binary frame header at ``pos``
+    in ``buf``, checked as :class:`StreamDecoder` checks it: a bad magic
+    byte or a payload past the codec's cap raises :class:`ProtocolError`.
+    For a reader that takes the payload itself — a data client streams
+    ``chunk`` bodies — and hands the rest to :func:`decode_payload`."""
+    magic, kind, _reserved, length = _HEADER.unpack_from(buf, pos)
+    if magic != _MAGIC:
+        raise ProtocolError(f"bad binary frame magic 0x{magic:02x}")
+    if length > _MAX_MESSAGE:
+        raise ProtocolError("binary frame exceeds maximum size")
+    return kind, length
 
 
 def encode_chunk_header(length: int) -> bytes:
@@ -713,7 +738,7 @@ class StreamDecoder:
                     break
                 pos = end  # consumed, whatever the payload turns out to be
                 if kind not in (_KIND_OPEN, _KIND_RELEASE) or length < strings:
-                    message = _decode_binary_payload(kind, bytes(buf[body:end]))
+                    message = decode_payload(kind, bytes(buf[body:end]))
                     messages.append(message if check is None else check(message))
                     continue
                 req, ctx_len, fname_len = _REQ_STRINGS.unpack_from(buf, body)
@@ -747,7 +772,7 @@ class StreamDecoder:
             return None
         payload = bytes(self._buffer[_HEADER.size : end])
         del self._buffer[:end]
-        return _decode_binary_payload(kind, payload)
+        return decode_payload(kind, payload)
 
 
 def send_message(

@@ -1,6 +1,7 @@
 """DataServer + DataClient over loopback: chunked fetch, checksums,
 resume, error mapping, malformed requests, one fetch per connection,
-bounded answers, and ping latency under bulk load."""
+bounded answers, ping latency under bulk load, and a fetch that hashes
+and writes each chunk once, as it arrives."""
 
 import os
 import socket
@@ -16,13 +17,17 @@ from repro.core.errors import (
     ProtocolError,
 )
 from repro.data import DataClient, DataServer, TransferChecksumError
-from repro.data.server import _CTRL_HIGH_WATER, _RECV_SIZE
+from repro.data import client as client_module
+from repro.data import server as server_module
+from repro.data.server import _CTRL_HIGH_WATER, _RECV_SIZE, _DataConn
 from repro.dv.protocol import (
+    _MAX_MESSAGE,
     CODEC_BINARY,
     StreamDecoder,
     encode_binary,
     encode_chunk_header,
 )
+from repro.util import checksums
 from repro.util.checksums import file_checksum
 
 #: Fetch fields no client library sends; each must get an ERR_PROTOCOL
@@ -425,5 +430,288 @@ class TestOneConnectionState:
                 client.ping()
             thread.join(timeout=5.0)
             assert not thread.is_alive()
+        finally:
+            listener.close()
+
+
+def scripted_server(script):
+    """A one-connection server that, for each ``(reads, reply)`` of
+    ``script``, takes ``reads`` request frames and sends ``reply``, then
+    waits for the client to hang up.  Returns ``(address, thread,
+    listener)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            decoder = StreamDecoder(CODEC_BINARY)
+            taken = 0
+            for reads, reply in script:
+                taken += reads
+                while len(seen) < taken:
+                    data = conn.recv(65536)
+                    if not data:
+                        return
+                    decoder.feed(data)
+                    seen.extend(decoder.drain())
+                conn.sendall(reply)
+            while conn.recv(65536):
+                pass
+
+    seen = []
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread, listener
+
+
+class TestOnePass:
+    def test_a_4_mib_fetch_on_an_unlimited_link_is_16_frames(self, tmp_path):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        payload = os.urandom(4 * 1024 * 1024)
+        (outdir / "bulk.sdf").write_bytes(payload)
+        server = DataServer("127.0.0.1")
+        server.add_context("ctx", str(outdir))
+        server.start()
+        try:
+            with DataClient(server.host, server.port) as client:
+                client.fetch("ctx", "bulk.sdf", str(tmp_path / "got.sdf"))
+            frames = server.stats()["metrics"]["transfer.frames_sent"]["value"]
+        finally:
+            server.stop()
+        assert frames == 16
+        assert (tmp_path / "got.sdf").read_bytes() == payload
+
+    def test_the_fetch_path_never_reads_a_file_back(self, served_context,
+                                                    monkeypatch):
+        """The server hashes from the descriptor it sends from, and the
+        client hashes the stream as it writes it (and a resumed prefix
+        from disk): ``file_checksum`` is never called."""
+        server, outdir, files, tmp_path = served_context
+
+        def boom(path):
+            raise AssertionError(f"file_checksum({path!r}) on the fetch path")
+
+        for module in (checksums, client_module, server_module):
+            monkeypatch.setattr(module, "file_checksum", boom, raising=False)
+        dest = str(tmp_path / "once.sdf")
+        half = len(files["big.sdf"]) // 2
+        with open(dest + ".part", "wb") as fh:
+            fh.write(files["big.sdf"][:half])
+        with DataClient(server.host, server.port) as client:
+            resumed = client.fetch("ctx", "big.sdf", dest)
+            fresh = client.fetch("ctx", "small.sdf", str(tmp_path / "s.sdf"))
+        assert resumed.resumed_from == half
+        assert open(dest, "rb").read() == files["big.sdf"]
+        assert fresh.checksum == checksums.bytes_checksum(files["small.sdf"])
+
+    def test_a_wrong_announced_checksum_leaves_no_dest_and_no_part(
+        self, served_context, monkeypatch
+    ):
+        server, outdir, files, tmp_path = served_context
+        monkeypatch.setattr(server, "_checksum", lambda path, fd, st: "0" * 64)
+        dest = str(tmp_path / "wrong.sdf")
+        with DataClient(server.host, server.port) as client:
+            with pytest.raises(TransferChecksumError):
+                client.fetch("ctx", "big.sdf", dest)
+            # A checksum mismatch is an answer: the connection serves on.
+            assert client.ping() >= 0
+        assert not os.path.exists(dest)
+        assert not os.path.exists(dest + ".part")
+
+    def test_a_resume_over_a_prefix_corrupted_on_disk_is_caught(
+        self, served_context
+    ):
+        server, outdir, files, tmp_path = served_context
+        dest = str(tmp_path / "flipped.sdf")
+        half = len(files["big.sdf"]) // 2
+        prefix = bytearray(files["big.sdf"][:half])
+        prefix[half // 2] ^= 0xFF  # one bit-rotted byte the stream never sees
+        with open(dest + ".part", "wb") as fh:
+            fh.write(prefix)
+        with DataClient(server.host, server.port) as client:
+            with pytest.raises(TransferChecksumError):
+                client.fetch("ctx", "big.sdf", dest)
+            assert not os.path.exists(dest + ".part")
+            result = client.fetch("ctx", "big.sdf", dest)
+        assert result.resumed_from == 0
+        assert open(dest, "rb").read() == files["big.sdf"]
+
+    def test_a_new_version_renamed_over_the_file_mid_prepare(
+        self, served_context, monkeypatch
+    ):
+        """The prepare opens the file once: a re-simulation that renames a
+        new version over it right after the checksum is taken changes
+        neither the size nor the bytes the announced checksum covers."""
+        server, outdir, files, tmp_path = served_context
+        path = os.path.join(outdir, "big.sdf")
+        newer = os.urandom(len(files["big.sdf"]) + 4096)
+        checksum = server._checksum
+
+        def checksum_then_swap(path_, fd, st):
+            digest = checksum(path_, fd, st)
+            with open(path + ".new", "wb") as fh:
+                fh.write(newer)
+            os.replace(path + ".new", path)
+            return digest
+
+        monkeypatch.setattr(server, "_checksum", checksum_then_swap)
+        dest = str(tmp_path / "snapshot.sdf")
+        with DataClient(server.host, server.port) as client:
+            result = client.fetch("ctx", "big.sdf", dest)
+        assert result.size == len(files["big.sdf"])
+        assert open(dest, "rb").read() == files["big.sdf"]
+
+    def test_a_directory_is_not_a_file_to_fetch(self, served_context):
+        server, outdir, files, tmp_path = served_context
+        os.mkdir(os.path.join(outdir, "adir"))
+        with DataClient(server.host, server.port) as client:
+            with pytest.raises(FileNotInContextError):
+                client.fetch("ctx", "adir", str(tmp_path / "d.sdf"))
+            assert client.fetch("ctx", "small.sdf",
+                                str(tmp_path / "k.sdf")).size == 650
+
+    def test_answers_to_one_read_leave_in_one_send(self):
+        """32 pipelined pings, read at once, are answered by 32 in-order
+        pongs written with one ``send``."""
+
+        class CountingSocket:
+            def __init__(self, sock):
+                self.sock, self.sends = sock, 0
+
+            def send(self, data):
+                self.sends += 1
+                return self.sock.send(data)
+
+            def __getattr__(self, name):
+                return getattr(self.sock, name)
+
+        server = DataServer("127.0.0.1")  # never started: no threads
+        ours, theirs = socket.socketpair()
+        try:
+            sock = CountingSocket(ours)
+            conn = _DataConn(sock)
+            server._conns[conn.fd] = conn
+            theirs.sendall(b"".join(encode_binary({"op": "ping", "t": i})
+                                    for i in range(32)))
+            server._on_readable(conn)
+            assert sock.sends == 1
+            theirs.settimeout(5.0)
+            replies = answers(theirs)
+            assert [next(replies) for _ in range(32)] == [
+                {"op": "pong", "t": i} for i in range(32)]
+        finally:
+            server.stop()
+            ours.close()
+            theirs.close()
+
+
+class TestClientFraming:
+    """The client reads frame headers itself; what the decoder refuses,
+    it refuses, and any answer the decoder takes, it takes."""
+
+    @pytest.mark.parametrize("header", [
+        b"\x00" * 8,                                    # bad magic
+        bytes([0xDF, 0, 0, 0]) + (_MAX_MESSAGE + 1).to_bytes(4, "big"),
+    ], ids=["bad-magic", "oversize"])
+    def test_a_bad_first_header_fails_the_fetch_and_closes(self, tmp_path, header):
+        address, thread, listener = scripted_server([(1, header + b"\x00" * 64)])
+        try:
+            client = DataClient(*address, timeout=5.0)
+            with pytest.raises(ProtocolError):
+                client.fetch("ctx", "f.sdf", str(tmp_path / "f.sdf"))
+            with pytest.raises(DVConnectionLost):
+                client.ping()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+
+    def test_a_chunk_before_fetch_start_is_a_protocol_error(self, tmp_path):
+        address, thread, listener = scripted_server(
+            [(1, encode_chunk_header(4) + b"abcd")])
+        try:
+            client = DataClient(*address, timeout=5.0)
+            with pytest.raises(ProtocolError, match="before fetch_start"):
+                client.fetch("ctx", "f.sdf", str(tmp_path / "f.sdf"))
+            assert not os.path.exists(tmp_path / "f.sdf.part")
+            with pytest.raises(DVConnectionLost):
+                client.ping()
+        finally:
+            listener.close()
+
+    def test_an_answer_bigger_than_the_buffer_is_read_whole(self, tmp_path):
+        """An error answer near the codec's cap is larger than any
+        buffer the client keeps; it is read whole, and the connection
+        serves the next request."""
+        detail = "x" * (_MAX_MESSAGE - 100)
+        error = encode_binary({"op": "error", "code": int(ErrorCode.ERR_NOT_FOUND),
+                               "error": detail})
+        address, thread, listener = scripted_server([
+            (1, error),
+            (1, encode_binary({"op": "pong", "t": 1})),
+        ])
+        try:
+            with DataClient(*address, timeout=5.0) as client:
+                with pytest.raises(FileNotInContextError) as info:
+                    client.fetch("ctx", "f.sdf", str(tmp_path / "f.sdf"))
+                assert str(info.value) == detail
+                assert len(client._buf) < len(error)
+                assert client.ping() >= 0
+        finally:
+            listener.close()
+
+    def test_a_header_across_the_buffers_end(self, tmp_path):
+        """A ``fetch_start`` that ends 4 bytes short of the client's
+        first buffer: the chunk header after it arrives split across the
+        buffer's end and is moved to the front whole."""
+        body = os.urandom(5000)
+        fields = {"op": "fetch_start", "size": len(body), "offset": 0,
+                  "checksum": checksums.bytes_checksum(body), "pad": ""}
+        fields["pad"] = "x" * (client_module._CTRL_BUFFER - 4
+                               - len(encode_binary(fields)))
+        start = encode_binary(fields)
+        assert len(start) == client_module._CTRL_BUFFER - 4
+        address, thread, listener = scripted_server([(1, (
+            start + encode_chunk_header(len(body)) + body
+            + encode_binary({"op": "fetch_end", "bytes": len(body)})))])
+        try:
+            with DataClient(*address, timeout=5.0) as client:
+                result = client.fetch("ctx", "f.sdf", str(tmp_path / "f.sdf"))
+            assert result.size == len(body)
+            assert (tmp_path / "f.sdf").read_bytes() == body
+        finally:
+            listener.close()
+
+    def test_chunks_split_anywhere_reassemble(self, tmp_path):
+        """Frames that arrive cut at every boundary — a header split
+        across reads, many frames in one read — still land byte-exact."""
+        body = os.urandom(300_000)
+        frames = encode_binary({"op": "fetch_start", "size": len(body),
+                                "offset": 0,
+                                "checksum": checksums.bytes_checksum(body)})
+        for at in range(0, len(body), 70_000):
+            piece = body[at:at + 70_000]
+            frames += encode_chunk_header(len(piece)) + piece
+        frames += encode_binary({"op": "fetch_end", "bytes": len(body)})
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.recv(65536)
+                for at in range(0, len(frames), 4093):  # prime-sized dribble
+                    conn.sendall(frames[at:at + 4093])
+                while conn.recv(65536):
+                    pass
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with DataClient(*listener.getsockname(), timeout=5.0) as client:
+                result = client.fetch("ctx", "f.sdf", str(tmp_path / "f.sdf"))
+            assert result.size == len(body)
+            assert (tmp_path / "f.sdf").read_bytes() == body
         finally:
             listener.close()
