@@ -21,6 +21,9 @@ perf-trajectory artifact the CI ``bench-smoke`` job uploads alongside
     server, idle vs under bulk pullers, and their p99 ratio: answers
     never queue behind the link's bulk bytes.
 
+Each data port runs as a node runs it: on the event loop (and worker
+pool) of a DV server, which serves its own control port beside it.
+
 Run directly (``python benchmarks/bench_data.py [--quick]``) or under
 pytest (``pytest benchmarks/bench_data.py``).
 """
@@ -28,6 +31,7 @@ pytest (``pytest benchmarks/bench_data.py``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -39,6 +43,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _harness import emit, emit_json  # noqa: E402
 
 from repro.data import DataClient, DataServer  # noqa: E402
+from repro.dv import DVServer  # noqa: E402
 
 FULL = {"file_mb": 8, "pulls": 4, "pings": 100, "bulk_pullers": 2,
         "rates_mb": (5, 10, 20, 40), "aggregate_rate_mb": 40}
@@ -46,19 +51,28 @@ QUICK = {"file_mb": 2, "pulls": 4, "pings": 30, "bulk_pullers": 2,
          "rates_mb": (10, 40), "aggregate_rate_mb": 40}
 
 
+@contextlib.contextmanager
 def _serve_file(workdir: str, size: int, link_rate: float | None,
-                burst: float = 1e6) -> DataServer:
+                burst: float = 1e6):
+    """A data port serving ``size`` random bytes as ``bench/bulk.sdf``,
+    on the loop of a started DV server."""
     outdir = os.path.join(workdir, "out")
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "bulk.sdf")
     if not os.path.exists(path) or os.path.getsize(path) != size:
         with open(path, "wb") as fh:
             fh.write(os.urandom(size))
-    server = DataServer("127.0.0.1", link_rate=link_rate,
+    daemon = DVServer()
+    daemon.start()
+    server = DataServer(daemon.loop, "127.0.0.1", link_rate=link_rate,
                         burst=min(burst, link_rate) if link_rate else None)
     server.add_context("bench", outdir)
     server.start()
-    return server
+    try:
+        yield server
+    finally:
+        server.stop()
+        daemon.stop(drain_timeout=0)
 
 
 def _percentile(samples: list[float], q: float) -> float:
@@ -76,23 +90,20 @@ def measure_link_sweep(sizing: dict) -> list[dict]:
     burst = 256 * 1024
     rows = []
     for rate_mb in sizing["rates_mb"]:
-        with tempfile.TemporaryDirectory(prefix="bench-data-link-") as workdir:
-            server = _serve_file(workdir, size, rate_mb * 1e6, burst=burst)
-            try:
-                with DataClient(server.host, server.port) as client:
-                    begin = time.perf_counter()
-                    client.fetch(
-                        "bench", "bulk.sdf", os.path.join(workdir, "got.sdf")
-                    )
-                    elapsed = time.perf_counter() - begin
-                steady = (size - burst) / elapsed / 1e6
-                rows.append({
-                    "link_mb_per_sec": rate_mb,
-                    "achieved_mb_per_sec": round(steady, 2),
-                    "utilization": round(steady / rate_mb, 3),
-                })
-            finally:
-                server.stop()
+        with tempfile.TemporaryDirectory(prefix="bench-data-link-") as workdir, \
+                _serve_file(workdir, size, rate_mb * 1e6, burst=burst) as server:
+            with DataClient(server.host, server.port) as client:
+                begin = time.perf_counter()
+                client.fetch(
+                    "bench", "bulk.sdf", os.path.join(workdir, "got.sdf")
+                )
+                elapsed = time.perf_counter() - begin
+            steady = (size - burst) / elapsed / 1e6
+            rows.append({
+                "link_mb_per_sec": rate_mb,
+                "achieved_mb_per_sec": round(steady, 2),
+                "utilization": round(steady / rate_mb, 3),
+            })
     return rows
 
 
@@ -102,90 +113,85 @@ def measure_aggregate(sizing: dict) -> dict:
     size = sizing["file_mb"] * 1024 * 1024
     pulls = sizing["pulls"]
     rate = sizing["aggregate_rate_mb"] * 1e6
-    with tempfile.TemporaryDirectory(prefix="bench-data-agg-") as workdir:
-        server = _serve_file(workdir, size, rate)
-        try:
-            results: dict[int, object] = {}
-            barrier = threading.Barrier(pulls + 1)
+    with tempfile.TemporaryDirectory(prefix="bench-data-agg-") as workdir, \
+            _serve_file(workdir, size, rate) as server:
+        results: dict[int, object] = {}
+        barrier = threading.Barrier(pulls + 1)
 
-            def pull(slot: int) -> None:
-                with DataClient(server.host, server.port) as client:
-                    barrier.wait()
-                    results[slot] = client.fetch(
-                        "bench", "bulk.sdf",
-                        os.path.join(workdir, f"pull{slot}.sdf"),
-                    )
+        def pull(slot: int) -> None:
+            with DataClient(server.host, server.port) as client:
+                barrier.wait()
+                results[slot] = client.fetch(
+                    "bench", "bulk.sdf",
+                    os.path.join(workdir, f"pull{slot}.sdf"),
+                )
 
-            threads = [
-                threading.Thread(target=pull, args=(slot,))
-                for slot in range(pulls)
-            ]
-            for thread in threads:
-                thread.start()
-            barrier.wait()
-            begin = time.perf_counter()
-            for thread in threads:
-                thread.join(timeout=300)
-            elapsed = time.perf_counter() - begin
-            assert len(results) == pulls, "a puller died"
-            rates = sorted(r.throughput_mbps for r in results.values())
-            return {
-                "pulls": pulls,
-                "link_mb_per_sec": sizing["aggregate_rate_mb"],
-                "aggregate_mb_per_sec": round(
-                    pulls * size / elapsed / 1e6, 2),
-                "per_stream_mb_per_sec": [round(r, 2) for r in rates],
-                "fairness_spread_x": round(rates[-1] / rates[0], 2),
-            }
-        finally:
-            server.stop()
+        threads = [
+            threading.Thread(target=pull, args=(slot,))
+            for slot in range(pulls)
+        ]
+        for thread in threads:
+            thread.start()
+        barrier.wait()
+        begin = time.perf_counter()
+        for thread in threads:
+            thread.join(timeout=300)
+        elapsed = time.perf_counter() - begin
+    assert len(results) == pulls, "a puller died"
+    rates = sorted(r.throughput_mbps for r in results.values())
+    return {
+        "pulls": pulls,
+        "link_mb_per_sec": sizing["aggregate_rate_mb"],
+        "aggregate_mb_per_sec": round(pulls * size / elapsed / 1e6, 2),
+        "per_stream_mb_per_sec": [round(r, 2) for r in rates],
+        "fairness_spread_x": round(rates[-1] / rates[0], 2),
+    }
 
 
 def measure_control_latency(sizing: dict) -> dict:
     """Ping RTT idle vs under bulk load on a throttled link."""
     size = sizing["file_mb"] * 1024 * 1024
+    stop = threading.Event()
+    pullers: list[threading.Thread] = []
     with tempfile.TemporaryDirectory(prefix="bench-data-ctl-") as workdir:
-        server = _serve_file(workdir, size, 20e6)
-        stop = threading.Event()
-        pullers = []
         try:
-            with DataClient(server.host, server.port) as client:
-                idle = [client.ping() for _ in range(sizing["pings"])]
+            with _serve_file(workdir, size, 20e6) as server:
+                with DataClient(server.host, server.port) as client:
+                    idle = [client.ping() for _ in range(sizing["pings"])]
 
-            def bulk_pull(slot: int) -> None:
-                try:
-                    with DataClient(server.host, server.port) as client:
-                        while not stop.is_set():
-                            client.fetch(
-                                "bench", "bulk.sdf",
-                                os.path.join(workdir, f"bg{slot}.sdf"),
-                            )
-                except Exception:
-                    pass  # server teardown races; only latency matters
+                def bulk_pull(slot: int) -> None:
+                    try:
+                        with DataClient(server.host, server.port) as client:
+                            while not stop.is_set():
+                                client.fetch(
+                                    "bench", "bulk.sdf",
+                                    os.path.join(workdir, f"bg{slot}.sdf"),
+                                )
+                    except Exception:
+                        pass  # server teardown races; only latency matters
 
-            pullers = [
-                threading.Thread(target=bulk_pull, args=(slot,), daemon=True)
-                for slot in range(sizing["bulk_pullers"])
-            ]
-            for thread in pullers:
-                thread.start()
-            time.sleep(0.3)  # let bulk saturate the throttled link
-            with DataClient(server.host, server.port) as client:
-                loaded = [client.ping() for _ in range(sizing["pings"])]
+                pullers = [
+                    threading.Thread(target=bulk_pull, args=(slot,), daemon=True)
+                    for slot in range(sizing["bulk_pullers"])
+                ]
+                for thread in pullers:
+                    thread.start()
+                time.sleep(0.3)  # let bulk saturate the throttled link
+                with DataClient(server.host, server.port) as client:
+                    loaded = [client.ping() for _ in range(sizing["pings"])]
         finally:
             stop.set()
-            server.stop()
             for thread in pullers:
                 thread.join(timeout=10)
-        idle_p99 = _percentile(idle, 0.99)
-        loaded_p99 = _percentile(loaded, 0.99)
-        return {
-            "idle_p50_ms": round(_percentile(idle, 0.50) * 1e3, 3),
-            "idle_p99_ms": round(idle_p99 * 1e3, 3),
-            "loaded_p50_ms": round(_percentile(loaded, 0.50) * 1e3, 3),
-            "loaded_p99_ms": round(loaded_p99 * 1e3, 3),
-            "p99_ratio_x": round(loaded_p99 / max(idle_p99, 1e-9), 2),
-        }
+    idle_p99 = _percentile(idle, 0.99)
+    loaded_p99 = _percentile(loaded, 0.99)
+    return {
+        "idle_p50_ms": round(_percentile(idle, 0.50) * 1e3, 3),
+        "idle_p99_ms": round(idle_p99 * 1e3, 3),
+        "loaded_p50_ms": round(_percentile(loaded, 0.50) * 1e3, 3),
+        "loaded_p99_ms": round(loaded_p99 * 1e3, 3),
+        "p99_ratio_x": round(loaded_p99 / max(idle_p99, 1e-9), 2),
+    }
 
 
 def compute(sizing: dict) -> dict:

@@ -111,7 +111,6 @@ class ClusterNode:
         suspect_after: int = 3,
         rpc_timeout: float = 10.0,
         mode: str = "selector",
-        workers: int | None = None,
         engine_workers: int | None = None,
         data_port: int = 0,
         data_link_rate: float | None = None,
@@ -152,8 +151,8 @@ class ClusterNode:
         # Cluster nodes need worker headroom beyond the plain daemon's
         # default: a forwarded run (a connection's consecutive forwardable
         # ops, often just one) parks a worker on a peer round trip, and
-        # gossip merges run there too.
-        self.server = DVServer(host, port, workers=workers or 4)
+        # gossip merges and the data port's prepares run there too.
+        self.server = DVServer(host, port, workers=4)
         # Spans recorded by this daemon must carry the cluster identity,
         # not the generic "dv", so a merged trace names its hops.
         self.server.obs.node = node_id
@@ -179,12 +178,13 @@ class ClusterNode:
             rpc_timeout=rpc_timeout,
             obs=self.server.obs,
         )
-        #: Bulk data plane: bound here (so the port is known before hellos
-        #: advertise it), threads started in :meth:`start`.  Serves every
-        #: context in the catalog from its PFS directory; a file this
-        #: node does not have is refused with the owner's data endpoint.
+        #: Bulk data plane on the server's loop: bound here (so the port
+        #: is known before hellos advertise it), served from :meth:`start`.
+        #: Serves every context in the catalog from its PFS directory; a
+        #: file this node does not have is refused with the owner's data
+        #: endpoint.
         self.data = DataServer(
-            host, data_port,
+            self.server.loop, host, data_port,
             link_rate=data_link_rate,
             metrics=self.server.metrics,
             resolver=self._data_resolve,
@@ -345,8 +345,8 @@ class ClusterNode:
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5.0)
         self.router.close()
-        self.server.stop(drain_timeout=drain_timeout)
         self.data.stop()
+        self.server.stop(drain_timeout=drain_timeout)
 
     def __enter__(self) -> "ClusterNode":
         self.start()
@@ -939,7 +939,7 @@ class ClusterNode:
             }
 
     # ------------------------------------------------------------------ #
-    # Data plane (the resolver runs on the DataServer's prepare worker)
+    # Data plane (the resolver runs on a worker of the server's loop)
     # ------------------------------------------------------------------ #
     def _data_resolve(self, context: str, filename: str) -> str:
         """Map a fetch to a file in the context's output dir.  A node

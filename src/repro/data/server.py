@@ -1,7 +1,9 @@
-"""Selector-based bulk data server: the node's data port.
+"""The node's data port: bulk bytes served from the DV daemon's loop.
 
-One ``DataServer`` runs next to each DV daemon (or cluster node) on its
-own port.  It speaks the control port's binary frames
+One ``DataServer`` runs beside each DV daemon (or cluster node) on its
+own port, as a second handler on the daemon's
+:class:`~repro.dv.loop.EventLoop`: it owns no thread, selector or
+wake-up pair.  It speaks the control port's binary frames
 (:mod:`repro.dv.protocol`), with no ``hello``: requests and answers are
 JSON frames, and file bytes are ``chunk`` frames.  Design points:
 
@@ -26,18 +28,20 @@ JSON frames, and file bytes are ``chunk`` frames.  Design points:
 * **Bounded answers.**  A connection whose unsent answers pass
   ``_CTRL_HIGH_WATER`` is not read again until they drain, so a client
   that asks without reading cannot grow the server's memory.
-* **Non-blocking I/O thread.**  Like the DV control server, a single
-  selector thread owns all sockets; blocking work (request validation,
-  path resolution, open, checksum) runs on one prepare worker, which
-  answers every request it cannot serve with an error frame.  A prepare
-  opens the file once and takes its type, size and checksum from that
-  descriptor, so what ``fetch_start`` announces describes the bytes sent
-  even if a new version is renamed over the path meanwhile.
+* **One loop per node.**  The data sockets share the daemon's I/O
+  thread; blocking work (request validation, path resolution, open,
+  checksum) runs on its worker pool, which answers every request it
+  cannot serve with an error frame.  A prepare opens the file once and
+  takes its type, size and checksum from that descriptor, so what
+  ``fetch_start`` announces describes the bytes sent even if a new
+  version is renamed over the path meanwhile.  One prepare runs at a
+  time.  A pump of the link makes a few grants and yields to the loop's
+  other sockets; a token-starved link waits on a loop timer.
 * **Local bytes only.**  A server streams files its resolver finds on
   this node and nothing else; it never fetches on a client's behalf.
 
 The listener is bound in ``__init__`` (so the port is known before the
-daemon advertises it) but threads start only in :meth:`start`.
+daemon advertises it) and registered on the loop in :meth:`start`.
 """
 
 from __future__ import annotations
@@ -46,11 +50,9 @@ import errno
 import hashlib
 import logging
 import os
-import queue
 import selectors
 import socket
 import stat
-import threading
 import time
 from collections import deque
 from collections.abc import Callable
@@ -70,6 +72,7 @@ from repro.dv.protocol import (
     encode_binary,
     encode_chunk_header,
 )
+from repro.dv.loop import EventLoop
 from repro.metrics import MetricsRegistry
 from repro.obs import SpanRecorder
 from repro.obs.trace import parse_wire
@@ -84,6 +87,11 @@ _RECV_SIZE = 64 * 1024
 #: quantum (what a ready transfer may send per turn): a link with tokens
 #: to spare sends whole frames.
 _CHUNK = 256 * 1024
+
+#: Grants one pump of the link may make before the loop's other sockets
+#: get a turn (and at least one per ready transfer): up to 1 MiB on an
+#: unlimited link.
+_PUMP_GRANTS = 4
 
 #: Unsent answer bytes past which a connection is not read until they
 #: drain (one read past it adds at most the answers to ``_RECV_SIZE``).
@@ -124,7 +132,7 @@ class _DataConn:
         self.ctrl_out = bytearray()
         self.blocked = False
         self.transfer: _Transfer | None = None
-        self.events = selectors.EVENT_READ
+        self.events = 0  # selector interest: none until _arm
         self.closing = False
 
 
@@ -133,10 +141,11 @@ def _error(code: ErrorCode, detail: str) -> dict:
 
 
 class DataServer:
-    """Bulk data port for one node.
+    """Bulk data port for one node, served on ``loop`` (the node's DV
+    server's :attr:`~repro.dv.server.DVServer.loop`).
 
     ``resolver(context, filename) -> path`` maps requests to files (it
-    runs on the prepare worker and refuses by raising
+    runs on a worker and refuses by raising
     :class:`~repro.core.errors.FileNotInContextError`); the default
     resolver looks up directories registered via :meth:`add_context`
     with path confinement.
@@ -144,6 +153,7 @@ class DataServer:
 
     def __init__(
         self,
+        loop: EventLoop,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -153,6 +163,7 @@ class DataServer:
         metrics: MetricsRegistry | None = None,
         obs: SpanRecorder | None = None,
     ) -> None:
+        self.loop = loop
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Span recorder for traced transfers — share the owning daemon's
         #: so ``data.fetch`` spans land in the same per-node ring.
@@ -161,7 +172,6 @@ class DataServer:
         self._dirs: dict[str, str] = {}
         self._sched = BandwidthScheduler(rate=link_rate, burst=burst, quantum=_CHUNK)
         self._sums: dict[str, tuple[tuple[int, int, int], str]] = {}
-        self._sums_lock = threading.Lock()
         self._use_sendfile = hasattr(os, "sendfile")
 
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -169,15 +179,14 @@ class DataServer:
         self._listener.bind((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
 
-        self._selector: selectors.BaseSelector | None = None
         self._conns: dict[int, _DataConn] = {}
-        self._work: queue.Queue = queue.Queue()
-        self._done: deque = deque()
-        self._wake_r: socket.socket | None = None
-        self._wake_w: socket.socket | None = None
-        self._running = False
-        self._io_thread: threading.Thread | None = None
-        self._worker: threading.Thread | None = None
+        #: Fetches to prepare, the first one on a worker: one at a time,
+        #: so hashes hold at most one worker of the node's pool (and only
+        #: that prepare touches ``_sums``).
+        self._prepares: deque = deque()
+        #: A pump of the link is queued: soon, or on a timer while the
+        #: link is out of tokens.
+        self._pump_due = False
 
         m = self.metrics
         self._m_bytes = m.counter("transfer.bytes_sent")
@@ -206,64 +215,28 @@ class DataServer:
         """Whole-file SHA-256 of the open ``fd`` (``st`` its ``fstat``),
         cached by path and (inode, size, mtime_ns)."""
         key = (st.st_ino, st.st_size, st.st_mtime_ns)
-        with self._sums_lock:
-            cached = self._sums.get(path)
+        cached = self._sums.get(path)
         if cached is not None and cached[0] == key:
             return cached[1]
         with open(fd, "rb", closefd=False) as fh:
             digest = hashlib.file_digest(fh, "sha256").hexdigest()
-        with self._sums_lock:
-            self._sums[path] = (key, digest)
+        self._sums[path] = (key, digest)
         return digest
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
         self._listener.listen(128)
-        self._listener.setblocking(False)
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ, "listener")
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "waker")
-        self._worker = threading.Thread(
-            target=self._worker_loop, name="data-worker", daemon=True
-        )
-        self._worker.start()
-        self._io_thread = threading.Thread(
-            target=self._serve, name="data-io", daemon=True
-        )
-        self._io_thread.start()
+        self.loop.listen(self._listener, self._accepted)
 
     def stop(self) -> None:
-        if not self._running:
-            self._listener.close()
-            return
-        self._running = False
-        self._wake()
-        if self._io_thread is not None:
-            self._io_thread.join(timeout=5.0)
-        self._work.put(None)
-        self._worker.join(timeout=5.0)
+        """Close the port and its connections; the loop serves on."""
+        self.loop.call(self._close)
+
+    def _close(self) -> None:
+        self.loop.unlisten(self._listener)
         for conn in list(self._conns.values()):
             self._teardown(conn)
-        if self._selector is not None:
-            self._selector.close()
-        for s in (self._wake_r, self._wake_w):
-            if s is not None:
-                s.close()
-        self._listener.close()
-
-    def _wake(self) -> None:
-        if self._wake_w is None:
-            return
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:
-            pass
 
     def stats(self) -> dict:
         return {
@@ -273,29 +246,22 @@ class DataServer:
             "metrics": self.metrics.snapshot("transfer."),
         }
 
-    # -- prepare worker --------------------------------------------------
+    # -- on a worker -----------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._work.get()
-            if item is None:
-                return
-            transfer, message = item
-            try:
-                result = self._prepare(message)
-            except Exception as exc:
-                # Every failure gets an answer, a bug included: a worker
-                # that dies takes every later request on the port with it.
-                code, detail = ErrorCode.ERR_PROTOCOL, f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, SimFSError):
-                    code, detail = exc.code, str(exc)
-                elif isinstance(exc, OSError):
-                    code = ErrorCode.ERR_NOT_FOUND
-                else:
-                    log.exception("data-plane fetch failed")
-                result = _error(code, detail)
-            self._done.append((transfer, result))
-            self._wake()
+    def _run_prepare(self, transfer: _Transfer, message: dict) -> None:
+        try:
+            result = self._prepare(message)
+        except Exception as exc:
+            # Every failure gets an answer, a bug included.
+            code, detail = ErrorCode.ERR_PROTOCOL, f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, SimFSError):
+                code, detail = exc.code, str(exc)
+            elif isinstance(exc, OSError):
+                code = ErrorCode.ERR_NOT_FOUND
+            else:
+                log.exception("data-plane fetch failed")
+            result = _error(code, detail)
+        self.loop.call_soon(self._prepared, transfer, result)
 
     def _prepare(self, message: dict) -> dict:
         context = message.get("context", "")
@@ -340,49 +306,12 @@ class DataServer:
             "tc": message.get("tc"),
         }
 
-    # -- selector loop ---------------------------------------------------
+    # -- on the loop thread ----------------------------------------------
 
-    def _serve(self) -> None:
-        sel = self._selector
-        wait: float | None = None
-        while self._running:
-            timeout = 0.5 if wait is None else max(0.0, min(wait, 0.5))
-            try:
-                events = sel.select(timeout)
-            except OSError:
-                continue
-            for key, mask in events:
-                if key.data == "listener":
-                    self._accept()
-                elif key.data == "waker":
-                    try:
-                        self._wake_r.recv(4096)
-                    except OSError:
-                        pass
-                else:
-                    conn = key.data
-                    if mask & selectors.EVENT_READ:
-                        self._on_readable(conn)
-                    if mask & selectors.EVENT_WRITE and conn.fd in self._conns:
-                        self._on_writable(conn)
-            self._drain_done()
-            wait = self._pump()
-            self._m_queue.set(self._sched.queue_depth())
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:  # BlockingIOError included: none left
-                return
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            conn = _DataConn(sock)
-            self._conns[conn.fd] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
+    def _accepted(self, sock: socket.socket) -> None:
+        conn = _DataConn(sock)
+        self._conns[conn.fd] = conn
+        self._arm(conn)
 
     def _arm(self, conn: _DataConn) -> None:
         """Wait for what the connection can use: writability while it is
@@ -391,18 +320,10 @@ class DataServer:
         events = selectors.EVENT_WRITE if conn.blocked else 0
         if not conn.closing and len(conn.ctrl_out) <= _CTRL_HIGH_WATER:
             events |= selectors.EVENT_READ
-        if conn.events == events or conn.fd not in self._conns:
-            return
-        try:
-            if not events:
-                self._selector.unregister(conn.sock)
-            elif not conn.events:
-                self._selector.register(conn.sock, events, conn)
-            else:
-                self._selector.modify(conn.sock, events, conn)
-        except (KeyError, ValueError, OSError):
-            pass
-        conn.events = events
+        if conn.fd in self._conns:
+            conn.events = self.loop.watch(
+                conn.sock, conn.events, events, (self._on_readable, self._on_writable, conn)
+            )
 
     def _on_readable(self, conn: _DataConn) -> None:
         try:
@@ -451,29 +372,30 @@ class DataServer:
                                       "this connection's fetch is not done"))
         else:
             conn.transfer = _Transfer(conn)
-            self._work.put((conn.transfer, message))
+            self._prepares.append((conn.transfer, message))
+            if len(self._prepares) == 1:
+                self.loop.submit(self._run_prepare, conn.transfer, message)
 
     def _refuse(self, conn: _DataConn, error: dict) -> None:
         self._m_errors.inc()
         self._send_ctrl(conn, error)
 
-    def _drain_done(self) -> None:
-        while self._done:
-            transfer, result = self._done.popleft()
-            conn = transfer.conn
-            if conn.transfer is not transfer:  # the connection went first
-                if result["op"] == "start":
-                    os.close(result["fd"])
-            else:
-                if result["op"] == "error":
-                    conn.transfer = None
-                    self._refuse(conn, result)
-                else:
-                    self._begin_transfer(conn, transfer, result)
-                self._flush_ctrl(conn)
-
-    def _begin_transfer(self, conn: _DataConn, transfer: _Transfer,
-                        result: dict) -> None:
+    def _prepared(self, transfer: _Transfer, result: dict) -> None:
+        """A prepare's answer: the transfer begins, or is refused — or,
+        when its connection (or the server) went first, its fd closes."""
+        self._prepares.popleft()
+        if self._prepares:
+            self.loop.submit(self._run_prepare, *self._prepares[0])
+        conn = transfer.conn
+        if conn.transfer is not transfer:
+            if result["op"] == "start":
+                os.close(result["fd"])
+            return
+        if result["op"] == "error":
+            conn.transfer = None
+            self._refuse(conn, result)
+            self._flush_ctrl(conn)
+            return
         transfer.context, transfer.filename = result["context"], result["file"]
         transfer.fd, transfer.offset = result["fd"], result["offset"]
         transfer.remaining = result["size"] - result["offset"]
@@ -491,34 +413,44 @@ class DataServer:
         self._m_active.inc()
         if transfer.remaining <= 0:
             self._finish_transfer(conn, transfer)
-            return
-        self._sched.register(transfer)
-        if not conn.blocked:
-            self._sched.mark_ready(transfer)
+        else:
+            self._sched.register(transfer)
+            if not conn.blocked:
+                self._ready(transfer)
+        self._flush_ctrl(conn)
 
     # -- the send pump ---------------------------------------------------
 
-    def _pump(self) -> float | None:
-        """Grant/send until the link is starved, blocked, or idle.
+    def _ready(self, transfer: _Transfer) -> None:
+        """``transfer`` has bytes to send: queue it, and a pump."""
+        self._sched.mark_ready(transfer)
+        if not self._pump_due:
+            self._pump_due = True
+            self.loop.call_soon(self._pump)
 
-        Returns the scheduler's suggested wait (seconds) when
-        token-starved, else None.
-        """
+    def _pump(self) -> None:
+        """Up to ``_PUMP_GRANTS`` grants, and at least one round of the
+        ready transfers; then the loop's other sockets get a turn before
+        the next pump.  A token-starved link comes back on a timer."""
+        self._pump_due = False
         sched = self._sched
-        spins = 0
-        limit = max(128, 4 * sched.queue_depth() + 8)
-        while self._running and spins < limit:
-            spins += 1
+        for _ in range(max(_PUMP_GRANTS, sched.queue_depth())):
             now = time.monotonic()
             transfer, budget = sched.grant(now)
             if transfer is None:
-                return budget  # None (idle) or wait seconds
+                if budget is not None:  # out of tokens: back when there are
+                    self._pump_due = True
+                    self.loop.call_at(now + budget, self._pump)
+                break
             conn = transfer.conn
             self._advance(conn, transfer, budget, now)
             if conn.transfer is transfer and not conn.blocked:
                 sched.mark_ready(transfer)
-        # Spin limit reached with streams still ready: come straight back.
-        return 0.0 if sched.queue_depth() > 0 else None
+        depth = sched.queue_depth()
+        self._m_queue.set(depth)
+        if depth and not self._pump_due:
+            self._pump_due = True
+            self.loop.call_soon(self._pump)
 
     def _advance(self, conn: _DataConn, transfer: _Transfer,
                  budget: int, now: float) -> None:
@@ -560,13 +492,10 @@ class DataServer:
                 if n == 0:
                     raise OSError(errno.EIO, "file truncated mid-transfer")
                 return n
-            except OSError as exc:
-                if exc.errno in (errno.EAGAIN, errno.EWOULDBLOCK):
-                    raise BlockingIOError from exc
-                if exc.errno in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
-                    self._use_sendfile = False
-                else:
+            except OSError as exc:  # EAGAIN is a BlockingIOError already
+                if exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
                     raise
+                self._use_sendfile = False
         data = os.pread(transfer.fd, want, transfer.offset)
         if not data:
             raise OSError(errno.EIO, "file truncated mid-transfer")
@@ -587,7 +516,7 @@ class DataServer:
             return
         self._arm(conn)
         if not conn.blocked and conn.transfer is not None:
-            self._sched.mark_ready(conn.transfer)
+            self._ready(conn.transfer)
 
     def _flush_ctrl(self, conn: _DataConn) -> None:
         """Write the connection's answers; only a chunk on its way out may
@@ -637,7 +566,7 @@ class DataServer:
         """Free the connection's slot without finishing its transfer."""
         transfer, conn.transfer = conn.transfer, None
         if transfer is None or transfer.fd is None:
-            return  # none, or still with the worker (its fd is closed there)
+            return  # none, or still preparing (_prepared closes its fd)
         try:
             os.close(transfer.fd)
         except OSError:
@@ -648,12 +577,5 @@ class DataServer:
     def _teardown(self, conn: _DataConn) -> None:
         if self._conns.pop(conn.fd, None) is None:
             return
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError, OSError):
-            pass
+        conn.events = self.loop.drop(conn.sock, conn.events)
         self._drop_transfer(conn)
-        try:
-            conn.sock.close()
-        except OSError:
-            pass

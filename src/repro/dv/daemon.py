@@ -155,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.data.server import DataServer
 
         data_server = DataServer(
+            server.loop,
             config.get("host", "127.0.0.1"),
             int(config["data_port"]),
             link_rate=config.get("data_link_rate"),
@@ -225,11 +226,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         threading.Event().wait()
     except KeyboardInterrupt:
+        if data_server is not None:
+            data_server.stop()
         service.stop()
         if exporter is not None:
             exporter.stop()
-        if data_server is not None:
-            data_server.stop()
     return 0
 
 

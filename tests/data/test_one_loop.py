@@ -1,0 +1,185 @@
+"""The data port on the DV daemon's event loop: one loop per node.
+
+A node runs one I/O thread and one worker pool, and the data port owns
+no thread of its own.  Its sockets share that thread with the control
+port, so nothing the data port waits on may hold the control port up: a
+client that stops reading, a link waiting for tokens, the data port's
+own stop.  And a prepare that finishes after the data port stopped
+closes the descriptor it opened."""
+
+import os
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.cluster import ClusterNode
+from repro.core.errors import DVConnectionLost
+from repro.data import DataClient, DataServer
+from repro.dv.protocol import encode_binary
+from tests.dv.test_server_selector import connect, make_server
+
+
+def eventually(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def new_threads(before):
+    return sorted(t.name for t in set(threading.enumerate()) - before)
+
+
+@pytest.fixture
+def node(tmp_path):
+    """A started DV server with context ``alpha``, and a function that
+    puts a data port serving ``size`` random bytes on its loop."""
+    server, contexts = make_server(tmp_path)
+    ports = []
+
+    def data_port(size, **kwargs):
+        outdir = tmp_path / "bulk"
+        outdir.mkdir(exist_ok=True)
+        (outdir / "bulk.sdf").write_bytes(os.urandom(size))
+        data = DataServer(server.loop, **kwargs)
+        data.add_context("bulk", str(outdir))
+        data.start()
+        ports.append(data)
+        return data
+
+    yield server, contexts["alpha"], data_port
+    for data in ports:
+        data.stop()
+    server.stop()
+
+
+def control_port_answers(server, context):
+    """An ``open`` of a resident file on the control port is answered."""
+    with connect(server, "alpha") as conn:
+        conn.call({"op": "attach", "context": "alpha"})
+        return conn.open("alpha", context.filename_of(1)).available
+
+
+def test_an_idle_node_runs_six_threads_and_a_data_port_adds_none():
+    before = set(threading.enumerate())
+    node = ClusterNode("n1")
+    node.start()
+    try:
+        names = new_threads(before)
+        assert names == ["cluster-hb-n1", "simfs-dv-io"] + [
+            f"simfs-dv-worker-{idx}" for idx in range(4)]
+        data = DataServer(node.server.loop)
+        data.start()
+        try:
+            assert new_threads(before) == names
+        finally:
+            data.stop()
+    finally:
+        node.stop()
+
+
+def test_a_data_client_that_stops_reading_does_not_hold_the_control_port(node):
+    server, context, data_port = node
+    data = data_port(1024 * 1024)
+    # Small buffers on both ends: the transfer blocks on write early.
+    data._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.connect((data.host, data.port))
+    try:
+        sock.sendall(encode_binary(
+            {"op": "fetch", "context": "bulk", "file": "bulk.sdf", "offset": 0}))
+        blocked = lambda: any(  # noqa: E731
+            conn.blocked for conn in list(data._conns.values()))
+        assert eventually(blocked), "the transfer never blocked on write"
+        assert control_port_answers(server, context)
+        assert blocked()  # still stuck behind the client that does not read
+    finally:
+        sock.close()
+
+
+def test_an_open_is_answered_while_a_throttled_transfer_waits_for_tokens(node):
+    server, context, data_port = node
+    size = 512 * 1024
+    data = data_port(size, link_rate=1e6, burst=64 * 1024)
+    dest = os.path.join(os.path.dirname(data._dirs["bulk"]), "got.sdf")
+    fetched = []
+
+    def fetch():
+        with DataClient(data.host, data.port) as client:
+            fetched.append(client.fetch("bulk", "bulk.sdf", dest))
+
+    fetcher = threading.Thread(target=fetch, daemon=True)
+    fetcher.start()
+    try:
+        # The link is out of tokens: the pump waits on a loop timer.
+        assert eventually(lambda: data._pump_due and server.loop._timers)
+        assert control_port_answers(server, context)
+        assert fetcher.is_alive()  # the transfer is still waiting on the link
+    finally:
+        fetcher.join(timeout=30.0)
+    assert fetched and fetched[0].bytes == size
+    assert os.path.getsize(dest) == size
+
+
+def test_stopping_the_data_port_leaves_the_control_port_serving(node, tmp_path):
+    server, context, data_port = node
+    data = data_port(4096)
+    with DataClient(data.host, data.port) as client:
+        assert client.fetch("bulk", "bulk.sdf", str(tmp_path / "a.sdf")).size == 4096
+    data.stop()
+    with pytest.raises(DVConnectionLost):
+        DataClient(data.host, data.port, timeout=2.0)
+    assert control_port_answers(server, context)
+    assert server.loop._io_thread.is_alive()
+
+
+def test_a_prepare_that_finishes_after_stop_closes_its_descriptor(
+    tmp_path, loop, monkeypatch
+):
+    """A resolver held until ``stop()`` has run: the prepare then opens
+    the file for a connection that is gone, and the loop closes the
+    descriptor."""
+    path = tmp_path / "held.sdf"
+    path.write_bytes(b"x" * 4096)
+    entered, release = threading.Event(), threading.Event()
+
+    def held_resolver(context, filename):
+        entered.set()
+        release.wait(10.0)
+        return str(path)
+
+    data = DataServer(loop, resolver=held_resolver)
+    opened = []
+    prepare = data._prepare
+
+    def spy(message):
+        result = prepare(message)
+        opened.append(result["fd"])
+        return result
+
+    monkeypatch.setattr(data, "_prepare", spy)
+    data.start()
+
+    def open_on_path():
+        fds = os.listdir("/proc/self/fd")
+        links = []
+        for fd in fds:
+            try:
+                links.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:
+                pass
+        return str(path) in links
+
+    with socket.create_connection((data.host, data.port), timeout=5.0) as sock:
+        sock.sendall(encode_binary(
+            {"op": "fetch", "context": "ctx", "file": "held.sdf", "offset": 0}))
+        assert entered.wait(5.0)
+        data.stop()
+        release.set()
+        assert eventually(lambda: opened), "the prepare never opened the file"
+        assert eventually(lambda: not open_on_path()), "the descriptor leaked"

@@ -20,6 +20,7 @@ from repro.data import DataClient, DataServer, TransferChecksumError
 from repro.data import client as client_module
 from repro.data import server as server_module
 from repro.data.server import _CTRL_HIGH_WATER, _RECV_SIZE, _DataConn
+from repro.dv.loop import EventLoop
 from repro.dv.protocol import (
     _MAX_MESSAGE,
     CODEC_BINARY,
@@ -53,7 +54,7 @@ def answers(sock, decoder=None):
 
 
 @pytest.fixture
-def served_context(tmp_path):
+def served_context(tmp_path, loop):
     outdir = tmp_path / "out"
     outdir.mkdir()
     files = {}
@@ -61,7 +62,7 @@ def served_context(tmp_path):
         payload = os.urandom(size)
         (outdir / name).write_bytes(payload)
         files[name] = payload
-    server = DataServer("127.0.0.1")
+    server = DataServer(loop, "127.0.0.1")
     server.add_context("ctx", str(outdir))
     server.start()
     yield server, str(outdir), files, tmp_path
@@ -158,12 +159,12 @@ class TestFetch:
 
 
 class TestSchedulingLive:
-    def test_concurrent_pulls_within_fairness_bound(self, tmp_path):
+    def test_concurrent_pulls_within_fairness_bound(self, tmp_path, loop):
         outdir = tmp_path / "out"
         outdir.mkdir()
         payload = os.urandom(4 * 1024 * 1024)
         (outdir / "bulk.sdf").write_bytes(payload)
-        server = DataServer("127.0.0.1", link_rate=40e6, burst=1e6)
+        server = DataServer(loop, "127.0.0.1", link_rate=40e6, burst=1e6)
         server.add_context("ctx", str(outdir))
         server.start()
         results = {}
@@ -192,12 +193,12 @@ class TestSchedulingLive:
         finally:
             server.stop()
 
-    def test_ping_latency_survives_bulk_load(self, tmp_path):
+    def test_ping_latency_survives_bulk_load(self, tmp_path, loop):
         outdir = tmp_path / "out"
         outdir.mkdir()
         payload = os.urandom(8 * 1024 * 1024)
         (outdir / "bulk.sdf").write_bytes(payload)
-        server = DataServer("127.0.0.1", link_rate=20e6, burst=1e6)
+        server = DataServer(loop, "127.0.0.1", link_rate=20e6, burst=1e6)
         server.add_context("ctx", str(outdir))
         server.start()
         stop = threading.Event()
@@ -302,7 +303,8 @@ class TestProtocolEdges:
             sock.close()
 
     @pytest.mark.parametrize("second", ["same", "different"])
-    def test_a_fetch_while_the_slot_is_taken_is_refused(self, tmp_path, second):
+    def test_a_fetch_while_the_slot_is_taken_is_refused(self, tmp_path, loop,
+                                                         second):
         """One fetch per connection: a second ``fetch`` — the same file
         or another — while the first streams is refused ``ERR_INVALID``,
         the first streams on to its ``fetch_end``, and the freed slot
@@ -314,7 +316,7 @@ class TestProtocolEdges:
         (outdir / "other.sdf").write_bytes(b"other")
         # Throttled link: the first transfer is guaranteed in flight
         # when the second fetch lands.
-        server = DataServer("127.0.0.1", link_rate=8e6, burst=256 * 1024)
+        server = DataServer(loop, "127.0.0.1", link_rate=8e6, burst=256 * 1024)
         server.add_context("ctx", str(outdir))
         server.start()
         first = {"op": "fetch", "context": "ctx", "file": "big.sdf", "offset": 0}
@@ -465,12 +467,13 @@ def scripted_server(script):
 
 
 class TestOnePass:
-    def test_a_4_mib_fetch_on_an_unlimited_link_is_16_frames(self, tmp_path):
+    def test_a_4_mib_fetch_on_an_unlimited_link_is_16_frames(self, tmp_path,
+                                                              loop):
         outdir = tmp_path / "out"
         outdir.mkdir()
         payload = os.urandom(4 * 1024 * 1024)
         (outdir / "bulk.sdf").write_bytes(payload)
-        server = DataServer("127.0.0.1")
+        server = DataServer(loop, "127.0.0.1")
         server.add_context("ctx", str(outdir))
         server.start()
         try:
@@ -586,7 +589,8 @@ class TestOnePass:
             def __getattr__(self, name):
                 return getattr(self.sock, name)
 
-        server = DataServer("127.0.0.1")  # never started: no threads
+        loop = EventLoop(workers=1)  # never started: no threads
+        server = DataServer(loop, "127.0.0.1")
         ours, theirs = socket.socketpair()
         try:
             sock = CountingSocket(ours)
@@ -602,6 +606,7 @@ class TestOnePass:
                 {"op": "pong", "t": i} for i in range(32)]
         finally:
             server.stop()
+            loop.stop()
             ours.close()
             theirs.close()
 

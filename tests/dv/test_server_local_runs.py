@@ -313,13 +313,13 @@ def test_a_bounded_context_does_not_send_its_neighbours_off_the_loop(loop):
     assert server._evicting_contexts == {"scan"}
     server.feed(conn, batch(contexts["hot"], 16))
     assert server.metrics.get("wire.frames_recv").value == 32
-    assert not conn.busy and not conn.inbox and server._work_queue.empty()
+    assert not conn.busy and not conn.inbox and server.loop.work.empty()
     assert len(read_replies(theirs, 32)) == 32
     # The bounded context's opens stay on the loop; its release leaves it.
     server.feed(conn, batch(contexts["scan"], 1, first_req=101))
     assert len(read_replies(theirs, 1)) == 1
     assert conn.busy and len(conn.inbox) == 1
-    assert server._work_queue.get_nowait() is conn
+    assert server.loop.work.get_nowait() == (server.drain, (conn,))
     server.drain(conn)
     assert len(read_replies(theirs, 1)) == 1 and not conn.busy
     assert server.coordinator.shard("scan").open_files["c1"] == []

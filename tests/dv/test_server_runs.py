@@ -99,9 +99,10 @@ def gateway(tmp_path):
 
 def run_worker(server, conn):
     """Run the drain the event loop handed to the pool, if it did."""
-    while not server._work_queue.empty():
-        assert server._work_queue.get_nowait() is conn
-        server.drain(conn)
+    while not server.loop.work.empty():
+        drain, args = server.loop.work.get_nowait()
+        assert (drain, args) == (server.drain, (conn,))
+        drain(*args)
 
 
 def drain(server, conn, theirs, messages):
@@ -303,7 +304,7 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
 
         owner_step()  # warm: histograms created, key memo filled
         (reply,) = decode_frames(theirs.recv(1 << 16))
-        assert len(unpack_run_reply(reply, 32)[0]) == 32 and owner._work_queue.empty()
+        assert len(unpack_run_reply(reply, 32)[0]) == 32 and owner.loop.work.empty()
         calls = count_calls(owner_step) / 32
         theirs.recv(1 << 16)
         assert 5 < calls <= OWNER_CALL_BUDGET, f"owner: {calls:.1f} calls per op"

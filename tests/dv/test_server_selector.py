@@ -272,8 +272,11 @@ class TestClientsRefuseNonBinaryServers:
         thread.start()
         yield listener.getsockname()[:2]
         stop.set()
+        # Wakes the thread's accept(); a close alone leaves it waiting.
+        listener.shutdown(socket.SHUT_RDWR)
         listener.close()
         thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
     def test_tcp_connection_raises(self, v1_server):
         host, port = v1_server
@@ -528,8 +531,8 @@ class TestBackpressure:
         no longer read, and is read again once the worker's drain brings
         it back under the mark — every request still gets exactly one
         reply.  No thread: this test feeds the core and reconciles the
-        selector the way the I/O thread does after each read, and runs
-        the worker's drain itself."""
+        selector the way the loop thread does after each read, runs the
+        worker's drain itself, and then the loop's hand-off."""
         from repro.dv import core as core_mod
         from repro.dv.core import _ClientConn
         from repro.dv.protocol import encode_frame, encode_open_request
@@ -538,12 +541,14 @@ class TestBackpressure:
         server, contexts = make_server(tmp_path, start=False)
         fname = contexts["alpha"].filename_of(1)
         ours, theirs = socket.socketpair()
-        server._selector = selectors.DefaultSelector()
+        loop = server.loop
         try:
             conn = _ClientConn(ours, client_id="flood")
             conn.decoder.set_codec(CODEC_BINARY)
             server.coordinator.client_connect("flood", "alpha")
-            server._selector.register(ours, selectors.EVENT_READ, conn)
+            loop.selector.register(
+                ours, selectors.EVENT_READ, (server._read, server._reconcile, conn)
+            )
             conn.sel_mask = selectors.EVENT_READ
             # bitrep leaves the loop; the opens behind it pile into the
             # inbox until the (tiny) high-water mark stops the reading.
@@ -559,12 +564,15 @@ class TestBackpressure:
                 ))
                 server._reconcile(conn)
             assert conn.paused and req == 8 and len(conn.inbox) == 8
-            assert server._work_queue.get_nowait() is conn
+            assert loop.work.get_nowait() == (server.drain, (conn,))
             server.drain(conn)
             assert not conn.busy and not conn.inbox
-            # The drain handed the connection back: it is read again.
-            assert list(server._handed) == [conn]
-            server._reconcile(server._handed.popleft())
+            # The drain handed the connection back, with one wake-up: it
+            # is read again.
+            assert list(loop._soon) == [(server._reconcile, (conn,))]
+            assert loop._wake_r.recv(64) == b"\0"
+            fn, args = loop._soon.popleft()
+            fn(*args)
             assert conn.sel_mask & selectors.EVENT_READ and not conn.paused
             total = 200
             for req in range(req + 1, total + 1):
@@ -572,13 +580,12 @@ class TestBackpressure:
                     req, "alpha", fname, CODEC_BINARY
                 ))
                 server._reconcile(conn)
-            assert server._work_queue.empty() and not conn.busy
+            assert loop.work.empty() and not conn.busy
             reader = MessageReader(theirs, CODEC_BINARY)
             theirs.settimeout(5.0)
             replies = [reader.read_message()["req"] for _ in range(total)]
             assert sorted(replies) == list(range(1, total + 1))
         finally:
-            server._selector.close()
             ours.close()
             theirs.close()
             server.stop()

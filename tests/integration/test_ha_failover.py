@@ -280,6 +280,11 @@ class TestHotFailover:
                 message="the replica never took over",
                 nodes=[nodes[entry], nodes[replica]],
             )
+            # The peers can learn of the death before the client's reader
+            # has seen its own channel end; an op sent in that gap is lost
+            # with the channel, not re-routed.
+            wait_until(lambda: conn._owners[owner].closed,
+                       message="the client never saw the owner go")
             filename = context.filename_of(3)
             if not conn.open("alpha", filename).available:
                 assert wait_ready(conn, "alpha", filename, timeout=30.0)
