@@ -20,9 +20,10 @@ owns what, how to dial a peer and what a dead one means.  DVLib clients
 use it as their fallback: they learn the ring from the hello reply and
 talk to owners directly.
 
-**Membership/failover** — a heartbeat thread gossips the
-:class:`~repro.cluster.membership.PeerTable` with every live peer, at
-once and then every ``heartbeat_interval``; a peer is declared dead after
+**Membership/failover** — a timer on the node's event loop submits a
+gossip round of the :class:`~repro.cluster.membership.PeerTable` with
+every live peer to its workers, at once and then every
+``heartbeat_interval``, one round at a time; a peer is declared dead after
 ``suspect_after`` missed rounds, or immediately when a forwarding RPC
 hits a torn connection.  A peer that has *never* answered gets a **join
 phase** first: for this node's first ``suspect_after`` intervals a failed
@@ -151,7 +152,8 @@ class ClusterNode:
         # Cluster nodes need worker headroom beyond the plain daemon's
         # default: a forwarded run (a connection's consecutive forwardable
         # ops, often just one) parks a worker on a peer round trip, and
-        # gossip merges and the data port's prepares run there too.
+        # gossip (rounds and merges), the replication pump and the data
+        # port's prepares run there too.
         self.server = DVServer(host, port, workers=4)
         # Spans recorded by this daemon must carry the cluster identity,
         # not the generic "dv", so a merged trace names its hops.
@@ -202,8 +204,11 @@ class ClusterNode:
         self._seeds: list[tuple[str, int]] = []
         self._specs: dict[str, ContextSpec] = {}
         self._active: set[str] = set()
-        self._stop = threading.Event()
-        self._hb_thread: threading.Thread | None = None
+        self._stopped = False
+        # Gossip, one round at a time (:meth:`_gossip_now`); the round's
+        # own: when the next full round is due, the probe it waits on.
+        self._gossiping = self._gossip_again = False
+        self._timer, self._beat, self._probe = 0, 0.0, None
         # Re-dial pacing for unreachable peers: one shared backoff gate
         # covers gossip dead-peer probes and the router's lazy dials, so a
         # down peer costs a bounded (and jittered) trickle of connect
@@ -329,31 +334,21 @@ class ClusterNode:
         self._join_until = (
             time.monotonic() + self.table.suspect_after * self.heartbeat_interval
         )
-        self._hb_thread = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"cluster-hb-{self.node_id}",
-            daemon=True,
-        )
-        self._hb_thread.start()
+        self._gossip_soon()
         self.repl.start()
 
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Tear the node down (abruptly from the peers' point of view —
-        survivors notice through heartbeats, exactly like a crash)."""
-        self._stop.set()
-        self.repl.stop()
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=5.0)
+        survivors notice through heartbeats, exactly like a crash).  No
+        timer submits work past the flag, and closing the links and a
+        round's probe fails the peer calls that workers wait in."""
+        self._stopped = True
         self.router.close()
+        probe = self._probe
+        if probe is not None:
+            probe.close()
         self.data.stop()
         self.server.stop(drain_timeout=drain_timeout)
-
-    def __enter__(self) -> "ClusterNode":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------ #
     # Ring maintenance (all called with self._lock held)
@@ -450,10 +445,9 @@ class ClusterNode:
         if reattaches or replays or promotions:
             self._m_failovers.inc()
             # A replay serializes peer round trips: run it on its own
-            # thread so neither the heartbeat loop nor a pool worker
-            # (both of which land here) stalls on it — a starved worker
-            # pool would time out inbound gossip and cascade false
-            # death verdicts.
+            # thread so no pool worker (gossip rounds and ops land here)
+            # stalls on it — a starved worker pool would time out inbound
+            # gossip and cascade false death verdicts.
             threading.Thread(
                 target=self._replay, args=(reattaches, replays, promotions),
                 name=f"cluster-replay-{self.node_id}", daemon=True,
@@ -471,25 +465,50 @@ class ClusterNode:
         ``host:port`` seed) ``key``?"""
         return key not in self._answered and time.monotonic() < self._join_until
 
-    def _heartbeat_loop(self) -> None:
-        """Gossip at once, then every ``heartbeat_interval``; in between,
-        while the join phase lasts, retry whoever has not answered yet."""
-        beat = 0.0  # monotonic time the next full round is due
-        while True:
-            full = time.monotonic() >= beat
-            try:
-                self._gossip_round(joining_only=not full)
-            except Exception:
-                # The membership plane must survive any single bad round.
-                pass
-            if full:
-                beat = time.monotonic() + self.heartbeat_interval
-            if self._stop.wait(self._until_next_round(beat)):
-                return
+    def _gossip_soon(self) -> None:
+        """Kick a full gossip round now (migration cutover must not wait a
+        heartbeat interval to advertise the new pin, nor a peer's first
+        contact to be returned); from any thread."""
+        self.server.loop.call_soon(self._gossip_now, True)
+
+    def _gossip_now(self, forced: bool, timer: int | None = None) -> None:
+        """On the I/O thread: submit a round, full when ``forced`` or when
+        the heartbeat is due.  While one runs, kicks coalesce into one full
+        round right after it.  Each round's start voids the armed timer
+        (``_timer``): the round arms the next one when it ends."""
+        if self._stopped or (timer is not None and timer != self._timer):
+            return
+        if self._gossiping:
+            self._gossip_again = True
+            return
+        self._gossiping = True
+        self._timer += 1
+        self.server.loop.submit(self._gossip_job, forced)
+
+    def _gossip_job(self, forced: bool) -> None:
+        """On a worker: one round (between heartbeats, while the join
+        phase lasts, it retries only whoever has not answered yet)."""
+        full = forced or time.monotonic() >= self._beat
+        try:
+            self._gossip_round(joining_only=not full)
+        except Exception:
+            pass  # The membership plane must survive any single bad round.
+        if full:
+            self._beat = time.monotonic() + self.heartbeat_interval
+        due = time.monotonic() + self._until_next_round(self._beat)
+        self.server.loop.call_soon(self._gossip_ended, due)
+
+    def _gossip_ended(self, due: float) -> None:
+        self._gossiping = False
+        if self._gossip_again:
+            self._gossip_again = False
+            self._gossip_now(True)
+        elif not self._stopped:
+            self.server.loop.call_at(due, self._gossip_now, False, self._timer)
 
     def _until_next_round(self, beat: float) -> float:
-        """Seconds the heartbeat thread may sleep: until ``beat``, or until
-        the earliest join-phase retry is due."""
+        """Seconds until the next round: until ``beat``, or until the
+        earliest join-phase retry is due."""
         now = time.monotonic()
         wait = beat - now
         if now < self._join_until:
@@ -509,8 +528,8 @@ class ClusterNode:
         between two rounds: only peers and seeds that never answered and
         whose join-schedule window has passed."""
         with self._lock:
-            view = self.table.view()
-            pins = self._pins_wire()
+            frame = {"op": OP_GOSSIP, "from": self.node_id,
+                     "view": self.table.view(), "pins": self._pins_wire()}
             targets = list(self.table.alive_peers())
             known_addrs = {(p.host, p.port) for p in self.table.peers.values()}
         if joining_only:
@@ -519,12 +538,8 @@ class ClusterNode:
                 if self._joining(p.node_id)
                 and self._join_backoff.ready(p.node_id)
             ]
-        frame = {
-            "op": OP_GOSSIP, "from": self.node_id,
-            "view": view, "pins": pins,
-        }
         for peer in targets:
-            if self._stop.is_set():
+            if self._stopped:
                 return
             try:
                 reply = self.router.link(peer.node_id).call(
@@ -559,26 +574,18 @@ class ClusterNode:
                 if not p.alive and p.node_id != self.node_id
             ]
         for peer in dead:
-            if self._stop.is_set():
+            if self._stopped:
                 return
             if not self._dial_backoff.ready(peer.node_id):
                 continue
             self._m_redial.inc()
             try:
-                probe = PeerLink(
-                    self.node_id, peer.node_id, peer.host, peer.port,
-                    connect_timeout=1.0,
+                reply = self._probe_call(
+                    self.node_id, peer.node_id, peer.host, peer.port, frame
                 )
-            except DVConnectionLost:
-                self._dial_backoff.failed(peer.node_id)
-                continue
-            try:
-                reply = probe.call(frame, timeout=self.rpc_timeout)
             except (DVConnectionLost, SimFSError, OSError):
                 self._dial_backoff.failed(peer.node_id)
                 continue
-            finally:
-                probe.close()
             self._dial_backoff.succeeded(peer.node_id)
             self._answered.add(peer.node_id)
             peer_view = reply.get("view") or []
@@ -593,6 +600,8 @@ class ClusterNode:
             )
         # Seeds configured as bare host:port — gossip once to learn ids.
         for host, port in list(self._seeds):
+            if self._stopped:
+                return
             if (host, port) in known_addrs:
                 self._seeds.remove((host, port))
                 continue
@@ -602,24 +611,15 @@ class ClusterNode:
             # Whatever happens below, the join schedule spaces the next try.
             self._join_backoff.failed(key)
             try:
-                # Bounded dial: an unreachable seed must not stretch the
-                # heartbeat round (and with it, failure detection).  Under
-                # its own hello id: the seed answers this probe with a
-                # round of its own, ours follows at once, and the peer
+                # Under its own hello id: the seed answers this probe with
+                # a round of its own, ours follows at once, and the peer
                 # admits one connection per id — a probe it has not
                 # finished dropping must not get that dial refused.
-                probe = PeerLink(
-                    f"{self.node_id}/seed-probe", key, host, port,
-                    connect_timeout=1.0,
+                reply = self._probe_call(
+                    f"{self.node_id}/seed-probe", key, host, port, frame
                 )
-            except DVConnectionLost:
-                continue
-            try:
-                reply = probe.call(frame, timeout=self.rpc_timeout)
             except (DVConnectionLost, SimFSError, OSError):
                 continue
-            finally:
-                probe.close()
             peer_id = reply.get("from")
             peer_view = reply.get("view") or []
             if isinstance(peer_id, str):
@@ -629,6 +629,23 @@ class ClusterNode:
                     ) | self.table.merge_view(peer_view, now=time.time())
                 )
                 self._seeds.remove((host, port))
+
+    def _probe_call(
+        self, hello_id: str, peer_id: str, host: str, port: int, frame: dict
+    ) -> dict:
+        """One gossip exchange on a link of its own (a dead peer's probe, a
+        seed's), which :meth:`stop` closes while the call waits.  A bounded
+        dial: an unreachable peer must not stretch the round (and with it,
+        failure detection)."""
+        probe = PeerLink(hello_id, peer_id, host, port, connect_timeout=1.0)
+        self._probe = probe
+        try:
+            if self._stopped:  # stop() may have looked before it was set
+                raise DVConnectionLost("node stopped")
+            return probe.call(frame, timeout=self.rpc_timeout)
+        finally:
+            self._probe = None
+            probe.close()
 
     def _dial(self, node_id: str, **callbacks) -> PeerLink:
         """Router hook: a link to a live peer, behind the back-off gate."""
@@ -823,22 +840,6 @@ class ClusterNode:
                 continue
             changed |= self._adopt_pin(name, target, version)
         return changed
-
-    def _gossip_soon(self) -> None:
-        """Kick an immediate out-of-band gossip round (migration cutover
-        must not wait a heartbeat interval to advertise the new pin, nor a
-        peer's first contact to be returned)."""
-
-        def run() -> None:
-            try:
-                self._gossip_round()
-            except Exception:
-                pass
-
-        threading.Thread(
-            target=run, name=f"cluster-gossip-now-{self.node_id}",
-            daemon=True,
-        ).start()
 
     def _op_migrate(self, conn, message: dict) -> dict:
         """Server op: start a migration, forwarded to the owner when that

@@ -6,11 +6,13 @@ cache-resident keys, re-simulation progress markers and the restart
 latency estimate — moves between nodes over one kind of stream, one per
 ``(context, peer)``:
 
-* **HA replication** — with ``factor > 1`` the owner's pump thread keeps
-  a stream to each of the next ``factor - 1`` ring successors (the
+* **HA replication** — with ``factor > 1`` the owner's pump keeps a
+  stream to each of the next ``factor - 1`` ring successors (the
   preference list, :meth:`~repro.cluster.ring.HashRing.successors`), so
   the node the ring promotes after a death already holds a warm copy.
-  At factor 1 there are no replica streams and no pump thread.
+  A timer on the node's event loop submits a pass to its worker pool
+  ``interval`` after the last one ended.  At factor 1 there are no
+  replica streams and no pump.
 * **Migration** — :class:`~repro.cluster.migrate.MigrationManager`
   pre-copies over the ``(context, dest)`` stream (deltas, when ``dest``
   already is a synced replica) and ends it with a *final frame* that
@@ -290,8 +292,6 @@ class ReplicationManager:
         #: One sender per stream: held for a whole pump pass, and by a
         #: migration from its pre-copy to its final frame.
         self.pump_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         metrics = node.metrics
         self._m_frames = metrics.counter("repl.frames_sent")
         self._m_bytes = metrics.counter("repl.bytes_sent")
@@ -310,28 +310,24 @@ class ReplicationManager:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Start the pump thread; at factor 1 there is nothing to pump."""
-        if self.factor == 1:
+        """Arm the pump's timer; at factor 1 there is nothing to pump."""
+        if self.factor > 1:
+            self._arm()
+
+    def _arm(self) -> None:
+        """A pass ``interval`` from now, submitted by a loop timer."""
+        loop = self.node.server.loop
+        due = time.monotonic() + self.interval
+        loop.call_soon(loop.call_at, due, loop.submit, self._pump_job)
+
+    def _pump_job(self) -> None:
+        if self.node._stopped:
             return
-        self._thread = threading.Thread(
-            target=self._pump_loop,
-            name=f"repl-pump-{self.node.node_id}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-
-    def _pump_loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.pump()
-            except Exception:
-                # The replication plane must survive any single bad pass.
-                pass
+        try:
+            self.pump()
+        except Exception:
+            pass  # The replication plane must survive any single bad pass.
+        self._arm()
 
     # ------------------------------------------------------------------ #
     # Receiving side (the node's ``repl`` op)
@@ -385,9 +381,10 @@ class ReplicationManager:
             )
 
     def pump(self, now: float | None = None) -> None:
-        """One replication pass.  Called periodically by the pump thread;
-        tests call it directly for deterministic stepping (``now``
-        overrides the wall clock for the fence-retry bookkeeping)."""
+        """One replication pass.  A worker runs one ``interval`` after
+        the last ended (:meth:`start`); tests call it directly for
+        deterministic stepping (``now`` overrides the wall clock for the
+        fence-retry bookkeeping)."""
         now = time.time() if now is None else now
         node = self.node
         with self.pump_lock:

@@ -160,6 +160,8 @@ class Router:
         self._pending: dict[tuple[str, str, str], str] = {}
         self._links: dict[str, object] = {}
         self._links_lock = threading.Lock()
+        #: Set by :meth:`close`: a link dialed after it is closed at once.
+        self._closed = False
         #: One dial per peer at a time.  A peer admits one connection per
         #: ``node:<id>`` and rejects a second hello while the first is up,
         #: so two threads dialing together (a gossip round and a forwarded
@@ -186,6 +188,9 @@ class Router:
                     peer_id, on_fwd=self.on_link_fwd, on_down=self.link_down
                 )
                 with self._links_lock:
+                    if self._closed:
+                        link.close()
+                        raise DVConnectionLost(f"router closed: no link to {peer_id!r}")
                     self._links[peer_id] = link
         return link
 
@@ -217,7 +222,9 @@ class Router:
             self._on_unreachable(peer_id)
 
     def close(self) -> None:
+        """Close every link, and each one dialed from now on."""
         with self._links_lock:
+            self._closed = True
             links, self._links = list(self._links.values()), {}
         for link in links:
             link.close()

@@ -378,9 +378,13 @@ class TestReplicaFollowsTheOwner:
 
     def test_factor_one_streams_nothing(self):
         node, manager, link = self.make(factor=1)
+        armed = []
+        node.server = types.SimpleNamespace(
+            loop=types.SimpleNamespace(call_soon=lambda *call: armed.append(call))
+        )
         manager.start()
         manager.pump(now=100.0)
-        assert manager._thread is None
+        assert armed == []  # no pump timer
         assert manager._streams == {}
         assert link.frames == []
 

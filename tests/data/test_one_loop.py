@@ -1,11 +1,14 @@
-"""The data port on the DV daemon's event loop: one loop per node.
+"""One loop per node: the data port and the node's timers on the DV
+daemon's event loop.
 
-A node runs one I/O thread and one worker pool, and the data port owns
-no thread of its own.  Its sockets share that thread with the control
-port, so nothing the data port waits on may hold the control port up: a
-client that stops reading, a link waiting for tokens, the data port's
-own stop.  And a prepare that finishes after the data port stopped
-closes the descriptor it opened."""
+A node runs one I/O thread and one worker pool.  The data port owns no
+thread of its own, and neither do the heartbeat, the gossip kicks and
+the replication pump: they are timers and hand-offs on the loop that
+submit their work to the pool.  The data port's sockets share the I/O
+thread with the control port, so nothing the data port waits on may
+hold the control port up: a client that stops reading, a link waiting
+for tokens, the data port's own stop.  And a prepare that finishes after
+the data port stopped closes the descriptor it opened."""
 
 import os
 import socket
@@ -64,14 +67,16 @@ def control_port_answers(server, context):
         return conn.open("alpha", context.filename_of(1)).available
 
 
-def test_an_idle_node_runs_six_threads_and_a_data_port_adds_none():
+LOOP_THREADS = ["simfs-dv-io"] + [f"simfs-dv-worker-{idx}" for idx in range(4)]
+
+
+def test_an_idle_node_runs_five_threads_and_a_data_port_adds_none():
     before = set(threading.enumerate())
     node = ClusterNode("n1")
     node.start()
     try:
         names = new_threads(before)
-        assert names == ["cluster-hb-n1", "simfs-dv-io"] + [
-            f"simfs-dv-worker-{idx}" for idx in range(4)]
+        assert names == LOOP_THREADS
         data = DataServer(node.server.loop)
         data.start()
         try:
@@ -80,6 +85,55 @@ def test_an_idle_node_runs_six_threads_and_a_data_port_adds_none():
             data.stop()
     finally:
         node.stop()
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_a_peered_node_runs_six_threads_and_its_timers_start_none(
+    factor, monkeypatch
+):
+    """Each of two peered nodes runs its loop's five threads and the
+    reader of its one link; heartbeats, a gossip kick and a dozen pump
+    intervals later, no thread has started."""
+    before = set(threading.enumerate())
+    first = ClusterNode(
+        "n1", heartbeat_interval=0.05, suspect_after=40,
+        replication_factor=factor, repl_interval=0.02,
+    )
+    first.start()
+    nodes = [first]
+    try:
+        host, port = first.address
+        second = ClusterNode(
+            "n2", peers=[f"n1@{host}:{port}"], heartbeat_interval=0.05,
+            suspect_after=40, replication_factor=factor, repl_interval=0.02,
+        )
+        second.start()
+        nodes.append(second)
+        links = lambda: (  # noqa: E731
+            "n2" in first.router._links and "n1" in second.router._links)
+        assert eventually(links), "the pair never linked up"
+        _, second_port = second.address
+        assert new_threads(before) == sorted(LOOP_THREADS * 2 + [
+            f"rpc-node:n1@127.0.0.1:{second_port}",
+            f"rpc-node:n2@127.0.0.1:{port}",
+        ])
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start",
+            lambda thread: (started.append(thread.name), start(thread))[1],
+        )
+        rounds = [n.metrics.get("cluster.gossip_rounds").value for n in nodes]
+        for node in nodes:
+            node._gossip_soon()
+        time.sleep(12 * 0.02)
+        assert eventually(lambda: all(
+            n.metrics.get("cluster.gossip_rounds").value >= r + 3
+            for n, r in zip(nodes, rounds)))
+        assert started == []
+    finally:
+        for node in nodes:
+            node.stop(drain_timeout=0)
 
 
 def test_a_data_client_that_stops_reading_does_not_hold_the_control_port(node):

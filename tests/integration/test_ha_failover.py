@@ -389,7 +389,9 @@ class TestFaultInjection:
     def test_duplicated_and_delayed_frames_are_harmless(self, tmp_path):
         """Duplicate every frame and delay a fraction of them: the replica
         must apply each change exactly once (duplicates ignored) and the
-        owner's stream must keep advancing."""
+        owner's stream must keep advancing.  A client attached to the
+        owner opens files one pump pass apart and then releases them, so
+        the stream advances by delta frames, each one through the hook."""
         seen = {"count": 0}
 
         def dup_and_delay(peer_id, frame):
@@ -402,6 +404,7 @@ class TestFaultInjection:
             tmp_path, factor=2,
             frame_hooks={nid: dup_and_delay for nid in NODE_IDS},
         )
+        conn = None
         try:
             chain = preference_chain(nodes, "alpha", 2)
             owner, replica = chain
@@ -409,6 +412,22 @@ class TestFaultInjection:
                 lambda: nodes[replica].repl.store.has("alpha"),
                 nodes=nodes.values(),
             )
+            host, port = nodes[owner].address
+            conn = TcpConnection(
+                host, port, {"alpha": out}, {"alpha": rst},
+                client_id="ha-dup-client",
+            )
+            conn.attach("alpha")
+            sent = nodes[owner].metrics.get("repl.frames_sent")
+            held = [context.filename_of(step) for step in (1, 2, 3)]
+            for filename in held:
+                before = sent.value
+                if not conn.open("alpha", filename).available:
+                    assert wait_ready(conn, "alpha", filename)
+                # One more held file: the next pass ships it as a delta.
+                wait_until(lambda: sent.value > before, nodes=nodes.values())
+            for filename in held:
+                conn.release("alpha", filename)
             wait_until(
                 lambda: nodes[owner].metrics.get("repl.frames_sent").value >= 3,
                 nodes=nodes.values(),
@@ -423,6 +442,8 @@ class TestFaultInjection:
             # applied seq tracks the owner's stream position.
             assert entry["seq"] <= stream_seq
         finally:
+            if conn is not None:
+                conn.close()
             stop_all(nodes)
 
     @pytest.mark.timeout(180)
