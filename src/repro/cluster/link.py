@@ -11,12 +11,16 @@ id and carries the three cluster ops:
   routing a ``ready`` notification back through this link's server side)
   are handed to the ``on_fwd`` callback.
 
-A dead link fails every outstanding call with
-:class:`~repro.core.errors.DVConnectionLost` and fires ``on_down`` once;
-the owning :class:`~repro.cluster.node.ClusterNode` treats that as hard
-evidence against the peer and re-dials lazily if it ever comes back.
-:class:`DialBackoff` paces those re-dials, for peers and for DVLib's
-owner connections alike.
+A cluster node's links are read and written by the node's event loop,
+so no link holds a thread: a routed run's ``fwd`` is sent from the I/O
+thread and its ``fwd_reply`` settled there (``start``), while gossip,
+replication, migration, replays and the obs fan-out wait in ``call`` on
+a worker.  A dead link fails every outstanding request with
+:class:`~repro.core.errors.DVConnectionLost` and fires ``on_down`` once,
+on a worker; the owning :class:`~repro.cluster.node.ClusterNode` treats
+that as hard evidence against the peer and re-dials lazily if it ever
+comes back.  :class:`DialBackoff` paces those re-dials, for peers and
+for DVLib's owner connections alike.
 """
 
 from __future__ import annotations
@@ -123,7 +127,9 @@ PeerTimeout = ReplyTimeout
 class PeerLink(RpcChannel):
     """Outbound connection from one cluster node to a peer daemon: an
     :class:`~repro.dv.channel.RpcChannel` whose hello names the node and
-    asks for tracing, and whose unsolicited frames are routed ``fwd``s."""
+    asks for tracing, and whose unsolicited frames are routed ``fwd``s.
+    A node passes its event loop as ``loop``; without one the link reads
+    on a thread of its own."""
 
     def __init__(
         self,
@@ -134,6 +140,7 @@ class PeerLink(RpcChannel):
         on_fwd: Callable[[dict], None] | None = None,
         on_down: Callable[[str], None] | None = None,
         connect_timeout: float = 5.0,
+        loop=None,
     ) -> None:
         self.self_id = self_id
         self.peer_id = peer_id
@@ -148,6 +155,7 @@ class PeerLink(RpcChannel):
             on_down=None if on_down is None else lambda _link: on_down(peer_id),
             connect_timeout=connect_timeout,
             what=f"peer {peer_id!r}",
+            loop=loop,
         )
 
     def _unsolicited(self, message: dict) -> None:

@@ -149,11 +149,12 @@ class ClusterNode:
         self.node_id = node_id
         self.heartbeat_interval = heartbeat_interval
         self.rpc_timeout = rpc_timeout
-        # Cluster nodes need worker headroom beyond the plain daemon's
-        # default: a forwarded run (a connection's consecutive forwardable
-        # ops, often just one) parks a worker on a peer round trip, and
-        # gossip (rounds and merges), the replication pump and the data
-        # port's prepares run there too.
+        # Four workers, whatever the plain daemon's default: gossip
+        # (rounds and merges), the replication pump, the data port's
+        # prepares and a forwarded run that must wait (a dial, a retry,
+        # the cluster lock) block on them.  A forwarded run that needs
+        # none of that holds no thread: the loop sends it and settles
+        # its reply (Router.start).
         self.server = DVServer(host, port, workers=4)
         # Spans recorded by this daemon must carry the cluster identity,
         # not the generic "dv", so a merged trace names its hops.
@@ -179,6 +180,8 @@ class ClusterNode:
             metrics=self.metrics,
             rpc_timeout=rpc_timeout,
             obs=self.server.obs,
+            peek=self._peek,
+            submit=self.server.loop.submit,
         )
         #: Bulk data plane on the server's loop: bound here (so the port
         #: is known before hellos advertise it), served from :meth:`start`.
@@ -277,6 +280,7 @@ class ClusterNode:
         self.server.inspection.peers = self._obs_peer_query
         self.server.set_cluster_hooks(
             route_ops=self.router.route,
+            route_start=self.router.start,
             ready_router=self.router.route_ready,
             hello_extra=self._hello_extra,
             drop_hook=self.router.drop_client,
@@ -637,7 +641,10 @@ class ClusterNode:
         seed's), which :meth:`stop` closes while the call waits.  A bounded
         dial: an unreachable peer must not stretch the round (and with it,
         failure detection)."""
-        probe = PeerLink(hello_id, peer_id, host, port, connect_timeout=1.0)
+        probe = PeerLink(
+            hello_id, peer_id, host, port, connect_timeout=1.0,
+            loop=self.server.loop,
+        )
         self._probe = probe
         try:
             if self._stopped:  # stop() may have looked before it was set
@@ -661,7 +668,8 @@ class ClusterNode:
             self._m_redial.inc()
         try:
             link = PeerLink(
-                self.node_id, node_id, peer.host, peer.port, **callbacks
+                self.node_id, node_id, peer.host, peer.port,
+                loop=self.server.loop, **callbacks
             )
         except DVConnectionLost:
             if joining:
@@ -694,6 +702,18 @@ class ClusterNode:
         if record is not None:
             self._replay([], [], [(context, record)])
         return owner, known
+
+    def _peek(self, context) -> tuple[str | None, bool] | None:
+        """Router hook, on the event loop's I/O thread, which must not
+        wait: :meth:`_resolve`'s answer when the lock is free at once and
+        the owner is a peer (activation here scans the PFS), else None."""
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            owner = self.ring.owner(context)
+            return None if owner == self.node_id else (owner, context in self._specs)
+        finally:
+            self._lock.release()
 
     def _replay(
         self,

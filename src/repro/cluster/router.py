@@ -8,7 +8,11 @@ usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
 which the ingress ships to the context's owner in one ``fwd`` frame and
 gets answered in one ``fwd_reply``: a run, a run of one included, crosses
 as the client frames it arrived as and comes back as the reply frames
-the client reads.  The ingress remembers which owner
+the client reads.  On a cluster node a run goes out from the event
+loop's I/O thread and its reply is settled there (:meth:`Router.start`);
+whatever must wait — a dial, a retry, the cluster lock — goes to a
+worker through the one retry loop (:meth:`Router.route`).  The ingress
+remembers which owner
 holds each client's attachment and which opens still wait for a
 ``ready``, and after a membership change re-registers what was recorded
 against a lost owner, so a blocked client gets its one ``ready`` instead
@@ -65,6 +69,9 @@ def _attached(payload: dict) -> bool:
 _PLAIN = {"error": 0, "available": True}
 _MISS = {"error": 0, "available": False}
 
+#: Why :meth:`Router._retry` sends a slot again.
+_LAGGING, _DETACHED = "lagging", "detached"
+
 
 def _notes(frames: list[bytes], marks: dict[int, int]) -> dict[int, dict]:
     """Per marked slot what its reply says: a miss, or its decoded body."""
@@ -108,7 +115,10 @@ class Router:
     ``resolve(context) -> (owner, serves)`` names the current owner (None
     when nobody serves it) and whether the catalog says it should be
     served, in which case an owner answering "unknown context" only lags.
-    ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
+    ``peek(context)`` is the same answer without waiting, for the event
+    loop: None when it cannot be had at once, or when resolving may
+    activate the context here.  ``submit(fn, *args)`` runs work on a
+    worker.  ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
     ``execute_local(proxy, messages)`` runs a client's ops here, in order,
     and returns their reply frames (``DVServer.serve_ops``);
     ``send(conn, frame)`` writes to a peer's connection.
@@ -133,6 +143,8 @@ class Router:
         on_unreachable: Callable[[str], None] | None = None,
         on_timeout: Callable[[str], None] | None = None,
         obs=None,
+        peek: Callable[[object], tuple[str | None, bool] | None] | None = None,
+        submit: Callable[..., None] | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -147,6 +159,8 @@ class Router:
         self._on_unreachable = on_unreachable
         self._on_timeout = on_timeout
         self._obs = obs
+        self._peek = peek
+        self._submit = submit
         self._clock = clock
         self._sleep = sleep
         #: Guards the three tables below; the only callback made under it
@@ -232,12 +246,100 @@ class Router:
     # ------------------------------------------------------------------ #
     # Ingress side (this process holds the client's connection)
     # ------------------------------------------------------------------ #
-    def route(self, conn, messages: list[dict]) -> bytes:
+    def route(self, conn, messages: list[dict], first=None) -> bytes:
         """DVServer ``route_ops`` hook: one client's consecutive ops for a
         context not registered locally (a run — usually of one).  Returns
-        their reply frames, joined.  Runs on a worker thread."""
-        settled = self._forward_routed(conn.client_id, messages)
-        self.track(conn.client_id, messages, settled)
+        their reply frames, joined.  Runs on a worker thread: it waits on
+        the hop, and on every retry :meth:`_forward_routed` makes.
+        ``first`` is the outcome of a send :meth:`start` made already."""
+        try:
+            settled = self._forward_routed(conn.client_id, messages, first)
+        except SimFSError as exc:
+            error = {"error": int(exc.code), "detail": str(exc)}
+            return b"".join(reply_frame(message, error) for message in messages)
+        self._finalize(
+            conn.client_id, self.track(conn.client_id, messages, settled, conn)
+        )
+        return self._replies(conn, messages, settled)
+
+    def start(self, conn, messages: list[dict], resume) -> bool:
+        """The event loop's half of :meth:`route`, on its I/O thread:
+        send the run's ``fwd`` on the cached link to its owner and return
+        True.  ``resume(data, on_loop)`` is then called once with the
+        run's reply frames, joined (None: the connection must close) —
+        on the I/O thread when the first answer settles the run, else on
+        a worker after :meth:`route` has resumed the retry loop with that
+        answer.  Returns False, having sent nothing, when the run must
+        go to :meth:`route` on a worker from the start: it is traced,
+        the owner cannot be peeked at (or is this node), or no live link
+        is cached (a dial waits)."""
+        if self._peek is None or "tc" in messages[0]:
+            return False
+        found = self._peek(messages[0]["context"])
+        if found is None or found[0] is None or found[0] == self.self_id:
+            return False
+        owner = found[0]
+        with self._links_lock:
+            link = self._links.get(owner)
+        if link is None or link.closed:
+            return False
+        first = (owner, found[1], self._clock() + self.rpc_timeout)
+        try:
+            link.start(
+                self._pack(conn.client_id, messages), self.rpc_timeout,
+                lambda reply: self._landed(conn, messages, resume, first, reply),
+            )
+        except (DVConnectionLost, ProtocolError):
+            return False
+        return True
+
+    def _landed(self, conn, messages, resume, first, reply) -> None:
+        """:meth:`start`'s run is answered (or lost, or timed out).  An
+        answer that settles every slot is settled here, on the I/O thread
+        (what a client that left attached is finalized on a worker);
+        anything the retry loop must see — a failure, a slot to retry —
+        resumes it on a worker."""
+        try:
+            outcome = reply
+            if not isinstance(reply, Exception):
+                outcome = self._unpack(reply, len(messages))
+            if isinstance(outcome, Exception) or any(
+                self._retry(conn.client_id, messages[slot], note, first[1])
+                for slot, note in outcome[1].items()
+            ):
+                self._submit(self._resumed, conn, messages, resume, (*first, outcome))
+                return
+            frames, notes = outcome
+            settled = [
+                (frame, notes.get(slot), first[0]) for slot, frame in enumerate(frames)
+            ]
+            attached = self.track(conn.client_id, messages, settled, conn)
+            if attached:
+                self._submit(self._finalize, conn.client_id, attached)
+            data = self._replies(conn, messages, settled)
+        except Exception:
+            data = None  # a bug: the connection goes, not the loop or the link
+        resume(data, True)
+
+    def _finalize(self, client_id: str, contexts: list[str]) -> None:
+        """The client left while its attach crossed: nobody else
+        finalizes what the attach left behind at the owner."""
+        for context in contexts:
+            try:
+                self._forward_one(client_id, {"op": "finalize", "context": context})
+            except Exception:
+                pass  # best effort, as drop_client's
+
+    def _resumed(self, conn, messages, resume, first) -> None:
+        """On a worker: :meth:`route` from the answer :meth:`start` got."""
+        try:
+            data = self.route(conn, messages, first)
+        except Exception:
+            data = None
+        resume(data, False)
+
+    def _replies(self, conn, messages, settled) -> bytes:
+        """The reply frames a run's settled slots make for the client."""
         trace = getattr(conn, "trace", False)
         frames = []
         for message, (frame, note, _owner) in zip(messages, settled):
@@ -259,13 +361,17 @@ class Router:
         return (note if note is not None else reply_payloads(frame)[0]), owner
 
     def _forward_routed(
-        self, client_id: str, messages: list[dict]
+        self, client_id: str, messages: list[dict], first=None
     ) -> list[tuple[bytes | None, dict | None, str | None]]:
         """Route a run to the context's current owner, riding out owner
         death, a dial back-off window, activation lag on a new owner and
         a lost attachment inside one ``rpc_timeout`` deadline.  The
         unsettled slots cross the hop together, in order, as one frame;
         each settles on its own answer and only the rest are re-sent.
+        ``first`` — ``(owner, serves, deadline, outcome)`` — resumes a run
+        whose whole first send :meth:`start` made: its outcome (the
+        unpacked answer, or the exception the send ended with) is taken
+        as this loop's first.
         Returns one ``(frame, note, owner)`` per slot: the reply frame the
         client reads (None when the slot failed here: then ``note`` is the
         payload), what the reply says when it is not a plain success (else
@@ -284,26 +390,32 @@ class Router:
                 settled[slot] = (None, dict(payload), owner)
 
         while todo:
-            owner, serves = self._resolve(context)
-            if owner is None:
-                settle(todo, {
-                    "error": int(ErrorCode.ERR_CONTEXT),
-                    "detail": f"no live owner serves context {context!r}",
-                }, None)
-                break
-            if owner == self.self_id:
-                frames = self.run_local(
-                    client_id, [messages[slot] for slot in todo]
-                )
-                for slot, frame in zip(todo, frames):
-                    settled[slot] = (frame, reply_payloads(frame)[0], owner)
-                break
             sent = todo[:width]
-            try:
-                frames, notes = self._call(
-                    owner, client_id, [messages[slot] for slot in sent]
-                )
-            except PeerTimeout:
+            if first is not None:
+                owner, serves, deadline, outcome = first
+                first = None
+            else:
+                owner, serves = self._resolve(context)
+                if owner is None:
+                    settle(todo, {
+                        "error": int(ErrorCode.ERR_CONTEXT),
+                        "detail": f"no live owner serves context {context!r}",
+                    }, None)
+                    break
+                if owner == self.self_id:
+                    frames = self.run_local(
+                        client_id, [messages[slot] for slot in todo]
+                    )
+                    for slot, frame in zip(todo, frames):
+                        settled[slot] = (frame, reply_payloads(frame)[0], owner)
+                    break
+                try:
+                    outcome = self._call(
+                        owner, client_id, [messages[slot] for slot in sent]
+                    )
+                except (DVConnectionLost, OSError, ProtocolError) as exc:
+                    outcome = exc
+            if isinstance(outcome, PeerTimeout):
                 # Slow, not dead: exiling a stalled owner (workers parked
                 # on PFS I/O) would activate its contexts elsewhere while
                 # it still serves them.  Report, fail the ops, keep the
@@ -312,11 +424,11 @@ class Router:
                     self._on_timeout(owner)
                 settle(todo, _unreachable(owner, context, "timed out"), owner)
                 break
-            except (DVConnectionLost, OSError) as exc:
-                if isinstance(exc, DialBackingOff):
+            if isinstance(outcome, (DVConnectionLost, OSError)):
+                if isinstance(outcome, DialBackingOff):
                     # No dial was made, so this says nothing about the
                     # peer: wait the window out, membership stays out of it.
-                    pause = exc.retry_in
+                    pause = outcome.retry_in
                 else:
                     # Membership (on_unreachable) moves the context.
                     self.link_down(owner)
@@ -327,14 +439,15 @@ class Router:
                     break
                 self._sleep(min(pause, remaining))
                 continue
-            except ProtocolError as exc:
+            if isinstance(outcome, ProtocolError):
                 # Nothing was sent: the frame would pass the wire's size
                 # limit.  A run goes as frames of one; a single op that
                 # large fails on its own.
                 if len(sent) > 1:
                     width = 1
                     continue
-                frames, notes = [None], {0: {"error": int(exc.code), "detail": str(exc)}}
+                outcome = [None], {0: {"error": int(outcome.code), "detail": str(outcome)}}
+            frames, notes = outcome
             # Every slot takes its answer; the ones an error says to
             # retry stay in the run and are overwritten by the next one.
             for slot, frame in zip(sent, frames):
@@ -344,17 +457,12 @@ class Router:
             for idx, note in notes.items():
                 slot = sent[idx]
                 settled[slot] = (frames[idx], note, owner)
-                error = note.get("error")
-                if not error or self._clock() >= deadline:
+                if self._clock() >= deadline:
                     continue
-                if error == int(ErrorCode.ERR_CONTEXT) and serves:
+                why = self._retry(client_id, messages[slot], note, serves)
+                if why is _LAGGING:
                     lagging.append(slot)
-                elif (
-                    error == int(ErrorCode.ERR_INVALID)
-                    and DETAIL_NOT_ATTACHED in note.get("detail", "")
-                    and messages[slot].get("op") not in ("attach", "finalize")
-                    and context in self._ingress_ctx.get(client_id, ())
-                ):
+                elif why is _DETACHED:
                     detached.append(slot)
             if lagging:
                 # The owner has not activated the context yet (its view
@@ -367,6 +475,36 @@ class Router:
             todo = sorted(lagging + detached) + todo[len(sent):]
         return settled
 
+    def _retry(self, client_id: str, message: dict, note: dict, serves: bool):
+        """Why a slot answered with ``note`` is sent again before the
+        deadline: the owner lags the ring (an unknown context the catalog
+        says it serves) or lost the client's attachment — else None."""
+        error = note.get("error")
+        if not error:
+            return None
+        if error == int(ErrorCode.ERR_CONTEXT) and serves:
+            return _LAGGING
+        if (
+            error == int(ErrorCode.ERR_INVALID)
+            and DETAIL_NOT_ATTACHED in note.get("detail", "")
+            and message.get("op") not in ("attach", "finalize")
+            and message.get("context") in self._ingress_ctx.get(client_id, ())
+        ):
+            return _DETACHED
+        return None
+
+    def _pack(self, client_id: str, messages: list[dict]) -> dict:
+        """The ``fwd`` frame carrying ``messages`` as a packed run."""
+        self._m_fwd_sent.inc(len(messages))
+        self._m_fwd_frames.inc()
+        frame = pack_run(self.self_id, client_id, messages)
+        tc = messages[0].get("tc")  # a traced op travels alone
+        if parse_wire(tc) is not None:  # a malformed tc degrades to untraced
+            # Hoisted onto the fwd frame itself, so the owner's dispatch
+            # records an ``op.fwd`` span without unpacking the run.
+            frame["tc"] = tc
+        return frame
+
     def _call(
         self, owner: str, client_id: str, messages: list[dict]
     ) -> tuple[list, dict[int, dict]]:
@@ -374,16 +512,8 @@ class Router:
         their reply frames (None where the owner refused the run whole)
         and, by position, what the not-plain replies say."""
         link = self.link(owner)
-        self._m_fwd_sent.inc(len(messages))
-        self._m_fwd_frames.inc()
-        frame = pack_run(self.self_id, client_id, messages)
-        tc = messages[0].get("tc")  # a traced op travels alone
-        if parse_wire(tc) is None:
-            tc = None  # a malformed tc degrades to untraced
-        if tc is not None:
-            # Hoisted onto the fwd frame itself, so the owner's dispatch
-            # records an ``op.fwd`` span without unpacking the run.
-            frame["tc"] = tc
+        frame = self._pack(client_id, messages)
+        tc = frame.get("tc")
         traced = tc is not None and self._obs is not None
         began = self._obs.now() if traced else 0.0
         reply = link.call(frame, timeout=self.rpc_timeout)
@@ -392,21 +522,33 @@ class Router:
                 "fwd", tc, began, self._obs.now(), op=messages[0]["op"],
                 context=messages[0].get("context"), peer=owner,
             )
+        return self._unpack(reply, len(messages))
+
+    @staticmethod
+    def _unpack(reply: dict, count: int) -> tuple[list, dict[int, dict]]:
+        """A ``fwd_reply`` to a run of ``count``: see :meth:`_call`."""
         try:
-            frames, marks = unpack_run_reply(reply, len(messages))
+            frames, marks = unpack_run_reply(reply, count)
             return frames, _notes(frames, marks)
         except ProtocolError:
             # The owner refused the run as a whole (or sent nonsense):
             # every slot fails the same way.
-            return [None] * len(messages), {slot: {
+            return [None] * count, {slot: {
                 "error": reply.get("error") or int(ErrorCode.ERR_PROTOCOL),
                 "detail": reply.get("detail", "malformed fwd_reply"),
-            } for slot in range(len(messages))}
+            } for slot in range(count)}
 
-    def track(self, client_id: str, messages: list[dict], settled: list) -> None:
+    def track(
+        self, client_id: str, messages: list[dict], settled: list, conn=None
+    ) -> list[str]:
         """Record ingress bookkeeping, per slot of :meth:`_forward_routed`'s
-        answer, against the owner that served it."""
+        answer, against the owner that served it.  When ``conn``, the
+        client's connection, is closing — its drop hook may have run
+        while the run crossed — no attachment or wait is recorded: the
+        contexts it attached are returned, for the caller to finalize."""
+        attached: list[str] = []
         with self._lock:
+            gone = getattr(conn, "closing", False)
             for inner, (_frame, payload, owner) in zip(messages, settled):
                 op = inner.get("op")
                 if payload is None:
@@ -417,14 +559,18 @@ class Router:
                 if payload.get("error") or not isinstance(context, str) or owner is None:
                     continue
                 if op == "attach":
-                    self._ingress_ctx.setdefault(client_id, {})[context] = owner
+                    if gone:
+                        attached.append(context)
+                    else:
+                        self._ingress_ctx.setdefault(client_id, {})[context] = owner
                 elif op == "finalize":
                     self._ingress_ctx.get(client_id, {}).pop(context, None)
                     self._forget_waits(lambda k: k[:2] == (client_id, context))
-                elif op == "open" and not payload.get("available"):
+                elif op == "open" and not payload.get("available") and not gone:
                     self._pending[(client_id, context, inner.get("file"))] = owner
                 elif op == "release":
                     self._pending.pop((client_id, context, inner.get("file")), None)
+        return attached
 
     def _forget_waits(self, match: Callable[[tuple], bool]) -> None:
         for key in [k for k in self._pending if match(k)]:

@@ -7,7 +7,9 @@ decodes the frames, validates every op once against the op table
 messages on the connection's inbox and drains them.  :meth:`DVCore.drain`
 is the one drain, on the event loop and on a worker alike: it cuts the
 inbox into pieces with one splitter (:meth:`DVCore._split`) and runs
-each with :meth:`DVCore._execute`, which also observes every op.
+each with :meth:`DVCore._execute`, which also observes every op.  On the
+loop a routed piece parks the drain instead (:meth:`DVCore._park`): the
+cluster tier sends it and resumes the drain when its replies land.
 Backpressure is one rule (:meth:`DVCore._pace`).
 
 Every connection starts with one newline-JSON ``hello`` line and its
@@ -190,11 +192,14 @@ class DVCore:
         #   _route_ops    — gateway: handle one client's consecutive ops
         #                   for a non-local context, returning their reply
         #                   frames in order, joined (runs on a worker)
+        #   _route_start  — its event-loop half: send them and resume the
+        #                   parked drain with their replies (see _park)
         #   _ready_router — deliver a notification whose client_id is not a
         #                   local connection (a proxied cluster client)
         #   _hello_extra  — extra fields merged into every hello reply
         #   _drop_hook    — observe client disconnects (proxy cleanup)
         self._route_ops = None
+        self._route_start = None
         self._ready_router = None
         self._hello_extra = None
         self._drop_hook = None
@@ -292,9 +297,11 @@ class DVCore:
         ready_router=None,
         hello_extra=None,
         drop_hook=None,
+        route_start=None,
     ) -> None:
         """Install the gateway/membership callbacks (cluster tier)."""
         self._route_ops = route_ops
+        self._route_start = route_start
         self._ready_router = ready_router
         self._hello_extra = hello_extra
         self._drop_hook = drop_hook
@@ -343,18 +350,25 @@ class DVCore:
             len(conn.inbox) >= _INBOX_HIGH or len(conn.outbuf) >= _OUTBUF_HIGH
         )
 
-    def drain(self, conn: _ClientConn, on_loop: bool = False) -> None:
+    def drain(
+        self, conn: _ClientConn, on_loop: bool = False, answered=None
+    ) -> None:
         """The one drain: run ``conn``'s inbox piece by piece, in arrival
         order, for whoever set ``busy``.  Every reply — and every frame
         this thread routes to ``conn`` meanwhile, such as the ``ready`` a
         ``wclose`` fans out — is collected and leaves in one send when the
         inbox is empty (or the collector is full).  The drain flushes
         before it clears ``busy``, so replies to messages fed later never
-        overtake its own.  On the event loop (``on_loop``) the first piece
-        that must not run there (:meth:`_needs_worker`) hands the rest of
-        the inbox to a worker."""
+        overtake its own.  On the event loop (``on_loop``) a routed piece
+        parks the drain (:meth:`_park`), and the first piece that must not
+        run there (:meth:`_needs_worker`) hands the rest of the inbox to a
+        worker.  A resumed drain starts with the parked piece's replies,
+        ``answered`` (its frames and their count), in its collector."""
         tl = self._tl
         tl.conn, tl.buf, tl.frames = conn, bytearray(), 0
+        if answered is not None:
+            tl.buf += answered[0]
+            tl.frames = answered[1]
         inbox = conn.inbox
         try:
             while True:
@@ -367,7 +381,8 @@ class DVCore:
                         how == _ROUTED or self._needs_worker(inbox[0])
                     ):
                         self._flush_collector()  # ours leave first
-                        self._schedule(conn)
+                        if how != _ROUTED or not self._park(conn, count):
+                            self._schedule(conn)
                         return
                     piece = [inbox.popleft() for _ in range(count)]
                     frames = self._execute(conn, piece, how)
@@ -394,6 +409,38 @@ class DVCore:
             # The drain brought a paused connection back under its marks.
             self._handoff(conn)
 
+    def _park(self, conn: _ClientConn, count: int) -> bool:
+        """On the loop: hand the routed run at the head of ``conn``'s
+        inbox to the route hook's loop half, which sends it and returns
+        True — the drain then stays parked, ``busy`` set, so nothing fed
+        meanwhile overtakes it — or, when the run must go to a worker,
+        False with the inbox as it was.  Once the run is answered the
+        drain resumes (:meth:`_resume`) where the hook says."""
+        if self._route_start is None:
+            return False
+        inbox = conn.inbox
+        piece = [inbox.popleft() for _ in range(count)]
+        began = time.perf_counter()
+
+        def resume(data: bytes | None, on_loop: bool) -> None:
+            self._resume(conn, piece, began, data, on_loop)
+
+        if self._route_start(conn, piece, resume):
+            return True
+        inbox.extendleft(reversed(piece))
+        return False
+
+    def _resume(
+        self, conn: _ClientConn, piece: list[dict], began: float,
+        data: bytes | None, on_loop: bool,
+    ) -> None:
+        """A parked run is answered: observe it, and drain on from its
+        replies (``None``: the route hook failed, the connection goes)."""
+        self._observe_shared(piece, [None] * len(piece), began, time.perf_counter())
+        if data is None:
+            self._close(conn)
+        self.drain(conn, on_loop, None if data is None else (data, len(piece)))
+
     def _close(self, conn: _ClientConn) -> None:
         """``conn`` is going down: the shell tears it down."""
         with conn.lock:
@@ -401,14 +448,15 @@ class DVCore:
         self._handoff(conn)
 
     def _needs_worker(self, message: dict) -> bool:
-        """Must ``message`` leave the event loop?  Its row's ``where``
-        says (``bitrep`` checksums a step off the PFS, ``stats`` snapshots
-        every shard; a bounded context's ``release``/``wclose``/
-        ``finalize`` may evict and unlink files), except that an op the
-        gateway forwards blocks on that round trip, a forwarded run stays
-        on the loop when it is all one local run — the rule a client's
-        run follows — and a cluster node's hello may wait on the cluster
-        lock (activation holds it across PFS scans) or forward an attach."""
+        """Must ``message``, the head of a piece that is no run, leave the
+        event loop?  Its row's ``where`` says (``bitrep`` checksums a step
+        off the PFS, ``stats`` snapshots every shard; a bounded context's
+        ``release``/``wclose``/``finalize`` may evict and unlink files),
+        except that a forwarded run stays on the loop when it is all one
+        local run — the rule a client's run follows — and a cluster
+        node's hello may wait on the cluster lock (activation holds it
+        across PFS scans) or forward an attach.  (An op the gateway
+        forwards is a routed piece: :meth:`_park` or a worker.)"""
         op = message.get("op")
         row = OPS.get(op) if isinstance(op, str) else None
         if row is None:
@@ -421,8 +469,6 @@ class DVCore:
                 return False  # refused whole: answered on the loop
             count, how = self._split(client_id, ops, 0, inline=True, route=False)
             return how != _LOCAL or count < len(ops)
-        if row.forwardable and self._forwards(context):
-            return True
         if op == "hello":
             return self._hello_extra is not None or self._route_ops is not None
         if row.where == BOUNDED:
@@ -498,21 +544,23 @@ class DVCore:
             results = self.execute_run(client.client_id, piece, stamps)
             frames = self._pack_run(piece, results, client.trace)
         elif how == _ROUTED:
-            frames = [self._route(client, piece)]
+            # Gateway path: the route hook forwards the piece to the owner
+            # and hands back its reply frames, failures answered in place.
+            frames = [self._route_ops(client, piece)]
         elif how == _HELLO:
             frames = [self._hello(client, piece[0])]
         else:
             payload = self._answer(client, piece[0])
             frames = [] if payload is None else [reply_frame(piece[0], payload)]
-        if observe:
-            if how == _LOCAL:
-                # Nothing ran for an unknown context: no turns stamped.
-                stamps += [stamps[-1]] * (len(piece) + 1 - len(stamps))
-                turns = zip(stamps, stamps[1:])
-            else:
-                turns = [(stamps[0], time.perf_counter())] * len(piece)
-            for message, arrival, (began, ended) in zip(piece, arrived, turns):
-                self._observe_op(message, ended - began, arrival, ended)
+        if not observe:
+            return frames
+        if how != _LOCAL:
+            self._observe_shared(piece, arrived, stamps[0], time.perf_counter())
+            return frames
+        # Nothing ran for an unknown context: no turns stamped.
+        stamps += [stamps[-1]] * (len(piece) + 1 - len(stamps))
+        for message, arrival, began, ended in zip(piece, arrived, stamps, stamps[1:]):
+            self._observe_op(message, ended - began, arrival, ended)
         return frames
 
     def execute_run(
@@ -567,6 +615,35 @@ class DVCore:
             idx += count
         return frames
 
+    def _observe_shared(
+        self, piece: list[dict], arrived: list, began: float, ended: float
+    ) -> None:
+        """Record the service time the ops of ``piece`` shared (a routed
+        run's hop) with one histogram update per op name — each op of
+        the piece as its own dispatch — unless the piece is one op, a
+        traced one or slow: those get :meth:`_observe_op`'s spans."""
+        elapsed = ended - began
+        if len(piece) == 1 or elapsed >= self.obs.slow_threshold or any(arrived):
+            for message, arrival in zip(piece, arrived):
+                self._observe_op(message, elapsed, arrival, ended)
+            return
+        counts: dict[str, int] = {}  # a routed run's ops are the table's
+        for message in piece:
+            op = message["op"]
+            counts[op] = counts.get(op, 0) + 1
+        for op, count in counts.items():
+            self._histogram(op).observe(elapsed, count)
+
+    def _histogram(self, op: str):
+        """``op``'s service-time histogram, made on first use."""
+        hist = self._op_hist.get(op)
+        if hist is None:
+            hist = self.metrics.histogram(
+                f"op.{op}.seconds", buckets=_SERVICE_BUCKETS
+            )
+            self._op_hist[op] = hist
+        return hist
+
     def _observe_op(
         self, message: dict, elapsed: float, arrived: float | None,
         ended: float,
@@ -580,12 +657,7 @@ class DVCore:
         op = message.get("op")
         if not isinstance(op, str) or op not in OPS:
             op = "unknown"
-        hist = self._op_hist.get(op)
-        if hist is None:
-            hist = self.metrics.histogram(
-                f"op.{op}.seconds", buckets=_SERVICE_BUCKETS
-            )
-            self._op_hist[op] = hist
+        hist = self._histogram(op)
         hist.observe(elapsed)
         tc = message.get("tc")
         if tc is None and elapsed < self.obs.slow_threshold:
@@ -643,7 +715,7 @@ class DVCore:
         if context and self._forwards(context):
             # Gateway path: the context lives on a peer — forward the
             # attach so the owner registers this client as a waiter.
-            payload = reply_payloads(self._route(
+            payload = reply_payloads(self._route_ops(
                 conn, [{"op": "attach", "context": context}]
             ))[0]
             reply["error"] = int(payload.get("error", ErrorCode.SUCCESS))
@@ -661,16 +733,6 @@ class DVCore:
             reply.update(self._hello_extra())
         conn.decoder.set_codec(codec)
         return encode_message(reply)
-
-    def _route(self, conn, messages: list[dict]) -> bytes:
-        """Gateway path: this daemon does not own the messages' context —
-        the route hook forwards them to the owning peer and hands back
-        their reply frames, in order, as the owner made them."""
-        try:
-            return self._route_ops(conn, messages)
-        except SimFSError as exc:
-            error = _error_payload(exc)
-            return b"".join(reply_frame(message, error) for message in messages)
 
     def _answer(self, conn, message: dict) -> dict | None:
         """Execute one op here: its handler's payload, a SimFS error as

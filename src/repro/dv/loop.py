@@ -89,7 +89,7 @@ class EventLoop:
             self.work.put(None)
         for thread in self._threads:
             thread.join(timeout=10.0)
-        self._threads, self._io_thread = [], None
+        self._threads, self._io_thread, self._ident = [], None, None
         while self._soon:
             fn, args = self._soon.popleft()
             try:
@@ -99,6 +99,10 @@ class EventLoop:
         self.selector.close()
         self._wake_r.close()
         self._wake_w.close()
+
+    def on_io_thread(self) -> bool:
+        """Is the caller the running I/O thread (which must never wait)?"""
+        return threading.get_ident() == self._ident
 
     def call(self, fn, *args) -> None:
         """Run ``fn(*args)`` on the I/O thread and wait for it; with no

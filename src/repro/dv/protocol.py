@@ -787,26 +787,28 @@ class MessageReader:
 
     def __init__(self, sock: socket.socket, codec: str = CODEC_LEGACY) -> None:
         self._sock = sock
-        self._decoder = StreamDecoder(codec)
+        #: What was read and not yet returned; a reader that hands the
+        #: socket on (to an event loop) hands this on with it.
+        self.decoder = StreamDecoder(codec)
 
     def set_codec(self, codec: str) -> None:
         """Switch codecs at the negotiated point; buffered bytes carry over."""
-        self._decoder.set_codec(codec)
+        self.decoder.set_codec(codec)
 
     @property
     def bytes_read(self) -> int:
         """Total bytes received off the socket so far."""
-        return self._decoder.bytes_fed
+        return self.decoder.bytes_fed
 
     def read_message(self) -> dict[str, Any] | None:
         """Read the next message; returns ``None`` on orderly EOF."""
         while True:
-            message = self._decoder.next_message()
+            message = self.decoder.next_message()
             if message is not None:
                 return message
             chunk = self._sock.recv(65536)
             if not chunk:
-                if self._decoder.has_partial():
+                if self.decoder.has_partial():
                     raise ProtocolError("connection closed mid-message")
                 return None
-            self._decoder.feed(chunk)
+            self.decoder.feed(chunk)

@@ -120,12 +120,14 @@ class Histogram:
         self._min: float | None = None
         self._max: float | None = None
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` — ``count`` times, as that many observations
+        of it would, with one update."""
         idx = bisect_right(self.bounds, value)
         with self._lock:
-            self._bucket_counts[idx] += 1
-            self._count += 1
-            self._sum += value
+            self._bucket_counts[idx] += count
+            self._count += count
+            self._sum += value * count
             if self._min is None or value < self._min:
                 self._min = value
             if self._max is None or value > self._max:

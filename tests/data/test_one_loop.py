@@ -1,10 +1,11 @@
-"""One loop per node: the data port and the node's timers on the DV
-daemon's event loop.
+"""One loop per node: the data port, the node's timers and its peer
+links on the DV daemon's event loop.
 
 A node runs one I/O thread and one worker pool.  The data port owns no
-thread of its own, and neither do the heartbeat, the gossip kicks and
-the replication pump: they are timers and hand-offs on the loop that
-submit their work to the pool.  The data port's sockets share the I/O
+thread of its own, and neither do the heartbeat, the gossip kicks, the
+replication pump and the peer links: the first three are timers and
+hand-offs on the loop that submit their work to the pool, and the loop
+reads and writes the links.  The data port's sockets share the I/O
 thread with the control port, so nothing the data port waits on may
 hold the control port up: a client that stops reading, a link waiting
 for tokens, the data port's own stop.  And a prepare that finishes after
@@ -22,6 +23,12 @@ from repro.core.errors import DVConnectionLost
 from repro.data import DataClient, DataServer
 from repro.dv.protocol import encode_binary
 from tests.dv.test_server_selector import connect, make_server
+from tests.integration.test_cluster_stack import build_context
+from tests.integration.test_forwarding_regressions import (
+    VNODES,
+    PipelinedClient,
+    owned_by,
+)
 
 
 def eventually(predicate, timeout=10.0):
@@ -88,35 +95,40 @@ def test_an_idle_node_runs_five_threads_and_a_data_port_adds_none():
 
 
 @pytest.mark.parametrize("factor", [1, 2])
-def test_a_peered_node_runs_six_threads_and_its_timers_start_none(
-    factor, monkeypatch
+def test_a_peered_node_runs_five_threads_and_its_timers_and_runs_start_none(
+    factor, monkeypatch, tmp_path
 ):
-    """Each of two peered nodes runs its loop's five threads and the
-    reader of its one link; heartbeats, a gossip kick and a dozen pump
-    intervals later, no thread has started."""
+    """Each of two peered nodes runs its loop's five threads: its peer
+    link is read by the loop, not by a thread of its own.  Heartbeats, a
+    gossip kick, a dozen pump intervals and a burst of forwarded runs
+    later, no thread has started."""
+    name = owned_by("n1", ("n1", "n2"), "inventory")
+    context, out, rst = build_context(tmp_path, name, keep_outputs=True)
     before = set(threading.enumerate())
     first = ClusterNode(
-        "n1", heartbeat_interval=0.05, suspect_after=40,
+        "n1", heartbeat_interval=0.05, suspect_after=40, vnodes=VNODES,
         replication_factor=factor, repl_interval=0.02,
     )
+    first.add_context(context, out, rst)
     first.start()
     nodes = [first]
     try:
         host, port = first.address
         second = ClusterNode(
             "n2", peers=[f"n1@{host}:{port}"], heartbeat_interval=0.05,
-            suspect_after=40, replication_factor=factor, repl_interval=0.02,
+            suspect_after=40, vnodes=VNODES, replication_factor=factor,
+            repl_interval=0.02,
         )
+        second.add_context(context, out, rst)
         second.start()
         nodes.append(second)
         links = lambda: (  # noqa: E731
             "n2" in first.router._links and "n1" in second.router._links)
         assert eventually(links), "the pair never linked up"
-        _, second_port = second.address
-        assert new_threads(before) == sorted(LOOP_THREADS * 2 + [
-            f"rpc-node:n1@127.0.0.1:{second_port}",
-            f"rpc-node:n2@127.0.0.1:{port}",
-        ])
+        assert new_threads(before) == sorted(LOOP_THREADS * 2)
+        client = PipelinedClient(second.address, "burst", name)
+        files = [context.filename_of(1 + i % 16) for i in range(32)]
+        client.window(files)  # warm: the hello's attach went on a worker
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(
@@ -126,6 +138,10 @@ def test_a_peered_node_runs_six_threads_and_its_timers_start_none(
         rounds = [n.metrics.get("cluster.gossip_rounds").value for n in nodes]
         for node in nodes:
             node._gossip_soon()
+        for _ in range(8):
+            for op, reply in client.window(files):
+                assert reply["error"] == 0, reply
+        client.close()
         time.sleep(12 * 0.02)
         assert eventually(lambda: all(
             n.metrics.get("cluster.gossip_rounds").value >= r + 3
@@ -134,6 +150,29 @@ def test_a_peered_node_runs_six_threads_and_its_timers_start_none(
     finally:
         for node in nodes:
             node.stop(drain_timeout=0)
+
+
+def test_a_stopped_peered_pair_leaves_no_link_descriptor_open():
+    first = ClusterNode("n1", heartbeat_interval=0.05, suspect_after=40)
+    first.start()
+    host, port = first.address
+    second = ClusterNode(
+        "n2", peers=[f"n1@{host}:{port}"], heartbeat_interval=0.05,
+        suspect_after=40,
+    )
+    second.start()
+    try:
+        links = lambda: (  # noqa: E731
+            "n2" in first.router._links and "n1" in second.router._links)
+        assert eventually(links), "the pair never linked up"
+        socks = [
+            link.sock for node in (first, second)
+            for link in node.router._links.values()
+        ]
+    finally:
+        second.stop(drain_timeout=0)
+        first.stop(drain_timeout=0)
+    assert [sock.fileno() for sock in socks] == [-1, -1]
 
 
 def test_a_data_client_that_stops_reading_does_not_hold_the_control_port(node):

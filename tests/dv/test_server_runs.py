@@ -1,4 +1,4 @@
-"""What a worker takes off a gateway connection's inbox as one run.
+"""What the drain takes off a gateway connection's inbox as one run.
 
 No thread and no listener: a ``_ClientConn`` over a socketpair is fed
 the bytes a client writes (``feed``), the drain the event loop hands to
@@ -7,11 +7,16 @@ end.  The route hook is a real :class:`~repro.cluster.router.Router`
 whose only link records the ``fwd`` frames that would cross the hop and
 answers them the way an owner does: every run, a lone op included,
 crosses as the packed client frames (``pack_run``), their ``req``s and
-all, and comes back as reply frames.
+all, and comes back as reply frames.  The ``gateway`` runs each test
+twice: with the router's loop half (``loop``: a run is sent from the
+event loop, which parks the drain until the link lands the reply) and
+without it (``worker``: every routed piece goes to a worker, as for a
+run the loop cannot send).
 """
 
 import os
 import socket
+import threading
 
 import pytest
 
@@ -31,6 +36,7 @@ from repro.dv.protocol import (
     unpack_run_reply,
 )
 from repro.dv.server import DVServer
+from repro.metrics.registry import Histogram
 from repro.simulators import SyntheticDriver
 from tests.dv.test_server_local_runs import batch, count_calls, make_server
 
@@ -42,12 +48,20 @@ TC = f"{0x11:016x}-{0x22:016x}-01"
 
 class OwnerLink:
     """The link to the owner: records request frames, answers each op of
-    a run (a ``release`` of ``missing`` is refused, an ``open`` is a hit)."""
+    a run (a ``release`` of ``missing`` is refused, an ``open`` is a hit).
+    A run the loop sends (``start``) is answered when :func:`settle`
+    lands it, as the loop would once the reply arrives."""
 
     closed = False
 
     def __init__(self):
         self.frames = []
+        self.started = []  # (frame, on_reply) not landed yet
+        self.pool_jobs = 0  # what settle() ran on the pool's behalf
+
+    def start(self, frame, timeout, on_reply):
+        self.frames.append(frame)
+        self.started.append((frame, on_reply))
 
     def answer(self, inner):
         if inner.get("file") == "missing":
@@ -58,16 +72,30 @@ class OwnerLink:
 
     def call(self, frame, timeout=None):
         self.frames.append(frame)
+        return self.reply(frame)
+
+    def reply(self, frame):
         return {"op": "fwd_reply", "error": 0, "run": b"".join(
             reply_frame(inner, self.answer(inner)) for inner in ops_of(frame)
         )}
+
+    def land(self):
+        """The reply to the oldest run the loop sent arrives."""
+        frame, on_reply = self.started.pop(0)
+        on_reply(self.reply(frame))
 
     def close(self):
         pass
 
 
-@pytest.fixture
-def gateway(tmp_path):
+def loop_half(server):
+    """The hooks that give a router its event-loop half: the owner is
+    always a peer (never busy), work goes to the server's pool."""
+    return {"peek": lambda context: ("owner", True), "submit": server.loop.submit}
+
+
+@pytest.fixture(params=["loop", "worker"])
+def gateway(request, tmp_path):
     server = DVServer()
     config = ContextConfig(name=LOCAL, delta_d=2, delta_r=8, num_timesteps=16)
     context = SimulationContext(
@@ -80,6 +108,7 @@ def gateway(tmp_path):
     os.makedirs(rst)
     server.add_context(context, out, rst)
     link = OwnerLink()
+    link.from_loop = request.param == "loop"
     router = Router(
         "ingress",
         resolve=lambda context: ("owner", True),
@@ -87,8 +116,11 @@ def gateway(tmp_path):
         ready_sink=lambda note: None,
         is_stale=lambda owner, context: False,
         metrics=server.metrics,
+        **(loop_half(server) if link.from_loop else {}),
     )
-    server.set_cluster_hooks(route_ops=router.route)
+    router.link("owner")  # dialled and cached: the loop sends on it
+    link.router = router
+    server.set_cluster_hooks(route_ops=router.route, route_start=router.start)
     ours, theirs = socket.socketpair()
     conn = _ClientConn(ours, client_id="c1")
     conn.decoder.set_codec("binary")
@@ -97,18 +129,22 @@ def gateway(tmp_path):
     theirs.close()
 
 
-def run_worker(server, conn):
-    """Run the drain the event loop handed to the pool, if it did."""
-    while not server.loop.work.empty():
-        drain, args = server.loop.work.get_nowait()
-        assert (drain, args) == (server.drain, (conn,))
-        drain(*args)
+def settle(server, link):
+    """Until nothing is left: land the runs the loop sent, and run what
+    was handed to the pool (a drain, a resumed retry loop)."""
+    while link.started or not server.loop.work.empty():
+        if link.started:
+            link.land()
+        else:
+            fn, args = server.loop.work.get_nowait()
+            link.pool_jobs += 1
+            fn(*args)
 
 
-def drain(server, conn, theirs, messages):
+def drain(server, conn, theirs, messages, link):
     """Feed ``messages`` as one write, drain it, return the replies."""
     server.feed(conn, b"".join(encode_frame(m, "binary") for m in messages))
-    run_worker(server, conn)
+    settle(server, link)
     assert not conn.inbox and not conn.busy
     decoder = StreamDecoder("binary")
     theirs.settimeout(5.0)
@@ -145,7 +181,7 @@ def test_consecutive_forwardable_ops_leave_as_one_frame(gateway):
         msg("open", 1), msg("release", 2), msg("open", 3, "f2"),
         msg("release", 4, "f2"),
     ]
-    replies = drain(server, conn, theirs, burst)
+    replies = drain(server, conn, theirs, burst, link)
     assert link.frames == [run_of(burst)]
     assert ops_of(link.frames[0]) == burst  # each op keeps its own req
     assert [r["req"] for r in replies] == [1, 2, 3, 4]
@@ -175,7 +211,7 @@ def test_what_ends_a_run(gateway):
         {"op": "stats", "req": 15},                       # a local service op
         msg("wclose", 16), msg("wclose", 17),             # no run op
     ]
-    replies = drain(server, conn, theirs, burst)
+    replies = drain(server, conn, theirs, burst, link)
     assert [r["req"] for r in replies] == list(range(1, 18))
     assert replies[9]["error"] == ERR_PROTOCOL and "batch" in replies[9]["detail"]
     assert shapes(link) == [2, 2, 1, 1, 2, 2, 1, 1, 1, 1]
@@ -191,11 +227,11 @@ def test_what_ends_a_run(gateway):
 def test_a_run_is_capped_and_a_lone_op_is_a_run_of_one(gateway):
     server, conn, theirs, link = gateway
     burst = [msg("open", i, f"f{i}") for i in range(1, FWD_RUN_MAX + 3)]
-    replies = drain(server, conn, theirs, burst)
+    replies = drain(server, conn, theirs, burst, link)
     assert [r["req"] for r in replies] == list(range(1, FWD_RUN_MAX + 3))
     assert shapes(link) == [FWD_RUN_MAX, 2]
     del link.frames[:]
-    drain(server, conn, theirs, [msg("open", 1)])
+    drain(server, conn, theirs, [msg("open", 1)], link)
     assert encode_frame(dict(link.frames[0], req=9), "binary") == encode_frame(
         dict(run_of([msg("open", 1)]), req=9), "binary"
     )
@@ -208,7 +244,7 @@ def test_a_connection_without_a_hello_forwards_nothing(gateway):
     server.feed(conn, b"".join(
         encode_frame(m, "legacy") for m in (msg("open", 1), msg("release", 2))
     ))
-    run_worker(server, conn)
+    settle(server, link)
     assert not conn.inbox and not conn.busy
     assert link.frames == []
 
@@ -216,7 +252,7 @@ def test_a_connection_without_a_hello_forwards_nothing(gateway):
 def test_each_slot_keeps_its_own_error(gateway):
     server, conn, theirs, link = gateway
     burst = [msg("release", 1), msg("release", 2, "missing"), msg("release", 3)]
-    replies = drain(server, conn, theirs, burst)
+    replies = drain(server, conn, theirs, burst, link)
     assert [(r["req"], r["error"]) for r in replies] == [
         (1, 0), (2, ERR_INVALID), (3, 0),
     ]
@@ -230,7 +266,7 @@ def test_a_forwarded_batch_of_releases_is_one_frame(gateway):
         msg("release", req, name)
         for req, name in enumerate(("f1", "missing", "f2", "f3"), start=9)
     ]
-    replies = drain(server, conn, theirs, burst)
+    replies = drain(server, conn, theirs, burst, link)
     assert link.frames == [run_of(burst)]
     assert [(r["req"], r["error"]) for r in replies] == [
         (9, 0), (10, ERR_INVALID), (11, 0), (12, 0),
@@ -247,11 +283,65 @@ def test_a_mixed_batch_keeps_sub_op_order(gateway):
         msg("open", 6, context=LOCAL),
         msg("wclose", 7),
     ]
-    replies = drain(server, conn, theirs, burst)
+    replies = drain(server, conn, theirs, burst, link)
     assert [r["req"] for r in replies] == list(range(1, 8))
     assert replies[2]["error"] == ERR_PROTOCOL
     assert shapes(link) == [2, 1, 1, 1]
     assert replies[0]["available"] is True
+    # With its loop half the router sent every run from the loop, and
+    # the loop ran the rest: nothing went to the pool.
+    assert link.pool_jobs == (0 if link.from_loop else 1)
+
+
+def test_an_attach_in_flight_when_its_client_leaves_is_finalized(gateway):
+    """The client sends ``attach``, its connection goes while the ``fwd``
+    crosses (the drop hook finds no attachment yet), then the owner's
+    reply lands: the ingress records nothing and finalizes the attach."""
+    server, conn, theirs, link = gateway
+    sent, gate, call = threading.Event(), threading.Event(), link.call
+
+    def held(frame, timeout=None):  # a worker's call waits for the reply
+        if ops_of(frame)[0]["op"] == "attach":
+            sent.set()
+            assert gate.wait(5.0)
+        return call(frame, timeout)
+
+    link.call = held
+    server.feed(conn, encode_frame(
+        {"op": "attach", "req": 1, "context": REMOTE}, "binary"))
+    crossing = threading.Thread(target=settle, args=(server, link))
+    if not link.from_loop:
+        crossing.start()  # the worker the loop handed the drain to
+    assert link.started or sent.wait(5.0)  # the fwd is on its way
+    server._close(conn)  # the client left: the shell tears it down ...
+    server._drop_client(conn)  # ... and the pool runs the drop hook
+    gate.set()
+    if link.from_loop:
+        crossing.start()  # the reply lands on the loop
+    crossing.join(5.0)
+    assert link.router._ingress_ctx == {} and link.router._pending == {}
+    assert [ops_of(f)[0]["op"] for f in link.frames] == ["attach", "finalize"]
+
+
+def test_a_routed_run_is_observed_once_per_op_name(gateway, monkeypatch):
+    """The ops of a routed run share its service time: each op is still
+    one observation, made with one histogram update per op name — unless
+    the run is slow, when every op gets its own span too."""
+    server, conn, theirs, link = gateway
+    burst = [msg("open" if i % 2 else "release", i, f"f{i}") for i in range(1, 33)]
+    updates = []
+    observe = Histogram.observe
+    monkeypatch.setattr(Histogram, "observe", lambda hist, value, count=1: (
+        updates.append((hist.name, count)), observe(hist, value, count))[1])
+    drain(server, conn, theirs, burst, link)
+    assert sorted(updates) == [("op.open.seconds", 16), ("op.release.seconds", 16)]
+    assert server.obs.slow() == []
+    server.obs.slow_threshold = 0.0
+    del updates[:]
+    drain(server, conn, theirs, [dict(m, req=m["req"] + 32) for m in burst], link)
+    assert len(updates) == 32 and {count for _name, count in updates} == {1}
+    spans = server.obs.slow(limit=100)
+    assert sorted(s["name"] for s in spans) == ["op.open"] * 16 + ["op.release"] * 16
 
 
 # --------------------------------------------------------------------- #
@@ -261,23 +351,29 @@ def test_a_mixed_batch_keeps_sub_op_order(gateway):
 #: ``gateway_open`` sends), budgets set ≈ 20 % above the readings of the
 #: forwarding alone: 2.8 at the ingress, 17.4 at the owner.  The owner's
 #: calls are the shard's own (the direct path makes them too) plus packing
-#: the reply frames.  The ingress is measured over its whole path —
-#: ``feed``, the hand-off to a worker and that worker's drain — and reads
-#: 3.3.
-INGRESS_CALL_BUDGET = 3.4
+#: the reply frames.  The ingress is measured over its whole path on the
+#: event loop — ``feed``, the run sent from the loop, its reply settled
+#: there and the drain resumed — and reads 2.4 (3.3 when a worker drained
+#: the run and observed each op on its own; budget 3.4 then).
+INGRESS_CALL_BUDGET = 2.9
 OWNER_CALL_BUDGET = 21.0
 
 
 class CannedLink:
-    """Answers every ``fwd`` with the reply recorded for it."""
+    """Answers every ``fwd`` the loop sends with the reply recorded for
+    it, once :meth:`land` says it arrived."""
 
     closed = False
 
     def __init__(self, reply):
         self.reply = reply
+        self.started = []
 
-    def call(self, frame, timeout=None):
-        return self.reply
+    def start(self, frame, timeout, on_reply):
+        self.started.append(on_reply)
+
+    def land(self):
+        self.started.pop(0)(self.reply)
 
 
 def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
@@ -315,14 +411,16 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
             "ingress", resolve=lambda context: ("owner", True),
             dial=lambda peer_id, on_fwd, on_down: link,
             ready_sink=lambda note: None, is_stale=lambda owner, context: False,
-            metrics=ingress.metrics,
+            metrics=ingress.metrics, **loop_half(ingress),
         )
-        ingress.set_cluster_hooks(route_ops=hop.route)
+        hop.link("owner")
+        ingress.set_cluster_hooks(route_ops=hop.route, route_start=hop.start)
         data = batch(contexts["hot"], 16)
 
         def ingress_step():  # the client's bytes arrive; its replies leave
-            ingress.feed(client, data)
-            run_worker(ingress, client)
+            ingress.feed(client, data)  # the loop sends the run ...
+            link.land()  # ... and settles its reply: no worker
+            assert not client.busy and ingress.loop.work.empty()
 
         ingress_step()
         assert theirs.recv(1 << 16) == reply["run"]

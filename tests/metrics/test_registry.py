@@ -71,6 +71,20 @@ class TestHistogram:
         with pytest.raises(InvalidArgumentError):
             MetricsRegistry().histogram("empty", buckets=[])
 
+    def test_a_counted_observation_is_that_many_observations(self):
+        """What a routed run's shared service time is recorded with: one
+        update per op name instead of one per op."""
+        registry = MetricsRegistry()
+        one_by_one = registry.histogram("each", buckets=[1e-4, 1e-3, 1e-2])
+        counted = registry.histogram("counted", buckets=[1e-4, 1e-3, 1e-2])
+        for value, count in ((3.3e-4, 17), (7e-6, 1), (0.25, 5), (1e-3, 31)):
+            for _ in range(count):
+                one_by_one.observe(value)
+            counted.observe(value, count)
+        each, once = one_by_one.snapshot(), counted.snapshot()
+        assert once.pop("sum") == pytest.approx(each.pop("sum"), rel=1e-12)
+        assert once == each  # count, buckets, min, max and percentiles
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
