@@ -46,6 +46,7 @@ from repro.core.errors import (
     SimFSError,
 )
 from repro.core.status import FileState
+from repro.data import DataClientPool
 from repro.dv.channel import HelloRefused, RpcChannel
 from repro.dv.protocol import (
     CODEC_BINARY,
@@ -334,6 +335,8 @@ class TcpConnection(DVConnection):
         self._dial_backoff = DialBackoff(base=0.1, cap=2.0)
         # Counters of channels already replaced: wire_stats stays cumulative.
         self._retired = dict.fromkeys(_WIRE_KEYS, 0)
+        # Idle data-port connections, reused by fetch_file/fetch_context.
+        self._data = DataClientPool()
         self._entry = self._connect()
 
     def _connect(self, deadline: float | None = None) -> RpcChannel:
@@ -653,6 +656,7 @@ class TcpConnection(DVConnection):
         self._closed = True
         for channel in (self._entry, *list(self._owners.values())):
             channel.close()
+        self._data.close()
 
     def open(self, context: str, filename: str) -> FileInfo:
         # The transparent path's hottest RPC: packed straight from the
@@ -768,13 +772,14 @@ class TcpConnection(DVConnection):
     ):
         """Pull one context file over the bulk data plane into ``dest``.
 
-        The transfer is chunked, resumable (a leftover ``dest.part`` from
-        an interrupted pull continues from its offset) and verified
-        against the server's whole-file SHA-256 before the rename into
-        place.  Returns a :class:`repro.data.client.FetchResult`.
+        One ``fetch_info`` names the data port, and the fetch runs on a
+        connection to it this client keeps between fetches (see
+        :class:`repro.data.client.DataClientPool`).  The transfer is
+        chunked, resumable (a leftover ``dest.part`` from an interrupted
+        pull continues from its offset) and verified against the
+        server's whole-file SHA-256 before the rename into place.
+        Returns a :class:`repro.data.client.FetchResult`.
         """
-        from repro.data.client import DataClient
-
         info = self.fetch_info(context, filename)
         if not info.get("exists"):
             raise FileNotInContextError(
@@ -785,10 +790,10 @@ class TcpConnection(DVConnection):
             raise ConnectionLostError(
                 f"context {context!r}'s owner advertises no data plane"
             )
-        with DataClient(host, port, timeout=timeout) as client:
-            return client.fetch(
-                context, filename, dest, resume=resume, tc=self._next_tc()
-            )
+        return self._data.fetch(
+            host, port, timeout, context, filename, dest,
+            resume=resume, tc=self._next_tc(),
+        )
 
     def fetch_context(
         self,
@@ -800,8 +805,6 @@ class TcpConnection(DVConnection):
     ) -> dict:
         """Pull every available output file of ``context`` into
         ``dest_dir``; returns ``{filename: FetchResult}``."""
-        from repro.data.client import DataClient
-
         info = self.fetch_info(context)
         host, port = info.get("data_host"), info.get("data_port")
         names = list(info.get("files", []))
@@ -814,12 +817,11 @@ class TcpConnection(DVConnection):
             )
         os.makedirs(dest_dir, exist_ok=True)
         tc = self._next_tc()
-        with DataClient(host, port, timeout=timeout) as client:
-            for name in names:
-                results[name] = client.fetch(
-                    context, name, os.path.join(dest_dir, name),
-                    resume=resume, tc=tc,
-                )
+        for name in names:
+            results[name] = self._data.fetch(
+                host, port, timeout, context, name,
+                os.path.join(dest_dir, name), resume=resume, tc=tc,
+            )
         return results
 
     def storage_path(self, context: str, filename: str) -> str:

@@ -960,17 +960,23 @@ class ClusterNode:
             }
 
     # ------------------------------------------------------------------ #
-    # Data plane (the resolver runs on a worker of the server's loop)
+    # Data plane (the resolver runs on the server's loop, or a worker)
     # ------------------------------------------------------------------ #
-    def _data_resolve(self, context: str, filename: str) -> str:
+    def _data_resolve(self, context: str, filename: str, wait: bool) -> str | None:
         """Map a fetch to a file in the context's output dir.  A node
         serves only the bytes it has: when it lacks the file and another
         node owns the context, the refusal names that owner's data
-        endpoint (the one ``fetch_info`` answers from any node)."""
-        with self._lock:
+        endpoint (the one ``fetch_info`` answers from any node).  On the
+        I/O thread (``wait`` False) a busy lock is not waited for: None
+        sends the prepare to a worker, as :meth:`_peek` does a run."""
+        if not self._lock.acquire(blocking=wait):
+            return None
+        try:
             spec = self._specs.get(context)
             owner = self.ring.owner(context)
             peer = self.table.get(owner) if owner else None
+        finally:
+            self._lock.release()
         if spec is None:
             raise FileNotInContextError(f"unknown context {context!r}")
         path = confine(filename, spec.real_output_dir)

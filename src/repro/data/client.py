@@ -9,7 +9,8 @@ It speaks the control port's binary frames (:mod:`repro.dv.protocol`):
 one fetch at a time, answered by ``fetch_start``, the file's ``chunk``
 frames and ``fetch_end`` (or one ``error`` frame).  An error answer leaves
 the connection usable; a fetch that fails mid-stream closes it, since
-where the stream stands is then unknown.
+where the stream stands is then unknown.  A :class:`DataClientPool`
+keeps usable connections for the next fetch from the same data port.
 
 A fetch touches each byte once.  The client reads frame headers itself
 (:func:`~repro.dv.protocol.frame_header`, the decoder's checks) and
@@ -28,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import os
 import socket
+import threading
 import time
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ from repro.dv.protocol import (
     frame_header,
 )
 
-__all__ = ["DataClient", "FetchResult", "TransferChecksumError"]
+__all__ = ["DataClient", "DataClientPool", "FetchResult", "TransferChecksumError"]
 
 #: Receive buffer before the first chunk frame grows it to that frame's
 #: size: room for any answer (a bigger one streams through all the same).
@@ -97,6 +99,9 @@ class DataClient:
         self._buf = bytearray(_CTRL_BUFFER)
         self._view = memoryview(self._buf)
         self._pos = self._end = 0
+        #: Stream bytes received over the connection's life.
+        self.received = 0
+        self.closed = False
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -107,10 +112,15 @@ class DataClient:
         self._sock.settimeout(timeout)
 
     def close(self) -> None:
+        self.closed = True
         try:
             self._sock.close()
         except OSError:
             pass
+
+    def settimeout(self, timeout: float) -> None:
+        """Give up on a send or receive that waits ``timeout`` seconds."""
+        self._sock.settimeout(timeout)
 
     def __enter__(self) -> DataClient:
         return self
@@ -124,6 +134,7 @@ class DataClient:
         try:
             self._sock.sendall(encode_binary(message))
         except OSError as exc:
+            self.close()
             raise DVConnectionLost(f"data connection lost: {exc}") from exc
 
     def _recv(self) -> None:
@@ -141,6 +152,7 @@ class DataClient:
         if not n:
             raise DVConnectionLost("data connection closed by server")
         self._end += n
+        self.received += n
 
     def _reserve(self, body: int) -> None:
         """Grow the buffer to hold a frame of ``body`` bytes: it reaches
@@ -258,8 +270,11 @@ class DataClient:
                 if op == "fetch_start":
                     size = int(message["size"])
                     checksum = message.get("checksum", "")
-                    os.makedirs(os.path.dirname(part) or ".", exist_ok=True)
-                    fh = open(part, "ab")
+                    try:
+                        fh = open(part, "ab")
+                    except FileNotFoundError:
+                        os.makedirs(os.path.dirname(part) or ".", exist_ok=True)
+                        fh = open(part, "ab")
                     if fh.tell() != offset:
                         fh.truncate(offset)
                     digest = hashlib.sha256()
@@ -298,3 +313,67 @@ class DataClient:
             bytes=received, resumed_from=offset, seconds=seconds,
             checksum=actual,
         )
+
+
+class DataClientPool:
+    """Idle :class:`DataClient` connections, per data endpoint.
+
+    :meth:`fetch` takes an idle connection to the endpoint, or dials one,
+    and runs one fetch on it: one fetch per connection at a time, so
+    threads sharing a pool use a connection each.  A connection that is
+    still usable afterwards — the fetch finished, or was answered with an
+    error — goes back to the pool; one that failed mid-stream is gone.
+    A pooled connection the server closed while it sat idle fails before
+    any answer byte arrives: the fetch, a read, is then retried once on
+    a fresh connection.  :meth:`close` closes every connection, and the
+    ones in use once their fetch returns.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple[str, int], list[DataClient]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def fetch(
+        self, host: str, port: int, timeout: float, context: str,
+        filename: str, dest: str, **kwargs,
+    ) -> FetchResult:
+        """:meth:`DataClient.fetch` on a connection to ``host:port``."""
+        key = (host, port)
+        with self._lock:
+            idle = self._idle.get(key)
+            client = idle.pop() if idle else None
+        while True:
+            fresh = client is None
+            if fresh:
+                client = DataClient(host, port, timeout=timeout)
+            else:
+                client.settimeout(timeout)
+            before = client.received
+            try:
+                return client.fetch(context, filename, dest, **kwargs)
+            except DVConnectionLost:
+                if fresh or client.received != before:
+                    raise
+                client = None  # stale: retried on a fresh connection
+            finally:
+                if client is not None:
+                    self._put(key, client)
+
+    def _put(self, key: tuple[str, int], client: DataClient) -> None:
+        """Keep ``client`` for the next fetch, unless it is closed or the
+        pool is."""
+        if not client.closed:
+            with self._lock:
+                if not self._closed:
+                    self._idle.setdefault(key, []).append(client)
+                    return
+        client.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for clients in idle.values():
+            for client in clients:
+                client.close()

@@ -29,14 +29,17 @@ JSON frames, and file bytes are ``chunk`` frames.  Design points:
   ``_CTRL_HIGH_WATER`` is not read again until they drain, so a client
   that asks without reading cannot grow the server's memory.
 * **One loop per node.**  The data sockets share the daemon's I/O
-  thread; blocking work (request validation, path resolution, open,
-  checksum) runs on its worker pool, which answers every request it
-  cannot serve with an error frame.  A prepare opens the file once and
-  takes its type, size and checksum from that descriptor, so what
-  ``fetch_start`` announces describes the bytes sent even if a new
-  version is renamed over the path meanwhile.  One prepare runs at a
-  time.  A pump of the link makes a few grants and yields to the loop's
-  other sockets; a token-starved link waits on a loop timer.
+  thread, and so does a fetch's *prepare*: validation, path resolution,
+  one non-blocking ``open`` and ``fstat``, and the whole-file SHA-256
+  when it is cached or the file fits one chunk frame.  Only the hash of
+  an uncached file larger than that, or a resolver that cannot answer
+  without waiting, sends the prepare to the worker pool, one at a time.
+  Every request a prepare cannot serve is answered with an error frame.
+  A prepare opens the file once and takes its type, size and checksum
+  from that descriptor, so what ``fetch_start`` announces describes the
+  bytes sent even if a new version is renamed over the path meanwhile.
+  A pump of the link makes a few grants and yields to the loop's other
+  sockets; a token-starved link waits on a loop timer.
 * **Local bytes only.**  A server streams files its resolver finds on
   this node and nothing else; it never fetches on a client's behalf.
 
@@ -144,11 +147,14 @@ class DataServer:
     """Bulk data port for one node, served on ``loop`` (the node's DV
     server's :attr:`~repro.dv.server.DVServer.loop`).
 
-    ``resolver(context, filename) -> path`` maps requests to files (it
-    runs on a worker and refuses by raising
-    :class:`~repro.core.errors.FileNotInContextError`); the default
-    resolver looks up directories registered via :meth:`add_context`
-    with path confinement.
+    ``resolver(context, filename, wait) -> path`` maps requests to files
+    and refuses by raising
+    :class:`~repro.core.errors.FileNotInContextError`.  It is asked on
+    the loop's I/O thread with ``wait`` False, where it must not block:
+    it returns None when it cannot answer at once, and is asked again on
+    a worker with ``wait`` True.  The default resolver looks up
+    directories registered via :meth:`add_context` with path
+    confinement.
     """
 
     def __init__(
@@ -180,9 +186,9 @@ class DataServer:
         self.host, self.port = self._listener.getsockname()[:2]
 
         self._conns: dict[int, _DataConn] = {}
-        #: Fetches to prepare, the first one on a worker: one at a time,
-        #: so hashes hold at most one worker of the node's pool (and only
-        #: that prepare touches ``_sums``).
+        #: Fetches whose prepare left the loop, the first one on a
+        #: worker: one at a time, so hashes hold at most one worker of
+        #: the node's pool.
         self._prepares: deque = deque()
         #: A pump of the link is queued: soon, or on a timer while the
         #: link is out of tokens.
@@ -203,24 +209,30 @@ class DataServer:
     def add_context(self, name: str, directory: str) -> None:
         self._dirs[name] = os.path.realpath(directory)
 
-    def _resolve(self, context: str, filename: str) -> str:
+    def _resolve(self, context: str, filename: str, wait: bool) -> str | None:
         if self._resolver is not None:
-            return self._resolver(context, filename)
+            return self._resolver(context, filename, wait)
         directory = self._dirs.get(context)
         if directory is None:
             raise FileNotInContextError(f"unknown context {context!r}")
         return confine(filename, directory)
 
+    def _cached(self, path: str, st: os.stat_result) -> str | None:
+        """The cached SHA-256 of the file at ``path`` whose ``fstat`` is
+        ``st``, if its (inode, size, mtime_ns) still match."""
+        cached = self._sums.get(path)
+        if cached is not None and cached[0] == (st.st_ino, st.st_size, st.st_mtime_ns):
+            return cached[1]
+        return None
+
     def _checksum(self, path: str, fd: int, st: os.stat_result) -> str:
         """Whole-file SHA-256 of the open ``fd`` (``st`` its ``fstat``),
         cached by path and (inode, size, mtime_ns)."""
-        key = (st.st_ino, st.st_size, st.st_mtime_ns)
-        cached = self._sums.get(path)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        with open(fd, "rb", closefd=False) as fh:
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
-        self._sums[path] = (key, digest)
+        digest = self._cached(path, st)
+        if digest is None:
+            with open(fd, "rb", closefd=False) as fh:
+                digest = hashlib.file_digest(fh, "sha256").hexdigest()
+            self._sums[path] = ((st.st_ino, st.st_size, st.st_mtime_ns), digest)
         return digest
 
     # -- lifecycle -------------------------------------------------------
@@ -246,11 +258,17 @@ class DataServer:
             "metrics": self.metrics.snapshot("transfer."),
         }
 
-    # -- on a worker -----------------------------------------------------
+    # -- prepares ---------------------------------------------------------
 
     def _run_prepare(self, transfer: _Transfer, message: dict) -> None:
+        """On a worker: a prepare that left the loop."""
+        self.loop.call_soon(self._prepared, transfer, self._answer(message, False))
+
+    def _answer(self, message: dict, on_loop: bool) -> dict | None:
+        """:meth:`_prepare`'s start answer, its refusal as an error
+        answer, or None (on the loop: the prepare must go to a worker)."""
         try:
-            result = self._prepare(message)
+            return self._prepare(message, on_loop)
         except Exception as exc:
             # Every failure gets an answer, a bug included.
             code, detail = ErrorCode.ERR_PROTOCOL, f"{type(exc).__name__}: {exc}"
@@ -260,10 +278,13 @@ class DataServer:
                 code = ErrorCode.ERR_NOT_FOUND
             else:
                 log.exception("data-plane fetch failed")
-            result = _error(code, detail)
-        self.loop.call_soon(self._prepared, transfer, result)
+            return _error(code, detail)
 
-    def _prepare(self, message: dict) -> dict:
+    def _prepare(self, message: dict, on_loop: bool) -> dict | None:
+        """Check a fetch and open its file.  On the loop it must not
+        wait: it returns None, holding nothing open, when the resolver
+        cannot answer at once or the file's checksum is not cached and
+        the file is larger than one chunk frame."""
         context = message.get("context", "")
         filename = message.get("file", "")
         offset = message.get("offset", 0)
@@ -273,11 +294,13 @@ class DataServer:
             raise ProtocolError("fetch: 'file' must be a string")
         if not isinstance(offset, int) or isinstance(offset, bool):
             raise ProtocolError("fetch: 'offset' must be an integer")
-        path = self._resolve(context, filename)
+        path = self._resolve(context, filename, not on_loop)
+        if path is None:
+            return None
         missing = FileNotInContextError(
             f"file {filename!r} not available in context {context!r}"
         )
-        try:  # non-blocking: a FIFO must not hold the worker (refused below)
+        try:  # non-blocking: a FIFO must not hold the thread (refused below)
             fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         except OSError:
             raise missing from None
@@ -291,6 +314,9 @@ class DataServer:
                 raise InvalidArgumentError(
                     f"fetch offset {offset} out of range for size {st.st_size}"
                 )
+            if on_loop and st.st_size > _CHUNK and self._cached(path, st) is None:
+                os.close(fd)
+                return None  # a hash that long goes to a worker
             digest = self._checksum(path, fd, st)
         except BaseException:
             os.close(fd)
@@ -371,21 +397,29 @@ class DataServer:
             self._refuse(conn, _error(ErrorCode.ERR_INVALID,
                                       "this connection's fetch is not done"))
         else:
-            conn.transfer = _Transfer(conn)
-            self._prepares.append((conn.transfer, message))
+            transfer = conn.transfer = _Transfer(conn)
+            result = self._answer(message, True)
+            if result is not None:
+                self._start(transfer, result)
+                return
+            self._prepares.append((transfer, message))
             if len(self._prepares) == 1:
-                self.loop.submit(self._run_prepare, conn.transfer, message)
+                self.loop.submit(self._run_prepare, transfer, message)
 
     def _refuse(self, conn: _DataConn, error: dict) -> None:
         self._m_errors.inc()
         self._send_ctrl(conn, error)
 
     def _prepared(self, transfer: _Transfer, result: dict) -> None:
-        """A prepare's answer: the transfer begins, or is refused — or,
-        when its connection (or the server) went first, its fd closes."""
+        """A worker's prepare is answered: the next one may go."""
         self._prepares.popleft()
         if self._prepares:
             self.loop.submit(self._run_prepare, *self._prepares[0])
+        self._start(transfer, result)
+
+    def _start(self, transfer: _Transfer, result: dict) -> None:
+        """A prepare's answer: the transfer begins, or is refused — or,
+        when its connection (or the server) went first, its fd closes."""
         conn = transfer.conn
         if conn.transfer is not transfer:
             if result["op"] == "start":

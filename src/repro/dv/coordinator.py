@@ -69,8 +69,12 @@ class DVCoordinator:
         self,
         context: SimulationContext,
         on_evict_file: Callable[[str], None] | None = None,
+        present: Callable[[str], bool] | None = None,
     ) -> ContextShard:
-        """Register a simulation context as a new shard."""
+        """Register a simulation context as a new shard.  ``on_evict_file``
+        unlinks an evicted output; ``present`` says whether an output is
+        on disk, so a close that comes after its file's eviction is
+        dropped (see :meth:`ContextShard.sim_file_closed`)."""
         with self._registry_lock:
             if context.name in self._shards:
                 raise ContextError(f"context {context.name!r} already registered")
@@ -82,6 +86,7 @@ class DVCoordinator:
                 metrics=self.metrics,
                 on_evict_file=on_evict_file,
                 obs=self.obs,
+                present=present,
             )
             self._shards[context.name] = shard
             return shard

@@ -44,7 +44,7 @@ from repro.core.errors import (
 )
 from repro.dv.coordinator import DVCoordinator, Notification, OpenResult
 from repro.dv.launcher import ThreadedLauncher
-from repro.dv.ops import BOUNDED, OPS, WORKER, checked, problem
+from repro.dv.ops import OPS, WORKER, checked, problem
 from repro.dv.protocol import (
     CODEC_BINARY,
     FWD_RUN_MAX,
@@ -184,10 +184,6 @@ class DVCore:
         # notifier threads — every access goes through ``_clients_lock``.
         self._clients: dict[str, _ClientConn] = {}
         self._clients_lock = threading.Lock()
-        # Contexts with a bounded storage area: their release/wclose/
-        # finalize ops may evict-and-unlink on the PFS and must not run
-        # on the event loop (see _needs_worker).  Everyone else's may.
-        self._evicting_contexts: set[str] = set()
         # Cluster-tier hooks, all optional (see repro.cluster.node):
         #   _route_ops    — gateway: handle one client's consecutive ops
         #                   for a non-local context, returning their reply
@@ -256,9 +252,12 @@ class DVCore:
             except FileNotFoundError:
                 pass
 
-        shard = self.coordinator.register_context(context, on_evict_file=delete_file)
-        if context.config.max_storage_bytes is not None:
-            self._evicting_contexts.add(context.name)
+        def present(filename: str) -> bool:
+            return os.path.exists(os.path.join(output_dir, filename))
+
+        shard = self.coordinator.register_context(
+            context, on_evict_file=delete_file, present=present
+        )
         self.launcher.register_context(
             context.name, context.driver, output_dir, restart_dir,
             alpha_delay=alpha_delay, tau_delay=tau_delay,
@@ -375,7 +374,7 @@ class DVCore:
                 # No lock to read the inbox: only the drain that owns the
                 # connection takes from it, other threads only append.
                 if inbox and not conn.closing:
-                    count, how = self._split(conn.client_id, inbox, 0, on_loop)
+                    count, how = self._split(conn.client_id, inbox)
                     # A routed piece waits on the hop; any other asks.
                     if on_loop and how != _LOCAL and (
                         how == _ROUTED or self._needs_worker(inbox[0])
@@ -450,29 +449,28 @@ class DVCore:
     def _needs_worker(self, message: dict) -> bool:
         """Must ``message``, the head of a piece that is no run, leave the
         event loop?  Its row's ``where`` says (``bitrep`` checksums a step
-        off the PFS, ``stats`` snapshots every shard; a bounded context's
-        ``release``/``wclose``/``finalize`` may evict and unlink files),
-        except that a forwarded run stays on the loop when it is all one
-        local run — the rule a client's run follows — and a cluster
-        node's hello may wait on the cluster lock (activation holds it
-        across PFS scans) or forward an attach.  (An op the gateway
+        off the PFS, ``stats`` snapshots every shard), except that a
+        ``fetch_info`` naming no file lists the storage area, a forwarded
+        run stays on the loop when it is all one local run — the rule a
+        client's run follows — and a cluster node's hello may wait on the
+        cluster lock (activation holds it across PFS scans) or forward an
+        attach.  (An op the gateway
         forwards is a routed piece: :meth:`_park` or a worker.)"""
         op = message.get("op")
         row = OPS.get(op) if isinstance(op, str) else None
         if row is None:
             return False  # refused: answered on the loop
-        context = message.get("context")
         if op == OP_FWD and "run" in message:
             try:
                 _origin, client_id, ops = unpack_run(message)
             except ProtocolError:
                 return False  # refused whole: answered on the loop
-            count, how = self._split(client_id, ops, 0, inline=True, route=False)
+            count, how = self._split(client_id, ops, route=False)
             return how != _LOCAL or count < len(ops)
         if op == "hello":
             return self._hello_extra is not None or self._route_ops is not None
-        if row.where == BOUNDED:
-            return isinstance(context, str) and context in self._evicting_contexts
+        if op == "fetch_info":
+            return "file" not in message
         return row.where == WORKER
 
     # ------------------------------------------------------------------ #
@@ -488,8 +486,7 @@ class DVCore:
         )
 
     def _split(
-        self, client_id, messages, start: int = 0, inline: bool = False,
-        route: bool = True,
+        self, client_id, messages, start: int = 0, route: bool = True,
     ) -> tuple[int, int]:
         """The run splitter (the drain and ``serve_ops``): how many of
         a client's ``messages`` from ``start`` on execute together, and
@@ -497,10 +494,8 @@ class DVCore:
         context, up to ``FWD_RUN_MAX``: a *local* run (one ``handle_run``:
         it holds the shard lock) or, when ``route`` and the context is
         the gateway's to forward, a *routed* one (one ``fwd`` frame).
-        Another context and any other op end it; so does, on the event
-        loop (``inline``), a local release that may evict — it must leave
-        the loop.  Any other forwardable op is a run of one; everything
-        else is one message on its own."""
+        Another context and any other op end it.  Any other forwardable
+        op is a run of one; everything else is one message on its own."""
         if client_id is None:
             return 1, _HELLO
         head = messages[start]
@@ -510,7 +505,6 @@ class DVCore:
         context = head["context"]
         routed = route and self._forwards(context)
         if row.runs:
-            evicts = inline and not routed and context in self._evicting_contexts
             end = start
             limit = min(len(messages), start + FWD_RUN_MAX)
             while end < limit:
@@ -518,7 +512,6 @@ class DVCore:
                 row = OPS.get(message["op"])
                 if (
                     row is None or not row.runs or message["context"] != context
-                    or (evicts and row.where == BOUNDED)
                     # A traced op crosses the hop alone, its tc on the fwd.
                     or (routed and "tc" in message)
                 ):

@@ -11,9 +11,13 @@ One row per op a daemon can be sent (paper Sec. III: ``SIMFS_Init`` /
 * ``runs`` — the op joins a *run*: one client's consecutive ``runs``
   ops for one context execute as one shard call (``handle_run``) or
   cross the cluster hop as one ``fwd`` frame;
-* ``where`` — where it executes: on the event loop (``LOOP``), on a
-  worker (``WORKER``: it may block), or on a worker when its context's
-  storage area is bounded (``BOUNDED``: it may evict and unlink files).
+* ``where`` — where it executes: on the event loop (``LOOP``) or on a
+  worker (``WORKER``: it scans the PFS, hashes a file or snapshots every
+  shard).  The loop's ops touch the PFS at most with a ``stat`` or the
+  ``unlink`` of an evicted step: a ``release``, ``wclose`` or
+  ``finalize`` of a bounded storage area evicts on the loop, and
+  ``fetch_info`` naming a ``file`` is one ``stat`` (without one it lists
+  the storage area, and the daemon sends it to a worker).
 
 The daemon's run splitter, its event-loop/worker decision, the ops a
 ``fwd`` may carry, what ``DVServer.register_op`` accepts and the
@@ -32,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["BOUNDED", "LOOP", "OPS", "Op", "WORKER", "checked", "problem"]
+__all__ = ["LOOP", "OPS", "Op", "WORKER", "checked", "problem"]
 
-LOOP, WORKER, BOUNDED = "loop", "worker", "bounded"
+LOOP, WORKER = "loop", "worker"
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,11 @@ OPS: dict[str, Op] = {
     "hello": Op({"client_id": str, "vers": int, "codec": str, "context?": str}),
     "attach": Op(_CONTEXT, forwardable=True),
     "open": Op(_FILE, forwardable=True, runs=True),
-    "release": Op(_FILE, forwardable=True, runs=True, where=BOUNDED),
-    "wclose": Op(_FILE, forwardable=True, where=BOUNDED),
+    "release": Op(_FILE, forwardable=True, runs=True),
+    "wclose": Op(_FILE, forwardable=True),
     "bitrep": Op({**_FILE, "path?": str}, forwardable=True, where=WORKER),
-    "finalize": Op(_CONTEXT, forwardable=True, where=BOUNDED),
-    "fetch_info": Op({"context": str, "file?": str}, forwardable=True,
-                     where=WORKER),
+    "finalize": Op(_CONTEXT, forwardable=True),
+    "fetch_info": Op({"context": str, "file?": str}, forwardable=True),
     "stats": Op(where=WORKER),
     "trace": Op({"trace_id": str}, where=WORKER),
     "trace_slow": Op({"limit?": int}, where=WORKER),

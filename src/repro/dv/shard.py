@@ -184,8 +184,12 @@ class ContextShard:
         metrics: "MetricsRegistry | None" = None,
         on_evict_file: Callable[[str], None] | None = None,
         obs: "SpanRecorder | None" = None,
+        present: Callable[[str], bool] | None = None,
     ) -> None:
         self.lock = threading.RLock()
+        # Is an output file on disk?  Asked under the lock, where
+        # evictions unlink (see sim_file_closed); None trusts every close.
+        self._present = present
         self.context = context
         self._executor = executor
         self._sim_ids = sim_ids
@@ -562,11 +566,17 @@ class ContextShard:
         """A running simulation closed an output file: it is ready on disk
         (Fig. 4 step 5).  Inserts it into the storage area, updates the
         latency estimate, notifies waiters, and starts queued jobs when a
-        simulation completes."""
+        simulation completes.  A close whose file an eviction already
+        unlinked (a second simulation rewrote a resident step, and the
+        step was evicted before its close arrived) is dropped, leaving
+        the in-flight claim and the waiters alone: the step is not
+        resident, so its next ``open`` misses and re-simulates it."""
         with self.lock:
             naming = self.context.driver.naming
             if naming.is_restart(filename):
                 return []  # checkpoint writes are not analysis-visible
+            if self._present is not None and not self._present(filename):
+                return []
             key = self._key_of(filename)
 
             # The file exists now, whichever simulation produced it: the

@@ -234,14 +234,17 @@ def test_stopping_the_data_port_leaves_the_control_port_serving(node, tmp_path):
 def test_a_prepare_that_finishes_after_stop_closes_its_descriptor(
     tmp_path, loop, monkeypatch
 ):
-    """A resolver held until ``stop()`` has run: the prepare then opens
+    """A resolver busy on the I/O thread sends the prepare to a worker,
+    where it is held until ``stop()`` has run: the prepare then opens
     the file for a connection that is gone, and the loop closes the
     descriptor."""
     path = tmp_path / "held.sdf"
     path.write_bytes(b"x" * 4096)
     entered, release = threading.Event(), threading.Event()
 
-    def held_resolver(context, filename):
+    def held_resolver(context, filename, wait):
+        if not wait:
+            return None  # busy: ask again on a worker
         entered.set()
         release.wait(10.0)
         return str(path)
@@ -250,9 +253,10 @@ def test_a_prepare_that_finishes_after_stop_closes_its_descriptor(
     opened = []
     prepare = data._prepare
 
-    def spy(message):
-        result = prepare(message)
-        opened.append(result["fd"])
+    def spy(message, on_loop):
+        result = prepare(message, on_loop)
+        if result is not None:
+            opened.append(result["fd"])
         return result
 
     monkeypatch.setattr(data, "_prepare", spy)

@@ -8,8 +8,8 @@ nothing a client can see may depend on that.
   (``fixtures/local_run_replies.json``; ``python
   tests/dv/test_server_local_runs.py`` rewrites it from whatever ``repro``
   is on the path);
-* the eviction gate is per context: a bounded context does not send an
-  unbounded one's releases off the event loop;
+* a bounded context's releases evict on the event loop, in runs like
+  any other context's;
 * the hot path has a budget in Python-level calls per op, counted with
   ``sys.setprofile`` — a count, not a wall-clock ratio, so it cannot flake.
 """
@@ -309,37 +309,40 @@ def read_replies(theirs, count: int) -> list[bytes]:
 
 
 def test_a_bounded_context_does_not_send_its_neighbours_off_the_loop(loop):
+    """Nor its own ops: a bounded context's releases run on the loop,
+    as one run with its opens, and evict there."""
     server, contexts, conn, theirs = loop
-    assert server._evicting_contexts == {"scan"}
     server.feed(conn, batch(contexts["hot"], 16))
     assert server.metrics.get("wire.frames_recv").value == 32
     assert not conn.busy and not conn.inbox and server.loop.work.empty()
     assert len(read_replies(theirs, 32)) == 32
-    # The bounded context's opens stay on the loop; its release leaves it.
-    server.feed(conn, batch(contexts["scan"], 1, first_req=101))
-    assert len(read_replies(theirs, 1)) == 1
-    assert conn.busy and len(conn.inbox) == 1
-    assert server.loop.work.get_nowait() == (server.drain, (conn,))
-    server.drain(conn)
-    assert len(read_replies(theirs, 1)) == 1 and not conn.busy
+    server.feed(conn, batch(contexts["scan"], 8, first_req=101))
+    assert len(read_replies(theirs, 16)) == 16
+    assert not conn.busy and not conn.inbox and server.loop.work.empty()
     assert server.coordinator.shard("scan").open_files["c1"] == []
 
 
 def test_a_batch_splits_its_ops_per_context(loop):
-    """The splitter cuts a drained batch at each change of context, and
-    the eviction gate reads each op's own context."""
+    """The splitter cuts a drained batch at each change of context; a
+    bounded context's ops, which may evict, stay on the loop like any
+    other's, and so does a ``fetch_info`` that names a file (one
+    ``stat``), while one that lists the storage area leaves it."""
     server, contexts, conn, _theirs = loop
     hot, scan = (contexts[n].filename_of(1) for n in ("hot", "scan"))
     release = lambda ctx, f: {"op": "release", "context": ctx, "file": f}  # noqa: E731
     mixed = [release("hot", hot)] * 2 + [release("scan", scan)] * 2
-    assert server._split("c1", mixed, 0, inline=True) == (2, _LOCAL)
-    # On the loop, a bounded context's release stands alone, bound for a
-    # worker; the worker takes it into a run.
-    assert server._split("c1", mixed, 2, inline=True) == (1, _ONE)
-    assert server._needs_worker(mixed[2]) and not server._needs_worker(mixed[0])
+    assert server._split("c1", mixed, 0) == (2, _LOCAL)
     assert server._split("c1", mixed, 2) == (2, _LOCAL)
-    assert not server._needs_worker({"op": "finalize", "context": "hot"})
-    assert server._needs_worker({"op": "wclose", "context": "scan", "file": scan})
+    for message in (
+        mixed[2],
+        {"op": "finalize", "context": "scan"},
+        {"op": "wclose", "context": "scan", "file": scan},
+        {"op": "fetch_info", "context": "scan", "file": scan},
+    ):
+        assert server._split("c1", [message]) in ((1, _LOCAL), (1, _ONE))
+        assert not server._needs_worker(message), message
+    assert server._needs_worker({"op": "fetch_info", "context": "scan"})
+    assert server._needs_worker({"op": "bitrep", "context": "scan", "file": scan})
 
 
 def test_stats_leaves_the_loop_and_is_answered_in_order(tmp_path, stop_servers):
@@ -382,6 +385,10 @@ def test_a_drain_answers_and_fans_out_in_request_order(tmp_path, stop_servers):
     stop_servers.append(server)
     missing = contexts["hot"].filename_of(60)  # paced: no sim lands it first
     client = Client(server)
+    # The file the wclose reports is on disk (a close whose file is gone
+    # is dropped).
+    with open(os.path.join(tmp_path, "hot-out", missing), "wb") as fh:
+        fh.write(b"x")
     try:
         client.sock.sendall(
             encode_open_request(1, "hot", missing, "binary")

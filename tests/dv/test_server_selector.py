@@ -483,9 +483,10 @@ class TestSelectorStress:
 
 class TestBoundedAreaEviction:
     def test_release_evicts_and_serves_over_tcp(self, tmp_path):
-        """With a bounded storage area, release/wclose route through the
-        worker pool (they may unlink evicted files); the daemon must keep
-        serving and actually delete evicted outputs."""
+        """With a bounded storage area, release/wclose evict on the event
+        loop, unlinking the evicted files there, and hand nothing to the
+        worker pool; the daemon must keep serving and actually delete
+        evicted outputs."""
         server = DVServer()
         config = ContextConfig(name="tiny", delta_d=2, delta_r=8,
                                num_timesteps=32, max_storage_bytes=4)
@@ -506,9 +507,11 @@ class TestBoundedAreaEviction:
                 fname, driver.checksum(os.path.join(out, fname))
             )
         server.add_context(context, out, rst)
+        submitted = []
+        submit = server.loop.submit
+        server.loop.submit = lambda fn, *args: (submitted.append(fn), submit(fn, *args))
         server.start()
         try:
-            assert server._evicting_contexts == {"tiny"}
             with connect(server, "tiny") as conn:
                 with SimFSSession(conn, "tiny") as session:
                     for key in range(1, 13):
@@ -521,6 +524,8 @@ class TestBoundedAreaEviction:
                         if driver.naming.is_output(f)}
             # Evicted steps are physically gone from the storage area.
             assert len(resident) <= 4 + config.smax
+            assert shard.area.evictions
+            assert server.drain not in submitted, submitted
         finally:
             server.stop()
 

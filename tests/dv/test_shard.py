@@ -237,3 +237,56 @@ class TestReplicatedState:
         for client, key in (("a1", 1), ("a1", 1), ("a1", 2), ("a2", 1), ("a2", 9)):
             dest.handle_release(client, name(key), 4.0)
         assert [dest.area.refcount(k) for k in (1, 2, 9)] == [0, 0, 0]
+
+
+class TestLateCloseAfterEviction:
+    def test_a_close_whose_file_was_evicted_does_not_make_it_resident(
+        self, tmp_path
+    ):
+        """Step k is resident and a second simulation rewrites it; before
+        that simulation's close of k arrives, newer steps evict k and its
+        file is unlinked.  The late close must not make k resident again
+        (nothing is on disk): the next ``open`` misses and re-simulates
+        k.  A live daemon wires the check; this drives one in-process."""
+        import os
+
+        from repro.dv.server import DVServer
+
+        config = ContextConfig(name="orph", delta_d=1, delta_r=8, num_timesteps=32)
+        driver = SyntheticDriver(config.geometry, prefix="orph", cells=8)
+        out, rst = str(tmp_path / "out"), str(tmp_path / "rst")
+        os.makedirs(out)
+        os.makedirs(rst)
+        driver.execute(driver.make_job("orph", 0, 4, write_restarts=True), out, rst)
+        name = driver.filename
+        path = os.path.join(out, name(1))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        for key in range(3, 33):
+            os.unlink(os.path.join(out, name(key)))
+        context = SimulationContext(
+            config=config.with_overrides(
+                replacement_policy="lru", max_storage_bytes=2 * len(data),
+                output_step_bytes=len(data),
+            ),
+            driver=driver, perf=PerformanceModel(tau_sim=0.001, alpha_sim=0.0),
+        )
+        server = DVServer()
+        server.add_context(context, out, rst)
+        coordinator, shard = server.coordinator, server.coordinator.shard("orph")
+        assert sorted(shard.area.keys()) == [1, 2]
+        with open(path, "wb") as fh:  # the second simulation rewrites k
+            fh.write(data)
+        for key in (9, 10):  # its close is late: newer steps evict k
+            with open(os.path.join(out, name(key)), "wb") as fh:
+                fh.write(data)
+            coordinator.sim_file_closed("orph", name(key), 0.0)
+        assert 1 not in shard.area and not os.path.exists(path)
+
+        assert coordinator.sim_file_closed("orph", name(1), 0.0) == []
+        assert 1 not in shard.area
+        coordinator.client_connect("c1", "orph")
+        assert not coordinator.handle_open("c1", "orph", name(1), 1.0).available
+        assert 1 in shard.in_flight
+        assert server.launcher.wait_idle(30.0)
+        assert 1 in shard.area and os.path.exists(path)

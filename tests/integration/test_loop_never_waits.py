@@ -262,3 +262,53 @@ def test_a_held_cluster_lock_holds_the_routed_run_only(contexts, stop_nodes):
     assert reply["req"] == 2 and reply["error"] == 0 and reply["available"]
     client.close()
     local.close()
+
+
+def test_a_held_cluster_lock_holds_the_data_fetch_only(
+    contexts, stop_nodes, tmp_path
+):
+    """The data port resolves a fetch on the I/O thread with a
+    non-blocking take of the node's lock: held by another thread, the
+    fetch waits for it on a worker, and the loop serves on."""
+    from repro.data import DataClient
+
+    node = ClusterNode("owner", port=free_port(), vnodes=VNODES)
+    context = contexts["owner"][0]
+    for ctx, out, rst in contexts.values():
+        node.add_context(ctx, out, rst)
+    node.start()
+    stop_nodes.append(node)
+    local = Client(node.address, "local")  # its hello takes the lock
+    local.send({"op": "attach", "req": 1, "context": context.name})
+    assert local.replies(1)[0]["error"] == 0
+    held, release, fetched = threading.Event(), threading.Event(), []
+
+    def hold():
+        with node._lock:
+            held.set()
+            release.wait(10.0)
+
+    def fetch():
+        with DataClient(node.data.host, node.data.port) as data:
+            fetched.append(data.fetch(
+                context.name, context.filename_of(1), str(tmp_path / "got.sdf")))
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    fetcher = threading.Thread(target=fetch, daemon=True)
+    try:
+        assert held.wait(5.0)
+        fetcher.start()
+        fetcher.join(0.3)
+        assert not fetched  # waits on the lock, on a worker
+        local.sock.settimeout(3.0)  # the lock is held for 10 s
+        local.send({"op": "open", "req": 2, "context": context.name,
+                    "file": context.filename_of(1)})
+        assert local.replies(1)[0]["available"] is True
+        assert not release.is_set()
+    finally:
+        release.set()
+        holder.join(5.0)
+    fetcher.join(5.0)
+    assert fetched and fetched[0].size > 0
+    local.close()
