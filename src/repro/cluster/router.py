@@ -775,13 +775,27 @@ class Router:
                 pass
         if proxy.origin and proxy.origin != self.self_id:
             # No live channel (a promoted replica only holds the origin's
-            # name; the dead owner held the connection): dial the origin,
-            # whose ``fwd`` handler delivers to the real client.
-            try:
-                self.link(proxy.origin).send(frame)
-                self._m_ready_routed.inc()
-            except (DVConnectionLost, SimFSError, OSError):
-                pass
+            # name; the dead owner held the connection): the origin's
+            # ``fwd`` handler delivers to the real client.  A cached link
+            # sends at once; a dial waits, so it goes to a worker (readies
+            # fan out from the event loop).
+            with self._links_lock:
+                link = self._links.get(proxy.origin)
+            if link is not None and not link.closed:
+                self._ready_to_origin(proxy.origin, frame, link)
+            elif self._submit is not None:
+                self._submit(self._ready_to_origin, proxy.origin, frame)
+            else:
+                self._ready_to_origin(proxy.origin, frame)
+
+    def _ready_to_origin(self, origin: str, frame: dict, link=None) -> None:
+        """Send a routed ready to the client's ingress ``origin`` on
+        ``link``, or on the link :meth:`link` dials."""
+        try:
+            (link or self.link(origin)).send(frame)
+            self._m_ready_routed.inc()
+        except (DVConnectionLost, SimFSError, OSError):
+            pass
 
     def deliver_routed_ready(self, client_id: str, inner: dict) -> None:
         self.deliver_ready(Notification(

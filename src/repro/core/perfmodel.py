@@ -24,7 +24,16 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import InvalidArgumentError
 
-__all__ = ["PerformanceModel", "ScalingModel"]
+__all__ = ["PerformanceModel", "ScalingModel", "production_offset"]
+
+
+def production_offset(alpha: float, tau: float, position: int) -> float:
+    """Seconds from a launch to its ``position``-th output (1-based), and
+    to its completion when ``position`` is the output count:
+    ``T_sim(i) = alpha + i * tau``.  The one schedule of both clocks: the
+    DES schedules its productions at these offsets and the live launcher
+    runs them at these offsets from the launch."""
+    return alpha + position * tau
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,7 @@ from repro.core.errors import (
 )
 from repro.data.scheduler import BandwidthScheduler
 from repro.dv.protocol import (
+    CHUNK_MAX,
     CODEC_BINARY,
     StreamDecoder,
     encode_binary,
@@ -89,7 +90,7 @@ _RECV_SIZE = 64 * 1024
 #: Most file bytes one chunk frame carries, and the deficit round-robin
 #: quantum (what a ready transfer may send per turn): a link with tokens
 #: to spare sends whole frames.
-_CHUNK = 256 * 1024
+_CHUNK = CHUNK_MAX
 
 #: Grants one pump of the link may make before the loop's other sockets
 #: get a turn (and at least one per ready transfer): up to 1 MiB on an

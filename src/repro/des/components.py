@@ -2,11 +2,13 @@
 
 :class:`DESExecutor` interprets a launched re-simulation as a stream of
 production events — the first output after ``αsim(p) + τsim(p)`` virtual
-seconds, then one every ``τsim(p)`` — optionally adding stochastic batch
-queueing delay (Sec. IV-C1c).  :class:`VirtualAnalysis` models an analysis
-process with inter-access time ``τcli``: it opens files through the very
-same ``DVCoordinator.handle_open`` the TCP daemon uses, blocks on misses
-until the notification arrives, and records its completion time.
+seconds, then one every ``τsim(p)``, on the schedule the live launcher
+also keeps (:func:`~repro.core.perfmodel.production_offset`) — optionally
+adding stochastic batch queueing delay (Sec. IV-C1c).
+:class:`VirtualAnalysis` models an analysis process with inter-access
+time ``τcli``: it opens files through the very same
+``DVCoordinator.handle_open`` the TCP daemon uses, blocks on misses until
+the notification arrives, and records its completion time.
 
 This is the DES of one daemon behind the paper's evaluation (Figs.
 13-19).  The cluster tier and the data plane have no virtual-time model
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.context import SimulationContext
 from repro.core.errors import InvalidArgumentError
+from repro.core.perfmodel import production_offset
 from repro.des.engine import DESEngine, EventHandle
 from repro.dv.coordinator import DVCoordinator, Notification, RunningSim
 from repro.metrics import MetricsRegistry
@@ -59,7 +62,7 @@ class DESExecutor:
             filename = context.filename_of(key)
             handles.append(
                 self.engine.schedule(
-                    alpha + position * tau,
+                    production_offset(alpha, tau, position),
                     self._make_production(context.name, sim.sim_id, filename),
                 )
             )
@@ -68,7 +71,7 @@ class DESExecutor:
         # on per-key attribution alone deadlocks when overlapping sims
         # produce each other's planned keys: nobody reaches `done`, the
         # smax slots never free, and queued jobs starve.
-        done_at = alpha + len(sim.planned_keys) * tau
+        done_at = production_offset(alpha, tau, len(sim.planned_keys))
         handles.append(
             self.engine.schedule(
                 done_at,

@@ -451,10 +451,10 @@ class DVCore:
         event loop?  Its row's ``where`` says (``bitrep`` checksums a step
         off the PFS, ``stats`` snapshots every shard), except that a
         ``fetch_info`` naming no file lists the storage area, a forwarded
-        run stays on the loop when it is all one local run — the rule a
-        client's run follows — and a cluster node's hello may wait on the
-        cluster lock (activation holds it across PFS scans) or forward an
-        attach.  (An op the gateway
+        run stays on the loop when it is all one local run or one op that
+        stays there — the rules a client's ops follow — and a cluster
+        node's hello may wait on the cluster lock (activation holds it
+        across PFS scans) or forward an attach.  (An op the gateway
         forwards is a routed piece: :meth:`_park` or a worker.)"""
         op = message.get("op")
         row = OPS.get(op) if isinstance(op, str) else None
@@ -466,7 +466,9 @@ class DVCore:
             except ProtocolError:
                 return False  # refused whole: answered on the loop
             count, how = self._split(client_id, ops, route=False)
-            return how != _LOCAL or count < len(ops)
+            if count < len(ops) or how == _HELLO:
+                return True
+            return how == _ONE and self._needs_worker(ops[0])
         if op == "hello":
             return self._hello_extra is not None or self._route_ops is not None
         if op == "fetch_info":

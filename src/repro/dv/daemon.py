@@ -30,9 +30,12 @@ def main(argv: list[str] | None = None) -> int:
             "max_storage_bytes": 100000000, "policy": "dcl", "smax": 8,
             "alpha_delay": 0.0, "tau_delay": 0.0}]}
 
-    ``alpha_delay``/``tau_delay`` (seconds) pace the built-in drivers'
-    re-simulations — per sim launch and per produced output step — so a
-    demo or failover drill has a real window in which clients block.
+    ``alpha_delay``/``tau_delay`` (seconds) pace re-simulations on the
+    performance model's schedule, counted from the launch: output *i* of
+    a re-simulation is produced and announced ``alpha_delay + i *
+    tau_delay`` after it was launched — so a demo or failover drill has a
+    real window in which clients block.  Pacing holds no thread: the
+    productions are timers on the node's event loop.
 
     Multi-daemon quickstart — run the same config (same context catalog,
     dirs on the shared PFS) on every node and name the peers::

@@ -48,8 +48,9 @@ class EventLoop:
     """One I/O thread (selector, wake-up pair, hand-offs, timers) and
     ``workers`` threads for blocking work."""
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, name: str = "simfs-dv") -> None:
         self.workers = workers
+        self.name = name
         self.selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -68,10 +69,10 @@ class EventLoop:
     def start(self) -> None:
         self._running = True
         self._io_thread = threading.Thread(
-            target=self._run, name="simfs-dv-io", daemon=True
+            target=self._run, name=f"{self.name}-io", daemon=True
         )
         self._threads = [
-            threading.Thread(target=self._work, name=f"simfs-dv-worker-{idx}", daemon=True)
+            threading.Thread(target=self._work, name=f"{self.name}-worker-{idx}", daemon=True)
             for idx in range(self.workers)
         ]
         for thread in (*self._threads, self._io_thread):
@@ -99,6 +100,16 @@ class EventLoop:
         self.selector.close()
         self._wake_r.close()
         self._wake_w.close()
+
+    @property
+    def running(self) -> bool:
+        """Started and not yet stopped: its timers and hand-offs run."""
+        return self._running
+
+    @staticmethod
+    def time() -> float:
+        """The loop's clock: what :meth:`call_at` takes."""
+        return time.monotonic()
 
     def on_io_thread(self) -> bool:
         """Is the caller the running I/O thread (which must never wait)?"""

@@ -98,6 +98,7 @@ __all__ = [
     "decode_message",
     "encode_binary",
     "encode_chunk_header",
+    "CHUNK_MAX",
     "FRAME_HEADER_SIZE",
     "KIND_CHUNK",
     "frame_header",
@@ -415,6 +416,11 @@ def decode_payload(kind: int, payload: bytes) -> dict[str, Any]:
 #: what a reader that takes payloads itself needs (see :func:`frame_header`).
 FRAME_HEADER_SIZE = _HEADER.size
 KIND_CHUNK = _KIND_CHUNK
+
+#: Most file bytes one ``chunk`` frame of a data port carries.  It is also
+#: the node's bound on work its I/O thread does inline: hashing a file, or
+#: producing a simulation's output step, that fits one frame.
+CHUNK_MAX = 256 * 1024
 
 
 def frame_header(buf: Any, pos: int = 0) -> tuple[int, int]:

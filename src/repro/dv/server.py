@@ -55,6 +55,8 @@ class DVServer(DVCore):
         self._bind = (host, port)
         #: The node's one event loop: this control port and its data port.
         self.loop = EventLoop(workers or max(2, min(8, os.cpu_count() or 2)))
+        #: Re-simulations are timer chains on it once it runs.
+        self.launcher.loop = self.loop
         self._handlers["stats"] = self._op_stats
         self._listener: socket.socket | None = None
         self._m_slow_close = self.metrics.counter("wire.slow_disconnects")
@@ -91,6 +93,7 @@ class DVServer(DVCore):
             if drain_timeout > 0:
                 self._drain_for_stop(drain_timeout)
         self.loop.stop()
+        self.launcher.close()
         with self._clients_lock:
             conns = list(self._clients.values())
             self._clients.clear()

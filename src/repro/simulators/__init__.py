@@ -4,14 +4,24 @@ three concrete simulators (synthetic, COSMO-like, FLASH-like)."""
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "base": ("ForwardSimulator", "run_simulation"),
+    "base": (
+        "ForwardDriver",
+        "ForwardSimulator",
+        "run_simulation",
+        "simulation_steps",
+    ),
     "cosmo": (
         "COSMO_EVAL_CONFIG",
         "COSMO_EVAL_PERF",
         "CosmoDriver",
         "CosmoSimulator",
     ),
-    "driver": ("FilePatternNaming", "SimulationDriver", "SimulationJobSpec"),
+    "driver": (
+        "FilePatternNaming",
+        "SimulationDriver",
+        "SimulationJobSpec",
+        "SteppedDriver",
+    ),
     "flash": (
         "FLASH_EVAL_CONFIG",
         "FLASH_EVAL_PERF",

@@ -1,10 +1,13 @@
 """Forward-in-time simulator protocol and the generic run loop.
 
 Every concrete simulator (COSMO-like stencil, FLASH-like Sedov solver,
-synthetic) implements :class:`ForwardSimulator`; :func:`run_simulation`
+synthetic) implements :class:`ForwardSimulator`; :func:`simulation_steps`
 drives it between two restart steps, writing output and restart files
 through the hookable ``simio`` API so DVLib virtualizes the paths exactly
-as it does for the original codes.
+as it does for the original codes.  It is a generator that yields after
+each closed output, so a launcher can pace the productions on a clock
+(:class:`ForwardDriver`'s ``steps``); :func:`run_simulation` runs them back
+to back.
 
 Determinism contract: ``step`` must be a pure function of the state, and
 ``restart_to_state(state_to_restart(s))`` must reproduce ``s`` bitwise —
@@ -16,16 +19,27 @@ from __future__ import annotations
 
 import abc
 import os
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import InvalidArgumentError
 from repro.core.steps import StepGeometry
 from repro.simio import read_file, sio_create
+from repro.simulators.driver import (
+    SimulationJobSpec,
+    SteppedDriver,
+    collect_outputs,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["ForwardSimulator", "run_simulation"]
+__all__ = [
+    "ForwardDriver",
+    "ForwardSimulator",
+    "run_simulation",
+    "simulation_steps",
+]
 
 
 class ForwardSimulator(abc.ABC):
@@ -55,7 +69,7 @@ class ForwardSimulator(abc.ABC):
         """Inverse of :meth:`state_to_restart` (bitwise)."""
 
 
-def run_simulation(
+def simulation_steps(
     simulator: ForwardSimulator,
     geometry: StepGeometry,
     start_restart: int,
@@ -65,15 +79,17 @@ def run_simulation(
     output_name: Any,
     restart_name: Any,
     write_restarts: bool = False,
-    on_output: Any = None,
     stop: Any = None,
-) -> list[str]:
-    """Run ``simulator`` from restart ``r_start`` to ``r_stop``.
+) -> Iterator[str]:
+    """Run ``simulator`` from restart ``r_start`` to ``r_stop``, yielding
+    the name of each output file right after it is closed.
 
     Produces the output steps in the exclusive window
     ``(start*Δr, stop*Δr]``, clamped to the simulation end.  Output files go
     through :func:`repro.simio.sio_create`, so installed DVLib hooks see
     every create/close (that is how the DV learns files are ready, Fig. 4).
+    The work between two yields is one *production*: a launcher runs each
+    one when the performance model says it is due.
 
     Parameters
     ----------
@@ -82,16 +98,10 @@ def run_simulation(
     write_restarts:
         True for the initial simulation (which must persist checkpoints);
         re-simulations leave existing restart files untouched.
-    on_output:
-        Optional ``(filename) -> None`` callback fired after each output
-        file is closed — the in-process launcher uses it to notify the DV
-        without going through the process-global simio hooks.
     stop:
         Optional ``() -> bool`` polled each timestep; returning True kills
         the simulation cooperatively (the DV kills prefetched simulations
         whose analysis changed direction, Sec. IV-C).
-
-    Returns the produced output file names in production order.
     """
     if stop_restart <= start_restart:
         raise InvalidArgumentError("stop_restart must be > start_restart")
@@ -117,7 +127,6 @@ def run_simulation(
             )
         state = simulator.restart_to_state(variables)
 
-    produced: list[str] = []
     for ts in range(start_ts + 1, end_ts + 1):
         if stop is not None and stop():
             break
@@ -129,13 +138,58 @@ def run_simulation(
                 for var, arr in simulator.output_variables(state).items():
                     out.write(var, arr)
                 out.set_attrs(timestep=ts, key=key, simulator=simulator.name)
-            produced.append(fname)
-            if on_output is not None:
-                on_output(fname)
+            yield fname
         if write_restarts and ts % geometry.delta_r == 0:
             rname = restart_name(ts // geometry.delta_r)
             with sio_create(os.path.join(restart_dir, rname)) as out:
                 for var, arr in simulator.state_to_restart(state).items():
                     out.write(var, arr)
                 out.set_attrs(timestep=ts, simulator=simulator.name)
-    return produced
+
+
+def run_simulation(
+    simulator: ForwardSimulator,
+    geometry: StepGeometry,
+    start_restart: int,
+    stop_restart: int,
+    output_dir: str,
+    restart_dir: str,
+    output_name: Any,
+    restart_name: Any,
+    write_restarts: bool = False,
+    on_output: Any = None,
+    stop: Any = None,
+) -> list[str]:
+    """:func:`simulation_steps` run to the end: returns the produced
+    output file names in production order, each also passed to the
+    optional ``on_output(filename)`` right after it is closed."""
+    return collect_outputs(simulation_steps(
+        simulator, geometry, start_restart, stop_restart, output_dir,
+        restart_dir, output_name, restart_name, write_restarts, stop,
+    ), on_output)
+
+
+class ForwardDriver(SteppedDriver):
+    """A driver running its :class:`ForwardSimulator` in-process, one
+    production per output step.  Subclasses set ``simulator`` and
+    ``geometry``."""
+
+    simulator: ForwardSimulator
+    geometry: StepGeometry
+
+    def steps(
+        self, job: SimulationJobSpec, output_dir: str, restart_dir: str,
+        stop: Any = None,
+    ) -> Iterator[str]:
+        return simulation_steps(
+            self.simulator,
+            self.geometry,
+            job.start_restart,
+            job.stop_restart,
+            output_dir,
+            restart_dir,
+            output_name=self.naming.filename,
+            restart_name=self.naming.restart_filename,
+            write_restarts=job.write_restarts,
+            stop=stop,
+        )

@@ -17,12 +17,19 @@ from __future__ import annotations
 
 import abc
 import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.core.errors import FileNotInContextError, InvalidArgumentError
 from repro.util.checksums import file_checksum
 
-__all__ = ["FilePatternNaming", "SimulationDriver", "SimulationJobSpec"]
+__all__ = [
+    "FilePatternNaming",
+    "SimulationDriver",
+    "SimulationJobSpec",
+    "SteppedDriver",
+    "collect_outputs",
+]
 
 
 @dataclass(frozen=True)
@@ -163,13 +170,56 @@ class SimulationDriver(abc.ABC):
         stop=None,
     ) -> list[str]:
         """Run the job synchronously (real mode); returns produced output
-        file names in production order.  The launcher wraps this in a
-        worker thread or subprocess.  ``on_output(filename)`` fires after
-        each output file is written; ``stop()`` is polled each timestep
-        for cooperative cancellation."""
+        file names in production order.  ``on_output(filename)`` fires
+        after each output file is written; ``stop()`` is polled each
+        timestep for cooperative cancellation.  A driver that also
+        offers ``steps(job, output_dir, restart_dir)`` — the job as a
+        generator yielding each output once it is closed — is paced by
+        the launcher on the node's event loop; this one runs on a thread
+        of its own (:mod:`repro.dv.launcher`)."""
 
     # -- checksums (``SIMFS_Bitrep`` support) ---------------------------- #
     def checksum(self, path: str) -> str:
         """Checksum used for bit-reproducibility checks; whole-file SHA-256
         by default, overridable per simulator."""
         return file_checksum(path)
+
+
+def collect_outputs(
+    outputs: Iterable[str], on_output: Callable[[str], None] | None = None
+) -> list[str]:
+    """Run a job's productions back to back: the names ``outputs``
+    yields, in production order, each passed to ``on_output(filename)``
+    as it is closed."""
+    produced: list[str] = []
+    for fname in outputs:
+        produced.append(fname)
+        if on_output is not None:
+            on_output(fname)
+    return produced
+
+
+class SteppedDriver(SimulationDriver):
+    """A driver whose job is a generator of productions (:meth:`steps`):
+    the launcher runs each on the node's event loop when the performance
+    model says it is due, and :meth:`execute` runs them back to back."""
+
+    @abc.abstractmethod
+    def steps(
+        self, job: SimulationJobSpec, output_dir: str, restart_dir: str,
+        stop=None,
+    ) -> Iterator[str]:
+        """The job's output file names, each yielded once it is closed;
+        ``stop()`` is polled as :meth:`execute` polls it."""
+
+    def execute(
+        self,
+        job: SimulationJobSpec,
+        output_dir: str,
+        restart_dir: str,
+        on_output=None,
+        stop=None,
+    ) -> list[str]:
+        return collect_outputs(
+            self.steps(job, output_dir, restart_dir, stop), on_output
+        )

@@ -22,12 +22,8 @@ from repro.core.context import ContextConfig
 from repro.core.errors import InvalidArgumentError
 from repro.core.perfmodel import PerformanceModel
 from repro.core.steps import StepGeometry
-from repro.simulators.base import ForwardSimulator, run_simulation
-from repro.simulators.driver import (
-    FilePatternNaming,
-    SimulationDriver,
-    SimulationJobSpec,
-)
+from repro.simulators.base import ForwardDriver, ForwardSimulator
+from repro.simulators.driver import FilePatternNaming
 
 __all__ = [
     "FlashSimulator",
@@ -203,7 +199,7 @@ class FlashSimulator(ForwardSimulator):
         )
 
 
-class FlashDriver(SimulationDriver):
+class FlashDriver(ForwardDriver):
     """Driver running the toy FLASH in-process."""
 
     def __init__(
@@ -216,25 +212,3 @@ class FlashDriver(SimulationDriver):
         super().__init__(FilePatternNaming(prefix), max_parallelism_level)
         self.geometry = geometry
         self.simulator = FlashSimulator(**sim_kwargs)
-
-    def execute(
-        self,
-        job: SimulationJobSpec,
-        output_dir: str,
-        restart_dir: str,
-        on_output=None,
-        stop=None,
-    ) -> list[str]:
-        return run_simulation(
-            self.simulator,
-            self.geometry,
-            job.start_restart,
-            job.stop_restart,
-            output_dir,
-            restart_dir,
-            output_name=self.naming.filename,
-            restart_name=self.naming.restart_filename,
-            write_restarts=job.write_restarts,
-            on_output=on_output,
-            stop=stop,
-        )

@@ -32,6 +32,7 @@ from repro.simulators.driver import (
     FilePatternNaming,
     SimulationDriver,
     SimulationJobSpec,
+    SteppedDriver,
 )
 
 __all__ = ["PipelineDriver", "ArchiveCopyDriver"]
@@ -39,6 +40,10 @@ __all__ = ["PipelineDriver", "ArchiveCopyDriver"]
 
 class PipelineDriver(SimulationDriver):
     """A stage driver whose jobs depend on another virtualized context.
+
+    It has no ``steps()``: a job blocks on the upstream context's readies
+    before it produces anything, so the launcher runs it on a thread of
+    its own (the one driver that does).
 
     Parameters
     ----------
@@ -106,7 +111,7 @@ class PipelineDriver(SimulationDriver):
         return produced
 
 
-class ArchiveCopyDriver(SimulationDriver):
+class ArchiveCopyDriver(SteppedDriver):
     """First pipeline stage: "re-simulation" = copy from long-term storage.
 
     The archive directory holds the stage's full output (e.g. on tape or a
@@ -124,20 +129,17 @@ class ArchiveCopyDriver(SimulationDriver):
         self.geometry = geometry
         self.archive_dir = archive_dir
 
-    def execute(
-        self,
-        job: SimulationJobSpec,
-        output_dir: str,
-        restart_dir: str,
-        on_output=None,
+    def steps(
+        self, job: SimulationJobSpec, output_dir: str, restart_dir: str,
         stop=None,
-    ) -> list[str]:
-        produced = []
+    ):
+        """The job's copies, one production each: yields each file name
+        once its copy is in the storage area."""
         for key in self.geometry.outputs_between_restarts(
             job.start_restart, job.stop_restart
         ):
             if stop is not None and stop():
-                break
+                return
             filename = self.naming.filename(key)
             source = os.path.join(self.archive_dir, filename)
             if not os.path.exists(source):
@@ -145,7 +147,4 @@ class ArchiveCopyDriver(SimulationDriver):
                     f"archive copy failed: {source} does not exist"
                 )
             shutil.copyfile(source, os.path.join(output_dir, filename))
-            produced.append(filename)
-            if on_output is not None:
-                on_output(filename)
-        return produced
+            yield filename

@@ -17,12 +17,8 @@ from typing import TYPE_CHECKING
 
 from repro.core.errors import InvalidArgumentError
 from repro.core.steps import StepGeometry
-from repro.simulators.base import ForwardSimulator, run_simulation
-from repro.simulators.driver import (
-    FilePatternNaming,
-    SimulationDriver,
-    SimulationJobSpec,
-)
+from repro.simulators.base import ForwardDriver, ForwardSimulator
+from repro.simulators.driver import FilePatternNaming
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,7 +94,7 @@ class SyntheticSimulator(ForwardSimulator):
         )
 
 
-class SyntheticDriver(SimulationDriver):
+class SyntheticDriver(ForwardDriver):
     """Driver running the synthetic simulator in-process."""
 
     def __init__(
@@ -112,25 +108,3 @@ class SyntheticDriver(SimulationDriver):
         super().__init__(FilePatternNaming(prefix), max_parallelism_level)
         self.geometry = geometry
         self.simulator = SyntheticSimulator(cells=cells, seed=seed)
-
-    def execute(
-        self,
-        job: SimulationJobSpec,
-        output_dir: str,
-        restart_dir: str,
-        on_output=None,
-        stop=None,
-    ) -> list[str]:
-        return run_simulation(
-            self.simulator,
-            self.geometry,
-            job.start_restart,
-            job.stop_restart,
-            output_dir,
-            restart_dir,
-            output_name=self.naming.filename,
-            restart_name=self.naming.restart_filename,
-            write_restarts=job.write_restarts,
-            on_output=on_output,
-            stop=stop,
-        )

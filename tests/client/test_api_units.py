@@ -2,7 +2,6 @@
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -109,20 +108,30 @@ class TestOutcomesOfEarlierOpens:
         """The first re-simulation of a file fails; the second succeeds.
         The failure leaves the client nothing to release, so it stays in
         the ready table — and must not answer the second wait.  Each run
-        outlasts the open's reply, as a real one does."""
+        outlasts the open's reply, as a real one does: its first output
+        is due 0.3 s after its launch."""
         server, context = stack
         driver = context.driver
-        real = driver.execute
+        launcher = server.launcher
+        launcher.register_context(
+            context.name, driver, launcher.output_dir(context.name),
+            launcher.restart_dir(context.name), alpha_delay=0.3,
+        )
+        real = driver.steps
         runs = []
 
         def fails_first(*args, **kwargs):
             runs.append(1)
-            time.sleep(0.3)
-            if len(runs) == 1:
-                raise RuntimeError("the first re-simulation fails")
-            return real(*args, **kwargs)
+            first = len(runs) == 1
 
-        monkeypatch.setattr(driver, "execute", fails_first)
+            def productions():
+                if first:
+                    raise RuntimeError("the first re-simulation fails")
+                yield from real(*args, **kwargs)
+
+            return productions()
+
+        monkeypatch.setattr(driver, "steps", fails_first)
         fname = context.filename_of(5)
         if flavour == "tcp":
             server.start()

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterNode
+from repro.core.context import SimulationContext
 from repro.core.errors import DVConnectionLost
 from repro.data import DataClient, DataServer
 from repro.dv.protocol import encode_binary
@@ -150,6 +151,47 @@ def test_a_peered_node_runs_five_threads_and_its_timers_and_runs_start_none(
     finally:
         for node in nodes:
             node.stop(drain_timeout=0)
+
+
+def test_a_node_running_smax_paced_resimulations_starts_no_thread(
+    monkeypatch, tmp_path
+):
+    """A re-simulation is a chain of timers on the node's loop: with
+    ``smax`` of them waiting out their restart latency, the node still
+    runs its loop's five threads, and every waiter gets its ready."""
+    context, out, rst = build_context(tmp_path, "paced")
+    smax = 4
+    context = SimulationContext(
+        config=context.config.with_overrides(smax=smax, prefetch_enabled=False),
+        driver=context.driver, perf=context.perf,
+    )
+    before = set(threading.enumerate())
+    node = ClusterNode("n1")
+    node.add_context(context, out, rst, alpha_delay=0.3, tau_delay=0.01)
+    node.start()
+    try:
+        with connect(node.server, context.name) as conn:
+            conn.attach(context.name)
+            since = conn.ready_table.stamp
+            started = []
+            start = threading.Thread.start
+            monkeypatch.setattr(
+                threading.Thread, "start",
+                lambda thread: (started.append(thread.name), start(thread))[1],
+            )
+            # One miss per restart interval: smax simulations.
+            files = [context.filename_of(1 + 4 * i) for i in range(smax)]
+            for fname in files:
+                assert not conn.open(context.name, fname).available
+            assert node.server.launcher.running_threads == smax
+            assert started == []
+            assert len(new_threads(before)) == len(LOOP_THREADS) + 1  # + the client's
+            for fname in files:
+                assert conn.ready_table.wait(context.name, fname, 10.0, since)
+            assert node.server.launcher.wait_idle(5.0)
+            assert started == []
+    finally:
+        node.stop()
 
 
 def test_a_stopped_peered_pair_leaves_no_link_descriptor_open():

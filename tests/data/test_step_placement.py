@@ -7,20 +7,28 @@ nothing to the node's worker pool: the release evicts on the loop, the
 ``fetch_info`` is one ``stat``, and the data port prepares the fetch of
 a file no larger than one chunk frame (hash included) on the loop.  What
 still goes to a worker: a ``fetch_info`` that lists the storage area,
-and the hash of an uncached file larger than one chunk frame.
+and the hash of an uncached file larger than one chunk frame.  A
+``fetch_info`` forwarded from another node follows the same rule on the
+owner.
 """
 
 import os
 
 import pytest
 
+from repro.cluster import ClusterNode
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
 from repro.data import DataServer
 from repro.data.server import _CHUNK
+from repro.dv.protocol import unpack_run
 from repro.dv.server import DVServer
 from repro.simulators import SyntheticDriver
 from tests.dv.test_server_selector import connect
+from tests.integration.conftest import free_port, wait_until
+from tests.integration.test_cluster_stack import build_context
+from tests.integration.test_forwarding_regressions import VNODES, owned_by
+from tests.integration.test_loop_never_waits import Client
 
 STEPS, INTERVAL, RESIDENT = 64, 8, 8
 
@@ -97,3 +105,54 @@ def test_a_listing_and_a_long_hash_still_go_to_a_worker(scan, tmp_path):
         for _ in range(2):  # uncached, then cached
             assert conn.fetch_file("scan", "big.sdf", dest).size == _CHUNK + 4096
         assert submitted == [data._run_prepare]
+
+
+def test_a_forwarded_fetch_info_naming_a_file_runs_on_the_owners_loop(tmp_path):
+    """Asked of the node that does not own the context, ``fetch_info``
+    crosses the hop as a ``fwd`` run of one op.  The owner runs that run
+    where the op runs when a client sends it directly: naming a file (one
+    ``stat``) on its loop, listing the storage area on a worker."""
+    sides = ("ingress", "owner")
+    name = owned_by("owner", sides, "scan")
+    context, out, rst = build_context(tmp_path, name, keep_outputs=True)
+    ports = {side: free_port() for side in sides}
+    nodes = {
+        side: ClusterNode(
+            side, port=ports[side], vnodes=VNODES, heartbeat_interval=60.0,
+            suspect_after=1000,
+            peers=[f"{other}@127.0.0.1:{ports[other]}" for other in sides
+                   if other != side],
+        )
+        for side in sides
+    }
+    ingress, owner = nodes["ingress"], nodes["owner"]
+    ran = []
+    on_fwd = owner.server._handlers["fwd"]
+
+    def spy(conn, message):
+        ops = [inner["op"] for inner in unpack_run(message)[2]]
+        ran.append((ops, owner.server.loop.on_io_thread()))
+        return on_fwd(conn, message)
+
+    owner.server._handlers["fwd"] = spy
+    try:
+        for node in nodes.values():
+            node.add_context(context, out, rst)
+            node.start()
+        wait_until(lambda: "owner" in ingress.router._links, 10.0, "never linked")
+        client = Client(ingress.address, "far")
+        fname = context.filename_of(3)
+        client.send({"op": "attach", "req": 1, "context": name})
+        assert client.replies(1)[0]["error"] == 0
+        del ran[:]
+        client.send({"op": "fetch_info", "req": 2, "context": name, "file": fname})
+        (reply,) = client.replies(1)
+        assert reply["exists"] is True
+        assert reply["size"] == os.path.getsize(os.path.join(out, fname))
+        client.send({"op": "fetch_info", "req": 3, "context": name})
+        assert fname in client.replies(1)[0]["files"]
+        assert ran == [(["fetch_info"], True), (["fetch_info"], False)]
+        client.close()
+    finally:
+        for node in nodes.values():
+            node.stop(drain_timeout=0)

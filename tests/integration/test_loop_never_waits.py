@@ -10,6 +10,7 @@ hello and then stays silent, or stops reading; the ingress runs a short
 real owner behind the link.
 """
 
+import os
 import socket
 import threading
 import time
@@ -312,3 +313,85 @@ def test_a_held_cluster_lock_holds_the_data_fetch_only(
     fetcher.join(5.0)
     assert fetched and fetched[0].size > 0
     local.close()
+
+
+class SilentPeer:
+    """A peer that accepts every connection and never answers its hello:
+    a dial to it waits out the whole ``rpc_timeout``."""
+
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.socks = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _addr = self.listener.accept()
+            except OSError:
+                return
+            self.socks.append(sock)
+
+    def close(self):
+        self.listener.close()
+        for sock in self.socks:
+            sock.close()
+
+
+def test_a_ready_whose_origin_never_answers_its_dial_holds_no_connection(
+    contexts, stop_nodes, monkeypatch
+):
+    """A promoted replica's waiter holds only its ingress's name.  Its
+    ready lands on the loop (the re-simulation is a chain there) and
+    must dial that ingress: the dial goes to a worker, and while it
+    waits on a peer that never answers, an ``open`` on another
+    connection is answered."""
+    context, out, rst = contexts["owner"]
+    fname = context.filename_of(3)
+    os.unlink(os.path.join(out, fname))
+    peer = SilentPeer()
+    try:
+        node = ClusterNode(
+            "owner", port=free_port(), peers=[f"ingress@127.0.0.1:{peer.port}"],
+            vnodes=VNODES, rpc_timeout=3.0, heartbeat_interval=60.0,
+            suspect_after=1000,
+        )
+        node.add_context(context, out, rst, alpha_delay=0.2)
+        node.start()
+        stop_nodes.append(node)
+        dialing, dialed, where = threading.Event(), threading.Event(), []
+        real = node.router._ready_to_origin
+
+        def ready_to_origin(origin, frame, link=None):
+            where.append((link, node.server.loop.on_io_thread()))
+            dialing.set()
+            try:
+                real(origin, frame, link)
+            finally:
+                dialed.set()
+
+        monkeypatch.setattr(node.router, "_ready_to_origin", ready_to_origin)
+        node.router.restore_proxies(context.name, ["far"], [["far", fname, "ingress"]])
+        node.router.run_local("far", [
+            {"op": "attach", "context": context.name},
+            {"op": "open", "context": context.name, "file": fname},
+        ])
+        assert dialing.wait(5.0), "the ready never left for its origin"
+        began = time.monotonic()
+        client = Client(node.address, "local")
+        try:
+            client.send(
+                {"op": "attach", "req": 1, "context": context.name},
+                {"op": "open", "req": 2, "context": context.name,
+                 "file": context.filename_of(1)},
+            )
+            attach, opened = client.replies(2)
+            assert attach["error"] == 0 and opened["available"] is True
+        finally:
+            client.close()
+        assert time.monotonic() - began < 1.0
+        assert not dialed.is_set()  # the dial still waits on the peer
+        assert where == [(None, False)]
+    finally:
+        peer.close()
