@@ -14,8 +14,8 @@ id and carries the three cluster ops:
 A cluster node's links are read and written by the node's event loop,
 so no link holds a thread: a routed run's ``fwd`` is sent from the I/O
 thread and its ``fwd_reply`` settled there (``start``), while gossip,
-replication, migration, replays and the obs fan-out wait in ``call`` on
-a worker.  A dead link fails every outstanding request with
+replication, migration and the obs fan-out wait in ``call`` on a
+worker.  A dead link fails every outstanding request with
 :class:`~repro.core.errors.DVConnectionLost` and fires ``on_down`` once,
 on a worker; the owning :class:`~repro.cluster.node.ClusterNode` treats
 that as hard evidence against the peer and re-dials lazily if it ever

@@ -257,10 +257,11 @@ class MigrationManager:
         tc: str | None = None,
     ) -> None:
         """Best-effort background pull of cache-resident files the shared
-        PFS does not already provide, over the source's data plane.  On a
-        shared-PFS deployment this is a no-op (the activation scan found
-        everything); without one it warms the destination's cache so the
-        migrated files are not re-simulated."""
+        PFS does not already provide, over the source's data plane: a
+        chain of pool jobs, one file each, so no worker is held across
+        files.  On a shared-PFS deployment this is a no-op (the activation
+        scan found everything); without one it warms the destination's
+        cache so the migrated files are not re-simulated."""
         node = self.node
         with node._lock:
             spec = node._specs.get(context)
@@ -278,31 +279,24 @@ class MigrationManager:
                 continue
             if not os.path.isfile(os.path.join(spec.output_dir, filename)):
                 missing.append(filename)
-        if not missing:
-            return
+        if missing:
+            node.server.loop.submit(self._pull, context, spec, peer.host, port, missing, tc)
 
-        def pull() -> None:
-            from repro.data.client import DataClient
+    def _pull(self, context, spec, host, port, missing, tc) -> None:
+        """One pool job: pull ``missing[0]``, then submit the rest."""
+        from repro.data.client import DataClient
 
-            try:
-                with DataClient(
-                    peer.host, port, timeout=node.rpc_timeout
-                ) as client:
-                    for filename in missing:
-                        client.fetch(
-                            context, filename,
-                            os.path.join(spec.output_dir, filename),
-                            tc=tc,
-                        )
-                        self._m_fetched.inc()
-            except (SimFSError, OSError):
-                pass  # the shard re-simulates whatever never arrived
-
-        threading.Thread(
-            target=pull,
-            name=f"migrate-fetch-{node.node_id}-{context}",
-            daemon=True,
-        ).start()
+        path = os.path.join(spec.output_dir, missing[0])
+        try:
+            with DataClient(host, port, timeout=self.node.rpc_timeout) as client:
+                client.fetch(context, missing[0], path, tc=tc)
+        except (SimFSError, OSError):
+            return  # the shard re-simulates whatever never arrived
+        self._m_fetched.inc()
+        if len(missing) > 1:
+            self.node.server.loop.submit(
+                self._pull, context, spec, host, port, missing[1:], tc
+            )
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:

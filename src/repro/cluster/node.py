@@ -151,10 +151,10 @@ class ClusterNode:
         self.rpc_timeout = rpc_timeout
         # Four workers, whatever the plain daemon's default: gossip
         # (rounds and merges), the replication pump, the data port's
-        # prepares and a forwarded run that must wait (a dial, a retry,
-        # the cluster lock) block on them.  A forwarded run that needs
-        # none of that holds no thread: the loop sends it and settles
-        # its reply (Router.start).
+        # prepares, a promotion and a forwarded run's blocking steps (a
+        # resolve behind the cluster lock, a dial, self-owned execution,
+        # a membership report) block on them, one job each.  The run
+        # itself holds no thread: it is a continuation on the loop.
         self.server = DVServer(host, port, workers=4)
         # Spans recorded by this daemon must carry the cluster identity,
         # not the generic "dv", so a merged trace names its hops.
@@ -182,6 +182,7 @@ class ClusterNode:
             obs=self.server.obs,
             peek=self._peek,
             submit=self.server.loop.submit,
+            loop=self.server.loop,
         )
         #: Bulk data plane on the server's loop: bound here (so the port
         #: is known before hellos advertise it), served from :meth:`start`.
@@ -266,7 +267,7 @@ class ClusterNode:
 
         # The node's rows of the op table.  They run on workers: they
         # take the cluster lock, which activation may hold across a PFS
-        # directory scan, or cross the wire.
+        # directory scan, or wait on the wire (a ``fwd`` runs its ops).
         for name, handler in (
             (OP_FWD, self.router.on_fwd), (OP_GOSSIP, self._op_gossip),
             ("cluster", self._op_cluster),
@@ -279,7 +280,6 @@ class ClusterNode:
         # metrics_text ops fan out to every peer and merge the answers.
         self.server.inspection.peers = self._obs_peer_query
         self.server.set_cluster_hooks(
-            route_ops=self.router.route,
             route_start=self.router.start,
             ready_router=self.router.route_ready,
             hello_extra=self._hello_extra,
@@ -400,7 +400,7 @@ class ClusterNode:
                 if record is not None:
                     # Warm state for the context we just inherited — a
                     # replica, or a pre-copy whose migration source died:
-                    # hot promotion, on the replay thread.
+                    # hot promotion, as a worker job.
                     promotions.append((name, record))
             elif owner != self.node_id and name in self._active:
                 attached, waits = self._deactivate(name)
@@ -448,14 +448,10 @@ class ClusterNode:
             )
         if reattaches or replays or promotions:
             self._m_failovers.inc()
-            # A replay serializes peer round trips: run it on its own
-            # thread so no pool worker (gossip rounds and ops land here)
-            # stalls on it — a starved worker pool would time out inbound
-            # gossip and cascade false death verdicts.
-            threading.Thread(
-                target=self._replay, args=(reattaches, replays, promotions),
-                name=f"cluster-replay-{self.node_id}", daemon=True,
-            ).start()
+            if promotions:  # a promotion is a worker job; replays follow it
+                self.server.loop.submit(self._replay, reattaches, replays, promotions)
+            else:
+                self.server.loop.call_soon(self.router.replay, reattaches, replays)
 
     def _owner_gone(self, owner: str, context_name: str) -> bool:
         """Router hook (lock held, from :meth:`_sync_ring`): forwarded
@@ -721,15 +717,17 @@ class ClusterNode:
         replays: list[tuple[str, str, str]],
         promotions=(),
     ) -> None:
-        """The cross-wire half of a ring change.  Promotions run first: a
-        hot-promoted shard already holds the dead owner's waiter table, so
-        the replays after it are idempotent re-registrations."""
+        """The cross-wire half of a ring change, on a worker.  Promotions
+        run first: a hot-promoted shard already holds the dead owner's
+        waiter table, so the replays after it — a chain of forwards on
+        the loop — are idempotent re-registrations."""
         for context_name, record in promotions:
             try:
                 self.repl.promote(context_name, record)
             except Exception:
                 pass  # a failed promotion degrades to the cold path
-        self.router.replay(reattaches, replays)
+        if reattaches or replays:
+            self.server.loop.call_soon(self.router.replay, reattaches, replays)
 
     # ------------------------------------------------------------------ #
     # Remaining hooks and service ops

@@ -8,18 +8,19 @@ usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
 which the ingress ships to the context's owner in one ``fwd`` frame and
 gets answered in one ``fwd_reply``: a run, a run of one included, crosses
 as the client frames it arrived as and comes back as the reply frames
-the client reads.  On a cluster node a run goes out from the event
-loop's I/O thread and its reply is settled there (:meth:`Router.start`);
-whatever must wait — a dial, a retry, the cluster lock — goes to a
-worker through the one retry loop (:meth:`Router.route`).  The ingress
-remembers which owner
+the client reads.  Every forwarded run is one continuation on the
+node's event loop, from its first send to its last retry
+(:meth:`Router.forward`): it is sent from the I/O thread, its reply is
+settled there, and its retries wait as the loop's timers.  Only a step
+that blocks goes to a worker, one job each, and comes back with
+``call_soon``.  The ingress remembers which owner
 holds each client's attachment and which opens still wait for a
 ``ready``, and after a membership change re-registers what was recorded
 against a lost owner, so a blocked client gets its one ``ready`` instead
 of hanging.  The owner runs the ops in order on behalf of a
 :class:`_ProxyClient` and pushes the ``ready`` back down the connection
-the client entered through.  The router touches no socket and no clock
-it was not given, so tests drive it with fakes.
+the client entered through.  The router touches no socket and no loop
+it was not given, so tests drive it with fakes on a virtual loop.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ _MISS = {"error": 0, "available": False}
 #: Why :meth:`Router._retry` sends a slot again.
 _LAGGING, _DETACHED = "lagging", "detached"
 
+#: What a continuation waits on (:meth:`Router._drive`): a worker job, a
+#: timer, a request on a link.
+_WORK, _AT, _SEND = "work", "at", "send"
+
 
 def _notes(frames: list[bytes], marks: dict[int, int]) -> dict[int, dict]:
     """Per marked slot what its reply says: a miss, or its decoded body."""
@@ -79,6 +84,16 @@ def _notes(frames: list[bytes], marks: dict[int, int]) -> dict[int, dict]:
         slot: _MISS if mark == MARK_MISS else reply_payloads(frames[slot])[0]
         for slot, mark in marks.items()
     }
+
+
+def _ignore(_result) -> None:
+    """What waits on a best-effort continuation (a finalize, a replay)."""
+
+
+def _answer(settled: list) -> tuple[dict, str | None]:
+    """A forwarded op's reply payload and the owner that served it."""
+    frame, note, owner = settled[0]
+    return (note if note is not None else reply_payloads(frame)[0]), owner
 
 
 def _unreachable(owner: str, context, what: str) -> dict:
@@ -112,13 +127,16 @@ class _ProxyClient:
 class Router:
     """Ring-routed forwarding for one node.
 
+    ``loop`` is the node's event loop (``time``, ``call_soon``,
+    ``call_at``): every forwarded run is a continuation on it, and
+    ``submit(fn, *args)`` runs its blocking steps on a worker.
     ``resolve(context) -> (owner, serves)`` names the current owner (None
     when nobody serves it) and whether the catalog says it should be
     served, in which case an owner answering "unknown context" only lags.
-    ``peek(context)`` is the same answer without waiting, for the event
-    loop: None when it cannot be had at once, or when resolving may
-    activate the context here.  ``submit(fn, *args)`` runs work on a
-    worker.  ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
+    ``peek(context)`` is the same answer without waiting, for the loop:
+    None when it cannot be had at once, or when resolving may activate
+    the context here (then ``resolve`` runs on a worker).
+    ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
     ``execute_local(proxy, messages)`` runs a client's ops here, in order,
     and returns their reply frames (``DVServer.serve_ops``);
     ``send(conn, frame)`` writes to a peer's connection.
@@ -145,8 +163,7 @@ class Router:
         obs=None,
         peek: Callable[[object], tuple[str | None, bool] | None] | None = None,
         submit: Callable[..., None] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        loop=None,
     ) -> None:
         self.self_id = self_id
         self.rpc_timeout = rpc_timeout
@@ -161,8 +178,7 @@ class Router:
         self._obs = obs
         self._peek = peek
         self._submit = submit
-        self._clock = clock
-        self._sleep = sleep
+        self._loop = loop
         #: Guards the three tables below; the only callback made under it
         #: is ``is_stale`` (a lookup), never one that crosses the wire.
         self._lock = threading.Lock()
@@ -179,7 +195,7 @@ class Router:
         #: One dial per peer at a time.  A peer admits one connection per
         #: ``node:<id>`` and rejects a second hello while the first is up,
         #: so two threads dialing together (a gossip round and a forwarded
-        #: op, say) would make a healthy peer look like a failed dial.
+        #: run, say) would make a healthy peer look like a failed dial.
         self._dialing: dict[str, threading.Lock] = {}
         self._m_fwd_sent = metrics.counter("cluster.fwd_sent")
         self._m_fwd_frames = metrics.counter("cluster.fwd_frames")
@@ -209,25 +225,26 @@ class Router:
         return link
 
     def call(self, peer_id: str, message: dict) -> dict:
-        """One request/reply with a peer (control and obs ops, not runs).
-        A dial back-off window is waited out inside ``rpc_timeout`` and
-        membership is not told: no dial was made, so it says nothing
-        about the peer.  Anything else the link raises is the caller's."""
-        deadline = self._clock() + self.rpc_timeout
+        """One request/reply with a peer (control and obs ops, not runs),
+        on a worker.  A dial back-off window is waited out inside
+        ``rpc_timeout`` and membership is not told: no dial was made, so
+        it says nothing about the peer.  Anything else the link raises is
+        the caller's."""
+        deadline = time.monotonic() + self.rpc_timeout
         while True:
             try:
                 link = self.link(peer_id)
             except DialBackingOff as exc:
-                remaining = deadline - self._clock()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise
-                self._sleep(min(exc.retry_in, remaining))
+                time.sleep(min(exc.retry_in, remaining))
                 continue
             return link.call(message, timeout=self.rpc_timeout)
 
     def link_down(self, peer_id: str) -> None:
         """A link died (its ``on_down``) or a forward hit a torn one:
-        forget it and tell whoever decides membership."""
+        forget it and tell whoever decides membership (on a worker)."""
         with self._links_lock:
             link = self._links.pop(peer_id, None)
         if link is not None:
@@ -246,97 +263,33 @@ class Router:
     # ------------------------------------------------------------------ #
     # Ingress side (this process holds the client's connection)
     # ------------------------------------------------------------------ #
-    def route(self, conn, messages: list[dict], first=None) -> bytes:
-        """DVServer ``route_ops`` hook: one client's consecutive ops for a
-        context not registered locally (a run — usually of one).  Returns
-        their reply frames, joined.  Runs on a worker thread: it waits on
-        the hop, and on every retry :meth:`_forward_routed` makes.
-        ``first`` is the outcome of a send :meth:`start` made already."""
-        try:
-            settled = self._forward_routed(conn.client_id, messages, first)
-        except SimFSError as exc:
-            error = {"error": int(exc.code), "detail": str(exc)}
-            return b"".join(reply_frame(message, error) for message in messages)
-        self._finalize(
-            conn.client_id, self.track(conn.client_id, messages, settled, conn)
-        )
-        return self._replies(conn, messages, settled)
-
-    def start(self, conn, messages: list[dict], resume) -> bool:
-        """The event loop's half of :meth:`route`, on its I/O thread:
-        send the run's ``fwd`` on the cached link to its owner and return
-        True.  ``resume(data, on_loop)`` is then called once with the
-        run's reply frames, joined (None: the connection must close) —
-        on the I/O thread when the first answer settles the run, else on
-        a worker after :meth:`route` has resumed the retry loop with that
-        answer.  Returns False, having sent nothing, when the run must
-        go to :meth:`route` on a worker from the start: it is traced,
-        the owner cannot be peeked at (or is this node), or no live link
-        is cached (a dial waits)."""
-        if self._peek is None or "tc" in messages[0]:
-            return False
-        found = self._peek(messages[0]["context"])
-        if found is None or found[0] is None or found[0] == self.self_id:
-            return False
-        owner = found[0]
-        with self._links_lock:
-            link = self._links.get(owner)
-        if link is None or link.closed:
-            return False
-        first = (owner, found[1], self._clock() + self.rpc_timeout)
-        try:
-            link.start(
-                self._pack(conn.client_id, messages), self.rpc_timeout,
-                lambda reply: self._landed(conn, messages, resume, first, reply),
-            )
-        except (DVConnectionLost, ProtocolError):
-            return False
-        return True
-
-    def _landed(self, conn, messages, resume, first, reply) -> None:
-        """:meth:`start`'s run is answered (or lost, or timed out).  An
-        answer that settles every slot is settled here, on the I/O thread
-        (what a client that left attached is finalized on a worker);
-        anything the retry loop must see — a failure, a slot to retry —
-        resumes it on a worker."""
-        try:
-            outcome = reply
-            if not isinstance(reply, Exception):
-                outcome = self._unpack(reply, len(messages))
-            if isinstance(outcome, Exception) or any(
-                self._retry(conn.client_id, messages[slot], note, first[1])
-                for slot, note in outcome[1].items()
-            ):
-                self._submit(self._resumed, conn, messages, resume, (*first, outcome))
-                return
-            frames, notes = outcome
-            settled = [
-                (frame, notes.get(slot), first[0]) for slot, frame in enumerate(frames)
-            ]
-            attached = self.track(conn.client_id, messages, settled, conn)
-            if attached:
-                self._submit(self._finalize, conn.client_id, attached)
-            data = self._replies(conn, messages, settled)
-        except Exception:
-            data = None  # a bug: the connection goes, not the loop or the link
-        resume(data, True)
-
-    def _finalize(self, client_id: str, contexts: list[str]) -> None:
-        """The client left while its attach crossed: nobody else
-        finalizes what the attach left behind at the owner."""
-        for context in contexts:
-            try:
-                self._forward_one(client_id, {"op": "finalize", "context": context})
-            except Exception:
-                pass  # best effort, as drop_client's
-
-    def _resumed(self, conn, messages, resume, first) -> None:
-        """On a worker: :meth:`route` from the answer :meth:`start` got."""
-        try:
-            data = self.route(conn, messages, first)
-        except Exception:
+    def start(self, conn, messages: list[dict], resume, submit=None) -> None:
+        """DVServer ``route_start`` hook, on the I/O thread: forward one
+        client's consecutive ops for a context not registered locally (a
+        run — usually of one) and ``resume(data)`` on the I/O thread with
+        their reply frames, joined (None: the connection must close).
+        ``submit`` takes the run's blocking steps instead of the pool:
+        a worker that waits for ``resume`` runs them itself, so waiting
+        workers cannot starve the pool of the steps they wait on."""
+        def done(settled) -> None:
             data = None
-        resume(data, False)
+            if settled is not None:
+                try:
+                    attached = self.track(conn.client_id, messages, settled, conn)
+                    for context in attached:
+                        # The client left while its attach crossed: nobody
+                        # else finalizes what it left behind at the owner.
+                        self._finalize(conn.client_id, context)
+                    data = self._replies(conn, messages, settled)
+                except Exception:
+                    pass  # a bug: the connection goes, not the loop or the link
+            resume(data)
+
+        self.forward(conn.client_id, messages, done, submit)
+
+    def _finalize(self, client_id: str, context: str) -> None:
+        """Best effort: the owner's own drop hook backs it up."""
+        self.forward(client_id, [{"op": "finalize", "context": context}], _ignore)
 
     def _replies(self, conn, messages, settled) -> bytes:
         """The reply frames a run's settled slots make for the client."""
@@ -354,24 +307,67 @@ class Router:
             frames.append(frame)
         return b"".join(frames)
 
-    def _forward_one(self, client_id: str, inner: dict) -> tuple[dict, str | None]:
-        """Route one op of the router's own (an attach, a replayed open, a
-        finalize): its reply payload and the owner that served it."""
-        frame, note, owner = self._forward_routed(client_id, [inner])[0]
-        return (note if note is not None else reply_payloads(frame)[0]), owner
+    def forward(self, client_id: str, messages: list[dict], done, submit=None) -> None:
+        """On the I/O thread: route a run (:meth:`_forwarding`) and
+        ``done(settled)`` once, on the I/O thread, with its answer — None
+        when a bug ended it; a SimFS error fails every slot with it."""
+        def finished(settled) -> None:
+            if isinstance(settled, SimFSError):
+                error = {"error": int(settled.code), "detail": str(settled)}
+                settled = [(None, error, None)] * len(messages)
+            done(None if isinstance(settled, Exception) else settled)
 
-    def _forward_routed(
-        self, client_id: str, messages: list[dict], first=None
-    ) -> list[tuple[bytes | None, dict | None, str | None]]:
+        self._drive(self._forwarding(client_id, messages), finished, submit or self._submit)
+
+    def _drive(self, gen, done, submit, value=None, error=None) -> None:
+        """Resume the continuation ``gen`` — a forward, a replay — on the
+        I/O thread, sending it ``value`` (or throwing ``error`` in) until
+        it waits on what it yields, which resumes it in turn:
+        ``(_WORK, fn, *args)`` runs ``fn`` on a worker (``submit``), one
+        job, and resumes it with the result (or throws in what ``fn``
+        raised); ``(_AT, seconds)`` resumes it on a timer; ``(_SEND,
+        link, frame)`` starts the request on ``link`` and resumes it with
+        the reply, or the exception that ended the request.  ``done``
+        gets what ``gen`` returns, or the exception that ended it."""
+        try:
+            want = gen.send(value) if error is None else gen.throw(error)
+        except StopIteration as stop:
+            done(stop.value)
+            return
+        except Exception as exc:
+            done(exc)
+            return
+        if want[0] is _WORK:
+            submit(self._work, gen, done, submit, *want[1:])
+        elif want[0] is _AT:
+            self._loop.call_at(self._loop.time() + want[1], self._drive, gen, done, submit)
+        else:
+            def on_reply(reply) -> None:
+                if isinstance(reply, Exception):  # maybe off the loop
+                    self._loop.call_soon(self._drive, gen, done, submit, reply)
+                else:
+                    self._drive(gen, done, submit, reply)
+
+            try:
+                want[1].start(want[2], self.rpc_timeout, on_reply)
+            except (DVConnectionLost, ProtocolError) as exc:  # nothing was sent
+                self._drive(gen, done, submit, exc)
+
+    def _work(self, gen, done, submit, fn, *args) -> None:
+        """On a worker: one blocking step of a continuation."""
+        try:
+            value, error = fn(*args), None
+        except Exception as exc:
+            value, error = None, exc
+        self._loop.call_soon(self._drive, gen, done, submit, value, error)
+
+    def _forwarding(self, client_id: str, messages: list[dict]):
         """Route a run to the context's current owner, riding out owner
         death, a dial back-off window, activation lag on a new owner and
-        a lost attachment inside one ``rpc_timeout`` deadline.  The
-        unsettled slots cross the hop together, in order, as one frame;
-        each settles on its own answer and only the rest are re-sent.
-        ``first`` — ``(owner, serves, deadline, outcome)`` — resumes a run
-        whose whole first send :meth:`start` made: its outcome (the
-        unpacked answer, or the exception the send ended with) is taken
-        as this loop's first.
+        a lost attachment inside one ``rpc_timeout`` deadline: a
+        continuation for :meth:`_drive`.  The unsettled slots cross the
+        hop together, in order, as one frame; each settles on its own
+        answer and only the rest are re-sent.
         Returns one ``(frame, note, owner)`` per slot: the reply frame the
         client reads (None when the slot failed here: then ``note`` is the
         payload), what the reply says when it is not a plain success (else
@@ -380,7 +376,7 @@ class Router:
         moved on, and a wait recorded against the wrong, still-live owner
         would never be replayed."""
         context = messages[0].get("context")
-        deadline = self._clock() + self.rpc_timeout
+        deadline = self._loop.time() + self.rpc_timeout
         settled: list = [None] * len(messages)
         todo = list(range(len(messages)))  # unsettled slots, in order
         width = len(messages)  # slots per frame: all, or one past the limit
@@ -391,37 +387,31 @@ class Router:
 
         while todo:
             sent = todo[:width]
-            if first is not None:
-                owner, serves, deadline, outcome = first
-                first = None
-            else:
-                owner, serves = self._resolve(context)
-                if owner is None:
-                    settle(todo, {
-                        "error": int(ErrorCode.ERR_CONTEXT),
-                        "detail": f"no live owner serves context {context!r}",
-                    }, None)
-                    break
-                if owner == self.self_id:
-                    frames = self.run_local(
-                        client_id, [messages[slot] for slot in todo]
-                    )
-                    for slot, frame in zip(todo, frames):
-                        settled[slot] = (frame, reply_payloads(frame)[0], owner)
-                    break
-                try:
-                    outcome = self._call(
-                        owner, client_id, [messages[slot] for slot in sent]
-                    )
-                except (DVConnectionLost, OSError, ProtocolError) as exc:
-                    outcome = exc
+            found = None if self._peek is None else self._peek(context)
+            owner, serves = found or (yield _WORK, self._resolve, context)
+            if owner is None:
+                settle(todo, {
+                    "error": int(ErrorCode.ERR_CONTEXT),
+                    "detail": f"no live owner serves context {context!r}",
+                }, None)
+                break
+            if owner == self.self_id:
+                frames = yield _WORK, self.run_local, client_id, [
+                    messages[slot] for slot in todo
+                ]
+                for slot, frame in zip(todo, frames):
+                    settled[slot] = (frame, reply_payloads(frame)[0], owner)
+                break
+            outcome = yield from self._round_trip(
+                owner, client_id, [messages[slot] for slot in sent]
+            )
             if isinstance(outcome, PeerTimeout):
                 # Slow, not dead: exiling a stalled owner (workers parked
                 # on PFS I/O) would activate its contexts elsewhere while
                 # it still serves them.  Report, fail the ops, keep the
                 # link — and never re-send what may yet execute.
                 if self._on_timeout is not None:
-                    self._on_timeout(owner)
+                    yield _WORK, self._on_timeout, owner
                 settle(todo, _unreachable(owner, context, "timed out"), owner)
                 break
             if isinstance(outcome, (DVConnectionLost, OSError)):
@@ -431,13 +421,13 @@ class Router:
                     pause = outcome.retry_in
                 else:
                     # Membership (on_unreachable) moves the context.
-                    self.link_down(owner)
+                    yield _WORK, self.link_down, owner
                     pause = 0.02
-                remaining = deadline - self._clock()
+                remaining = deadline - self._loop.time()
                 if remaining <= 0:
                     settle(todo, _unreachable(owner, context, "is unreachable"), owner)
                     break
-                self._sleep(min(pause, remaining))
+                yield _AT, min(pause, remaining)
                 continue
             if isinstance(outcome, ProtocolError):
                 # Nothing was sent: the frame would pass the wire's size
@@ -457,7 +447,7 @@ class Router:
             for idx, note in notes.items():
                 slot = sent[idx]
                 settled[slot] = (frames[idx], note, owner)
-                if self._clock() >= deadline:
+                if self._loop.time() >= deadline:
                     continue
                 why = self._retry(client_id, messages[slot], note, serves)
                 if why is _LAGGING:
@@ -467,13 +457,38 @@ class Router:
             if lagging:
                 # The owner has not activated the context yet (its view
                 # of the change lags ours) — give it a beat.
-                self._sleep(0.05)
-            if detached and not self.ensure_attached(client_id, context):
+                yield _AT, 0.05
+            if detached and not (yield from self._attaching(client_id, context)):
                 detached = []
             # Else the context moved before a replay re-registered this
             # client with the new owner; it is attached now.
             todo = sorted(lagging + detached) + todo[len(sent):]
         return settled
+
+    def _round_trip(self, owner: str, client_id: str, messages: list[dict]):
+        """One ``fwd`` carrying ``messages`` as a packed run, on the cached
+        link or one dialed on a worker: the unpacked answer, or the
+        exception it came to.  A traced run's ``fwd`` span is recorded as
+        the reply lands."""
+        with self._links_lock:
+            link = self._links.get(owner)
+        try:
+            if link is None or link.closed:
+                link = yield _WORK, self.link, owner
+            frame = self._pack(client_id, messages)
+        except (DVConnectionLost, OSError, ProtocolError) as exc:
+            return exc
+        traced = "tc" in frame and self._obs is not None
+        began = self._obs.now() if traced else 0.0
+        reply = yield _SEND, link, frame
+        if isinstance(reply, Exception):
+            return reply
+        if traced:
+            self._obs.record(
+                "fwd", frame["tc"], began, self._obs.now(), op=messages[0]["op"],
+                context=messages[0].get("context"), peer=owner,
+            )
+        return self._unpack(reply, len(messages))
 
     def _retry(self, client_id: str, message: dict, note: dict, serves: bool):
         """Why a slot answered with ``note`` is sent again before the
@@ -505,28 +520,11 @@ class Router:
             frame["tc"] = tc
         return frame
 
-    def _call(
-        self, owner: str, client_id: str, messages: list[dict]
-    ) -> tuple[list, dict[int, dict]]:
-        """One ``fwd`` round trip carrying ``messages`` as a packed run:
-        their reply frames (None where the owner refused the run whole)
-        and, by position, what the not-plain replies say."""
-        link = self.link(owner)
-        frame = self._pack(client_id, messages)
-        tc = frame.get("tc")
-        traced = tc is not None and self._obs is not None
-        began = self._obs.now() if traced else 0.0
-        reply = link.call(frame, timeout=self.rpc_timeout)
-        if traced:
-            self._obs.record(
-                "fwd", tc, began, self._obs.now(), op=messages[0]["op"],
-                context=messages[0].get("context"), peer=owner,
-            )
-        return self._unpack(reply, len(messages))
-
     @staticmethod
     def _unpack(reply: dict, count: int) -> tuple[list, dict[int, dict]]:
-        """A ``fwd_reply`` to a run of ``count``: see :meth:`_call`."""
+        """A ``fwd_reply`` to a run of ``count``: its reply frames (None
+        where the owner refused the run whole) and, by position, what the
+        not-plain replies say."""
         try:
             frames, marks = unpack_run_reply(reply, count)
             return frames, _notes(frames, marks)
@@ -541,7 +539,7 @@ class Router:
     def track(
         self, client_id: str, messages: list[dict], settled: list, conn=None
     ) -> list[str]:
-        """Record ingress bookkeeping, per slot of :meth:`_forward_routed`'s
+        """Record ingress bookkeeping, per slot of :meth:`forward`'s
         answer, against the owner that served it.  When ``conn``, the
         client's connection, is closing — its drop hook may have run
         while the run crossed — no attachment or wait is recorded: the
@@ -556,7 +554,10 @@ class Router:
                         continue  # a plain success that leaves nothing behind
                     payload = _PLAIN
                 context = inner.get("context")
-                if payload.get("error") or not isinstance(context, str) or owner is None:
+                # "Already attached" is attached: the owner still holds,
+                # or restored, the client's attachment.
+                failed = payload.get("error") and not (op == "attach" and _attached(payload))
+                if failed or not isinstance(context, str) or owner is None:
                     continue
                 if op == "attach":
                     if gone:
@@ -576,11 +577,12 @@ class Router:
         for key in [k for k in self._pending if match(k)]:
             del self._pending[key]
 
-    def ensure_attached(self, client_id: str, context: str) -> bool:
-        """Register a client with the context's current owner."""
-        payload, owner = self._forward_one(
-            client_id, {"op": "attach", "context": context}
-        )
+    def _attaching(self, client_id: str, context: str):
+        """Register a client with the context's current owner (a
+        continuation): did it take?"""
+        payload, owner = _answer((yield from self._forwarding(
+            client_id, [{"op": "attach", "context": context}]
+        )))
         ok = _attached(payload)
         if ok and owner is not None:
             with self._lock:
@@ -612,23 +614,28 @@ class Router:
         reattaches: Iterable[tuple[str, str]],
         replays: Iterable[tuple[str, str, str]],
     ) -> None:
-        """Re-register displaced clients with the new owner and re-issue
-        the opens the ownership change stranded.  Crosses the wire: never
-        call it under a lock."""
+        """On the I/O thread: re-register displaced clients with the new
+        owner and re-issue the opens the ownership change stranded — one
+        continuation, its forwards one after another, in this order."""
+        self._drive(
+            self._replaying(list(reattaches), list(replays)), _ignore, self._submit
+        )
+
+    def _replaying(self, reattaches, replays):
         seen: set[tuple[str, str]] = set()
         for client_id, context in reattaches:
             if (client_id, context) not in seen:
                 seen.add((client_id, context))
-                self.ensure_attached(client_id, context)
+                yield from self._attaching(client_id, context)
         for client_id, context, filename in replays:
             if (client_id, context) not in seen:
                 seen.add((client_id, context))
-                if not self.ensure_attached(client_id, context):
+                if not (yield from self._attaching(client_id, context)):
                     self._ready_sink(Notification(client_id, context, filename, ok=False))
                     continue
-            payload, owner = self._forward_one(
-                client_id, {"op": "open", "context": context, "file": filename}
-            )
+            payload, owner = _answer((yield from self._forwarding(
+                client_id, [{"op": "open", "context": context, "file": filename}]
+            )))
             self._m_replayed.inc()
             if payload.get("error") or payload.get("available"):
                 # Failed, or already on the shared PFS: the wait resolves
@@ -783,10 +790,8 @@ class Router:
                 link = self._links.get(proxy.origin)
             if link is not None and not link.closed:
                 self._ready_to_origin(proxy.origin, frame, link)
-            elif self._submit is not None:
-                self._submit(self._ready_to_origin, proxy.origin, frame)
             else:
-                self._ready_to_origin(proxy.origin, frame)
+                self._submit(self._ready_to_origin, proxy.origin, frame)
 
     def _ready_to_origin(self, origin: str, frame: dict, link=None) -> None:
         """Send a routed ready to the client's ingress ``origin`` on
@@ -832,10 +837,7 @@ class Router:
             self._forget_waits(lambda k: k[0] == client_id)
             forwarded = self._ingress_ctx.pop(client_id, {})
         for context in forwarded:
-            try:
-                self._forward_one(client_id, {"op": "finalize", "context": context})
-            except Exception:
-                pass  # best effort; the owner's own drop hook backs it up
+            self._loop.call_soon(self._finalize, client_id, context)
         with self._lock:
             # The connection was here, so a proxy here is a leftover of
             # self-owned execution or a restore, not a route to anywhere —

@@ -7,10 +7,11 @@ decodes the frames, validates every op once against the op table
 messages on the connection's inbox and drains them.  :meth:`DVCore.drain`
 is the one drain, on the event loop and on a worker alike: it cuts the
 inbox into pieces with one splitter (:meth:`DVCore._split`) and runs
-each with :meth:`DVCore._execute`, which also observes every op.  On the
-loop a routed piece parks the drain instead (:meth:`DVCore._park`): the
-cluster tier sends it and resumes the drain when its replies land.
-Backpressure is one rule (:meth:`DVCore._pace`).
+each with :meth:`DVCore._execute`, which also observes every op.  A
+routed piece parks the drain instead (:meth:`DVCore._park`), on the
+event loop and on a worker alike: the cluster tier forwards it as a
+continuation on the loop and resumes the drain there when its replies
+land.  Backpressure is one rule (:meth:`DVCore._pace`).
 
 Every connection starts with one newline-JSON ``hello`` line and its
 reply line; every frame after that is binary (:mod:`repro.dv.protocol`).
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import os
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -185,16 +187,14 @@ class DVCore:
         self._clients: dict[str, _ClientConn] = {}
         self._clients_lock = threading.Lock()
         # Cluster-tier hooks, all optional (see repro.cluster.node):
-        #   _route_ops    — gateway: handle one client's consecutive ops
-        #                   for a non-local context, returning their reply
-        #                   frames in order, joined (runs on a worker)
-        #   _route_start  — its event-loop half: send them and resume the
-        #                   parked drain with their replies (see _park)
+        #   _route_start  — gateway, on the I/O thread: forward one
+        #                   client's consecutive ops for a non-local
+        #                   context and resume the parked drain with their
+        #                   reply frames, joined (see _park)
         #   _ready_router — deliver a notification whose client_id is not a
         #                   local connection (a proxied cluster client)
         #   _hello_extra  — extra fields merged into every hello reply
         #   _drop_hook    — observe client disconnects (proxy cleanup)
-        self._route_ops = None
         self._route_start = None
         self._ready_router = None
         self._hello_extra = None
@@ -292,14 +292,12 @@ class DVCore:
 
     def set_cluster_hooks(
         self,
-        route_ops=None,
         ready_router=None,
         hello_extra=None,
         drop_hook=None,
         route_start=None,
     ) -> None:
         """Install the gateway/membership callbacks (cluster tier)."""
-        self._route_ops = route_ops
         self._route_start = route_start
         self._ready_router = ready_router
         self._hello_extra = hello_extra
@@ -358,11 +356,12 @@ class DVCore:
         ``wclose`` fans out — is collected and leaves in one send when the
         inbox is empty (or the collector is full).  The drain flushes
         before it clears ``busy``, so replies to messages fed later never
-        overtake its own.  On the event loop (``on_loop``) a routed piece
-        parks the drain (:meth:`_park`), and the first piece that must not
-        run there (:meth:`_needs_worker`) hands the rest of the inbox to a
-        worker.  A resumed drain starts with the parked piece's replies,
-        ``answered`` (its frames and their count), in its collector."""
+        overtake its own.  A routed piece parks the drain (:meth:`_park`);
+        on the event loop (``on_loop``) the first other piece that must
+        not run there (:meth:`_needs_worker`) hands the rest of the inbox
+        to a worker.  A resumed drain starts with the parked piece's
+        replies, ``answered`` (its frames and their count), in its
+        collector."""
         tl = self._tl
         tl.conn, tl.buf, tl.frames = conn, bytearray(), 0
         if answered is not None:
@@ -376,11 +375,13 @@ class DVCore:
                 if inbox and not conn.closing:
                     count, how = self._split(conn.client_id, inbox)
                     # A routed piece waits on the hop; any other asks.
-                    if on_loop and how != _LOCAL and (
-                        how == _ROUTED or self._needs_worker(inbox[0])
+                    if how == _ROUTED or on_loop and how != _LOCAL and (
+                        self._needs_worker(inbox[0])
                     ):
                         self._flush_collector()  # ours leave first
-                        if how != _ROUTED or not self._park(conn, count):
+                        if how == _ROUTED:
+                            self._park(conn, count, on_loop)
+                        else:
                             self._schedule(conn)
                         return
                     piece = [inbox.popleft() for _ in range(count)]
@@ -408,37 +409,34 @@ class DVCore:
             # The drain brought a paused connection back under its marks.
             self._handoff(conn)
 
-    def _park(self, conn: _ClientConn, count: int) -> bool:
-        """On the loop: hand the routed run at the head of ``conn``'s
-        inbox to the route hook's loop half, which sends it and returns
-        True — the drain then stays parked, ``busy`` set, so nothing fed
-        meanwhile overtakes it — or, when the run must go to a worker,
-        False with the inbox as it was.  Once the run is answered the
-        drain resumes (:meth:`_resume`) where the hook says."""
-        if self._route_start is None:
-            return False
-        inbox = conn.inbox
-        piece = [inbox.popleft() for _ in range(count)]
+    def _park(self, conn: _ClientConn, count: int, on_loop: bool) -> None:
+        """Hand the routed run at the head of ``conn``'s inbox to the
+        route hook on the I/O thread (from a worker, with ``call_soon``).
+        The drain stays parked, ``busy`` set, so nothing fed meanwhile
+        overtakes the run; once it is answered the drain resumes on the
+        loop (:meth:`_resume`)."""
+        piece = [conn.inbox.popleft() for _ in range(count)]
+        arrived = [message.pop("_obs_t0", None) for message in piece]
         began = time.perf_counter()
 
-        def resume(data: bytes | None, on_loop: bool) -> None:
-            self._resume(conn, piece, began, data, on_loop)
+        def resume(data: bytes | None) -> None:
+            self._resume(conn, piece, arrived, began, data)
 
-        if self._route_start(conn, piece, resume):
-            return True
-        inbox.extendleft(reversed(piece))
-        return False
+        if on_loop:
+            self._route_start(conn, piece, resume)
+        else:
+            self.loop.call_soon(self._route_start, conn, piece, resume)
 
     def _resume(
-        self, conn: _ClientConn, piece: list[dict], began: float,
-        data: bytes | None, on_loop: bool,
+        self, conn: _ClientConn, piece: list[dict], arrived: list,
+        began: float, data: bytes | None,
     ) -> None:
         """A parked run is answered: observe it, and drain on from its
         replies (``None``: the route hook failed, the connection goes)."""
-        self._observe_shared(piece, [None] * len(piece), began, time.perf_counter())
+        self._observe_shared(piece, arrived, began, time.perf_counter())
         if data is None:
             self._close(conn)
-        self.drain(conn, on_loop, None if data is None else (data, len(piece)))
+        self.drain(conn, True, None if data is None else (data, len(piece)))
 
     def _close(self, conn: _ClientConn) -> None:
         """``conn`` is going down: the shell tears it down."""
@@ -454,8 +452,8 @@ class DVCore:
         run stays on the loop when it is all one local run or one op that
         stays there — the rules a client's ops follow — and a cluster
         node's hello may wait on the cluster lock (activation holds it
-        across PFS scans) or forward an attach.  (An op the gateway
-        forwards is a routed piece: :meth:`_park` or a worker.)"""
+        across PFS scans) or wait for a forwarded attach.  (An op the
+        gateway forwards is a routed piece: :meth:`_park`.)"""
         op = message.get("op")
         row = OPS.get(op) if isinstance(op, str) else None
         if row is None:
@@ -470,7 +468,7 @@ class DVCore:
                 return True
             return how == _ONE and self._needs_worker(ops[0])
         if op == "hello":
-            return self._hello_extra is not None or self._route_ops is not None
+            return self._hello_extra is not None or self._route_start is not None
         if op == "fetch_info":
             return "file" not in message
         return row.where == WORKER
@@ -482,7 +480,7 @@ class DVCore:
         """Is an op naming ``context`` the gateway's to forward: a cluster
         tier is installed and the context is not served here?"""
         return (
-            self._route_ops is not None
+            self._route_start is not None
             and isinstance(context, str)
             and not self.coordinator.has_context(context)
         )
@@ -527,9 +525,9 @@ class DVCore:
         self, client, piece: list[dict], how: int, observe: bool = True
     ) -> list[bytes]:
         """Run one piece ``_split`` cut off a batch — a local run (one
-        ``handle_run``), a routed run (one ``fwd``), a hello, or one op —
-        and return its reply frames: one per op (a routed run's joined in
-        one), none for a one-way frame.  Each op is observed in
+        ``handle_run``), a hello, or one op; a routed run is parked, not
+        executed — and return its reply frames: one per op, none for a
+        one-way frame.  Each op is observed in
         ``op.<op>.seconds`` with its own service time — an op of a local
         run its turn in the shard, any other the piece's — except in
         ``serve_ops``: an op is observed where its client entered."""
@@ -538,10 +536,6 @@ class DVCore:
         if how == _LOCAL:
             results = self.execute_run(client.client_id, piece, stamps)
             frames = self._pack_run(piece, results, client.trace)
-        elif how == _ROUTED:
-            # Gateway path: the route hook forwards the piece to the owner
-            # and hands back its reply frames, failures answered in place.
-            frames = [self._route_ops(client, piece)]
         elif how == _HELLO:
             frames = [self._hello(client, piece[0])]
         else:
@@ -709,10 +703,19 @@ class DVCore:
         }
         if context and self._forwards(context):
             # Gateway path: the context lives on a peer — forward the
-            # attach so the owner registers this client as a waiter.
-            payload = reply_payloads(self._route_ops(
-                conn, [{"op": "attach", "context": context}]
-            ))[0]
+            # attach so the owner registers this client as a waiter.  A
+            # hello runs on a worker, which waits for the forward and runs
+            # its blocking steps meanwhile (a step of ``None`` is the
+            # answer: reply frames, or None when a bug ended the run).
+            steps = queue.SimpleQueue()
+            self.loop.call_soon(
+                self._route_start, conn, [{"op": "attach", "context": context}],
+                lambda data: steps.put((None, data)),
+                lambda fn, *args: steps.put((fn, args)),
+            )
+            while (step := steps.get())[0] is not None:
+                step[0](*step[1])
+            payload = reply_payloads(step[1])[0]
             reply["error"] = int(payload.get("error", ErrorCode.SUCCESS))
             reply["detail"] = payload.get("detail", "")
         elif context:

@@ -6,8 +6,9 @@ drivers.  The reproduction runs driver jobs in the DV process, on the
 performance model's schedule: a launched :class:`RunningSim` produces its
 *i*-th output ``α + i·τ`` seconds after its launch
 (:func:`~repro.core.perfmodel.production_offset`, the schedule the DES
-keeps), reports it to the coordinator (``sim_file_closed``) and reports
-its completion with its last output (``sim_completed``/``sim_failed``).
+keeps; *i* counts the sim's ``planned_keys`` only, as the DES does),
+reports it to the coordinator (``sim_file_closed``) and reports its
+completion with its last output (``sim_completed``/``sim_failed``).
 
 A driver with ``steps()`` (:class:`~repro.simulators.base.ForwardDriver`:
 synthetic, COSMO, FLASH; the archive copy) hands over its job as a
@@ -18,8 +19,9 @@ chain of timers on the loop and hold no thread:
   frame (:data:`~repro.dv.protocol.CHUNK_MAX`, 256 KiB) runs on the I/O
   thread; a larger one, or one whose size is not known yet, runs on a
   worker and is announced back on the loop;
-- the window's last output brings the rest of the job (trailing steps,
-  checkpoints) with it, so the completion follows it at once;
+- an output not planned (resident at launch) is produced with the next
+  planned one, and the last planned output brings the rest of the job
+  (trailing steps, checkpoints) with it, so the completion follows it;
 - kill ends a chain before its next production: the production in
   progress is still announced (its file is on disk).
 
@@ -106,9 +108,9 @@ class _Run:
     began: float
     #: The driver's productions (``steps()``); None on a thread.
     outputs: Iterator[str] | None = None
-    #: Outputs the job's window holds: the model's ``n``.
-    total: int = 0
-    #: Outputs announced so far.
+    #: The outputs the sim plans: the model's ``n``.
+    planned: frozenset = frozenset()
+    #: Planned outputs announced so far.
     position: int = 0
     killed: bool = False
     exec_began: float | None = None
@@ -211,8 +213,7 @@ class ThreadedLauncher:
                 run = _Run(
                     context, sim, runtime, loop, loop.time(),
                     outputs=steps(job, runtime.output_dir, runtime.restart_dir),
-                    total=len(context.geometry.outputs_between_restarts(
-                        sim.start_restart, sim.stop_restart)),
+                    planned=frozenset(map(context.filename_of, sim.planned_keys)),
                 )
             if self.obs is not None and sim.tc is not None:
                 run.exec_began = self.obs.now()
@@ -324,15 +325,15 @@ class ThreadedLauncher:
         run.loop.call_soon(self._produced, run, outcome)
 
     def _production(self, run: _Run) -> tuple[list[str], object]:
-        """Advance the driver by one production: the names it closed, and
-        True when the job ended, False when more is due, or the exception
-        it failed with.  The window's last output brings the rest of the
-        job with it."""
+        """Advance the driver to its next planned output: the names it
+        closed, and True when the job ended, False when more is due, or
+        the exception it failed with.  The last planned output brings the
+        rest of the job with it."""
         names: list[str] = []
         try:
             for name in run.outputs:
                 names.append(name)
-                if run.position + len(names) < run.total:
+                if name in run.planned and run.position + 1 < len(run.planned):
                     return names, False
             return names, True
         except Exception as exc:
@@ -350,9 +351,9 @@ class ThreadedLauncher:
         """On the loop: announce what a production closed, then go on,
         complete or fail."""
         names, state = outcome
+        run.position += 1
         try:
             for name in names:
-                run.position += 1
                 self._announce(run, name)
         except Exception as exc:
             state = exc

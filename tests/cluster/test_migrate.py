@@ -1,6 +1,10 @@
 """Unit tests for migration placement pins and the state stream's
 destination side."""
 
+import hashlib
+import os
+import threading
+
 import pytest
 
 from repro.cluster.replication import diff_state
@@ -186,18 +190,15 @@ class TestMigrationFrames:
         frame still lands (its pin names this node at the version held)
         and adds the waiter the pre-copy missed, without re-registering
         the first."""
-        from tests.integration.conftest import wait_until
-
         context = node.test_context
         first = ["c1", context.filename_of(3), "dst"]
         second = ["c2", context.filename_of(5), "dst"]
         precopy = empty_state(clients=["c1", "c2"], waiters=[first])
         assert node.repl.receive(self.frame(1, state=precopy))["ok"]
         node._apply_membership(lambda: node._merge_pins([["ctx", "dst", 2]]))
-        wait_until(
-            lambda: node.metrics.get("repl.promotions").value == 1,
-            message="gossip never promoted the pre-copy",
-        )
+        promote, args = node.server.loop.work.get_nowait()  # one worker job
+        promote(*args)
+        assert node.metrics.get("repl.promotions").value == 1
         assert "ctx" in node.active_contexts()
         reply = node.repl.receive(self.frame(
             2, state=dict(precopy, waiters=[first, second]),
@@ -215,6 +216,62 @@ class TestMigrationFrames:
         assert waiting == {tuple(first[:2]), tuple(second[:2])}
         assert node.metrics.get("migrate.adopted").value == 1
         assert not node.repl.store.has("ctx")
+
+
+    def test_final_frame_pulls_a_missing_resident_file_without_a_thread(
+        self, node, tmp_path, monkeypatch
+    ):
+        """No shared PFS: the final frame names a resident file this
+        node's output directory lacks.  The pull is a chain of pool jobs,
+        one file each; the file arrives with the source's bytes and
+        checksum, ``migrate.files_fetched`` counts it, and no thread
+        starts."""
+        from repro.data.server import DataServer
+        from repro.dv.loop import EventLoop
+
+        context = node.test_context
+        src_out = tmp_path / "src-out"
+        src_out.mkdir()
+        keys = (3, 5)
+        names = [context.filename_of(key) for key in keys]
+        for key, name in zip(keys, names):
+            (src_out / name).write_bytes(bytes([key]) * 4096 + name.encode())
+        source_loop = EventLoop(workers=1, name="source")
+        source_loop.start()
+        source = DataServer(source_loop)
+        source.add_context("ctx", str(src_out))
+        source.start()
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: (
+            started.append(thread.name), start(thread))[1])
+        try:
+            reply = node.repl.receive(self.frame(
+                1, state=empty_state(resident=list(keys)),
+                pin=["ctx", "dst", 2], data_port=source.port,
+            ))
+            assert reply["ok"]
+            out = node._specs["ctx"].output_dir
+            jobs = 0
+            while not node.server.loop.work.empty():
+                pull, args = node.server.loop.work.get_nowait()
+                pull(*args)
+                jobs += 1
+                if jobs == 1:  # the first file is in, the second not yet
+                    assert os.listdir(out) == [names[0]]
+        finally:
+            source.stop()
+            source_loop.stop()
+        assert jobs == len(names) and started == []
+        for name in names:
+            got = os.path.join(out, name)
+            assert sha256_of(got) == sha256_of(str(src_out / name))
+        assert node.metrics.get("migrate.files_fetched").value == len(names)
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestPinVersions:

@@ -1,24 +1,28 @@
 """Sans-I/O tests of the forwarding core.
 
 :class:`Net` wires several :class:`~repro.cluster.router.Router` members
-together with in-memory links and one fake clock: a "peer round trip" is
-a direct call into the owner's ``on_fwd``, a ``ready`` is a direct call
-into the ingress's ``on_link_fwd``, and time only moves when the router
-sleeps.  Each member's shards are a dict-backed stand-in that answers
-with the real error codes and detail strings.  A run — a run of one
-included — crosses the fake link the way it crosses the real one: one
-packed ``fwd`` frame carrying the client's frames (``pack_run``),
-answered with the reply frames the client reads, refused whole by the
-owner's validation or by the wire's frame limit.
+together with in-memory links on one :class:`VirtualLoop`: a forwarded
+run is a continuation on it, a "peer round trip" is a call into the
+owner's ``on_fwd`` one hand-off after the send, a ``ready`` is a direct
+call into the ingress's ``on_link_fwd``, a worker job is a hand-off, and
+time only moves when a timer of the router's is due.  Each member's
+shards are a dict-backed stand-in that answers with the real error codes
+and detail strings.  A run — a run of one included — crosses the fake
+link the way it crosses the real one: one packed ``fwd`` frame carrying
+the client's frames (``pack_run``), answered with the reply frames the
+client reads, refused whole by the owner's validation or by the wire's
+frame limit.
 """
 
 import copy
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import router as router_module
 from repro.cluster.link import DialBackingOff, PeerTimeout
 from repro.cluster.router import Router
 from repro.core.errors import (
@@ -41,25 +45,13 @@ from repro.dv.protocol import (
 from repro.dv.core import reply_frame, reply_payloads
 from repro.metrics import MetricsRegistry
 from tests.dv.test_protocol_runs import MALFORMED_RUNS, run_body
+from tests.virtual_loop import VirtualLoop
 
 CTX = "alpha"
 ERR_CONTEXT = int(ErrorCode.ERR_CONTEXT)
 ERR_INVALID = int(ErrorCode.ERR_INVALID)
 ERR_CONNECTION = int(ErrorCode.ERR_CONNECTION)
 ERR_PROTOCOL = int(ErrorCode.ERR_PROTOCOL)
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def __call__(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
 
 
 class FakeConn:
@@ -71,7 +63,7 @@ class FakeConn:
 
 
 class ClientConn:
-    """The ingress's view of a client connection (the ``route`` hook's)."""
+    """The ingress's view of a client connection (the route hook's)."""
 
     def __init__(self, client_id):
         self.client_id = client_id
@@ -89,6 +81,22 @@ class FakeLink:
         self.closed = True
 
     def call(self, frame, timeout=None):
+        return self.answer(self.request(frame))
+
+    def start(self, frame, timeout, on_reply):
+        """The loop's send: the owner answers one hand-off later."""
+        request = self.request(frame)
+
+        def land():
+            try:
+                reply = self.answer(request)
+            except DVConnectionLost as exc:
+                reply = exc
+            on_reply(reply)
+
+        self.net.loop.call_soon(land)
+
+    def request(self, frame):
         request = dict(frame, req=1)  # what the channel sends
         try:
             encode_frame(request, "binary")
@@ -96,6 +104,9 @@ class FakeLink:
             self.oversized.append(frame)
             raise
         self.frames.append(frame)
+        return request
+
+    def answer(self, request):
         if self.dst in self.net.down:
             raise DVConnectionLost(f"{self.dst} is down")
         if self.dst in self.net.slow:
@@ -163,12 +174,12 @@ class Member:
             is_stale=stale,
             metrics=MetricsRegistry(),
             rpc_timeout=10.0,
-            clock=net.clock,
-            sleep=net.clock.sleep,
+            submit=net.loop.submit,
+            loop=net.loop,
         )
 
     def dial(self, peer_id, on_fwd, on_down):
-        wait = self.net.backoff.get((self.id, peer_id), 0.0) - self.net.clock()
+        wait = self.net.backoff.get((self.id, peer_id), 0.0) - self.net.loop.time()
         if wait > 0:
             raise DialBackingOff(peer_id, wait)
         if peer_id in self.net.down:
@@ -208,12 +219,15 @@ class Member:
 
     def forward_many(self, client_id, inners):
         """The same client pipelines a run of ops for one context: the
-        ``route`` hook's reply frames — exactly one per request, in
-        request order — back as payloads."""
+        route hook's reply frames — exactly one per request, in request
+        order — back as payloads, once the loop has settled the run."""
         self.local.add(client_id)
-        data = self.router.route(ClientConn(client_id), [
+        answered = []
+        self.router.start(ClientConn(client_id), [
             dict(inner, req=slot) for slot, inner in enumerate(inners)
-        ])
+        ], answered.append)
+        self.net.loop.run()
+        (data,) = answered
         assert [r["req"] for r in decode_frames(data)] == list(range(len(inners)))
         return reply_payloads(data)
 
@@ -229,11 +243,12 @@ class Member:
                 self.router.deliver_ready(ready)
             else:
                 self.router.route_ready(ready)
+        self.net.loop.run()
 
 
 class Net:
     def __init__(self, *member_ids, policy="dead", owner=None):
-        self.clock = FakeClock()
+        self.loop = VirtualLoop()
         self.catalog = {CTX}
         self.owners = {}
         self.down, self.slow = set(), set()
@@ -253,6 +268,7 @@ class Net:
         self.down.add(member_id)
         for member in self.live():
             member.router.drop_client(f"node:{member_id}")
+        self.loop.run()
 
     def live(self):
         return [m for m in self.members.values() if m.id not in self.down]
@@ -261,6 +277,7 @@ class Net:
         """What every deployment does after a membership change."""
         for member in self.live():
             member.router.replay(*member.router.stale())
+        self.loop.run()
 
 
 def op(name, filename=None, context=CTX):
@@ -307,7 +324,7 @@ class TestForward:
         net = Net("a", "b", owner="a")
         payload = net.members["b"].forward("c1", op("attach", context="nope"))
         assert payload["error"] == ERR_CONTEXT
-        assert net.links == [] and net.clock.sleeps == []
+        assert net.links == [] and net.loop.delays == []
 
     def test_dead_owner_failover_and_replay(self):
         net = Net("a", "b", "c", owner="a")
@@ -338,7 +355,7 @@ class TestForward:
         payload = b.forward("c1", op("open", "f1"))
         assert payload == {"available": False, "error": 0}
         assert b.unreachable == ["a"]
-        assert net.clock.sleeps == [0.02]
+        assert net.loop.delays == [0.02]
         assert b.router._ingress_ctx == {"c1": {CTX: "c"}}  # re-attached
         assert b.router._pending == {("c1", CTX, "f1"): "c"}
 
@@ -349,7 +366,7 @@ class TestForward:
         payload = b.forward("c1", op("attach"))
         assert payload["error"] == ERR_CONNECTION
         assert "unreachable" in payload["detail"]
-        assert 10.0 <= net.clock.now < 10.1
+        assert 10.0 <= net.loop.now < 10.1
         assert b.router._links == {}
 
     def test_activation_lag_retries_until_the_owner_catches_up(self):
@@ -367,14 +384,14 @@ class TestForward:
 
         a.router._execute_local = per_op(lagging)
         assert b.forward("c1", op("attach")) == {"error": 0}
-        assert len(calls) == 3 and net.clock.sleeps == [0.05] * 2
+        assert len(calls) == 3 and net.loop.delays == [0.05] * 2
 
     def test_activation_lag_gives_up_at_the_deadline(self):
         net = Net("a", "b")
         net.assign("a", activate=False)
         payload = net.members["b"].forward("c1", op("attach"))
         assert payload["error"] == ERR_CONTEXT
-        assert 10.0 <= net.clock.now < 10.1
+        assert 10.0 <= net.loop.now < 10.1
         assert net.members["a"].router._proxies == {}
 
     def test_not_attached_reattaches_and_retries(self):
@@ -387,11 +404,28 @@ class TestForward:
         assert c.attached[CTX] == {"c1"}
         assert b.router._ingress_ctx == {"c1": {CTX: "c"}}
 
+    def test_an_already_attached_answer_records_the_attachment(self):
+        """The owner still holds the client's attachment (the client's own
+        connection to it is going away) and answers the forwarded attach
+        "already attached": the client is attached through here, so when
+        the old connection's teardown detaches it, the next op re-attaches
+        and is retried instead of failing "not attached"."""
+        net = Net("a", "b", owner="a")
+        a, b = net.members["a"], net.members["b"]
+        a.attached[CTX] = {"c1"}
+        assert DETAIL_ALREADY_ATTACHED in b.forward("c1", op("attach"))["detail"]
+        assert b.router._ingress_ctx == {"c1": {CTX: "a"}}
+        a.attached[CTX].discard("c1")  # the teardown of the old connection
+        assert b.forward("c1", op("open", "f1")) == {
+            "available": False, "error": 0,
+        }
+        assert a.attached[CTX] == {"c1"}
+
     def test_not_attached_is_final_for_a_client_never_attached_here(self):
         net = Net("a", "b", owner="a")
         payload = net.members["b"].forward("c1", op("open", "f1"))
         assert payload["error"] == ERR_INVALID
-        assert net.clock.sleeps == []
+        assert net.loop.delays == []
 
     def test_timeout_reports_without_exiling(self):
         net = Net("a", "b", owner="a")
@@ -410,7 +444,7 @@ class TestForward:
         b = net.members["b"]
         net.backoff[("b", "a")] = 0.75
         assert b.forward("c1", op("attach")) == {"error": 0}
-        assert net.clock.sleeps == [0.75]
+        assert net.loop.delays == [0.75]
         assert b.unreachable == [] and b.timeouts == []
 
     def test_dial_backoff_longer_than_the_deadline_fails_the_op_only(self):
@@ -419,7 +453,7 @@ class TestForward:
         net.backoff[("b", "a")] = 60.0
         payload = b.forward("c1", op("attach"))
         assert payload["error"] == ERR_CONNECTION
-        assert net.clock.sleeps == [10.0] and b.unreachable == []
+        assert net.loop.delays == [10.0] and b.unreachable == []
 
 
 class TestLink:
@@ -465,14 +499,23 @@ class Answering:
         return {"echo": message, "timeout": timeout}
 
 
+@pytest.fixture
+def net(monkeypatch):
+    """Two members whose blocking ``call`` sleeps on the loop's clock."""
+    net = Net("a", "b")
+    monkeypatch.setattr(router_module, "time", SimpleNamespace(
+        monotonic=net.loop.time, sleep=net.loop.sleep,
+    ))
+    return net
+
+
 class TestCall:
-    def test_a_dial_backoff_is_waited_out_and_tells_nobody(self):
-        net = Net("a", "b")
+    def test_a_dial_backoff_is_waited_out_and_tells_nobody(self, net):
         b = net.members["b"]
         dials = []
 
         def backs_off_once(peer_id, **callbacks):
-            dials.append(net.clock())
+            dials.append(net.loop.time())
             if len(dials) == 1:
                 raise DialBackingOff(peer_id, 0.4)
             return Answering()
@@ -480,16 +523,15 @@ class TestCall:
         b.router._dial = backs_off_once
         reply = b.router.call("a", {"op": "metrics_text"})
         assert reply == {"echo": {"op": "metrics_text"}, "timeout": 10.0}
-        assert dials == [0.0, 0.4] and net.clock.sleeps == [0.4]
+        assert dials == [0.0, 0.4] and net.loop.delays == [0.4]
         assert b.unreachable == [] and b.timeouts == []
 
-    def test_a_backoff_past_rpc_timeout_raises_at_the_deadline(self):
-        net = Net("a", "b")
+    def test_a_backoff_past_rpc_timeout_raises_at_the_deadline(self, net):
         b = net.members["b"]
         net.backoff[("b", "a")] = 60.0
         with pytest.raises(DialBackingOff):
             b.router.call("a", {"op": "metrics_text"})
-        assert net.clock.sleeps == [10.0] and b.unreachable == []
+        assert net.loop.delays == [10.0] and b.unreachable == []
 
 
 class TestStale:
@@ -527,6 +569,7 @@ class TestStale:
         net, b = self.setup_net("moved")
         net.owners.pop(CTX)  # nobody serves it any more
         b.router.replay([], [("c1", CTX, "f1")])
+        net.loop.run()
         assert b.delivered == [Notification("c1", CTX, "f1", ok=False)]
 
 
@@ -660,7 +703,7 @@ class TestRuns:
         b.on_unreachable = membership_reacts
         payloads = b.forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [0] * len(RUN)
-        assert b.unreachable == ["a"] and net.clock.sleeps == [0.02]
+        assert b.unreachable == ["a"] and net.loop.delays == [0.02]
         # c saw the run (refused: c1 unknown), one attach, then the run
         # again — each op answered once, in order.
         to_c = net.links[-1].frames
@@ -688,7 +731,7 @@ class TestRuns:
         )
         assert b.timeouts == ["a"] and b.unreachable == []
         assert net.links[0].frames[1:] == [run_frame("b", "c1", RUN)]
-        assert b.router._pending == {} and net.clock.sleeps == []
+        assert b.router._pending == {} and net.loop.delays == []
 
     def test_not_attached_reattaches_once_then_reruns_the_run(self):
         net = attached_pair(policy="moved", third=True)
@@ -719,7 +762,7 @@ class TestRuns:
         a.router._execute_local = per_op(activates_after_the_first_op)
         payloads = b.forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [0] * len(RUN)
-        assert net.clock.sleeps == [0.05] and net.clock.now < b.router.rpc_timeout
+        assert net.loop.delays == [0.05] and net.loop.now < b.router.rpc_timeout
         assert net.links[0].frames == [
             run_frame("b", "c1", RUN), run_frame("b", "c1", RUN[:1]),
         ]
@@ -733,7 +776,7 @@ class TestRuns:
         net.assign("a", activate=False)
         payloads = net.members["b"].forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [ERR_CONTEXT] * len(RUN)
-        assert 10.0 <= net.clock.now < 10.1
+        assert 10.0 <= net.loop.now < 10.1
 
     def test_a_run_past_the_frame_limit_goes_as_frames_of_one(self):
         net = attached_pair()
@@ -911,6 +954,7 @@ def churn(actions, policy, bundled):
         elif action == "drop":
             member.router.drop_client(client)
             member.local.discard(client)
+            net.loop.run()
             blocked = {b for b in blocked if b[0] != client}
         else:
             if action == "run":
@@ -947,6 +991,7 @@ def churn(actions, policy, bundled):
                 member.forward(f"c{c}", op("finalize"))
                 assert not member.router._ingress_ctx.get(f"c{c}")
             member.router.drop_client(f"c{c}")
+    net.loop.run()
     for member in net.live():
         assert tables(member.router) == ({}, {}, {})
         member.router.close()

@@ -8,8 +8,6 @@ I/O thread, a larger one on a worker; kill ends the chain before its next
 production.
 """
 
-import heapq
-import itertools
 import os
 import subprocess
 import sys
@@ -27,6 +25,7 @@ from repro.dv.loop import EventLoop
 from repro.dv.protocol import CHUNK_MAX
 from repro.dv.shard import RunningSim
 from repro.simulators import SyntheticDriver
+from tests.virtual_loop import VirtualLoop
 
 ALPHA, TAU = 0.05, 0.02
 #: One restart interval of eight outputs.
@@ -60,38 +59,6 @@ class Recorder:
         return [name for kind, name, _t in self.events if kind == "output"]
 
 
-class VirtualLoop:
-    """The event loop's surface on a virtual clock: timers and hand-offs
-    run in time order, the clock jumping to each."""
-
-    running = True
-
-    def __init__(self):
-        self.now = 0.0
-        self._timers = []
-        self._seq = itertools.count()
-
-    def time(self):
-        return self.now
-
-    def on_io_thread(self):
-        return True
-
-    def call_at(self, when, fn, *args):
-        heapq.heappush(self._timers, (when, next(self._seq), fn, args))
-
-    def call_soon(self, fn, *args):
-        self.call_at(self.now, fn, *args)
-
-    submit = call_soon
-
-    def run(self):
-        while self._timers:
-            when, _seq, fn, args = heapq.heappop(self._timers)
-            self.now = max(self.now, when)
-            fn(*args)
-
-
 @pytest.fixture
 def node_loop():
     """A running event loop, as a node's DV server has."""
@@ -119,12 +86,17 @@ def make_context(tmp_path, cells=64, name="ctx"):
     return context, out, rst
 
 
-def sim_of(context, sim_id=1, start=1):
+def sim_of(context, sim_id=1, start=1, resident=()):
+    """A sim over one restart interval, planning every output of it but
+    the ``resident`` ones (what a shard plans: the keys not in its area)."""
     return RunningSim(
         sim_id=sim_id, context_name=context.name, start_restart=start,
         stop_restart=start + 1, parallelism_level=0, launch_time=0.0,
         is_prefetch=False, owner_client=None,
-        planned_keys=list(context.geometry.outputs_between_restarts(start, start + 1)),
+        planned_keys=[
+            key for key in context.geometry.outputs_between_restarts(start, start + 1)
+            if key not in resident
+        ],
     )
 
 
@@ -145,11 +117,15 @@ def launcher_for():
         launcher.close()
 
 
-def test_both_clocks_keep_one_schedule(tmp_path, launcher_for):
+@pytest.mark.parametrize("resident", [(), (11, 16)], ids=["cold", "partly-resident"])
+def test_both_clocks_keep_one_schedule(tmp_path, launcher_for, resident):
     """One launch, on the live chain over a virtual clock and in the DES:
-    the same offsets for every output, and the same done time."""
+    the same offsets for every planned output, and the same done time.
+    Positions count planned outputs only: the live job still rewrites an
+    output that was resident at launch, with the next planned one (the
+    window's last with the last planned one), and is not charged a τ."""
     context, out, rst = make_context(tmp_path)
-    sim = sim_of(context)
+    sim = sim_of(context, resident=resident)
     loop = VirtualLoop()
     live = Recorder(loop.time)
     launcher = launcher_for(
@@ -162,11 +138,15 @@ def test_both_clocks_keep_one_schedule(tmp_path, launcher_for):
     executor = DESExecutor(engine)
     executor.bind(des)
     executor.register_context(context)
-    executor.launch(context, sim_of(context))
+    executor.launch(context, sim_of(context, resident=resident))
     engine.run()
     assert len(live.events) == INTERVAL + 1
-    assert live.events == des.events
-    assert live.events[-1][2] == pytest.approx(ALPHA + INTERVAL * TAU)
+    planned = set(map(context.filename_of, sim.planned_keys))
+    assert [e for e in live.events if e[0] == "done" or e[1] in planned] == des.events
+    assert live.events[-1][2] == pytest.approx(ALPHA + len(planned) * TAU)
+    at = {name: when for kind, name, when in live.events if kind == "output"}
+    for key, rides_with in zip(resident, (12, 15)):
+        assert at[context.filename_of(key)] == at[context.filename_of(rides_with)]
     assert launcher.running_threads == 0
 
 

@@ -1,19 +1,21 @@
 """What the drain takes off a gateway connection's inbox as one run.
 
 No thread and no listener: a ``_ClientConn`` over a socketpair is fed
-the bytes a client writes (``feed``), the drain the event loop hands to
-a worker runs on this thread, and the replies are read off the other
-end.  The route hook is a real :class:`~repro.cluster.router.Router`
-whose only link records the ``fwd`` frames that would cross the hop and
-answers them the way an owner does: every run, a lone op included,
-crosses as the packed client frames (``pack_run``), their ``req``s and
-all, and comes back as reply frames.  The ``gateway`` runs each test
-twice: with the router's loop half (``loop``: a run is sent from the
-event loop, which parks the drain until the link lands the reply) and
-without it (``worker``: every routed piece goes to a worker, as for a
-run the loop cannot send).
+the bytes a client writes (``feed``), the loop's hand-offs and the
+drains and jobs it gives its workers run on this thread, and the
+replies are read off the other end.  The route hook is a real
+:class:`~repro.cluster.router.Router` whose only link records the
+``fwd`` frames that would cross the hop and answers them the way an
+owner does: every run, a lone op included, crosses as the packed client
+frames (``pack_run``), their ``req``s and all, and comes back as reply
+frames.  Every routed run is sent from the event loop, which parks the
+drain until the link lands the reply.  The ``gateway`` runs each test
+twice: with the drain on the event loop (``loop``) and with the drain
+already handed to a worker (``worker``), which parks a routed run the
+same way.
 """
 
+import heapq
 import os
 import socket
 import threading
@@ -22,16 +24,19 @@ import pytest
 
 from repro.cluster.router import Router
 from repro.core.context import ContextConfig, SimulationContext
-from repro.core.errors import ErrorCode
+from repro.core.errors import DVConnectionLost, ErrorCode
 from repro.core.perfmodel import PerformanceModel
 from repro.dv.core import _ClientConn, reply_frame
 from repro.dv.protocol import (
     FWD_RUN_MAX,
     OP_FWD,
+    PROTOCOL_VERSION,
+    MessageReader,
     StreamDecoder,
     decode_frames,
     encode_frame,
     pack_run,
+    send_message,
     unpack_run,
     unpack_run_reply,
 )
@@ -58,6 +63,8 @@ class OwnerLink:
         self.frames = []
         self.started = []  # (frame, on_reply) not landed yet
         self.pool_jobs = 0  # what settle() ran on the pool's behalf
+        self.ran = []  # the functions of those jobs
+        self.tears = 0  # this many landings tear the link instead
 
     def start(self, frame, timeout, on_reply):
         self.frames.append(frame)
@@ -70,28 +77,32 @@ class OwnerLink:
             return {"error": 0, "available": True, "state": "on_disk", "wait": 0.0}
         return {"error": 0}
 
-    def call(self, frame, timeout=None):
-        self.frames.append(frame)
-        return self.reply(frame)
-
     def reply(self, frame):
         return {"op": "fwd_reply", "error": 0, "run": b"".join(
             reply_frame(inner, self.answer(inner)) for inner in ops_of(frame)
         )}
 
     def land(self):
-        """The reply to the oldest run the loop sent arrives."""
+        """The reply to the oldest run the loop sent arrives (or, while
+        ``tears`` lasts, the link tears under it)."""
         frame, on_reply = self.started.pop(0)
-        on_reply(self.reply(frame))
+        if self.tears:
+            self.tears -= 1
+            on_reply(DVConnectionLost("the owner's link tore"))
+        else:
+            on_reply(self.reply(frame))
 
     def close(self):
         pass
 
 
-def loop_half(server):
-    """The hooks that give a router its event-loop half: the owner is
-    always a peer (never busy), work goes to the server's pool."""
-    return {"peek": lambda context: ("owner", True), "submit": server.loop.submit}
+def on_loop(server):
+    """The hooks that put a router on the server's event loop: the owner
+    is always a peer (never busy), blocking steps go to the pool."""
+    return {
+        "peek": lambda context: ("owner", True),
+        "submit": server.loop.submit, "loop": server.loop,
+    }
 
 
 @pytest.fixture(params=["loop", "worker"])
@@ -108,7 +119,7 @@ def gateway(request, tmp_path):
     os.makedirs(rst)
     server.add_context(context, out, rst)
     link = OwnerLink()
-    link.from_loop = request.param == "loop"
+    link.on_worker = request.param == "worker"
     router = Router(
         "ingress",
         resolve=lambda context: ("owner", True),
@@ -116,11 +127,12 @@ def gateway(request, tmp_path):
         ready_sink=lambda note: None,
         is_stale=lambda owner, context: False,
         metrics=server.metrics,
-        **(loop_half(server) if link.from_loop else {}),
+        obs=server.obs,
+        **on_loop(server),
     )
     router.link("owner")  # dialled and cached: the loop sends on it
     link.router = router
-    server.set_cluster_hooks(route_ops=router.route, route_start=router.start)
+    server.set_cluster_hooks(route_start=router.start)
     ours, theirs = socket.socketpair()
     conn = _ClientConn(ours, client_id="c1")
     conn.decoder.set_codec("binary")
@@ -129,21 +141,43 @@ def gateway(request, tmp_path):
     theirs.close()
 
 
-def settle(server, link):
-    """Until nothing is left: land the runs the loop sent, and run what
-    was handed to the pool (a drain, a resumed retry loop)."""
-    while link.started or not server.loop.work.empty():
-        if link.started:
+def feed(server, conn, data, link):
+    """The client's bytes arrive: drained on the loop, or — the
+    ``worker`` gateway — by a drain the loop handed to a worker."""
+    if link.on_worker:
+        conn.busy = True  # the drain is the worker's: feed only queues
+        server.feed(conn, data)
+        server.loop.submit(server.drain, conn)
+    else:
+        server.feed(conn, data)
+
+
+def settle(server, link, land=True):
+    """Until nothing is left: run the loop's hand-offs, land the runs
+    the loop sent (unless not ``land``), run what was handed to the pool
+    (a drain, a blocking step), and then the loop's timers, in order, as
+    if each were due."""
+    loop = server.loop
+    while True:
+        if loop._soon:
+            fn, args = loop._soon.popleft()
+        elif land and link.started:
             link.land()
-        else:
-            fn, args = server.loop.work.get_nowait()
+            continue
+        elif not loop.work.empty():
+            fn, args = loop.work.get_nowait()
             link.pool_jobs += 1
-            fn(*args)
+            link.ran.append(fn)
+        elif land and loop._timers:
+            _when, _seq, fn, args = heapq.heappop(loop._timers)
+        else:
+            return
+        fn(*args)
 
 
 def drain(server, conn, theirs, messages, link):
     """Feed ``messages`` as one write, drain it, return the replies."""
-    server.feed(conn, b"".join(encode_frame(m, "binary") for m in messages))
+    feed(server, conn, b"".join(encode_frame(m, "binary") for m in messages), link)
     settle(server, link)
     assert not conn.inbox and not conn.busy
     decoder = StreamDecoder("binary")
@@ -288,9 +322,9 @@ def test_a_mixed_batch_keeps_sub_op_order(gateway):
     assert replies[2]["error"] == ERR_PROTOCOL
     assert shapes(link) == [2, 1, 1, 1]
     assert replies[0]["available"] is True
-    # With its loop half the router sent every run from the loop, and
-    # the loop ran the rest: nothing went to the pool.
-    assert link.pool_jobs == (0 if link.from_loop else 1)
+    # The router sent every run from the loop, and the loop ran the
+    # rest: nothing went to the pool but the worker's own drain.
+    assert link.pool_jobs == (1 if link.on_worker else 0)
 
 
 def test_an_attach_in_flight_when_its_client_leaves_is_finalized(gateway):
@@ -298,29 +332,84 @@ def test_an_attach_in_flight_when_its_client_leaves_is_finalized(gateway):
     crosses (the drop hook finds no attachment yet), then the owner's
     reply lands: the ingress records nothing and finalizes the attach."""
     server, conn, theirs, link = gateway
-    sent, gate, call = threading.Event(), threading.Event(), link.call
-
-    def held(frame, timeout=None):  # a worker's call waits for the reply
-        if ops_of(frame)[0]["op"] == "attach":
-            sent.set()
-            assert gate.wait(5.0)
-        return call(frame, timeout)
-
-    link.call = held
-    server.feed(conn, encode_frame(
-        {"op": "attach", "req": 1, "context": REMOTE}, "binary"))
-    crossing = threading.Thread(target=settle, args=(server, link))
-    if not link.from_loop:
-        crossing.start()  # the worker the loop handed the drain to
-    assert link.started or sent.wait(5.0)  # the fwd is on its way
+    feed(server, conn, encode_frame(
+        {"op": "attach", "req": 1, "context": REMOTE}, "binary"), link)
+    settle(server, link, land=False)
+    assert link.started  # the fwd is on its way
     server._close(conn)  # the client left: the shell tears it down ...
     server._drop_client(conn)  # ... and the pool runs the drop hook
-    gate.set()
-    if link.from_loop:
-        crossing.start()  # the reply lands on the loop
-    crossing.join(5.0)
+    settle(server, link)  # the reply lands on the loop
     assert link.router._ingress_ctx == {} and link.router._pending == {}
     assert [ops_of(f)[0]["op"] for f in link.frames] == ["attach", "finalize"]
+
+
+def test_a_traced_run_stays_on_the_loop_and_records_its_fwd_span(gateway):
+    """A traced op is a run of one like any other: sent from the loop,
+    its reply settled there, its ``fwd`` span recorded as it lands."""
+    server, conn, theirs, link = gateway
+    replies = drain(server, conn, theirs, [msg("open", 1, tc=TC)], link)
+    assert replies[0]["error"] == 0 and replies[0]["available"] is True
+    assert link.frames == [dict(run_of([msg("open", 1, tc=TC)]), tc=TC)]
+    assert link.pool_jobs == (1 if link.on_worker else 0)  # the drain only
+    spans = {span["name"]: span for span in server.obs.trace(TC.split("-")[0])}
+    assert spans["fwd"]["attrs"]["peer"] == "owner" and "op.open" in spans
+
+
+def test_a_torn_link_re_sends_the_run_from_the_loop(gateway):
+    """The link tears after the send: the run is re-sent on a fresh
+    dial, from the loop.  The pool runs the router's blocking steps —
+    the link's teardown, the dial — one job each, never the drain."""
+    server, conn, theirs, link = gateway
+    link.tears = 1
+    burst = [msg("open", 1), msg("release", 2)]
+    replies = drain(server, conn, theirs, burst, link)
+    assert [(r["req"], r["error"]) for r in replies] == [(1, 0), (2, 0)]
+    assert link.frames == [run_of(burst)] * 2
+    drains = [fn for fn in link.ran if fn == server.drain]
+    assert len(drains) == (1 if link.on_worker else 0)  # the worker's own
+    assert len(link.ran) - len(drains) == 2
+
+
+def test_a_hello_runs_its_forwarded_attachs_blocking_steps_itself():
+    """The hello's forwarded attach is the one forward a worker waits
+    for: the waiting worker runs the run's blocking steps (here the
+    dial), so even a pool of one serves it, and the hello's reply line
+    carries the owner's answer."""
+    server = DVServer(workers=1)
+    dials, link = [], OwnerLink()
+
+    def dial(peer_id, on_fwd, on_down):
+        dials.append(threading.current_thread().name)
+        return link
+
+    router = Router(
+        "ingress", resolve=lambda context: ("owner", True), dial=dial,
+        ready_sink=lambda note: None, is_stale=lambda owner, context: False,
+        metrics=server.metrics, **on_loop(server),
+    )
+    # The owner answers on the loop, as a peer link's reply lands there.
+    link.start = lambda frame, timeout, on_reply: (
+        link.frames.append(frame),
+        server.loop.call_soon(on_reply, link.reply(frame)),
+    )
+    server.set_cluster_hooks(route_start=router.start)
+    server.start()
+    try:
+        sock = socket.create_connection(server.address, timeout=5.0)
+        send_message(sock, {
+            "op": "hello", "req": 0, "client_id": "c1", "context": REMOTE,
+            "vers": PROTOCOL_VERSION, "codec": "binary",
+        })
+        reply = MessageReader(sock).read_message()
+        sock.close()
+    finally:
+        server.stop()
+    assert reply["error"] == 0 and reply["codec"] == "binary"
+    assert dials == ["simfs-dv-worker-0"]
+    assert [ops_of(frame) for frame in link.frames] == [
+        [{"op": "attach", "context": REMOTE}]
+    ]
+    assert router._ingress_ctx == {"c1": {REMOTE: "owner"}}
 
 
 def test_a_routed_run_is_observed_once_per_op_name(gateway, monkeypatch):
@@ -411,10 +500,10 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
             "ingress", resolve=lambda context: ("owner", True),
             dial=lambda peer_id, on_fwd, on_down: link,
             ready_sink=lambda note: None, is_stale=lambda owner, context: False,
-            metrics=ingress.metrics, **loop_half(ingress),
+            metrics=ingress.metrics, **on_loop(ingress),
         )
         hop.link("owner")
-        ingress.set_cluster_hooks(route_ops=hop.route, route_start=hop.start)
+        ingress.set_cluster_hooks(route_start=hop.start)
         data = batch(contexts["hot"], 16)
 
         def ingress_step():  # the client's bytes arrive; its replies leave

@@ -14,6 +14,7 @@ Tests of the gateway path make every owner unreachable to the client
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -160,6 +161,47 @@ class TestHotFailover:
             )
             assert nodes[replica].metrics.get(
                 "repl.healing_queue").value == 0
+        finally:
+            if conn is not None:
+                conn.close()
+            stop_all(nodes)
+
+    @pytest.mark.timeout(120)
+    def test_owner_death_replays_a_blocked_waiter_without_a_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """At factor 2 the survivors promote, relaunch and replay the
+        gateway client's wait on their loops and workers: from the kill
+        to the ready, no thread starts anywhere in the cluster."""
+        nodes, context, out, rst = build_ha_cluster(
+            tmp_path, factor=2, alpha_delay=1.5
+        )
+        conn = None
+        try:
+            owner, replica = preference_chain(nodes, "alpha", 2)
+            ingress = next(n for n in NODE_IDS if n not in (owner, replica))
+            host, port = nodes[ingress].address
+            conn = TcpConnection(
+                host, port, {"alpha": out}, {"alpha": rst},
+                client_id="ha-threadless-client", owner_dial=refuse_owner,
+            )
+            conn.attach("alpha")
+            filename = context.filename_of(7)
+            assert not conn.open("alpha", filename).available
+            wait_until(
+                lambda: replica_waiter_count(nodes[replica], "alpha") >= 1,
+                message="waiter never replicated",
+                nodes=nodes.values(),
+            )
+            started = []
+            start = threading.Thread.start
+            monkeypatch.setattr(threading.Thread, "start", lambda thread: (
+                started.append(thread.name), start(thread))[1])
+            nodes[owner].stop(drain_timeout=0)
+            assert wait_ready(conn, "alpha", filename, timeout=60.0)
+            assert nodes[ingress].metrics.get("cluster.replayed_waits").value >= 1
+            assert nodes[replica].metrics.get("repl.promotions").value >= 1
+            assert started == []
         finally:
             if conn is not None:
                 conn.close()
