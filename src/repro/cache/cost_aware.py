@@ -110,7 +110,15 @@ class BCLPolicy(_CostSensitiveLRU):
 class DCLPolicy(_CostSensitiveLRU):
     """Dynamic Cost-sensitive LRU: depreciate only when sparing the LRU is
     proven wrong, i.e. an entry evicted in its place is re-accessed before
-    the LRU itself."""
+    the LRU itself.
+
+    Each spared LRU leaves a *pending charge*: the victim evicted in its
+    place maps to (protected key, victim's cost).  A victim holds at most
+    one charge (a later sparing re-charges it), and a reverse index maps
+    each protected key to its victims, so a hit drops the charges against
+    the accessed key in time proportional to their number, not to every
+    charge pending.
+    """
 
     name = "dcl"
 
@@ -118,24 +126,36 @@ class DCLPolicy(_CostSensitiveLRU):
         super().__init__(capacity_entries)
         # evicted cheap key -> (protected LRU key, cost charged if re-accessed)
         self._pending: dict[int, tuple[int, float]] = {}
+        # protected LRU key -> the victims whose charges name it
+        self._charged: dict[int, set[int]] = {}
 
     def _on_lru_spared(self, lru_key: int, victim_key: int, victim_cost: float) -> None:
+        previous = self._pending.get(victim_key)
+        if previous is not None:
+            self._uncharge(previous[0], victim_key)
         self._pending[victim_key] = (lru_key, victim_cost)
+        self._charged.setdefault(lru_key, set()).add(victim_key)
 
     def _on_resident_access(self, key: int) -> None:
         # The protected LRU was accessed: sparing it paid off; drop the
         # pending depreciations charged against it.
-        self._pending = {
-            victim: (protected, cost)
-            for victim, (protected, cost) in self._pending.items()
-            if protected != key
-        }
+        victims = self._charged.pop(key, None)
+        if victims:
+            for victim in victims:
+                del self._pending[victim]
 
     def _on_miss_access(self, key: int) -> None:
         pending = self._pending.pop(key, None)
         if pending is None:
             return
         protected, cost = pending
+        self._uncharge(protected, key)
         entry = self._order.get(protected)
         if entry is not None:
             entry.dep_cost = max(0.0, entry.dep_cost - cost)
+
+    def _uncharge(self, protected: int, victim: int) -> None:
+        victims = self._charged[protected]
+        victims.discard(victim)
+        if not victims:
+            del self._charged[protected]

@@ -53,8 +53,9 @@ class StorageArea:
         the file here.
     metrics / metrics_prefix:
         Optional metrics registry; when given, the area records
-        ``{prefix}.hits`` / ``.misses`` / ``.evictions`` / ``.overflows``
-        counters and a ``{prefix}.used_bytes`` gauge.
+        ``{prefix}.evictions`` / ``.overflows`` counters and a
+        ``{prefix}.used_bytes`` gauge.  Hits and misses are the caller's
+        to count (see :meth:`access`).
     """
 
     def __init__(
@@ -89,13 +90,10 @@ class StorageArea:
         self.evictions: list[EvictionRecord] = []
         self.overflow_events = 0
         if metrics is not None:
-            self._m_hits = metrics.counter(f"{metrics_prefix}.hits")
-            self._m_misses = metrics.counter(f"{metrics_prefix}.misses")
             self._m_evictions = metrics.counter(f"{metrics_prefix}.evictions")
             self._m_overflows = metrics.counter(f"{metrics_prefix}.overflows")
             self._m_used = metrics.gauge(f"{metrics_prefix}.used_bytes")
         else:
-            self._m_hits = self._m_misses = None
             self._m_evictions = self._m_overflows = self._m_used = None
 
     # ------------------------------------------------------------------ #
@@ -122,14 +120,16 @@ class StorageArea:
     # Access / insert / evict
     # ------------------------------------------------------------------ #
     def access(self, key: int) -> bool:
-        """Record an analysis access; returns True on a hit."""
+        """Record an analysis access; returns True on a hit.
+
+        The area counts no metric here: a caller that serves many accesses
+        at once adds them to its ``hits``/``misses`` counters in one update
+        (a context shard does, once per run, under ``cache.<ctx>.*``)."""
         hit = self.policy.record_access(key)
         if hit and key not in self._sizes:
             raise AssertionError(
                 f"policy/manager residency disagreement on key {key}"
             )
-        if self._m_hits is not None:
-            (self._m_hits if hit else self._m_misses).inc()
         return hit
 
     def insert(

@@ -548,8 +548,18 @@ class DVCore:
             return frames
         # Nothing ran for an unknown context: no turns stamped.
         stamps += [stamps[-1]] * (len(piece) + 1 - len(stamps))
+        # A traced or slow op gets its spans; the rest are observed with
+        # one histogram update per op name.
+        slow = self.obs.slow_threshold
+        untraced: dict[str, list[float]] = {}
         for message, arrival, began, ended in zip(piece, arrived, stamps, stamps[1:]):
-            self._observe_op(message, ended - began, arrival, ended)
+            elapsed = ended - began
+            if elapsed >= slow or message.get("tc") is not None:
+                self._observe_op(message, elapsed, arrival, ended)
+            else:
+                untraced.setdefault(message["op"], []).append(elapsed)
+        for op, values in untraced.items():
+            self._histogram(op).observe_many(values)
         return frames
 
     def execute_run(

@@ -249,12 +249,16 @@ class ContextShard:
             self._m_queued = metrics.gauge(f"{prefix}.queued_jobs")
             self._m_clients = metrics.gauge(f"{prefix}.clients")
             self._m_wait = metrics.histogram(f"{prefix}.estimated_wait")
+            # The storage area's hit/miss series: counted here, per run.
+            self._m_area_hits = metrics.counter(f"cache.{context.name}.hits")
+            self._m_area_misses = metrics.counter(f"cache.{context.name}.misses")
         else:
             self._m_opens = self._m_hits = self._m_misses = None
             self._m_releases = self._m_restarts = self._m_outputs = None
             self._m_killed = self._m_notifications = None
             self._m_running = self._m_queued = self._m_clients = None
             self._m_wait = None
+            self._m_area_hits = self._m_area_misses = None
 
     @property
     def name(self) -> str:
@@ -505,8 +509,10 @@ class ContextShard:
                         self._m_opens.inc(opened)
                         if hits:
                             self._m_hits.inc(hits)
+                            self._m_area_hits.inc(hits)
                         if opened > hits:
                             self._m_misses.inc(opened - hits)
+                            self._m_area_misses.inc(opened - hits)
                     if released:
                         self._m_releases.inc(released)
         return results

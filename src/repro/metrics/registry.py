@@ -133,6 +133,26 @@ class Histogram:
             if self._max is None or value > self._max:
                 self._max = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record each of ``values`` as its own observation — each in its
+        own bucket, with the count, sum, min and max that one
+        :meth:`observe` per value leaves — under one lock acquisition."""
+        if not values:
+            return
+        bounds, counts = self.bounds, self._bucket_counts
+        lo, hi = min(values), max(values)
+        with self._lock:
+            total = self._sum  # added in order: the sum observe() leaves
+            for value in values:
+                counts[bisect_right(bounds, value)] += 1
+                total += value
+            self._sum = total
+            self._count += len(values)
+            if self._min is None or lo < self._min:
+                self._min = lo
+            if self._max is None or hi > self._max:
+                self._max = hi
+
     @property
     def count(self) -> int:
         with self._lock:

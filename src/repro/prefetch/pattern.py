@@ -40,6 +40,11 @@ class PatternState(NamedTuple):
     just_reset: bool            #: this access broke a previous pattern
 
 
+#: What every access that breaks a pattern leaves: the detector is reset,
+#: so nothing is known but that it was.
+_JUST_RESET = PatternState(False, None, None, None, True)
+
+
 class PatternDetector:
     """Stride/direction detector with τ_cli measurement.
 
@@ -102,7 +107,6 @@ class PatternDetector:
             raise InvalidArgumentError(
                 f"time went backwards: {now} < {self._last_time}"
             )
-        just_reset = False
         if self._last_key is None:
             delta = None
         else:
@@ -110,7 +114,7 @@ class PatternDetector:
         if delta == 0:
             # Same file re-read; does not advance or break the pattern.
             self._last_time = now
-            return self._snapshot(just_reset=False)
+            return self._snapshot()
 
         self._state_cache = None  # every path below may change the state
         if delta is not None:
@@ -120,14 +124,12 @@ class PatternDetector:
             elif self._last_delta is not None:
                 # Direction/stride change: full reset, keep this access as
                 # the new starting point.
-                just_reset = True
                 self._confirmed = False
                 self._tau.reset()
-                delta_kept = None
-                self._last_delta = delta_kept
+                self._last_delta = None
                 self._last_key = key
                 self._last_time = now
-                return self._snapshot(just_reset=True)
+                return _JUST_RESET
             if processing_time is not None:
                 self._tau.observe(max(processing_time, 0.0))
             elif self._last_time is not None:
@@ -135,7 +137,7 @@ class PatternDetector:
             self._last_delta = delta
         self._last_key = key
         self._last_time = now
-        return self._snapshot(just_reset=just_reset)
+        return self._snapshot()
 
     def reset(self) -> None:
         """Forget everything (analysis terminated or agent reset)."""
@@ -147,13 +149,11 @@ class PatternDetector:
         self._state_cache = None
 
     # ------------------------------------------------------------------ #
-    def _snapshot(self, just_reset: bool) -> PatternState:
-        if not just_reset and self._state_cache is not None:
-            return self._state_cache
-        state = PatternState(
-            self._confirmed, self.direction, self.stride, self.tau_cli,
-            just_reset,
-        )
-        if not just_reset:
-            self._state_cache = state
+    def _snapshot(self) -> PatternState:
+        state = self._state_cache
+        if state is None:
+            state = self._state_cache = PatternState(
+                self._confirmed, self.direction, self.stride, self.tau_cli,
+                False,
+            )
         return state

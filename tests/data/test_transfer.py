@@ -522,6 +522,65 @@ class TestOnePass:
         assert not os.path.exists(dest)
         assert not os.path.exists(dest + ".part")
 
+    def test_a_fetch_over_an_existing_dest_never_shows_it_missing_or_partial(
+        self, served_context, monkeypatch
+    ):
+        """``dest`` is published whole: a reader polling it — a thread,
+        and a look before and after every rename and unlink the fetch
+        makes — sees the old bytes or the new ones, never no file or a
+        prefix.  A fetch failing its checksum leaves the old ``dest``."""
+        server, outdir, files, tmp_path = served_context
+        dest = str(tmp_path / "published.sdf")
+        old, new = b"old version " * 4096, files["big.sdf"]
+        with open(dest, "wb") as fh:
+            fh.write(old)
+        seen = []
+
+        def look():
+            try:
+                with open(dest, "rb") as fh:
+                    body = fh.read()
+            except FileNotFoundError:
+                body = None
+            if body not in (old, new):
+                seen.append("missing" if body is None else len(body))
+
+        for name in ("replace", "rename", "unlink", "remove"):
+            call = getattr(os, name)
+
+            def probed(*args, _call=call, **kwargs):
+                look()
+                try:
+                    return _call(*args, **kwargs)
+                finally:
+                    look()
+
+            monkeypatch.setattr(os, name, probed)
+        stop = threading.Event()
+
+        def poll():
+            while not stop.is_set():
+                look()
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        try:
+            with DataClient(server.host, server.port) as client:
+                for _ in range(2):  # over the old version, then over itself
+                    client.fetch("ctx", "big.sdf", dest, resume=False)
+                with open(dest + ".old", "wb") as fh:  # the old one back
+                    fh.write(old)
+                os.replace(dest + ".old", dest)
+                with pytest.raises(TransferChecksumError):
+                    client.fetch("ctx", "big.sdf", dest, resume=False,
+                                 expected_checksum="0" * 64)
+        finally:
+            stop.set()
+            poller.join()
+        assert seen == []
+        assert open(dest, "rb").read() == old
+        assert not os.path.exists(dest + ".part")
+
     def test_a_resume_over_a_prefix_corrupted_on_disk_is_caught(
         self, served_context
     ):

@@ -438,14 +438,14 @@ def test_a_routed_run_is_observed_once_per_op_name(gateway, monkeypatch):
 # --------------------------------------------------------------------- #
 #: Python-level calls per forwarded op of a shuffled 32-op run (what
 #: ``gateway_open`` sends), budgets set ≈ 20 % above the readings of the
-#: forwarding alone: 2.8 at the ingress, 17.4 at the owner.  The owner's
+#: forwarding alone: 2.8 at the ingress, 15.0 at the owner.  The owner's
 #: calls are the shard's own (the direct path makes them too) plus packing
 #: the reply frames.  The ingress is measured over its whole path on the
 #: event loop — ``feed``, the run sent from the loop, its reply settled
 #: there and the drain resumed — and reads 2.4 (3.3 when a worker drained
 #: the run and observed each op on its own; budget 3.4 then).
 INGRESS_CALL_BUDGET = 2.9
-OWNER_CALL_BUDGET = 21.0
+OWNER_CALL_BUDGET = 18.0
 
 
 class CannedLink:

@@ -85,6 +85,22 @@ class TestHistogram:
         assert once.pop("sum") == pytest.approx(each.pop("sum"), rel=1e-12)
         assert once == each  # count, buckets, min, max and percentiles
 
+    def test_many_observations_at_once_are_each_observed(self):
+        """What a local run's per-op service times are recorded with: one
+        update per op name, each value in its own bucket, leaving the
+        very snapshot — sum included, to the bit — that one observe per
+        value leaves."""
+        registry = MetricsRegistry()
+        one_by_one = registry.histogram("each", buckets=[1e-4, 1e-3, 1e-2])
+        at_once = registry.histogram("many", buckets=[1e-4, 1e-3, 1e-2])
+        batches = ([3.3e-4, 7e-6, 0.25, 1e-3, 1e-3], [], [0.1 + 0.2, 5e-5])
+        for values in batches:
+            for value in values:
+                one_by_one.observe(value)
+            at_once.observe_many(values)
+        assert at_once.snapshot() == one_by_one.snapshot()
+        assert at_once.count == 7
+
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
