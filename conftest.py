@@ -22,8 +22,8 @@ from hypothesis import settings
 #: How many times its own examples a test runs under ``nightly``.
 NIGHTLY_EFFORT = 50
 
-settings.register_profile("ci", derandomize=True, deadline=None)
-settings.register_profile("nightly", deadline=None)
+settings.register_profile("ci", derandomize=True)
+settings.register_profile("nightly")
 PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "ci")
 settings.load_profile(PROFILE)
 
@@ -43,6 +43,9 @@ def pytest_collection_modifyitems(config, items):
     scaled = set()  # a parametrized test's items share one function
     for item in items:
         test = getattr(item, "obj", None)
+        # A test in a class is a bound method, which takes no attributes:
+        # its settings live on the function underneath.
+        test = getattr(test, "__func__", test)
         if getattr(test, "is_hypothesis_test", False) and id(test) not in scaled:
             scaled.add(id(test))
             # A test's own @settings outrank any profile: rescale them.
