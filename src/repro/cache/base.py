@@ -60,7 +60,10 @@ class ReplacementPolicy(abc.ABC):
     ``victim(is_evictable)``
         Choose a resident entry to evict among those for which
         ``is_evictable(key)`` is True (i.e. reference counter zero), or
-        return ``None`` if no entry may be evicted.
+        return ``None`` if no entry may be evicted.  ``is_evictable`` is
+        pure — it reads state and changes none — so a policy may call it
+        on any subset of the entries, in any order, any number of times:
+        only on the entries its choice depends on.
 
     Two optional events let policies track pinning themselves instead of
     rediscovering it through ``is_evictable`` scans:

@@ -68,9 +68,9 @@ class _CostSensitiveLRU(ReplacementPolicy):
             return None
         lru_cost = self._order[lru_key].dep_cost
         for key, entry in self._order.items():
-            if key == lru_key or not is_evictable(key):
-                continue
-            if entry.dep_cost < lru_cost:
+            # The cheap float first: ``is_evictable`` is asked only of an
+            # entry that would be the victim if it may be evicted.
+            if entry.dep_cost < lru_cost and key != lru_key and is_evictable(key):
                 # Spare the LRU; evict the least-recent cheaper entry.
                 self._on_lru_spared(lru_key, key, entry.dep_cost)
                 return key

@@ -7,8 +7,10 @@ forwarding is a *run*: one client's consecutive ops for one context —
 usually a single op, as many as ``FWD_RUN_MAX`` from a pipelined client —
 which the ingress ships to the context's owner in one ``fwd`` frame and
 gets answered in one ``fwd_reply``: a run, a run of one included, crosses
-as the client frames it arrived as and comes back as the reply frames
-the client reads.  Every forwarded run is one continuation on the
+as the client frames it arrived as (:class:`~repro.dv.protocol.RoutedRun`)
+and comes back as the reply frames the client reads, both passed on
+unchanged unless a slot must change; a slot is decoded only when it must
+be read.  Every forwarded run is one continuation on the
 node's event loop, from its first send to its last retry
 (:meth:`Router.forward`): it is sent from the I/O thread, its reply is
 settled there, and its retries wait as the loop's timers.  Only a step
@@ -43,8 +45,10 @@ from repro.dv.coordinator import Notification
 from repro.dv.protocol import (
     MARK_MISS,
     OP_FWD_REPLY,
+    RoutedRun,
     make_fwd,
     pack_run,
+    split_frames,
     unpack_run,
     unpack_run_reply,
     unwrap_fwd,
@@ -70,6 +74,12 @@ def _attached(payload: dict) -> bool:
 _PLAIN = {"error": 0, "available": True}
 _MISS = {"error": 0, "available": False}
 
+
+def _own(op: str, context: str, **fields) -> RoutedRun:
+    """A run of one op the router itself forwards."""
+    return RoutedRun.of([{"op": op, "context": context, **fields}])
+
+
 #: Why :meth:`Router._retry` sends a slot again.
 _LAGGING, _DETACHED = "lagging", "detached"
 
@@ -78,22 +88,15 @@ _LAGGING, _DETACHED = "lagging", "detached"
 _WORK, _AT, _SEND = "work", "at", "send"
 
 
-def _notes(frames: list[bytes], marks: dict[int, int]) -> dict[int, dict]:
-    """Per marked slot what its reply says: a miss, or its decoded body."""
-    return {
-        slot: _MISS if mark == MARK_MISS else reply_payloads(frames[slot])[0]
-        for slot, mark in marks.items()
-    }
-
-
 def _ignore(_result) -> None:
     """What waits on a best-effort continuation (a finalize, a replay)."""
 
 
-def _answer(settled: list) -> tuple[dict, str | None]:
+def _answer(answer: tuple) -> tuple[dict, str | None]:
     """A forwarded op's reply payload and the owner that served it."""
-    frame, note, owner = settled[0]
-    return (note if note is not None else reply_payloads(frame)[0]), owner
+    data, notes, owners = answer
+    note = notes.get(0)
+    return (note if note is not None else reply_payloads(data)[0]), owners[0]
 
 
 def _unreachable(owner: str, context, what: str) -> dict:
@@ -137,8 +140,11 @@ class Router:
     None when it cannot be had at once, or when resolving may activate
     the context here (then ``resolve`` runs on a worker).
     ``dial(peer_id, on_fwd=, on_down=)`` opens a ``PeerLink``;
-    ``execute_local(proxy, messages)`` runs a client's ops here, in order,
-    and returns their reply frames (``DVServer.serve_ops``);
+    ``execute_local(proxy, messages, first)`` runs a client's ops here,
+    in order, keeping ``proxy.contexts`` as its ``attach``/``finalize``
+    ops leave them, and returns their reply frames
+    (``DVServer.serve_ops``; ``first`` is what the daemon already made of
+    the run, or None);
     ``send(conn, frame)`` writes to a peer's connection.
     ``on_unreachable`` / ``on_timeout`` tell membership about a dead /
     slow peer, ``is_stale(owner, context)`` says when state recorded
@@ -263,7 +269,7 @@ class Router:
     # ------------------------------------------------------------------ #
     # Ingress side (this process holds the client's connection)
     # ------------------------------------------------------------------ #
-    def start(self, conn, messages: list[dict], resume, submit=None) -> None:
+    def start(self, conn, run: RoutedRun, resume, submit=None) -> None:
         """DVServer ``route_start`` hook, on the I/O thread: forward one
         client's consecutive ops for a context not registered locally (a
         run — usually of one) and ``resume(data)`` on the I/O thread with
@@ -271,53 +277,59 @@ class Router:
         ``submit`` takes the run's blocking steps instead of the pool:
         a worker that waits for ``resume`` runs them itself, so waiting
         workers cannot starve the pool of the steps they wait on."""
-        def done(settled) -> None:
+        def done(answer) -> None:
             data = None
-            if settled is not None:
+            if answer is not None:
                 try:
-                    attached = self.track(conn.client_id, messages, settled, conn)
+                    attached = self.track(conn.client_id, run, answer, conn)
                     for context in attached:
                         # The client left while its attach crossed: nobody
                         # else finalizes what it left behind at the owner.
                         self._finalize(conn.client_id, context)
-                    data = self._replies(conn, messages, settled)
+                    data = self._replies(conn, run, answer[0])
                 except Exception:
                     pass  # a bug: the connection goes, not the loop or the link
             resume(data)
 
-        self.forward(conn.client_id, messages, done, submit)
+        self.forward(conn.client_id, run, done, submit)
 
     def _finalize(self, client_id: str, context: str) -> None:
         """Best effort: the owner's own drop hook backs it up."""
-        self.forward(client_id, [{"op": "finalize", "context": context}], _ignore)
+        self.forward(client_id, _own("finalize", context), _ignore)
 
-    def _replies(self, conn, messages, settled) -> bytes:
-        """The reply frames a run's settled slots make for the client."""
-        trace = getattr(conn, "trace", False)
-        frames = []
-        for message, (frame, note, _owner) in zip(messages, settled):
-            tc = message.get("tc") if trace else None
-            if frame is None or tc is not None:
-                # Failed here; or traced for a client that negotiated
-                # tracing, whose reply carries the request's tc — the
-                # owner cannot know that, so the frame is made here.
-                frame = reply_frame(
-                    message, note if frame is None else reply_payloads(frame)[0], tc
+    @staticmethod
+    def _replies(conn, run: RoutedRun, data: bytes) -> bytes:
+        """The reply frames the client reads: the run's, unchanged,
+        unless a slot is traced for a client that negotiated tracing —
+        its reply carries the request's tc, which the owner cannot know,
+        so that frame is made here."""
+        if run.messages is None or not getattr(conn, "trace", False):
+            return data
+        frames = None
+        for slot, message in enumerate(run.messages):
+            tc = message.get("tc")
+            if tc is not None:
+                frames = frames or split_frames(data)
+                frames[slot] = reply_frame(
+                    message, reply_payloads(frames[slot])[0], tc
                 )
-            frames.append(frame)
-        return b"".join(frames)
+        return data if frames is None else b"".join(frames)
 
-    def forward(self, client_id: str, messages: list[dict], done, submit=None) -> None:
+    def forward(self, client_id: str, run: RoutedRun, done, submit=None) -> None:
         """On the I/O thread: route a run (:meth:`_forwarding`) and
-        ``done(settled)`` once, on the I/O thread, with its answer — None
+        ``done(answer)`` once, on the I/O thread, with its answer — None
         when a bug ended it; a SimFS error fails every slot with it."""
-        def finished(settled) -> None:
-            if isinstance(settled, SimFSError):
-                error = {"error": int(settled.code), "detail": str(settled)}
-                settled = [(None, error, None)] * len(messages)
-            done(None if isinstance(settled, Exception) else settled)
+        def finished(answer) -> None:
+            if isinstance(answer, SimFSError):
+                error = {"error": int(answer.code), "detail": str(answer)}
+                slots = range(run.count)
+                answer = (
+                    b"".join(reply_frame(run.message(slot), error) for slot in slots),
+                    {slot: dict(error) for slot in slots}, [None] * run.count,
+                )
+            done(None if isinstance(answer, Exception) else answer)
 
-        self._drive(self._forwarding(client_id, messages), finished, submit or self._submit)
+        self._drive(self._forwarding(client_id, run), finished, submit or self._submit)
 
     def _drive(self, gen, done, submit, value=None, error=None) -> None:
         """Resume the continuation ``gen`` — a forward, a replay — on the
@@ -361,29 +373,32 @@ class Router:
             value, error = None, exc
         self._loop.call_soon(self._drive, gen, done, submit, value, error)
 
-    def _forwarding(self, client_id: str, messages: list[dict]):
+    def _forwarding(self, client_id: str, run: RoutedRun):
         """Route a run to the context's current owner, riding out owner
         death, a dial back-off window, activation lag on a new owner and
         a lost attachment inside one ``rpc_timeout`` deadline: a
         continuation for :meth:`_drive`.  The unsettled slots cross the
         hop together, in order, as one frame; each settles on its own
         answer and only the rest are re-sent.
-        Returns one ``(frame, note, owner)`` per slot: the reply frame the
-        client reads (None when the slot failed here: then ``note`` is the
-        payload), what the reply says when it is not a plain success (else
-        None), and the peer that actually served it — what :meth:`track`
-        must record, not a re-derived lookup: the ring may already have
-        moved on, and a wait recorded against the wrong, still-live owner
-        would never be replayed."""
-        context = messages[0].get("context")
+        Returns ``(data, notes, owners)``: the reply frames the client
+        reads, joined — the owner's, unchanged, when one round trip
+        answered every slot — then per slot that is not a plain success
+        what its reply says, and per slot the peer that actually served
+        it — what :meth:`track` must record, not a re-derived lookup:
+        the ring may already have moved on, and a wait recorded against
+        the wrong, still-live owner would never be replayed."""
+        context = run.context
         deadline = self._loop.time() + self.rpc_timeout
-        settled: list = [None] * len(messages)
-        todo = list(range(len(messages)))  # unsettled slots, in order
-        width = len(messages)  # slots per frame: all, or one past the limit
+        count = run.count
+        replies: list = [None] * count  # per slot, once a reply is cut up
+        notes: dict[int, dict] = {}
+        owners: list = [None] * count
+        todo = list(range(count))  # unsettled slots, in order
+        width = count  # slots per frame: all, or one past the limit
 
         def settle(slots, payload, owner):
             for slot in slots:
-                settled[slot] = (None, dict(payload), owner)
+                replies[slot], notes[slot], owners[slot] = None, dict(payload), owner
 
         while todo:
             sent = todo[:width]
@@ -397,14 +412,13 @@ class Router:
                 break
             if owner == self.self_id:
                 frames = yield _WORK, self.run_local, client_id, [
-                    messages[slot] for slot in todo
+                    run.message(slot) for slot in todo
                 ]
                 for slot, frame in zip(todo, frames):
-                    settled[slot] = (frame, reply_payloads(frame)[0], owner)
+                    replies[slot], owners[slot] = frame, owner
+                    notes[slot] = reply_payloads(frame)[0]
                 break
-            outcome = yield from self._round_trip(
-                owner, client_id, [messages[slot] for slot in sent]
-            )
+            outcome = yield from self._round_trip(owner, client_id, run, sent)
             if isinstance(outcome, PeerTimeout):
                 # Slow, not dead: exiling a stalled owner (workers parked
                 # on PFS I/O) would activate its contexts elsewhere while
@@ -436,24 +450,30 @@ class Router:
                 if len(sent) > 1:
                     width = 1
                     continue
-                outcome = [None], {0: {"error": int(outcome.code), "detail": str(outcome)}}
-            frames, notes = outcome
+                outcome = None, {0: {"error": int(outcome.code), "detail": str(outcome)}}
+            data, answered = outcome
             # Every slot takes its answer; the ones an error says to
             # retry stay in the run and are overwritten by the next one.
-            for slot, frame in zip(sent, frames):
-                settled[slot] = (frame, None, owner)
+            for slot in sent:
+                owners[slot] = owner
+                notes.pop(slot, None)
             lagging: list[int] = []
             detached: list[int] = []
-            for idx, note in notes.items():
+            for idx, note in answered.items():
                 slot = sent[idx]
-                settled[slot] = (frames[idx], note, owner)
+                notes[slot] = note
                 if self._loop.time() >= deadline:
                     continue
-                why = self._retry(client_id, messages[slot], note, serves)
+                why = self._retry(client_id, run, slot, note, serves)
                 if why is _LAGGING:
                     lagging.append(slot)
                 elif why is _DETACHED:
                     detached.append(slot)
+            if data is not None and len(sent) == count and not (lagging or detached):
+                return data, notes, owners  # the owner's frames, as they are
+            frames = [None] * len(sent) if data is None else split_frames(data)
+            for slot, frame in zip(sent, frames):
+                replies[slot] = frame
             if lagging:
                 # The owner has not activated the context yet (its view
                 # of the change lags ours) — give it a beat.
@@ -463,19 +483,25 @@ class Router:
             # Else the context moved before a replay re-registered this
             # client with the new owner; it is attached now.
             todo = sorted(lagging + detached) + todo[len(sent):]
-        return settled
+        # Any slot still without a frame failed here: its reply is made
+        # by the same reply_frame the owner uses.
+        return b"".join(
+            reply_frame(run.message(slot), notes[slot]) if frame is None else frame
+            for slot, frame in enumerate(replies)
+        ), notes, owners
 
-    def _round_trip(self, owner: str, client_id: str, messages: list[dict]):
-        """One ``fwd`` carrying ``messages`` as a packed run, on the cached
-        link or one dialed on a worker: the unpacked answer, or the
-        exception it came to.  A traced run's ``fwd`` span is recorded as
-        the reply lands."""
+    def _round_trip(self, owner: str, client_id: str, run: RoutedRun, sent: list[int]):
+        """One ``fwd`` carrying the ``sent`` slots of ``run``, on the
+        cached link or one dialed on a worker: the reply frames, joined
+        (None where the owner refused the run whole), and what the
+        not-plain ones say by position — or the exception it came to.  A
+        traced run's ``fwd`` span is recorded as the reply lands."""
         with self._links_lock:
             link = self._links.get(owner)
         try:
             if link is None or link.closed:
                 link = yield _WORK, self.link, owner
-            frame = self._pack(client_id, messages)
+            frame = self._pack(client_id, run, sent)
         except (DVConnectionLost, OSError, ProtocolError) as exc:
             return exc
         traced = "tc" in frame and self._obs is not None
@@ -484,13 +510,14 @@ class Router:
         if isinstance(reply, Exception):
             return reply
         if traced:
+            head = run.messages[sent[0]]
             self._obs.record(
-                "fwd", frame["tc"], began, self._obs.now(), op=messages[0]["op"],
-                context=messages[0].get("context"), peer=owner,
+                "fwd", frame["tc"], began, self._obs.now(), op=head["op"],
+                context=run.context, peer=owner,
             )
-        return self._unpack(reply, len(messages))
+        return self._unpack(reply, len(sent))
 
-    def _retry(self, client_id: str, message: dict, note: dict, serves: bool):
+    def _retry(self, client_id: str, run: RoutedRun, slot: int, note: dict, serves: bool):
         """Why a slot answered with ``note`` is sent again before the
         deadline: the owner lags the ring (an unknown context the catalog
         says it serves) or lost the client's attachment — else None."""
@@ -502,62 +529,87 @@ class Router:
         if (
             error == int(ErrorCode.ERR_INVALID)
             and DETAIL_NOT_ATTACHED in note.get("detail", "")
-            and message.get("op") not in ("attach", "finalize")
-            and message.get("context") in self._ingress_ctx.get(client_id, ())
+            and run.context in self._ingress_ctx.get(client_id, ())
+            and run.message(slot).get("op") not in ("attach", "finalize")
         ):
             return _DETACHED
         return None
 
-    def _pack(self, client_id: str, messages: list[dict]) -> dict:
-        """The ``fwd`` frame carrying ``messages`` as a packed run."""
-        self._m_fwd_sent.inc(len(messages))
+    def _pack(self, client_id: str, run: RoutedRun, sent: list[int]) -> dict:
+        """The ``fwd`` frame carrying the ``sent`` slots of ``run``: the
+        client's frames, all of them as they came or the ones re-sent."""
+        self._m_fwd_sent.inc(len(sent))
         self._m_fwd_frames.inc()
-        frame = pack_run(self.self_id, client_id, messages)
-        tc = messages[0].get("tc")  # a traced op travels alone
-        if parse_wire(tc) is not None:  # a malformed tc degrades to untraced
-            # Hoisted onto the fwd frame itself, so the owner's dispatch
-            # records an ``op.fwd`` span without unpacking the run.
-            frame["tc"] = tc
+        if len(sent) == run.count:
+            data = run.data
+        else:
+            frames = run.frames()
+            data = b"".join(frames[slot] for slot in sent)
+        frame = pack_run(self.self_id, client_id, data, len(sent))
+        if run.messages is not None:
+            tc = run.messages[sent[0]].get("tc")  # a traced op travels alone
+            if parse_wire(tc) is not None:  # a malformed tc degrades to untraced
+                # Hoisted onto the fwd frame itself, so the owner's dispatch
+                # records an ``op.fwd`` span without unpacking the run.
+                frame["tc"] = tc
         return frame
 
     @staticmethod
-    def _unpack(reply: dict, count: int) -> tuple[list, dict[int, dict]]:
-        """A ``fwd_reply`` to a run of ``count``: its reply frames (None
-        where the owner refused the run whole) and, by position, what the
-        not-plain replies say."""
+    def _unpack(reply: dict, count: int) -> tuple[bytes | None, dict[int, dict]]:
+        """A ``fwd_reply`` to a run of ``count``: its reply frames, joined
+        (None where the owner refused the run whole), and, by position,
+        what the not-plain replies say: a miss, or the decoded body."""
         try:
-            frames, marks = unpack_run_reply(reply, count)
-            return frames, _notes(frames, marks)
+            data, marks = unpack_run_reply(reply, count)
         except ProtocolError:
             # The owner refused the run as a whole (or sent nonsense):
             # every slot fails the same way.
-            return [None] * count, {slot: {
+            return None, {slot: {
                 "error": reply.get("error") or int(ErrorCode.ERR_PROTOCOL),
                 "detail": reply.get("detail", "malformed fwd_reply"),
             } for slot in range(count)}
+        return data, {
+            slot: _MISS if mark == MARK_MISS else reply_payloads(frame)[0]
+            for slot, (mark, frame) in marks.items()
+        }
 
     def track(
-        self, client_id: str, messages: list[dict], settled: list, conn=None
+        self, client_id: str, run: RoutedRun, answer: tuple, conn=None
     ) -> list[str]:
         """Record ingress bookkeeping, per slot of :meth:`forward`'s
-        answer, against the owner that served it.  When ``conn``, the
-        client's connection, is closing — its drop hook may have run
-        while the run crossed — no attachment or wait is recorded: the
-        contexts it attached are returned, for the caller to finalize."""
+        answer, against the owner that served it.  A slot of the client's
+        frames is decoded only when it may be recorded: a marked one (a
+        miss), or any while waits are pending and the run holds
+        releases; a run of plain opens and releases reads nothing.
+        When ``conn``, the client's connection, is closing — its drop
+        hook may have run while the run crossed — no attachment or wait
+        is recorded: the contexts it attached are returned, for the
+        caller to finalize."""
+        _data, notes, owners = answer
         attached: list[str] = []
+        context = run.context
+        if not isinstance(context, str):
+            return attached
         with self._lock:
+            if run.messages is not None or self._pending and run.opens < run.count:
+                slots = range(run.count)
+            elif notes:
+                slots = notes
+            else:
+                return attached  # plain opens and releases: nothing to record
             gone = getattr(conn, "closing", False)
-            for inner, (_frame, payload, owner) in zip(messages, settled):
+            for slot in slots:
+                payload, owner = notes.get(slot), owners[slot]
+                inner = run.message(slot)
                 op = inner.get("op")
                 if payload is None:
                     if op in ("open", "wclose") or not self._pending and op == "release":
                         continue  # a plain success that leaves nothing behind
                     payload = _PLAIN
-                context = inner.get("context")
                 # "Already attached" is attached: the owner still holds,
                 # or restored, the client's attachment.
                 failed = payload.get("error") and not (op == "attach" and _attached(payload))
-                if failed or not isinstance(context, str) or owner is None:
+                if failed or owner is None:
                     continue
                 if op == "attach":
                     if gone:
@@ -581,7 +633,7 @@ class Router:
         """Register a client with the context's current owner (a
         continuation): did it take?"""
         payload, owner = _answer((yield from self._forwarding(
-            client_id, [{"op": "attach", "context": context}]
+            client_id, _own("attach", context)
         )))
         ok = _attached(payload)
         if ok and owner is not None:
@@ -634,7 +686,7 @@ class Router:
                     self._ready_sink(Notification(client_id, context, filename, ok=False))
                     continue
             payload, owner = _answer((yield from self._forwarding(
-                client_id, [{"op": "open", "context": context, "file": filename}]
+                client_id, _own("open", context, file=filename)
             )))
             self._m_replayed.inc()
             if payload.get("error") or payload.get("available"):
@@ -685,9 +737,9 @@ class Router:
                 return None
             return {"op": OP_FWD_REPLY, "error": int(exc.code), "detail": str(exc)}
         self._m_fwd_recv.inc(len(messages))
-        return {"op": OP_FWD_REPLY, "run": b"".join(
-            self.run_local(client_id, messages, conn, origin)
-        )}
+        return {"op": OP_FWD_REPLY, "run": b"".join(self.run_local(
+            client_id, messages, conn, origin, message.get("_split")
+        ))}
 
     def on_link_fwd(self, message: dict) -> None:
         """PeerLink callback: an unsolicited ``fwd`` over one of our
@@ -698,12 +750,13 @@ class Router:
 
     def run_local(
         self, client_id: str, messages: list[dict], conn=None,
-        origin: str | None = None,
+        origin: str | None = None, first=None,
     ) -> list[bytes]:
         """Run ops here, in order, on behalf of a client that has no local
         connection object (forwarded in, replayed, or self-owned): the
         proxy is registered once and the ops go to ``execute_local`` in
-        one call.  Returns their reply frames."""
+        one call, with ``first``, what the daemon already made of them.
+        Returns their reply frames."""
         with self._lock:
             proxy = self._proxies.get(client_id)
             if proxy is None:
@@ -711,19 +764,11 @@ class Router:
             if conn is not None:
                 proxy.origin, proxy.conn = origin, conn
             proxy.inflight += 1
-        frames: list[bytes] = []
         try:
-            frames = self._execute_local(proxy, messages)
+            return self._execute_local(proxy, messages, first)
         finally:
             with self._lock:
                 proxy.inflight -= 1
-                for inner, frame in zip(messages, frames):
-                    if inner["op"] in ("attach", "finalize"):
-                        payload = reply_payloads(frame)[0]
-                        if inner["op"] == "attach" and _attached(payload):
-                            proxy.contexts.add(inner.get("context"))
-                        elif inner["op"] == "finalize" and not payload["error"]:
-                            proxy.contexts.discard(inner.get("context"))
                 # Whatever the ops were (a rejected attach, an unknown
                 # context), a proxy left without attachments is garbage
                 # nothing else would reap: client ids are per connection.
@@ -733,7 +778,6 @@ class Router:
                     and self._proxies.get(client_id) is proxy
                 ):
                     del self._proxies[client_id]
-        return frames
 
     def restore_proxies(
         self, context: str, clients: Iterable[str], waiters: Iterable

@@ -52,6 +52,7 @@ from repro.dv.protocol import (
     FWD_RUN_MAX,
     OP_FWD,
     PROTOCOL_VERSION,
+    RoutedRun,
     StreamDecoder,
     decode_frames,
     encode_binary,
@@ -140,6 +141,10 @@ class _ClientConn:
     #: Tracing negotiated on hello: traced packed binary frames (and
     #: ``tc`` fields on replies/notifications) may be sent to this peer.
     trace: bool = False
+    #: The gateway forwarded this connection's hello or one of its runs:
+    #: its decoder cuts routed runs as frames (``StreamDecoder.drain``'s
+    #: ``route``).  A connection that never routes never pays for that.
+    routing: bool = False
     contexts: set[str] = field(default_factory=set)
     lock: threading.Lock = field(default_factory=threading.Lock)
     decoder: StreamDecoder = field(default_factory=StreamDecoder)
@@ -315,18 +320,25 @@ class DVCore:
         self._m_bytes_recv.inc(len(data))
         conn.decoder.feed(data)
         try:
-            messages = conn.decoder.drain(checked)
+            messages = conn.decoder.drain(
+                checked, self._forwards if conn.routing else None
+            )
         except ProtocolError:
             self._close(conn)  # the framing is lost
             return
         if not messages:
             return
+        frames = len(messages)
         for message in messages:
             if "tc" in message:
                 # Traced: stamp the arrival, so the wait before its
                 # execution becomes a span (untraced messages pay nothing).
                 message["_obs_t0"] = time.time()
-        self._m_frames_recv.inc(len(messages))
+        if conn.routing:
+            frames += sum(
+                item.count - 1 for item in messages if type(item) is RoutedRun
+            )
+        self._m_frames_recv.inc(frames)
         with conn.lock:
             conn.inbox.extend(messages)
             idle = not conn.busy
@@ -410,33 +422,40 @@ class DVCore:
             self._handoff(conn)
 
     def _park(self, conn: _ClientConn, count: int, on_loop: bool) -> None:
-        """Hand the routed run at the head of ``conn``'s inbox to the
-        route hook on the I/O thread (from a worker, with ``call_soon``).
-        The drain stays parked, ``busy`` set, so nothing fed meanwhile
-        overtakes the run; once it is answered the drain resumes on the
-        loop (:meth:`_resume`)."""
-        piece = [conn.inbox.popleft() for _ in range(count)]
-        arrived = [message.pop("_obs_t0", None) for message in piece]
+        """Hand the routed run at the head of ``conn``'s inbox — a
+        :class:`RoutedRun` the decoder cut, or ``count`` messages, which
+        become one here — to the route hook on the I/O thread (from a
+        worker, with ``call_soon``).  From now on the connection's
+        decoder cuts its routed runs.  The drain stays parked, ``busy``
+        set, so nothing fed meanwhile overtakes the run; once it is
+        answered the drain resumes on the loop (:meth:`_resume`)."""
+        conn.routing = True
+        run = conn.inbox.popleft()
+        arrived = None
+        if type(run) is not RoutedRun:
+            piece = [run] + [conn.inbox.popleft() for _ in range(count - 1)]
+            arrived = [message.pop("_obs_t0", None) for message in piece]
+            run = RoutedRun.of(piece)
         began = time.perf_counter()
 
         def resume(data: bytes | None) -> None:
-            self._resume(conn, piece, arrived, began, data)
+            self._resume(conn, run, arrived, began, data)
 
         if on_loop:
-            self._route_start(conn, piece, resume)
+            self._route_start(conn, run, resume)
         else:
-            self.loop.call_soon(self._route_start, conn, piece, resume)
+            self.loop.call_soon(self._route_start, conn, run, resume)
 
     def _resume(
-        self, conn: _ClientConn, piece: list[dict], arrived: list,
+        self, conn: _ClientConn, run: RoutedRun, arrived: list | None,
         began: float, data: bytes | None,
     ) -> None:
         """A parked run is answered: observe it, and drain on from its
         replies (``None``: the route hook failed, the connection goes)."""
-        self._observe_shared(piece, arrived, began, time.perf_counter())
+        self._observe_shared(run, arrived, began, time.perf_counter())
         if data is None:
             self._close(conn)
-        self.drain(conn, True, None if data is None else (data, len(piece)))
+        self.drain(conn, True, None if data is None else (data, run.count))
 
     def _close(self, conn: _ClientConn) -> None:
         """``conn`` is going down: the shell tears it down."""
@@ -463,7 +482,8 @@ class DVCore:
                 _origin, client_id, ops = unpack_run(message)
             except ProtocolError:
                 return False  # refused whole: answered on the loop
-            count, how = self._split(client_id, ops, route=False)
+            # serve_ops starts from this split: a run is cut once.
+            count, how = message["_split"] = self._split(client_id, ops, route=False)
             if count < len(ops) or how == _HELLO:
                 return True
             return how == _ONE and self._needs_worker(ops[0])
@@ -499,6 +519,8 @@ class DVCore:
         if client_id is None:
             return 1, _HELLO
         head = messages[start]
+        if type(head) is RoutedRun:
+            return 1, _ROUTED  # the decoder cut it
         row = OPS.get(head["op"])
         if row is None or not row.forwardable:
             return 1, _ONE
@@ -509,7 +531,7 @@ class DVCore:
             limit = min(len(messages), start + FWD_RUN_MAX)
             while end < limit:
                 message = messages[end]
-                row = OPS.get(message["op"])
+                row = OPS.get(message["op"])  # None for a RoutedRun
                 if (
                     row is None or not row.runs or message["context"] != context
                     # A traced op crosses the hop alone, its tc on the fwd.
@@ -531,8 +553,11 @@ class DVCore:
         ``op.<op>.seconds`` with its own service time — an op of a local
         run its turn in the shard, any other the piece's — except in
         ``serve_ops``: an op is observed where its client entered."""
-        arrived = [message.pop("_obs_t0", None) for message in piece]
-        stamps = [time.perf_counter()]
+        if observe:
+            arrived = [message.pop("_obs_t0", None) for message in piece]
+            stamps = [time.perf_counter()]
+        else:  # nothing to time: the ops are observed where they entered
+            arrived = stamps = None
         if how == _LOCAL:
             results = self.execute_run(client.client_id, piece, stamps)
             frames = self._pack_run(piece, results, client.trace)
@@ -598,16 +623,21 @@ class DVCore:
                 frames.append(reply_frame(message, _error_payload(result)))
         return frames
 
-    def serve_ops(self, client, ops: list[dict]) -> list[bytes]:
+    def serve_ops(self, client, ops: list[dict], first=None) -> list[bytes]:
         """Run ``ops`` here, in order, forwarding nothing, piece by piece
         as a drain does.  Returns per op the reply frame a connected
         client would read.  The cluster tier's execute hook for a routed
         client; ``client`` quacks like a connection (``client_id``,
-        ``contexts``, ``trace``)."""
+        ``contexts``, ``trace``), and its ``contexts`` follow the
+        ``attach``/``finalize`` ops it runs.  ``first`` is the split
+        :meth:`_needs_worker` already made of a forwarded run, if any."""
         frames: list[bytes] = []
         idx = 0
         while idx < len(ops):
-            count, how = self._split(client.client_id, ops, idx, route=False)
+            if idx == 0 and first is not None:
+                count, how = first
+            else:
+                count, how = self._split(client.client_id, ops, idx, route=False)
             frames += self._execute(
                 client, ops[idx:idx + count], how, observe=False
             )
@@ -615,13 +645,25 @@ class DVCore:
         return frames
 
     def _observe_shared(
-        self, piece: list[dict], arrived: list, began: float, ended: float
+        self, piece, arrived: list | None, began: float, ended: float
     ) -> None:
-        """Record the service time the ops of ``piece`` shared (a routed
-        run's hop) with one histogram update per op name — each op of
-        the piece as its own dispatch — unless the piece is one op, a
-        traced one or slow: those get :meth:`_observe_op`'s spans."""
+        """Record the service time the ops of ``piece`` — a list of
+        messages, or a routed run — shared (a routed run's hop) with one
+        histogram update per op name — each op of the piece as its own
+        dispatch — unless the piece is one op, a traced one or slow:
+        those get :meth:`_observe_op`'s spans.  A run the decoder cut
+        (untraced, its ops counted) is decoded only when it was slow."""
         elapsed = ended - began
+        if type(piece) is RoutedRun:
+            if piece.messages is None and elapsed < self.obs.slow_threshold:
+                opens, releases = piece.opens, piece.count - piece.opens
+                if opens:
+                    self._histogram("open").observe(elapsed, opens)
+                if releases:
+                    self._histogram("release").observe(elapsed, releases)
+                return
+            piece = piece.decoded()
+            arrived = arrived or [None] * len(piece)
         if len(piece) == 1 or elapsed >= self.obs.slow_threshold or any(arrived):
             for message, arrival in zip(piece, arrived):
                 self._observe_op(message, elapsed, arrival, ended)
@@ -717,9 +759,12 @@ class DVCore:
             # hello runs on a worker, which waits for the forward and runs
             # its blocking steps meanwhile (a step of ``None`` is the
             # answer: reply frames, or None when a bug ended the run).
+            # The connection routes from now on.
+            conn.routing = True
             steps = queue.SimpleQueue()
             self.loop.call_soon(
-                self._route_start, conn, [{"op": "attach", "context": context}],
+                self._route_start, conn,
+                RoutedRun.of([{"op": "attach", "context": context}]),
                 lambda data: steps.put((None, data)),
                 lambda fn, *args: steps.put((fn, args)),
             )

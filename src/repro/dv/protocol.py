@@ -40,10 +40,10 @@ three additional ops over the very same wire:
 
 =============  ===========================================================
 ``fwd``        gateway forwarding.  Ingress -> owner, a *run* of one
-               client's ops, packed (:func:`pack_run`): the ops as the
-               client frames they are, ``req`` and all
-               (1..``FWD_RUN_MAX``, executed in order) — a lone op is a
-               run of one.  Owner -> ingress, without ``req``: ``{"op":
+               client's ops (:class:`RoutedRun`, :func:`pack_run`): the
+               client frames they crossed the ingress as, ``req`` and
+               all (1..``FWD_RUN_MAX``, executed in order) — a lone op
+               is a run of one.  Owner -> ingress, without ``req``: ``{"op":
                "fwd", "origin": node_id, "client": client_id, "inner":
                {"op": "ready", ...}}`` routes a ``ready`` back to the
                client's ingress node (:func:`make_fwd`).
@@ -86,6 +86,7 @@ __all__ = [
     "OP_FWD_REPLY",
     "OP_GOSSIP",
     "FWD_RUN_MAX",
+    "RoutedRun",
     "MARK_MISS",
     "MARK_BODY",
     "make_fwd",
@@ -93,6 +94,7 @@ __all__ = [
     "pack_run",
     "unpack_run",
     "unpack_run_reply",
+    "split_frames",
     "decode_frames",
     "encode_message",
     "decode_message",
@@ -214,7 +216,7 @@ _TRACE_CTX = struct.Struct("!QQB")  # trace_id, span_id, flags
 
 _REQ_STRINGS = struct.Struct("!IHH")
 _REQ_FRAME = struct.Struct("!BBHIIHH")  # _HEADER and _REQ_STRINGS in one
-_REQ_KINDS = {"open": _KIND_OPEN, "release": _KIND_RELEASE}
+_REQ_KINDS = (_KIND_OPEN, _KIND_RELEASE)
 _READY_HDR = struct.Struct("!BHH")
 _OPEN_REPLY = struct.Struct("!IBBd")
 _OK_REPLY = struct.Struct("!I")
@@ -261,6 +263,14 @@ def encode_binary(message: dict[str, Any]) -> bytes:
     ``_KIND_TRACED`` bit with the packed context prefixed to the payload.
     On the JSON fallback ``tc`` simply stays an inline key.
     """
+    frame = _encode(message)
+    if len(frame) - _HEADER.size > _MAX_MESSAGE:
+        raise ProtocolError("binary frame exceeds maximum size")
+    return frame
+
+
+def _encode(message: dict[str, Any]) -> bytes:
+    """:func:`encode_binary` without its size cap."""
     op = message.get("op")
     if op is None:
         raise ProtocolError("message missing 'op'")
@@ -277,8 +287,6 @@ def encode_binary(message: dict[str, Any]) -> bytes:
                 payload = trace + payload
     if trace is None:
         kind, payload = _pack_payload(op, message)
-    if len(payload) > _MAX_MESSAGE:
-        raise ProtocolError("binary frame exceeds maximum size")
     return _HEADER.pack(_MAGIC, kind, 0, len(payload)) + payload
 
 
@@ -524,31 +532,87 @@ def encode_open_request(req: Any, context: str, filename: str, codec: str,
 # --------------------------------------------------------------------- #
 
 
-def pack_run(
-    origin: str, client_id: str, messages: list[dict[str, Any]]
-) -> dict[str, Any]:
+class RoutedRun:
+    """One client's run for a context served elsewhere, as it crosses the
+    gateway: its ops as the binary client frames they are (``data``,
+    ``count`` of them, ``opens`` of which are ``open``s), every one
+    keeping the ``req`` its client gave it.
+
+    A run a routing connection's decoder cut (:meth:`StreamDecoder.drain`)
+    holds untraced packed ``open``/``release`` frames only, the client's
+    bytes unchanged, and no ``messages``: whoever must read a slot
+    decodes that slot (:meth:`message`).  A run made of messages
+    (:meth:`of`: a traced or JSON-carried op, a connection's first
+    routed run, the router's own ``attach``/``finalize``/replayed
+    ``open``) is encoded once, when it enters, and keeps them."""
+
+    __slots__ = ("context", "data", "count", "opens", "messages", "_frames")
+
+    def __init__(self, context: str, data: bytes, count: int, opens: int,
+                 messages: list[dict[str, Any]] | None = None) -> None:
+        self.context = context
+        self.data = data
+        self.count = count
+        self.opens = opens
+        self.messages = messages
+        self._frames: list[bytes] | None = None
+
+    @classmethod
+    def of(cls, messages: list[dict[str, Any]]) -> "RoutedRun":
+        """The run of ``messages``, one client's ops for one context.  A
+        frame past the wire's size cap is kept: the ``fwd`` that would
+        carry it cannot be sent, and the router fails that op alone."""
+        return cls(
+            messages[0].get("context"),
+            b"".join(_encode(message) for message in messages),
+            len(messages),
+            sum(message.get("op") == "open" for message in messages),
+            messages,
+        )
+
+    def frames(self) -> list[bytes]:
+        """The run's frames, one per slot (cut once, on first use)."""
+        if self._frames is None:
+            self._frames = split_frames(self.data)
+        return self._frames
+
+    def message(self, slot: int) -> dict[str, Any]:
+        """The op in ``slot``, decoded only when it was never a message."""
+        if self.messages is not None:
+            return self.messages[slot]
+        return decode_frames(self.frames()[slot])[0]
+
+    def decoded(self) -> list[dict[str, Any]]:
+        """Every op of the run as a message."""
+        if self.messages is None:
+            self.messages = decode_frames(self.data)
+        return self.messages
+
+    # Beside the messages of a connection's inbox, a run reads as one
+    # with no field at all — no ``tc``, an ``op`` of None, which no row
+    # of the op table matches — so a walk over the inbox passes it
+    # without a type test per message.
+    def __contains__(self, key: str) -> bool:
+        return False
+
+    def __getitem__(self, key: str) -> None:
+        return None
+
+
+def pack_run(origin: str, client_id: str, frames: bytes, count: int
+             ) -> dict[str, Any]:
     """A run of one client's ops as a ``fwd`` request: ``origin``,
-    ``client``, the count, then the ops as the binary client frames they
-    are — :func:`encode_binary` of each, its own ``req`` included.  The
-    ``fwd_reply`` answers with the reply frames (:func:`unpack_run_reply`)."""
+    ``client``, the ``count``, then ``frames`` — the ops as the binary
+    client frames they are, each with its own ``req`` (a
+    :class:`RoutedRun`'s ``data``, or the slots of it a re-send carries),
+    copied unchanged.  The ``fwd_reply`` answers with the reply frames
+    (:func:`unpack_run_reply`)."""
     org, cid = origin.encode("utf-8"), client_id.encode("utf-8")
     try:
-        parts = [_RUN_HDR.pack(len(org), len(cid), len(messages)), org, cid]
+        header = _RUN_HDR.pack(len(org), len(cid), count)
     except struct.error as exc:
         raise ProtocolError(f"fwd run does not fit its header: {exc}") from exc
-    for message in messages:
-        try:  # what drain() made of a packed open/release, packed back
-            if len(message) != 4 or type(message["req"]) is not int:
-                raise KeyError  # like a missing field: the generic encoder
-            ctx, fname = message["context"].encode(), message["file"].encode()
-            parts += _REQ_FRAME.pack(
-                _MAGIC, _REQ_KINDS[message["op"]], 0,
-                _REQ_STRINGS.size + len(ctx) + len(fname),
-                message["req"], len(ctx), len(fname),
-            ), ctx, fname
-        except (KeyError, TypeError, AttributeError, struct.error):
-            parts.append(encode_binary(message))
-    return {"op": OP_FWD, "run": b"".join(parts)}
+    return {"op": OP_FWD, "run": b"".join((header, org, cid, frames))}
 
 
 def unpack_run(message: dict[str, Any]) -> tuple[str, str, list[dict[str, Any]]]:
@@ -591,30 +655,44 @@ def _forwarded(message: dict[str, Any]) -> dict[str, Any]:
 
 def unpack_run_reply(
     reply: dict[str, Any], count: int
-) -> tuple[list[bytes], dict[int, int]]:
-    """Validate and split the ``fwd_reply`` to a run of ``count`` ops —
-    ``{"run": <per op, in order, the reply frame the owner would have
-    written to a directly connected client>}`` — into those frames and
-    the ``{slot: MARK_*}`` of the ones that are not plain successes, read
-    off their kind bytes.  Anything else, the owner's refusal of the
-    whole run included, raises."""
+) -> tuple[bytes, dict[int, tuple[int, bytes]]]:
+    """Validate the ``fwd_reply`` to a run of ``count`` ops — ``{"run":
+    <per op, in order, the reply frame the owner would have written to a
+    directly connected client>}`` — with one walk over the frame headers,
+    and return those frames as they are, joined (what the client reads
+    when nothing in them must change), and ``{slot: (MARK_*, its
+    frame)}`` for the frames that are not plain successes, read off
+    their kind bytes: no frame is cut out or decoded here.  Anything
+    else, the owner's refusal of the whole run included, raises."""
     run = reply.get("run")
-    frames, marks, pos = [], {}, 0
+    marks, pos, slot = {}, 0, 0
     size = len(run) if isinstance(run, bytes) else -1
     while 0 <= pos <= size - _HEADER.size:
         magic, kind, _reserved, length = _HEADER.unpack_from(run, pos)
         if magic != _MAGIC:
             break
+        end = pos + _HEADER.size + length
         if kind == _KIND_OPEN_REPLY and length == _OPEN_REPLY.size:
             if not run[pos + _HEADER.size + _OK_REPLY.size]:  # available
-                marks[len(frames)] = MARK_MISS
+                marks[slot] = MARK_MISS, run[pos:end]
         elif kind != _KIND_OK_REPLY or length != _OK_REPLY.size:
-            marks[len(frames)] = MARK_BODY  # a malformed one fails to decode
-        frames.append(run[pos:pos + _HEADER.size + length])
-        pos += _HEADER.size + length
-    if pos != size or len(frames) != count:
+            marks[slot] = MARK_BODY, run[pos:end]  # a malformed one fails to decode
+        slot += 1
+        pos = end
+    if pos != size or slot != count:
         raise ProtocolError(f"fwd_reply does not hold {count} whole reply frames")
-    return frames, marks
+    return run, marks
+
+
+def split_frames(data: bytes) -> list[bytes]:
+    """``data``, whole binary frames that were checked when they arrived
+    (a run's client frames, its reply frames), cut into its frames."""
+    frames, pos, size = [], 0, len(data)
+    while pos < size:
+        end = pos + _HEADER.size + _HEADER.unpack_from(data, pos)[3]
+        frames.append(data[pos:end])
+        pos = end
+    return frames
 
 
 def decode_frames(data: bytes, check=None) -> list[dict[str, Any]]:
@@ -715,7 +793,7 @@ class StreamDecoder:
                 continue
             return decode_message(line)
 
-    def drain(self, check=None) -> list[dict[str, Any]]:
+    def drain(self, check=None, route=None) -> list[Any]:
         """Every complete message in the buffer, in order: what calling
         :meth:`next_message` until ``None`` returns, in one pass — the
         buffer is walked by offset, its consumed prefix dropped once, and
@@ -727,9 +805,24 @@ class StreamDecoder:
         ``check`` (binary frames only) maps every message that is not an
         untraced packed ``open``/``release`` — those are well-formed by
         construction and pay nothing — to what is returned in its place
-        (a daemon passes :func:`repro.dv.ops.checked`)."""
+        (a daemon passes :func:`repro.dv.ops.checked`).
+
+        ``route`` (binary frames only; a connection that forwards)
+        says whether an op naming a context goes to another node.  Each
+        stretch of untraced packed ``open``/``release`` frames for one
+        such context — at most ``FWD_RUN_MAX`` — is then returned as one
+        :class:`RoutedRun` holding the frames unchanged, in place of
+        their messages; ``route`` is asked once per context the walk
+        meets, not once per frame.  Every frame is checked as without
+        ``route`` (magic, size cap, string lengths, UTF-8 of both
+        strings), and a bad one raises at the same frame.  What ends
+        such a run is what ends the daemon's run (``DVCore._split``),
+        plus the end of the buffer: the frames of one stretch that
+        arrive in two ``recv``s are two runs."""
         if self.codec == CODEC_LEGACY:
             return list(iter(self._next_legacy, None))
+        if route is not None:
+            return self._cut(check, route)
         buf, messages, pos = self._buffer, [], 0
         size, head, strings = len(buf), _HEADER.size, _REQ_STRINGS.size
         try:
@@ -764,6 +857,78 @@ class StreamDecoder:
         finally:
             del buf[:pos]
         return messages
+
+    def _cut(self, check, route) -> list[Any]:
+        """:meth:`drain` with ``route``: the same walk, which unpacks a
+        packed ``open``/``release`` only for a context served here."""
+        buf, items, pos = self._buffer, [], 0
+        size, head, strings = len(buf), _HEADER.size, _REQ_FRAME.size
+        least = strings - head  # the shortest open/release payload
+        unpack_head, unpack_request = _HEADER.unpack_from, _REQ_FRAME.unpack_from
+        # The last context the walk met (its bytes, its name, whether it
+        # routes) and the run being cut: first frame, ops, opens.
+        ctx, context, routed = None, None, False
+        start = count = opens = 0
+        try:
+            while size - pos >= head:
+                if size - pos >= strings:  # a request's header and strings
+                    magic, kind, _reserved, length, req, ctx_len, fname_len = (
+                        unpack_request(buf, pos)
+                    )
+                else:
+                    magic, kind, _reserved, length = unpack_head(buf, pos)
+                if magic != _MAGIC:
+                    raise ProtocolError(f"bad binary frame magic 0x{magic:02x}")
+                if length > _MAX_MESSAGE:
+                    raise ProtocolError("binary frame exceeds maximum size")
+                frame, end = pos, pos + head + length
+                if end > size:
+                    break
+                pos = end  # consumed, whatever the payload turns out to be
+                if kind not in _REQ_KINDS or length < least:
+                    if count:
+                        items.append(RoutedRun(context, bytes(buf[start:frame]), count, opens))
+                        count = 0
+                    message = decode_payload(kind, bytes(buf[frame + head:end]))
+                    items.append(message if check is None else check(message))
+                    continue
+                mid = frame + strings + ctx_len
+                if mid + fname_len != end:
+                    raise ProtocolError(
+                        "binary frame length does not match its payload"
+                    )
+                filename = buf[mid:end].decode("utf-8")
+                if (
+                    ctx is None or ctx_len != len(ctx)
+                    or not buf.startswith(ctx, frame + strings)
+                ):
+                    if count:
+                        items.append(RoutedRun(context, bytes(buf[start:frame]), count, opens))
+                        count = 0
+                    ctx = bytes(buf[frame + strings:mid])
+                    context = ctx.decode("utf-8")
+                    routed = route(context)
+                if not routed:
+                    items.append({
+                        "op": "open" if kind == _KIND_OPEN else "release",
+                        "req": req, "context": context, "file": filename,
+                    })
+                else:
+                    if count == FWD_RUN_MAX:
+                        items.append(RoutedRun(context, bytes(buf[start:frame]), count, opens))
+                        count = 0
+                    if not count:
+                        start, opens = frame, 0
+                    count += 1
+                    if kind == _KIND_OPEN:
+                        opens += 1
+            if count:
+                items.append(RoutedRun(context, bytes(buf[start:pos]), count, opens))
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed binary string: {exc}") from exc
+        finally:
+            del buf[:pos]
+        return items
 
     def _next_binary(self) -> dict[str, Any] | None:
         if len(self._buffer) < _HEADER.size:

@@ -276,6 +276,17 @@ class MetricsRegistry:
             )
         return metric
 
+    def alias(self, name: str, metric: Counter | Gauge | Histogram) -> None:
+        """Export ``metric`` under ``name`` too: one instrument, counted
+        once, that two subsystems name their own way (``snapshot`` and
+        the exposition list it under both names; ``prune`` drops each
+        name by its own prefix).  ``name`` may already be ``metric``'s
+        alias, never another instrument."""
+        with self._lock:
+            existing = self._metrics.setdefault(name, metric)
+        if existing is not metric:
+            raise InvalidArgumentError(f"metric {name!r} is already registered")
+
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         with self._lock:
             return self._metrics.get(name)

@@ -37,14 +37,15 @@ from repro.dv.coordinator import Notification
 from repro.dv.protocol import (
     FWD_RUN_MAX,
     MARK_BODY,
+    RoutedRun,
     decode_frames,
     encode_frame,
-    pack_run,
+    split_frames,
     unpack_run_reply,
 )
 from repro.dv.core import reply_frame, reply_payloads
 from repro.metrics import MetricsRegistry
-from tests.dv.test_protocol_runs import MALFORMED_RUNS, run_body
+from tests.dv.test_protocol_runs import MALFORMED_RUNS, packed, run_body
 from tests.virtual_loop import VirtualLoop
 
 CTX = "alpha"
@@ -129,7 +130,7 @@ def per_op(execute):
     """The router's ``execute_local`` hook takes a client's ops as a list
     and returns their reply frames; the fakes here answer one op at a
     time with a payload."""
-    return lambda proxy, messages: [
+    return lambda proxy, messages, first=None: [
         reply_frame(message, {"error": 0, **execute(proxy, message)})
         for message in messages
     ]
@@ -139,7 +140,7 @@ def run_frame(origin, client_id, ops, slots=None):
     """The packed ``fwd`` a run crosses as: slot ``i`` of what the client
     pipelined carries ``req == i``."""
     slots = range(len(ops)) if slots is None else slots
-    return pack_run(origin, client_id, [
+    return packed(origin, client_id, [
         dict(inner, req=slot) for slot, inner in zip(slots, ops)
     ])
 
@@ -193,7 +194,8 @@ class Member:
             return {"error": ERR_CONTEXT, "detail": "unknown context"}
         clients = self.attached.setdefault(context, set())
         if op == "attach":
-            if cid in clients:
+            if cid in clients:  # the daemon's handler keeps it, as here
+                proxy.contexts.add(context)
                 return {"error": ERR_INVALID, "detail": DETAIL_ALREADY_ATTACHED}
             clients.add(cid)
             proxy.contexts.add(context)
@@ -223,9 +225,9 @@ class Member:
         order — back as payloads, once the loop has settled the run."""
         self.local.add(client_id)
         answered = []
-        self.router.start(ClientConn(client_id), [
+        self.router.start(ClientConn(client_id), RoutedRun.of([
             dict(inner, req=slot) for slot, inner in enumerate(inners)
-        ], answered.append)
+        ]), answered.append)
         self.net.loop.run()
         (data,) = answered
         assert [r["req"] for r in decode_frames(data)] == list(range(len(inners)))
@@ -616,9 +618,9 @@ class TestOwnerSide:
         restored waiter dials the origin, whose fwd handler delivers."""
         net = Net("a", "b", "c", owner="c")
         b, c = net.members["b"], net.members["c"]
-        b.router.track("c1", [op("attach"), op("open", "f1")], [
-            (None, {}, "a"), (None, {"available": False}, "a"),
-        ])
+        b.router.track("c1", RoutedRun.of([op("attach"), op("open", "f1")]), (
+            b"", {0: {}, 1: {"available": False}}, ["a", "a"],
+        ))
         c.router.restore_proxies(CTX, ["c1", "c2"], [["c1", "f1", "b"]])
         c.attached[CTX] = {"c1", "c2"}
         c.waiting.add(("c1", CTX, "f1"))
@@ -709,7 +711,7 @@ class TestRuns:
         to_c = net.links[-1].frames
         assert to_c == [
             run_frame("b", "c1", RUN),
-            pack_run("b", "c1", [op("attach")]),
+            packed("b", "c1", [op("attach")]),
             run_frame("b", "c1", RUN),
         ]
         assert [e[1:] for e in c.executed if e[1] != "attach"][len(RUN):] == [
@@ -741,7 +743,7 @@ class TestRuns:
         assert [p["error"] for p in payloads] == [0] * len(RUN)
         assert net.links[-1].frames == [
             run_frame("b", "c1", RUN),
-            pack_run("b", "c1", [op("attach")]),
+            packed("b", "c1", [op("attach")]),
             run_frame("b", "c1", RUN),
         ]
         assert b.router._ingress_ctx == {"c1": {CTX: "c"}}
@@ -836,15 +838,15 @@ class TestRunValidation:
 
     def test_the_well_formed_twin_executes(self):
         pair = [dict(op("open", "f1"), req=0), dict(op("release", "f1"), req=1)]
-        frames, marks = unpack_run_reply(self.call(ops=pair), 2)
-        assert reply_payloads(b"".join(frames)) == [
+        data, marks = unpack_run_reply(self.call(ops=pair), 2)
+        assert reply_payloads(data) == [
             {"available": False, "error": 0}, {"error": 0},
         ]
         # The stand-in's miss is a JSON reply, a body to read (a shard's
         # is packed: MARK_MISS); the release is a plain success.
-        assert marks == {0: MARK_BODY}
+        assert marks == {0: (MARK_BODY, split_frames(data)[0])}
         full = self.call(ops=[dict(op("wclose", "f1"), req=7)] * FWD_RUN_MAX)
-        assert len(unpack_run_reply(full, FWD_RUN_MAX)[0]) == FWD_RUN_MAX
+        assert len(split_frames(unpack_run_reply(full, FWD_RUN_MAX)[0])) == FWD_RUN_MAX
         assert len(self.owner.executed) == 2 + FWD_RUN_MAX
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_RUNS))

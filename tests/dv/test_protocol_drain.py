@@ -16,8 +16,8 @@ from repro.dv.protocol import (
     encode_ok_reply,
     encode_open_reply,
     encode_open_request,
-    pack_run,
 )
+from tests.dv.test_protocol_runs import packed
 
 TC = "00000000000000ab-00000000000000cd-01"
 
@@ -45,7 +45,7 @@ MESSAGES = [
 FRAMES = [encode_frame(message, CODEC_BINARY) for message in MESSAGES]
 # The two packed kinds of the hop: a run of client frames, its reply frames.
 MESSAGES += [
-    dict(pack_run("n1", "c1", MESSAGES[:8]), req=15),
+    dict(packed("n1", "c1", MESSAGES[:8]), req=15),
     {"op": "fwd_reply", "req": 15, "error": 0, "run": FRAMES[12] + FRAMES[10]},
 ]
 FRAMES += [encode_frame(message, CODEC_BINARY) for message in MESSAGES[-2:]]

@@ -21,6 +21,7 @@ from repro.dv.protocol import (
     FWD_RUN_MAX,
     MARK_BODY,
     MARK_MISS,
+    RoutedRun,
     decode_frames,
     encode_binary,
     encode_ok_reply,
@@ -28,6 +29,7 @@ from repro.dv.protocol import (
     make_fwd,
     pack_run,
     unpack_run,
+    split_frames,
     unpack_run_reply,
 )
 from tests.dv.test_server_local_runs import CONTEXTS, build_context
@@ -61,6 +63,13 @@ ops = st.one_of(
 )
 
 
+def packed(origin, client_id, messages):
+    """The ``fwd`` a run of ``messages`` crosses the hop as: their frames,
+    encoded once (what a routed run of messages is)."""
+    run = RoutedRun.of(messages)
+    return pack_run(origin, client_id, run.data, run.count)
+
+
 def over_the_wire(message, req=7):
     """What the peer decodes of ``message`` sent the way ``PeerLink.call``
     sends it."""
@@ -71,16 +80,20 @@ def over_the_wire(message, req=7):
 @settings(max_examples=150, deadline=None)
 @given(text, text, st.lists(ops, min_size=1, max_size=12))
 def test_a_run_round_trips(origin, client_id, messages):
-    packed = pack_run(origin, client_id, messages)
-    decoded = over_the_wire(packed)
-    assert decoded == dict(packed, req=7)
+    frames = [encode_binary(m) for m in messages]
+    fwd = pack_run(origin, client_id, b"".join(frames), len(frames))
+    decoded = over_the_wire(fwd)
+    assert decoded == dict(fwd, req=7)
     assert unpack_run(decoded) == (origin, client_id, messages)
-    # The ops cross as the client frames they are: the fast pack of a
-    # packed open/release is the generic encoder's bytes.
+    # The ops cross as the client frames they are, copied unchanged.
     head = struct.pack(
         "!HHH", len(origin.encode()), len(client_id.encode()), len(messages)
     ) + origin.encode() + client_id.encode()
-    assert packed["run"] == head + b"".join(encode_binary(m) for m in messages)
+    assert fwd["run"] == head + b"".join(frames)
+    assert packed(origin, client_id, messages) == fwd
+    run = RoutedRun.of(messages)
+    assert split_frames(run.data) == run.frames() == frames
+    assert [run.message(slot) for slot in range(run.count)] == messages
 
 
 replies = st.one_of(
@@ -114,16 +127,16 @@ def test_a_run_reply_round_trips_and_its_marks_say_what_the_frames_do(frames):
     reply = {"op": "fwd_reply", "error": 0, "run": b"".join(frames)}
     decoded = over_the_wire(reply)
     assert decoded == dict(reply, req=7)
-    split, marks = unpack_run_reply(decoded, len(frames))
-    assert split == frames
+    data, marks = unpack_run_reply(decoded, len(frames))
+    assert data == b"".join(frames) and split_frames(data) == frames
     for slot, message in enumerate(decode_frames(b"".join(frames))):
         packed = frames[slot][1] != 0  # not carried as JSON
         plain = message["error"] == 0 and message.get("available", True) \
             and "results" not in message
         if packed:
-            assert marks.get(slot) == (None if plain else MARK_MISS)
+            assert marks.get(slot) == (None if plain else (MARK_MISS, frames[slot]))
         else:  # JSON-carried (an odd req, an error, a body): read it
-            assert marks[slot] == MARK_BODY
+            assert marks[slot] == (MARK_BODY, frames[slot])
 
 
 OPEN = {"op": "open", "req": 1, "context": "hot", "file": "f"}
@@ -151,7 +164,7 @@ MALFORMED_RUNS = {
     "trailing byte": run_body(tail=b"\xdf"),
     "bad magic inside": run_body(tail=b"\x7f" + encode_binary(OPEN)[1:], count=3),
     "nested fwd": run_body(ops=(OPEN, make_fwd("gw", "c1", OPEN, req=3))),
-    "nested packed fwd": run_body(ops=(OPEN, dict(pack_run("gw", "c1", [OPEN]), req=3))),
+    "nested packed fwd": run_body(ops=(OPEN, dict(packed("gw", "c1", [OPEN]), req=3))),
     "nested hello": run_body(ops=(OPEN, {"op": "hello", "client_id": "x"})),
     "nested batch": run_body(ops=(OPEN, {"op": "batch", "ops": []})),
     "nested ready": run_body(ops=(OPEN, {"op": "ready", "context": "hot",
@@ -201,7 +214,9 @@ def test_a_malformed_reply_frame_is_marked_for_reading_and_fails_there():
     short_open_reply = struct.pack("!BBHI", 0xDF, 4, 0, 5) + b"\x00" * 5
     long_ok_reply = struct.pack("!BBHI", 0xDF, 5, 0, 6) + b"\x00" * 6
     reply = {"run": short_open_reply + long_ok_reply}
-    assert unpack_run_reply(reply, 2)[1] == {0: MARK_BODY, 1: MARK_BODY}
+    assert unpack_run_reply(reply, 2)[1] == {
+        0: (MARK_BODY, short_open_reply), 1: (MARK_BODY, long_ok_reply),
+    }
     for frame in (short_open_reply, long_ok_reply):
         with pytest.raises(ProtocolError):
             decode_frames(frame)
@@ -218,10 +233,10 @@ def test_a_live_owner_refuses_each_malformed_run_and_keeps_the_link(tmp_path):
     link = None
     try:
         link = PeerLink("tester", "solo", *node.address)
-        attach = link.call(pack_run("tester", "c1", [{"op": "attach", "context": "hot"}]))
-        assert decode_frames(unpack_run_reply(attach, 1)[0][0])[0]["error"] == 0
+        attach = link.call(packed("tester", "c1", [{"op": "attach", "context": "hot"}]))
+        assert decode_frames(unpack_run_reply(attach, 1)[0])[0]["error"] == 0
         name = context.filename_of(1)
-        good = pack_run("tester", "c1", [
+        good = packed("tester", "c1", [
             {"op": "open", "req": 1, "context": "hot", "file": name},
             {"op": "release", "req": 2, "context": "hot", "file": name},
         ])
@@ -229,8 +244,8 @@ def test_a_live_owner_refuses_each_malformed_run_and_keeps_the_link(tmp_path):
             reply = link.call({"op": "fwd", "run": bad})
             assert reply["op"] == "fwd_reply" and "run" not in reply
             assert reply["error"] == int(ErrorCode.ERR_PROTOCOL) and reply["detail"]
-            frames, marks = unpack_run_reply(link.call(good), 2)  # the link lives
-            assert len(frames) == 2 and marks == {}
+            data, marks = unpack_run_reply(link.call(good), 2)  # the link lives
+            assert len(split_frames(data)) == 2 and marks == {}
         snapshot = node.metrics.snapshot()
         assert snapshot["dv.hot.opens"]["value"] == len(MALFORMED_RUNS)
         assert snapshot["dv.hot.releases"]["value"] == len(MALFORMED_RUNS)

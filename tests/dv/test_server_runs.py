@@ -34,15 +34,19 @@ from repro.dv.protocol import (
     MessageReader,
     StreamDecoder,
     decode_frames,
+    encode_binary,
     encode_frame,
-    pack_run,
+    encode_open_reply,
+    make_fwd,
     send_message,
+    split_frames,
     unpack_run,
     unpack_run_reply,
 )
 from repro.dv.server import DVServer
 from repro.metrics.registry import Histogram
 from repro.simulators import SyntheticDriver
+from tests.dv.test_protocol_runs import packed
 from tests.dv.test_server_local_runs import batch, count_calls, make_server
 
 REMOTE, OTHER, LOCAL = "remote", "elsewhere", "local"
@@ -201,7 +205,7 @@ def ops_of(frame):
 
 def run_of(messages):
     """The ``fwd`` frame a run of ``messages`` crosses the hop as."""
-    return pack_run("ingress", "c1", messages)
+    return packed("ingress", "c1", messages)
 
 
 def shapes(link):
@@ -434,17 +438,106 @@ def test_a_routed_run_is_observed_once_per_op_name(gateway, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
+# The frame path's slow branches, byte for byte
+# --------------------------------------------------------------------- #
+MISS = {"error": 0, "available": False, "state": "queued", "wait": 1.5}
+
+
+def raw_replies(server, conn, theirs, messages, link, answered):
+    """Feed ``messages`` as one write to a connection that routes, drain
+    them, and return the bytes its client reads — which must be the
+    reply frames ``answered`` (per message, its payload) makes, one by
+    one, exactly as the owner writes them."""
+    conn.routing = True  # the decoder cuts the run: the client's frames
+    feed(server, conn, b"".join(encode_frame(m, "binary") for m in messages), link)
+    settle(server, link)
+    want = b"".join(reply_frame(m, answered(m)) for m in messages)
+    theirs.settimeout(5.0)
+    got = b""
+    while len(got) < len(want):
+        got += theirs.recv(1 << 20)
+    assert got == want
+    return got
+
+
+def test_a_miss_crosses_unchanged_and_its_wait_and_ready_are_routed(gateway):
+    server, conn, theirs, link = gateway
+    router = link.router
+    router._ready_sink = server._push_ready
+    link.answer = lambda inner: MISS if inner["file"] == "cold" else OwnerLink.answer(
+        link, inner)
+    burst = [msg("open", 1), msg("open", 2, "cold"), msg("release", 3)]
+    raw_replies(server, conn, theirs, burst, link, link.answer)
+    assert link.frames == [run_of(burst)]
+    assert router._pending == {("c1", REMOTE, "cold"): "owner"}
+    server._clients["c1"] = conn  # what its hello did
+    ready = {"op": "ready", "context": REMOTE, "file": "cold", "ok": True}
+    router.on_link_fwd(make_fwd("owner", "c1", ready))
+    settle(server, link)
+    assert theirs.recv(1 << 16) == encode_binary(ready)
+    assert router._pending == {}
+
+
+def test_a_release_clears_a_pending_wait(gateway):
+    server, conn, theirs, link = gateway
+    link.answer = lambda inner: MISS if inner["op"] == "open" else {"error": 0}
+    raw_replies(server, conn, theirs, [msg("open", 1, "cold")], link, link.answer)
+    assert link.router._pending == {("c1", REMOTE, "cold"): "owner"}
+    burst = [msg("release", 2, "cold"), msg("open", 3, "f2")]
+    raw_replies(server, conn, theirs, burst, link, link.answer)
+    assert link.router._pending == {("c1", REMOTE, "f2"): "owner"}
+    raw_replies(server, conn, theirs, [msg("release", 4, "f2")], link, link.answer)
+    assert link.router._pending == {}
+
+
+def test_a_lagging_owner_is_re_sent_only_the_unsettled_slots(gateway):
+    """The owner serves the first slot, then stops knowing the context
+    (its view lags the ring): after a beat the ingress re-sends the
+    client's own frames of the slots that are left, and the client reads
+    what the owner answered once it caught up."""
+    server, conn, theirs, link = gateway
+    lagging = {"error": int(ErrorCode.ERR_CONTEXT), "detail": "unknown context"}
+
+    def answer(inner):
+        lag = len(link.frames) == 1 and inner["req"] > 1  # the first trip
+        return lagging if lag else OwnerLink.answer(link, inner)
+
+    link.answer = answer
+    burst = [msg("open", 1), msg("release", 2), msg("open", 3, "f2"), msg("release", 4, "f2")]
+    raw_replies(server, conn, theirs, burst, link, lambda m: OwnerLink.answer(link, m))
+    assert link.frames == [run_of(burst), run_of(burst[1:])]
+    resent = unpack_run(dict(link.frames[1]))
+    assert resent[2] == burst[1:]
+    assert link.frames[1]["run"].endswith(
+        b"".join(encode_frame(m, "binary") for m in burst[1:])
+    )
+
+
+def test_a_traced_run_carries_its_tc_for_a_tracing_client(gateway):
+    server, conn, theirs, link = gateway
+    conn.trace = True
+    traced = msg("open", 1, tc=TC)
+    got = raw_replies(server, conn, theirs, [traced], link, lambda m: dict(
+        OwnerLink.answer(link, m), tc=TC))
+    assert got == encode_open_reply(1, True, "on_disk", 0.0, "binary", tc=TC)
+    conn.trace = False  # the same op for a client that never asked
+    raw_replies(server, conn, theirs, [dict(traced, req=2)], link,
+                lambda m: OwnerLink.answer(link, m))
+
+
+# --------------------------------------------------------------------- #
 # A budget for both ends of the hop, in Python-level calls per op
 # --------------------------------------------------------------------- #
 #: Python-level calls per forwarded op of a shuffled 32-op run (what
 #: ``gateway_open`` sends), budgets set ≈ 20 % above the readings of the
-#: forwarding alone: 2.8 at the ingress, 15.0 at the owner.  The owner's
-#: calls are the shard's own (the direct path makes them too) plus packing
-#: the reply frames.  The ingress is measured over its whole path on the
-#: event loop — ``feed``, the run sent from the loop, its reply settled
-#: there and the drain resumed — and reads 2.4 (3.3 when a worker drained
-#: the run and observed each op on its own; budget 3.4 then).
-INGRESS_CALL_BUDGET = 2.9
+#: forwarding alone.  The owner reads 15.0: the shard's own calls (the
+#: direct path makes them too) plus packing the reply frames.  The
+#: ingress is measured over its whole path on the event loop — ``feed``,
+#: the run sent from the loop, its reply settled there and the drain
+#: resumed — and reads 1.6: every call it makes is the run's, none an
+#: op's, because the run crosses as the client's frames and comes back
+#: as the owner's.
+INGRESS_CALL_BUDGET = 2.0
 OWNER_CALL_BUDGET = 18.0
 
 
@@ -482,14 +575,15 @@ def test_both_ends_of_the_hop_stay_within_their_call_budgets(tmp_path):
     try:
         router.run_local("c1", [{"op": "attach", "context": "hot"}], peer, "ingress")
         run = decode_frames(batch(contexts["hot"], 16))
-        fwd = encode_frame(dict(pack_run("ingress", "c1", run), req=9), "binary")
+        fwd = encode_frame(dict(packed("ingress", "c1", run), req=9), "binary")
 
         def owner_step():  # the frame arrives; the reply frame leaves
             owner.feed(peer, fwd)
 
         owner_step()  # warm: histograms created, key memo filled
         (reply,) = decode_frames(theirs.recv(1 << 16))
-        assert len(unpack_run_reply(reply, 32)[0]) == 32 and owner.loop.work.empty()
+        assert len(split_frames(unpack_run_reply(reply, 32)[0])) == 32
+        assert owner.loop.work.empty()
         calls = count_calls(owner_step) / 32
         theirs.recv(1 << 16)
         assert 5 < calls <= OWNER_CALL_BUDGET, f"owner: {calls:.1f} calls per op"

@@ -25,13 +25,16 @@ import json
 
 from repro.cluster import ClusterNode
 from repro.cluster.ring import HashRing
-from repro.dv.protocol import FWD_RUN_MAX
+from repro.dv.protocol import FWD_RUN_MAX, decode_frames, encode_frame
 from tests.dv.test_server_local_runs import (
     CONTEXTS,
     FIXTURE,
+    KIND_READY,
+    TC,
     Client,
     build_context,
     request_stream,
+    split_frames,
 )
 from tests.integration.conftest import free_port, wait_until
 
@@ -130,3 +133,55 @@ def test_the_non_owner_answers_byte_for_byte_what_the_owner_does(
         and not gateway.router._pending and not gateway.router._proxies,
         message="router tables not empty after the client left",
     )
+
+
+def ready_frame(client):
+    """The next ``ready`` notification the client reads, as its bytes."""
+    while True:
+        frames, client.rest = split_frames(client.rest)
+        for frame in frames:
+            if frame[1] & 0x7F == KIND_READY:
+                return frame
+        client.rest = b"".join(f for f in frames if f[1] & 0x7F != KIND_READY) + client.rest
+        chunk = client.sock.recv(1 << 20)
+        assert chunk, "the daemon closed the connection"
+        client.rest += chunk
+
+
+def test_a_miss_its_ready_and_a_traced_run_cross_byte_for_byte(tmp_path, stop_nodes):
+    """The frame path's slow branches through a live non-owner: a run
+    whose reply marks a miss (its wait recorded, its ``ready`` routed
+    back), traced ops for a client that negotiated tracing (their
+    replies carry the request's ``tc``), and a release once the wait is
+    over — every byte as the owner writes it to a direct client."""
+    def session(node, contexts):
+        hot = contexts["hot"].filename_of
+        frames = [
+            encode_frame({"op": "open", "req": 1, "context": "hot", "file": hot(60)}, "binary"),
+            encode_frame({"op": "open", "req": 2, "context": "hot", "file": hot(1)}, "binary"),
+            encode_frame({"op": "release", "req": 3, "context": "hot", "file": hot(1)}, "binary"),
+            encode_frame({"op": "open", "req": 4, "context": "hot", "file": hot(2),
+                          "tc": TC}, "binary"),
+            encode_frame({"op": "release", "req": 5, "context": "hot", "file": hot(2),
+                          "tc": TC}, "binary"),
+        ]
+        client = Client(node.server)
+        client.sock.sendall(b"".join(frames))
+        replies = client.replies(len(frames))
+        ready = ready_frame(client)
+        client.sock.sendall(encode_frame(
+            {"op": "release", "req": 6, "context": "hot", "file": hot(60)}, "binary"))
+        return replies + [ready] + client.replies(1), client
+
+    owner, gateway, contexts = start_cluster(str(tmp_path / "hop"), stop_nodes)
+    hopped, client = session(gateway, contexts)
+    twin, _gateway, twin_contexts = start_cluster(str(tmp_path / "direct"), stop_nodes)
+    direct, other = session(twin, twin_contexts)
+    other.close()
+    assert hopped == direct
+    assert hopped[0][1] == 4 and hopped[-2][1] == KIND_READY  # a packed miss, a ready
+    assert TC.split("-")[0] in str(decode_frames(hopped[3]))  # traced replies keep tc
+    assert gateway.router._pending == {}
+    assert gateway.metrics.snapshot()["cluster.ready_routed"]["value"] == 0
+    assert owner.metrics.snapshot()["cluster.ready_routed"]["value"] == 1
+    client.close()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.errors import InvalidArgumentError
 from repro.metrics import MetricsRegistry
+from repro.obs.export import render_prometheus
 
 
 class TestCounter:
@@ -131,3 +132,21 @@ class TestRegistry:
         registry.counter("zeta")
         registry.counter("alpha")
         assert registry.names() == ["alpha", "zeta"]
+
+    def test_an_alias_exports_one_counter_under_two_names(self):
+        registry = MetricsRegistry()
+        hits = registry.counter("dv.hot.hits")
+        registry.alias("cache.hot.hits", hits)
+        registry.alias("cache.hot.hits", hits)  # again: still the one
+        hits.inc(3)
+        snapshot = registry.snapshot()
+        assert snapshot["dv.hot.hits"] == snapshot["cache.hot.hits"] == {
+            "type": "counter", "value": 3.0,
+        }
+        text = render_prometheus(snapshot)
+        assert "dv_hot_hits" in text and "cache_hot_hits" in text
+        with pytest.raises(InvalidArgumentError):
+            registry.alias("cache.hot.hits", registry.counter("other"))
+        assert registry.prune("dv.hot.") == 1
+        assert registry.names() == ["cache.hot.hits", "other"]
+        assert registry.prune("cache.hot.") == 1
