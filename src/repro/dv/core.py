@@ -194,8 +194,8 @@ class DVCore:
         # Cluster-tier hooks, all optional (see repro.cluster.node):
         #   _route_start  — gateway, on the I/O thread: forward one
         #                   client's consecutive ops for a non-local
-        #                   context and resume the parked drain with their
-        #                   reply frames, joined (see _park)
+        #                   context, a RoutedRun, and resume the parked
+        #                   drain with their reply frames, joined (_park)
         #   _ready_router — deliver a notification whose client_id is not a
         #                   local connection (a proxied cluster client)
         #   _hello_extra  — extra fields merged into every hello reply

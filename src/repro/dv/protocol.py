@@ -263,14 +263,6 @@ def encode_binary(message: dict[str, Any]) -> bytes:
     ``_KIND_TRACED`` bit with the packed context prefixed to the payload.
     On the JSON fallback ``tc`` simply stays an inline key.
     """
-    frame = _encode(message)
-    if len(frame) - _HEADER.size > _MAX_MESSAGE:
-        raise ProtocolError("binary frame exceeds maximum size")
-    return frame
-
-
-def _encode(message: dict[str, Any]) -> bytes:
-    """:func:`encode_binary` without its size cap."""
     op = message.get("op")
     if op is None:
         raise ProtocolError("message missing 'op'")
@@ -287,6 +279,8 @@ def _encode(message: dict[str, Any]) -> bytes:
                 payload = trace + payload
     if trace is None:
         kind, payload = _pack_payload(op, message)
+    if len(payload) > _MAX_MESSAGE:
+        raise ProtocolError("binary frame exceeds maximum size")
     return _HEADER.pack(_MAGIC, kind, 0, len(payload)) + payload
 
 
@@ -564,7 +558,7 @@ class RoutedRun:
         carry it cannot be sent, and the router fails that op alone."""
         return cls(
             messages[0].get("context"),
-            b"".join(_encode(message) for message in messages),
+            b"".join(_run_frame(message) for message in messages),
             len(messages),
             sum(message.get("op") == "open" for message in messages),
             messages,
@@ -597,6 +591,16 @@ class RoutedRun:
 
     def __getitem__(self, key: str) -> None:
         return None
+
+
+def _run_frame(message: dict[str, Any]) -> bytes:
+    """``message``'s frame in a run: :func:`encode_binary`'s, or, past
+    the size cap, its JSON frame anyway (a forwarded op has its ``op``)."""
+    try:
+        return encode_binary(message)
+    except ProtocolError:
+        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        return _HEADER.pack(_MAGIC, _KIND_JSON, 0, len(payload)) + payload
 
 
 def pack_run(origin: str, client_id: str, frames: bytes, count: int
