@@ -671,15 +671,18 @@ def unpack_run_reply(
     run = reply.get("run")
     marks, pos, slot = {}, 0, 0
     size = len(run) if isinstance(run, bytes) else -1
-    while 0 <= pos <= size - _HEADER.size:
-        magic, kind, _reserved, length = _HEADER.unpack_from(run, pos)
+    unpack, head = _HEADER.unpack_from, _HEADER.size
+    open_size, ok_size = _OPEN_REPLY.size, _OK_REPLY.size
+    available = head + ok_size  # the offset of an open reply's flag
+    while 0 <= pos <= size - head:
+        magic, kind, _reserved, length = unpack(run, pos)
         if magic != _MAGIC:
             break
-        end = pos + _HEADER.size + length
-        if kind == _KIND_OPEN_REPLY and length == _OPEN_REPLY.size:
-            if not run[pos + _HEADER.size + _OK_REPLY.size]:  # available
+        end = pos + head + length
+        if kind == _KIND_OPEN_REPLY and length == open_size:
+            if not run[pos + available]:
                 marks[slot] = MARK_MISS, run[pos:end]
-        elif kind != _KIND_OK_REPLY or length != _OK_REPLY.size:
+        elif kind != _KIND_OK_REPLY or length != ok_size:
             marks[slot] = MARK_BODY, run[pos:end]  # a malformed one fails to decode
         slot += 1
         pos = end
@@ -869,9 +872,10 @@ class StreamDecoder:
         size, head, strings = len(buf), _HEADER.size, _REQ_FRAME.size
         least = strings - head  # the shortest open/release payload
         unpack_head, unpack_request = _HEADER.unpack_from, _REQ_FRAME.unpack_from
-        # The last context the walk met (its bytes, its name, whether it
-        # routes) and the run being cut: first frame, ops, opens.
-        ctx, context, routed = None, None, False
+        # The last context the walk met (its bytes and their length — -1
+        # before the first —, its name, whether it routes) and the run
+        # being cut: first frame, ops, opens.
+        ctx, ctx_size, context, routed = b"", -1, None, False
         start = count = opens = 0
         try:
             while size - pos >= head:
@@ -902,14 +906,11 @@ class StreamDecoder:
                         "binary frame length does not match its payload"
                     )
                 filename = buf[mid:end].decode("utf-8")
-                if (
-                    ctx is None or ctx_len != len(ctx)
-                    or not buf.startswith(ctx, frame + strings)
-                ):
+                if ctx_len != ctx_size or not buf.startswith(ctx, frame + strings):
                     if count:
                         items.append(RoutedRun(context, bytes(buf[start:frame]), count, opens))
                         count = 0
-                    ctx = bytes(buf[frame + strings:mid])
+                    ctx, ctx_size = bytes(buf[frame + strings:mid]), ctx_len
                     context = ctx.decode("utf-8")
                     routed = route(context)
                 if not routed:
