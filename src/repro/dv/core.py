@@ -335,9 +335,9 @@ class DVCore:
                 # execution becomes a span (untraced messages pay nothing).
                 message["_obs_t0"] = time.time()
         if conn.routing:
-            frames += sum(
-                item.count - 1 for item in messages if type(item) is RoutedRun
-            )
+            for item in messages:
+                if type(item) is RoutedRun:
+                    frames += item.count - 1
         self._m_frames_recv.inc(frames)
         with conn.lock:
             conn.inbox.extend(messages)
