@@ -3,7 +3,8 @@
 Every ``bench_figXX`` module computes the corresponding figure's data
 series once (inside pytest-benchmark), prints it as an aligned table, and
 writes it to ``benchmarks/results/`` so the numbers survive the pytest
-output capture.  EXPERIMENTS.md records the paper-vs-measured comparison.
+output capture.  Each bench's docstring states the paper's expected shape
+and its asserts check it.
 
 Performance-trajectory benchmarks additionally persist machine-readable
 results: :func:`emit_json` writes a ``BENCH_<name>.json`` file at the

@@ -1,4 +1,4 @@
-"""Ablations of the prefetching design choices (DESIGN.md Sec. 5).
+"""Ablations of the prefetching design choices (paper Sec. IV-B, IV-C).
 
 * **ramp vs. direct s_opt** — Sec. IV-B1b offers a doubling ramp to avoid
   over-prefetching; the ablation measures what it costs a steady forward

@@ -4,7 +4,7 @@ Paper setup: a 4-day simulation with an output step every 5 minutes and a
 restart every 4 hours (1152 steps, 48 per restart interval), cache = 25 %
 of the data volume.  Traces: concatenations of 50 forward / backward /
 random scans of 100-400 steps each, plus an ECMWF-archive-like trace
-(synthetic here, see DESIGN.md).  Bars = simulated output steps; dots =
+(synthetic here: ``repro.traces.ecmwf``).  Bars = simulated output steps; dots =
 restarts.
 
 Expected shape: little difference between schemes on scan patterns (LIRS
@@ -67,7 +67,7 @@ def test_fig05_cache_schemes(benchmark):
     # ECMWF-like: the cost-aware DCL beats the recency-based LRU and its
     # eager sibling BCL.  (On the *synthetic* archive trace the
     # frequency-based ARC/LIRS can do even better than DCL because the
-    # Zipf skew is stronger than the real trace's — see EXPERIMENTS.md.)
+    # Zipf skew is stronger than the real trace's.)
     assert by[("ecmwf", "dcl")][0] <= by[("ecmwf", "lru")][0]
     assert by[("ecmwf", "dcl")][0] <= by[("ecmwf", "bcl")][0]
     # Scan patterns: schemes are close to each other (except LIRS on

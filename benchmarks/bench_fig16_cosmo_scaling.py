@@ -7,7 +7,7 @@ scales to ~2.4x over the full forward re-simulation at smax = 8 and
 saturates at 16 (prefetched data is never accessed); backward scales
 less (~1.6x) because its first access waits for a whole restart interval.
 The noise-free DES gives larger absolute factors; the ordering and
-saturation are the reproduced claims (see EXPERIMENTS.md).
+saturation are the reproduced claims, checked below.
 """
 
 from _harness import emit, run_once

@@ -18,7 +18,8 @@ Typical entry points
   the performance experiments.
 * :mod:`repro.costs` — the Sec. V cost models.
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See ``examples/quickstart.py`` for a quickstart and ARCHITECTURE.md for the
+system inventory.
 """
 
 from repro.util.lazy import lazy_exports

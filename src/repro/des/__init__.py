@@ -4,8 +4,8 @@ it, and the Sec. VI experiment runners (Figs. 16-19)."""
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "components": ("DESExecutor", "VirtualAnalysis", "VirtualSimFS"),
-    "engine": ("DESEngine", "EventHandle"),
+    "components": ("VirtualAnalysis", "VirtualSimFS"),
+    "engine": ("DESEngine",),
     "experiment": (
         "LatencyPoint",
         "ScalingPoint",

@@ -1,10 +1,15 @@
-"""Virtual-time SimFS: the DV coordinator wired to the DES engine.
+"""Virtual-time SimFS: the DV coordinator and the daemon's launcher on
+the DES engine.
 
-:class:`DESExecutor` interprets a launched re-simulation as a stream of
-production events — the first output after ``αsim(p) + τsim(p)`` virtual
-seconds, then one every ``τsim(p)``, on the schedule the live launcher
-also keeps (:func:`~repro.core.perfmodel.production_offset`) — optionally
-adding stochastic batch queueing delay (Sec. IV-C1c).
+:class:`VirtualSimFS` binds the real
+:class:`~repro.dv.launcher.ThreadedLauncher` to the engine, which is both
+its clock and its loop: a launched re-simulation is the launcher's chain
+of productions, the first output ``αsim(p) + τsim(p)`` virtual seconds
+after the launch and one every ``τsim(p)`` after it
+(:func:`~repro.core.perfmodel.production_offset`), optionally with a
+stochastic batch queueing delay added to ``α`` (Sec. IV-C1c).  Each
+context's driver is file-less (:class:`PlannedOutputs`): a job yields
+the sim's planned outputs and writes nothing.
 :class:`VirtualAnalysis` models an analysis process with inter-access
 time ``τcli``: it opens files through the very same
 ``DVCoordinator.handle_open`` the TCP daemon uses, blocks on misses until
@@ -22,79 +27,30 @@ from dataclasses import dataclass, field
 
 from repro.core.context import SimulationContext
 from repro.core.errors import InvalidArgumentError
-from repro.core.perfmodel import production_offset
-from repro.des.engine import DESEngine, EventHandle
+from repro.core.perfmodel import PerformanceModel
+from repro.des.engine import DESEngine
 from repro.dv.coordinator import DVCoordinator, Notification, RunningSim
+from repro.dv.launcher import ThreadedLauncher
 from repro.metrics import MetricsRegistry
+from repro.simulators.driver import SimulationJobSpec, SteppedDriver
 
-__all__ = ["DESExecutor", "VirtualAnalysis", "VirtualSimFS"]
+__all__ = ["PlannedOutputs", "VirtualAnalysis", "VirtualSimFS"]
 
 
-class DESExecutor:
-    """`SimulationExecutor` producing output files on the virtual clock."""
+class PlannedOutputs(SteppedDriver):
+    """A context's driver in virtual time: a job's productions are the
+    sim's planned outputs (``job.planned_keys``), and nothing is
+    written.  Its step is known to be 0 bytes, so the launcher runs each
+    production on the engine, at the instant it is due."""
 
-    def __init__(
-        self,
-        engine: DESEngine,
-        queue_delay: Callable[[], float] | None = None,
-    ) -> None:
-        self.engine = engine
-        self.coordinator: DVCoordinator | None = None
-        self._contexts: dict[str, SimulationContext] = {}
-        self._events: dict[int, list[EventHandle]] = {}
-        #: extra restart latency per job (models batch queueing time)
-        self._queue_delay = queue_delay or (lambda: 0.0)
+    def steps(
+        self, job: SimulationJobSpec, output_dir: str, restart_dir: str,
+        stop=None,
+    ):
+        return map(self.naming.filename, job.planned_keys)
 
-    def bind(self, coordinator: DVCoordinator) -> None:
-        self.coordinator = coordinator
-
-    def register_context(self, context: SimulationContext) -> None:
-        self._contexts[context.name] = context
-
-    # -- SimulationExecutor ------------------------------------------------#
-    def launch(self, context: SimulationContext, sim: RunningSim) -> None:
-        assert self.coordinator is not None, "executor not bound"
-        perf = context.perf
-        tau = perf.tau(sim.parallelism_level)
-        alpha = perf.alpha(sim.parallelism_level) + max(0.0, self._queue_delay())
-        handles = []
-        for position, key in enumerate(sim.planned_keys, start=1):
-            filename = context.filename_of(key)
-            handles.append(
-                self.engine.schedule(
-                    production_offset(alpha, tau, position),
-                    self._make_production(context.name, sim.sim_id, filename),
-                )
-            )
-        # Completion is signalled unconditionally after the last production
-        # (real mode does the same when driver.execute returns).  Relying
-        # on per-key attribution alone deadlocks when overlapping sims
-        # produce each other's planned keys: nobody reaches `done`, the
-        # smax slots never free, and queued jobs starve.
-        done_at = production_offset(alpha, tau, len(sim.planned_keys))
-        handles.append(
-            self.engine.schedule(
-                done_at,
-                lambda: self.coordinator.sim_completed(
-                    context.name, sim.sim_id, self.engine.now()
-                ),
-            )
-        )
-        self._events[sim.sim_id] = handles
-
-    def kill(self, sim_id: int) -> None:
-        for handle in self._events.pop(sim_id, []):
-            handle.cancel()
-
-    # ----------------------------------------------------------------------#
-    def _make_production(self, context_name: str, sim_id: int, filename: str):
-        def produce() -> None:
-            assert self.coordinator is not None
-            self.coordinator.sim_file_closed(
-                context_name, filename, self.engine.now()
-            )
-
-        return produce
+    def output_bytes(self, output_dir: str, filename: str | None = None) -> int:
+        return 0
 
 
 class VirtualAnalysis:
@@ -149,7 +105,7 @@ class VirtualAnalysis:
     # ----------------------------------------------------------------------#
     def start(self, at: float = 0.0) -> None:
         self.coordinator.client_connect(self.client_id, self.context.name)
-        self.engine.schedule_at(at, self._issue_access)
+        self.engine.call_at(at, self._issue_access)
 
     def on_notification(self, notification: Notification) -> None:
         """Wired by :class:`VirtualSimFS`: the DV says a file is ready."""
@@ -201,23 +157,38 @@ class VirtualAnalysis:
 
 @dataclass
 class VirtualSimFS:
-    """Bundle of engine + coordinator + executor with analysis routing."""
+    """Bundle of engine + coordinator + launcher with analysis routing."""
 
     engine: DESEngine = field(default_factory=DESEngine)
+    #: Extra restart latency per job (models batch queueing time).
     queue_delay: Callable[[], float] | None = None
 
     def __post_init__(self) -> None:
-        self.executor = DESExecutor(self.engine, self.queue_delay)
+        self.launcher = ThreadedLauncher(clock=self.engine, loop=self.engine)
         self.metrics = MetricsRegistry()
         self.coordinator = DVCoordinator(
-            self.executor, notify=self._route, metrics=self.metrics
+            self.launcher, notify=self._route, metrics=self.metrics
         )
-        self.executor.bind(self.coordinator)
+        self.launcher.bind(self.coordinator)
         self._analyses: dict[str, VirtualAnalysis] = {}
 
     def add_context(self, context: SimulationContext) -> None:
         self.coordinator.register_context(context)
-        self.executor.register_context(context)
+        self.launcher.register_context(
+            context.name, PlannedOutputs(context.driver.naming), "", "",
+            pace=self._pace(context.perf),
+        )
+
+    def _pace(self, perf: PerformanceModel) -> Callable[[RunningSim], tuple[float, float]]:
+        """A run's ``(α, τ)`` at its parallelism level, its queueing
+        delay drawn once, at its launch."""
+        queue_delay = self.queue_delay or (lambda: 0.0)
+
+        def pace(sim: RunningSim) -> tuple[float, float]:
+            level = sim.parallelism_level
+            return perf.alpha(level) + max(0.0, queue_delay()), perf.tau(level)
+
+        return pace
 
     def add_analysis(
         self,

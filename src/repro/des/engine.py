@@ -1,162 +1,95 @@
-"""Deterministic discrete-event engine.
+"""Deterministic discrete-event engine: the one virtual clock.
 
 A minimal priority-queue scheduler: events fire in (time, sequence) order,
 so runs are exactly reproducible.  The DES hosts the *same* coordinator,
-cache, and prefetch-agent code as the real DV daemon; only the executor and
-the clock differ (DESIGN.md Sec. 6), which is what lets a 600-second
-restart latency cost microseconds of wall time in the Figs. 16-19
-experiments.
+cache, prefetch agent and launcher code as the real DV daemon; only the
+clock differs (ARCHITECTURE.md, "The DES twin"), which is what lets a
+600-second restart latency cost microseconds of wall time in the Figs.
+16-19 experiments.
 
-Cancelled events stay in the heap as *tombstones* (removing an arbitrary
-heap entry is O(n)); they are skipped when popped.  Prefetch-heavy virtual
-experiments cancel a lot — every kill of a speculative re-simulation
-tombstones its production events — so the engine compacts the heap
-whenever tombstones outnumber live events, keeping long runs from
-accumulating dead entries (and ``pending`` is O(1) bookkeeping, not a
-scan).
+The engine offers the surface of :class:`~repro.dv.loop.EventLoop` that
+the launcher and the router use — ``time``, ``running``,
+``on_io_thread``, ``call_at``, ``call_soon`` and ``submit`` — so a
+component written for the node's loop runs on virtual time unchanged.
+Here every callback runs on the one caller's thread: a hand-off and a
+worker job (``submit``) are both an event at the current instant, and no
+thread is started.  Nothing cancels an event: a component that wants
+one undone keeps a flag its callback reads (the launcher's kill).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.core.errors import InvalidArgumentError
 
-__all__ = ["EventHandle", "DESEngine"]
-
-#: Below this queue size compaction is pointless churn.
-_COMPACT_MIN_QUEUE = 64
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Left the queue already (fired, skipped, or compacted away) — a
-    #: late ``cancel()`` on such an event must not touch the tombstone
-    #: accounting.
-    departed: bool = field(default=False, compare=False)
-
-
-@dataclass
-class EventHandle:
-    """Cancellable reference to a scheduled event."""
-
-    _event: _Event
-    _engine: "DESEngine | None" = None
-
-    def cancel(self) -> None:
-        if self._event.cancelled:
-            return
-        self._event.cancelled = True
-        if self._engine is not None and not self._event.departed:
-            self._engine._note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+__all__ = ["DESEngine"]
 
 
 class DESEngine:
-    """Event queue with a virtual clock (implements the ``Clock`` protocol)."""
+    """Event queue with a virtual clock (implements the ``Clock``
+    protocol, and the event loop's scheduling surface)."""
+
+    #: Always serving its timers: the launcher keeps its chains here.
+    running = True
 
     def __init__(self) -> None:
-        self._queue: list[_Event] = []
+        self._queue: list[tuple] = []  # (time, seq, fn, args)
         self._seq = itertools.count()
         self._now = 0.0
-        self._tombstones = 0  # cancelled events still sitting in the heap
         self.events_processed = 0
-        self.compactions = 0
 
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise InvalidArgumentError(f"delay must be >= 0, got {delay}")
-        event = _Event(self._now + delay, next(self._seq), callback)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event, self)
+    time = now
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute virtual time ``when``."""
+    @staticmethod
+    def on_io_thread() -> bool:
+        """Every event runs on the caller's one thread."""
+        return True
+
+    def call_at(self, when: float, fn, *args) -> None:
+        """Run ``fn(*args)`` at absolute virtual time ``when``."""
         if when < self._now:
             raise InvalidArgumentError(
                 f"cannot schedule in the past ({when} < {self._now})"
             )
-        event = _Event(when, next(self._seq), callback)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event, self)
+        heapq.heappush(self._queue, (when, next(self._seq), fn, args))
 
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event.departed = True
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
-            self.events_processed += 1
-            event.callback()
-            return True
-        return False
+    def call_soon(self, fn, *args) -> None:
+        """Run ``fn(*args)`` now, after the events already due now."""
+        heapq.heappush(self._queue, (self._now, next(self._seq), fn, args))
+
+    #: A worker job is a hand-off: the engine has no pool.
+    submit = call_soon
+
+    def schedule(self, delay: float, fn, *args) -> None:
+        """Run ``fn(*args)`` ``delay`` seconds from now."""
+        if delay < 0:
+            raise InvalidArgumentError(f"delay must be >= 0, got {delay}")
+        heapq.heappush(
+            self._queue, (self._now + delay, next(self._seq), fn, args)
+        )
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
         """Run until the queue drains (or ``until``/``max_events`` hits);
         returns the final virtual time."""
+        queue = self._queue
         fired = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                head.departed = True
-                self._tombstones -= 1
-                continue
-            if until is not None and head.time > until:
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 break
             if fired >= max_events:
                 raise RuntimeError(
                     f"DES exceeded {max_events} events; runaway simulation?"
                 )
-            self.step()
+            when, _seq, fn, args = heapq.heappop(queue)
+            self._now = when
             fired += 1
+            fn(*args)
+        self.events_processed += fired
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Events still queued, excluding cancelled tombstones."""
-        return len(self._queue) - self._tombstones
-
-    # ------------------------------------------------------------------ #
-    def _note_cancelled(self) -> None:
-        """An in-queue event was cancelled; compact when dead weight wins."""
-        self._tombstones += 1
-        if (
-            len(self._queue) >= _COMPACT_MIN_QUEUE
-            and self._tombstones * 2 > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without tombstones (O(live) instead of the
-        O(total log total) the dead entries would cost over time)."""
-        for event in self._queue:
-            if event.cancelled:
-                event.departed = True
-        self._queue = [e for e in self._queue if not e.cancelled]
-        heapq.heapify(self._queue)
-        self._tombstones = 0
-        self.compactions += 1

@@ -5,15 +5,21 @@ The original SimFS shells out to batch-system scripts generated by the LUA
 drivers.  The reproduction runs driver jobs in the DV process, on the
 performance model's schedule: a launched :class:`RunningSim` produces its
 *i*-th output ``α + i·τ`` seconds after its launch
-(:func:`~repro.core.perfmodel.production_offset`, the schedule the DES
-keeps; *i* counts the sim's ``planned_keys`` only, as the DES does),
-reports it to the coordinator (``sim_file_closed``) and reports its
-completion with its last output (``sim_completed``/``sim_failed``).
+(:func:`~repro.core.perfmodel.production_offset`; *i* counts the sim's
+``planned_keys`` only), reports it to the coordinator
+(``sim_file_closed``) and reports its completion with its last output
+(``sim_completed``/``sim_failed``).  The DES runs this same launcher on
+its engine (:mod:`repro.des.components`).
+
+Pacing is fixed per run, at its launch: ``(α, τ)`` is the context's
+``pace(sim)``, which :meth:`ThreadedLauncher.register_context` builds
+from ``alpha_delay``/``tau_delay`` (the DES passes the performance
+model's ``α`` plus a batch-queueing delay, and its ``τ``).
 
 A driver with ``steps()`` (:class:`~repro.simulators.base.ForwardDriver`:
-synthetic, COSMO, FLASH; the archive copy) hands over its job as a
-generator that yields after each closed output.  Its productions are a
-chain of timers on the loop and hold no thread:
+synthetic, COSMO, FLASH; the archive copy; the DES's file-less driver)
+hands over its job as a generator that yields after each closed output.
+Its productions are a chain of timers on the loop and hold no thread:
 
 - a production whose context's output step fits one data-port chunk
   frame (:data:`~repro.dv.protocol.CHUNK_MAX`, 256 KiB) runs on the I/O
@@ -21,9 +27,15 @@ chain of timers on the loop and hold no thread:
   worker and is announced back on the loop;
 - an output not planned (resident at launch) is produced with the next
   planned one, and the last planned output brings the rest of the job
-  (trailing steps, checkpoints) with it, so the completion follows it;
-- kill ends a chain before its next production: the production in
-  progress is still announced (its file is on disk).
+  (trailing steps, checkpoints) with it, so the completion follows it.
+
+There is one kill rule: kill sets the run's flag, and the chain ends
+before its next production.  A production in progress is still
+announced (its file is on disk), and nothing after it; the chain reports
+its completion then, or when its next production would have run.  No
+timer is cancelled, so a killed chain leaves at most one on the loop.
+On a virtual clock a production is instant: nothing is in progress at a
+kill, and nothing is announced after it.
 
 A driver without ``steps()`` — :class:`~repro.simulators.pipeline.PipelineDriver`,
 whose job blocks on another context's readies — is the one exception: it
@@ -38,10 +50,9 @@ started at its first launch and stopped by :meth:`ThreadedLauncher.close`.
 
 The coordinator routes the reports into the owning context's shard,
 which serializes them under its own lock; a small internal mutex
-protects only the launcher's table of running simulations.  Pacing
-(``alpha_delay`` / ``tau_delay``) is counted from the launch; tests leave
-both at zero, and the productions then run back to back, each a hand-off
-of its own, so the loop serves its sockets between two of them.
+protects only the launcher's table of running simulations.  Tests leave
+both delays at zero, and the productions then run back to back, each a
+hand-off of its own, so the loop serves its sockets between two of them.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from repro.core.context import SimulationContext
@@ -65,34 +76,22 @@ from repro.util.clock import Clock, WallClock
 __all__ = ["ThreadedLauncher"]
 
 
-def _first_output_bytes(driver: SimulationDriver, output_dir: str) -> int | None:
-    """Size of an output step already in ``output_dir`` (None: none is)."""
-    try:
-        with os.scandir(output_dir) as entries:
-            for entry in entries:
-                if driver.naming.is_output(entry.name):
-                    return entry.stat().st_size
-    except OSError:
-        pass
-    return None
-
-
 @dataclass
 class _ContextRuntime:
     driver: SimulationDriver
     output_dir: str
     restart_dir: str
-    alpha_delay: float = 0.0
-    tau_delay: float = 0.0
+    #: A launched sim's ``(α, τ)``, fixed for its run.
+    pace: Callable[[RunningSim], tuple[float, float]]
     areas: tuple[str, str] = field(init=False)
-    #: Bytes of one output step, as last seen on disk (None: not yet):
-    #: what decides where a production runs.
+    #: Bytes of one output step, as last seen (None: not yet): what
+    #: decides where a production runs.
     step_bytes: int | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.areas = (os.path.realpath(self.output_dir),
                       os.path.realpath(self.restart_dir))
-        self.step_bytes = _first_output_bytes(self.driver, self.output_dir)
+        self.step_bytes = self.driver.output_bytes(self.output_dir)
 
 
 @dataclass(eq=False)
@@ -106,6 +105,10 @@ class _Run:
     loop: EventLoop | None
     #: The launch, on the clock that paces the run.
     began: float
+    #: The run's pacing: output *i* is due ``alpha + i·tau`` after
+    #: ``began``.
+    alpha: float
+    tau: float
     #: The driver's productions (``steps()``); None on a thread.
     outputs: Iterator[str] | None = None
     #: The outputs the sim plans: the model's ``n``.
@@ -160,10 +163,16 @@ class ThreadedLauncher:
         restart_dir: str,
         alpha_delay: float = 0.0,
         tau_delay: float = 0.0,
+        pace: Callable[[RunningSim], tuple[float, float]] | None = None,
     ) -> None:
-        """Declare where a context's files live and how to run its jobs."""
+        """Declare where a context's files live and how to run its jobs:
+        each run paced by ``pace(sim) -> (α, τ)``, by default
+        ``(alpha_delay, tau_delay)``."""
+        if pace is None:
+            def pace(_sim):
+                return alpha_delay, tau_delay
         self._contexts[context_name] = _ContextRuntime(
-            driver, output_dir, restart_dir, alpha_delay, tau_delay
+            driver, output_dir, restart_dir, pace
         )
 
     def _runtime(self, context_name: str) -> _ContextRuntime:
@@ -196,13 +205,16 @@ class ThreadedLauncher:
             start_restart=sim.start_restart,
             stop_restart=sim.stop_restart,
             parallelism_level=sim.parallelism_level,
+            planned_keys=tuple(sim.planned_keys),
         )
         steps = getattr(runtime.driver, "steps", None)
         with self._mutex:
             if self._closed:
                 return  # a stopped daemon starts nothing
+            alpha, tau = runtime.pace(sim)
             if steps is None:
-                run = _Run(context, sim, runtime, None, time.monotonic())
+                run = _Run(context, sim, runtime, None, time.monotonic(),
+                           alpha, tau)
             else:
                 loop = self.loop
                 if loop is None or not loop.running:
@@ -211,7 +223,7 @@ class ThreadedLauncher:
                         self._own_loop.start()
                     loop = self._own_loop
                 run = _Run(
-                    context, sim, runtime, loop, loop.time(),
+                    context, sim, runtime, loop, loop.time(), alpha, tau,
                     outputs=steps(job, runtime.output_dir, runtime.restart_dir),
                     planned=frozenset(map(context.filename_of, sim.planned_keys)),
                 )
@@ -296,10 +308,7 @@ class ThreadedLauncher:
     def _schedule(self, run: _Run) -> None:
         """Have ``run``'s next production run when it is due: at once
         (after the loop's sockets get a turn) when that is past."""
-        runtime = run.runtime
-        due = run.began + production_offset(
-            runtime.alpha_delay, runtime.tau_delay, run.position + 1
-        )
+        due = run.began + production_offset(run.alpha, run.tau, run.position + 1)
         if due > run.loop.time():
             run.loop.call_at(due, self._produce, run)
         else:
@@ -340,12 +349,10 @@ class ThreadedLauncher:
             return names, exc
         finally:
             if names:
-                try:
-                    run.runtime.step_bytes = os.path.getsize(
-                        os.path.join(run.runtime.output_dir, names[-1])
-                    )
-                except OSError:
-                    pass
+                runtime = run.runtime
+                size = runtime.driver.output_bytes(runtime.output_dir, names[-1])
+                if size is not None:
+                    runtime.step_bytes = size
 
     def _produced(self, run: _Run, outcome: tuple[list[str], object]) -> None:
         """On the loop: announce what a production closed, then go on,
@@ -375,7 +382,7 @@ class ThreadedLauncher:
         def on_output(filename: str) -> None:
             run.position += 1
             wait = run.began + production_offset(
-                runtime.alpha_delay, runtime.tau_delay, run.position
+                run.alpha, run.tau, run.position
             ) - time.monotonic()
             if wait > 0:
                 time.sleep(wait)

@@ -16,6 +16,7 @@ DES (virtual-time mode).
 from __future__ import annotations
 
 import abc
+import os
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -38,7 +39,10 @@ class SimulationJobSpec:
 
     ``start_restart``/``stop_restart`` delimit the job: it loads checkpoint
     ``r_start`` and runs forward to ``r_stop``, producing the output steps
-    in the exclusive window ``(start*Δr, stop*Δr]``.
+    in the exclusive window ``(start*Δr, stop*Δr]``.  ``planned_keys`` are
+    the outputs of the window the DV waits for (those not resident at
+    launch); a driver that writes files ignores them and writes the whole
+    window, the DES's file-less driver yields only them.
     """
 
     context_name: str
@@ -46,6 +50,7 @@ class SimulationJobSpec:
     stop_restart: int
     parallelism_level: int = 0
     write_restarts: bool = False
+    planned_keys: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.start_restart < 0:
@@ -177,6 +182,21 @@ class SimulationDriver(abc.ABC):
         generator yielding each output once it is closed — is paced by
         the launcher on the node's event loop; this one runs on a thread
         of its own (:mod:`repro.dv.launcher`)."""
+
+    def output_bytes(self, output_dir: str, filename: str | None = None) -> int | None:
+        """Bytes of one output step in ``output_dir``: of ``filename``, or
+        of the first output there; None when there is none.  The launcher
+        decides by it where a production runs."""
+        try:
+            if filename is not None:
+                return os.path.getsize(os.path.join(output_dir, filename))
+            with os.scandir(output_dir) as entries:
+                for entry in entries:
+                    if self.naming.is_output(entry.name):
+                        return entry.stat().st_size
+        except OSError:
+            pass
+        return None
 
     # -- checksums (``SIMFS_Bitrep`` support) ---------------------------- #
     def checksum(self, path: str) -> str:

@@ -16,7 +16,10 @@ its published aggregate characteristics:
 
 What Fig. 5 needs from this trace is the *regime* — strongly skewed re-use
 with mixed locality — which separates cost-aware eviction (BCL/DCL) from
-purely recency-based schemes; see DESIGN.md for the substitution note.
+purely recency-based schemes.  The substitution shows in one place: the
+synthetic Zipf skew is stronger than the real archive's, so on this trace
+the frequency-based ARC and LIRS can beat DCL, which still beats LRU and
+BCL (``benchmarks/bench_fig05_cache_schemes.py``).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The DV coordinator, cache manager, and prefetch agents are written against
 this interface so the identical logic runs both against wall-clock time (the
 TCP daemon) and inside the discrete-event simulator (``repro.des``), where
-seconds are simulated (see DESIGN.md Sec. 6).
+seconds are simulated (ARCHITECTURE.md, "The DES twin").
 """
 
 from __future__ import annotations

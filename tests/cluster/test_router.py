@@ -1,7 +1,7 @@
 """Sans-I/O tests of the forwarding core.
 
 :class:`Net` wires several :class:`~repro.cluster.router.Router` members
-together with in-memory links on one :class:`VirtualLoop`: a forwarded
+together with in-memory links on one :class:`Loop`, the DES engine: a forwarded
 run is a continuation on it, a "peer round trip" is a call into the
 owner's ``on_fwd`` one hand-off after the send, a ``ready`` is a direct
 call into the ingress's ``on_link_fwd``, a worker job is a hand-off, and
@@ -33,6 +33,7 @@ from repro.core.errors import (
     ProtocolError,
     SimFSError,
 )
+from repro.des.engine import DESEngine
 from repro.dv.coordinator import Notification
 from repro.dv.protocol import (
     FWD_RUN_MAX,
@@ -46,13 +47,33 @@ from repro.dv.protocol import (
 from repro.dv.core import reply_frame, reply_payloads
 from repro.metrics import MetricsRegistry
 from tests.dv.test_protocol_runs import MALFORMED_RUNS, packed, run_body
-from tests.virtual_loop import VirtualLoop
 
 CTX = "alpha"
 ERR_CONTEXT = int(ErrorCode.ERR_CONTEXT)
 ERR_INVALID = int(ErrorCode.ERR_INVALID)
 ERR_CONNECTION = int(ErrorCode.ERR_CONNECTION)
 ERR_PROTOCOL = int(ErrorCode.ERR_PROTOCOL)
+
+
+class Loop(DESEngine):
+    """The engine, noting how far ahead each timer was set (a hand-off
+    is not listed) and each blocking :meth:`sleep`."""
+
+    def __init__(self):
+        super().__init__()
+        self.delays = []
+
+    def call_at(self, when, fn, *args):
+        if when > self.time():
+            self.delays.append(when - self.time())
+        super().call_at(when, fn, *args)
+
+    def sleep(self, seconds):
+        """A blocking wait, as ``time.sleep``: the clock moves on, and
+        what falls due meanwhile runs."""
+        self.delays.append(seconds)
+        self.schedule(seconds, lambda: None)
+        self.run(until=self.time() + seconds)
 
 
 class FakeConn:
@@ -250,7 +271,7 @@ class Member:
 
 class Net:
     def __init__(self, *member_ids, policy="dead", owner=None):
-        self.loop = VirtualLoop()
+        self.loop = Loop()
         self.catalog = {CTX}
         self.owners = {}
         self.down, self.slow = set(), set()
@@ -368,7 +389,7 @@ class TestForward:
         payload = b.forward("c1", op("attach"))
         assert payload["error"] == ERR_CONNECTION
         assert "unreachable" in payload["detail"]
-        assert 10.0 <= net.loop.now < 10.1
+        assert 10.0 <= net.loop.now() < 10.1
         assert b.router._links == {}
 
     def test_activation_lag_retries_until_the_owner_catches_up(self):
@@ -393,7 +414,7 @@ class TestForward:
         net.assign("a", activate=False)
         payload = net.members["b"].forward("c1", op("attach"))
         assert payload["error"] == ERR_CONTEXT
-        assert 10.0 <= net.loop.now < 10.1
+        assert 10.0 <= net.loop.now() < 10.1
         assert net.members["a"].router._proxies == {}
 
     def test_not_attached_reattaches_and_retries(self):
@@ -764,7 +785,7 @@ class TestRuns:
         a.router._execute_local = per_op(activates_after_the_first_op)
         payloads = b.forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [0] * len(RUN)
-        assert net.loop.delays == [0.05] and net.loop.now < b.router.rpc_timeout
+        assert net.loop.delays == [0.05] and net.loop.now() < b.router.rpc_timeout
         assert net.links[0].frames == [
             run_frame("b", "c1", RUN), run_frame("b", "c1", RUN[:1]),
         ]
@@ -778,7 +799,7 @@ class TestRuns:
         net.assign("a", activate=False)
         payloads = net.members["b"].forward_many("c1", RUN)
         assert [p["error"] for p in payloads] == [ERR_CONTEXT] * len(RUN)
-        assert 10.0 <= net.loop.now < 10.1
+        assert 10.0 <= net.loop.now() < 10.1
 
     def test_a_run_past_the_frame_limit_goes_as_frames_of_one(self):
         net = attached_pair()

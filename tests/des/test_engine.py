@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import threading
+
 import pytest
 
 from repro.core.errors import InvalidArgumentError
@@ -44,36 +46,50 @@ class TestScheduling:
         engine.run()
         assert fired == [("first", 1.0), ("second", 3.0)]
 
-    def test_schedule_at_absolute(self):
+    def test_call_at_absolute(self):
         engine = DESEngine()
+        seen = []
         engine.schedule(1.0, lambda: None)
         engine.run()
-        handle = engine.schedule_at(10.0, lambda: None)
-        assert handle.time == 10.0
+        engine.call_at(10.0, lambda: seen.append(engine.now()))
         with pytest.raises(InvalidArgumentError):
-            engine.schedule_at(0.5, lambda: None)
+            engine.call_at(0.5, lambda: None)
+        engine.run()
+        assert seen == [10.0]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(InvalidArgumentError):
             DESEngine().schedule(-1.0, lambda: None)
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+class TestLoopSurface:
+    """What the launcher and the router use of the node's event loop."""
+
+    def test_a_hand_off_runs_after_what_is_due_now(self):
         engine = DESEngine()
         fired = []
-        handle = engine.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        engine.run()
-        assert fired == []
-        assert handle.cancelled
 
-    def test_pending_excludes_cancelled(self):
+        def first():
+            engine.call_soon(fired.append, "soon")
+            engine.submit(fired.append, "job")
+            engine.call_at(engine.time() + 1.0, fired.append, "later")
+
+        engine.schedule(1.0, first)
+        engine.schedule(1.0, fired.append, "tie")
+        engine.run()
+        assert fired == ["tie", "soon", "job", "later"]
+        assert engine.time() == 2.0
+
+    def test_everything_runs_on_the_callers_thread(self):
         engine = DESEngine()
-        keep = engine.schedule(1.0, lambda: None)
-        drop = engine.schedule(2.0, lambda: None)
-        drop.cancel()
-        assert engine.pending == 1
+        threads = []
+        before = threading.active_count()
+        engine.submit(lambda: threads.append(threading.get_ident()))
+        engine.call_soon(lambda: threads.append(threading.get_ident()))
+        assert engine.running and engine.on_io_thread()
+        engine.run()
+        assert threads == [threading.get_ident()] * 2
+        assert threading.active_count() == before
 
 
 class TestRunBounds:
@@ -109,81 +125,3 @@ class TestRunBounds:
             return out
 
         assert run_once() == run_once()
-
-
-class TestTombstoneCompaction:
-    def test_compaction_triggers_past_half_dead(self):
-        engine = DESEngine()
-        handles = [engine.schedule(i + 1.0, lambda: None) for i in range(200)]
-        for h in handles[:150]:
-            h.cancel()
-        assert engine.compactions >= 1
-        assert len(engine._queue) <= 100  # tombstones physically gone
-        assert engine.pending == 50
-
-    def test_small_queues_never_compact(self):
-        engine = DESEngine()
-        handles = [engine.schedule(i + 1.0, lambda: None) for i in range(10)]
-        for h in handles:
-            h.cancel()
-        assert engine.compactions == 0
-        assert engine.pending == 0
-
-    def test_survivors_fire_in_order_after_compaction(self):
-        engine = DESEngine()
-        fired = []
-        keep = []
-        for i in range(100):
-            handle = engine.schedule(
-                float(i), lambda i=i: fired.append(i)
-            )
-            if i % 10 == 0:
-                keep.append(i)
-            else:
-                handle.cancel()
-        assert engine.compactions >= 1
-        engine.run()
-        assert fired == keep
-        assert engine.events_processed == len(keep)
-
-    def test_double_cancel_counts_once(self):
-        engine = DESEngine()
-        handles = [engine.schedule(1.0, lambda: None) for _ in range(100)]
-        for h in handles[:40]:
-            h.cancel()
-            h.cancel()  # idempotent
-        assert engine.pending == 60
-
-    def test_cancel_after_fire_keeps_accounting(self):
-        engine = DESEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.run(until=1.5)
-        handle.cancel()  # already fired: a no-op for the queue
-        assert handle.cancelled
-        assert engine.pending == 1
-
-    def test_cancel_after_skip_keeps_accounting(self):
-        engine = DESEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        handle.cancel()
-        engine.run()  # pops the tombstone
-        handle.cancel()  # second cancel after the tombstone departed
-        assert engine.pending == 0
-
-    def test_prefetch_kill_wave_stays_compact(self):
-        # Shape of a prefetch-heavy virtual experiment: waves of
-        # speculative events mostly cancelled before firing.
-        engine = DESEngine()
-        fired = []
-        for wave in range(50):
-            handles = [
-                engine.schedule(wave + i * 0.001, lambda: fired.append(1))
-                for i in range(100)
-            ]
-            for h in handles[5:]:
-                h.cancel()
-        assert engine.pending == 50 * 5
-        assert len(engine._queue) < 2 * engine.pending + 64
-        engine.run()
-        assert len(fired) == 50 * 5

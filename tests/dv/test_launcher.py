@@ -1,11 +1,11 @@
 """The launcher: a re-simulation is a chain of timers on an event loop.
 
 Output *i* of a launched simulation is produced and announced ``α + i·τ``
-after its launch — the schedule the DES keeps, taken from the launch and
-not from the previous output — and its completion follows its last
-output.  A production whose output step fits one chunk frame runs on the
-I/O thread, a larger one on a worker; kill ends the chain before its next
-production.
+after its launch — taken from the launch and not from the previous
+output — and its completion follows its last output.  A production whose
+output step fits one chunk frame runs on the I/O thread, a larger one on
+a worker; kill ends the chain before its next production.  The same
+launcher runs the DES: on the engine's clock the schedule is exact.
 """
 
 import os
@@ -17,15 +17,15 @@ import time
 import pytest
 
 from repro.core.context import ContextConfig, SimulationContext
-from repro.core.perfmodel import PerformanceModel
-from repro.des.components import DESExecutor
+from repro.core.perfmodel import PerformanceModel, production_offset
+from repro.des import VirtualSimFS
 from repro.des.engine import DESEngine
+from repro.dv import launcher as launcher_module
 from repro.dv.launcher import ThreadedLauncher
 from repro.dv.loop import EventLoop
 from repro.dv.protocol import CHUNK_MAX
 from repro.dv.shard import RunningSim
 from repro.simulators import SyntheticDriver
-from tests.virtual_loop import VirtualLoop
 
 ALPHA, TAU = 0.05, 0.02
 #: One restart interval of eight outputs.
@@ -118,36 +118,83 @@ def launcher_for():
 
 
 @pytest.mark.parametrize("resident", [(), (11, 16)], ids=["cold", "partly-resident"])
-def test_both_clocks_keep_one_schedule(tmp_path, launcher_for, resident):
-    """One launch, on the live chain over a virtual clock and in the DES:
-    the same offsets for every planned output, and the same done time.
-    Positions count planned outputs only: the live job still rewrites an
-    output that was resident at launch, with the next planned one (the
-    window's last with the last planned one), and is not charged a τ."""
+def test_the_engine_clock_keeps_the_schedule_exactly(tmp_path, launcher_for, resident):
+    """One launch at virtual second 5: planned output *i* is announced at
+    exactly ``5 + production_offset(α, τ, i)``, and the completion comes
+    with the last.  Positions count planned outputs only: the live job
+    still rewrites an output that was resident at launch, with the next
+    planned one (the window's last with the last planned one), and is not
+    charged a τ."""
     context, out, rst = make_context(tmp_path)
     sim = sim_of(context, resident=resident)
-    loop = VirtualLoop()
-    live = Recorder(loop.time)
-    launcher = launcher_for(
-        context, out, rst, live, loop, alpha_delay=ALPHA, tau_delay=TAU
-    )
-    launcher.launch(context, sim)
-    loop.run()
     engine = DESEngine()
-    des = Recorder(engine.now)
-    executor = DESExecutor(engine)
-    executor.bind(des)
-    executor.register_context(context)
-    executor.launch(context, sim_of(context, resident=resident))
+    recorder = Recorder(engine.now)
+    launcher = launcher_for(
+        context, out, rst, recorder, engine, alpha_delay=ALPHA, tau_delay=TAU
+    )
+    engine.call_at(5.0, launcher.launch, context, sim)
     engine.run()
-    assert len(live.events) == INTERVAL + 1
-    planned = set(map(context.filename_of, sim.planned_keys))
-    assert [e for e in live.events if e[0] == "done" or e[1] in planned] == des.events
-    assert live.events[-1][2] == pytest.approx(ALPHA + len(planned) * TAU)
-    at = {name: when for kind, name, when in live.events if kind == "output"}
+    planned = [context.filename_of(key) for key in sim.planned_keys]
+    at = {name: when for kind, name, when in recorder.events if kind == "output"}
+    assert [at[name] for name in planned] == [
+        5.0 + production_offset(ALPHA, TAU, i) for i in range(1, len(planned) + 1)
+    ]
+    assert len(recorder.events) == INTERVAL + 1
+    assert recorder.events[-1] == ("done", sim.sim_id, at[planned[-1]])
     for key, rides_with in zip(resident, (12, 15)):
         assert at[context.filename_of(key)] == at[context.filename_of(rides_with)]
     assert launcher.running_threads == 0
+
+
+def test_a_kill_on_the_engine_clock_announces_nothing_after_it(tmp_path, launcher_for):
+    """Killed between its second and third outputs, a chain announces
+    nothing more; its one pending timer reports the completion when the
+    third would have been due, and nothing else is left on the engine."""
+    context, out, rst = make_context(tmp_path)
+    engine = DESEngine()
+    recorder = Recorder(engine.now)
+    launcher = launcher_for(
+        context, out, rst, recorder, engine, alpha_delay=ALPHA, tau_delay=TAU
+    )
+    launcher.launch(context, sim_of(context))
+    killed_at = production_offset(ALPHA, TAU, 2) + TAU / 2
+    engine.call_at(killed_at, launcher.kill, 1)
+    engine.run()
+    assert recorder.outputs() == [context.filename_of(k) for k in (9, 10)]
+    assert all(when < killed_at for kind, _n, when in recorder.events
+               if kind == "output")
+    assert recorder.events[-1] == ("done", 1, production_offset(ALPHA, TAU, 3))
+    assert engine.events_processed == 4  # two outputs, the kill, one timer
+    assert launcher.running_threads == 0
+
+
+def test_a_virtual_run_starts_no_thread(monkeypatch):
+    """The DES runs the daemon's launcher on its engine: re-simulations
+    launch, and no thread starts, nor does the launcher build a loop.
+    Each production runs at the event it is due at, not as a worker job
+    (the file-less driver's step is known to fit a chunk frame)."""
+
+    def no_loop(*args, **kwargs):
+        raise AssertionError("the launcher built a loop of its own")
+
+    monkeypatch.setattr(launcher_module, "EventLoop", no_loop)
+    config = ContextConfig(name="v", delta_d=1, delta_r=INTERVAL,
+                           num_timesteps=4 * INTERVAL, smax=2)
+    context = SimulationContext(
+        config=config, driver=SyntheticDriver(config.geometry, prefix="v", cells=4),
+        perf=PerformanceModel(tau_sim=TAU, alpha_sim=ALPHA),
+    )
+    before = threading.active_count()
+    simfs = VirtualSimFS()
+    jobs = []
+    hand_off = simfs.engine.call_soon
+    simfs.engine.submit = lambda fn, *args: (jobs.append(fn), hand_off(fn, *args))
+    simfs.add_context(context)
+    analysis = simfs.add_analysis(context, list(range(1, 4 * INTERVAL + 1)), 0.01)
+    simfs.run()
+    assert analysis.done and simfs.coordinator.total_restarts >= 4
+    assert simfs.launcher.loop is simfs.engine and jobs == []
+    assert threading.active_count() == before
 
 
 def test_outputs_keep_the_schedule_of_their_launch(tmp_path, launcher_for):

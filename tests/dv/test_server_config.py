@@ -257,6 +257,6 @@ class TestMainConfig:
             pass
         server = captured["server"]
         runtime = server.launcher._runtime("paced")
-        assert runtime.alpha_delay == 1.25
-        assert runtime.tau_delay == 0.5
+        # A daemon context paces every run alike, whatever the sim.
+        assert runtime.pace(None) == (1.25, 0.5)
         server.stop()

@@ -98,12 +98,15 @@ def build_server(
     smax=8,
     keep_outputs=(),
     record_checksums=True,
+    alpha_delay=0.0,
+    tau_delay=0.0,
 ):
     """Build a DVServer with one synthetic context.
 
     Runs the initial simulation (producing restart files and all outputs),
     records reference checksums, then deletes every output not listed in
     ``keep_outputs`` — the 'we cannot store the full output' premise.
+    Re-simulations are paced by ``alpha_delay``/``tau_delay``.
     """
     output_dir = str(tmp_path / f"{name}-out")
     restart_dir = str(tmp_path / f"{name}-restart")
@@ -153,7 +156,8 @@ def build_server(
         )
 
     server = DVServer()
-    server.add_context(context, output_dir, restart_dir)
+    server.add_context(context, output_dir, restart_dir,
+                       alpha_delay=alpha_delay, tau_delay=tau_delay)
     return server, context, reference_bytes
 
 

@@ -11,7 +11,6 @@ client (``refuse_owner``), so their ops cross the hop.
 
 import os
 import threading
-import time
 
 import pytest
 
@@ -21,6 +20,7 @@ from repro.cluster import ClusterNode
 from repro.core.context import ContextConfig, SimulationContext
 from repro.core.perfmodel import PerformanceModel
 from repro.simulators import SyntheticDriver
+from tests.dv.test_server_protocol_edges import pipelined
 from tests.integration.conftest import free_port, refuse_owner, wait_until
 
 NODE_IDS = ("n1", "n2", "n3")
@@ -397,7 +397,8 @@ class TestClusterStatus:
 class TestGracefulShutdown:
     def test_stop_flushes_buffered_replies(self, tmp_path):
         """Replies still sitting in coalescing writers at stop() time are
-        delivered before the socket closes."""
+        delivered before the socket closes: 20 requests pipelined on the
+        socket, all read by the daemon before stop(), get 20 replies."""
         from repro.dv.server import DVServer
 
         context, out, rst = build_context(tmp_path, "flush", keep_outputs=True)
@@ -407,22 +408,21 @@ class TestGracefulShutdown:
         host, port = server.address
         conn = TcpConnection(host, port, {"flush": out}, {"flush": rst},
                              client_id="flush-client")
+        frames_recv = server.metrics.get("wire.frames_recv")
         received = []
-
-        def reader():
-            # The listener thread inside TcpConnection fills the replies;
-            # we only need to know how many stats RPCs complete.
-            for _ in range(20):
-                received.append(conn.stats())
 
         try:
             conn.attach("flush")
-            thread = threading.Thread(target=reader)
+            before = frames_recv.value
+            thread = threading.Thread(target=lambda: received.extend(
+                pipelined(conn, [{"op": "stats"}] * 20)))
             thread.start()
-            time.sleep(0.05)
+            wait_until(lambda: frames_recv.value >= before + 20, 10.0,
+                       "the daemon never read the pipelined requests")
             server.stop(drain_timeout=10.0)
             thread.join(timeout=30.0)
             assert len(received) == 20
+            assert all("stats" in reply for reply in received)
         finally:
             conn.close()
 
